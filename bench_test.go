@@ -207,23 +207,20 @@ func BenchmarkJudgeHot(b *testing.B) {
 }
 
 // BenchmarkAuthorizeParallel drives the full framework path from many
-// goroutines through a TTL-cached collector: the contended-gateway shape
-// the sharded decision log and the snapshot cache exist for.
+// goroutines over one constant simulator snapshot: the contended-gateway
+// shape, where every call shares the one decision ring.
 func BenchmarkAuthorizeParallel(b *testing.B) {
 	s := sharedSuite(b)
 	h, err := home.NewStandard(home.EnvConfig{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cached, err := core.NewCachedCollector(&core.SimCollector{Env: h.Env()}, time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
+	snap := h.Env().Snapshot()
 	det, err := core.DefaultDetector()
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := core.New(core.Config{Detector: det, Collector: cached, Memory: s.Memory})
+	f, err := core.New(core.Config{Detector: det, Collector: constCollector(snap), Memory: s.Memory})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,19 +245,19 @@ func BenchmarkAuthorizeParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkAuthorizeCachedBare is the uninstrumented twin of
-// BenchmarkAuthorizeInstrumented — same cached legal-scene workload, no
+// constCollector serves one snapshot forever — what a context cache that
+// always hits amounts to.
+func constCollector(snap sensor.Snapshot) core.Collector {
+	return core.CollectorFunc(func(context.Context) (sensor.Snapshot, error) { return snap, nil })
+}
+
+// BenchmarkAuthorizeBare is the uninstrumented twin of
+// BenchmarkAuthorizeInstrumented — same constant legal-scene workload, no
 // metrics registry. The delta between the two is the whole cost of the
 // observability layer on the hot path (EXPERIMENTS.md records it).
-func BenchmarkAuthorizeCachedBare(b *testing.B) {
+func BenchmarkAuthorizeBare(b *testing.B) {
 	s := sharedSuite(b)
 	snap, err := dataset.LegalSceneSeeded(dataset.ModelWindow, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cached, err := core.NewCachedCollector(
-		core.CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) { return snap, nil }),
-		time.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,7 +265,7 @@ func BenchmarkAuthorizeCachedBare(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := core.New(core.Config{Detector: det, Collector: cached, Memory: s.Memory})
+	f, err := core.New(core.Config{Detector: det, Collector: constCollector(snap), Memory: s.Memory})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,7 +289,7 @@ func BenchmarkAuthorizeCachedBare(b *testing.B) {
 
 // BenchmarkAuthorizeInstrumented drives the framework with a full metrics
 // registry attached — decision counters, latency histogram, decision-log
-// append/eviction counters, cache counters — over a cached legal scene. The
+// append/eviction counters — over a constant legal scene. The
 // acceptance bar is 0 allocs/op: instrumentation must not reintroduce
 // allocations on the steady-state allow path (the race-free gate is
 // TestAuthorizeSteadyStateAllocs in internal/core).
@@ -303,18 +300,11 @@ func BenchmarkAuthorizeInstrumented(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cached, err := core.NewCachedCollector(
-		core.CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) { return snap, nil }),
-		time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cached.Instrument(reg)
 	det, err := core.DefaultDetector()
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := core.New(core.Config{Detector: det, Collector: cached, Memory: s.Memory, Metrics: reg})
+	f, err := core.New(core.Config{Detector: det, Collector: constCollector(snap), Memory: s.Memory, Metrics: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,7 +316,7 @@ func BenchmarkAuthorizeInstrumented(b *testing.B) {
 		}
 		ins[i] = in
 	}
-	// Warm the cache, the feature-buffer pool and the reason table.
+	// Warm the feature-buffer pool and the reason table.
 	if _, err := f.Authorize(context.Background(), ins[0]); err != nil {
 		b.Fatal(err)
 	}
@@ -350,10 +340,9 @@ func BenchmarkAuthorizeInstrumented(b *testing.B) {
 // BenchmarkAuthorizeEpoch is the event-driven twin of
 // BenchmarkAuthorizeInstrumented: the same legal-scene workload and full
 // metrics registry, but the context comes from an epoch store published by
-// a (pre-benchmark) push instead of a TTL-cached poll — steady-state
+// a (pre-benchmark) push instead of a constant collector — steady-state
 // Authorize is a pointer read. Acceptance bars: 0 allocs/op, and within
-// ~2× of BenchmarkOverheadJudge (EXPERIMENTS.md records the head-to-head
-// vs the cached collector).
+// ~2× of BenchmarkOverheadJudge (EXPERIMENTS.md records both).
 func BenchmarkAuthorizeEpoch(b *testing.B) {
 	s := sharedSuite(b)
 	snap, err := dataset.LegalSceneSeeded(dataset.ModelWindow, 7)

@@ -1,7 +1,7 @@
 // Cloudcontrol drives the platform's second control path (Fig 1): the
 // mobile app is away from home, so its instructions go to the IoT cloud,
 // which authenticates the user, verifies device ownership, runs the IDS
-// gate against the live sensor context, and only then forwards to the
+// against the live sensor context, and only then forwards to the
 // device. The example logs in, binds devices, and shows a burglary-context
 // window.open bouncing at the cloud while a thermostat command sails
 // through.
@@ -31,7 +31,7 @@ func run() error {
 		return err
 	}
 
-	// Train the IDS once; the cloud uses its gate.
+	// Train the IDS once; the cloud authorizes every command through it.
 	fmt.Println("training feature memory...")
 	detector, err := core.DefaultDetector()
 	if err != nil {
@@ -45,18 +45,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	collector := &core.SimCollector{Env: h.Env()}
-	framework, err := core.New(core.Config{Detector: detector, Collector: collector, Memory: memory})
+	framework, err := core.New(core.Config{Detector: detector, Collector: &core.SimCollector{Env: h.Env()}, Memory: memory})
 	if err != nil {
 		return err
 	}
 
 	srv, err := cloud.NewServer(cloud.Config{
-		Users:    map[string]string{"alice": "correct-horse"},
-		Registry: instr.BuiltinRegistry(),
-		Forward:  h.Execute,
-		Gate:     framework.Gate,
-		Context:  collector.Collect,
+		Users:     map[string]string{"alice": "correct-horse"},
+		Registry:  instr.BuiltinRegistry(),
+		Forward:   h.Execute,
+		Authorize: framework.Authorize,
 	})
 	if err != nil {
 		return err

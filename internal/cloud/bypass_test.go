@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"iotsid/internal/dataset"
 	"iotsid/internal/epoch"
 	"iotsid/internal/instr"
+	"iotsid/internal/sensor"
 )
 
 var (
@@ -80,8 +82,7 @@ func TestCommandTrustBypass(t *testing.T) {
 		Users:     map[string]string{"alice": "s3cret"},
 		Registry:  instr.BuiltinRegistry(),
 		Forward:   fwd.forward,
-		Gate:      fw.Gate,
-		Collector: coll,
+		Authorize: fw.Authorize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,5 +98,46 @@ func TestCommandTrustBypass(t *testing.T) {
 	}
 	if fwd.count() != 0 {
 		t.Fatal("window.open forwarded on a collapsed trust engine")
+	}
+	hist := srv.History()
+	if len(hist) != 1 || hist[0].Detail != "ids: "+core.ReasonLowTrust {
+		t.Fatalf("history = %+v, want one low-trust rejection", hist)
+	}
+}
+
+// TestCommandDegradedMatrix: with a multi-source collector whose required
+// source is down, /v1/command follows the degraded-mode matrix — the
+// sensitive instruction is refused (403, fail closed) while a
+// non-sensitive one is still judged on the partial context and forwarded.
+func TestCommandDegradedMatrix(t *testing.T) {
+	det, mem := trainedIDS(t)
+	scene, err := dataset.LegalScene(dataset.ModelWindow, rand.New(rand.NewSource(77)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := core.NewMultiCollector(core.MultiConfig{},
+		core.Source{Name: "gateway", Required: true, Collector: core.CollectorFunc(
+			func(context.Context) (sensor.Snapshot, error) { return sensor.Snapshot{}, errors.New("gateway down") })},
+		core.Source{Name: "aux", Collector: core.CollectorFunc(
+			func(context.Context) (sensor.Snapshot, error) { return scene, nil })},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := core.New(core.Config{Detector: det, Collector: multi, Memory: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, fwd := startCloud(t, fw.Authorize)
+	c := login(t, srv, "alice", "s3cret")
+	var apiErr *APIError
+	if err := c.Command("window.open", "window-1", nil); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusForbidden {
+		t.Fatalf("sensitive command without its required source: %v, want 403", err)
+	}
+	if err := c.Command("light.get_state", "light-1", nil); err != nil {
+		t.Fatalf("non-sensitive command on partial context: %v", err)
+	}
+	if fwd.count() != 1 {
+		t.Fatalf("forwarded = %d, want only the non-sensitive command", fwd.count())
 	}
 }

@@ -3,14 +3,13 @@ package cloud
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
+	"iotsid/internal/core"
 	"iotsid/internal/instr"
-	"iotsid/internal/sensor"
 )
 
 type captureForwarder struct {
@@ -35,23 +34,15 @@ func (f *captureForwarder) count() int {
 	return len(f.got)
 }
 
-func startCloud(t *testing.T, gate Gate) (*Server, *captureForwarder) {
+func startCloud(t *testing.T, authorize func(context.Context, instr.Instruction) (core.Decision, error)) (*Server, *captureForwarder) {
 	t.Helper()
 	fwd := &captureForwarder{}
-	cfg := Config{
-		Users:    map[string]string{"alice": "s3cret", "bob": "hunter2"},
-		Registry: instr.BuiltinRegistry(),
-		Forward:  fwd.forward,
-	}
-	if gate != nil {
-		cfg.Gate = gate
-		cfg.Context = func(context.Context) (sensor.Snapshot, error) {
-			s := sensor.NewSnapshot(sensorZero())
-			s.Set(sensor.FeatSmoke, sensor.Bool(false))
-			return s, nil
-		}
-	}
-	srv, err := NewServer(cfg)
+	srv, err := NewServer(Config{
+		Users:     map[string]string{"alice": "s3cret", "bob": "hunter2"},
+		Registry:  instr.BuiltinRegistry(),
+		Forward:   fwd.forward,
+		Authorize: authorize,
+	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -160,13 +151,13 @@ func TestCommandVerification(t *testing.T) {
 }
 
 func TestCloudGateBlocks(t *testing.T) {
-	gate := func(in instr.Instruction, ctx sensor.Snapshot) error {
+	authorize := func(_ context.Context, in instr.Instruction) (core.Decision, error) {
 		if in.Op == "window.open" {
-			return fmt.Errorf("ids: context illegal")
+			return core.Decision{Sensitive: true, Reason: "context illegal"}, nil
 		}
-		return nil
+		return core.Decision{Allowed: true}, nil
 	}
-	srv, fwd := startCloud(t, gate)
+	srv, fwd := startCloud(t, authorize)
 	c := login(t, srv, "alice", "s3cret")
 	var apiErr *APIError
 	if err := c.Command("window.open", "window-1", nil); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusForbidden {
@@ -189,8 +180,9 @@ func TestCloudGateContextUnavailable(t *testing.T) {
 		Users:    map[string]string{"alice": "s3cret"},
 		Registry: instr.BuiltinRegistry(),
 		Forward:  fwd.forward,
-		Gate:     func(instr.Instruction, sensor.Snapshot) error { return nil },
-		Context:  func(context.Context) (sensor.Snapshot, error) { return sensor.Snapshot{}, errors.New("collector down") },
+		Authorize: func(context.Context, instr.Instruction) (core.Decision, error) {
+			return core.Decision{}, errors.New("collector down")
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +239,6 @@ func TestServerConfigValidation(t *testing.T) {
 		{Registry: reg, Forward: fwd},                       // no users
 		{Users: map[string]string{"a": "b"}, Forward: fwd},  // no registry
 		{Users: map[string]string{"a": "b"}, Registry: reg}, // no forwarder
-		{Users: map[string]string{"a": "b"}, Registry: reg, Forward: fwd, // gate without context
-			Gate: func(instr.Instruction, sensor.Snapshot) error { return nil }},
 	}
 	for i, cfg := range cases {
 		if _, err := NewServer(cfg); err == nil {
@@ -289,8 +279,6 @@ func TestHistoryIsolatedPerUser(t *testing.T) {
 		t.Errorf("server history = %+v", srv.History())
 	}
 }
-
-func sensorZero() time.Time { return time.Time{} }
 
 func TestLoginLockout(t *testing.T) {
 	now := time.Unix(5000, 0)
@@ -340,51 +328,5 @@ func TestLoginLockout(t *testing.T) {
 		if err := c.Login("ghost", "x"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
 			t.Fatalf("ghost login %d: %v", i, err)
 		}
-	}
-}
-
-// TestCachedContextSharesCollections proves ContextTTL makes a burst of
-// commands share one collector round trip instead of one each.
-func TestCachedContextSharesCollections(t *testing.T) {
-	fwd := &captureForwarder{}
-	var mu sync.Mutex
-	collects := 0
-	cfg := Config{
-		Users:    map[string]string{"alice": "s3cret"},
-		Registry: instr.BuiltinRegistry(),
-		Forward:  fwd.forward,
-		Gate:     func(in instr.Instruction, ctx sensor.Snapshot) error { return nil },
-		Context: func(context.Context) (sensor.Snapshot, error) {
-			mu.Lock()
-			collects++
-			mu.Unlock()
-			s := sensor.NewSnapshot(sensorZero())
-			s.Set(sensor.FeatSmoke, sensor.Bool(false))
-			return s, nil
-		},
-		ContextTTL: time.Minute,
-	}
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	if err := srv.BindDevice("window-1", "alice"); err != nil {
-		t.Fatal(err)
-	}
-	c := login(t, srv, "alice", "s3cret")
-	for i := 0; i < 8; i++ {
-		if err := c.Command("window.open", "window-1", nil); err != nil {
-			t.Fatalf("Command %d: %v", i, err)
-		}
-	}
-	mu.Lock()
-	got := collects
-	mu.Unlock()
-	if got != 1 {
-		t.Errorf("context collected %d times for 8 commands, want 1", got)
-	}
-	if fwd.count() != 8 {
-		t.Errorf("forwarded = %d", fwd.count())
 	}
 }

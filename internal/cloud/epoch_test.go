@@ -1,8 +1,8 @@
 package cloud
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -13,10 +13,11 @@ import (
 	"iotsid/internal/sensor"
 )
 
-// TestCloudGateEpochCollector wires the gate's context through an
-// event-driven collector: before any push the gate has no context (503),
-// after a push commands judge against the published view, and the gate
-// sees state changes as soon as they are pushed — no TTL window.
+// TestCloudGateEpochCollector wires the authorizer's context through an
+// event-driven collector: before any push there is no context (503),
+// after a push commands judge against the published view, and the
+// authorizer sees state changes as soon as they are pushed — no TTL
+// window.
 func TestCloudGateEpochCollector(t *testing.T) {
 	st, err := epoch.NewStore(epoch.Config{},
 		epoch.SourceConfig{Name: "sim", Required: true, FreshFor: time.Hour})
@@ -28,18 +29,21 @@ func TestCloudGateEpochCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	fwd := &captureForwarder{}
-	gate := func(in instr.Instruction, ctx sensor.Snapshot) error {
-		if ctx.Bool(sensor.FeatSmoke) {
-			return fmt.Errorf("ids: smoke present, %s rejected", in.Op)
+	authorize := func(ctx context.Context, in instr.Instruction) (core.Decision, error) {
+		snap, err := coll.Collect(ctx)
+		if err != nil {
+			return core.Decision{}, err
 		}
-		return nil
+		if snap.Bool(sensor.FeatSmoke) {
+			return core.Decision{Sensitive: true, Reason: "smoke present"}, nil
+		}
+		return core.Decision{Allowed: true, Sensitive: true}, nil
 	}
 	srv, err := NewServer(Config{
 		Users:     map[string]string{"alice": "s3cret"},
 		Registry:  instr.BuiltinRegistry(),
 		Forward:   fwd.forward,
-		Gate:      gate,
-		Collector: coll,
+		Authorize: authorize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +54,7 @@ func TestCloudGateEpochCollector(t *testing.T) {
 	}
 	c := login(t, srv, "alice", "s3cret")
 
-	// Nothing pushed yet: the gate has no context to judge against.
+	// Nothing pushed yet: there is no context to judge against.
 	var apiErr *APIError
 	if err := c.Command("window.open", "window-1", nil); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("pre-push command: %v", err)

@@ -1,13 +1,11 @@
 package cloud
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
@@ -78,54 +76,6 @@ func startFleetCloud(t *testing.T, homes int) (*Server, *fleet.Fleet) {
 		}
 	}
 	return srv, fl
-}
-
-// TestFleetConfigCollectorContextConflict pins the explicit-conflict
-// contract: a config wiring both Collector and Context, or TTL-wrapping a
-// Collector, is rejected at construction instead of silently resolved.
-func TestFleetConfigCollectorContextConflict(t *testing.T) {
-	coll := core.CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) {
-		return sensor.Snapshot{}, nil
-	})
-	src := func(ctx context.Context) (sensor.Snapshot, error) { return sensor.Snapshot{}, nil }
-	gate := func(in instr.Instruction, ctx sensor.Snapshot) error { return nil }
-	base := Config{
-		Users:    map[string]string{"a": "b"},
-		Registry: instr.BuiltinRegistry(),
-		Forward:  func(in instr.Instruction) error { return nil },
-		Gate:     gate,
-	}
-
-	both := base
-	both.Collector = coll
-	both.Context = src
-	if _, err := NewServer(both); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Collector+Context = %v, want mutual-exclusion error", err)
-	}
-
-	ttl := base
-	ttl.Collector = coll
-	ttl.ContextTTL = time.Hour
-	if _, err := NewServer(ttl); err == nil || !strings.Contains(err.Error(), "ContextTTL") {
-		t.Fatalf("Collector+ContextTTL = %v, want TTL-conflict error", err)
-	}
-
-	// Each alone still constructs.
-	one := base
-	one.Collector = coll
-	srv, err := NewServer(one)
-	if err != nil {
-		t.Fatalf("Collector alone: %v", err)
-	}
-	_ = srv.Close()
-	two := base
-	two.Context = src
-	two.ContextTTL = time.Hour
-	srv, err = NewServer(two)
-	if err != nil {
-		t.Fatalf("Context+TTL: %v", err)
-	}
-	_ = srv.Close()
 }
 
 func TestFleetEndpointsRequireSession(t *testing.T) {

@@ -21,27 +21,16 @@ import (
 
 // TestMetricsEndpointExposition is the end-to-end observability check: a
 // cloud wired the way cmd/iotsidd wires it (framework + multi-source
-// collector + context cache sharing one registry) serves a valid Prometheus
-// exposition on GET /metrics covering every instrumented subsystem —
-// authorization decisions, per-source collector provenance, breaker
-// transitions, cache results, and worker-pool utilization.
+// collector sharing one registry) serves a valid Prometheus exposition on
+// GET /metrics covering every instrumented subsystem — authorization
+// decisions, per-source collector provenance, breaker transitions, and
+// worker-pool utilization.
 func TestMetricsEndpointExposition(t *testing.T) {
 	// The pool metrics register on the process-default registry, so the
 	// endpoint must serve that registry to cover them — same as production.
 	reg := obs.Default()
 
-	corpus, err := dataset.Corpus(dataset.CorpusConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := core.Train(corpus, dataset.BuildConfig{Seed: 42}, core.TrainConfig{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := core.DefaultDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	det, fm := trainedIDS(t)
 	scene, err := dataset.LegalScene(dataset.ModelWindow, rand.New(rand.NewSource(77)))
 	if err != nil {
 		t.Fatal(err)
@@ -79,14 +68,12 @@ func TestMetricsEndpointExposition(t *testing.T) {
 
 	fwd := &captureForwarder{}
 	srv, err := NewServer(Config{
-		Users:      map[string]string{"alice": "s3cret"},
-		Registry:   instr.BuiltinRegistry(),
-		Forward:    fwd.forward,
-		Gate:       f.Gate,
-		Context:    multi.Collect,
-		ContextTTL: time.Minute,
-		Metrics:    reg,
-		Pprof:      true,
+		Users:     map[string]string{"alice": "s3cret"},
+		Registry:  instr.BuiltinRegistry(),
+		Forward:   fwd.forward,
+		Authorize: f.Authorize,
+		Metrics:   reg,
+		Pprof:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +83,7 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := login(t, srv, "alice", "s3cret")
-	// Two commands: the first collect is a cache miss, the second a hit.
+	// Two commands: the first trips aux's breaker, the second finds it open.
 	for i := 0; i < 2; i++ {
 		if err := c.Command("window.open", "window-1", nil); err != nil {
 			t.Fatalf("command %d: %v", i, err)
@@ -142,8 +129,6 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		`iotsid_collector_source_collects_total{source="sim",state="`, // provenance
 		`iotsid_collector_retry_attempts_total{source="aux"}`,         // retries
 		`iotsid_breaker_transitions_total{name="aux",to="open"} 1`,    // breaker
-		`iotsid_cache_collects_total{result="miss"}`,                  // context cache
-		`iotsid_cache_collects_total{result="hit"}`,                   // cache fast path
 		"iotsid_par_runs_total",                                       // worker pool
 		"iotsid_par_workers_busy",                                     // pool gauge
 	} {
@@ -155,8 +140,8 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		t.Fatal("aux source was never collected; the resilience series are vacuous")
 	}
 
-	// The breaker tripped on the first command; the second command must
-	// have been short-circuited without touching aux (cache hit anyway).
+	// The breaker tripped on the first command; the second command was
+	// short-circuited without touching aux.
 	if got := breaker.State(); got != resilience.StateOpen {
 		t.Fatalf("breaker state %v, want open", got)
 	}

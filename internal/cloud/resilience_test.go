@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"iotsid/internal/core"
 	"iotsid/internal/instr"
 	"iotsid/internal/resilience"
-	"iotsid/internal/sensor"
 )
 
 // rawLogin logs in over plain HTTP and returns the session token, for
@@ -145,11 +145,10 @@ func TestCommandRetryAfterWhenBreakerOpen(t *testing.T) {
 		Users:    map[string]string{"alice": "s3cret"},
 		Registry: instr.BuiltinRegistry(),
 		Forward:  fwd.forward,
-		Gate:     func(instr.Instruction, sensor.Snapshot) error { return nil },
-		Context: func(context.Context) (sensor.Snapshot, error) {
-			// What MultiCollector's strict path returns while the breaker
-			// guarding a required source is open.
-			return sensor.Snapshot{}, fmt.Errorf("core: required source(s) miio unavailable: %w", open)
+		Authorize: func(context.Context, instr.Instruction) (core.Decision, error) {
+			// What Framework.Authorize returns while the breaker guarding
+			// the only source is open.
+			return core.Decision{}, fmt.Errorf("core: collect context: core: every source failed: %w", open)
 		},
 	})
 	if err != nil {
@@ -189,10 +188,9 @@ func TestCommandContextTimeout(t *testing.T) {
 		Users:    map[string]string{"alice": "s3cret"},
 		Registry: instr.BuiltinRegistry(),
 		Forward:  fwd.forward,
-		Gate:     func(instr.Instruction, sensor.Snapshot) error { return nil },
-		Context: func(ctx context.Context) (sensor.Snapshot, error) {
+		Authorize: func(ctx context.Context, _ instr.Instruction) (core.Decision, error) {
 			<-ctx.Done() // the hung gateway: only the deadline releases it
-			return sensor.Snapshot{}, ctx.Err()
+			return core.Decision{}, ctx.Err()
 		},
 		ContextTimeout: 50 * time.Millisecond,
 	})

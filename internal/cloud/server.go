@@ -2,7 +2,7 @@
 // (Fig 1): when the mobile app and the device are not on the same LAN, the
 // app "sends the instructions to control the device to the IoT cloud; then
 // the cloud performs the command verification and forwarding". The cloud
-// authenticates users, checks device ownership, runs the IDS gate, forwards
+// authenticates users, checks device ownership, runs the IDS, forwards
 // verified instructions to the device layer, and keeps a command history.
 package cloud
 
@@ -27,7 +27,6 @@ import (
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 	"iotsid/internal/resilience"
-	"iotsid/internal/sensor"
 	"iotsid/internal/trust"
 )
 
@@ -35,14 +34,6 @@ import (
 // deployment the cloud-to-gateway tunnel, here typically home.Execute or a
 // miio execute call.
 type Forwarder func(in instr.Instruction) error
-
-// Gate authorises an instruction against a sensor context before
-// forwarding; a non-nil error rejects it. This is the IDS hook.
-type Gate func(in instr.Instruction, ctx sensor.Snapshot) error
-
-// ContextSource supplies the sensor context the gate judges against. The
-// context carries the request's deadline and cancellation.
-type ContextSource func(ctx context.Context) (sensor.Snapshot, error)
 
 // HistoryEntry records one command submission.
 type HistoryEntry struct {
@@ -71,24 +62,12 @@ type Config struct {
 	Registry *instr.Registry
 	// Forward delivers verified instructions.
 	Forward Forwarder
-	// Gate is the optional IDS hook.
-	Gate Gate
-	// Context supplies the snapshot the gate judges against; required
-	// when Gate is set (unless Collector is set instead).
-	Context ContextSource
-	// Collector, when non-nil, supplies the gate's context instead of
-	// Context — wire an event-driven core.EpochCollector here. It is
-	// mutually exclusive with Context and with ContextTTL: an epoch read
-	// is already a pointer dereference, caching it would only add
-	// staleness, so a config asking for both is rejected rather than
-	// silently resolved.
-	Collector core.Collector
-	// ContextTTL, when positive, caches the gate's sensor context for
-	// that long and single-flights concurrent collections, so a burst of
-	// commands shares one collector round trip instead of issuing one
-	// each. Zero keeps every command collecting fresh context. Only valid
-	// with Context (not Collector).
-	ContextTTL time.Duration
+	// Authorize is the optional IDS hook — wire core.Framework.Authorize.
+	// It collects the sensor context itself (bounded by ContextTimeout)
+	// and returns the decision: an error is a 503 with no forward, a
+	// denial is a 403, so /v1/command gets the same fail-closed contract
+	// (missing, stale and low-trust context) as every other path.
+	Authorize func(ctx context.Context, in instr.Instruction) (core.Decision, error)
 	// Fleet, when non-nil, mounts the multi-tenant endpoints:
 	// POST /v1/fleet/authorize (batch authorization across homes),
 	// POST /v1/fleet/context (per-home context pushes), and
@@ -100,8 +79,9 @@ type Config struct {
 	// FleetWorkers bounds the per-request shard fan-out of
 	// /v1/fleet/authorize; 0 means GOMAXPROCS.
 	FleetWorkers int
-	// ContextTimeout bounds each command's context collection (default 10s)
-	// — a hung gateway turns into a 503, not a wedged handler.
+	// ContextTimeout bounds each command's authorization, context
+	// collection included (default 10s) — a hung gateway turns into a
+	// 503, not a wedged handler.
 	ContextTimeout time.Duration
 	// Health, when non-nil, is reported at /healthz: 200 while every
 	// required sensor source is serving (fresh or within its staleness
@@ -111,11 +91,10 @@ type Config struct {
 	// Trust, when non-nil, adds sensor-trust rows to /healthz and degrades
 	// it (503) while any required source sits below its trust threshold —
 	// availability and truthfulness are reported through the same probe.
-	// Wire it to the engine the gate's collector observes into.
+	// Wire it to the engine the authorizer's collector observes into.
 	Trust *trust.Engine
 	// Metrics, when non-nil, is served as Prometheus text at GET /metrics
-	// (unauthenticated, like /healthz). The cloud's internal context cache
-	// (ContextTTL) registers its hit/miss/coalesced/stale counters here too.
+	// (unauthenticated, like /healthz).
 	Metrics *obs.Registry
 	// Pprof mounts net/http/pprof's profiling handlers under /debug/pprof/.
 	// The endpoints expose stack traces and heap contents — enable only on
@@ -157,30 +136,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Forward == nil {
 		return nil, fmt.Errorf("cloud: server needs a forwarder")
-	}
-	if cfg.Gate != nil && cfg.Context == nil && cfg.Collector == nil {
-		return nil, fmt.Errorf("cloud: a gate needs a context source or a collector")
-	}
-	// Collector and Context are two answers to the same question; a config
-	// supplying both is ambiguous and a config TTL-wrapping a collector is
-	// asking to re-cache an epoch read. Both used to resolve silently
-	// (Collector won); now they are explicit errors.
-	if cfg.Collector != nil && cfg.Context != nil {
-		return nil, fmt.Errorf("cloud: Collector and Context are mutually exclusive — wire the gate's context through one of them")
-	}
-	if cfg.Collector != nil && cfg.ContextTTL > 0 {
-		return nil, fmt.Errorf("cloud: ContextTTL only applies to Context; a Collector (epoch read) must not be TTL-cached")
-	}
-	if cfg.Collector != nil {
-		cfg.Context = cfg.Collector.Collect
-	}
-	if cfg.Context != nil && cfg.ContextTTL > 0 {
-		cached, err := core.NewCachedCollector(core.CollectorFunc(cfg.Context), cfg.ContextTTL)
-		if err != nil {
-			return nil, err
-		}
-		cached.Instrument(cfg.Metrics) // nil registry is a no-op
-		cfg.Context = cached.Collect
 	}
 	if cfg.ContextTimeout <= 0 {
 		cfg.ContextTimeout = 10 * time.Second
@@ -450,13 +405,13 @@ func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusForbidden, errorBody{Error: "device not bound to this account"})
 		return
 	}
-	// Verification step 3: the IDS gate. Collection is bounded by the
+	// Verification step 3: the IDS. Authorization is bounded by the
 	// request context plus ContextTimeout; an unavailable context is 503 —
 	// never a silent pass — and an open breaker additionally tells the
 	// client when to come back via Retry-After.
-	if s.cfg.Gate != nil {
-		collectCtx, cancel := context.WithTimeout(r.Context(), s.cfg.ContextTimeout)
-		ctx, err := s.cfg.Context(collectCtx)
+	if s.cfg.Authorize != nil {
+		authCtx, cancel := context.WithTimeout(r.Context(), s.cfg.ContextTimeout)
+		dec, err := s.cfg.Authorize(authCtx, in)
 		cancel()
 		if err != nil {
 			s.record(user, req, OutcomeFailed, "context unavailable: "+err.Error())
@@ -471,9 +426,10 @@ func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "sensor context unavailable"})
 			return
 		}
-		if err := s.cfg.Gate(in, ctx); err != nil {
-			s.record(user, req, OutcomeRejected, err.Error())
-			writeJSON(w, http.StatusForbidden, errorBody{Error: err.Error()})
+		if !dec.Allowed {
+			reason := "ids: " + dec.Reason
+			s.record(user, req, OutcomeRejected, reason)
+			writeJSON(w, http.StatusForbidden, errorBody{Error: reason})
 			return
 		}
 	}

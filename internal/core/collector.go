@@ -22,6 +22,13 @@ type Collector interface {
 	Collect(ctx context.Context) (sensor.Snapshot, error)
 }
 
+// CollectorFunc adapts a plain collect function to the Collector interface
+// (closures in tests and benchmarks, constant contexts, …).
+type CollectorFunc func(ctx context.Context) (sensor.Snapshot, error)
+
+// Collect implements Collector.
+func (f CollectorFunc) Collect(ctx context.Context) (sensor.Snapshot, error) { return f(ctx) }
+
 // SimCollector reads the home simulator directly — the zero-network path
 // used by training, examples and benchmarks.
 type SimCollector struct {

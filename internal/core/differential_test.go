@@ -28,16 +28,17 @@ func (c *scriptedCollector) CollectDetailed(context.Context) (sensor.Snapshot, c
 	return c.snap, c.prov, nil
 }
 
-// diffOp is one candidate instruction for the differential stream.
+// diffOp is one candidate instruction for the differential stream and
+// the device model whose scenes it is staged against ("" outside the six).
 type diffOp struct {
 	in    instr.Instruction
 	model dataset.Model
-	sens  bool
 }
 
 // TestFrameworkFleetDifferential drives one seeded 1,000-instruction
 // stream through a single-home core.Framework and a one-home fleet.Fleet
-// and requires the same decision for every item. Both sides see the same
+// and requires the same decision — verdict, sensitivity, model and
+// interned reason — for every item. Both sides see the same
 // snapshots (the framework through a scripted collector, the fleet
 // through pushes), the same clock, their own trust engine fed the same
 // observations, and the same trained sequence tables. The stream opens
@@ -105,7 +106,7 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 			continue // ops that need arguments
 		}
 		m, _ := dataset.ModelForCategory(in.Category)
-		ops = append(ops, diffOp{in: in, model: m, sens: det.IsSensitive(in)})
+		ops = append(ops, diffOp{in: in, model: m})
 	}
 	windowOpen, err := reg.Build("window.open", "window-1", instr.OriginUser, nil)
 	if err != nil {
@@ -158,7 +159,7 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("item %d: framework: %v", items, err)
 		}
-		if got.Allowed != want.Allowed || got.Sensitive != want.Sensitive || got.Model != want.Model {
+		if got.Allowed != want.Allowed || got.Sensitive != want.Sensitive || got.Model != want.Model || got.Reason != want.Reason {
 			if mismatchN < 10 {
 				t.Errorf("item %d %s: framework {allowed %v sensitive %v model %q %q}, fleet {allowed %v sensitive %v model %q %q}",
 					items, in.Op, got.Allowed, got.Sensitive, got.Model, got.Reason,
@@ -166,7 +167,14 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 			}
 			mismatchN++
 		}
-		reasons[want.Reason]++
+		switch {
+		case want.Allowed && want.Sensitive:
+			reasons["sensitive allow"]++
+		case !want.Allowed && want.Explanation != "":
+			reasons["tree reject"]++ // only the tree explains a rejection
+		default:
+			reasons[want.Reason]++
+		}
 		items++
 		now = now.Add(time.Second)
 	}
@@ -255,5 +263,11 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 	if mismatchN > 0 {
 		t.Fatalf("%d of %d decisions differ between framework and fleet", mismatchN, items)
 	}
-	t.Logf("%d decisions; fleet reasons: %v", items, reasons)
+	// The stream must actually reach every stage it claims to cover.
+	for _, r := range []string{"sensitive allow", "tree reject",
+		core.ReasonMissing, core.ReasonStale, core.ReasonLowTrust, core.ReasonSeqAnomaly} {
+		if reasons[r] == 0 {
+			t.Errorf("no decision of kind %q in %d items", r, items)
+		}
+	}
 }

@@ -15,36 +15,26 @@ import (
 )
 
 // Framework is the assembled IDS of Fig 3: detector → collector → feature
-// memory → determiner. It exposes the two integration surfaces the rest of
+// memory → determiner. It is the single-home front end of the decision
+// stage: it pulls live context, classifies its provenance, and hands both
+// to its Pipeline. It exposes the two integration surfaces the rest of
 // the system uses: Authorize (collect live context, then judge) and Gate /
 // Interceptor adapters for the vendor bridges and the automation engine.
 type Framework struct {
 	detector  *Detector
 	collector Collector
 	memory    *FeatureMemory
-	judger    *Judger
+	stage     Pipeline
 
-	log     *decisionLog
-	audit   atomic.Pointer[trace.Log]
-	metrics *frameworkMetrics
-	now     func() time.Time
-
-	// Sequence judge (second detection axis, ROADMAP item 1): trained
-	// transition tables plus this home's bounded event-history ring. nil
-	// seq disables the axis entirely — the static tree stands alone.
-	seq      *seq.Set
-	seqTrack seq.Tracker
+	audit    atomic.Pointer[trace.Log]
+	metrics  *frameworkMetrics
+	now      func() time.Time
 	seqAnoms atomic.Uint64
 }
 
-// LogEntry records one authorisation. Seq is a process-wide sequence number
-// ordering entries across the log's shards.
-type LogEntry struct {
-	Seq      uint64   `json:"seq"`
-	Op       string   `json:"op"`
-	DeviceID string   `json:"device_id"`
-	Decision Decision `json:"decision"`
-}
+// defaultLogCapacity bounds the framework log when the caller does not
+// choose a size.
+const defaultLogCapacity = 4096
 
 // Config wires a framework.
 type Config struct {
@@ -87,23 +77,22 @@ func New(cfg Config) (*Framework, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	if cfg.LogCapacity <= 0 {
+		cfg.LogCapacity = defaultLogCapacity
+	}
 	f := &Framework{
 		detector:  cfg.Detector,
 		collector: cfg.Collector,
 		memory:    cfg.Memory,
-		judger:    j,
-		log:       newDecisionLog(cfg.LogCapacity),
+		stage:     NewPipeline(PipelineConfig{Judger: j, Sequence: cfg.Sequence, LogCapacity: cfg.LogCapacity, Now: cfg.Now}),
 		metrics:   newFrameworkMetrics(cfg.Metrics),
 		now:       cfg.Now,
-		seq:       cfg.Sequence,
 	}
 	if cfg.Metrics != nil {
-		f.log.instrument(
-			cfg.Metrics.NewCounter(metricLogAppends,
-				"Entries appended to the sharded authorization decision log."),
-			cfg.Metrics.NewCounter(metricLogEvictions,
-				"Oldest entries overwritten (dropped) by the decision log's bounded ring."),
-		)
+		f.stage.log.appends = cfg.Metrics.NewCounter(metricLogAppends,
+			"Entries appended to the authorization decision log.")
+		f.stage.log.evictions = cfg.Metrics.NewCounter(metricLogEvictions,
+			"Oldest entries overwritten (dropped) by the decision log's bounded ring.")
 	}
 	return f, nil
 }
@@ -126,10 +115,11 @@ func (f *Framework) Detector() *Detector { return f.detector }
 //
 // Degraded mode: when the collector reports per-source provenance (a
 // DetailedCollector, e.g. MultiCollector) and a required source is missing
-// or beyond its staleness budget, sensitive instructions fail closed with
-// an explicit rejection while non-sensitive instructions still judge
-// against the partial context — the explicit choice between bounded
-// staleness and failing closed, never crashing open.
+// or beyond its staleness budget, or below its trust threshold, sensitive
+// instructions fail closed with an explicit rejection while non-sensitive
+// instructions still judge against the partial context — the explicit
+// choice between bounded staleness and failing closed, never crashing
+// open.
 //
 //iot:hotpath
 //iot:failclosed
@@ -140,12 +130,9 @@ func (f *Framework) Authorize(ctx context.Context, in instr.Instruction) (Decisi
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 		return Decision{}, fmt.Errorf("core: collect context: %w", err)
 	}
-	if dec, failed := f.failClosed(in, prov, snap); failed { //iot:allow hotcall fail-closed path is cold; the steady state returns before the missing-source scan allocates
-		f.metrics.observeLatency(f.now().Sub(start))
-		return dec, nil
-	}
+	state, why := contextState(in, prov) //iot:allow hotcall fail-closed path is cold; the steady state returns before the missing-source scan allocates
 	//iot:allow hotcall audit-trace fields map is only built when the optional audit log is attached; production steady state runs with it off
-	dec, err := f.judgeAndLog(in, snap)
+	dec, err := f.decide(in, snap, state, why)
 	if err == nil {
 		f.metrics.observeLatency(f.now().Sub(start))
 	}
@@ -171,11 +158,8 @@ func (f *Framework) AuthorizeBatch(ctx context.Context, ins []instr.Instruction)
 	defer func() { f.metrics.observeLatency(f.now().Sub(start)) }()
 	out := make([]Decision, len(ins))
 	for i, in := range ins {
-		if dec, failed := f.failClosed(in, prov, snap); failed {
-			out[i] = dec
-			continue
-		}
-		dec, err := f.judgeAndLog(in, snap)
+		state, why := contextState(in, prov)
+		dec, err := f.decide(in, snap, state, why)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch instruction %d (%s): %w", i, in.Op, err)
 		}
@@ -194,83 +178,49 @@ func (f *Framework) collect(ctx context.Context) (sensor.Snapshot, Provenance, e
 	return snap, nil, err
 }
 
-// reasonLowTrust is the static (interned) fail-closed reason for the
-// low-trust path: the hot path must reject without building a string.
-const reasonLowTrust = "sensitive instruction rejected (fail closed): required sensor source(s) below trust threshold"
-
-// reasonSeqAnomaly is the static (interned) rejection reason when the
-// sequence judge flags a sensitive instruction the static tree allowed.
-const reasonSeqAnomaly = "sensitive instruction rejected (fail closed): instruction sequence outside trained temporal profile"
-
-// reasonMissing is the static (interned) rejection reason when a required
-// source contributed nothing; the per-decision source list goes in
-// Explanation so the Reason string stays interned (failclosed analyzer
-// rule).
-const reasonMissing = "sensitive instruction rejected (fail closed): required sensor source(s) unavailable"
-
-// failClosed rejects a sensitive instruction when a required context
-// source contributed nothing — deciding blind on a sensitive command is
-// exactly what the attacker of §III-A wants — or when a required source's
-// trust score fell below threshold: fresh-but-fabricated context is the
-// sensor-spoofing twin of no context at all. The rejection is a logged
-// decision, not an error: the caller gets a definitive "no".
-//
-//iot:failclosed
-func (f *Framework) failClosed(in instr.Instruction, prov Provenance, at sensor.Snapshot) (Decision, bool) {
+// contextState classifies a pull's provenance for the decision stage. A
+// required source that contributed nothing is missing — or stale when it
+// did serve earlier and its data aged out (an expired push carries its
+// age) — and names the sources in the explanation; a required source below
+// its trust threshold is fresh-but-fabricated context, the
+// sensor-spoofing twin of no context at all.
+func contextState(in instr.Instruction, prov Provenance) (ContextState, string) {
 	missing := prov.MissingRequired()
-	lowTrust := prov.LowTrustRequired()
-	if (len(missing) == 0 && len(lowTrust) == 0) || !f.detector.IsSensitive(in) {
-		return Decision{}, false
+	if len(missing) == 0 {
+		if len(prov.LowTrustRequired()) > 0 {
+			return ContextLowTrust, ""
+		}
+		return ContextOK, ""
 	}
-	dec := Decision{Allowed: false, Sensitive: true, Reason: reasonLowTrust}
-	if len(missing) > 0 {
-		dec.Reason = reasonMissing
-		dec.Explanation = in.Op + " blocked; missing required source(s): " + strings.Join(missing, ", ")
+	state := ContextStale
+	for _, s := range prov {
+		if s.Required && s.State == SourceMissing && s.Age == 0 {
+			state = ContextMissing
+		}
 	}
-	f.metrics.observeFailClosed()
-	f.logDecision(in, dec, at)
-	return dec, true
+	return state, in.Op + " blocked; missing required source(s): " + strings.Join(missing, ", ")
 }
 
 // Judge decides against a caller-supplied context (used when the caller
 // already holds the snapshot, e.g. the automation engine's evaluation
 // context).
 func (f *Framework) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, error) {
-	return f.judgeAndLog(in, ctx)
+	return f.decide(in, ctx, ContextOK, "")
 }
 
+// decide runs the decision stage and records the result in the
+// framework's metric families and the optional audit trace.
+//
 //iot:failclosed
-func (f *Framework) judgeAndLog(in instr.Instruction, ctx sensor.Snapshot) (Decision, error) {
-	dec, err := f.judger.Judge(in, ctx)
+func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why string) (Decision, error) {
+	dec, out, err := f.stage.Decide(in, snap, state, why)
 	if err != nil {
 		return Decision{}, err
 	}
-	if f.seq != nil {
-		// Combined verdict, fail closed: the sequence judge can only
-		// revoke an allow, never grant one. Every admitted event — allowed
-		// sensitive or not — extends the history the next judgment sees.
-		at := ctx.At
-		if at.IsZero() {
-			at = f.now()
-		}
-		if v := f.seq.ObserveJudge(&f.seqTrack, dec.Model, dec.Sensitive, dec.Allowed, ctx, at); v.Anomalous {
-			dec = Decision{Allowed: false, Sensitive: true, Model: dec.Model, Reason: reasonSeqAnomaly}
-			f.seqAnoms.Add(1)
-			f.metrics.observeSeqAnomaly()
-		}
+	if out == OutcomeSeqAnomaly {
+		f.seqAnoms.Add(1)
 	}
-	f.metrics.observeDecision(dec)
-	f.logDecision(in, dec, ctx)
-	return dec, nil
-}
-
-// SeqAnomalies reports how many sensitive instructions the sequence judge
-// rejected after the static tree allowed them.
-func (f *Framework) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
-
-// logDecision appends a decision to the ring log and the audit trace.
-func (f *Framework) logDecision(in instr.Instruction, dec Decision, ctx sensor.Snapshot) {
-	f.log.append(LogEntry{Op: in.Op, DeviceID: in.DeviceID, Decision: dec})
+	f.metrics.observeDecision(out, dec.Sensitive)
 	if audit := f.audit.Load(); audit != nil {
 		outcome := "allowed"
 		if !dec.Allowed {
@@ -286,29 +236,30 @@ func (f *Framework) logDecision(in instr.Instruction, dec Decision, ctx sensor.S
 			Op:       in.Op,
 			Outcome:  outcome,
 			Detail:   dec.Reason,
-			At:       ctx.At,
+			At:       snap.At,
 			Fields:   fields,
 		})
 	}
+	return dec, nil
 }
+
+// SeqAnomalies reports how many sensitive instructions the sequence judge
+// rejected after the static tree allowed them.
+func (f *Framework) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
 
 // Log returns a copy of the retained authorisation log, oldest first. The
 // log is a bounded ring: once more decisions have been made than the
 // configured capacity, only the newest survive.
-func (f *Framework) Log() []LogEntry {
-	return f.log.snapshot()
-}
+func (f *Framework) Log() []LogEntry { return f.stage.Log() }
 
 // LogRecent returns the newest n retained entries, oldest first — the
 // cheap way to peek at recent traffic without copying the whole ring.
-func (f *Framework) LogRecent(n int) []LogEntry {
-	return f.log.recent(n)
-}
+func (f *Framework) LogRecent(n int) []LogEntry { return f.stage.LogRecent(n) }
 
 // Gate adapts the framework to the vendor bridges' gate signature: a
 // non-nil error blocks execution.
 func (f *Framework) Gate(in instr.Instruction, ctx sensor.Snapshot) error {
-	dec, err := f.judgeAndLog(in, ctx)
+	dec, err := f.Judge(in, ctx)
 	if err != nil {
 		return err
 	}
@@ -323,7 +274,7 @@ func (f *Framework) Gate(in instr.Instruction, ctx sensor.Snapshot) error {
 // command must not run.
 func (f *Framework) Interceptor() func(in instr.Instruction, ctx sensor.Snapshot) (bool, string) {
 	return func(in instr.Instruction, ctx sensor.Snapshot) (bool, string) {
-		dec, err := f.judgeAndLog(in, ctx)
+		dec, err := f.Judge(in, ctx)
 		if err != nil {
 			if f.detector.IsSensitive(in) {
 				return false, fmt.Sprintf("ids: cannot judge sensitive instruction: %v", err)

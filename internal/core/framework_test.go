@@ -139,28 +139,6 @@ func TestFrameworkLogBoundedAndRecent(t *testing.T) {
 	}
 }
 
-func TestFrameworkWithCachedCollector(t *testing.T) {
-	inner := &countingStatic{snap: legalCtx(t, dataset.ModelWindow)}
-	cached, err := NewCachedCollector(inner, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := frameworkForTest(t, cached)
-	in := buildInstr(t, "window.open", "window-1")
-	for i := 0; i < 25; i++ {
-		dec, err := f.Authorize(context.Background(), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dec.Allowed {
-			t.Fatalf("legal context rejected: %+v", dec)
-		}
-	}
-	if inner.calls != 1 {
-		t.Errorf("cached framework collected %d times, want 1", inner.calls)
-	}
-}
-
 func TestFrameworkValidation(t *testing.T) {
 	if _, err := New(Config{Detector: detectorForTest(t), Memory: memoryForTest(t)}); err == nil {
 		t.Error("want collector error")

@@ -20,16 +20,7 @@ const (
 	metricLogEvictions = "iotsid_decision_log_evictions_total"
 	metricSourceState  = "iotsid_collector_source_collects_total"
 	metricRetries      = "iotsid_collector_retry_attempts_total"
-	metricCache        = "iotsid_cache_collects_total"
 	metricBreaker      = "iotsid_breaker_transitions_total"
-)
-
-// Decision outcome indices for the pre-registered counter matrix.
-const (
-	outcomeAllow = iota
-	outcomeReject
-	outcomeFailClosed
-	outcomeCount
 )
 
 // frameworkMetrics holds the framework's pre-registered series: a direct
@@ -38,7 +29,7 @@ const (
 // lookups. A nil *frameworkMetrics disables instrumentation entirely —
 // every method is nil-receiver safe.
 type frameworkMetrics struct {
-	decisions    [outcomeCount][2]*obs.Counter // [outcome][sensitive]
+	decisions    [OutcomeCount][2]*obs.Counter // [outcome][sensitive]
 	latency      *obs.Histogram
 	batches      *obs.Counter
 	seqAnomalies *obs.Counter
@@ -61,10 +52,9 @@ func newFrameworkMetrics(reg *obs.Registry) *frameworkMetrics {
 		seqAnomalies: reg.NewCounter(metricSeqAnomalies,
 			"Sensitive instructions rejected by the sequence judge after the static tree allowed them."),
 	}
-	names := [outcomeCount]string{"allow", "reject", "fail_closed"}
-	for o := 0; o < outcomeCount; o++ {
-		m.decisions[o][0] = dec.With(names[o], "false")
-		m.decisions[o][1] = dec.With(names[o], "true")
+	for o, label := range OutcomeLabels {
+		m.decisions[o][0] = dec.With(label, "false")
+		m.decisions[o][1] = dec.With(label, "true")
 	}
 	return m
 }
@@ -77,32 +67,16 @@ func boolIdx(b bool) int {
 	return 0
 }
 
-// observeDecision counts one judged decision.
-func (m *frameworkMetrics) observeDecision(dec Decision) {
+// observeDecision counts one decision in its outcome row; a sequence
+// anomaly also counts in the anomaly family.
+func (m *frameworkMetrics) observeDecision(out Outcome, sensitive bool) {
 	if m == nil {
 		return
 	}
-	o := outcomeReject
-	if dec.Allowed {
-		o = outcomeAllow
+	m.decisions[out][boolIdx(sensitive)].Inc()
+	if out == OutcomeSeqAnomaly {
+		m.seqAnomalies.Inc()
 	}
-	m.decisions[o][boolIdx(dec.Sensitive)].Inc()
-}
-
-// observeFailClosed counts one fail-closed rejection (always sensitive).
-func (m *frameworkMetrics) observeFailClosed() {
-	if m == nil {
-		return
-	}
-	m.decisions[outcomeFailClosed][1].Inc()
-}
-
-// observeSeqAnomaly counts one sequence-judge rejection.
-func (m *frameworkMetrics) observeSeqAnomaly() {
-	if m == nil {
-		return
-	}
-	m.seqAnomalies.Inc()
 }
 
 // observeLatency records one Authorize round trip.
@@ -141,60 +115,5 @@ func BreakerTransitionHook(reg *obs.Registry, name string) func(from, to resilie
 		if int(to) >= 0 && int(to) < len(cells) {
 			cells[to].Inc()
 		}
-	}
-}
-
-// cacheMetrics is the CachedCollector's pre-registered result counters.
-type cacheMetrics struct {
-	hits      *obs.Counter // served from the fresh snapshot
-	misses    *obs.Counter // led an inner collect
-	coalesced *obs.Counter // waited on another caller's in-flight collect
-	stale     *obs.Counter // served the bounded-stale fallback after an error
-	errors    *obs.Counter // inner collect failed with no fallback
-}
-
-// newCacheMetrics pre-registers the cache result series.
-func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
-	if reg == nil {
-		return nil
-	}
-	vec := reg.NewCounterVec(metricCache,
-		"CachedCollector results: hit, miss (led the inner collect), coalesced (shared an in-flight collect), stale (serve-stale-on-error fallback), error.",
-		"result")
-	return &cacheMetrics{
-		hits:      vec.With("hit"),
-		misses:    vec.With("miss"),
-		coalesced: vec.With("coalesced"),
-		stale:     vec.With("stale"),
-		errors:    vec.With("error"),
-	}
-}
-
-// The increment taps are nil-receiver safe like everything else in the
-// instrumentation layer, so the cache's hot path pays one branch when
-// uninstrumented.
-func (m *cacheMetrics) hit() {
-	if m != nil {
-		m.hits.Inc()
-	}
-}
-func (m *cacheMetrics) miss() {
-	if m != nil {
-		m.misses.Inc()
-	}
-}
-func (m *cacheMetrics) coalesce() {
-	if m != nil {
-		m.coalesced.Inc()
-	}
-}
-func (m *cacheMetrics) staleServe() {
-	if m != nil {
-		m.stale.Inc()
-	}
-}
-func (m *cacheMetrics) err() {
-	if m != nil {
-		m.errors.Inc()
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -58,8 +57,8 @@ func expositionContains(t *testing.T, reg *obs.Registry, line string) {
 }
 
 // TestAuthorizeSteadyStateAllocs is the acceptance gate: the *instrumented*
-// Authorize path — cached context, interned reasons, pooled features,
-// compiled tree, sharded log, metric increments — allocates nothing in
+// Authorize path — constant context, interned reasons, pooled features,
+// compiled tree, decision ring, metric increments — allocates nothing in
 // steady state.
 func TestAuthorizeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -67,16 +66,9 @@ func TestAuthorizeSteadyStateAllocs(t *testing.T) {
 	}
 	snap := legalCtx(t, dataset.ModelWindow)
 	reg := obs.NewRegistry()
-	cached, err := NewCachedCollector(
-		CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) { return snap, nil }),
-		time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached.Instrument(reg)
 	f, err := New(Config{
 		Detector:  detectorForTest(t),
-		Collector: cached,
+		Collector: CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) { return snap, nil }),
 		Memory:    memoryForTest(t),
 		Metrics:   reg,
 	})
@@ -85,7 +77,7 @@ func TestAuthorizeSteadyStateAllocs(t *testing.T) {
 	}
 	in := buildInstr(t, "window.open", "window-1")
 	ctx := context.Background()
-	// Warm: buffer pool, reason interning table, cache fill.
+	// Warm: buffer pool, reason interning table.
 	for i := 0; i < 3; i++ {
 		if _, err := f.Authorize(ctx, in); err != nil {
 			t.Fatal(err)
@@ -244,7 +236,7 @@ func TestDecisionLogEvictionCounter(t *testing.T) {
 		Collector:   CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) { return legal, nil }),
 		Memory:      memoryForTest(t),
 		Metrics:     reg,
-		LogCapacity: 16, // 8 shards × 2 slots
+		LogCapacity: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +249,7 @@ func TestDecisionLogEvictionCounter(t *testing.T) {
 		}
 	}
 	retained := len(f.Log())
-	appends := reg.NewCounter(metricLogAppends, "Entries appended to the sharded authorization decision log.")
+	appends := reg.NewCounter(metricLogAppends, "Entries appended to the authorization decision log.")
 	evictions := reg.NewCounter(metricLogEvictions, "Oldest entries overwritten (dropped) by the decision log's bounded ring.")
 	if appends.Value() != n {
 		t.Fatalf("appends counter %d, want %d", appends.Value(), n)
@@ -268,89 +260,6 @@ func TestDecisionLogEvictionCounter(t *testing.T) {
 	if evictions.Value() == 0 {
 		t.Fatal("test expected the ring to overflow; raise n or shrink capacity")
 	}
-}
-
-// TestCachedCollectorMetrics scripts every cache outcome with an injected
-// clock: miss, hit, coalesced waiter, stale fallback, hard error.
-func TestCachedCollectorMetrics(t *testing.T) {
-	var fail bool
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	inner := CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release
-		if fail {
-			return sensor.Snapshot{}, errors.New("gateway down")
-		}
-		return sensor.NewSnapshot(time.Unix(1, 0)), nil
-	})
-	c, err := NewCachedCollector(inner, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-	c.ServeStaleOnError(time.Hour)
-	reg := obs.NewRegistry()
-	c.Instrument(reg)
-	ctx := context.Background()
-
-	// Leader + coalesced waiter share one inner collect.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	leaderDone := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		_, err := c.Collect(ctx)
-		leaderDone <- err
-	}()
-	<-started
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := c.Collect(ctx); err != nil {
-			t.Error(err)
-		}
-	}()
-	// The waiter must be registered as in-flight before release; poll the
-	// coalesced counter (it increments before blocking on done).
-	vec := reg.NewCounterVec(metricCache,
-		"CachedCollector results: hit, miss (led the inner collect), coalesced (shared an in-flight collect), stale (serve-stale-on-error fallback), error.",
-		"result")
-	coalesced := vec.With("coalesced")
-	for i := 0; coalesced.Value() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	if err := <-leaderDone; err != nil {
-		t.Fatal(err)
-	}
-	// Fresh hit.
-	if _, err := c.Collect(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Expire the TTL, fail the inner collect → stale fallback.
-	release = make(chan struct{})
-	close(release)
-	fail = true
-	now = now.Add(2 * time.Minute)
-	if _, err := c.Collect(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Beyond the stale budget → hard error.
-	now = now.Add(2 * time.Hour)
-	if _, err := c.Collect(ctx); err == nil {
-		t.Fatal("expected error beyond the stale budget")
-	}
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="miss"} 3`)
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="hit"} 1`)
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="coalesced"} 1`)
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="stale"} 1`)
-	expositionContains(t, reg, `iotsid_cache_collects_total{result="error"} 1`)
 }
 
 // TestMultiCollectorMetrics: provenance counters track fresh/stale/missing

@@ -4,16 +4,25 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"iotsid/internal/instr"
 )
 
-func logEntryFor(device string, op string) LogEntry {
-	return LogEntry{Op: op, DeviceID: device, Decision: Decision{Allowed: true, Reason: op}}
+func newDecisionLog(capacity int) *decisionLog {
+	return &decisionLog{buf: make([]LogEntry, capacity)}
 }
 
+// appendFor logs one allowed decision for a device.
+func appendFor(l *decisionLog, device string, op string) {
+	l.append(instr.Instruction{Op: op, DeviceID: device}, Decision{Allowed: true, Reason: op})
+}
+
+// TestDecisionLogOrdersAcrossShards: entries for many devices (the old
+// log's shard key) come back in append order, numbered from 1.
 func TestDecisionLogOrdersAcrossShards(t *testing.T) {
 	l := newDecisionLog(128)
 	for i := 0; i < 50; i++ {
-		l.append(logEntryFor(fmt.Sprintf("dev-%d", i), fmt.Sprintf("op-%d", i)))
+		appendFor(l, fmt.Sprintf("dev-%d", i), fmt.Sprintf("op-%d", i))
 	}
 	got := l.snapshot()
 	if len(got) != 50 {
@@ -32,14 +41,13 @@ func TestDecisionLogOrdersAcrossShards(t *testing.T) {
 func TestDecisionLogStaysBounded(t *testing.T) {
 	const capacity = 64
 	l := newDecisionLog(capacity)
-	// Hammer a single device so one shard overflows many times.
+	// Overflow the ring many times over.
 	for i := 0; i < 10*capacity; i++ {
-		l.append(logEntryFor("dev-hot", fmt.Sprintf("op-%d", i)))
+		appendFor(l, "dev-hot", fmt.Sprintf("op-%d", i))
 	}
 	got := l.snapshot()
-	perShard := (capacity + logShardCount - 1) / logShardCount
-	if len(got) != perShard {
-		t.Fatalf("single-device log retained %d entries, want shard cap %d", len(got), perShard)
+	if len(got) != capacity {
+		t.Fatalf("log retained %d entries, want capacity %d", len(got), capacity)
 	}
 	// The retained entries are the newest ones, in order.
 	for i := 1; i < len(got); i++ {
@@ -55,7 +63,7 @@ func TestDecisionLogStaysBounded(t *testing.T) {
 func TestDecisionLogRecent(t *testing.T) {
 	l := newDecisionLog(128)
 	for i := 0; i < 30; i++ {
-		l.append(logEntryFor(fmt.Sprintf("dev-%d", i%7), fmt.Sprintf("op-%d", i)))
+		appendFor(l, fmt.Sprintf("dev-%d", i%7), fmt.Sprintf("op-%d", i))
 	}
 	recent := l.recent(5)
 	if len(recent) != 5 {
@@ -84,7 +92,7 @@ func TestDecisionLogConcurrentAppend(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				l.append(logEntryFor(fmt.Sprintf("dev-%d-%d", g, i), "op"))
+				appendFor(l, fmt.Sprintf("dev-%d-%d", g, i), "op")
 			}
 		}(g)
 	}
@@ -109,5 +117,15 @@ func TestDecisionLogConcurrentAppend(t *testing.T) {
 	rwg.Wait()
 	if got := l.snapshot(); len(got) != goroutines*perG {
 		t.Fatalf("retained %d of %d appends", len(got), goroutines*perG)
+	}
+}
+
+// TestDecisionLogZeroCapacity: a ring built with no room retains nothing
+// and does not fault.
+func TestDecisionLogZeroCapacity(t *testing.T) {
+	l := newDecisionLog(0)
+	appendFor(l, "dev", "op")
+	if got := l.snapshot(); len(got) != 0 {
+		t.Fatalf("zero-capacity log retained %d entries", len(got))
 	}
 }

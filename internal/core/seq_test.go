@@ -101,7 +101,7 @@ func TestFrameworkSequenceCombinedVerdict(t *testing.T) {
 	if dec.Allowed {
 		t.Fatal("same-tick chain's sensitive action must be sequence-rejected")
 	}
-	if dec.Reason != reasonSeqAnomaly {
+	if dec.Reason != ReasonSeqAnomaly {
 		t.Fatalf("chain rejection reason = %q, want interned sequence reason", dec.Reason)
 	}
 	if !dec.Sensitive {
@@ -121,7 +121,7 @@ func TestFrameworkSequenceCombinedVerdict(t *testing.T) {
 	if dec.Allowed {
 		t.Fatal("tree must reject the attack scene")
 	}
-	if dec.Reason == reasonSeqAnomaly {
+	if dec.Reason == ReasonSeqAnomaly {
 		t.Fatal("tree rejection must not be re-attributed to the sequence judge")
 	}
 }
@@ -150,7 +150,7 @@ func TestFrameworkSequenceReplayRejected(t *testing.T) {
 		if dec.Allowed {
 			t.Fatalf("replay attempt %d allowed (hour %.1f after %.2f)", attempt, replay.Hour, last.Hour)
 		}
-		if dec.Reason != reasonSeqAnomaly {
+		if dec.Reason != ReasonSeqAnomaly {
 			t.Fatalf("replay attempt %d reason = %q, want sequence anomaly", attempt, dec.Reason)
 		}
 		replay.At = replay.At.Add(90 * time.Second)
@@ -224,7 +224,7 @@ func TestAuthorizeSequenceSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.Allowed || dec.Reason != reasonSeqAnomaly {
+		if dec.Allowed || dec.Reason != ReasonSeqAnomaly {
 			t.Fatalf("warmup %d: want sequence rejection, got %+v", i, dec)
 		}
 	}

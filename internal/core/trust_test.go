@@ -99,7 +99,7 @@ func TestAuthorizeEpochFailsClosedOnLowTrust(t *testing.T) {
 	if dec.Allowed {
 		t.Fatal("sensitive instruction allowed on low-trust required source")
 	}
-	if dec.Reason != reasonLowTrust {
+	if dec.Reason != ReasonLowTrust {
 		t.Fatalf("reason = %q, want the interned low-trust reason", dec.Reason)
 	}
 
@@ -192,7 +192,7 @@ func TestMultiCollectorTrustProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Allowed || dec.Reason != reasonLowTrust {
+	if dec.Allowed || dec.Reason != ReasonLowTrust {
 		t.Fatalf("sensitive on spoofed poll source: %+v", dec)
 	}
 }

@@ -18,16 +18,6 @@ import (
 	"iotsid/internal/trust"
 )
 
-// Fail-closed reasons are fixed strings so the degraded path stays cheap
-// and the decision stream deterministic.
-const (
-	reasonNoContext  = "sensitive instruction rejected (fail closed): home has pushed no sensor context"
-	reasonStaleCtx   = "sensitive instruction rejected (fail closed): home sensor context is beyond its freshness budget"
-	reasonPullFailed = "sensitive instruction rejected (fail closed): home context pull failed and no fresh pushed context"
-	reasonLowTrust   = "sensitive instruction rejected (fail closed): home context source below trust threshold"
-	reasonSeqAnomaly = "sensitive instruction rejected (fail closed): instruction sequence outside trained temporal profile"
-)
-
 // Config wires a fleet.
 type Config struct {
 	// Detector is the shared sensitive-command detector (sensitivity is a
@@ -67,12 +57,11 @@ type Config struct {
 // spread over consistent-hash shards, one shared judger over the shared
 // model registry.
 type Fleet struct {
-	shards   []shard
-	detector *core.Detector
-	judger   *core.Judger
-	models   *ModelRegistry
-	metrics  *fleetMetrics
-	now      func() time.Time
+	shards  []shard
+	judger  *core.Judger
+	models  *ModelRegistry
+	metrics *fleetMetrics
+	now     func() time.Time
 
 	logCap     int
 	freshFor   time.Duration
@@ -120,7 +109,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		shards:    make([]shard, cfg.Shards),
-		detector:  cfg.Detector,
 		judger:    j,
 		models:    cfg.Models,
 		metrics:   newFleetMetrics(cfg.Metrics, cfg.Shards),
@@ -177,13 +165,15 @@ type HomeConfig struct {
 }
 
 // Home is one tenant's state: the latest pushed sensor context behind an
-// atomic pointer, a bounded ring decision log, and the optional pull path.
+// atomic pointer, the optional pull path, and the home's decision stage
+// (sequence history and bounded decision ring). The home is the fleet's
+// context front end; the stage does the judging.
 type Home struct {
 	id        string
 	shardIdx  uint32
 	freshFor  time.Duration
 	view      atomic.Pointer[homeView]
-	log       homeLog
+	stage     core.Pipeline
 	collector core.Collector
 	breaker   *resilience.Breaker
 
@@ -193,14 +183,9 @@ type Home struct {
 	trustIdx    int
 	trustSource string
 
-	// seqSet, when non-nil, is this home's sequence judge (shared trained
-	// tables, per-home history ring).
-	seqSet   *seq.Set
-	seqTrack seq.Tracker
-
 	pushes    atomic.Uint64
 	decisions atomic.Uint64
-	tenant    [outcomeCount]*obs.Counter // nil cells when not individually instrumented
+	tenant    [core.OutcomeCount]*obs.Counter // nil cells when not individually instrumented
 }
 
 // homeView is one immutable published context: the snapshot plus the
@@ -249,7 +234,7 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 		freshFor:  cfg.FreshFor,
 		collector: cfg.Collector,
 		breaker:   cfg.Breaker,
-		seqSet:    cfg.Sequence,
+		stage:     core.NewPipeline(core.PipelineConfig{Judger: f.judger, Sequence: cfg.Sequence, LogCapacity: f.logCap, Now: f.now}),
 	}
 	if cfg.Trust != nil {
 		src := cfg.TrustSource
@@ -267,7 +252,6 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 		h.trustIdx = idx
 		h.trustSource = src
 	}
-	h.log.buf = make([]core.LogEntry, f.logCap)
 	s := &f.shards[si]
 	s.mu.Lock()
 	if _, dup := s.homes[cfg.ID]; dup {
@@ -441,56 +425,25 @@ func (f *Fleet) Authorize(ctx context.Context, homeID string, in instr.Instructi
 	return f.authorizeHome(ctx, h, in)
 }
 
-// authorizeHome judges against the home's published view, falling into the
-// degraded path when the view is missing or beyond its freshness budget.
+// authorizeHome judges one instruction on the home's stage and counts the
+// outcome into the shard, tenant and anomaly families.
 //
 //iot:hotpath
 //iot:failclosed
 func (f *Fleet) authorizeHome(ctx context.Context, h *Home, in instr.Instruction) (core.Decision, error) {
-	v := h.view.Load()
-	if v == nil || (h.freshFor > 0 && f.now().Sub(v.at) > h.freshFor) {
-		return f.authorizeDegraded(ctx, h, in, v)
-	}
-	if h.trust != nil && !h.trust.TrustedIdx(h.trustIdx) {
-		// Fresh but not believable: a spoofed feed that keeps pushing is
-		// the one degraded shape freshness budgets cannot see. Same
-		// contract as the other degraded paths — sensitive fails closed
-		// with an interned reason, non-sensitive still judges.
-		if f.detector.IsSensitive(in) {
-			dec := core.Decision{Allowed: false, Sensitive: true, Reason: reasonLowTrust}
-			f.observe(h, in, dec, outcomeFailClosed)
-			return dec, nil
-		}
-		return f.judgeNonSensitive(h, in, v)
-	}
-	return f.judgeAndLog(h, in, v.snap)
-}
-
-// judgeAndLog runs the shared judger and records the decision in the
-// home's ring log, the shard decision counters, and the per-tenant cells.
-//
-//iot:hotpath
-//iot:failclosed
-func (f *Fleet) judgeAndLog(h *Home, in instr.Instruction, snap sensor.Snapshot) (core.Decision, error) {
-	dec, err := f.judger.Judge(in, snap)
+	snap, state := f.homeContext(ctx, h)
+	dec, out, err := h.stage.Decide(in, snap, state, "")
 	if err != nil {
 		return core.Decision{}, err
 	}
-	if h.seqSet != nil {
-		// Combined verdict, fail closed: the sequence judge can only
-		// revoke an allow. The tracker write is a fixed ring slot under the
-		// home's sequence mutex — no allocation.
-		at := snap.At
-		if at.IsZero() {
-			at = f.now()
-		}
-		if v := h.seqSet.ObserveJudge(&h.seqTrack, dec.Model, dec.Sensitive, dec.Allowed, snap, at); v.Anomalous {
-			dec = core.Decision{Allowed: false, Sensitive: true, Model: dec.Model, Reason: reasonSeqAnomaly}
-			f.seqAnoms.Add(1)
-			f.metrics.observeSeqAnomaly()
-		}
+	h.decisions.Add(1)
+	f.metrics.observeDecision(h.shardIdx, out)
+	if c := h.tenant[out]; c != nil {
+		c.Inc()
 	}
-	f.observe(h, in, dec, outcomeOf(dec))
+	if out == core.OutcomeSeqAnomaly {
+		f.seqAnoms.Add(1)
+	}
 	return dec, nil
 }
 
@@ -498,58 +451,43 @@ func (f *Fleet) judgeAndLog(h *Home, in instr.Instruction, snap sensor.Snapshot)
 // rejected fleet-wide after the static tree allowed them.
 func (f *Fleet) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
 
-// observe is the shared decision bookkeeping tail.
+// homeContext is the fleet's context front end: it picks the snapshot the
+// home's stage judges and says how far to believe it. Steady state is the
+// pushed view within its freshness budget. With no view, or a stale one, a
+// wired pull collector is tried (behind the home's breaker); failing
+// that, the last view (if any) is handed over marked missing, stale or
+// pull-failed, so sensitive instructions fail closed and non-sensitive
+// ones are still judged on whatever the home last pushed — the same
+// bounded-staleness / fail-closed trade the single-home framework makes.
+// Fresh context — pushed or pulled — from a source below its trust
+// threshold is low trust: a spoofed feed that keeps talking is the one
+// degraded shape freshness budgets cannot see.
 //
 //iot:hotpath
-func (f *Fleet) observe(h *Home, in instr.Instruction, dec core.Decision, outcome int) {
-	h.decisions.Add(1)
-	h.log.append(in, dec)
-	f.metrics.observeDecision(h.shardIdx, outcome)
-	if c := h.tenant[outcome]; c != nil {
-		c.Inc()
-	}
-}
-
-// authorizeDegraded is the cold path: no pushed context, or a stale one.
-// With a pull collector wired the fleet falls back to polling (behind the
-// home's breaker); a failed pull is the same epistemic state as no
-// context at all, so every degraded shape converges on one contract:
-// sensitive instructions fail closed with an interned reason (recorded in
-// the ring log and the fail_closed counters like any other decision),
-// non-sensitive instructions are still judged on whatever the home last
-// pushed — the same bounded-staleness / fail-closed trade the single-home
-// framework makes.
-//
-//iot:failclosed
-func (f *Fleet) authorizeDegraded(ctx context.Context, h *Home, in instr.Instruction, v *homeView) (core.Decision, error) {
-	reason := reasonNoContext
-	if v != nil {
-		reason = reasonStaleCtx
-	}
-	if h.collector != nil {
-		snap, err := f.collectPull(ctx, h)
-		if err == nil {
-			return f.judgeAndLog(h, in, snap)
-		}
-		reason = reasonPullFailed
-	}
-	if !f.detector.IsSensitive(in) {
-		return f.judgeNonSensitive(h, in, v)
-	}
-	dec := core.Decision{Allowed: false, Sensitive: true, Reason: reason}
-	f.observe(h, in, dec, outcomeFailClosed)
-	return dec, nil
-}
-
-// judgeNonSensitive judges a non-sensitive instruction on the last pushed
-// view (possibly stale, possibly absent — the judger allows non-sensitive
-// instructions without consulting features).
-func (f *Fleet) judgeNonSensitive(h *Home, in instr.Instruction, v *homeView) (core.Decision, error) {
+func (f *Fleet) homeContext(ctx context.Context, h *Home) (sensor.Snapshot, core.ContextState) {
+	v := h.view.Load()
 	var snap sensor.Snapshot
 	if v != nil {
 		snap = v.snap
 	}
-	return f.judgeAndLog(h, in, snap)
+	switch {
+	case v != nil && (h.freshFor <= 0 || f.now().Sub(v.at) <= h.freshFor):
+		// Fresh push: judge it, subject to trust below.
+	case h.collector != nil:
+		pulled, err := f.collectPull(ctx, h)
+		if err != nil {
+			return snap, core.ContextPullFailed
+		}
+		snap = pulled
+	case v != nil:
+		return snap, core.ContextStale
+	default:
+		return snap, core.ContextMissing
+	}
+	if h.trust != nil && !h.trust.TrustedIdx(h.trustIdx) {
+		return snap, core.ContextLowTrust
+	}
+	return snap, core.ContextOK
 }
 
 // collectPull polls the home's collector, guarded by its breaker.
@@ -645,57 +583,8 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 	return out, nil
 }
 
-// homeLog is a per-home bounded ring of decisions — the tenant's audit
-// tail. Appends take the home's own mutex only, so logging never couples
-// tenants; a zero capacity disables retention entirely.
-type homeLog struct {
-	mu   sync.Mutex
-	buf  []core.LogEntry
-	next uint64
-}
-
-// append records one decision (no-op at zero capacity).
-//
-//iot:hotpath
-func (l *homeLog) append(in instr.Instruction, dec core.Decision) {
-	if len(l.buf) == 0 {
-		return
-	}
-	l.mu.Lock()
-	l.next++
-	l.buf[(l.next-1)%uint64(len(l.buf))] = core.LogEntry{
-		Seq: l.next, Op: in.Op, DeviceID: in.DeviceID, Decision: dec,
-	}
-	l.mu.Unlock()
-}
-
-// snapshot copies the retained entries, oldest first.
-func (l *homeLog) snapshot() []core.LogEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.next
-	retained := uint64(len(l.buf))
-	if n < retained {
-		retained = n
-	}
-	out := make([]core.LogEntry, 0, retained)
-	for j := n - retained; j < n; j++ {
-		out = append(out, l.buf[j%uint64(len(l.buf))])
-	}
-	return out
-}
-
 // Log returns a copy of the home's retained decisions, oldest first.
-func (h *Home) Log() []core.LogEntry { return h.log.snapshot() }
+func (h *Home) Log() []core.LogEntry { return h.stage.Log() }
 
 // LogRecent returns the newest n retained decisions, oldest first.
-func (h *Home) LogRecent(n int) []core.LogEntry {
-	all := h.log.snapshot()
-	if n < 0 {
-		n = 0
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[len(all)-n:]
-}
+func (h *Home) LogRecent(n int) []core.LogEntry { return h.stage.LogRecent(n) }

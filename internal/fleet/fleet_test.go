@@ -195,7 +195,7 @@ func TestFleetFailClosedNoContext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authorize: %v", err)
 	}
-	if dec.Allowed || !dec.Sensitive || dec.Reason != reasonNoContext {
+	if dec.Allowed || !dec.Sensitive || dec.Reason != core.ReasonMissing {
 		t.Fatalf("sensitive op without context: got %+v, want fail-closed rejection", dec)
 	}
 }
@@ -226,7 +226,7 @@ func TestFleetFailClosedStaleContext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authorize (stale): %v", err)
 	}
-	if dec.Allowed || dec.Reason != reasonStaleCtx {
+	if dec.Allowed || dec.Reason != core.ReasonStale {
 		t.Fatalf("beyond budget: got %+v, want stale fail-closed rejection", dec)
 	}
 
@@ -408,10 +408,10 @@ func TestFleetPullCollectorFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authorize: %v", err)
 	}
-	if dec.Allowed || !dec.Sensitive || dec.Reason != reasonPullFailed {
+	if dec.Allowed || !dec.Sensitive || dec.Reason != core.ReasonPullFailed {
 		t.Fatalf("sensitive with failing collector = %+v, want pull-failure fail-closed rejection", dec)
 	}
-	if got := h.Log(); len(got) != 1 || got[0].Decision.Reason != reasonPullFailed {
+	if got := h.Log(); len(got) != 1 || got[0].Decision.Reason != core.ReasonPullFailed {
 		t.Fatalf("ring log after degraded rejection = %+v, want the fail-closed decision recorded", got)
 	}
 	// Non-sensitive traffic survives the dead gateway.
@@ -437,7 +437,7 @@ func TestFleetPullCollectorBreaker(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Authorize %d: %v", i, err)
 		}
-		if dec.Allowed || dec.Reason != reasonPullFailed {
+		if dec.Allowed || dec.Reason != core.ReasonPullFailed {
 			t.Fatalf("Authorize %d with dead collector = %+v, want fail-closed rejection", i, dec)
 		}
 	}
@@ -596,7 +596,7 @@ func TestFleetDuplicateAddHomeKeepsTenantSlot(t *testing.T) {
 		t.Fatal("duplicate AddHome succeeded")
 	}
 	h := mustAddHome(t, f, HomeConfig{ID: "second"})
-	if h.tenant[outcomeAllow] == nil {
+	if h.tenant[core.OutcomeAllow] == nil {
 		t.Fatal("second home got no tenant cells: the rejected duplicate burned a capped slot")
 	}
 }

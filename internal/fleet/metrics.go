@@ -23,17 +23,6 @@ const (
 	metricSeqAnomalies  = "iotsid_fleet_seq_anomalies_total"
 )
 
-// Decision outcome indices for the pre-registered counter cells (same
-// vocabulary as the core framework metrics).
-const (
-	outcomeAllow = iota
-	outcomeReject
-	outcomeFailClosed
-	outcomeCount
-)
-
-var outcomeNames = [outcomeCount]string{"allow", "reject", "fail_closed"}
-
 // fleetMetrics holds the fleet's pre-registered series: one
 // (shard, outcome) counter cell per shard so the hot path counts itself
 // with a single atomic add and zero lookups. A nil *fleetMetrics disables
@@ -41,7 +30,7 @@ var outcomeNames = [outcomeCount]string{"allow", "reject", "fail_closed"}
 type fleetMetrics struct {
 	homes        *obs.Gauge
 	pushes       *obs.Counter
-	decisions    [][outcomeCount]*obs.Counter // [shard][outcome]
+	decisions    [][core.OutcomeCount]*obs.Counter // [shard][outcome]
 	batches      *obs.Counter
 	batchItems   *obs.Counter
 	tenants      *obs.CounterVec
@@ -71,11 +60,11 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 	vec := reg.NewCounterVec(metricDecisions,
 		"Authorization decisions by fleet shard and outcome (allow, reject, fail_closed).",
 		"shard", "outcome")
-	m.decisions = make([][outcomeCount]*obs.Counter, shards)
+	m.decisions = make([][core.OutcomeCount]*obs.Counter, shards)
 	for s := 0; s < shards; s++ {
 		label := strconv.Itoa(s)
-		for o := 0; o < outcomeCount; o++ {
-			m.decisions[s][o] = vec.With(label, outcomeNames[o])
+		for o, name := range core.OutcomeLabels {
+			m.decisions[s][o] = vec.With(label, name)
 		}
 	}
 	return m
@@ -83,33 +72,28 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 
 // tenantCells pre-resolves one home's (outcome) counter cells; called at
 // AddHome time for the first TenantMetricsLimit homes.
-func (m *fleetMetrics) tenantCells(home string) [outcomeCount]*obs.Counter {
-	var cells [outcomeCount]*obs.Counter
+func (m *fleetMetrics) tenantCells(home string) [core.OutcomeCount]*obs.Counter {
+	var cells [core.OutcomeCount]*obs.Counter
 	if m == nil {
 		return cells
 	}
-	for o := 0; o < outcomeCount; o++ {
-		cells[o] = m.tenants.With(home, outcomeNames[o])
+	for o, name := range core.OutcomeLabels {
+		cells[o] = m.tenants.With(home, name)
 	}
 	return cells
-}
-
-// outcomeOf maps a judged decision onto the counter row.
-func outcomeOf(dec core.Decision) int {
-	if dec.Allowed {
-		return outcomeAllow
-	}
-	return outcomeReject
 }
 
 // observeDecision counts one judged decision on its shard row.
 //
 //iot:hotpath
-func (m *fleetMetrics) observeDecision(shard uint32, outcome int) {
+func (m *fleetMetrics) observeDecision(shard uint32, out core.Outcome) {
 	if m == nil {
 		return
 	}
-	m.decisions[shard][outcome].Inc()
+	m.decisions[shard][out].Inc()
+	if out == core.OutcomeSeqAnomaly {
+		m.seqAnomalies.Inc()
+	}
 }
 
 // observePush counts one accepted context push.
@@ -120,16 +104,6 @@ func (m *fleetMetrics) observePush() {
 		return
 	}
 	m.pushes.Inc()
-}
-
-// observeSeqAnomaly counts one sequence-judge rejection.
-//
-//iot:hotpath
-func (m *fleetMetrics) observeSeqAnomaly() {
-	if m == nil {
-		return
-	}
-	m.seqAnomalies.Inc()
 }
 
 // observeBatch counts one batch and its item load.

@@ -79,7 +79,7 @@ func TestFleetSequenceCombinedVerdict(t *testing.T) {
 	if dec.Allowed {
 		t.Fatal("armed home must sequence-reject the same-tick sensitive tail")
 	}
-	if dec.Reason != reasonSeqAnomaly {
+	if dec.Reason != core.ReasonSeqAnomaly {
 		t.Fatalf("rejection reason = %q, want interned sequence reason", dec.Reason)
 	}
 	if got := f.SeqAnomalies(); got != 1 {
@@ -163,7 +163,7 @@ func TestFleetAuthorizeSequenceSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.Allowed || dec.Reason != reasonSeqAnomaly {
+		if dec.Allowed || dec.Reason != core.ReasonSeqAnomaly {
 			t.Fatalf("warmup %d: want sequence rejection, got %+v", i, dec)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsid/internal/core"
 	"iotsid/internal/dataset"
 	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
@@ -32,6 +33,33 @@ func corruptCtx(t testing.TB, at time.Time) sensor.Snapshot {
 	s.At = at
 	s.Set(sensor.FeatAirQuality, sensor.Number(-1))
 	return s
+}
+
+// TestFleetTrustAppliesToPulledContext: the pull fallback does not bypass
+// the trust gate — a pull that feeds a collapsed engine yields a
+// low-trust fail-closed decision, not an allow.
+func TestFleetTrustAppliesToPulledContext(t *testing.T) {
+	f := fleetForTest(t, Config{})
+	at := time.Unix(1_600_000_000, 0)
+	coll := core.CollectorFunc(func(context.Context) (sensor.Snapshot, error) {
+		at = at.Add(time.Second)
+		return corruptCtx(t, at), nil
+	})
+	h := mustAddHome(t, f, HomeConfig{ID: "pulled", Collector: coll, FreshFor: time.Nanosecond, Trust: trustEngine(t)})
+	open := buildInstr(t, "window.open", "win-1")
+	var dec core.Decision
+	for i := 0; i < 2; i++ { // each authorize pulls (the view expires at once)
+		var err error
+		if dec, err = f.Authorize(context.Background(), "pulled", open); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !h.LowTrust() {
+		t.Fatal("two impossible pulls left the home trusted")
+	}
+	if dec.Allowed || dec.Reason != core.ReasonLowTrust {
+		t.Fatalf("sensitive instruction on pulled low-trust context = %+v, want low-trust rejection", dec)
+	}
 }
 
 // TestFleetTrustFailClosed is the fleet tentpole gate: a spoofed home
@@ -83,7 +111,7 @@ func TestFleetTrustFailClosed(t *testing.T) {
 	if dec.Allowed {
 		t.Fatal("sensitive instruction allowed on a low-trust home")
 	}
-	if dec.Reason != reasonLowTrust {
+	if dec.Reason != core.ReasonLowTrust {
 		t.Fatalf("reason = %q, want the interned low-trust reason", dec.Reason)
 	}
 
@@ -199,7 +227,7 @@ func TestFleetTrustFailClosedAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.Allowed || dec.Reason != reasonLowTrust {
+		if dec.Allowed || dec.Reason != core.ReasonLowTrust {
 			t.Fatalf("low-trust home decision: %+v", dec)
 		}
 	})

@@ -1,6 +1,6 @@
 #!/bin/sh
 # verify.sh — the tier-1 gate plus static analysis and the race detector.
-# The decision log, snapshot cache and the par worker pool are concurrent
+# The decision log, the epoch store and the par worker pool are concurrent
 # hot-path code; -race is not optional here.
 set -eux
 
@@ -51,7 +51,7 @@ go test -race ./...
 # detector (also covered by the blanket -race run above; this keeps a
 # fast, named signal when the resilience layer regresses).
 go test -race -count=1 ./internal/resilience/
-go test -race -count=1 -run 'MultiCollector|Chaos|FailsClosed|CachedCollector' ./internal/core/
+go test -race -count=1 -run 'MultiCollector|Chaos|FailsClosed|Differential' ./internal/core/
 go test -race -count=1 -run 'Fault' ./internal/eval/
 go test -race -count=1 -run 'Call|Retry|Timeout|Permanent|Context' ./internal/miio/ ./internal/smartthings/
 go test -race -count=1 -run 'Healthz|RetryAfter|ContextTimeout' ./internal/cloud/
@@ -80,8 +80,11 @@ go test -count=1 -run '^$' -fuzz '^FuzzLabelEscape$' -fuzztime 10s ./internal/ob
 # shard-rebalance and worker-count determinism, COW registry swaps) and the
 # cloud fleet endpoints focused under the race detector, then smoke the
 # closed-loop load generator end to end: a small seeded run must complete
-# and print its decision-stream digest.
+# and print its decision-stream digest. The framework-vs-fleet differential
+# (one seeded stream through both front ends of the shared decision stage,
+# decision for decision) lives in internal/core and runs here too.
 go test -race -count=1 ./internal/fleet/
+go test -race -count=1 -run 'Differential' ./internal/core/
 go test -race -count=1 -run 'Fleet' ./internal/cloud/
 fleet_smoke="$(go run ./cmd/fleetload -homes 200 -steps 2 -workers 2 -batch 64 -seed 1)"
 echo "$fleet_smoke" | grep -q 'digest' || { echo 'fleetload smoke: no digest in output' >&2; exit 1; }

@@ -1,0 +1,73 @@
+package sensor
+
+import (
+	"encoding/json"
+	"time"
+)
+
+// The reference codec: the snapshot and value wire codec as it stood
+// before the direct scanner replaced it, built from nested encoding/json
+// round trips. It is copied verbatim, rebound to wrapper types so that
+// encoding/json cannot reach the production methods through it, and
+// serves as the differential oracle of FuzzSnapshotJSON and
+// FuzzValueJSON. Nothing outside the tests calls it.
+
+// refValue carries a Value through the reference codec.
+type refValue Value
+
+// MarshalJSON encodes the value as its natural JSON type.
+func (v refValue) MarshalJSON() ([]byte, error) {
+	switch v.typ {
+	case TypeBool:
+		return json.Marshal(v.b)
+	case TypeNumber:
+		return json.Marshal(v.n)
+	case TypeLabel:
+		return json.Marshal(v.s)
+	default:
+		return []byte("null"), nil
+	}
+}
+
+// UnmarshalJSON decodes a JSON boolean, number or string into the value.
+func (v *refValue) UnmarshalJSON(data []byte) error {
+	var raw any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	parsed, err := FromAny(raw)
+	if err != nil {
+		return err
+	}
+	*v = refValue(parsed)
+	return nil
+}
+
+// refSnapshotJSON is the reference wire form of a snapshot.
+type refSnapshotJSON struct {
+	At     time.Time           `json:"at"`
+	Values map[string]refValue `json:"values"`
+}
+
+// refMarshalSnapshot encodes s as {"at": ..., "values": {feature: value}}.
+func refMarshalSnapshot(s Snapshot) ([]byte, error) {
+	vals := make(map[string]refValue, len(s.Values))
+	for k, v := range s.Values {
+		vals[string(k)] = refValue(v)
+	}
+	return json.Marshal(refSnapshotJSON{At: s.At, Values: vals})
+}
+
+// refUnmarshalSnapshot decodes the wire form produced by refMarshalSnapshot.
+func refUnmarshalSnapshot(s *Snapshot, data []byte) error {
+	var raw refSnapshotJSON
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	s.At = raw.At
+	s.Values = make(map[Feature]Value, len(raw.Values))
+	for k, v := range raw.Values {
+		s.Values[Feature(k)] = Value(v)
+	}
+	return nil
+}

@@ -75,6 +75,16 @@ go test -race -count=1 ./internal/obs/
 go test -count=1 -run '^$' -fuzz '^FuzzMetricName$' -fuzztime 10s ./internal/obs/
 go test -count=1 -run '^$' -fuzz '^FuzzLabelEscape$' -fuzztime 10s ./internal/obs/
 
+# Snapshot codec gate: every scene-carrying fleet item is decoded by the
+# sensor package's direct JSON scanner and every generated scene encoded
+# by its appender — run the package focused under the race detector, then
+# smoke the differential fuzz targets that hold both to the reference
+# encoding/json codec (same accept/reject verdict, equal snapshots,
+# byte-identical re-encoding).
+go test -race -count=1 ./internal/sensor/
+go test -count=1 -run '^$' -fuzz '^FuzzSnapshotJSON$' -fuzztime 10s ./internal/sensor/
+go test -count=1 -run '^$' -fuzz '^FuzzValueJSON$' -fuzztime 10s ./internal/sensor/
+
 # Fleet gate: the multi-tenant layer is sharded concurrent state shared by
 # every tenant — run its whole suite (concurrent push/authorize hammer,
 # shard-rebalance and worker-count determinism, COW registry swaps) and the

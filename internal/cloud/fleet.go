@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -68,6 +69,39 @@ type fleetAuthorizeResponse struct {
 // decision window's traffic, not a bulk import.
 const maxFleetBatch = 65536
 
+// maxFleetItemBytes is the average encoded size allowed per item or push:
+// a full-vocabulary scene with its instruction is well under 1 KiB.
+const maxFleetItemBytes = 4 << 10
+
+// maxFleetBodyBytes bounds a fleet request body (256 MiB), so the item
+// cap above cannot be reached only after an unbounded body was read.
+const maxFleetBodyBytes = maxFleetBatch * maxFleetItemBytes
+
+// decodeFleetBody decodes a fleet request body of at most limit bytes
+// into v. A body declared or read beyond the limit answers 413, any other
+// decode failure 400; it reports whether v was decoded.
+func decodeFleetBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if r.ContentLength <= limit {
+		body := r.Body
+		if r.ContentLength < 0 {
+			// The server stops a body at its declared length, so only a
+			// body of unknown length needs counting while it is read.
+			body = http.MaxBytesReader(w, body, limit)
+		}
+		err := json.NewDecoder(body).Decode(v)
+		var tooLarge *http.MaxBytesError
+		switch {
+		case err == nil:
+			return true
+		case !errors.As(err, &tooLarge):
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+			return false
+		}
+	}
+	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", limit)})
+	return false
+}
+
 func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 	user := s.sessionUser(r)
 	if user == "" {
@@ -79,8 +113,7 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleetAuthorizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	if !decodeFleetBody(w, r, maxFleetBodyBytes, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -167,8 +200,7 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleetContextRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	if !decodeFleetBody(w, r, maxFleetBodyBytes, &req) {
 		return
 	}
 	if len(req.Pushes) == 0 {

@@ -1,9 +1,12 @@
 package cloud
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -300,5 +303,83 @@ func TestFleetEndpointsAbsentWithoutFleet(t *testing.T) {
 	apiErr, ok := err.(*APIError)
 	if !ok || apiErr.StatusCode != http.StatusNotFound {
 		t.Fatalf("fleet route on fleet-less cloud = %v, want 404", err)
+	}
+}
+
+// postDeclaringLength sends body to a fleet handler as an authenticated
+// POST whose declared Content-Length is declared.
+func postDeclaringLength(c *Client, h http.HandlerFunc, path, body string, declared int64) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	req.Header.Set("Authorization", "Session "+c.session)
+	req.ContentLength = declared
+	rec := httptest.NewRecorder()
+	h(rec, req)
+	return rec
+}
+
+// requireTooLarge fails unless rec is a 413 carrying an error body.
+func requireTooLarge(t *testing.T, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusRequestEntityTooLarge || eb.Error == "" {
+		t.Fatalf("oversized body = HTTP %d %q, want 413 with an error body", rec.Code, rec.Body.String())
+	}
+}
+
+// TestFleetAuthorizeBodyTooLarge pins the body bound on the authorize
+// endpoint: a body declared beyond maxFleetBodyBytes is refused with 413
+// before any of it is decoded (the item cap alone let an unbounded body
+// be read first).
+func TestFleetAuthorizeBodyTooLarge(t *testing.T) {
+	srv, _ := startFleetCloud(t, 1)
+	c := login(t, srv, "gateway", "s3cret")
+	rec := postDeclaringLength(c, srv.handleFleetAuthorize, "/v1/fleet/authorize", `{"items":[]}`, maxFleetBodyBytes+1)
+	requireTooLarge(t, rec)
+}
+
+// TestFleetContextBodyTooLarge is the same bound on the context-push
+// endpoint.
+func TestFleetContextBodyTooLarge(t *testing.T) {
+	srv, _ := startFleetCloud(t, 1)
+	c := login(t, srv, "gateway", "s3cret")
+	rec := postDeclaringLength(c, srv.handleFleetContext, "/v1/fleet/context", `{"pushes":[]}`, maxFleetBodyBytes+1)
+	requireTooLarge(t, rec)
+}
+
+// TestDecodeFleetBodyLimit exercises the read-side bound with a small
+// limit: a body of unknown length is cut at the limit with 413, one at
+// the limit decodes, and malformed JSON within it is a 400.
+func TestDecodeFleetBodyLimit(t *testing.T) {
+	body := `{"items":[` + strings.Repeat(" ", 40) + `]}` // 52 bytes
+	for _, tc := range []struct {
+		name   string
+		body   string
+		limit  int64
+		want   int
+		decode bool
+	}{
+		{"under", body, 64, http.StatusOK, true},
+		{"at limit", body, int64(len(body)), http.StatusOK, true},
+		{"over", body, int64(len(body)) - 1, http.StatusRequestEntityTooLarge, false},
+		{"malformed", `{"items":[`, 64, http.StatusBadRequest, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// An io.MultiReader hides the length, as a chunked body does.
+			req := httptest.NewRequest(http.MethodPost, "/v1/fleet/authorize", io.MultiReader(strings.NewReader(tc.body)))
+			rec := httptest.NewRecorder()
+			var v fleetAuthorizeRequest
+			if got := decodeFleetBody(rec, req, tc.limit, &v); got != tc.decode {
+				t.Fatalf("decoded = %v, want %v", got, tc.decode)
+			}
+			if tc.decode {
+				return
+			}
+			if rec.Code != tc.want {
+				t.Fatalf("HTTP %d %q, want %d", rec.Code, rec.Body.String(), tc.want)
+			}
+			if tc.want == http.StatusRequestEntityTooLarge {
+				requireTooLarge(t, rec)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package sensor
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -109,33 +108,21 @@ func (s Snapshot) Features() []Feature {
 	return out
 }
 
-// snapshotJSON is the wire form of a snapshot: the unified JSON document the
-// paper's collector hands to the feature memory.
-type snapshotJSON struct {
-	At     time.Time        `json:"at"`
-	Values map[string]Value `json:"values"`
-}
-
-// MarshalJSON encodes the snapshot as {"at": ..., "values": {feature: value}}.
+// MarshalJSON encodes the snapshot as {"at": ..., "values": {feature: value}},
+// the unified JSON document the paper's collector hands to the feature
+// memory. Features are sorted; see codec.go for the format's details.
 func (s Snapshot) MarshalJSON() ([]byte, error) {
-	vals := make(map[string]Value, len(s.Values))
-	for k, v := range s.Values {
-		vals[string(k)] = v
-	}
-	return json.Marshal(snapshotJSON{At: s.At, Values: vals})
+	return encodeSnapshot(s)
 }
 
-// UnmarshalJSON decodes the wire form produced by MarshalJSON.
+// UnmarshalJSON decodes the wire form produced by MarshalJSON. On error
+// the snapshot is left unchanged.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
-	var raw snapshotJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
+	at, vals, err := decodeSnapshot(data)
+	if err != nil {
 		return err
 	}
-	s.At = raw.At
-	s.Values = make(map[Feature]Value, len(raw.Values))
-	for k, v := range raw.Values {
-		s.Values[Feature(k)] = v
-	}
+	s.At, s.Values = at, vals
 	return nil
 }
 

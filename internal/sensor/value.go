@@ -75,28 +75,21 @@ func (v Value) String() string {
 }
 
 // MarshalJSON encodes the value as its natural JSON type — this is the
-// "unified JSON format" of the paper's collector.
+// "unified JSON format" of the paper's collector. An absent value is null;
+// NaN and the infinities have no JSON form and fail.
 func (v Value) MarshalJSON() ([]byte, error) {
-	switch v.typ {
-	case TypeBool:
-		return json.Marshal(v.b)
-	case TypeNumber:
-		return json.Marshal(v.n)
-	case TypeLabel:
-		return json.Marshal(v.s)
-	default:
-		return []byte("null"), nil
-	}
+	return appendValue(make([]byte, 0, valueSizeHint(v)), v)
 }
 
-// UnmarshalJSON decodes a JSON boolean, number or string into the value.
+// UnmarshalJSON decodes a JSON boolean, number, string or null (an absent
+// value) into the value. On error the value is left unchanged.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	var raw any
-	if err := json.Unmarshal(data, &raw); err != nil {
+	d := decoder{data: data}
+	parsed, err := d.value()
+	if err != nil {
 		return err
 	}
-	parsed, err := FromAny(raw)
-	if err != nil {
+	if err := d.end(); err != nil {
 		return err
 	}
 	*v = parsed

@@ -9,8 +9,9 @@ import (
 )
 
 // snapshotWireCases are the wire-format edge cases the snapshot codec and
-// the reference codec must agree on. FuzzSnapshotJSON starts from them and
-// TestSnapshotWireCases pins whether each one is accepted.
+// the reference codec must agree on. TestSnapshotWireCases pins whether
+// each one is accepted, and FuzzSnapshotJSON starts from all but the
+// largest (see maxFuzzSeed).
 var snapshotWireCases = []struct {
 	name string
 	in   string

@@ -82,13 +82,7 @@ const maxFleetBodyBytes = maxFleetBatch * maxFleetItemBytes
 // decode failure 400; it reports whether v was decoded.
 func decodeFleetBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if r.ContentLength <= limit {
-		body := r.Body
-		if r.ContentLength < 0 {
-			// The server stops a body at its declared length, so only a
-			// body of unknown length needs counting while it is read.
-			body = http.MaxBytesReader(w, body, limit)
-		}
-		err := json.NewDecoder(body).Decode(v)
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
 		var tooLarge *http.MaxBytesError
 		switch {
 		case err == nil:

@@ -91,23 +91,11 @@ func (c *Client) do(method, path string, body, out any) error {
 	if err != nil {
 		return fmt.Errorf("cloud: build request: %w", err)
 	}
-	if c.session != "" {
-		req.Header.Set("Authorization", "Session "+c.session)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
+	resp, err := c.send(req)
 	if err != nil {
-		return fmt.Errorf("cloud: %s %s: %w", method, path, err)
+		return err
 	}
 	defer func() { _ = resp.Body.Close() }() // best-effort: read errors surface via the decoder
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		msg := resp.Status
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err == nil && eb.Error != "" {
-			msg = eb.Error
-		}
-		return &APIError{StatusCode: resp.StatusCode, Message: msg}
-	}
 	if out == nil {
 		return nil
 	}
@@ -115,4 +103,62 @@ func (c *Client) do(method, path string, body, out any) error {
 		return fmt.Errorf("cloud: decode response: %w", err)
 	}
 	return nil
+}
+
+// postFleet posts the fleet body encode appends and decodes a 200
+// response's body with decode, both through pooled buffers. decode must
+// not keep the bytes it is given.
+func (c *Client) postFleet(path string, encode func([]byte) ([]byte, error), decode func([]byte) error) error {
+	body := newPooledBody()
+	defer body.release()
+	data, err := encode(*body.buf)
+	*body.buf = data
+	if err != nil {
+		return fmt.Errorf("cloud: marshal body: %w", err)
+	}
+	req, err := http.NewRequest(http.MethodPost, c.baseURL+path, body.reader())
+	if err != nil {
+		return fmt.Errorf("cloud: build request: %w", err)
+	}
+	req.ContentLength = int64(len(data))
+	req.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
+	resp, err := c.send(req)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = resp.Body.Close() }() // best-effort: read errors surface from readBody
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf, err = readBody(*buf, resp.Body, resp.ContentLength)
+	if err == nil {
+		err = decode(*buf)
+	}
+	if err != nil {
+		return fmt.Errorf("cloud: decode response: %w", err)
+	}
+	return nil
+}
+
+// send sends req with the session and content headers set and turns any
+// status but 200 into an *APIError. On success the caller closes the
+// response body.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
+	if c.session != "" {
+		req.Header.Set("Authorization", "Session "+c.session)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("cloud: %s %s: %w", req.Method, req.URL.Path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer func() { _ = resp.Body.Close() }() // best-effort: the status already failed the call
+		var eb errorBody
+		msg := resp.Status
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err == nil && eb.Error != "" {
+			msg = eb.Error
+		}
+		return nil, &APIError{StatusCode: resp.StatusCode, Message: msg}
+	}
+	return resp, nil
 }

@@ -1,10 +1,13 @@
 package cloud
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strconv"
 
 	"iotsid/internal/fleet"
 	"iotsid/internal/instr"
@@ -49,6 +52,8 @@ type FleetBatchItem struct {
 
 type fleetAuthorizeRequest struct {
 	Items []FleetBatchItem `json:"items"`
+	// oversized marks the items over maxFleetItemBytes.
+	oversized oversized
 }
 
 // FleetResult mirrors one item: either a decision or a per-item
@@ -69,20 +74,39 @@ type fleetAuthorizeResponse struct {
 // decision window's traffic, not a bulk import.
 const maxFleetBatch = 65536
 
-// maxFleetItemBytes is the average encoded size allowed per item or push:
-// a full-vocabulary scene with its instruction is well under 1 KiB.
+// maxFleetItemBytes bounds the encoded size of one item or push: a
+// full-vocabulary scene with its instruction is well under 1 KiB. An item
+// or push whose JSON object spans more gets a per-item error and is not
+// built, pushed or judged, so no tenant can make an outsized scene its
+// home's retained context.
 const maxFleetItemBytes = 4 << 10
+
+// errItemTooLarge rejects an item or push over maxFleetItemBytes.
+var errItemTooLarge = fmt.Sprintf("item exceeds %d bytes", maxFleetItemBytes)
 
 // maxFleetBodyBytes bounds a fleet request body (256 MiB), so the item
 // cap above cannot be reached only after an unbounded body was read.
 const maxFleetBodyBytes = maxFleetBatch * maxFleetItemBytes
 
-// decodeFleetBody decodes a fleet request body of at most limit bytes
-// into v. A body declared or read beyond the limit answers 413, any other
-// decode failure 400; it reports whether v was decoded.
-func decodeFleetBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+// fleetBody is a fleet request body type: it decodes itself from the
+// body's bytes (wire.go).
+type fleetBody interface {
+	unmarshal(data []byte) error
+}
+
+// decodeFleetBody reads a fleet request body of at most limit bytes into
+// a pooled buffer and decodes it into v. A body declared or read beyond
+// the limit answers 413, any other read or decode failure 400; it
+// reports whether v was decoded.
+func decodeFleetBody(w http.ResponseWriter, r *http.Request, limit int64, v fleetBody) bool {
 	if r.ContentLength <= limit {
-		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+		buf := getBuf()
+		data, err := readBody(*buf, http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+		if err == nil {
+			err = v.unmarshal(data)
+		}
+		*buf = data
+		putBuf(buf)
 		var tooLarge *http.MaxBytesError
 		switch {
 		case err == nil:
@@ -130,6 +154,10 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 			results[i] = FleetResult{Error: errHomeNotBound}
 			continue
 		}
+		if req.oversized.has(i) {
+			results[i] = FleetResult{Error: errItemTooLarge}
+			continue
+		}
 		in, err := s.cfg.Registry.Build(it.Op, it.DeviceID, instr.OriginUser, it.Args)
 		if err != nil {
 			results[i] = FleetResult{Error: err.Error()}
@@ -156,7 +184,14 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 			Reason:    res.Decision.Reason,
 		}
 	}
-	writeJSON(w, http.StatusOK, fleetAuthorizeResponse{Results: results})
+	buf := getBuf()
+	*buf = appendAuthorizeResponse(*buf, results)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*buf) // a failed write means the gateway went away
+	putBuf(buf)
 }
 
 // fleetContextPush is one home's snapshot in a context-push batch.
@@ -167,11 +202,15 @@ type fleetContextPush struct {
 
 type fleetContextRequest struct {
 	Pushes []fleetContextPush `json:"pushes"`
+	// oversized marks the pushes over maxFleetItemBytes.
+	oversized oversized
 }
 
 // FleetPushError locates one rejected push: the index into the request's
 // push array plus the home it named, so a gateway batching thousands of
-// pushes can retry or drop exactly the failed ones.
+// pushes can retry or drop exactly the failed ones. Client.FleetPushContext
+// sends its pushes sorted by home, so there Index is the home's position
+// in that order.
 type FleetPushError struct {
 	Index int    `json:"index"`
 	Home  string `json:"home"`
@@ -212,6 +251,10 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: errHomeNotBound})
 			continue
 		}
+		if req.oversized.has(i) {
+			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: errItemTooLarge})
+			continue
+		}
 		if err := s.cfg.Fleet.PushContext(p.Home, p.Context); err != nil {
 			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: err.Error()})
 			continue
@@ -225,7 +268,10 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 // results (client side of POST /v1/fleet/authorize).
 func (c *Client) FleetAuthorize(items []FleetBatchItem) ([]FleetResult, error) {
 	var resp fleetAuthorizeResponse
-	if err := c.do(http.MethodPost, "/v1/fleet/authorize", fleetAuthorizeRequest{Items: items}, &resp); err != nil {
+	err := c.postFleet("/v1/fleet/authorize",
+		func(b []byte) ([]byte, error) { return appendAuthorizeRequest(b, items) },
+		resp.unmarshal)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Results, nil
@@ -236,17 +282,26 @@ func FleetItem(home, op, deviceID string, ctx *sensor.Snapshot) FleetBatchItem {
 	return FleetBatchItem{Home: home, Op: op, DeviceID: deviceID, Context: ctx}
 }
 
-// FleetPushContext pushes per-home snapshots (POST /v1/fleet/context).
-// Rejected pushes are reported per home in the returned slice; the error
-// is reserved for transport/protocol failures, so a partially-accepted
-// batch is (accepted, rejections, nil).
+// FleetPushContext pushes per-home snapshots (POST /v1/fleet/context),
+// sorted by home. Rejected pushes are reported per home in the returned
+// slice, each FleetPushError.Index the home's position in that sorted
+// order; the error is reserved for transport/protocol failures, so a
+// partially-accepted batch is (accepted, rejections, nil).
 func (c *Client) FleetPushContext(pushes map[string]sensor.Snapshot) (int, []FleetPushError, error) {
-	req := fleetContextRequest{Pushes: make([]fleetContextPush, 0, len(pushes))}
-	for home, snap := range pushes {
-		req.Pushes = append(req.Pushes, fleetContextPush{Home: home, Context: snap})
+	homes := make([]string, 0, len(pushes))
+	for home := range pushes {
+		homes = append(homes, home)
+	}
+	slices.Sort(homes)
+	req := make([]fleetContextPush, len(homes))
+	for i, home := range homes {
+		req[i] = fleetContextPush{Home: home, Context: pushes[home]}
 	}
 	var resp fleetContextResponse
-	if err := c.do(http.MethodPost, "/v1/fleet/context", req, &resp); err != nil {
+	err := c.postFleet("/v1/fleet/context",
+		func(b []byte) ([]byte, error) { return appendContextRequest(b, req) },
+		func(data []byte) error { return json.NewDecoder(bytes.NewReader(data)).Decode(&resp) })
+	if err != nil {
 		return 0, nil, err
 	}
 	return resp.Accepted, resp.Errors, nil

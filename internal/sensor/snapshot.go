@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"iotsid/internal/jsonwire"
 )
 
 // Reading is a single timestamped measurement from one physical sensor.
@@ -112,17 +114,21 @@ func (s Snapshot) Features() []Feature {
 // the unified JSON document the paper's collector hands to the feature
 // memory. Features are sorted; see codec.go for the format's details.
 func (s Snapshot) MarshalJSON() ([]byte, error) {
-	return encodeSnapshot(s)
+	return s.AppendJSON(make([]byte, 0, s.sizeHint()))
 }
 
 // UnmarshalJSON decodes the wire form produced by MarshalJSON. On error
 // the snapshot is left unchanged.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
-	at, vals, err := decodeSnapshot(data)
-	if err != nil {
+	d := jsonwire.NewDecoder(data)
+	var decoded Snapshot
+	if err := decoded.DecodeJSON(&d); err != nil {
 		return err
 	}
-	s.At, s.Values = at, vals
+	if err := d.End(); err != nil {
+		return err
+	}
+	*s = decoded
 	return nil
 }
 

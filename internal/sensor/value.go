@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"iotsid/internal/jsonwire"
 )
 
 // Value is the tagged union carried by a sensor reading: a boolean (logic-
@@ -84,12 +86,12 @@ func (v Value) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes a JSON boolean, number, string or null (an absent
 // value) into the value. On error the value is left unchanged.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	d := decoder{data: data}
-	parsed, err := d.value()
+	d := jsonwire.NewDecoder(data)
+	parsed, err := decodeValue(&d)
 	if err != nil {
 		return err
 	}
-	if err := d.end(); err != nil {
+	if err := d.End(); err != nil {
 		return err
 	}
 	*v = parsed

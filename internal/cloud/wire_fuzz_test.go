@@ -48,11 +48,12 @@ func nested(n int, v string) string {
 	return strings.Repeat("[", n) + v + strings.Repeat("]", n)
 }
 
-// hugeArgs is an args object of 400 members, over 8 KiB encoded.
+// hugeArgs is an args object of 120 members, over the 4 KiB per-item
+// bound encoded.
 func hugeArgs() string {
 	var b strings.Builder
 	b.WriteString(`{`)
-	for i := 0; i < 400; i++ {
+	for i := 0; i < 120; i++ {
 		if i > 0 {
 			b.WriteString(",")
 		}

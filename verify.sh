@@ -85,6 +85,18 @@ go test -race -count=1 ./internal/sensor/
 go test -count=1 -run '^$' -fuzz '^FuzzSnapshotJSON$' -fuzztime 10s ./internal/sensor/
 go test -count=1 -run '^$' -fuzz '^FuzzValueJSON$' -fuzztime 10s ./internal/sensor/
 
+# Fleet codec gate: every /v1/fleet request body and the authorize
+# response are decoded and encoded by the cloud package's envelope codec,
+# built on the same jsonwire scanner, through pooled buffers — run the
+# package focused under the race detector (the pooled client-buffer hammer
+# included), then smoke the differential fuzz targets that hold the codec
+# to encoding/json (same verdict, equal values, byte-identical
+# re-encoding).
+go test -race -count=1 ./internal/cloud/
+go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeRequest$' -fuzztime 10s ./internal/cloud/
+go test -count=1 -run '^$' -fuzz '^FuzzFleetContextRequest$' -fuzztime 10s ./internal/cloud/
+go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeResponse$' -fuzztime 10s ./internal/cloud/
+
 # Fleet gate: the multi-tenant layer is sharded concurrent state shared by
 # every tenant — run its whole suite (concurrent push/authorize hammer,
 # shard-rebalance and worker-count determinism, COW registry swaps) and the

@@ -88,22 +88,16 @@ var errItemTooLarge = fmt.Sprintf("item exceeds %d bytes", maxFleetItemBytes)
 // cap above cannot be reached only after an unbounded body was read.
 const maxFleetBodyBytes = maxFleetBatch * maxFleetItemBytes
 
-// fleetBody is a fleet request body type: it decodes itself from the
-// body's bytes (wire.go).
-type fleetBody interface {
-	unmarshal(data []byte) error
-}
-
 // decodeFleetBody reads a fleet request body of at most limit bytes into
-// a pooled buffer and decodes it into v. A body declared or read beyond
-// the limit answers 413, any other read or decode failure 400; it
-// reports whether v was decoded.
-func decodeFleetBody(w http.ResponseWriter, r *http.Request, limit int64, v fleetBody) bool {
+// a pooled buffer and decodes it with unmarshal. A body declared or read
+// beyond the limit answers 413, any other read or decode failure 400; it
+// reports whether the body was decoded.
+func decodeFleetBody(w http.ResponseWriter, r *http.Request, limit int64, unmarshal func([]byte) error) bool {
 	if r.ContentLength <= limit {
 		buf := getBuf()
 		data, err := readBody(*buf, http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
 		if err == nil {
-			err = v.unmarshal(data)
+			err = unmarshal(data)
 		}
 		*buf = data
 		putBuf(buf)
@@ -131,7 +125,7 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleetAuthorizeRequest
-	if !decodeFleetBody(w, r, maxFleetBodyBytes, &req) {
+	if !decodeFleetBody(w, r, maxFleetBodyBytes, req.unmarshal) {
 		return
 	}
 	if len(req.Items) == 0 {
@@ -233,7 +227,7 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleetContextRequest
-	if !decodeFleetBody(w, r, maxFleetBodyBytes, &req) {
+	if !decodeFleetBody(w, r, maxFleetBodyBytes, req.unmarshal) {
 		return
 	}
 	if len(req.Pushes) == 0 {

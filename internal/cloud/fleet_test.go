@@ -368,7 +368,7 @@ func TestDecodeFleetBodyLimit(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPost, "/v1/fleet/authorize", io.MultiReader(strings.NewReader(tc.body)))
 			rec := httptest.NewRecorder()
 			var v fleetAuthorizeRequest
-			if got := decodeFleetBody(rec, req, tc.limit, &v); got != tc.decode {
+			if got := decodeFleetBody(rec, req, tc.limit, v.unmarshal); got != tc.decode {
 				t.Fatalf("decoded = %v, want %v", got, tc.decode)
 			}
 			if tc.decode {

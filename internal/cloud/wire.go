@@ -53,11 +53,12 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// readBody appends r's content to buf, sized up front when the length is
-// declared.
+// readBody appends r's content to buf. A declared length sizes buf up
+// front, but only up to maxPooledBuf: the peer states it, so beyond that
+// the buffer grows with the bytes that actually arrive.
 func readBody(buf []byte, r io.Reader, declared int64) ([]byte, error) {
 	if declared > 0 {
-		buf = slices.Grow(buf, int(declared)+1) // +1 reads EOF without growing
+		buf = slices.Grow(buf, int(min(declared, maxPooledBuf-1))+1) // +1 reads EOF without growing
 	}
 	for {
 		if len(buf) == cap(buf) {

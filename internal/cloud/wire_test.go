@@ -248,21 +248,31 @@ func TestFleetWireDecodeOwnsItsMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		body []byte
-		new  func() fleetBody
+		name   string
+		body   []byte
+		decode func([]byte) (any, error)
 	}{
-		{"authorize request", reqBody, func() fleetBody { return new(fleetAuthorizeRequest) }},
-		{"context request", pushBody, func() fleetBody { return new(fleetContextRequest) }},
-		{"authorize response", respBody, func() fleetBody { return new(fleetAuthorizeResponse) }},
+		{"authorize request", reqBody, func(b []byte) (any, error) {
+			v := new(fleetAuthorizeRequest)
+			return v, v.unmarshal(b)
+		}},
+		{"context request", pushBody, func(b []byte) (any, error) {
+			v := new(fleetContextRequest)
+			return v, v.unmarshal(b)
+		}},
+		{"authorize response", respBody, func(b []byte) (any, error) {
+			v := new(fleetAuthorizeResponse)
+			return v, v.unmarshal(b)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, got := tc.new(), tc.new()
-			if err := want.unmarshal(bytes.Clone(tc.body)); err != nil {
+			want, err := tc.decode(bytes.Clone(tc.body))
+			if err != nil {
 				t.Fatal(err)
 			}
 			buf := bytes.Clone(tc.body)
-			if err := got.unmarshal(buf); err != nil {
+			got, err := tc.decode(buf)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range buf {
@@ -276,6 +286,23 @@ func TestFleetWireDecodeOwnsItsMemory(t *testing.T) {
 	var resp fleetAuthorizeResponse
 	if err := resp.unmarshal(respBody); err != nil || !reflect.DeepEqual(resp.Results, results) {
 		t.Fatalf("response round trip = %v, %v", resp.Results, err)
+	}
+}
+
+// TestReadBodyCapsDeclaredLength pins that a declared length only sizes
+// the buffer up to maxPooledBuf: a peer that declares the full body bound
+// and sends a few bytes must not make the reader hold that much memory.
+func TestReadBodyCapsDeclaredLength(t *testing.T) {
+	buf, err := readBody(nil, strings.NewReader("0123456789"), maxFleetBodyBytes)
+	if err != nil || string(buf) != "0123456789" {
+		t.Fatalf("readBody = %q, %v", buf, err)
+	}
+	if cap(buf) > maxPooledBuf {
+		t.Fatalf("readBody reserved %d bytes for a 10-byte body, over the %d-byte cap", cap(buf), maxPooledBuf)
+	}
+	big := strings.Repeat("x", 3*maxPooledBuf)
+	if buf, err = readBody(nil, strings.NewReader(big), maxFleetBodyBytes); err != nil || string(buf) != big {
+		t.Fatalf("readBody of a %d-byte body = %d bytes, %v", len(big), len(buf), err)
 	}
 }
 

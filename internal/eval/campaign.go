@@ -65,6 +65,9 @@ type CampaignResult struct {
 	// the IDS wrongly blocked.
 	LegitAttempts int `json:"legit_attempts"`
 	LegitBlocked  int `json:"legit_blocked"`
+	// Digest folds every decision's allow bit and reason (seqFold) per
+	// round, then the round digests in round order.
+	Digest string `json:"digest"`
 }
 
 // BlockRate returns the fraction of all attack attempts intercepted.
@@ -229,7 +232,14 @@ func (s *Suite) runCampaign(ctx context.Context, rounds int, mode campaignMode) 
 // tallyCampaign folds per-round outcomes into the campaign tally.
 func tallyCampaign(outcomes []roundOutcome) CampaignResult {
 	res := CampaignResult{PerType: make(map[AttackType]CampaignCounts, len(campaignAttacks))}
+	digest := uint64(14695981039346656037)
 	for _, out := range outcomes {
+		round := uint64(14695981039346656037)
+		for i := range campaignAttacks {
+			round = seqFold(round, out.attackDecisions[i].Allowed, out.attackDecisions[i].Reason)
+			round = seqFold(round, out.legitDecisions[i].Allowed, out.legitDecisions[i].Reason)
+		}
+		digest = digest*1099511628211 ^ round
 		for i, a := range campaignAttacks {
 			c := res.PerType[a.Type]
 			c.Attempts++
@@ -245,6 +255,7 @@ func tallyCampaign(outcomes []roundOutcome) CampaignResult {
 			res.PerType[a.Type] = c
 		}
 	}
+	res.Digest = fmt.Sprintf("%016x", digest)
 	return res
 }
 

@@ -81,6 +81,16 @@ type FaultScenarioResult struct {
 	// UnsafeAllows counts sensitive instructions ALLOWED while the required
 	// source was missing — the fail-closed contract demands zero.
 	UnsafeAllows int `json:"unsafe_allows"`
+	// Digest folds every command's allow bit and reason (seqFold; tag 'e'
+	// for a command that got no decision) per round, then the round
+	// digests in round order.
+	Digest string `json:"digest"`
+}
+
+// faultUnit is one round's tally plus its decision digest.
+type faultUnit struct {
+	res    FaultScenarioResult
+	digest uint64
 }
 
 // Availability is the fraction of legitimate sensitive commands served.
@@ -150,7 +160,7 @@ func (s *Suite) FaultCampaignScenarios(ctx context.Context, scenarios []FaultSce
 		return nil, fmt.Errorf("eval: no fault scenarios")
 	}
 	units := len(scenarios) * rounds
-	outcomes, err := par.Map(units, s.Config.Workers, func(u int) (FaultScenarioResult, error) {
+	outcomes, err := par.Map(units, s.Config.Workers, func(u int) (faultUnit, error) {
 		return s.faultRound(ctx, scenarios[u/rounds], int64(u))
 	})
 	if err != nil {
@@ -159,22 +169,25 @@ func (s *Suite) FaultCampaignScenarios(ctx context.Context, scenarios []FaultSce
 	out := make([]FaultScenarioResult, len(scenarios))
 	for i, sc := range scenarios {
 		out[i].Name = sc.Name
+		digest := uint64(14695981039346656037)
 		for r := 0; r < rounds; r++ {
-			out[i].add(outcomes[i*rounds+r])
+			out[i].add(outcomes[i*rounds+r].res)
+			digest = digest*1099511628211 ^ outcomes[i*rounds+r].digest
 		}
+		out[i].Digest = fmt.Sprintf("%016x", digest)
 	}
 	return out, nil
 }
 
 // faultRound runs one self-contained round of one scenario.
-func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (FaultScenarioResult, error) {
+func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (faultUnit, error) {
 	h, err := home.NewStandard(home.EnvConfig{Seed: s.Config.Seed + 303})
 	if err != nil {
-		return FaultScenarioResult{}, err
+		return faultUnit{}, err
 	}
 	detector, err := core.DefaultDetector()
 	if err != nil {
-		return FaultScenarioResult{}, err
+		return faultUnit{}, err
 	}
 	registry := instr.BuiltinRegistry()
 
@@ -213,15 +226,16 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 	health := resilience.NewRegistry()
 	mc, err := core.NewMultiCollector(core.MultiConfig{Now: clock, Health: health}, order...)
 	if err != nil {
-		return FaultScenarioResult{}, err
+		return faultUnit{}, err
 	}
 	framework, err := core.New(core.Config{Detector: detector, Collector: mc, Memory: s.Memory})
 	if err != nil {
-		return FaultScenarioResult{}, err
+		return faultUnit{}, err
 	}
 
 	rng := rand.New(rand.NewSource(s.Config.Seed + 505 + unit))
 	res := FaultScenarioResult{Name: sc.Name, Rounds: 1}
+	digest := uint64(14695981039346656037)
 
 	// sourceState reads one source's health row after a command.
 	sourceState := func(name string) string {
@@ -243,8 +257,10 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 		cancel()
 		if err != nil {
 			res.CollectErrors++
+			digest = seqFold(digest, false, "e")
 			return false, false, nil
 		}
+		digest = seqFold(digest, dec.Allowed, dec.Reason)
 		if sourceState("optional") == string(core.SourceStale) {
 			res.StaleServes++
 		}
@@ -265,7 +281,7 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 	for _, a := range campaignAttacks {
 		in, err := registry.Build(a.Op, a.Device, instr.OriginUnknown, nil)
 		if err != nil {
-			return FaultScenarioResult{}, err
+			return faultUnit{}, err
 		}
 		// The campaign measures the fail-closed contract, which covers
 		// sensitive instructions only.
@@ -274,12 +290,12 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 		}
 		attack, err := dataset.AttackScene(a.Model, rng)
 		if err != nil {
-			return FaultScenarioResult{}, err
+			return faultUnit{}, err
 		}
 		h.Env().Apply(attack)
 		allowed, decided, err := fire(a.Op, a.Device)
 		if err != nil {
-			return FaultScenarioResult{}, err
+			return faultUnit{}, err
 		}
 		res.AttackAttempts++
 		if decided && !allowed {
@@ -292,19 +308,19 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (F
 
 		legal, err := dataset.LegalScene(a.Model, rng)
 		if err != nil {
-			return FaultScenarioResult{}, err
+			return faultUnit{}, err
 		}
 		h.Env().Apply(legal)
 		allowed, _, err = fire(a.Op, a.Device)
 		if err != nil {
-			return FaultScenarioResult{}, err
+			return faultUnit{}, err
 		}
 		res.LegitAttempts++
 		if allowed {
 			res.LegitAllowed++
 		}
 	}
-	return res, nil
+	return faultUnit{res: res, digest: digest}, nil
 }
 
 // RenderFaultCampaign formats the availability-versus-safety table of the

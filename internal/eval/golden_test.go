@@ -5,16 +5,85 @@ import (
 	"testing"
 )
 
-// TestCampaignDigestGolden pins the sequence and spoofing campaigns'
-// digests and fail-closed tallies for 5 rounds of the default suite. The
-// determinism tests only compare runs against each other, so a refactor
-// that moves every digest the same way would pass them; this one fails
-// unless the decisions are bit-identical to the recorded ones.
+// TestCampaignDigestGolden pins every campaign's tallies and decision
+// digests for 5 rounds of the default suite. The determinism tests only
+// compare runs against each other, so a refactor that moves every digest
+// the same way would pass them; this one fails unless the decisions are
+// bit-identical to the recorded ones.
 func TestCampaignDigestGolden(t *testing.T) {
 	s := suiteForTest(t)
+	ctx := context.Background()
 	const rounds = 5
 
-	sr, err := s.SeqCampaign(context.Background(), rounds)
+	// Attack campaign: per class attempts, blocked, legit attempts and
+	// legit blocked, then the decision digest.
+	wantAttack := map[AttackType][4]int{
+		AttackWindowBurglary: {5, 5, 5, 0},
+		AttackAirconWaste:    {5, 4, 5, 0},
+		AttackLightCasing:    {5, 3, 5, 0},
+		AttackCurtainPrivacy: {5, 5, 5, 0},
+		AttackTVScare:        {5, 0, 5, 0},
+		AttackCookerFire:     {5, 4, 5, 0},
+	}
+	ar, err := s.Campaign(ctx, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ar.PerType) != len(wantAttack) {
+		t.Fatalf("Campaign returned %d classes, want %d", len(ar.PerType), len(wantAttack))
+	}
+	for typ, w := range wantAttack {
+		c := ar.PerType[typ]
+		if got := [4]int{c.Attempts, c.Blocked, c.LegitAttempts, c.LegitBlocked}; got != w {
+			t.Errorf("Campaign %s: attempts/blocked/legit/legit-blocked = %v, want %v", typ, got, w)
+		}
+	}
+	if ar.Digest != "3f4361c5022ea667" {
+		t.Errorf("Campaign digest = %s, want 3f4361c5022ea667", ar.Digest)
+	}
+
+	// Polled versus epoch collection: identical streams, the same digest.
+	cmp, err := s.CampaignCompare(ctx, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cmp.Identical || cmp.Divergences != 0 || cmp.Epoch.Digest != cmp.Polled.Digest || cmp.Polled.Digest != "3f4361c5022ea667" {
+		t.Errorf("CampaignCompare: identical %v, %d divergences, digests polled %s epoch %s; want true, 0, 3f4361c5022ea667 twice",
+			cmp.Identical, cmp.Divergences, cmp.Polled.Digest, cmp.Epoch.Digest)
+	}
+
+	// Fault campaign: attempts, blocked, legit attempts, legit allowed,
+	// fail-closed, stale serves, no-context and unsafe allows, then the
+	// decision digest, per scenario in campaign order.
+	type faultRow struct {
+		name     string
+		counters [8]int
+		digest   string
+	}
+	wantFault := []faultRow{
+		{"baseline", [8]int{25, 21, 25, 25, 0, 0, 0, 0}, "036f42625bb0a053"},
+		{"flaky_optional", [8]int{25, 23, 25, 25, 0, 0, 0, 0}, "dd0c7628357cd3e3"},
+		{"optional_blackout", [8]int{25, 22, 25, 23, 0, 35, 0, 0}, "8179827f02075834"},
+		{"required_down", [8]int{25, 25, 25, 0, 50, 0, 0, 0}, "9c7aa82e03c0f8da"},
+		{"byzantine_optional", [8]int{25, 12, 25, 9, 0, 0, 0, 0}, "5d91d8a6d8128382"},
+	}
+	fr, err := s.FaultCampaign(ctx, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fr) != len(wantFault) {
+		t.Fatalf("FaultCampaign returned %d rows, want %d", len(fr), len(wantFault))
+	}
+	for i, w := range wantFault {
+		r := fr[i]
+		got := faultRow{r.Name, [8]int{r.AttackAttempts, r.AttackBlocked, r.LegitAttempts, r.LegitAllowed,
+			r.FailClosed, r.StaleServes, r.CollectErrors, r.UnsafeAllows}, r.Digest}
+		if got != w {
+			t.Errorf("FaultCampaign row %d = %+v, want %+v", i, got, w)
+		}
+	}
+
+	sr, err := s.SeqCampaign(ctx, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +101,7 @@ func TestCampaignDigestGolden(t *testing.T) {
 		"stuck_at":   {"b36c28f3f2b47df1", 30, 0},
 		"spike":      {"cd57b15c111fee0d", 30, 0},
 	}
-	rows, err := s.SpoofCampaign(context.Background(), rounds)
+	rows, err := s.SpoofCampaign(ctx, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -699,8 +699,8 @@ func BenchmarkExtensionCampaign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.BlockRate() < 0.5 {
-			b.Fatalf("block rate %v", r.BlockRate())
+		if r.Safety() < 0.5 {
+			b.Fatalf("block rate %v", r.Safety())
 		}
 	}
 }

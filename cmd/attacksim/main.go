@@ -38,12 +38,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	out, err := s.RenderCampaign(context.Background(), *rounds)
+	r, err := s.Campaign(context.Background(), *rounds)
 	if err != nil {
 		return err
 	}
 	fmt.Println()
-	fmt.Println(out)
+	fmt.Println(r.Table())
 	fmt.Println("note: tv_scare sits below the questionnaire's 50% high-threat bar")
 	fmt.Println("(Table III), so the sensitive-command detector never escalates it —")
 	fmt.Println("that row measures the framework's scope boundary, not a model miss.")

@@ -29,7 +29,7 @@ func main() {
 
 func run() error {
 	seed := flag.Int64("seed", 0, "override the evaluation seed (0 = paper defaults)")
-	ablations := flag.Bool("ablations", false, "also run criterion/sampling/baseline ablations")
+	ablations := flag.Bool("ablations", false, "also run the ablations, the extension experiments and every campaign table")
 	csvDir := flag.String("csv", "", "also write table3/table6/fig6/fig7 as CSV into this directory")
 	workers := flag.Int("workers", 0, "parallel workers for training and sweeps (0 = GOMAXPROCS); results are identical for every value")
 	flag.Parse()
@@ -112,11 +112,13 @@ func run() error {
 			return err
 		}
 		fmt.Println(transferOut)
-		campaignOut, err := s.RenderCampaign(context.Background(), 60)
-		if err != nil {
-			return err
+		for _, row := range s.CampaignRows() {
+			r, err := row.Run(context.Background(), row.Rounds)
+			if err != nil {
+				return fmt.Errorf("%s campaign: %w", row.Name, err)
+			}
+			fmt.Println(r.Table())
 		}
-		fmt.Println(campaignOut)
 	}
 	return nil
 }

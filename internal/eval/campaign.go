@@ -4,15 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
+	"time"
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
+	"iotsid/internal/epoch"
 	"iotsid/internal/home"
 	"iotsid/internal/instr"
-	"iotsid/internal/par"
 	"iotsid/internal/sensor"
+	"iotsid/internal/trust"
 )
 
 // AttackType names one attack class of the campaign.
@@ -48,236 +49,218 @@ var campaignAttacks = []struct {
 	{AttackCookerFire, dataset.ModelKitchen, "cooker.start", "cooker-1"},
 }
 
-// CampaignCounts tallies one attack type: the staged attacks, and the
-// legitimate twin commands (the same instruction fired from a legal
-// scene) whose wrongful blocks are the scenario's availability cost.
-type CampaignCounts struct {
-	Attempts      int `json:"attempts"`
-	Blocked       int `json:"blocked"`
-	LegitAttempts int `json:"legit_attempts"`
-	LegitBlocked  int `json:"legit_blocked"`
+// attackEnv is one unit's environment for the attack mix: a private home
+// to stage scenes in, and the hook judging an instruction against it.
+type attackEnv struct {
+	home *home.Home
+	// decide may add the environment's own evidence to c. ok is false for
+	// a command that got no decision; an error aborts the unit.
+	decide func(ctx context.Context, in instr.Instruction, c *Counts) (dec core.Decision, ok bool, err error)
 }
 
-// CampaignResult is the outcome of a full attack campaign.
+// attackMix is the attack and fault rows' mix: per attack class, in
+// order, fire its instruction from an attack scene and then from a legal
+// one (the legitimate twin), executing what is allowed. sensitiveOnly
+// skips classes the detector does not escalate, drawing nothing from rng.
+func attackMix(ctx context.Context, env attackEnv, rng *rand.Rand, sensitiveOnly bool, out *unit) error {
+	detector, err := campaignDetector()
+	if err != nil {
+		return err
+	}
+	for i, a := range campaignAttacks {
+		in, err := campaignRegistry.Build(a.Op, a.Device, instr.OriginUnknown, nil)
+		if err != nil {
+			return err
+		}
+		if sensitiveOnly && !detector.IsSensitive(in) {
+			continue
+		}
+		for _, attack := range [2]bool{true, false} {
+			stage := dataset.LegalScene
+			if attack {
+				stage = dataset.AttackScene
+			}
+			scene, err := stage(a.Model, rng)
+			if err != nil {
+				return err
+			}
+			env.home.Env().Apply(scene)
+			dec, ok, err := env.decide(ctx, in, &out.lanes[i])
+			if err != nil {
+				return err
+			}
+			if !ok {
+				out.undecided(i, attack)
+				continue
+			}
+			out.decide(i, attack, dec.Allowed, dec.Reason)
+			out.decisions = append(out.decisions, dec)
+			if dec.Allowed {
+				if err := env.home.Execute(in); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// polledEnv is the baseline: every Authorize polls the round's home.
+func (s *Suite) polledEnv(h *home.Home) (*core.Framework, func() error, error) {
+	fw, err := s.framework(&core.SimCollector{Env: h.Env()}, nil)
+	return fw, func() error { return nil }, err
+}
+
+// epochEnv is the event-driven path, clocked by the home's simulated
+// time: every staged scene is pushed before the decision, standing in for
+// the vendor event stream. Staging never advances the clock, so this
+// measures decision equivalence, not staleness.
+func (s *Suite) epochEnv(h *home.Home) (*core.Framework, func() error, error) {
+	store, fw, err := s.pushFramework(h.Env().Now, nil)
+	return fw, func() error { return store.Push("feed", h.Env().Snapshot()) }, err
+}
+
+// pushFramework builds the push path over one required source, "feed":
+// an epoch store (an hour's freshness budget) read by an epoch collector.
+// A non-nil eng scores every push attempt and gates the collector.
+func (s *Suite) pushFramework(now func() time.Time, eng *trust.Engine) (*epoch.Store, *core.Framework, error) {
+	cfg := epoch.Config{Now: now}
+	if eng != nil {
+		cfg.Observe = func(src string, d sensor.Snapshot, at time.Time) { eng.Observe(src, d, at) }
+	}
+	store, err := epoch.NewStore(cfg, epoch.SourceConfig{Name: "feed", Required: true, FreshFor: time.Hour})
+	if err != nil {
+		return nil, nil, err
+	}
+	collector, err := core.NewEpochCollector(core.EpochCollectorConfig{Now: now, Trust: eng}, store)
+	if err != nil {
+		return nil, nil, err
+	}
+	fw, err := s.framework(collector, nil)
+	return store, fw, err
+}
+
+// runAttack runs the attack row over one collection path: a unit per
+// round, each with a standard home (Seed+101) and a scene generator seeded
+// Seed+202+round. build returns the round's framework over its home and
+// the sync hook run after every staged scene.
+func (s *Suite) runAttack(ctx context.Context, rounds int,
+	build func(*home.Home) (*core.Framework, func() error, error)) (tally, error) {
+	return s.runCampaign(ctx, rounds, 1, len(campaignAttacks), func(ctx context.Context, _ int, round int64, out *unit) error {
+		h, err := home.NewStandard(home.EnvConfig{Seed: s.Config.Seed + 101})
+		if err != nil {
+			return err
+		}
+		framework, sync, err := build(h)
+		if err != nil {
+			return err
+		}
+		env := attackEnv{home: h, decide: func(ctx context.Context, in instr.Instruction, _ *Counts) (core.Decision, bool, error) {
+			if err := sync(); err != nil {
+				return core.Decision{}, false, err
+			}
+			dec, err := framework.Authorize(ctx, in)
+			return dec, err == nil, err
+		}}
+		return attackMix(ctx, env, rand.New(rand.NewSource(s.Config.Seed+202+round)), false, out)
+	})
+}
+
+// CampaignResult is the outcome of the attack campaign.
 type CampaignResult struct {
-	PerType map[AttackType]CampaignCounts `json:"per_type"`
-	// Legitimate sensitive commands issued from legal scenes, and how many
-	// the IDS wrongly blocked.
-	LegitAttempts int `json:"legit_attempts"`
-	LegitBlocked  int `json:"legit_blocked"`
-	// Digest folds every decision's allow bit and reason (seqFold) per
-	// round, then the round digests in round order.
+	Rounds  int                   `json:"rounds"`
+	PerType map[AttackType]Counts `json:"per_type"`
+	// Counts totals every class.
+	Counts
+	// Digest folds every decision (seqFold) per round, then the rounds.
 	Digest string `json:"digest"`
 }
 
-// BlockRate returns the fraction of all attack attempts intercepted.
-func (r CampaignResult) BlockRate() float64 {
-	var attempts, blocked int
-	for _, c := range r.PerType {
-		attempts += c.Attempts
-		blocked += c.Blocked
+func attackResult(rounds int, t tally) CampaignResult {
+	r := CampaignResult{Rounds: rounds, PerType: make(map[AttackType]Counts, len(campaignAttacks)),
+		Counts: t.scenarios[0].total(), Digest: hexDigest(t.digest)}
+	for i, a := range campaignAttacks {
+		r.PerType[a.Type] = t.scenarios[0].lanes[i]
 	}
-	if attempts == 0 {
-		return 0
-	}
-	return float64(blocked) / float64(attempts)
-}
-
-// FalseBlockRate returns the fraction of legitimate commands wrongly
-// rejected.
-func (r CampaignResult) FalseBlockRate() float64 {
-	if r.LegitAttempts == 0 {
-		return 0
-	}
-	return float64(r.LegitBlocked) / float64(r.LegitAttempts)
-}
-
-// roundOutcome records one campaign round: per attack index, whether the
-// staged attack and the interleaved legitimate command were blocked, plus
-// the full decisions so collection paths can be compared bit-for-bit.
-type roundOutcome struct {
-	attackBlocked   []bool
-	legitBlocked    []bool
-	attackDecisions []core.Decision
-	legitDecisions  []core.Decision
-}
-
-// campaignMode parameterizes a campaign run over the collection path. The
-// setup hook builds one round's collector over its private home and
-// returns an optional sync hook the round runner calls after every scene
-// Apply — the push-mode bridge between staging a scene and deciding
-// against it (nil for paths that read the environment directly).
-type campaignMode struct {
-	setup func(h *home.Home) (core.Collector, func() error, error)
-}
-
-// polledMode is the baseline: every Authorize polls the environment.
-func polledMode() campaignMode {
-	return campaignMode{
-		setup: func(h *home.Home) (core.Collector, func() error, error) {
-			return &core.SimCollector{Env: h.Env()}, nil, nil
-		},
-	}
+	return r
 }
 
 // Campaign runs a mixed attack campaign against a live deployment: per
 // round, every attack type stages its context in the home and fires its
 // sensitive instruction through the IDS gate; interleaved, legitimate
-// commands are issued from legal scenes. Uses the suite's trained memory.
-//
-// Rounds fan out over s.Config.Workers goroutines. Each round is fully
-// self-contained — its own standard home, its own framework, and a scene
-// generator seeded from the round index before the fan-out — and per-round
-// outcomes land in index slots, merged in round order. The tally is
-// therefore identical for every worker count (and rounds no longer leak
-// device state into each other through the shared environment).
-//
-// ctx bounds every Authorize call; the campaign aborts on the first
-// judgment error, so cancellation propagates between rounds too.
+// commands are issued from legal scenes. The campaign aborts on the first
+// judgment error.
 func (s *Suite) Campaign(ctx context.Context, rounds int) (CampaignResult, error) {
-	outcomes, err := s.runCampaign(ctx, rounds, polledMode())
+	t, err := s.runAttack(ctx, rounds, s.polledEnv)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	return tallyCampaign(outcomes), nil
+	return attackResult(rounds, t), nil
 }
 
-// runCampaign executes the round fan-out for one collection mode and
-// returns the per-round outcomes in round order.
-func (s *Suite) runCampaign(ctx context.Context, rounds int, mode campaignMode) ([]roundOutcome, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("eval: rounds must be positive")
-	}
-	detector, err := core.DefaultDetector()
-	if err != nil {
-		return nil, err
-	}
-	registry := instr.BuiltinRegistry()
-
-	return par.Map(rounds, s.Config.Workers, func(round int) (roundOutcome, error) {
-		h, err := home.NewStandard(home.EnvConfig{Seed: s.Config.Seed + 101})
-		if err != nil {
-			return roundOutcome{}, err
-		}
-		collector, sync, err := mode.setup(h)
-		if err != nil {
-			return roundOutcome{}, err
-		}
-		framework, err := core.New(core.Config{
-			Detector:  detector,
-			Collector: collector,
-			Memory:    s.Memory,
-		})
-		if err != nil {
-			return roundOutcome{}, err
-		}
-		rng := rand.New(rand.NewSource(s.Config.Seed + 202 + int64(round)))
-		fire := func(op, device string, scene sensor.Snapshot) (core.Decision, error) {
-			h.Env().Apply(scene)
-			if sync != nil {
-				if err := sync(); err != nil {
-					return core.Decision{}, err
-				}
-			}
-			in, err := registry.Build(op, device, instr.OriginUnknown, nil)
-			if err != nil {
-				return core.Decision{}, err
-			}
-			dec, err := framework.Authorize(ctx, in)
-			if err != nil {
-				return core.Decision{}, err
-			}
-			if dec.Allowed {
-				// The instruction executes — the attack (or legit command)
-				// reaches the device.
-				if err := h.Execute(in); err != nil {
-					return core.Decision{}, err
-				}
-			}
-			return dec, nil
-		}
-
-		out := roundOutcome{
-			attackBlocked:   make([]bool, len(campaignAttacks)),
-			legitBlocked:    make([]bool, len(campaignAttacks)),
-			attackDecisions: make([]core.Decision, len(campaignAttacks)),
-			legitDecisions:  make([]core.Decision, len(campaignAttacks)),
-		}
-		for i, a := range campaignAttacks {
-			ctx, err := dataset.AttackScene(a.Model, rng)
-			if err != nil {
-				return roundOutcome{}, err
-			}
-			dec, err := fire(a.Op, a.Device, ctx)
-			if err != nil {
-				return roundOutcome{}, err
-			}
-			out.attackDecisions[i] = dec
-			out.attackBlocked[i] = !dec.Allowed
-			// A legitimate use of the same instruction, from a legal scene.
-			legalCtx, err := dataset.LegalScene(a.Model, rng)
-			if err != nil {
-				return roundOutcome{}, err
-			}
-			if dec, err = fire(a.Op, a.Device, legalCtx); err != nil {
-				return roundOutcome{}, err
-			}
-			out.legitDecisions[i] = dec
-			out.legitBlocked[i] = !dec.Allowed
-		}
-		return out, nil
-	})
-}
-
-// tallyCampaign folds per-round outcomes into the campaign tally.
-func tallyCampaign(outcomes []roundOutcome) CampaignResult {
-	res := CampaignResult{PerType: make(map[AttackType]CampaignCounts, len(campaignAttacks))}
-	digest := uint64(14695981039346656037)
-	for _, out := range outcomes {
-		round := uint64(14695981039346656037)
-		for i := range campaignAttacks {
-			round = seqFold(round, out.attackDecisions[i].Allowed, out.attackDecisions[i].Reason)
-			round = seqFold(round, out.legitDecisions[i].Allowed, out.legitDecisions[i].Reason)
-		}
-		digest = digest*1099511628211 ^ round
-		for i, a := range campaignAttacks {
-			c := res.PerType[a.Type]
-			c.Attempts++
-			if out.attackBlocked[i] {
-				c.Blocked++
-			}
-			c.LegitAttempts++
-			res.LegitAttempts++
-			if out.legitBlocked[i] {
-				c.LegitBlocked++
-				res.LegitBlocked++
-			}
-			res.PerType[a.Type] = c
-		}
-	}
-	res.Digest = fmt.Sprintf("%016x", digest)
-	return res
-}
-
-// RenderCampaign formats the campaign outcome.
-func (s *Suite) RenderCampaign(ctx context.Context, rounds int) (string, error) {
-	r, err := s.Campaign(ctx, rounds)
-	if err != nil {
-		return "", err
-	}
+// Table renders the per-class interception table, classes in firing order.
+func (r CampaignResult) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Attack campaign — %d rounds across six attack classes\n", rounds)
-	types := make([]string, 0, len(r.PerType))
-	for t := range r.PerType {
-		types = append(types, string(t))
-	}
-	sort.Strings(types)
-	for _, t := range types {
-		c := r.PerType[AttackType(t)]
-		fmt.Fprintf(&b, "  %-24s blocked %3d/%3d (%.0f%%), false blocks %d/%d\n", t, c.Blocked, c.Attempts,
-			100*float64(c.Blocked)/float64(c.Attempts), c.LegitBlocked, c.LegitAttempts)
+	fmt.Fprintf(&b, "Attack campaign — %d rounds across six attack classes\n", r.Rounds)
+	for _, a := range campaignAttacks {
+		c := r.PerType[a.Type]
+		fmt.Fprintf(&b, "  %-24s blocked %3d/%3d (%.0f%%), false blocks %d/%d\n", a.Type, c.Blocked, c.Attempts,
+			100*c.Safety(), c.LegitBlocked, c.LegitAttempts)
 	}
 	fmt.Fprintf(&b, "  overall interception %.1f%%, legitimate commands wrongly blocked %.1f%%\n",
-		100*r.BlockRate(), 100*r.FalseBlockRate())
-	return b.String(), nil
+		100*r.Safety(), 100*r.FalseBlockRate())
+	return b.String()
+}
+
+// CampaignComparison is the head-to-head outcome of the same seeded
+// campaign run through the polled and the event-driven collection paths.
+type CampaignComparison struct {
+	Polled CampaignResult `json:"polled"`
+	Epoch  CampaignResult `json:"epoch"`
+	// Identical reports whether every decision — not just the tallies —
+	// matched bit-for-bit between the two paths.
+	Identical bool `json:"identical"`
+	// Divergences counts decision slots where the paths disagreed.
+	Divergences int `json:"divergences"`
+}
+
+// CampaignCompare runs the same seeded campaign through both collection
+// paths and compares the full decision streams element-wise. Both runs use
+// the suite's seed, so the scenes, instruction order and device state are
+// identical; any divergence is the collection path's doing.
+func (s *Suite) CampaignCompare(ctx context.Context, rounds int) (CampaignComparison, error) {
+	polled, err := s.runAttack(ctx, rounds, s.polledEnv)
+	if err != nil {
+		return CampaignComparison{}, fmt.Errorf("eval: polled campaign: %w", err)
+	}
+	pushed, err := s.runAttack(ctx, rounds, s.epochEnv)
+	if err != nil {
+		return CampaignComparison{}, fmt.Errorf("eval: epoch campaign: %w", err)
+	}
+	cmp := CampaignComparison{Polled: attackResult(rounds, polled), Epoch: attackResult(rounds, pushed)}
+	for r, u := range polled.units {
+		for i, dec := range u.decisions {
+			if dec != pushed.units[r].decisions[i] {
+				cmp.Divergences++
+			}
+		}
+	}
+	cmp.Identical = cmp.Divergences == 0
+	return cmp, nil
+}
+
+// Table renders both paths' rates and digests, and the stream verdict.
+func (c CampaignComparison) Table() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Collection-path comparison — %d rounds, polled vs. event-driven\n", c.Polled.Rounds)
+	fmt.Fprintf(&b, "  polled: interception %.1f%%, false blocks %.1f%%, digest %s\n",
+		100*c.Polled.Safety(), 100*c.Polled.FalseBlockRate(), c.Polled.Digest)
+	fmt.Fprintf(&b, "  epoch:  interception %.1f%%, false blocks %.1f%%, digest %s\n",
+		100*c.Epoch.Safety(), 100*c.Epoch.FalseBlockRate(), c.Epoch.Digest)
+	if c.Identical {
+		fmt.Fprintf(&b, "  decision streams identical (every decision bit-for-bit equal)\n")
+	} else {
+		fmt.Fprintf(&b, "  DIVERGED: %d decision slots differ\n", c.Divergences)
+	}
+	return b.String()
 }

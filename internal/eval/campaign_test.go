@@ -29,46 +29,17 @@ func TestEpochCampaignMatchesPolled(t *testing.T) {
 	}
 }
 
-// TestEpochCampaignDeterminism: the event-driven comparison is itself
-// scheduling-independent — serial and 8-worker runs agree exactly.
-func TestEpochCampaignDeterminism(t *testing.T) {
-	s := suiteForTest(t)
-
-	serial := *s
-	serial.Config.Workers = 1
-	parallel := *s
-	parallel.Config.Workers = 8
-
-	a, err := serial.CampaignCompare(context.Background(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.CampaignCompare(context.Background(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("epoch campaign diverges across worker counts:\nserial:   %+v\nparallel: %+v", a, b)
-	}
-}
-
 func TestRenderCampaignCompare(t *testing.T) {
 	s := suiteForTest(t)
-	out, err := s.RenderCampaignCompare(context.Background(), 2)
+	cmp, err := s.CampaignCompare(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := cmp.Table()
 	if !strings.Contains(out, "identical") {
 		t.Errorf("rendered comparison does not report identity:\n%s", out)
 	}
 	if !strings.Contains(out, "polled") || !strings.Contains(out, "epoch") {
 		t.Errorf("rendered comparison missing path rows:\n%s", out)
-	}
-}
-
-func TestCampaignCompareInvalidRounds(t *testing.T) {
-	s := suiteForTest(t)
-	if _, err := s.CampaignCompare(context.Background(), 0); err == nil {
-		t.Error("zero rounds accepted")
 	}
 }

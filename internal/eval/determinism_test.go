@@ -2,7 +2,6 @@ package eval
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"testing"
 )
@@ -44,29 +43,6 @@ func TestSuiteDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial.Survey, parallel.Survey) {
 		t.Error("survey results diverge (workers must not touch the survey stage)")
-	}
-}
-
-// TestCampaignDeterminism: campaign rounds are self-contained units seeded
-// from their round index, so the tally is identical at any worker count.
-func TestCampaignDeterminism(t *testing.T) {
-	s := suiteForTest(t)
-
-	serial := *s
-	serial.Config.Workers = 1
-	parallel := *s
-	parallel.Config.Workers = 8
-
-	a, err := serial.Campaign(context.Background(), 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.Campaign(context.Background(), 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("campaign diverges:\nserial:   %+v\nparallel: %+v", a, b)
 	}
 }
 

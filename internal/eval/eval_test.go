@@ -432,17 +432,14 @@ func TestCampaign(t *testing.T) {
 			t.Errorf("%s block rate = %v", typ, rate)
 		}
 	}
-	if r.BlockRate() < 0.7 {
-		t.Errorf("overall block rate = %v", r.BlockRate())
+	if r.Safety() < 0.7 {
+		t.Errorf("overall block rate = %v", r.Safety())
 	}
 	if r.FalseBlockRate() > 0.15 {
 		t.Errorf("false block rate = %v", r.FalseBlockRate())
 	}
-	if _, err := s.RenderCampaign(context.Background(), 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Campaign(context.Background(), 0); err == nil {
-		t.Error("want rounds error")
+	if out := r.Table(); !strings.Contains(out, "overall interception") {
+		t.Errorf("rendered campaign missing its summary line:\n%s", out)
 	}
 }
 

@@ -8,122 +8,69 @@ import (
 	"time"
 
 	"iotsid/internal/core"
-	"iotsid/internal/dataset"
 	"iotsid/internal/home"
 	"iotsid/internal/instr"
-	"iotsid/internal/par"
 	"iotsid/internal/resilience"
 )
 
-// FaultScenario describes one fault-injection regime for the resilience
+// faultScenario describes one fault-injection regime for the resilience
 // campaign: per-source fault probabilities for the chaos wrappers, the
 // optional source's staleness budget, and the merge order.
-type FaultScenario struct {
-	Name string `json:"name"`
+type faultScenario struct {
+	Name string
 	// ReqError / ReqHang are the fault probabilities of the required source.
-	ReqError float64 `json:"req_error"`
-	ReqHang  float64 `json:"req_hang"`
+	ReqError float64
+	ReqHang  float64
 	// OptError / OptHang / OptByzantine are the optional source's.
-	OptError     float64 `json:"opt_error"`
-	OptHang      float64 `json:"opt_hang"`
-	OptByzantine float64 `json:"opt_byzantine"`
+	OptError     float64
+	OptHang      float64
+	OptByzantine float64
 	// OptBlackoutAfter, when positive, overrides the stochastic optional
 	// plan: the first N calls succeed, every later call errors — the
 	// clean outage that walks the fresh → stale → missing ladder.
-	OptBlackoutAfter int `json:"opt_blackout_after"`
+	OptBlackoutAfter int
 	// Staleness is the optional source's last-good serving budget.
-	Staleness time.Duration `json:"staleness"`
+	Staleness time.Duration
 	// OptionalOverrides declares the optional source after the required one,
 	// so its (possibly corrupted) features win shared-feature merges. The
 	// default order lets the fresh required feed win.
-	OptionalOverrides bool `json:"optional_overrides"`
+	OptionalOverrides bool
 }
 
-// DefaultFaultScenarios is the published fault campaign: a healthy
-// baseline, a flapping optional source absorbed by bounded staleness, a
-// clean optional blackout walking the staleness ladder, a dead required
-// source forcing fail-closed, and a byzantine optional source allowed to
-// win merges.
-func DefaultFaultScenarios() []FaultScenario {
-	return []FaultScenario{
-		{Name: "baseline", Staleness: 30 * time.Second},
-		{Name: "flaky_optional", OptError: 0.35, OptHang: 0.1, Staleness: 5 * time.Minute},
-		{Name: "optional_blackout", OptBlackoutAfter: 3, Staleness: 45 * time.Second},
-		{Name: "required_down", ReqError: 1, Staleness: 30 * time.Second},
-		{Name: "byzantine_optional", OptByzantine: 1, Staleness: 30 * time.Second, OptionalOverrides: true},
-	}
+// faultScenarios is the published fault campaign: a healthy baseline, a
+// flapping optional source absorbed by bounded staleness, a clean optional
+// blackout walking the staleness ladder, a dead required source forcing
+// fail-closed, and a byzantine optional source allowed to win merges.
+var faultScenarios = []faultScenario{
+	{Name: "baseline", Staleness: 30 * time.Second},
+	{Name: "flaky_optional", OptError: 0.35, OptHang: 0.1, Staleness: 5 * time.Minute},
+	{Name: "optional_blackout", OptBlackoutAfter: 3, Staleness: 45 * time.Second},
+	{Name: "required_down", ReqError: 1, Staleness: 30 * time.Second},
+	{Name: "byzantine_optional", OptByzantine: 1, Staleness: 30 * time.Second, OptionalOverrides: true},
 }
 
-// FaultScenarioResult tallies one scenario across its rounds. Attack and
-// legitimate tallies count only sensitive instructions — the non-sensitive
-// ones (the TV class) are outside the fail-closed contract.
+// FaultScenarioResult tallies one scenario across its rounds. The counts
+// cover sensitive instructions only — the non-sensitive ones (the TV
+// class) are outside the fail-closed contract. A command that got no
+// decision (Undecided, the table's no-ctx column) counts as blocked.
 type FaultScenarioResult struct {
-	Name   string `json:"name"`
-	Rounds int    `json:"rounds"`
-	// AttackAttempts/Blocked: sensitive instructions fired from staged
-	// attack scenes and how many the IDS rejected (by judgment or by
-	// failing closed).
-	AttackAttempts int `json:"attack_attempts"`
-	AttackBlocked  int `json:"attack_blocked"`
-	// LegitAttempts/Allowed: the same sensitive instructions from legal
-	// scenes and how many were served — the availability side.
-	LegitAttempts int `json:"legit_attempts"`
-	LegitAllowed  int `json:"legit_allowed"`
-	// FailClosed counts decisions rejected explicitly because a required
-	// source was missing.
-	FailClosed int `json:"fail_closed"`
-	// StaleServes counts commands decided while the optional source served
-	// from its bounded-staleness fallback.
-	StaleServes int `json:"stale_serves"`
-	// CollectErrors counts commands that got no decision at all (no context
-	// from any source).
-	CollectErrors int `json:"collect_errors"`
-	// UnsafeAllows counts sensitive instructions ALLOWED while the required
-	// source was missing — the fail-closed contract demands zero.
-	UnsafeAllows int `json:"unsafe_allows"`
+	Name string `json:"name"`
+	Counts
 	// Digest folds every command's allow bit and reason (seqFold; tag 'e'
 	// for a command that got no decision) per round, then the round
 	// digests in round order.
 	Digest string `json:"digest"`
 }
 
-// faultUnit is one round's tally plus its decision digest.
-type faultUnit struct {
-	res    FaultScenarioResult
-	digest uint64
-}
-
-// Availability is the fraction of legitimate sensitive commands served.
-func (r FaultScenarioResult) Availability() float64 {
-	if r.LegitAttempts == 0 {
-		return 0
-	}
-	return float64(r.LegitAllowed) / float64(r.LegitAttempts)
-}
-
-// Safety is the fraction of sensitive attack instructions rejected.
-func (r FaultScenarioResult) Safety() float64 {
-	if r.AttackAttempts == 0 {
-		return 0
-	}
-	return float64(r.AttackBlocked) / float64(r.AttackAttempts)
-}
-
-// add merges one round tally into the scenario total.
-func (r *FaultScenarioResult) add(o FaultScenarioResult) {
-	r.Rounds += o.Rounds
-	r.AttackAttempts += o.AttackAttempts
-	r.AttackBlocked += o.AttackBlocked
-	r.LegitAttempts += o.LegitAttempts
-	r.LegitAllowed += o.LegitAllowed
-	r.FailClosed += o.FailClosed
-	r.StaleServes += o.StaleServes
-	r.CollectErrors += o.CollectErrors
-	r.UnsafeAllows += o.UnsafeAllows
+// FaultCampaignResult is the fault campaign's outcome, one row per
+// scenario in campaign order.
+type FaultCampaignResult struct {
+	Rounds    int                   `json:"rounds"`
+	Scenarios []FaultScenarioResult `json:"scenarios"`
 }
 
 // optPlan builds the optional source's fault plan for a scenario.
-func (sc FaultScenario) optPlan(seed int64) func(int) core.FaultKind {
+func (sc faultScenario) optPlan(seed int64) func(int) core.FaultKind {
 	if sc.OptBlackoutAfter > 0 {
 		n := sc.OptBlackoutAfter
 		return func(call int) core.FaultKind {
@@ -136,78 +83,57 @@ func (sc FaultScenario) optPlan(seed int64) func(int) core.FaultKind {
 	return core.ChaosPlan(seed, sc.OptError, sc.OptHang, sc.OptByzantine)
 }
 
-// FaultCampaign runs every scenario for the given number of rounds against
-// a live two-source deployment: a required chaos-wrapped sim feed and an
-// optional chaos-wrapped sim feed behind retry policies, a breaker on the
-// required source, bounded staleness on the optional one, and a health
-// registry observed after every command.
-//
-// Each (scenario, round) unit is fully self-contained — its own home,
-// framework, fake clock, chaos plans and scene generator, all seeded from
-// the unit index before the fan-out — so the tables are identical at any
-// worker count.
-func (s *Suite) FaultCampaign(ctx context.Context, rounds int) ([]FaultScenarioResult, error) {
-	return s.FaultCampaignScenarios(ctx, DefaultFaultScenarios(), rounds)
-}
-
-// FaultCampaignScenarios is FaultCampaign over a caller-supplied scenario
-// list. ctx is the parent of every per-call timeout the rounds impose.
-func (s *Suite) FaultCampaignScenarios(ctx context.Context, scenarios []FaultScenario, rounds int) ([]FaultScenarioResult, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("eval: rounds must be positive")
-	}
-	if len(scenarios) == 0 {
-		return nil, fmt.Errorf("eval: no fault scenarios")
-	}
-	units := len(scenarios) * rounds
-	outcomes, err := par.Map(units, s.Config.Workers, func(u int) (faultUnit, error) {
-		return s.faultRound(ctx, scenarios[u/rounds], int64(u))
+// FaultCampaign runs every scenario for the given number of rounds
+// against a live two-source deployment: a required chaos-wrapped sim feed
+// and an optional chaos-wrapped sim feed behind retry policies, a breaker
+// on the required source, bounded staleness on the optional one, and a
+// health registry observed after every command. The attack mix is the
+// attack campaign's, sensitive instructions only. ctx is the parent of
+// every per-call timeout the rounds impose.
+func (s *Suite) FaultCampaign(ctx context.Context, rounds int) (FaultCampaignResult, error) {
+	t, err := s.runCampaign(ctx, rounds, len(faultScenarios), len(campaignAttacks), func(ctx context.Context, sc int, u int64, out *unit) error {
+		env, err := s.faultEnv(faultScenarios[sc], u)
+		if err != nil {
+			return err
+		}
+		return attackMix(ctx, env, rand.New(rand.NewSource(s.Config.Seed+505+u)), true, out)
 	})
 	if err != nil {
-		return nil, err
+		return FaultCampaignResult{}, err
 	}
-	out := make([]FaultScenarioResult, len(scenarios))
-	for i, sc := range scenarios {
-		out[i].Name = sc.Name
-		digest := uint64(14695981039346656037)
-		for r := 0; r < rounds; r++ {
-			out[i].add(outcomes[i*rounds+r].res)
-			digest = digest*1099511628211 ^ outcomes[i*rounds+r].digest
-		}
-		out[i].Digest = fmt.Sprintf("%016x", digest)
+	res := FaultCampaignResult{Rounds: rounds, Scenarios: make([]FaultScenarioResult, len(faultScenarios))}
+	for i, sc := range faultScenarios {
+		res.Scenarios[i] = FaultScenarioResult{Name: sc.Name, Counts: t.scenarios[i].total(), Digest: hexDigest(t.scenarios[i].digest)}
 	}
-	return out, nil
+	return res, nil
 }
 
-// faultRound runs one self-contained round of one scenario.
-func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (faultUnit, error) {
+// faultEnv builds one unit's chaos deployment: a home seeded Seed+303,
+// chaos plans seeded Seed+7u (required) and Seed+7u+1 (optional), retry
+// jitter seeded Seed+u, and a fake clock advanced 5 s before every command
+// so staleness budgets and breaker timeouts play out without wall-clock
+// time. A command whose call fails while ctx is live got no context: it is
+// undecided, not a campaign error.
+func (s *Suite) faultEnv(sc faultScenario, u int64) (attackEnv, error) {
 	h, err := home.NewStandard(home.EnvConfig{Seed: s.Config.Seed + 303})
 	if err != nil {
-		return faultUnit{}, err
+		return attackEnv{}, err
 	}
-	detector, err := core.DefaultDetector()
-	if err != nil {
-		return faultUnit{}, err
-	}
-	registry := instr.BuiltinRegistry()
-
-	// The fake clock: advanced between commands so staleness budgets and
-	// breaker timeouts play out without wall-clock time.
 	now := time.Unix(1_600_000_000, 0)
 	clock := func() time.Time { return now }
 
 	reqChaos := &core.ChaosCollector{
 		Inner: &core.SimCollector{Env: h.Env()},
-		Plan:  core.ChaosPlan(s.Config.Seed+7*unit, sc.ReqError, sc.ReqHang, 0),
+		Plan:  core.ChaosPlan(s.Config.Seed+7*u, sc.ReqError, sc.ReqHang, 0),
 	}
 	optChaos := &core.ChaosCollector{
 		Inner: &core.SimCollector{Env: h.Env()},
-		Plan:  sc.optPlan(s.Config.Seed + 7*unit + 1),
+		Plan:  sc.optPlan(s.Config.Seed + 7*u + 1),
 	}
 	retry := resilience.Policy{
 		MaxAttempts:    2,
 		AttemptTimeout: 10 * time.Millisecond, // releases hang faults
-		Seed:           s.Config.Seed + unit,
+		Seed:           s.Config.Seed + u,
 		Sleep:          func(context.Context, time.Duration) error { return nil },
 	}
 	breaker := resilience.NewBreaker(resilience.BreakerConfig{
@@ -226,16 +152,12 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (f
 	health := resilience.NewRegistry()
 	mc, err := core.NewMultiCollector(core.MultiConfig{Now: clock, Health: health}, order...)
 	if err != nil {
-		return faultUnit{}, err
+		return attackEnv{}, err
 	}
-	framework, err := core.New(core.Config{Detector: detector, Collector: mc, Memory: s.Memory})
+	framework, err := s.framework(mc, nil)
 	if err != nil {
-		return faultUnit{}, err
+		return attackEnv{}, err
 	}
-
-	rng := rand.New(rand.NewSource(s.Config.Seed + 505 + unit))
-	res := FaultScenarioResult{Name: sc.Name, Rounds: 1}
-	digest := uint64(14695981039346656037)
 
 	// sourceState reads one source's health row after a command.
 	sourceState := func(name string) string {
@@ -246,98 +168,35 @@ func (s *Suite) faultRound(ctx context.Context, sc FaultScenario, unit int64) (f
 		}
 		return ""
 	}
-	fire := func(op, device string) (allowed, decided bool, err error) {
-		in, err := registry.Build(op, device, instr.OriginUnknown, nil)
-		if err != nil {
-			return false, false, err
-		}
+	decide := func(ctx context.Context, in instr.Instruction, c *Counts) (core.Decision, bool, error) {
 		now = now.Add(5 * time.Second)
 		callCtx, cancel := context.WithTimeout(ctx, time.Second)
 		dec, err := framework.Authorize(callCtx, in)
 		cancel()
 		if err != nil {
-			res.CollectErrors++
-			digest = seqFold(digest, false, "e")
-			return false, false, nil
+			return dec, false, ctx.Err()
 		}
-		digest = seqFold(digest, dec.Allowed, dec.Reason)
 		if sourceState("optional") == string(core.SourceStale) {
-			res.StaleServes++
-		}
-		if strings.Contains(dec.Reason, "fail closed") {
-			res.FailClosed++
+			c.StaleServes++
 		}
 		if dec.Allowed && sourceState("required") == string(core.SourceMissing) {
-			res.UnsafeAllows++
+			c.UnsafeAllows++
 		}
-		if dec.Allowed {
-			if err := h.Execute(in); err != nil {
-				return false, false, err
-			}
-		}
-		return dec.Allowed, true, nil
+		return dec, true, nil
 	}
-
-	for _, a := range campaignAttacks {
-		in, err := registry.Build(a.Op, a.Device, instr.OriginUnknown, nil)
-		if err != nil {
-			return faultUnit{}, err
-		}
-		// The campaign measures the fail-closed contract, which covers
-		// sensitive instructions only.
-		if !detector.IsSensitive(in) {
-			continue
-		}
-		attack, err := dataset.AttackScene(a.Model, rng)
-		if err != nil {
-			return faultUnit{}, err
-		}
-		h.Env().Apply(attack)
-		allowed, decided, err := fire(a.Op, a.Device)
-		if err != nil {
-			return faultUnit{}, err
-		}
-		res.AttackAttempts++
-		if decided && !allowed {
-			res.AttackBlocked++
-		} else if !decided {
-			// No decision at all is still a blocked attack: nothing was
-			// forwarded.
-			res.AttackBlocked++
-		}
-
-		legal, err := dataset.LegalScene(a.Model, rng)
-		if err != nil {
-			return faultUnit{}, err
-		}
-		h.Env().Apply(legal)
-		allowed, _, err = fire(a.Op, a.Device)
-		if err != nil {
-			return faultUnit{}, err
-		}
-		res.LegitAttempts++
-		if allowed {
-			res.LegitAllowed++
-		}
-	}
-	return faultUnit{res: res, digest: digest}, nil
+	return attackEnv{home: h, decide: decide}, nil
 }
 
-// RenderFaultCampaign formats the availability-versus-safety table of the
-// fault campaign.
-func (s *Suite) RenderFaultCampaign(ctx context.Context, rounds int) (string, error) {
-	results, err := s.FaultCampaign(ctx, rounds)
-	if err != nil {
-		return "", err
-	}
+// Table renders the availability-versus-safety table.
+func (r FaultCampaignResult) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fault campaign — %d rounds per scenario, sensitive instructions only\n", rounds)
+	fmt.Fprintf(&b, "Fault campaign — %d rounds per scenario, sensitive instructions only\n", r.Rounds)
 	fmt.Fprintf(&b, "  %-20s %6s %7s %12s %7s %8s %7s\n",
 		"scenario", "avail", "safety", "fail-closed", "stale", "no-ctx", "unsafe")
-	for _, r := range results {
+	for _, r := range r.Scenarios {
 		fmt.Fprintf(&b, "  %-20s %5.1f%% %6.1f%% %12d %7d %8d %7d\n",
 			r.Name, 100*r.Availability(), 100*r.Safety(),
-			r.FailClosed, r.StaleServes, r.CollectErrors, r.UnsafeAllows)
+			r.FailClosed, r.StaleServes, r.Undecided, r.UnsafeAllows)
 	}
-	return b.String(), nil
+	return b.String()
 }

@@ -2,9 +2,11 @@ package eval
 
 import (
 	"context"
-	"reflect"
+	"errors"
 	"strings"
 	"testing"
+
+	"iotsid/internal/instr"
 )
 
 func faultResults(t *testing.T, rounds int) map[string]FaultScenarioResult {
@@ -14,8 +16,8 @@ func faultResults(t *testing.T, rounds int) map[string]FaultScenarioResult {
 	if err != nil {
 		t.Fatalf("FaultCampaign: %v", err)
 	}
-	out := make(map[string]FaultScenarioResult, len(results))
-	for _, r := range results {
+	out := make(map[string]FaultScenarioResult, len(results.Scenarios))
+	for _, r := range results.Scenarios {
 		out[r.Name] = r
 	}
 	return out
@@ -35,7 +37,7 @@ func TestFaultCampaignContract(t *testing.T) {
 	if !ok {
 		t.Fatal("baseline scenario missing")
 	}
-	if base.CollectErrors != 0 || base.FailClosed != 0 || base.StaleServes != 0 {
+	if base.Undecided != 0 || base.FailClosed != 0 || base.StaleServes != 0 {
 		t.Errorf("baseline not clean: %+v", base)
 	}
 	if base.Availability() == 0 {
@@ -76,11 +78,11 @@ func TestFaultCampaignContract(t *testing.T) {
 	// Required source down: every sensitive instruction rejected — attacks
 	// and legitimate alike — via explicit fail-closed decisions.
 	down := results["required_down"]
-	if down.AttackBlocked != down.AttackAttempts {
-		t.Errorf("required down: %d/%d attacks blocked, want all", down.AttackBlocked, down.AttackAttempts)
+	if down.Blocked != down.Attempts {
+		t.Errorf("required down: %d/%d attacks blocked, want all", down.Blocked, down.Attempts)
 	}
-	if down.LegitAllowed != 0 {
-		t.Errorf("required down: %d sensitive commands served blind", down.LegitAllowed)
+	if down.LegitBlocked != down.LegitAttempts {
+		t.Errorf("required down: %d sensitive commands served blind", down.LegitAttempts-down.LegitBlocked)
 	}
 	if down.FailClosed == 0 {
 		t.Errorf("required down produced no fail-closed decisions: %+v", down)
@@ -92,42 +94,21 @@ func TestFaultCampaignContract(t *testing.T) {
 		if r.UnsafeAllows != 0 {
 			t.Errorf("scenario %s: %d unsafe allows, want 0", name, r.UnsafeAllows)
 		}
-		if r.AttackAttempts == 0 || r.LegitAttempts == 0 {
+		if r.Attempts == 0 || r.LegitAttempts == 0 {
 			t.Errorf("scenario %s fired no sensitive instructions: %+v", name, r)
 		}
-	}
-}
-
-// TestFaultCampaignDeterminism: every (scenario, round) unit is seeded from
-// its index, so the tables are bit-identical at any worker count.
-func TestFaultCampaignDeterminism(t *testing.T) {
-	s := suiteForTest(t)
-	serial := *s
-	serial.Config.Workers = 1
-	parallel := *s
-	parallel.Config.Workers = 8
-
-	a, err := serial.FaultCampaign(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.FaultCampaign(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("fault campaign diverges:\nserial:   %+v\nparallel: %+v", a, b)
 	}
 }
 
 // TestRenderFaultCampaign: the table renders one row per scenario.
 func TestRenderFaultCampaign(t *testing.T) {
 	s := suiteForTest(t)
-	out, err := s.RenderFaultCampaign(context.Background(), 2)
+	r, err := s.FaultCampaign(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range DefaultFaultScenarios() {
+	out := r.Table()
+	for _, sc := range faultScenarios {
 		if !strings.Contains(out, sc.Name) {
 			t.Errorf("render missing scenario %s:\n%s", sc.Name, out)
 		}
@@ -137,13 +118,25 @@ func TestRenderFaultCampaign(t *testing.T) {
 	}
 }
 
-// TestFaultCampaignValidation covers the argument checks.
-func TestFaultCampaignValidation(t *testing.T) {
+// TestFaultCallCancelled: a command whose call fails because the
+// campaign's own context is done aborts the unit with that context's
+// error; only a failure under a live context is an undecided command.
+func TestFaultCallCancelled(t *testing.T) {
 	s := suiteForTest(t)
-	if _, err := s.FaultCampaign(context.Background(), 0); err == nil {
-		t.Error("want rounds error")
+	env, err := s.faultEnv(faultScenarios[0], 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.FaultCampaignScenarios(context.Background(), nil, 2); err == nil {
-		t.Error("want empty-scenarios error")
+	in, err := campaignRegistry.Build("window.open", "window-1", instr.OriginUnknown, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, ok, err := env.decide(ctx, in, &Counts{}); ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled context: ok %v err %v, want context.Canceled", ok, err)
+	}
+	if _, ok, err := env.decide(context.Background(), in, &Counts{}); !ok || err != nil {
+		t.Fatalf("live context: ok %v err %v, want a decision", ok, err)
 	}
 }

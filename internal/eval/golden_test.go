@@ -71,13 +71,13 @@ func TestCampaignDigestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fr) != len(wantFault) {
-		t.Fatalf("FaultCampaign returned %d rows, want %d", len(fr), len(wantFault))
+	if len(fr.Scenarios) != len(wantFault) {
+		t.Fatalf("FaultCampaign returned %d rows, want %d", len(fr.Scenarios), len(wantFault))
 	}
 	for i, w := range wantFault {
-		r := fr[i]
-		got := faultRow{r.Name, [8]int{r.AttackAttempts, r.AttackBlocked, r.LegitAttempts, r.LegitAllowed,
-			r.FailClosed, r.StaleServes, r.CollectErrors, r.UnsafeAllows}, r.Digest}
+		r := fr.Scenarios[i]
+		got := faultRow{r.Name, [8]int{r.Attempts, r.Blocked, r.LegitAttempts, r.LegitAttempts - r.LegitBlocked,
+			r.FailClosed, r.StaleServes, r.Undecided, r.UnsafeAllows}, r.Digest}
 		if got != w {
 			t.Errorf("FaultCampaign row %d = %+v, want %+v", i, got, w)
 		}
@@ -105,10 +105,10 @@ func TestCampaignDigestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("SpoofCampaign returned %d rows, want %d", len(rows), len(want))
+	if len(rows.Scenarios) != len(want) {
+		t.Fatalf("SpoofCampaign returned %d rows, want %d", len(rows.Scenarios), len(want))
 	}
-	for _, r := range rows {
+	for _, r := range rows.Scenarios {
 		w, ok := want[r.Name]
 		if !ok {
 			t.Errorf("unexpected spoof scenario %q", r.Name)

@@ -11,7 +11,6 @@ import (
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
 	"iotsid/internal/instr"
-	"iotsid/internal/par"
 	"iotsid/internal/sensor"
 	"iotsid/internal/seq"
 )
@@ -40,40 +39,12 @@ const (
 // seqScenarios fixes the campaign order (and therefore the digest).
 var seqScenarios = []SeqScenario{SeqScenarioClean, SeqScenarioAutomationChain, SeqScenarioStaleReplay}
 
-// SeqJudgeCounts tallies one judge's decisions within a scenario.
-type SeqJudgeCounts struct {
-	AttackAttempts int `json:"attack_attempts"`
-	AttackBlocked  int `json:"attack_blocked"`
-	LegitAttempts  int `json:"legit_attempts"`
-	LegitBlocked   int `json:"legit_blocked"`
-}
-
-// DetectionRate returns the fraction of staged attacks blocked (1 when the
-// scenario stages none).
-func (c SeqJudgeCounts) DetectionRate() float64 {
-	if c.AttackAttempts == 0 {
-		return 1
-	}
-	return float64(c.AttackBlocked) / float64(c.AttackAttempts)
-}
-
-// FalseBlockRate returns the fraction of benign events wrongly rejected.
-func (c SeqJudgeCounts) FalseBlockRate() float64 {
-	if c.LegitAttempts == 0 {
-		return 0
-	}
-	return float64(c.LegitBlocked) / float64(c.LegitAttempts)
-}
-
-// Availability is the benign-traffic complement of FalseBlockRate.
-func (c SeqJudgeCounts) Availability() float64 { return 1 - c.FalseBlockRate() }
-
 // SeqScenarioResult is one scenario's side-by-side outcome: the static tree
 // alone versus the tree combined fail-closed with the sequence judge.
 type SeqScenarioResult struct {
-	Scenario SeqScenario    `json:"scenario"`
-	Tree     SeqJudgeCounts `json:"tree"`
-	Combined SeqJudgeCounts `json:"combined"`
+	Scenario SeqScenario `json:"scenario"`
+	Tree     Counts      `json:"tree"`
+	Combined Counts      `json:"combined"`
 }
 
 // SeqCampaignResult is the full campaign outcome.
@@ -89,132 +60,63 @@ type SeqCampaignResult struct {
 	Digest string `json:"digest"`
 }
 
-// seqFold folds one decision into an FNV-64a style digest: the allow bit,
-// then the reason bytes.
-func seqFold(d uint64, allowed bool, reason string) uint64 {
-	var bit uint64
-	if allowed {
-		bit = 1
-	}
-	d ^= bit
-	d *= 1099511628211
-	for i := 0; i < len(reason); i++ {
-		d ^= uint64(reason[i])
-		d *= 1099511628211
-	}
-	return d
-}
-
-// seqUnitOutcome is one (scenario, round) unit's tally.
-type seqUnitOutcome struct {
-	tree     SeqJudgeCounts
-	combined SeqJudgeCounts
-	digest   uint64
-}
-
 // SeqCampaign runs the temporal-attack campaign: per (scenario, round)
 // unit, two frameworks — the static tree alone and the tree combined with
 // the sequence judge — are driven with bit-identical instruction streams:
-// a benign warm-up day, then the scenario's attack. Units fan out over
-// s.Config.Workers; every unit is fully self-contained and seeded from its
-// index before the fan-out, so the tallies and the digest are identical
-// for every worker count. The shared sequence table is trained once, up
-// front, from the same deterministic generator the judge ships with.
+// a benign warm-up day, then the scenario's attack. Unit u's trace
+// generator is seeded Seed+515+9973u. The shared sequence table is trained
+// once, up front (seed Seed+7), from the same deterministic generator the
+// judge ships with.
 func (s *Suite) SeqCampaign(ctx context.Context, rounds int) (SeqCampaignResult, error) {
-	if rounds <= 0 {
-		return SeqCampaignResult{}, fmt.Errorf("eval: rounds must be positive")
-	}
-	detector, err := core.DefaultDetector()
-	if err != nil {
-		return SeqCampaignResult{}, err
-	}
 	set, err := seq.Train(seq.TrainConfig{Seed: s.Config.Seed + 7, Models: []dataset.Model{dataset.ModelWindow}})
 	if err != nil {
 		return SeqCampaignResult{}, err
 	}
-	registry := instr.BuiltinRegistry()
-	units := len(seqScenarios) * rounds
-
-	outcomes, err := par.Map(units, s.Config.Workers, func(u int) (seqUnitOutcome, error) {
-		if err := ctx.Err(); err != nil {
-			return seqUnitOutcome{}, err
-		}
-		return s.seqRound(seqScenarios[u/rounds], detector, set, registry,
-			rand.New(rand.NewSource(s.Config.Seed+515+9973*int64(u))))
+	t, err := s.runCampaign(ctx, rounds, len(seqScenarios), 2, func(_ context.Context, sc int, u int64, out *unit) error {
+		return s.seqRound(seqScenarios[sc], set, rand.New(rand.NewSource(s.Config.Seed+515+9973*u)), out)
 	})
 	if err != nil {
 		return SeqCampaignResult{}, err
 	}
-
-	res := SeqCampaignResult{Rounds: rounds, Scenarios: make([]SeqScenarioResult, len(seqScenarios))}
-	digest := uint64(14695981039346656037)
+	res := SeqCampaignResult{Rounds: rounds, Scenarios: make([]SeqScenarioResult, len(seqScenarios)), Digest: hexDigest(t.digest)}
 	for i, sc := range seqScenarios {
-		res.Scenarios[i].Scenario = sc
+		tree, combined := t.scenarios[i].lanes[0], t.scenarios[i].lanes[1]
+		res.Scenarios[i] = SeqScenarioResult{Scenario: sc, Tree: tree, Combined: combined}
+		res.UnsafeAllows += combined.Attempts - combined.Blocked
 	}
-	for u, o := range outcomes {
-		row := &res.Scenarios[u/rounds]
-		row.Tree.AttackAttempts += o.tree.AttackAttempts
-		row.Tree.AttackBlocked += o.tree.AttackBlocked
-		row.Tree.LegitAttempts += o.tree.LegitAttempts
-		row.Tree.LegitBlocked += o.tree.LegitBlocked
-		row.Combined.AttackAttempts += o.combined.AttackAttempts
-		row.Combined.AttackBlocked += o.combined.AttackBlocked
-		row.Combined.LegitAttempts += o.combined.LegitAttempts
-		row.Combined.LegitBlocked += o.combined.LegitBlocked
-		res.UnsafeAllows += o.combined.AttackAttempts - o.combined.AttackBlocked
-		digest = digest*1099511628211 ^ o.digest
-	}
-	res.Digest = fmt.Sprintf("%016x", digest)
 	return res, nil
 }
 
-// seqRound runs one self-contained (scenario, round) unit and returns its
-// tally. Both frameworks see the exact same scenes in the exact same
-// order; the only difference between them is the armed sequence judge.
-func (s *Suite) seqRound(scenario SeqScenario, detector *core.Detector, set *seq.Set,
-	registry *instr.Registry, rng *rand.Rand) (seqUnitOutcome, error) {
+// seqRound runs one self-contained (scenario, round) unit: lane 0 tallies
+// the tree alone, lane 1 the tree with the armed sequence judge. Both see
+// the exact same scenes in the exact same order.
+func (s *Suite) seqRound(scenario SeqScenario, set *seq.Set, rng *rand.Rand, out *unit) error {
 	nullCollector := core.CollectorFunc(func(context.Context) (sensor.Snapshot, error) {
 		return sensor.Snapshot{}, nil
 	})
-	treeFW, err := core.New(core.Config{Detector: detector, Collector: nullCollector, Memory: s.Memory})
-	if err != nil {
-		return seqUnitOutcome{}, err
-	}
-	seqFW, err := core.New(core.Config{Detector: detector, Collector: nullCollector, Memory: s.Memory, Sequence: set})
-	if err != nil {
-		return seqUnitOutcome{}, err
+	var judges [2]*core.Framework
+	for lane, set := range [2]*seq.Set{nil, set} {
+		fw, err := s.framework(nullCollector, set)
+		if err != nil {
+			return err
+		}
+		judges[lane] = fw
 	}
 
-	out := seqUnitOutcome{digest: 14695981039346656037}
 	// judgeBoth fires the same instruction+scene through both frameworks
 	// and tallies it as benign traffic or as a staged attack.
 	judgeBoth := func(op string, e seq.TraceEvent, attack bool) error {
-		in, err := registry.Build(op, "window-1", instr.OriginUnknown, nil)
+		in, err := campaignRegistry.Build(op, "window-1", instr.OriginUnknown, nil)
 		if err != nil {
 			return err
 		}
 		scene := e.WindowScene()
-		for i, fw := range [2]*core.Framework{treeFW, seqFW} {
+		for lane, fw := range judges {
 			dec, err := fw.Judge(in, scene)
 			if err != nil {
 				return err
 			}
-			counts := &out.tree
-			if i == 1 {
-				counts = &out.combined
-			}
-			if attack {
-				counts.AttackAttempts++
-				if !dec.Allowed {
-					counts.AttackBlocked++
-				}
-			} else {
-				counts.LegitAttempts++
-				if !dec.Allowed {
-					counts.LegitBlocked++
-				}
-			}
-			out.digest = seqFold(out.digest, dec.Allowed, dec.Reason)
+			out.decide(lane, attack, dec.Allowed, dec.Reason)
 		}
 		return nil
 	}
@@ -233,7 +135,7 @@ func (s *Suite) seqRound(scenario SeqScenario, detector *core.Detector, set *seq
 			op = "window.open"
 		}
 		if err := judgeBoth(op, e, false); err != nil {
-			return seqUnitOutcome{}, err
+			return err
 		}
 	}
 	last := trace[len(trace)-1]
@@ -242,9 +144,7 @@ func (s *Suite) seqRound(scenario SeqScenario, detector *core.Detector, set *seq
 	case SeqScenarioClean:
 		// Control: no attack.
 	case SeqScenarioAutomationChain:
-		if err := out.runChain(treeFW, seqFW, registry, last); err != nil {
-			return seqUnitOutcome{}, err
-		}
+		return runChain(judges, last, out)
 	case SeqScenarioStaleReplay:
 		// The captured scene re-fires with its stale hour; three attempts,
 		// 90 s apart. A rejected event never enters the history, so the
@@ -258,14 +158,12 @@ func (s *Suite) seqRound(scenario SeqScenario, detector *core.Detector, set *seq
 		}
 		for attempt := 0; attempt < 3; attempt++ {
 			if err := judgeBoth("window.open", replay, true); err != nil {
-				return seqUnitOutcome{}, err
+				return err
 			}
 			replay.At = replay.At.Add(90 * time.Second)
 		}
-	default:
-		return seqUnitOutcome{}, fmt.Errorf("eval: unknown sequence scenario %q", scenario)
 	}
-	return out, nil
+	return nil
 }
 
 // runChain stages the automation-chain attack through the real rule
@@ -273,11 +171,11 @@ func (s *Suite) seqRound(scenario SeqScenario, detector *core.Detector, set *seq
 // sensitive action, every dispatch gated by the framework's interceptor —
 // so all four instructions reach the judge with one shared timestamp, the
 // way a compromised rule pack would deliver them.
-func (o *seqUnitOutcome) runChain(treeFW, seqFW *core.Framework, registry *instr.Registry, last seq.TraceEvent) error {
+func runChain(judges [2]*core.Framework, last seq.TraceEvent, out *unit) error {
 	burst := seq.TraceEvent{At: last.At.Add(40 * time.Second), Hour: last.Hour, Voice: true, Occupied: last.Occupied}
 	snap := burst.WindowScene()
-	for i, fw := range [2]*core.Framework{treeFW, seqFW} {
-		engine := automation.NewEngine(registry, nil)
+	for lane, fw := range judges {
+		engine := automation.NewEngine(campaignRegistry, nil)
 		engine.SetInterceptor(automation.Interceptor(fw.Interceptor()))
 		for r := 1; r <= 3; r++ {
 			if err := engine.AddRuleText(fmt.Sprintf("chain status %d", r),
@@ -290,51 +188,32 @@ func (o *seqUnitOutcome) runChain(treeFW, seqFW *core.Framework, registry *instr
 			return err
 		}
 		events := engine.Evaluate(snap)
-		counts := &o.tree
-		if i == 1 {
-			counts = &o.combined
-		}
 		for _, ev := range events {
 			if ev.Err != "" {
 				return fmt.Errorf("eval: chain rule %q: %s", ev.Rule, ev.Err)
 			}
-			if ev.Op == "window.open" {
-				counts.AttackAttempts++
-				if !ev.Allowed {
-					counts.AttackBlocked++
-				}
-			} else {
-				// The status fillers are part of the attack delivery, but a
-				// judge that rejects them is paying availability for it.
-				counts.LegitAttempts++
-				if !ev.Allowed {
-					counts.LegitBlocked++
-				}
-			}
-			o.digest = seqFold(o.digest, ev.Allowed, ev.Reason)
+			// The status fillers are part of the attack delivery, but a
+			// judge that rejects them is paying availability for it.
+			out.decide(lane, ev.Op == "window.open", ev.Allowed, ev.Reason)
 		}
 	}
 	return nil
 }
 
-// RenderSeqCampaign formats the side-by-side table.
-func (s *Suite) RenderSeqCampaign(ctx context.Context, rounds int) (string, error) {
-	r, err := s.SeqCampaign(ctx, rounds)
-	if err != nil {
-		return "", err
-	}
+// Table renders the side-by-side table.
+func (r SeqCampaignResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sequence campaign — %d rounds per scenario, static tree vs. tree+sequence\n", r.Rounds)
 	fmt.Fprintf(&b, "  %-18s %-9s %15s %14s %8s\n", "scenario", "judge", "attacks blocked", "false blocks", "avail")
 	for _, row := range r.Scenarios {
 		fmt.Fprintf(&b, "  %-18s %-9s %9d/%3d %10d/%3d %7.1f%%\n", row.Scenario, "tree",
-			row.Tree.AttackBlocked, row.Tree.AttackAttempts,
+			row.Tree.Blocked, row.Tree.Attempts,
 			row.Tree.LegitBlocked, row.Tree.LegitAttempts, 100*row.Tree.Availability())
 		fmt.Fprintf(&b, "  %-18s %-9s %9d/%3d %10d/%3d %7.1f%%\n", "", "tree+seq",
-			row.Combined.AttackBlocked, row.Combined.AttackAttempts,
+			row.Combined.Blocked, row.Combined.Attempts,
 			row.Combined.LegitBlocked, row.Combined.LegitAttempts, 100*row.Combined.Availability())
 	}
 	fmt.Fprintf(&b, "  combined-judge unsafe allows: %d\n", r.UnsafeAllows)
 	fmt.Fprintf(&b, "  decision digest %s (identical at any worker count)\n", r.Digest)
-	return b.String(), nil
+	return b.String()
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -30,59 +29,23 @@ func TestSeqCampaign(t *testing.T) {
 				row.Scenario, row.Tree.Availability(), row.Combined.Availability())
 		}
 		if row.Scenario == SeqScenarioClean {
-			if row.Tree.AttackAttempts != 0 || row.Combined.AttackAttempts != 0 {
+			if row.Tree.Attempts != 0 || row.Combined.Attempts != 0 {
 				t.Errorf("clean control staged %d/%d attacks, want none",
-					row.Tree.AttackAttempts, row.Combined.AttackAttempts)
+					row.Tree.Attempts, row.Combined.Attempts)
 			}
 			continue
 		}
-		if row.Tree.AttackAttempts == 0 {
+		if row.Tree.Attempts == 0 {
 			t.Errorf("%s: no attacks staged", row.Scenario)
 		}
-		if row.Tree.AttackBlocked != 0 {
+		if row.Tree.Blocked != 0 {
 			t.Errorf("%s: tree alone blocked %d/%d — the scenario must be tree-legal",
-				row.Scenario, row.Tree.AttackBlocked, row.Tree.AttackAttempts)
+				row.Scenario, row.Tree.Blocked, row.Tree.Attempts)
 		}
-		if row.Combined.AttackBlocked != row.Combined.AttackAttempts {
+		if row.Combined.Blocked != row.Combined.Attempts {
 			t.Errorf("%s: combined judge blocked %d/%d, want all",
-				row.Scenario, row.Combined.AttackBlocked, row.Combined.AttackAttempts)
+				row.Scenario, row.Combined.Blocked, row.Combined.Attempts)
 		}
-	}
-}
-
-// TestSeqCampaignDeterminism: every (scenario, round) unit is seeded from
-// its index before the fan-out and merged in unit order, so the full
-// result — the per-judge tallies and the folded decision digest — is
-// bit-identical at any worker count.
-func TestSeqCampaignDeterminism(t *testing.T) {
-	s := suiteForTest(t)
-
-	serial := *s
-	serial.Config.Workers = 1
-	parallel := *s
-	parallel.Config.Workers = 8
-
-	a, err := serial.SeqCampaign(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.SeqCampaign(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest != b.Digest {
-		t.Errorf("digest diverges across worker counts: %s vs %s", a.Digest, b.Digest)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("sequence campaign diverges:\nserial:   %+v\nparallel: %+v", a, b)
-	}
-}
-
-// TestSeqCampaignValidation rejects empty inputs.
-func TestSeqCampaignValidation(t *testing.T) {
-	s := suiteForTest(t)
-	if _, err := s.SeqCampaign(context.Background(), 0); err == nil {
-		t.Fatal("zero rounds accepted")
 	}
 }
 
@@ -90,10 +53,11 @@ func TestSeqCampaignValidation(t *testing.T) {
 // and the vocabulary the docs reference.
 func TestRenderSeqCampaign(t *testing.T) {
 	s := suiteForTest(t)
-	out, err := s.RenderSeqCampaign(context.Background(), 1)
+	r, err := s.SeqCampaign(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := r.Table()
 	for _, want := range []string{"scenario", "judge", "attacks blocked", "avail", "digest",
 		"clean", "automation_chain", "stale_replay", "tree+seq", "unsafe allows: 0"} {
 		if !strings.Contains(out, want) {

@@ -10,90 +10,65 @@ import (
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
-	"iotsid/internal/epoch"
 	"iotsid/internal/instr"
-	"iotsid/internal/par"
 	"iotsid/internal/sensor"
 	"iotsid/internal/trust"
 )
 
-// SpoofKind selects the sensor-spoofing attack family of a scenario.
-type SpoofKind int
-
-// The spoofing families of the campaign: clean (no attack — the
-// availability control), replay (old timestamps re-pushed), slow drift
-// (per-push creep sized to evade the step envelope), stuck-at (the last
-// honest snapshot frozen and re-reported), and spike (one impossible
-// jump).
-const (
-	SpoofClean SpoofKind = iota
-	SpoofReplay
-	SpoofSlowDrift
-	SpoofStuckAt
-	SpoofSpike
-)
-
-// String implements fmt.Stringer.
-func (k SpoofKind) String() string {
-	switch k {
-	case SpoofClean:
-		return "clean"
-	case SpoofReplay:
-		return "replay"
-	case SpoofSlowDrift:
-		return "slow_drift"
-	case SpoofStuckAt:
-		return "stuck_at"
-	case SpoofSpike:
-		return "spike"
-	}
-	return fmt.Sprintf("spoof(%d)", int(k))
+// spoofScenario is one spoofing regime of the campaign. forge fabricates
+// attack push k (0-based across establishment and firing) from the honest
+// stream clean, as a pure function of k; a nil forge is the clean control,
+// whose honest stream simply continues. replay marks pushes the epoch
+// store drops as out of order; the trust engine still scores them.
+type spoofScenario struct {
+	Name   string
+	forge  func(k int, clean func(i int) sensor.Snapshot) sensor.Snapshot
+	replay bool
 }
 
-// SpoofScenario describes one spoofing regime: the attack family plus
-// the corrupted feature and magnitude for the numeric families.
-type SpoofScenario struct {
-	Name string    `json:"name"`
-	Kind SpoofKind `json:"kind"`
-	// Feature is the numeric feature the drift/spike families corrupt.
-	Feature sensor.Feature `json:"feature,omitempty"`
-	// Magnitude is the spike offset or the per-push drift rate.
-	Magnitude float64 `json:"magnitude,omitempty"`
+// spoofScenarios is the published spoofing campaign: the clean control
+// plus the four attack families of §III-A's sensor-spoofing twin — an
+// attacker who owns the push channel and fabricates fresh, well-typed
+// context. The numeric families reuse the chaos layer's corruption modes
+// on the air-quality feature.
+var spoofScenarios = []spoofScenario{
+	{Name: "clean"},
+	// Replay: honest-looking values, event time running backwards from
+	// the newest accepted push.
+	{Name: "replay", replay: true, forge: func(k int, clean func(int) sensor.Snapshot) sensor.Snapshot {
+		out := clean(spoofCleanPushes + k)
+		out.At = clean(spoofCleanPushes - 2 - k).At
+		return out
+	}},
+	// Slow drift: a per-push creep sized to evade the step envelope.
+	{Name: "slow_drift", forge: corruptAirQuality(core.CorruptDrift, 5)},
+	// Stuck-at: the last honest snapshot, frozen, with only the stamp
+	// advancing — a pinned sensor or a dead cache replayed live.
+	{Name: "stuck_at", forge: func(k int, clean func(int) sensor.Snapshot) sensor.Snapshot {
+		out := clean(spoofCleanPushes - 1)
+		out.At = clean(spoofCleanPushes + k).At
+		return out
+	}},
+	// Spike: one impossible jump.
+	{Name: "spike", forge: corruptAirQuality(core.CorruptSpike, 600)},
 }
 
-// DefaultSpoofScenarios is the published spoofing campaign: the clean
-// control plus the four attack families of §III-A's sensor-spoofing twin
-// — an attacker who owns the push channel and fabricates fresh,
-// well-typed context.
-func DefaultSpoofScenarios() []SpoofScenario {
-	return []SpoofScenario{
-		{Name: "clean", Kind: SpoofClean},
-		{Name: "replay", Kind: SpoofReplay},
-		{Name: "slow_drift", Kind: SpoofSlowDrift, Feature: sensor.FeatAirQuality, Magnitude: 5},
-		{Name: "stuck_at", Kind: SpoofStuckAt},
-		{Name: "spike", Kind: SpoofSpike, Feature: sensor.FeatAirQuality, Magnitude: 600},
+func corruptAirQuality(kind core.CorruptionKind, magnitude float64) func(int, func(int) sensor.Snapshot) sensor.Snapshot {
+	corrupt := core.NumericCorruption(kind, sensor.FeatAirQuality, magnitude)
+	return func(k int, clean func(int) sensor.Snapshot) sensor.Snapshot {
+		return corrupt(k, clean(spoofCleanPushes+k))
 	}
 }
 
 // SpoofScenarioResult tallies one spoofing scenario across its rounds.
+// Legitimate attempts are sensitive instructions fired while the feed was
+// honest (the post-baseline clean phase, plus the clean scenario's whole
+// firing phase); attack attempts are those fired while it was spoofed,
+// and an allowed one is an unsafe allow — the trust contract demands
+// zero.
 type SpoofScenarioResult struct {
-	Name   string `json:"name"`
-	Rounds int    `json:"rounds"`
-	// LegitAttempts/Allowed: sensitive instructions fired while the feed
-	// was honest (the post-baseline clean phase, plus the clean
-	// scenario's whole firing phase) — the availability side.
-	LegitAttempts int `json:"legit_attempts"`
-	LegitAllowed  int `json:"legit_allowed"`
-	// SpoofAttempts/Blocked: sensitive instructions fired while the feed
-	// was spoofed, and how many the IDS rejected.
-	SpoofAttempts int `json:"spoof_attempts"`
-	SpoofBlocked  int `json:"spoof_blocked"`
-	// UnsafeAllows counts sensitive instructions ALLOWED on a spoofed
-	// feed — the trust contract demands zero.
-	UnsafeAllows int `json:"unsafe_allows"`
-	// FailClosed counts decisions rejected explicitly by a fail-closed
-	// rule (rather than by tree judgment on the fabricated context).
-	FailClosed int `json:"fail_closed"`
+	Name string `json:"name"`
+	Counts
 	// TrustViolations totals the engine's violation count.
 	TrustViolations uint64 `json:"trust_violations"`
 	// MinFinalScore is the lowest end-of-round trust score across rounds.
@@ -105,27 +80,11 @@ type SpoofScenarioResult struct {
 	TrustDigest string `json:"trust_digest"`
 }
 
-// Availability is the fraction of honest sensitive commands served.
-func (r SpoofScenarioResult) Availability() float64 {
-	if r.LegitAttempts == 0 {
-		return 0
-	}
-	return float64(r.LegitAllowed) / float64(r.LegitAttempts)
-}
-
-// Safety is the fraction of spoofed sensitive commands rejected.
-func (r SpoofScenarioResult) Safety() float64 {
-	if r.SpoofAttempts == 0 {
-		return 1
-	}
-	return float64(r.SpoofBlocked) / float64(r.SpoofAttempts)
-}
-
-// spoofRoundResult is one round's tally plus its trajectory digest.
-type spoofRoundResult struct {
-	res        SpoofScenarioResult
-	digest     uint64
-	finalScore float64
+// SpoofCampaignResult is the spoofing campaign's outcome, one row per
+// scenario in campaign order.
+type SpoofCampaignResult struct {
+	Rounds    int                   `json:"rounds"`
+	Scenarios []SpoofScenarioResult `json:"scenarios"`
 }
 
 // Campaign phase lengths. Clean establishes the behavioral baseline
@@ -140,97 +99,57 @@ const (
 	spoofLegitFireFrom = 8 // first clean push index (0-based) that also fires
 )
 
-// SpoofCampaign runs the default scenarios for the given number of
-// rounds. Each (scenario, round) unit is fully self-contained — its own
-// trust engine, epoch store, framework, fake clock and seeded scene —
-// so the tables are bit-identical at any worker count.
-func (s *Suite) SpoofCampaign(ctx context.Context, rounds int) ([]SpoofScenarioResult, error) {
-	return s.SpoofCampaignScenarios(ctx, DefaultSpoofScenarios(), rounds)
-}
-
-// SpoofCampaignScenarios is SpoofCampaign over a caller-supplied
-// scenario list.
-func (s *Suite) SpoofCampaignScenarios(ctx context.Context, scenarios []SpoofScenario, rounds int) ([]SpoofScenarioResult, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("eval: rounds must be positive")
-	}
-	if len(scenarios) == 0 {
-		return nil, fmt.Errorf("eval: no spoof scenarios")
-	}
-	units := len(scenarios) * rounds
-	outcomes, err := par.Map(units, s.Config.Workers, func(u int) (spoofRoundResult, error) {
-		return s.spoofRound(ctx, scenarios[u/rounds], int64(u))
+// SpoofCampaign runs every scenario for the given number of rounds.
+// Each unit owns its trust engine, epoch store, framework, fake clock and
+// a legal base scene seeded Seed+909+u.
+func (s *Suite) SpoofCampaign(ctx context.Context, rounds int) (SpoofCampaignResult, error) {
+	t, err := s.runCampaign(ctx, rounds, len(spoofScenarios), 1, func(ctx context.Context, sc int, u int64, out *unit) error {
+		return s.spoofRound(ctx, spoofScenarios[sc], u, out)
 	})
 	if err != nil {
-		return nil, err
+		return SpoofCampaignResult{}, err
 	}
-	out := make([]SpoofScenarioResult, len(scenarios))
-	for i, sc := range scenarios {
-		agg := SpoofScenarioResult{Name: sc.Name, MinFinalScore: math.Inf(1)}
-		digest := uint64(14695981039346656037)
-		for r := 0; r < rounds; r++ {
-			o := outcomes[i*rounds+r]
-			agg.Rounds += o.res.Rounds
-			agg.LegitAttempts += o.res.LegitAttempts
-			agg.LegitAllowed += o.res.LegitAllowed
-			agg.SpoofAttempts += o.res.SpoofAttempts
-			agg.SpoofBlocked += o.res.SpoofBlocked
-			agg.UnsafeAllows += o.res.UnsafeAllows
-			agg.FailClosed += o.res.FailClosed
-			agg.TrustViolations += o.res.TrustViolations
-			agg.MinFinalScore = math.Min(agg.MinFinalScore, o.finalScore)
-			digest = digest*1099511628211 ^ o.digest
+	res := SpoofCampaignResult{Rounds: rounds, Scenarios: make([]SpoofScenarioResult, len(spoofScenarios))}
+	for i, sc := range spoofScenarios {
+		r := SpoofScenarioResult{Name: sc.Name, Counts: t.scenarios[i].total(),
+			MinFinalScore: math.Inf(1), TrustDigest: hexDigest(t.scenarios[i].digest)}
+		for _, o := range t.units[i*rounds : (i+1)*rounds] {
+			r.TrustViolations += o.trust.Violations
+			r.MinFinalScore = math.Min(r.MinFinalScore, o.trust.Score)
 		}
-		agg.TrustDigest = fmt.Sprintf("%016x", digest)
-		out[i] = agg
+		res.Scenarios[i] = r
 	}
-	return out, nil
+	return res, nil
 }
 
 // spoofRound runs one self-contained round of one scenario against a
-// push-path deployment: trust engine fed by the epoch store's Observe
-// hook, EpochCollector gating the framework's hot path.
-func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (spoofRoundResult, error) {
-	detector, err := core.DefaultDetector()
-	if err != nil {
-		return spoofRoundResult{}, err
-	}
+// push-path deployment whose trust engine scores every push and gates
+// every decision. The unit digest
+// folds the trust score after every push.
+func (s *Suite) spoofRound(ctx context.Context, sc spoofScenario, u int64, out *unit) error {
 	eng, err := trust.NewEngine(trust.Config{},
 		trust.SourceConfig{Name: "feed", Required: true})
 	if err != nil {
-		return spoofRoundResult{}, err
+		return err
 	}
 	now := time.Unix(1_600_000_000, 0)
 	clock := func() time.Time { return now }
-	st, err := epoch.NewStore(epoch.Config{
-		Now: clock,
-		Observe: func(src string, d sensor.Snapshot, at time.Time) {
-			eng.Observe(src, d, at)
-		},
-	}, epoch.SourceConfig{Name: "feed", Required: true, FreshFor: time.Hour})
+	st, framework, err := s.pushFramework(clock, eng)
 	if err != nil {
-		return spoofRoundResult{}, err
+		return err
 	}
-	coll, err := core.NewEpochCollector(core.EpochCollectorConfig{Now: clock, Trust: eng}, st)
+	in, err := campaignRegistry.Build("window.open", "win-1", instr.OriginUnknown, nil)
 	if err != nil {
-		return spoofRoundResult{}, err
-	}
-	framework, err := core.New(core.Config{Detector: detector, Collector: coll, Memory: s.Memory})
-	if err != nil {
-		return spoofRoundResult{}, err
-	}
-	in, err := instr.BuiltinRegistry().Build("window.open", "win-1", instr.OriginUnknown, nil)
-	if err != nil {
-		return spoofRoundResult{}, err
+		return err
 	}
 
 	// The honest stream: one legal base scene per round plus small
 	// deterministic jitter, so the baseline learns a live sensor (never
 	// bit-identical, small steps, stable envelope) and the scene stays
 	// legal for the window tree.
-	base, err := dataset.LegalScene(dataset.ModelWindow, rand.New(rand.NewSource(s.Config.Seed+909+unit)))
+	base, err := dataset.LegalScene(dataset.ModelWindow, rand.New(rand.NewSource(s.Config.Seed+909+u)))
 	if err != nil {
-		return spoofRoundResult{}, err
+		return err
 	}
 	t0 := now
 	cleanSnap := func(i int) sensor.Snapshot {
@@ -244,76 +163,51 @@ func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (s
 		}
 		return out
 	}
-	// spoofSnap fabricates attack push k (0-based across establishment
-	// and firing). Every family is a pure function of k, reusing the
-	// chaos layer's numeric corruption modes where one feature is bent.
 	spoofSnap := func(k int) sensor.Snapshot {
-		i := spoofCleanPushes + k
-		switch sc.Kind {
-		case SpoofReplay:
-			// Honest-looking values, event time running backwards from
-			// the newest accepted push.
-			out := cleanSnap(i)
-			out.At = t0.Add(time.Duration(spoofCleanPushes-2-k) * spoofPushInterval)
-			return out
-		case SpoofSlowDrift:
-			return core.NumericCorruption(core.CorruptDrift, sc.Feature, sc.Magnitude)(k, cleanSnap(i))
-		case SpoofStuckAt:
-			// The last honest snapshot, frozen, with only the stamp
-			// advancing — a pinned sensor or a dead cache replayed live.
-			out := cleanSnap(spoofCleanPushes - 1)
-			out.At = t0.Add(time.Duration(i) * spoofPushInterval)
-			return out
-		case SpoofSpike:
-			return core.NumericCorruption(core.CorruptSpike, sc.Feature, sc.Magnitude)(k, cleanSnap(i))
-		default: // SpoofClean: the honest stream continues
-			return cleanSnap(i)
+		if sc.forge == nil {
+			return cleanSnap(spoofCleanPushes + k)
 		}
+		return sc.forge(k, cleanSnap)
 	}
 
-	res := SpoofScenarioResult{Name: sc.Name, Rounds: 1}
-	var digest uint64 = 14695981039346656037
-	fold := func() {
-		score, _ := eng.Score("feed")
-		digest ^= math.Float64bits(score)
-		digest *= 1099511628211
-	}
+	c := &out.lanes[0]
 	push := func(snap sensor.Snapshot) error {
 		now = snap.At
 		if err := st.Push("feed", snap); err != nil {
 			// Replayed deltas are dropped by the store (out_of_order);
 			// the trust engine has already scored them via the hook.
-			if sc.Kind != SpoofReplay {
+			if !sc.replay {
 				return err
 			}
 		}
-		fold()
+		score, _ := eng.Score("feed")
+		out.digest ^= math.Float64bits(score)
+		out.digest *= fnvPrime
 		return nil
 	}
-	fire := func() (allowed bool, failedClosed bool, err error) {
+	fire := func(attack bool) error {
 		callCtx, cancel := context.WithTimeout(ctx, time.Second)
 		dec, err := framework.Authorize(callCtx, in)
 		cancel()
 		if err != nil {
-			return false, false, err
+			return err
 		}
-		return dec.Allowed, strings.Contains(dec.Reason, "fail closed"), nil
+		c.record(attack, dec.Allowed, dec.Reason)
+		if attack && dec.Allowed {
+			c.UnsafeAllows++
+		}
+		return nil
 	}
 
 	// Phase 1 — honest traffic: learn the baseline, then measure
 	// availability on the live legal scene.
 	for i := 0; i < spoofCleanPushes; i++ {
 		if err := push(cleanSnap(i)); err != nil {
-			return spoofRoundResult{}, err
+			return err
 		}
 		if i >= spoofLegitFireFrom {
-			allowed, _, err := fire()
-			if err != nil {
-				return spoofRoundResult{}, err
-			}
-			res.LegitAttempts++
-			if allowed {
-				res.LegitAllowed++
+			if err := fire(false); err != nil {
+				return err
 			}
 		}
 	}
@@ -321,7 +215,7 @@ func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (s
 	// yet: manipulation precedes the instruction it enables).
 	for k := 0; k < spoofEstablish; k++ {
 		if err := push(spoofSnap(k)); err != nil {
-			return spoofRoundResult{}, err
+			return err
 		}
 	}
 	// Phase 3 — firing: each fabricated push is followed by the
@@ -330,49 +224,27 @@ func (s *Suite) spoofRound(ctx context.Context, sc SpoofScenario, unit int64) (s
 	// the trust gate stands between the attacker and an allow.
 	for k := 0; k < spoofFiringPushes; k++ {
 		if err := push(spoofSnap(spoofEstablish + k)); err != nil {
-			return spoofRoundResult{}, err
+			return err
 		}
-		allowed, failedClosed, err := fire()
-		if err != nil {
-			return spoofRoundResult{}, err
-		}
-		if failedClosed {
-			res.FailClosed++
-		}
-		if sc.Kind == SpoofClean {
-			res.LegitAttempts++
-			if allowed {
-				res.LegitAllowed++
-			}
-			continue
-		}
-		res.SpoofAttempts++
-		if allowed {
-			res.UnsafeAllows++
-		} else {
-			res.SpoofBlocked++
+		if err := fire(sc.forge != nil); err != nil {
+			return err
 		}
 	}
-	report := eng.Report()[0]
-	res.TrustViolations = report.Violations
-	return spoofRoundResult{res: res, digest: digest, finalScore: report.Score}, nil
+	out.trust = eng.Report()[0]
+	return nil
 }
 
-// RenderSpoofCampaign formats the spoofing-campaign table: availability
-// against safety per attack family, with the trust evidence alongside.
-func (s *Suite) RenderSpoofCampaign(ctx context.Context, rounds int) (string, error) {
-	results, err := s.SpoofCampaign(ctx, rounds)
-	if err != nil {
-		return "", err
-	}
+// Table renders availability against safety per attack family, with the
+// trust evidence alongside.
+func (r SpoofCampaignResult) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Spoofing campaign — %d rounds per scenario, sensitive instructions only\n", rounds)
+	fmt.Fprintf(&b, "Spoofing campaign — %d rounds per scenario, sensitive instructions only\n", r.Rounds)
 	fmt.Fprintf(&b, "  %-12s %6s %7s %12s %11s %10s %7s  %s\n",
 		"scenario", "avail", "safety", "fail-closed", "violations", "min-score", "unsafe", "digest")
-	for _, r := range results {
+	for _, r := range r.Scenarios {
 		fmt.Fprintf(&b, "  %-12s %5.1f%% %6.1f%% %12d %11d %10.3f %7d  %s\n",
 			r.Name, 100*r.Availability(), 100*r.Safety(),
 			r.FailClosed, r.TrustViolations, r.MinFinalScore, r.UnsafeAllows, r.TrustDigest)
 	}
-	return b.String(), nil
+	return b.String()
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -18,10 +17,10 @@ func TestSpoofCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(DefaultSpoofScenarios()) {
-		t.Fatalf("got %d scenario rows, want %d", len(results), len(DefaultSpoofScenarios()))
+	if len(results.Scenarios) != len(spoofScenarios) {
+		t.Fatalf("got %d scenario rows, want %d", len(results.Scenarios), len(spoofScenarios))
 	}
-	for _, r := range results {
+	for _, r := range results.Scenarios {
 		if r.UnsafeAllows != 0 {
 			t.Errorf("%s: %d unsafe allows, want 0", r.Name, r.UnsafeAllows)
 		}
@@ -35,16 +34,16 @@ func TestSpoofCampaign(t *testing.T) {
 			if r.MinFinalScore != 1 {
 				t.Errorf("clean: min final score %.3f, want 1", r.MinFinalScore)
 			}
-			if r.SpoofAttempts != 0 {
-				t.Errorf("clean: %d spoof attempts, want 0", r.SpoofAttempts)
+			if r.Attempts != 0 {
+				t.Errorf("clean: %d spoof attempts, want 0", r.Attempts)
 			}
 			continue
 		}
-		if r.SpoofAttempts == 0 || r.SpoofBlocked != r.SpoofAttempts {
-			t.Errorf("%s: blocked %d of %d spoofed attempts, want all", r.Name, r.SpoofBlocked, r.SpoofAttempts)
+		if r.Attempts == 0 || r.Blocked != r.Attempts {
+			t.Errorf("%s: blocked %d of %d spoofed attempts, want all", r.Name, r.Blocked, r.Attempts)
 		}
-		if r.FailClosed != r.SpoofAttempts {
-			t.Errorf("%s: %d fail-closed of %d spoofed attempts — attacks must be stopped by the trust gate, not tree judgment", r.Name, r.FailClosed, r.SpoofAttempts)
+		if r.FailClosed != r.Attempts {
+			t.Errorf("%s: %d fail-closed of %d spoofed attempts — attacks must be stopped by the trust gate, not tree judgment", r.Name, r.FailClosed, r.Attempts)
 		}
 		if r.TrustViolations == 0 {
 			t.Errorf("%s: no trust violations recorded", r.Name)
@@ -55,54 +54,19 @@ func TestSpoofCampaign(t *testing.T) {
 	}
 }
 
-// TestSpoofCampaignValidation rejects empty inputs.
-func TestSpoofCampaignValidation(t *testing.T) {
-	s := suiteForTest(t)
-	if _, err := s.SpoofCampaign(context.Background(), 0); err == nil {
-		t.Fatal("zero rounds accepted")
-	}
-	if _, err := s.SpoofCampaignScenarios(context.Background(), nil, 1); err == nil {
-		t.Fatal("empty scenario list accepted")
-	}
-}
-
 // TestRenderSpoofCampaign: the table carries every scenario row and the
 // header vocabulary the docs reference.
 func TestRenderSpoofCampaign(t *testing.T) {
 	s := suiteForTest(t)
-	out, err := s.RenderSpoofCampaign(context.Background(), 1)
+	r, err := s.SpoofCampaign(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := r.Table()
 	for _, want := range []string{"scenario", "avail", "safety", "unsafe", "digest",
 		"clean", "replay", "slow_drift", "stuck_at", "spike"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestSpoofCampaignDeterminism: every (scenario, round) unit is seeded
-// from its index before the fan-out, and the per-round trust trajectory
-// is folded into a digest — so the tables (digests included) are
-// bit-identical at any worker count.
-func TestSpoofCampaignDeterminism(t *testing.T) {
-	s := suiteForTest(t)
-
-	serial := *s
-	serial.Config.Workers = 1
-	parallel := *s
-	parallel.Config.Workers = 8
-
-	a, err := serial.SpoofCampaign(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.SpoofCampaign(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("spoof campaign diverges:\nserial:   %+v\nparallel: %+v", a, b)
 	}
 }

@@ -49,19 +49,20 @@ go test -race ./...
 # collector, the chaos harness and the fault-injection campaign are
 # timing-sensitive concurrent code — run them focused under the race
 # detector (also covered by the blanket -race run above; this keeps a
-# fast, named signal when the resilience layer regresses).
+# fast, named signal when the resilience layer regresses). The campaign
+# harness's worker-count and cancellation tables cover the fault row.
 go test -race -count=1 ./internal/resilience/
 go test -race -count=1 -run 'MultiCollector|Chaos|FailsClosed|Differential' ./internal/core/
-go test -race -count=1 -run 'Fault' ./internal/eval/
+go test -race -count=1 -run 'Fault|CampaignDeterminism|CampaignCancelled' ./internal/eval/
 go test -race -count=1 -run 'Call|Retry|Timeout|Permanent|Context' ./internal/miio/ ./internal/smartthings/
 go test -race -count=1 -run 'Healthz|RetryAfter|ContextTimeout' ./internal/cloud/
 
 # Event-driven collection gate: the epoch store's writers and the
 # pointer-read hot path are concurrent by construction — run the push-path
 # suites focused under the race detector. The polled-vs-epoch decision
-# equivalence and its worker-count independence run here too (and
-# TestEpochCampaignDeterminism is picked up again by the Determinism gate
-# below, serial and pinned to one P).
+# equivalence runs here too; its worker-count independence is the
+# compare row of TestCampaignDeterminism, picked up by the Determinism
+# gate below, serial and pinned to one P.
 go test -race -count=1 ./internal/epoch/
 go test -race -count=1 -run 'Epoch' ./internal/core/ ./internal/cloud/
 go test -race -count=1 -run 'EventPump|DevModeFeed|STPoller' ./internal/bridge/
@@ -101,15 +102,18 @@ go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeResponse$' -fuzztime 10s ./
 # every tenant — run its whole suite (concurrent push/authorize hammer,
 # shard-rebalance and worker-count determinism, COW registry swaps) and the
 # cloud fleet endpoints focused under the race detector, then smoke the
-# closed-loop load generator end to end: a small seeded run must complete
-# and print its decision-stream digest. The framework-vs-fleet differential
-# (one seeded stream through both front ends of the shared decision stage,
-# decision for decision) lives in internal/core and runs here too.
+# closed-loop load generator end to end: two seeded runs (500 homes × 2
+# steps, and the default 10k homes × 5 steps) must reproduce their pinned
+# decision-stream digests. The framework-vs-fleet differential (one seeded
+# stream through both front ends of the shared decision stage, decision for
+# decision) lives in internal/core and runs here too.
 go test -race -count=1 ./internal/fleet/
 go test -race -count=1 -run 'Differential' ./internal/core/
 go test -race -count=1 -run 'Fleet' ./internal/cloud/
-fleet_smoke="$(go run ./cmd/fleetload -homes 200 -steps 2 -workers 2 -batch 64 -seed 1)"
-echo "$fleet_smoke" | grep -q 'digest' || { echo 'fleetload smoke: no digest in output' >&2; exit 1; }
+fleet_digest="$(go run ./cmd/fleetload -homes 500 -steps 2 -seed 1 | awk '$1 == "digest" { print $2 }')"
+[ "$fleet_digest" = d9b585056f18c11b ] || { echo "fleetload smoke: 500x2 digest '$fleet_digest', want d9b585056f18c11b" >&2; exit 1; }
+fleet_digest="$(go run ./cmd/fleetload -seed 1 | awk '$1 == "digest" { print $2 }')"
+[ "$fleet_digest" = 284abdb8010ee900 ] || { echo "fleetload smoke: 10k x 5 digest '$fleet_digest', want 284abdb8010ee900" >&2; exit 1; }
 
 # Sensor-trust gate: the trust engine is lock-free hot-path state observed
 # from every push path — run its suite (property tests included) under the
@@ -168,12 +172,12 @@ awk 'NR==FNR { if ($1 !~ /^#/ && NF >= 2) floor[$1]=$2; next }
 rm -f "$cov"
 
 # Deterministic-parallelism gate: the serial-vs-parallel golden-equality
-# tests (Train, BuildAll, CrossValidate, forest.Fit, suite/campaign, the
-# fault campaign, seeded retry jitter) must pass both under the default
+# tests (Train, BuildAll, CrossValidate, forest.Fit, the suite, every
+# campaign row, seeded retry jitter) must pass both under the default
 # scheduler and pinned to a single P. If the GOMAXPROCS=1 run and the
 # default run disagree, one of them fails these equality tests and the
 # build breaks here. The 'Determinism' pattern matches the resilience
-# layer's TestScheduleDeterminism, TestChaosPlanDeterminism and
-# TestFaultCampaignDeterminism as well.
+# layer's TestScheduleDeterminism and TestChaosPlanDeterminism and the
+# campaign harness's TestCampaignDeterminism as well.
 go test -count=1 -run 'Determinism|Memoized' ./internal/...
 GOMAXPROCS=1 go test -count=1 -run 'Determinism|Memoized' ./internal/...

@@ -36,7 +36,6 @@ import (
 	"iotsid/internal/resilience"
 	"iotsid/internal/sensor"
 	"iotsid/internal/smartthings"
-	"iotsid/internal/trace"
 )
 
 func main() {
@@ -54,7 +53,7 @@ func run() error {
 	miioAddr := flag.String("miio-addr", "127.0.0.1:0", "gateway UDP listen address")
 	stAddr := flag.String("st-addr", "127.0.0.1:0", "REST bridge listen address")
 	tokenHex := flag.String("token", "00112233445566778899aabbccddeeff", "gateway device token (32 hex chars)")
-	auditPath := flag.String("audit", "", "write the audit trace as JSON lines to this file on exit")
+	auditPath := flag.String("audit", "", "write the decision log as JSON lines to this file on exit")
 	rulesPath := flag.String("rules", "", "load automation rules from this file instead of the builtin set")
 	devmodeAddr := flag.String("devmode-addr", "127.0.0.1:0", "developer-mode event channel UDP address (empty = disabled)")
 	saveMemory := flag.String("save-memory", "", "write the trained feature memory to this file")
@@ -183,17 +182,15 @@ func run() error {
 		return fmt.Errorf("unknown -collection mode %q (want poll or push)", *collection)
 	}
 	framework, err := core.New(core.Config{
-		Detector:  detector,
-		Collector: collector,
-		Memory:    memory,
-		Metrics:   metrics,
+		Detector:    detector,
+		Collector:   collector,
+		Memory:      memory,
+		Metrics:     metrics,
+		LogCapacity: auditCapacity,
 	})
 	if err != nil {
 		return err
 	}
-	audit := trace.NewLog(8192)
-	audit.Instrument(metrics)
-	framework.SetAuditLog(audit)
 
 	// Operator endpoints: Prometheus text at /metrics, liveness at
 	// /healthz, pprof under /debug/pprof/.
@@ -414,24 +411,20 @@ func run() error {
 	if devmode != nil {
 		fmt.Printf("devmode subscribers at shutdown: %d\n", devmode.Subscribers())
 	}
-	fmt.Printf("audit trace: %d decisions recorded (%v)\n",
-		audit.Len(), audit.CountByOutcome(trace.Query{Kind: trace.KindDecision}))
-	if *auditPath != "" {
-		f, err := os.Create(*auditPath)
-		if err != nil {
-			return err
+	decisions := framework.Log()
+	rejected := 0
+	for _, e := range decisions {
+		if !e.Decision.Allowed {
+			rejected++
 		}
-		if err := audit.Export(f, trace.Query{}); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("audit trace written to %s\n", *auditPath)
 	}
-	if dropped := audit.Dropped(); dropped > 0 {
-		fmt.Printf("audit trace dropped %d oldest events (ring capacity reached)\n", dropped)
+	fmt.Printf("decision log: %d decisions recorded (%d allowed, %d rejected)\n",
+		len(decisions), len(decisions)-rejected, rejected)
+	if *auditPath != "" {
+		if err := writeAudit(*auditPath, decisions); err != nil {
+			return err
+		}
+		fmt.Printf("decision log written to %s\n", *auditPath)
 	}
 	if *dumpMetrics {
 		fmt.Println("\nfinal metrics exposition:")
@@ -440,6 +433,27 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// auditCapacity bounds the framework's decision ring, and so the -audit
+// export, to the newest 8192 decisions.
+const auditCapacity = 8192
+
+// writeAudit exports the decision log as JSON lines, oldest first; each
+// decision carries its rendered explanation.
+func writeAudit(path string, decisions []core.LogEntry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	for _, e := range decisions {
+		if err := enc.Encode(e); err != nil {
+			_ = f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }
 
 // injectSpoof forges the smoke boolean with every correlate inconsistent —

@@ -146,6 +146,12 @@ func run() error {
 	} else {
 		fmt.Println("  executed")
 	}
-	fmt.Printf("\nIDS log: %d authorisations recorded\n", len(framework.Log()))
+	log := framework.Log()
+	fmt.Printf("\nIDS log: %d authorisations recorded\n", len(log))
+	for _, e := range log {
+		if !e.Decision.Allowed {
+			fmt.Printf("  #%d %s @ %s rejected: %s\n", e.Seq, e.Op, e.DeviceID, e.Decision.Explain())
+		}
+	}
 	return nil
 }

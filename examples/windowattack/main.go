@@ -105,8 +105,8 @@ func report(framework *core.Framework, events []automation.Event) {
 	// The determiner's decision path for the last judgment.
 	if log := framework.Log(); len(log) > 0 {
 		last := log[len(log)-1]
-		if last.Decision.Explanation != "" {
-			fmt.Printf("    decision path: %s\n", last.Decision.Explanation)
+		if why := last.Decision.Explain(); why != "" {
+			fmt.Printf("    decision path: %s\n", why)
 		}
 	}
 }

@@ -280,6 +280,43 @@ func TestHistoryIsolatedPerUser(t *testing.T) {
 	}
 }
 
+// TestHistoryBounded: the command history keeps only the newest
+// historyCap submissions, rejected ones included, oldest first.
+func TestHistoryBounded(t *testing.T) {
+	srv, _ := startCloud(t, func(_ context.Context, in instr.Instruction) (core.Decision, error) {
+		return core.Decision{Allowed: in.Op != "window.open", Reason: "test"}, nil
+	})
+	c := login(t, srv, "alice", "s3cret")
+	const n = historyCap + 10
+	// Even submissions are forwarded, odd ones rejected; the last (odd)
+	// is the newest entry.
+	for i := 0; i < n; i++ {
+		op, dev := "light.on", "light-1"
+		if i%2 == 1 {
+			op, dev = "window.open", "window-1"
+		}
+		_ = c.Command(op, dev, nil)
+	}
+	hist := srv.History()
+	if len(hist) != historyCap {
+		t.Fatalf("history holds %d entries after %d commands, want %d", len(hist), n, historyCap)
+	}
+	newest := hist[len(hist)-1]
+	if newest.Op != "window.open" || newest.Outcome != OutcomeRejected {
+		t.Errorf("newest entry = %+v, want the last (rejected) window.open", newest)
+	}
+	if hist[0].Op != "light.on" || hist[1].Op != "window.open" {
+		t.Errorf("oldest retained = %+v, %+v, want the 11th and 12th submissions", hist[0], hist[1])
+	}
+	wire, err := c.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wire) != historyCap || wire[len(wire)-1].Op != newest.Op || !wire[len(wire)-1].At.Equal(newest.At) {
+		t.Errorf("/v1/history = %d entries, want %d ending %+v", len(wire), historyCap, newest)
+	}
+}
+
 func TestLoginLockout(t *testing.T) {
 	now := time.Unix(5000, 0)
 	fwd := &captureForwarder{}

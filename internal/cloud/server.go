@@ -238,13 +238,22 @@ func (s *Server) BindHome(homeID, user string) error {
 	return nil
 }
 
-// History returns a copy of the command log.
+// historyCap bounds the command history: only the newest historyCap
+// submissions are retained, so no account can grow server memory one POST
+// at a time.
+const historyCap = 4096
+
+// History returns a copy of the retained command log, oldest first.
 func (s *Server) History() []HistoryEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]HistoryEntry, len(s.history))
-	copy(out, s.history)
-	return out
+	return append([]HistoryEntry(nil), s.retained()...)
+}
+
+// retained is the newest historyCap entries, oldest first. The caller
+// holds s.mu.
+func (s *Server) retained() []HistoryEntry {
+	return s.history[max(0, len(s.history)-historyCap):]
 }
 
 type errorBody struct {
@@ -446,6 +455,11 @@ func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
 func (s *Server) record(user string, req commandRequest, outcome, detail string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.history) == 2*historyCap {
+		// Trim in bulk: copying the newest entries down once per
+		// historyCap appends keeps recording amortised O(1).
+		s.history = s.history[:copy(s.history, s.retained())]
+	}
 	s.history = append(s.history, HistoryEntry{
 		User: user, Op: req.Op, DeviceID: req.DeviceID,
 		Outcome: outcome, Detail: detail, At: s.cfg.Now(),
@@ -499,7 +513,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	var out []HistoryEntry
-	for _, e := range s.history {
+	for _, e := range s.retained() {
 		if e.User == user {
 			out = append(out, e)
 		}

@@ -269,26 +269,29 @@ func sensorTime() time.Time { return time.Time{} }
 
 func TestJudgeExplainProvidesPath(t *testing.T) {
 	fm := memoryForTest(t)
-	legal, path, err := fm.JudgeExplain(dataset.ModelWindow, attackCtx(t, dataset.ModelWindow))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legal {
-		t.Error("attack context judged legal")
-	}
-	if path == "" || !strings.Contains(path, "class 0") {
-		t.Errorf("explanation = %q", path)
-	}
-	// The judger surfaces the same explanation on decisions.
 	j, err := NewJudger(detectorForTest(t), fm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := j.Judge(buildInstr(t, "window.open", "window-1"), attackCtx(t, dataset.ModelWindow))
+	snap := attackCtx(t, dataset.ModelWindow)
+	dec, err := j.Judge(buildInstr(t, "window.open", "window-1"), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Explanation == "" {
-		t.Error("decision carries no explanation")
+	if dec.Allowed {
+		t.Error("attack context judged legal")
+	}
+	path := dec.Explain()
+	if path == "" || !strings.Contains(path, "class 0") {
+		t.Errorf("explanation = %q", path)
+	}
+	// The leaf renders the explaining tree's own walk of the context.
+	e, _ := fm.Entry(dataset.ModelWindow)
+	x, err := dataset.ModelWindow.Featurize(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := e.Tree.ExplainString(x); err != nil || path != want {
+		t.Errorf("explanation = %q, tree walk = %q (%v)", path, want, err)
 	}
 }

@@ -170,7 +170,7 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 		switch {
 		case want.Allowed && want.Sensitive:
 			reasons["sensitive allow"]++
-		case !want.Allowed && want.Explanation != "":
+		case !want.Allowed && want.Explain() != "":
 			reasons["tree reject"]++ // only the tree explains a rejection
 		default:
 			reasons[want.Reason]++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"iotsid/internal/dataset"
 	"iotsid/internal/sensor"
@@ -74,6 +75,14 @@ func TestCompiledAgreesWithTreeOnAllModels(t *testing.T) {
 			if got := c.Predict(x); got != want {
 				t.Fatalf("%s probe %d: compiled = %d, tree = %d (x = %v)", m, i, got, want, x)
 			}
+			leaf := c.Leaf(x)
+			wantPath, err := e.Tree.ExplainString(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotPath, err := e.Tree.ExplainLeaf(int(leaf)); err != nil || gotPath != wantPath {
+				t.Fatalf("%s probe %d: leaf %d renders %q (%v), tree walk %q", m, i, leaf, gotPath, err, wantPath)
+			}
 			legal, err := fm.Judge(m, snap)
 			if err != nil {
 				t.Fatal(err)
@@ -126,23 +135,63 @@ func TestCompileSaveLoadCompileRoundTrip(t *testing.T) {
 
 // TestJudgeSteadyStateAllocs asserts the 0 allocs/op acceptance criterion
 // in-process (the benchmark records the number; this keeps it from
-// regressing silently in plain `go test`).
+// regressing silently in plain `go test`). A deny allocates no more than an
+// allow: it records the tree's leaf, and the explanation is rendered only
+// when someone reads it.
 func TestJudgeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	fm := memoryForTest(t)
-	snap := legalCtx(t, dataset.ModelWindow)
-	// Warm the buffer pool.
-	if _, err := fm.Judge(dataset.ModelWindow, snap); err != nil {
+	j, err := NewJudger(detectorForTest(t), fm)
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := fm.Judge(dataset.ModelWindow, snap); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Judge steady state allocates %.1f objects/op, want 0", allocs)
+	p := NewPipeline(PipelineConfig{Judger: j, LogCapacity: 64})
+	open := buildInstr(t, "window.open", "window-1")
+	legal, attack := legalCtx(t, dataset.ModelWindow), attackCtx(t, dataset.ModelWindow)
+	cases := []struct {
+		name    string
+		allowed bool
+		judge   func() (Decision, error)
+	}{
+		{"model store allow", true, func() (Decision, error) {
+			ok, err := fm.Judge(dataset.ModelWindow, legal)
+			return Decision{Allowed: ok}, err
+		}},
+		{"allow", true, func() (Decision, error) { return j.Judge(open, legal) }},
+		{"tree deny", false, func() (Decision, error) { return j.Judge(open, attack) }},
+		{"pipeline tree deny", false, func() (Decision, error) { return p.Decide(open, attack, ContextOK, nil) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The first call warms the buffer pool and the reason table.
+			dec, err := tc.judge()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Allowed != tc.allowed {
+				t.Fatalf("allowed = %v, want %v", dec.Allowed, tc.allowed)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := tc.judge(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady state allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+	if n := len(p.Log()); n == 0 {
+		t.Error("the pipeline case logged nothing")
+	}
+}
+
+// TestRingSlotSize pins a decision-ring slot at 96 B: a fleet keeps one
+// ring per home, so every byte here is multiplied by homes × capacity.
+func TestRingSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(logSlot{}); got > 96 {
+		t.Errorf("ring slot is %d B, want at most 96", got)
 	}
 }

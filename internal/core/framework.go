@@ -11,7 +11,6 @@ import (
 	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
 	"iotsid/internal/seq"
-	"iotsid/internal/trace"
 )
 
 // Framework is the assembled IDS of Fig 3: detector → collector → feature
@@ -26,7 +25,6 @@ type Framework struct {
 	memory    *FeatureMemory
 	stage     Pipeline
 
-	audit    atomic.Pointer[trace.Log]
 	metrics  *frameworkMetrics
 	now      func() time.Time
 	seqAnoms atomic.Uint64
@@ -97,12 +95,6 @@ func New(cfg Config) (*Framework, error) {
 	return f, nil
 }
 
-// SetAuditLog attaches (or detaches) an audit trace: every authorisation
-// decision is appended to it as a trace.KindDecision event.
-func (f *Framework) SetAuditLog(l *trace.Log) {
-	f.audit.Store(l)
-}
-
 // Memory exposes the trained feature memory.
 func (f *Framework) Memory() *FeatureMemory { return f.memory }
 
@@ -131,7 +123,6 @@ func (f *Framework) Authorize(ctx context.Context, in instr.Instruction) (Decisi
 		return Decision{}, fmt.Errorf("core: collect context: %w", err)
 	}
 	state, why := contextState(in, prov) //iot:allow hotcall fail-closed path is cold; the steady state returns before the missing-source scan allocates
-	//iot:allow hotcall audit-trace fields map is only built when the optional audit log is attached; production steady state runs with it off
 	dec, err := f.decide(in, snap, state, why)
 	if err == nil {
 		f.metrics.observeLatency(f.now().Sub(start))
@@ -184,13 +175,13 @@ func (f *Framework) collect(ctx context.Context) (sensor.Snapshot, Provenance, e
 // age) — and names the sources in the explanation; a required source below
 // its trust threshold is fresh-but-fabricated context, the
 // sensor-spoofing twin of no context at all.
-func contextState(in instr.Instruction, prov Provenance) (ContextState, string) {
+func contextState(in instr.Instruction, prov Provenance) (ContextState, *string) {
 	missing := prov.MissingRequired()
 	if len(missing) == 0 {
 		if len(prov.LowTrustRequired()) > 0 {
-			return ContextLowTrust, ""
+			return ContextLowTrust, nil
 		}
-		return ContextOK, ""
+		return ContextOK, nil
 	}
 	state := ContextStale
 	for _, s := range prov {
@@ -198,48 +189,30 @@ func contextState(in instr.Instruction, prov Provenance) (ContextState, string) 
 			state = ContextMissing
 		}
 	}
-	return state, in.Op + " blocked; missing required source(s): " + strings.Join(missing, ", ")
+	why := in.Op + " blocked; missing required source(s): " + strings.Join(missing, ", ")
+	return state, &why
 }
 
 // Judge decides against a caller-supplied context (used when the caller
 // already holds the snapshot, e.g. the automation engine's evaluation
 // context).
 func (f *Framework) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, error) {
-	return f.decide(in, ctx, ContextOK, "")
+	return f.decide(in, ctx, ContextOK, nil)
 }
 
 // decide runs the decision stage and records the result in the
-// framework's metric families and the optional audit trace.
+// framework's metric families.
 //
 //iot:failclosed
-func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why string) (Decision, error) {
-	dec, out, err := f.stage.Decide(in, snap, state, why)
+func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why *string) (Decision, error) {
+	dec, err := f.stage.Decide(in, snap, state, why)
 	if err != nil {
 		return Decision{}, err
 	}
-	if out == OutcomeSeqAnomaly {
+	if dec.Outcome == OutcomeSeqAnomaly {
 		f.seqAnoms.Add(1)
 	}
-	f.metrics.observeDecision(out, dec.Sensitive)
-	if audit := f.audit.Load(); audit != nil {
-		outcome := "allowed"
-		if !dec.Allowed {
-			outcome = "rejected"
-		}
-		fields := map[string]string{"origin": in.Origin.String()}
-		if dec.Model != "" {
-			fields["model"] = string(dec.Model)
-		}
-		audit.Append(trace.Event{
-			Kind:     trace.KindDecision,
-			DeviceID: in.DeviceID,
-			Op:       in.Op,
-			Outcome:  outcome,
-			Detail:   dec.Reason,
-			At:       snap.At,
-			Fields:   fields,
-		})
-	}
+	f.metrics.observeDecision(dec.Outcome, dec.Sensitive)
 	return dec, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"iotsid/internal/miio"
 	"iotsid/internal/sensor"
 	"iotsid/internal/smartthings"
-	"iotsid/internal/trace"
 )
 
 func frameworkForTest(t *testing.T, c Collector) *Framework {
@@ -401,35 +401,72 @@ func TestCollectorValidation(t *testing.T) {
 }
 
 func TestFrameworkAuditTrace(t *testing.T) {
-	f := frameworkForTest(t, staticCollector{snap: attackCtx(t, dataset.ModelWindow)})
-	audit := trace.NewLog(64)
-	f.SetAuditLog(audit)
+	snap := attackCtx(t, dataset.ModelWindow)
+	f := frameworkForTest(t, staticCollector{snap: snap})
 	if _, err := f.Authorize(context.Background(), buildInstr(t, "window.open", "window-1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Authorize(context.Background(), buildInstr(t, "window.get_state", "window-1")); err != nil {
 		t.Fatal(err)
 	}
-	events := audit.Select(trace.Query{Kind: trace.KindDecision})
-	if len(events) != 2 {
-		t.Fatalf("audit events = %d", len(events))
+	log := f.Log()
+	if len(log) != 2 {
+		t.Fatalf("log entries = %d", len(log))
 	}
-	if events[0].Outcome != "rejected" || events[0].Fields["model"] != "window" {
-		t.Errorf("event 0 = %+v", events[0])
+	rej := log[0]
+	if rej.Decision.Allowed || rej.Decision.Model != dataset.ModelWindow || rej.Decision.Outcome != OutcomeReject {
+		t.Errorf("entry 0 = %+v", rej)
 	}
-	if events[1].Outcome != "allowed" {
-		t.Errorf("event 1 = %+v", events[1])
+	if rej.Seq != 1 || rej.Op != "window.open" || rej.DeviceID != "window-1" || !rej.At.Equal(snap.At) {
+		t.Errorf("entry 0 = seq %d %s @ %s at %v, want seq 1 window.open @ window-1 at %v", rej.Seq, rej.Op, rej.DeviceID, rej.At, snap.At)
 	}
-	rejected := audit.CountByOutcome(trace.Query{})["rejected"]
-	if rejected != 1 {
-		t.Errorf("rejected = %d", rejected)
+	if why := rej.Decision.Explain(); !strings.HasSuffix(why, "class 0") {
+		t.Errorf("entry 0 explanation = %q", why)
 	}
-	// Detaching stops auditing.
-	f.SetAuditLog(nil)
-	if _, err := f.Authorize(context.Background(), buildInstr(t, "window.open", "window-1")); err != nil {
+	if !log[1].Decision.Allowed || log[1].Seq != 2 || log[1].Decision.Explain() != "" {
+		t.Errorf("entry 1 = %+v", log[1])
+	}
+}
+
+// TestLogEntryJSONRendersExplanation pins the audit export's line shape:
+// an entry encodes its seq, context time, op, device and verdict, and the
+// verdict carries the explanation rendered from its leaf (and no
+// internal evidence or counter fields).
+func TestLogEntryJSONRendersExplanation(t *testing.T) {
+	snap := attackCtx(t, dataset.ModelWindow)
+	snap.At = time.Date(2021, 4, 1, 10, 1, 0, 0, time.UTC)
+	f := frameworkForTest(t, staticCollector{snap: snap})
+	dec, err := f.Authorize(context.Background(), buildInstr(t, "window.open", "window-1"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if audit.Total() != 2 {
-		t.Errorf("audit grew after detach: %d", audit.Total())
+	line, err := json.Marshal(f.Log()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Seq      uint64
+		At       time.Time
+		Op       string
+		DeviceID string `json:"device_id"`
+		Decision map[string]any
+	}
+	if err := json.Unmarshal(line, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != 1 || !got.At.Equal(snap.At) || got.Op != "window.open" || got.DeviceID != "window-1" {
+		t.Errorf("entry = %s", line)
+	}
+	want := map[string]any{"allowed": false, "sensitive": true, "model": "window", "reason": dec.Reason, "explanation": dec.Explain()}
+	if len(got.Decision) != len(want) {
+		t.Errorf("decision = %v, want exactly %v", got.Decision, want)
+	}
+	for k, v := range want {
+		if got.Decision[k] != v {
+			t.Errorf("decision.%s = %v, want %v", k, got.Decision[k], v)
+		}
+	}
+	if !strings.HasSuffix(dec.Explain(), "class 0") {
+		t.Errorf("explanation = %q", dec.Explain())
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,15 +11,47 @@ import (
 	"iotsid/internal/sensor"
 )
 
-// Decision is the command determiner's verdict on one instruction.
+// Decision is the command determiner's verdict on one instruction. It is
+// also the decision ring's record: besides the verdict it carries the
+// evidence Explain renders on read — the judging entry and the leaf its
+// compiled tree reached, or the fail-closed missing-source text — so
+// judging never builds a string nobody reads.
 type Decision struct {
-	Allowed   bool          `json:"allowed"`
-	Sensitive bool          `json:"sensitive"`
-	Model     dataset.Model `json:"model,omitempty"`
-	Reason    string        `json:"reason"`
-	// Explanation is the decision path the context tree took — which
-	// sensor conditions were tested and how they resolved.
-	Explanation string `json:"explanation,omitempty"`
+	Allowed   bool `json:"allowed"`
+	Sensitive bool `json:"sensitive"`
+	// Outcome is the counter row the decision counts in; State is the
+	// context state it was decided under.
+	Outcome Outcome      `json:"-"`
+	State   ContextState `json:"-"`
+	leaf    int32
+	Model   dataset.Model `json:"model,omitempty"`
+	Reason  string        `json:"reason"`
+	entry   *Entry        // the tree that judged, nil when no tree did
+	missing *string       // fail-closed missing-source text, cold path only
+}
+
+// MarshalJSON encodes the verdict with its explanation rendered.
+func (d Decision) MarshalJSON() ([]byte, error) {
+	type verdict Decision // the fields without this method
+	return json.Marshal(struct {
+		verdict
+		Explanation string `json:"explanation,omitempty"`
+	}{verdict(d), d.Explain()})
+}
+
+// Explain renders why the decision went the way it did: the decision path
+// the context tree took (which sensor conditions were tested and how they
+// resolved), the missing sources of a fail-closed decision, or "" when
+// neither applies.
+func (d Decision) Explain() string {
+	switch {
+	case d.missing != nil:
+		return *d.missing
+	case d.entry != nil:
+		s, _ := d.entry.Tree.ExplainLeaf(int(d.leaf))
+		return s
+	}
+	return ""
 }
 
 // opReasons holds the interned reason strings for one opcode. The judge
@@ -40,14 +73,10 @@ const reasonCap = 4096
 // ModelStore is the judger's view of wherever the trained per-device-model
 // entries live. Two implementations exist: the single-home FeatureMemory
 // (RWMutex over its entry map) and the fleet's copy-on-write ModelRegistry
-// (one atomic load, shared by every tenant). Judge must be safe for
-// concurrent use and allocation-free on the steady-state path.
+// (one atomic load, shared by every tenant). Entry must be safe for
+// concurrent use and allocation-free.
 type ModelStore interface {
-	// Judge runs the model's compiled tree on a live snapshot: true means
-	// the context matches a legal activity scene.
-	Judge(m dataset.Model, ctx sensor.Snapshot) (bool, error)
-	// JudgeExplain also returns the decision path the tree took.
-	JudgeExplain(m dataset.Model, ctx sensor.Snapshot) (bool, string, error)
+	Entry(m dataset.Model) (*Entry, bool)
 }
 
 // Judger is the command determiner (§IV-D): sensitive instructions are
@@ -171,30 +200,15 @@ func (j *Judger) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, err
 			Reason:    j.outOfScopeReason(in.Category), //iot:allow hotcall out-of-scope reasons intern once per category; steady state is a lock-free map hit //iot:allow failclosed the call returns the per-category interned string, never a fresh one
 		}, nil
 	}
-	// Fast path: the compiled tree answers allow/deny without allocating.
-	// Only an interception pays for the explaining walk — that is the
-	// decision a user actually reads.
-	legal, err := j.memory.Judge(m, ctx)
+	// One compiled walk answers allow/deny and leaves the leaf as the
+	// evidence Explain renders when someone reads the decision.
+	e, leaf, err := judgeLeaf(j.memory, m, ctx)
 	if err != nil {
 		return Decision{}, err
 	}
-	if !legal {
-		_, explanation, err := j.memory.JudgeExplain(m, ctx)
-		if err != nil {
-			return Decision{}, err
-		}
-		return Decision{
-			Allowed:     false,
-			Sensitive:   true,
-			Model:       m,
-			Reason:      j.reasonsFor(in.Op).rejected, //iot:allow hotcall reasons intern once per opcode; steady state is a lock-free map hit
-			Explanation: explanation,
-		}, nil
+	r := j.reasonsFor(in.Op) //iot:allow hotcall reasons intern once per opcode; steady state is a lock-free map hit
+	if e.compiled.Label(leaf) != 1 {
+		return Decision{Sensitive: true, Outcome: OutcomeReject, leaf: leaf, Model: m, Reason: r.rejected, entry: e}, nil
 	}
-	return Decision{
-		Allowed:   true,
-		Sensitive: true,
-		Model:     m,
-		Reason:    j.reasonsFor(in.Op).allowed, //iot:allow hotcall reasons intern once per opcode; steady state is a lock-free map hit
-	}, nil
+	return Decision{Allowed: true, Sensitive: true, leaf: leaf, Model: m, Reason: r.allowed, entry: e}, nil
 }

@@ -118,40 +118,42 @@ func (e *Entry) compile() error {
 // was never stored through the memory's API).
 func (e *Entry) Compiled() *tree.Compiled { return e.compiled }
 
-// JudgeSnapshot runs the entry's compiled tree on a live snapshot: true
-// means the context matches a legal activity scene. This is the shared
-// zero-allocation judge every model store (the single-home FeatureMemory
-// and the fleet's copy-on-write registry) dispatches to: the feature vector
-// comes from the entry's buffer pool, FeaturizeInto fills it in place, and
-// the flattened tree is walked without pointer chasing.
+// judgeLeaf looks up m's entry in store and walks its compiled tree over a
+// live snapshot — the one zero-allocation judge every model store and the
+// Judger share: the feature vector comes from the entry's buffer pool,
+// FeaturizeInto fills it in place, and the flattened tree is walked without
+// pointer chasing.
 //
 //iot:hotpath
-func (e *Entry) JudgeSnapshot(m dataset.Model, ctx sensor.Snapshot) (bool, error) {
+func judgeLeaf(store ModelStore, m dataset.Model, ctx sensor.Snapshot) (*Entry, int32, error) {
+	e, ok := store.Entry(m)
+	if !ok {
+		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
+		return nil, 0, fmt.Errorf("core: no trained model for %s", m)
+	}
 	bufp := e.bufs.Get().(*[]float64)
 	err := m.FeaturizeInto(ctx, *bufp)
 	if err != nil {
 		e.bufs.Put(bufp)
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
-		return false, fmt.Errorf("core: featurize context for %s: %w", m, err)
+		return nil, 0, fmt.Errorf("core: featurize context for %s: %w", m, err)
 	}
-	legal := e.compiled.Predict(*bufp) == 1
+	leaf := e.compiled.Leaf(*bufp)
 	e.bufs.Put(bufp)
-	return legal, nil
+	return e, leaf, nil
 }
 
-// ExplainSnapshot judges a snapshot with the explaining tree and returns
-// the decision path it took — the slow, allocating twin of JudgeSnapshot
-// used when a human will read the verdict.
-func (e *Entry) ExplainSnapshot(m dataset.Model, ctx sensor.Snapshot) (bool, string, error) {
-	x, err := m.Featurize(ctx)
+// JudgeModel runs m's compiled tree from store on a live snapshot: true
+// means the context matches a legal activity scene. It allocates nothing
+// on the steady-state path.
+//
+//iot:hotpath
+func JudgeModel(store ModelStore, m dataset.Model, ctx sensor.Snapshot) (bool, error) {
+	e, leaf, err := judgeLeaf(store, m, ctx)
 	if err != nil {
-		return false, "", fmt.Errorf("core: featurize context for %s: %w", m, err)
+		return false, err
 	}
-	path, err := e.Tree.ExplainString(x)
-	if err != nil {
-		return false, "", err
-	}
-	return e.Tree.Predict(x) == 1, path, nil
+	return e.compiled.Label(leaf) == 1, nil
 }
 
 // FeatureMemory is the command sensor context feature memory (§IV-C): one
@@ -304,29 +306,11 @@ func (fm *FeatureMemory) Models() []dataset.Model {
 }
 
 // Judge runs one model's compiled tree on a live snapshot: true means the
-// context matches a legal activity scene. The steady-state path is
-// allocation-free: the feature vector comes from the entry's buffer pool,
-// FeaturizeInto fills it in place, and the flattened tree is walked without
-// pointer chasing. Use JudgeExplain when the decision path is wanted.
+// context matches a legal activity scene (see JudgeModel).
 //
 //iot:hotpath
 func (fm *FeatureMemory) Judge(m dataset.Model, ctx sensor.Snapshot) (bool, error) {
-	e, ok := fm.Entry(m)
-	if !ok {
-		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
-		return false, fmt.Errorf("core: no trained model for %s", m)
-	}
-	return e.JudgeSnapshot(m, ctx)
-}
-
-// JudgeExplain judges a snapshot and also returns the decision path the
-// tree took — the explanation a user sees for an interception.
-func (fm *FeatureMemory) JudgeExplain(m dataset.Model, ctx sensor.Snapshot) (bool, string, error) {
-	e, ok := fm.Entry(m)
-	if !ok {
-		return false, "", fmt.Errorf("core: no trained model for %s", m)
-	}
-	return e.ExplainSnapshot(m, ctx)
+	return JudgeModel(fm, m, ctx)
 }
 
 // memoryJSON is the persistence envelope.

@@ -362,8 +362,11 @@ func TestFrameworkFailsClosedOnMissingRequiredSource(t *testing.T) {
 	if dec.Allowed || !dec.Sensitive {
 		t.Fatalf("decision = %+v, want sensitive rejection", dec)
 	}
-	if !strings.Contains(dec.Reason, "fail closed") || !strings.Contains(dec.Explanation, "miio") {
-		t.Errorf("reason = %q, explanation = %q", dec.Reason, dec.Explanation)
+	if !strings.Contains(dec.Reason, "fail closed") || !strings.Contains(dec.Explain(), "miio") {
+		t.Errorf("reason = %q, explanation = %q", dec.Reason, dec.Explain())
+	}
+	if dec.Outcome != OutcomeFailClosed || dec.State != ContextMissing {
+		t.Errorf("outcome %d, state %d: want fail closed on a missing source", dec.Outcome, dec.State)
 	}
 	// Non-sensitive instructions still serve on the degraded context.
 	dec, err = f.Authorize(context.Background(), buildInstr(t, "window.get_state", "window-1"))

@@ -57,13 +57,25 @@ const (
 // OutcomeLabels maps each outcome to its metric label value.
 var OutcomeLabels = [OutcomeCount]string{"allow", "reject", "fail_closed", "reject"}
 
-// LogEntry records one authorisation. Seq numbers a pipeline's decisions
-// from 1 in the order they were logged.
+// LogEntry is one retained authorisation, copied out of the ring. Seq
+// numbers a pipeline's decisions from 1 in the order they were logged; At
+// is the judged context's time, zero when the snapshot carried none.
 type LogEntry struct {
-	Seq      uint64   `json:"seq"`
-	Op       string   `json:"op"`
-	DeviceID string   `json:"device_id"`
-	Decision Decision `json:"decision"`
+	Seq      uint64    `json:"seq"`
+	At       time.Time `json:"at"`
+	Op       string    `json:"op"`
+	DeviceID string    `json:"device_id"`
+	Decision Decision  `json:"decision"`
+}
+
+// logSlot is one ring cell: a LogEntry without its Seq, which the ring
+// position implies, and with the context time as Unix nanoseconds (0 for
+// none), so a slot stays 96 B — a fleet holds one ring per home.
+type logSlot struct {
+	op       string
+	deviceID string
+	at       int64
+	dec      Decision
 }
 
 // PipelineConfig wires one decision stage.
@@ -99,21 +111,21 @@ func NewPipeline(cfg PipelineConfig) Pipeline {
 	return Pipeline{
 		judger: cfg.Judger,
 		seq:    cfg.Sequence,
-		log:    decisionLog{buf: make([]LogEntry, cfg.LogCapacity)},
+		log:    decisionLog{buf: make([]logSlot, cfg.LogCapacity)},
 		now:    cfg.Now,
 	}
 }
 
 // Decide judges one instruction against the front end's context. A
 // degraded context fails a sensitive instruction closed with the state's
-// interned reason (why, when set, becomes the Explanation); everything
+// interned reason (why, when non-nil, is what Explain returns); everything
 // else is judged by the tree, and the sequence judge may then revoke an
 // allow — never grant one. Every decision lands in the ring; only judged
 // decisions extend the sequence history.
 //
 //iot:hotpath
 //iot:failclosed
-func (p *Pipeline) Decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why string) (Decision, Outcome, error) {
+func (p *Pipeline) Decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why *string) (Decision, error) {
 	if state.Degraded() && p.judger.detector.IsSensitive(in) {
 		reason := ReasonMissing
 		switch state {
@@ -124,30 +136,26 @@ func (p *Pipeline) Decide(in instr.Instruction, snap sensor.Snapshot, state Cont
 		case ContextLowTrust:
 			reason = ReasonLowTrust
 		}
-		dec := Decision{Allowed: false, Sensitive: true, Reason: reason, Explanation: why}
-		p.log.append(in, dec)
-		return dec, OutcomeFailClosed, nil
+		dec := Decision{Sensitive: true, Outcome: OutcomeFailClosed, State: state, Reason: reason, missing: why}
+		p.log.append(in, snap, dec)
+		return dec, nil
 	}
 	dec, err := p.judger.Judge(in, snap)
 	if err != nil {
-		return Decision{}, OutcomeReject, err
+		return Decision{}, err
 	}
-	out := OutcomeReject
-	if dec.Allowed {
-		out = OutcomeAllow
-	}
+	dec.State = state
 	if p.seq != nil {
 		at := snap.At
 		if at.IsZero() {
 			at = p.now()
 		}
 		if v := p.seq.ObserveJudge(&p.track, dec.Model, dec.Sensitive, dec.Allowed, snap, at); v.Anomalous {
-			dec = Decision{Allowed: false, Sensitive: true, Model: dec.Model, Reason: ReasonSeqAnomaly}
-			out = OutcomeSeqAnomaly
+			dec = Decision{Sensitive: true, Outcome: OutcomeSeqAnomaly, State: state, Model: dec.Model, Reason: ReasonSeqAnomaly}
 		}
 	}
-	p.log.append(in, dec)
-	return dec, out, nil
+	p.log.append(in, snap, dec)
+	return dec, nil
 }
 
 // Log returns a copy of the retained decisions, oldest first.
@@ -161,7 +169,7 @@ func (p *Pipeline) LogRecent(n int) []LogEntry { return p.log.recent(n) }
 // oldest entry.
 type decisionLog struct {
 	mu   sync.Mutex
-	buf  []LogEntry
+	buf  []logSlot
 	next uint64
 
 	// appends/evictions surface the ring to the metrics layer (nil, a
@@ -173,14 +181,18 @@ type decisionLog struct {
 // append records one decision (no-op at zero capacity).
 //
 //iot:hotpath
-func (l *decisionLog) append(in instr.Instruction, dec Decision) {
+func (l *decisionLog) append(in instr.Instruction, snap sensor.Snapshot, dec Decision) {
 	if len(l.buf) == 0 {
 		return
 	}
+	var at int64
+	if !snap.At.IsZero() {
+		at = snap.At.UnixNano()
+	}
 	l.mu.Lock()
 	evicted := l.next >= uint64(len(l.buf))
+	l.buf[l.next%uint64(len(l.buf))] = logSlot{op: in.Op, deviceID: in.DeviceID, at: at, dec: dec}
 	l.next++
-	l.buf[(l.next-1)%uint64(len(l.buf))] = LogEntry{Seq: l.next, Op: in.Op, DeviceID: in.DeviceID, Decision: dec}
 	l.mu.Unlock()
 	l.appends.Inc()
 	if evicted {
@@ -188,18 +200,21 @@ func (l *decisionLog) append(in instr.Instruction, dec Decision) {
 	}
 }
 
-// snapshot copies the retained entries, oldest first.
+// snapshot copies the retained entries out, oldest first, numbering each
+// from its ring position.
 func (l *decisionLog) snapshot() []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := l.next
-	retained := uint64(len(l.buf))
-	if n < retained {
-		retained = n
-	}
+	retained := min(n, uint64(len(l.buf)))
 	out := make([]LogEntry, 0, retained)
 	for j := n - retained; j < n; j++ {
-		out = append(out, l.buf[j%uint64(len(l.buf))])
+		s := &l.buf[j%uint64(len(l.buf))]
+		e := LogEntry{Seq: j + 1, Op: s.op, DeviceID: s.deviceID, Decision: s.dec}
+		if s.at != 0 {
+			e.At = time.Unix(0, s.at).UTC()
+		}
+		out = append(out, e)
 	}
 	return out
 }

@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"iotsid/internal/instr"
+	"iotsid/internal/sensor"
 )
 
 func newDecisionLog(capacity int) *decisionLog {
-	return &decisionLog{buf: make([]LogEntry, capacity)}
+	return &decisionLog{buf: make([]logSlot, capacity)}
 }
 
 // appendFor logs one allowed decision for a device.
 func appendFor(l *decisionLog, device string, op string) {
-	l.append(instr.Instruction{Op: op, DeviceID: device}, Decision{Allowed: true, Reason: op})
+	l.append(instr.Instruction{Op: op, DeviceID: device}, sensor.Snapshot{}, Decision{Allowed: true, Reason: op})
 }
 
 // TestDecisionLogOrdersAcrossShards: entries for many devices (the old

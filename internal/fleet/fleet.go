@@ -432,16 +432,16 @@ func (f *Fleet) Authorize(ctx context.Context, homeID string, in instr.Instructi
 //iot:failclosed
 func (f *Fleet) authorizeHome(ctx context.Context, h *Home, in instr.Instruction) (core.Decision, error) {
 	snap, state := f.homeContext(ctx, h)
-	dec, out, err := h.stage.Decide(in, snap, state, "")
+	dec, err := h.stage.Decide(in, snap, state, nil)
 	if err != nil {
 		return core.Decision{}, err
 	}
 	h.decisions.Add(1)
-	f.metrics.observeDecision(h.shardIdx, out)
-	if c := h.tenant[out]; c != nil {
+	f.metrics.observeDecision(h.shardIdx, dec.Outcome)
+	if c := h.tenant[dec.Outcome]; c != nil {
 		c.Inc()
 	}
-	if out == core.OutcomeSeqAnomaly {
+	if dec.Outcome == core.OutcomeSeqAnomaly {
 		f.seqAnoms.Add(1)
 	}
 	return dec, nil

@@ -166,7 +166,7 @@ func TestFleetPushAuthorize(t *testing.T) {
 	if dec.Allowed {
 		t.Fatalf("attack scene: got %+v, want rejection", dec)
 	}
-	if dec.Explanation == "" {
+	if dec.Explain() == "" {
 		t.Fatal("rejection carries no explanation")
 	}
 
@@ -530,9 +530,6 @@ func TestModelRegistrySwap(t *testing.T) {
 	}
 	if _, err := reg.Judge(dataset.Model("toaster"), sensor.Snapshot{}); err == nil {
 		t.Fatal("Judge on unknown model succeeded")
-	}
-	if _, _, err := reg.JudgeExplain(dataset.Model("toaster"), sensor.Snapshot{}); err == nil {
-		t.Fatal("JudgeExplain on unknown model succeeded")
 	}
 }
 

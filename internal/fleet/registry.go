@@ -110,24 +110,10 @@ func (r *ModelRegistry) Swap(m dataset.Model, e *core.Entry) error {
 	return nil
 }
 
-// Judge implements core.ModelStore on the shared entry — the fleet-wide
-// zero-allocation inference path.
+// Judge runs one device model's shared compiled tree on a live snapshot —
+// the fleet-wide zero-allocation inference path (see core.JudgeModel).
 //
 //iot:hotpath
 func (r *ModelRegistry) Judge(m dataset.Model, ctx sensor.Snapshot) (bool, error) {
-	e, ok := (*r.entries.Load())[m]
-	if !ok {
-		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
-		return false, fmt.Errorf("fleet: no compiled model for %s", m)
-	}
-	return e.JudgeSnapshot(m, ctx)
-}
-
-// JudgeExplain implements core.ModelStore with the explaining walk.
-func (r *ModelRegistry) JudgeExplain(m dataset.Model, ctx sensor.Snapshot) (bool, string, error) {
-	e, ok := (*r.entries.Load())[m]
-	if !ok {
-		return false, "", fmt.Errorf("fleet: no compiled model for %s", m)
-	}
-	return e.ExplainSnapshot(m, ctx)
+	return core.JudgeModel(r, m, ctx)
 }

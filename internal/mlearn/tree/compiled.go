@@ -71,17 +71,19 @@ func (c *Compiled) Width() int { return c.width }
 // NodeCount returns the number of flattened nodes.
 func (c *Compiled) NodeCount() int { return len(c.nodes) }
 
-// Predict labels one example. It allocates nothing and matches
-// Tree.Predict exactly.
+// Leaf walks one example to its leaf and returns the leaf's node index.
+// Nodes are laid out in preorder, so the index is also the leaf's preorder
+// index in the source tree: Tree.ExplainLeaf renders the decision path
+// from it. It allocates nothing.
 //
 //iot:hotpath
-func (c *Compiled) Predict(x []float64) int {
+func (c *Compiled) Leaf(x []float64) int32 {
 	nodes := c.nodes
 	i := int32(0)
 	for {
 		n := &nodes[i]
 		if n.attr == leafMarker {
-			return int(n.label)
+			return i
 		}
 		v := x[n.attr]
 		if n.numeric {
@@ -99,6 +101,15 @@ func (c *Compiled) Predict(x []float64) int {
 		}
 	}
 }
+
+// Label returns the class of the node at index i (a Leaf result).
+func (c *Compiled) Label(i int32) int { return int(c.nodes[i].label) }
+
+// Predict labels one example: the class of its leaf. It allocates nothing
+// and matches Tree.Predict exactly.
+//
+//iot:hotpath
+func (c *Compiled) Predict(x []float64) int { return c.Label(c.Leaf(x)) }
 
 // PredictInto labels a batch into a caller-provided buffer (the
 // allocation-free batch form). out must be at least as long as xs; the

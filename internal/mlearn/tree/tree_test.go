@@ -427,3 +427,36 @@ func TestExplainPath(t *testing.T) {
 		t.Error("want unfitted error")
 	}
 }
+
+// TestExplainLeafMatchesWalk: rendering from the compiled leaf index alone
+// gives exactly the explaining walk's text, and an index that is not a
+// leaf is refused.
+func TestExplainLeafMatchesWalk(t *testing.T) {
+	d := xorish(t, 400, 21)
+	tr := New(Config{})
+	if err := tr.Fit(d); err != nil {
+		t.Fatal(err)
+	}
+	c, err := tr.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range d.X {
+		leaf := c.Leaf(x)
+		if c.Label(leaf) != tr.Predict(x) {
+			t.Fatalf("example %d: leaf %d labels %d, tree predicts %d", i, leaf, c.Label(leaf), tr.Predict(x))
+		}
+		want, _ := tr.ExplainString(x)
+		if got, err := tr.ExplainLeaf(int(leaf)); err != nil || got != want {
+			t.Fatalf("example %d: ExplainLeaf(%d) = %q, %v; want %q", i, leaf, got, err, want)
+		}
+	}
+	for _, bad := range []int{-1, 0, c.NodeCount()} {
+		if _, err := tr.ExplainLeaf(bad); err == nil {
+			t.Errorf("ExplainLeaf(%d) succeeded on a non-leaf index", bad)
+		}
+	}
+	if _, err := New(Config{}).ExplainLeaf(0); err == nil {
+		t.Error("want unfitted error")
+	}
+}

@@ -115,6 +115,28 @@ fleet_digest="$(go run ./cmd/fleetload -homes 500 -steps 2 -seed 1 | awk '$1 == 
 fleet_digest="$(go run ./cmd/fleetload -seed 1 | awk '$1 == "digest" { print $2 }')"
 [ "$fleet_digest" = 284abdb8010ee900 ] || { echo "fleetload smoke: 10k x 5 digest '$fleet_digest', want 284abdb8010ee900" >&2; exit 1; }
 
+# Decision-record gate: iotsidd's -audit export is the framework's decision
+# ring as JSON lines with each explanation rendered from the tree leaf the
+# decision recorded. A seeded 24 h run is deterministic: 45 decisions, 34
+# allowed and 11 rejected, and a tree rejection's explanation ends in the
+# illegal class.
+audit="$(mktemp)"
+go run ./cmd/iotsidd -hours 24 -attack-every 2h -audit "$audit" >/dev/null
+audit_total="$(wc -l <"$audit")"
+audit_allowed="$(grep -c '"allowed":true' "$audit" || true)"
+audit_rejected="$(grep -c '"allowed":false' "$audit" || true)"
+if [ "$audit_total" -ne 45 ] || [ "$audit_allowed" -ne 34 ] || [ "$audit_rejected" -ne 11 ]; then
+    echo "iotsidd audit smoke: $audit_total decisions ($audit_allowed allowed, $audit_rejected rejected), want 45 (34, 11)" >&2
+    rm -f "$audit"
+    exit 1
+fi
+if ! grep '"allowed":false' "$audit" | grep -q 'class 0"}}$'; then
+    echo 'iotsidd audit smoke: no rejected decision explains itself with the illegal class' >&2
+    rm -f "$audit"
+    exit 1
+fi
+rm -f "$audit"
+
 # Sensor-trust gate: the trust engine is lock-free hot-path state observed
 # from every push path — run its suite (property tests included) under the
 # race detector, then the trust wiring in core, fleet and cloud, then the

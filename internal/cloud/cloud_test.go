@@ -321,12 +321,10 @@ func TestLoginLockout(t *testing.T) {
 	now := time.Unix(5000, 0)
 	fwd := &captureForwarder{}
 	srv, err := NewServer(Config{
-		Users:            map[string]string{"alice": "s3cret"},
-		Registry:         instr.BuiltinRegistry(),
-		Forward:          fwd.forward,
-		Now:              func() time.Time { return now },
-		MaxLoginFailures: 3,
-		LockoutWindow:    time.Minute,
+		Users:    map[string]string{"alice": "s3cret"},
+		Registry: instr.BuiltinRegistry(),
+		Forward:  fwd.forward,
+		Now:      func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,8 +335,8 @@ func TestLoginLockout(t *testing.T) {
 		t.Fatal(err)
 	}
 	var apiErr *APIError
-	// Three failures trip the lockout.
-	for i := 0; i < 3; i++ {
+	// maxLoginFailures failures trip the lockout.
+	for i := 0; i < maxLoginFailures; i++ {
 		if err := c.Login("alice", "wrong"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
 			t.Fatalf("failure %d: %v", i, err)
 		}
@@ -347,8 +345,13 @@ func TestLoginLockout(t *testing.T) {
 	if err := c.Login("alice", "s3cret"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("locked login: %v", err)
 	}
-	// After the window the account thaws.
-	now = now.Add(2 * time.Minute)
+	// The lock holds for the whole window...
+	now = now.Add(lockoutWindow - time.Second)
+	if err := c.Login("alice", "s3cret"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("login just inside the window: %v", err)
+	}
+	// ...and after it the account thaws.
+	now = now.Add(2 * time.Second)
 	if err := c.Login("alice", "s3cret"); err != nil {
 		t.Fatalf("post-lockout login: %v", err)
 	}

@@ -102,13 +102,14 @@ type Config struct {
 	Pprof bool
 	// Now stamps history entries; defaults to time.Now.
 	Now func() time.Time
-	// MaxLoginFailures locks an account after this many consecutive bad
-	// logins (default 5).
-	MaxLoginFailures int
-	// LockoutWindow is how long a locked account stays locked (default 5
-	// minutes).
-	LockoutWindow time.Duration
 }
+
+// Brute-force lockout: maxLoginFailures consecutive bad logins lock an
+// account for lockoutWindow.
+const (
+	maxLoginFailures = 5
+	lockoutWindow    = 5 * time.Minute
+)
 
 // Server is a running cloud instance.
 type Server struct {
@@ -142,12 +143,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.MaxLoginFailures <= 0 {
-		cfg.MaxLoginFailures = 5
-	}
-	if cfg.LockoutWindow <= 0 {
-		cfg.LockoutWindow = 5 * time.Minute
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -289,7 +284,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 	// account for the lockout window.
 	s.mu.Lock()
 	if lockedAt, locked := s.lockedAt[req.User]; locked {
-		if s.cfg.Now().Sub(lockedAt) < s.cfg.LockoutWindow {
+		if s.cfg.Now().Sub(lockedAt) < lockoutWindow {
 			s.mu.Unlock()
 			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "account locked: too many failed logins"})
 			return
@@ -304,7 +299,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		if ok { // only known accounts accumulate lockout state
 			s.failures[req.User]++
-			if s.failures[req.User] >= s.cfg.MaxLoginFailures {
+			if s.failures[req.User] >= maxLoginFailures {
 				s.lockedAt[req.User] = s.cfg.Now()
 			}
 		}

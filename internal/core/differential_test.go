@@ -84,11 +84,11 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 	clock := func() time.Time { return now }
 	const freshFor = 30 * time.Second
 
-	fl, err := fleet.New(fleet.Config{Detector: det, Models: models, Shards: 1, Now: clock})
+	fl, err := fleet.New(fleet.Config{Detector: det, Models: models, Shards: 1, FreshFor: freshFor, Now: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fl.AddHome(fleet.HomeConfig{ID: "h", FreshFor: freshFor, Trust: newEngine(), Sequence: set}); err != nil {
+	if _, err := fl.AddHome(fleet.HomeConfig{ID: "h", Trust: newEngine(), Sequence: set}); err != nil {
 		t.Fatal(err)
 	}
 	script := &scriptedCollector{}

@@ -11,7 +11,7 @@ import (
 )
 
 // ContextState is what a front end learned about its sensor context
-// before judging: usable, or degraded in one of four ways. Framework
+// before judging: usable, or degraded in one of three ways. Framework
 // derives it from a pull's provenance, each fleet home from its pushed
 // view; the decision stage turns a degraded state into the same
 // fail-closed decision for both.
@@ -19,11 +19,10 @@ type ContextState uint8
 
 // The context states a front end can report.
 const (
-	ContextOK         ContextState = iota
-	ContextMissing                 // a required source contributed nothing
-	ContextStale                   // the context is beyond its freshness budget
-	ContextPullFailed              // the pull fallback failed and no fresh push exists
-	ContextLowTrust                // a required source sits below its trust threshold
+	ContextOK       ContextState = iota
+	ContextMissing               // a required source contributed nothing
+	ContextStale                 // the context is beyond its freshness budget
+	ContextLowTrust              // a required source sits below its trust threshold
 )
 
 // Degraded reports whether sensitive instructions must fail closed.
@@ -34,7 +33,6 @@ func (s ContextState) Degraded() bool { return s != ContextOK }
 const (
 	ReasonMissing    = "sensitive instruction rejected (fail closed): required sensor source(s) unavailable"
 	ReasonStale      = "sensitive instruction rejected (fail closed): sensor context is beyond its freshness budget"
-	ReasonPullFailed = "sensitive instruction rejected (fail closed): context pull failed and no fresh pushed context"
 	ReasonLowTrust   = "sensitive instruction rejected (fail closed): required sensor source(s) below trust threshold"
 	ReasonSeqAnomaly = "sensitive instruction rejected (fail closed): instruction sequence outside trained temporal profile"
 )
@@ -131,8 +129,6 @@ func (p *Pipeline) Decide(in instr.Instruction, snap sensor.Snapshot, state Cont
 		switch state {
 		case ContextStale:
 			reason = ReasonStale
-		case ContextPullFailed:
-			reason = ReasonPullFailed
 		case ContextLowTrust:
 			reason = ReasonLowTrust
 		}

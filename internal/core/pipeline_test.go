@@ -40,24 +40,27 @@ func TestDecisionLogOrdersAcrossShards(t *testing.T) {
 }
 
 func TestDecisionLogStaysBounded(t *testing.T) {
-	const capacity = 64
-	l := newDecisionLog(capacity)
-	// Overflow the ring many times over.
-	for i := 0; i < 10*capacity; i++ {
-		appendFor(l, "dev-hot", fmt.Sprintf("op-%d", i))
-	}
-	got := l.snapshot()
-	if len(got) != capacity {
-		t.Fatalf("log retained %d entries, want capacity %d", len(got), capacity)
-	}
-	// The retained entries are the newest ones, in order.
-	for i := 1; i < len(got); i++ {
-		if got[i].Seq != got[i-1].Seq+1 {
-			t.Fatalf("retained entries not contiguous: %d then %d", got[i-1].Seq, got[i].Seq)
-		}
-	}
-	if got[len(got)-1].Op != fmt.Sprintf("op-%d", 10*capacity-1) {
-		t.Fatalf("newest retained = %+v", got[len(got)-1])
+	for _, capacity := range []int{1, 64} {
+		t.Run(fmt.Sprintf("capacity_%d", capacity), func(t *testing.T) {
+			l := newDecisionLog(capacity)
+			// Overflow the ring many times over.
+			for i := 0; i < 10*capacity; i++ {
+				appendFor(l, "dev-hot", fmt.Sprintf("op-%d", i))
+			}
+			got := l.snapshot()
+			if len(got) != capacity {
+				t.Fatalf("log retained %d entries, want capacity %d", len(got), capacity)
+			}
+			// The retained entries are the newest ones, in order.
+			for i := 1; i < len(got); i++ {
+				if got[i].Seq != got[i-1].Seq+1 {
+					t.Fatalf("retained entries not contiguous: %d then %d", got[i-1].Seq, got[i].Seq)
+				}
+			}
+			if got[len(got)-1].Op != fmt.Sprintf("op-%d", 10*capacity-1) {
+				t.Fatalf("newest retained = %+v", got[len(got)-1])
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"iotsid/internal/dataset"
 	"iotsid/internal/obs"
@@ -11,16 +12,15 @@ import (
 // TestFleetAuthorizeSteadyStateAllocs is the fleet's perf contract: once a
 // home has pushed fresh context, a per-home Authorize is a shard-map
 // lookup, an atomic view load, the shared registry's pooled judge, a ring
-// append, and counter increments — zero heap allocations, with metrics and
-// the per-tenant series enabled.
+// append, and counter increments — zero heap allocations, with metrics
+// enabled.
 func TestFleetAuthorizeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	f := fleetForTest(t, Config{
-		Shards:             8,
-		Metrics:            obs.NewRegistry(),
-		TenantMetricsLimit: 4,
+		Shards:  8,
+		Metrics: obs.NewRegistry(),
 	})
 	mustAddHome(t, f, HomeConfig{ID: "home-1"})
 	if err := f.PushContext("home-1", legalCtx(t, dataset.ModelWindow)); err != nil {
@@ -76,6 +76,14 @@ func TestFleetFailClosedSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fail-closed fleet Authorize allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestHomeSize pins a home's fixed state at 240 B: a fleet keeps one per
+// tenant, so per-home bytes are what move its setup heap.
+func TestHomeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Home{}); got > 240 {
+		t.Fatalf("Home is %d B, want <= 240", got)
 	}
 }
 

@@ -12,11 +12,14 @@ import (
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 	"iotsid/internal/par"
-	"iotsid/internal/resilience"
 	"iotsid/internal/sensor"
 	"iotsid/internal/seq"
 	"iotsid/internal/trust"
 )
+
+// homeLogCapacity bounds each home's decision ring: the per-tenant audit
+// tail, not the fleet archive.
+const homeLogCapacity = 64
 
 // Config wires a fleet.
 type Config struct {
@@ -30,24 +33,15 @@ type Config struct {
 	// are placed by a jump consistent hash of their ID, so growing the
 	// shard count moves the minimum number of homes.
 	Shards int
-	// HomeLogCapacity bounds each home's ring decision log (default 64
-	// entries — the per-tenant audit tail, not the fleet archive).
-	HomeLogCapacity int
-	// FreshFor is the default per-home context freshness budget: a pushed
-	// snapshot older than this fails sensitive instructions closed. Zero
-	// means pushes never expire (the load generator pushes fresh context
-	// with every sensitive instruction). Overridable per home.
+	// FreshFor is every home's context freshness budget: a pushed snapshot
+	// older than this fails sensitive instructions closed. Zero means
+	// pushes never expire (the load generator pushes fresh context with
+	// every sensitive instruction); negative is an error.
 	FreshFor time.Duration
 	// Metrics, when non-nil, instruments the fleet: decisions by shard and
-	// outcome, context pushes, batch sizes, and (capped) per-tenant
-	// decision counters. Series are pre-registered so the hot path stays
-	// allocation-free.
+	// outcome, context pushes and batch sizes. Series are pre-registered
+	// so the hot path stays allocation-free.
 	Metrics *obs.Registry
-	// TenantMetricsLimit caps how many homes get their own labeled
-	// decision series (registered at AddHome, first come first served).
-	// Zero disables per-tenant series: an unbounded home label would make
-	// the exposition scale with the fleet.
-	TenantMetricsLimit int
 	// Now is the staleness clock; defaults to time.Now. Injectable so
 	// freshness tests are deterministic.
 	Now func() time.Time
@@ -63,12 +57,9 @@ type Fleet struct {
 	metrics *fleetMetrics
 	now     func() time.Time
 
-	logCap     int
-	freshFor   time.Duration
-	tenantCap  int
-	homeCount  atomic.Int64
-	tenantSeen atomic.Int64
-	seqAnoms   atomic.Uint64
+	freshFor  time.Duration
+	homeCount atomic.Int64
+	seqAnoms  atomic.Uint64
 }
 
 // shard owns a disjoint subset of the fleet's homes. The RWMutex guards
@@ -94,11 +85,8 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards < 0 || cfg.Shards > 1<<16 {
 		return nil, fmt.Errorf("fleet: shard count %d outside [1, 65536]", cfg.Shards)
 	}
-	if cfg.HomeLogCapacity == 0 {
-		cfg.HomeLogCapacity = 64
-	}
-	if cfg.HomeLogCapacity < 0 {
-		return nil, fmt.Errorf("fleet: negative home log capacity %d", cfg.HomeLogCapacity)
+	if cfg.FreshFor < 0 {
+		return nil, fmt.Errorf("fleet: negative freshness budget %v", cfg.FreshFor)
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -108,14 +96,12 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		shards:    make([]shard, cfg.Shards),
-		judger:    j,
-		models:    cfg.Models,
-		metrics:   newFleetMetrics(cfg.Metrics, cfg.Shards),
-		now:       cfg.Now,
-		logCap:    cfg.HomeLogCapacity,
-		freshFor:  cfg.FreshFor,
-		tenantCap: cfg.TenantMetricsLimit,
+		shards:   make([]shard, cfg.Shards),
+		judger:   j,
+		models:   cfg.Models,
+		metrics:  newFleetMetrics(cfg.Metrics, cfg.Shards),
+		now:      cfg.Now,
+		freshFor: cfg.FreshFor,
 	}
 	for i := range f.shards {
 		f.shards[i].homes = make(map[string]*Home)
@@ -136,26 +122,13 @@ func (f *Fleet) HomeCount() int { return int(f.homeCount.Load()) }
 type HomeConfig struct {
 	// ID is the tenant key; it selects the shard and must be unique.
 	ID string
-	// Collector, when non-nil, is the pull fallback: if the home's pushed
-	// context is missing or stale, the fleet collects through it (guarded
-	// by Breaker when set) instead of failing closed immediately.
-	Collector core.Collector
-	// Breaker guards Collector against a flapping gateway; optional.
-	Breaker *resilience.Breaker
-	// FreshFor overrides the fleet's default context freshness budget for
-	// this home; zero inherits the fleet default.
-	FreshFor time.Duration
 	// Trust, when non-nil, arms the sensor-trust gate for this home: every
-	// context push is reported into the engine as TrustSource, and while
-	// that source's score sits below the engine's threshold, sensitive
-	// instructions fail closed with an interned reason (one atomic flag
-	// load on the hot path). Engines are per-home — tenants must not share
-	// behavioral baselines.
+	// context push is reported into the engine's one declared source, and
+	// while that source's score sits below the engine's threshold,
+	// sensitive instructions fail closed with an interned reason (one
+	// atomic flag load on the hot path). Engines are per-home — tenants
+	// must not share behavioral baselines.
 	Trust *trust.Engine
-	// TrustSource names the engine source the home's pushes observe as;
-	// empty defaults to the engine's sole source (an error if the engine
-	// declares several).
-	TrustSource string
 	// Sequence, when non-nil, arms the temporal sequence judge for this
 	// home: judged decisions fold into a bounded per-home history ring and
 	// a sensitive instruction must pass both the compiled tree and the
@@ -165,27 +138,22 @@ type HomeConfig struct {
 }
 
 // Home is one tenant's state: the latest pushed sensor context behind an
-// atomic pointer, the optional pull path, and the home's decision stage
-// (sequence history and bounded decision ring). The home is the fleet's
-// context front end; the stage does the judging.
+// atomic pointer and the home's decision stage (sequence history and
+// bounded decision ring). The home is the fleet's context front end; the
+// stage does the judging.
 type Home struct {
-	id        string
-	shardIdx  uint32
-	freshFor  time.Duration
-	view      atomic.Pointer[homeView]
-	stage     core.Pipeline
-	collector core.Collector
-	breaker   *resilience.Breaker
+	id       string
+	shardIdx uint32
+	view     atomic.Pointer[homeView]
+	stage    core.Pipeline
 
-	// trust, when non-nil, scores this home's pushed context; trustIdx is
-	// trustSource's index in the engine, resolved once at AddHome.
+	// trust, when non-nil, scores this home's pushed context as
+	// trustSource, the engine's one source (index 0).
 	trust       *trust.Engine
-	trustIdx    int
 	trustSource string
 
 	pushes    atomic.Uint64
 	decisions atomic.Uint64
-	tenant    [core.OutcomeCount]*obs.Counter // nil cells when not individually instrumented
 }
 
 // homeView is one immutable published context: the snapshot plus the
@@ -210,13 +178,13 @@ func (h *Home) TrustScore() (float64, bool) {
 	if h.trust == nil {
 		return 0, false
 	}
-	return h.trust.ScoreIdx(h.trustIdx), true
+	return h.trust.ScoreIdx(0), true
 }
 
 // LowTrust reports whether the home's context source sits below its trust
 // threshold (always false without an engine).
 func (h *Home) LowTrust() bool {
-	return h.trust != nil && !h.trust.TrustedIdx(h.trustIdx)
+	return h.trust != nil && !h.trust.TrustedIdx(0)
 }
 
 // AddHome registers a tenant and returns its handle.
@@ -224,48 +192,24 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("fleet: home needs an ID")
 	}
-	if cfg.FreshFor == 0 {
-		cfg.FreshFor = f.freshFor
-	}
 	si := f.shardIndex(cfg.ID)
 	h := &Home{
-		id:        cfg.ID,
-		shardIdx:  si,
-		freshFor:  cfg.FreshFor,
-		collector: cfg.Collector,
-		breaker:   cfg.Breaker,
-		stage:     core.NewPipeline(core.PipelineConfig{Judger: f.judger, Sequence: cfg.Sequence, LogCapacity: f.logCap, Now: f.now}),
+		id:       cfg.ID,
+		shardIdx: si,
+		stage:    core.NewPipeline(core.PipelineConfig{Judger: f.judger, Sequence: cfg.Sequence, LogCapacity: homeLogCapacity, Now: f.now}),
 	}
 	if cfg.Trust != nil {
-		src := cfg.TrustSource
-		if src == "" {
-			if cfg.Trust.Len() != 1 {
-				return nil, fmt.Errorf("fleet: home %q: trust engine declares %d sources, name one via TrustSource", cfg.ID, cfg.Trust.Len())
-			}
-			src = cfg.Trust.Sources()[0]
-		}
-		idx, ok := cfg.Trust.Index(src)
-		if !ok {
-			return nil, fmt.Errorf("fleet: home %q: trust engine does not declare source %q", cfg.ID, src)
+		if cfg.Trust.Len() != 1 {
+			return nil, fmt.Errorf("fleet: home %q: trust engine declares %d sources, want 1", cfg.ID, cfg.Trust.Len())
 		}
 		h.trust = cfg.Trust
-		h.trustIdx = idx
-		h.trustSource = src
+		h.trustSource = cfg.Trust.Sources()[0]
 	}
 	s := &f.shards[si]
 	s.mu.Lock()
 	if _, dup := s.homes[cfg.ID]; dup {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("fleet: home %q already registered", cfg.ID)
-	}
-	// Claim a tenant-metrics slot only after the duplicate check — a
-	// rejected registration must not burn one of the capped slots or leave
-	// an orphan labeled series in the registry. Resolving the cells under
-	// the shard lock publishes them before the home is visible to readers.
-	if f.metrics != nil && f.tenantCap > 0 && f.tenantSeen.Load() < int64(f.tenantCap) {
-		if f.tenantSeen.Add(1) <= int64(f.tenantCap) {
-			h.tenant = f.metrics.tenantCells(cfg.ID)
-		}
 	}
 	s.homes[cfg.ID] = h
 	s.mu.Unlock()
@@ -422,25 +366,22 @@ func (f *Fleet) Authorize(ctx context.Context, homeID string, in instr.Instructi
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 		return core.Decision{}, fmt.Errorf("fleet: unknown home %q", homeID)
 	}
-	return f.authorizeHome(ctx, h, in)
+	return f.authorizeHome(h, in)
 }
 
 // authorizeHome judges one instruction on the home's stage and counts the
-// outcome into the shard, tenant and anomaly families.
+// outcome into the shard and anomaly families.
 //
 //iot:hotpath
 //iot:failclosed
-func (f *Fleet) authorizeHome(ctx context.Context, h *Home, in instr.Instruction) (core.Decision, error) {
-	snap, state := f.homeContext(ctx, h)
+func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) (core.Decision, error) {
+	snap, state := f.homeContext(h)
 	dec, err := h.stage.Decide(in, snap, state, nil)
 	if err != nil {
 		return core.Decision{}, err
 	}
 	h.decisions.Add(1)
 	f.metrics.observeDecision(h.shardIdx, dec.Outcome)
-	if c := h.tenant[dec.Outcome]; c != nil {
-		c.Inc()
-	}
 	if dec.Outcome == core.OutcomeSeqAnomaly {
 		f.seqAnoms.Add(1)
 	}
@@ -453,59 +394,27 @@ func (f *Fleet) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
 
 // homeContext is the fleet's context front end: it picks the snapshot the
 // home's stage judges and says how far to believe it. Steady state is the
-// pushed view within its freshness budget. With no view, or a stale one, a
-// wired pull collector is tried (behind the home's breaker); failing
-// that, the last view (if any) is handed over marked missing, stale or
-// pull-failed, so sensitive instructions fail closed and non-sensitive
-// ones are still judged on whatever the home last pushed — the same
+// pushed view within the fleet's freshness budget. With no view, or a
+// stale one, the last view (if any) is handed over marked missing or
+// stale, so sensitive instructions fail closed and non-sensitive ones are
+// still judged on whatever the home last pushed — the same
 // bounded-staleness / fail-closed trade the single-home framework makes.
-// Fresh context — pushed or pulled — from a source below its trust
-// threshold is low trust: a spoofed feed that keeps talking is the one
-// degraded shape freshness budgets cannot see.
+// A fresh push from a source below its trust threshold is low trust: a
+// spoofed feed that keeps talking is the one degraded shape freshness
+// budgets cannot see.
 //
 //iot:hotpath
-func (f *Fleet) homeContext(ctx context.Context, h *Home) (sensor.Snapshot, core.ContextState) {
+func (f *Fleet) homeContext(h *Home) (sensor.Snapshot, core.ContextState) {
 	v := h.view.Load()
-	var snap sensor.Snapshot
-	if v != nil {
-		snap = v.snap
-	}
 	switch {
-	case v != nil && (h.freshFor <= 0 || f.now().Sub(v.at) <= h.freshFor):
-		// Fresh push: judge it, subject to trust below.
-	case h.collector != nil:
-		pulled, err := f.collectPull(ctx, h)
-		if err != nil {
-			return snap, core.ContextPullFailed
-		}
-		snap = pulled
-	case v != nil:
-		return snap, core.ContextStale
-	default:
-		return snap, core.ContextMissing
+	case v == nil:
+		return sensor.Snapshot{}, core.ContextMissing
+	case f.freshFor > 0 && f.now().Sub(v.at) > f.freshFor:
+		return v.snap, core.ContextStale
+	case h.trust != nil && !h.trust.TrustedIdx(0):
+		return v.snap, core.ContextLowTrust
 	}
-	if h.trust != nil && !h.trust.TrustedIdx(h.trustIdx) {
-		return snap, core.ContextLowTrust
-	}
-	return snap, core.ContextOK
-}
-
-// collectPull polls the home's collector, guarded by its breaker.
-func (f *Fleet) collectPull(ctx context.Context, h *Home) (sensor.Snapshot, error) {
-	if h.breaker != nil {
-		if err := h.breaker.Allow(); err != nil {
-			return sensor.Snapshot{}, err
-		}
-	}
-	snap, err := h.collector.Collect(ctx)
-	if h.breaker != nil {
-		h.breaker.Record(err)
-	}
-	if err != nil {
-		return sensor.Snapshot{}, err
-	}
-	f.push(h, snap)
-	return snap, nil
+	return v.snap, core.ContextOK
 }
 
 // BatchItem is one instruction in a fleet batch, optionally carrying the
@@ -568,7 +477,7 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 			if it.Context != nil {
 				f.push(h, *it.Context)
 			}
-			dec, err := f.authorizeHome(ctx, h, it.In)
+			dec, err := f.authorizeHome(h, it.In)
 			if err != nil {
 				out[idx] = BatchResult{Err: err.Error()}
 				continue

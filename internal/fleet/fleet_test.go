@@ -13,7 +13,6 @@ import (
 	"iotsid/internal/dataset"
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
-	"iotsid/internal/resilience"
 	"iotsid/internal/sensor"
 )
 
@@ -118,7 +117,7 @@ func TestNewFleetValidation(t *testing.T) {
 		{"nil models", Config{Detector: det}, "needs a model registry"},
 		{"negative shards", Config{Detector: det, Models: reg, Shards: -3}, "shard count"},
 		{"huge shards", Config{Detector: det, Models: reg, Shards: 1 << 17}, "shard count"},
-		{"negative log cap", Config{Detector: det, Models: reg, HomeLogCapacity: -1}, "log capacity"},
+		{"negative fresh for", Config{Detector: det, Models: reg, FreshFor: -time.Second}, "negative freshness budget"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,26 +239,6 @@ func TestFleetFailClosedStaleContext(t *testing.T) {
 	}
 }
 
-func TestFleetHomeFreshnessOverride(t *testing.T) {
-	now := time.Unix(1000, 0)
-	f := fleetForTest(t, Config{
-		FreshFor: time.Minute,
-		Now:      func() time.Time { return now },
-	})
-	mustAddHome(t, f, HomeConfig{ID: "patient", FreshFor: time.Hour})
-	if err := f.PushContext("patient", legalCtx(t, dataset.ModelWindow)); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(30 * time.Minute)
-	dec, err := f.Authorize(context.Background(), "patient", buildInstr(t, "window.open", "w"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Allowed {
-		t.Fatalf("per-home FreshFor override ignored: %+v", dec)
-	}
-}
-
 func TestFleetUnknownHome(t *testing.T) {
 	f := fleetForTest(t, Config{})
 	if _, err := f.Authorize(context.Background(), "ghost", buildInstr(t, "window.open", "w")); err == nil {
@@ -326,123 +305,33 @@ func TestFleetHomeIDsSortedAcrossShards(t *testing.T) {
 }
 
 func TestFleetHomeLogRing(t *testing.T) {
-	f := fleetForTest(t, Config{HomeLogCapacity: 4})
+	const n = homeLogCapacity + 6
+	f := fleetForTest(t, Config{})
 	h := mustAddHome(t, f, HomeConfig{ID: "h"})
 	if err := f.PushContext("h", legalCtx(t, dataset.ModelWindow)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		if _, err := f.Authorize(context.Background(), "h", buildInstr(t, "window.open", fmt.Sprintf("w-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	log := h.Log()
-	if len(log) != 4 {
-		t.Fatalf("ring log retained %d entries, want 4", len(log))
+	if len(log) != homeLogCapacity {
+		t.Fatalf("ring log retained %d entries, want %d", len(log), homeLogCapacity)
 	}
-	if log[0].Seq != 7 || log[3].Seq != 10 {
-		t.Fatalf("ring log kept seqs %d..%d, want 7..10", log[0].Seq, log[3].Seq)
+	if first, last := log[0].Seq, log[len(log)-1].Seq; first != 7 || last != n {
+		t.Fatalf("ring log kept seqs %d..%d, want 7..%d", first, last, n)
 	}
-	if log[3].DeviceID != "w-9" {
-		t.Fatalf("newest entry device = %q, want w-9", log[3].DeviceID)
+	if got, want := log[len(log)-1].DeviceID, fmt.Sprintf("w-%d", n-1); got != want {
+		t.Fatalf("newest entry device = %q, want %s", got, want)
 	}
 	recent := h.LogRecent(2)
-	if len(recent) != 2 || recent[1].Seq != 10 {
+	if len(recent) != 2 || recent[1].Seq != n {
 		t.Fatalf("LogRecent(2) = %+v, want newest two", recent)
 	}
 	if got := h.LogRecent(-1); len(got) != 0 {
 		t.Fatalf("LogRecent(-1) = %+v, want empty", got)
-	}
-}
-
-func TestFleetLogCapacityOne(t *testing.T) {
-	f := fleetForTest(t, Config{HomeLogCapacity: 1})
-	h := mustAddHome(t, f, HomeConfig{ID: "h"})
-	if err := f.PushContext("h", legalCtx(t, dataset.ModelWindow)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Authorize(context.Background(), "h", buildInstr(t, "window.open", "w")); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Log(); len(got) != 1 {
-		t.Fatalf("capacity-1 log retained %d, want 1", len(got))
-	}
-}
-
-func TestFleetPullCollectorFallback(t *testing.T) {
-	f := fleetForTest(t, Config{})
-	calls := 0
-	coll := core.CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) {
-		calls++
-		return legalCtx(t, dataset.ModelWindow), nil
-	})
-	mustAddHome(t, f, HomeConfig{ID: "pull", Collector: coll})
-	dec, err := f.Authorize(context.Background(), "pull", buildInstr(t, "window.open", "w"))
-	if err != nil {
-		t.Fatalf("Authorize: %v", err)
-	}
-	if !dec.Allowed || calls != 1 {
-		t.Fatalf("pull fallback: dec=%+v calls=%d, want allow after 1 pull", dec, calls)
-	}
-	// The pulled snapshot is now the home's published view: the next
-	// authorize must not pull again.
-	if _, err := f.Authorize(context.Background(), "pull", buildInstr(t, "window.open", "w")); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("second authorize pulled again (calls=%d), want cached view", calls)
-	}
-}
-
-func TestFleetPullCollectorFailure(t *testing.T) {
-	f := fleetForTest(t, Config{})
-	boom := errors.New("gateway down")
-	coll := core.CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) {
-		return sensor.Snapshot{}, boom
-	})
-	h := mustAddHome(t, f, HomeConfig{ID: "down", Collector: coll})
-	// A failed pull is the same epistemic state as no context: a sensitive
-	// instruction gets the uniform fail-closed decision (not an error), so
-	// degraded traffic lands in the ring log like any other rejection.
-	dec, err := f.Authorize(context.Background(), "down", buildInstr(t, "window.open", "w"))
-	if err != nil {
-		t.Fatalf("Authorize: %v", err)
-	}
-	if dec.Allowed || !dec.Sensitive || dec.Reason != core.ReasonPullFailed {
-		t.Fatalf("sensitive with failing collector = %+v, want pull-failure fail-closed rejection", dec)
-	}
-	if got := h.Log(); len(got) != 1 || got[0].Decision.Reason != core.ReasonPullFailed {
-		t.Fatalf("ring log after degraded rejection = %+v, want the fail-closed decision recorded", got)
-	}
-	// Non-sensitive traffic survives the dead gateway.
-	dec, err = f.Authorize(context.Background(), "down", buildInstr(t, "light.get_state", "l"))
-	if err != nil || !dec.Allowed {
-		t.Fatalf("non-sensitive with failing collector = %+v, %v; want allow", dec, err)
-	}
-}
-
-func TestFleetPullCollectorBreaker(t *testing.T) {
-	f := fleetForTest(t, Config{})
-	boom := errors.New("gateway down")
-	calls := 0
-	coll := core.CollectorFunc(func(ctx context.Context) (sensor.Snapshot, error) {
-		calls++
-		return sensor.Snapshot{}, boom
-	})
-	br := resilience.NewBreaker(resilience.BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Hour})
-	mustAddHome(t, f, HomeConfig{ID: "flap", Collector: coll, Breaker: br})
-	open := buildInstr(t, "window.open", "w")
-	for i := 0; i < 5; i++ {
-		dec, err := f.Authorize(context.Background(), "flap", open)
-		if err != nil {
-			t.Fatalf("Authorize %d: %v", i, err)
-		}
-		if dec.Allowed || dec.Reason != core.ReasonPullFailed {
-			t.Fatalf("Authorize %d with dead collector = %+v, want fail-closed rejection", i, dec)
-		}
-	}
-	if calls != 2 {
-		t.Fatalf("collector called %d times behind tripped breaker, want 2", calls)
 	}
 }
 
@@ -536,12 +425,11 @@ func TestModelRegistrySwap(t *testing.T) {
 func TestFleetMetrics(t *testing.T) {
 	mreg := obs.NewRegistry()
 	f := fleetForTest(t, Config{
-		Shards:             2,
-		Metrics:            mreg,
-		TenantMetricsLimit: 1,
+		Shards:  2,
+		Metrics: mreg,
 	})
 	mustAddHome(t, f, HomeConfig{ID: "first"})
-	mustAddHome(t, f, HomeConfig{ID: "second"}) // past the tenant cap
+	mustAddHome(t, f, HomeConfig{ID: "second"})
 	if err := f.PushContext("first", legalCtx(t, dataset.ModelWindow)); err != nil {
 		t.Fatal(err)
 	}
@@ -568,33 +456,13 @@ func TestFleetMetrics(t *testing.T) {
 		metricPushes + " 2", // one explicit push + one batch-carried push
 		metricBatches + " 1",
 		metricBatchItems + " 1",
-		`home="first"`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q:\n%s", want, text)
 		}
 	}
-	if strings.Contains(text, `home="second"`) {
-		t.Error("tenant cap leaked a series for the second home")
-	}
 	if !strings.Contains(text, `outcome="allow"`) || !strings.Contains(text, `outcome="fail_closed"`) {
 		t.Errorf("decision outcomes not labeled:\n%s", text)
-	}
-}
-
-// TestFleetDuplicateAddHomeKeepsTenantSlot pins AddHome's ordering: a
-// registration rejected as a duplicate must not consume one of the capped
-// per-tenant metric slots or register labeled series.
-func TestFleetDuplicateAddHomeKeepsTenantSlot(t *testing.T) {
-	mreg := obs.NewRegistry()
-	f := fleetForTest(t, Config{Metrics: mreg, TenantMetricsLimit: 2})
-	mustAddHome(t, f, HomeConfig{ID: "first"})
-	if _, err := f.AddHome(HomeConfig{ID: "first"}); err == nil {
-		t.Fatal("duplicate AddHome succeeded")
-	}
-	h := mustAddHome(t, f, HomeConfig{ID: "second"})
-	if h.tenant[core.OutcomeAllow] == nil {
-		t.Fatal("second home got no tenant cells: the rejected duplicate burned a capped slot")
 	}
 }
 

@@ -9,18 +9,15 @@ import (
 
 // Metric names the fleet layer owns. Label cardinality follows the repo's
 // pre-registration rule: the shard label is bounded by the configured shard
-// count, and the per-tenant family is capped by Config.TenantMetricsLimit —
-// an unbounded home-ID label would make the exposition scale with the
-// fleet, so tenant series are an explicit opt-in, registered at AddHome
-// time (never on the hot path).
+// count, and no family carries a home label — one would make the
+// exposition scale with the fleet.
 const (
-	metricHomes         = "iotsid_fleet_homes"
-	metricPushes        = "iotsid_fleet_context_pushes_total"
-	metricDecisions     = "iotsid_fleet_decisions_total"
-	metricBatches       = "iotsid_fleet_batches_total"
-	metricBatchItems    = "iotsid_fleet_batch_items_total"
-	metricTenantDecided = "iotsid_fleet_tenant_decisions_total"
-	metricSeqAnomalies  = "iotsid_fleet_seq_anomalies_total"
+	metricHomes        = "iotsid_fleet_homes"
+	metricPushes       = "iotsid_fleet_context_pushes_total"
+	metricDecisions    = "iotsid_fleet_decisions_total"
+	metricBatches      = "iotsid_fleet_batches_total"
+	metricBatchItems   = "iotsid_fleet_batch_items_total"
+	metricSeqAnomalies = "iotsid_fleet_seq_anomalies_total"
 )
 
 // fleetMetrics holds the fleet's pre-registered series: one
@@ -33,7 +30,6 @@ type fleetMetrics struct {
 	decisions    [][core.OutcomeCount]*obs.Counter // [shard][outcome]
 	batches      *obs.Counter
 	batchItems   *obs.Counter
-	tenants      *obs.CounterVec
 	seqAnomalies *obs.Counter
 }
 
@@ -51,9 +47,6 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 			"Fleet AuthorizeBatch invocations."),
 		batchItems: reg.NewCounter(metricBatchItems,
 			"Instructions carried by fleet AuthorizeBatch invocations."),
-		tenants: reg.NewCounterVec(metricTenantDecided,
-			"Authorization decisions by home and outcome (registered for the first TenantMetricsLimit homes only — the label is capped, not fleet-wide).",
-			"home", "outcome"),
 		seqAnomalies: reg.NewCounter(metricSeqAnomalies,
 			"Sensitive instructions rejected fleet-wide by the sequence judge after the static tree allowed them."),
 	}
@@ -68,19 +61,6 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 		}
 	}
 	return m
-}
-
-// tenantCells pre-resolves one home's (outcome) counter cells; called at
-// AddHome time for the first TenantMetricsLimit homes.
-func (m *fleetMetrics) tenantCells(home string) [core.OutcomeCount]*obs.Counter {
-	var cells [core.OutcomeCount]*obs.Counter
-	if m == nil {
-		return cells
-	}
-	for o, name := range core.OutcomeLabels {
-		cells[o] = m.tenants.With(home, name)
-	}
-	return cells
 }
 
 // observeDecision counts one judged decision on its shard row.

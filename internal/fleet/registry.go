@@ -3,8 +3,7 @@
 // smart homes. Three properties drive the design.
 //
 // Sharded per-home state: every home's mutable state (its pushed sensor
-// context, its ring decision log, its optional pull collector and breaker)
-// lives in exactly one shard, selected by a jump consistent hash of the
+// context and its ring decision log) lives in exactly one shard, selected by a jump consistent hash of the
 // home ID. Cross-home traffic therefore never contends on one mutex, and
 // the steady-state authorization path holds no lock at all beyond the
 // shard's read lock for the home lookup.

@@ -115,6 +115,14 @@ fleet_digest="$(go run ./cmd/fleetload -homes 500 -steps 2 -seed 1 | awk '$1 == 
 fleet_digest="$(go run ./cmd/fleetload -seed 1 | awk '$1 == "digest" { print $2 }')"
 [ "$fleet_digest" = 284abdb8010ee900 ] || { echo "fleetload smoke: 10k x 5 digest '$fleet_digest', want 284abdb8010ee900" >&2; exit 1; }
 
+# Bench-module gate: bench/ is its own module, so the root vet and test
+# runs never enter it. Build and test it here so a fleet or cloud API
+# change that breaks the benchmark fails now, not at benchmark time. Its
+# suite pins the workload digests (TestGoldenDigests) and the HTTP-vs-
+# replay agreement (TestHTTPMatchesTracedReplay).
+go -C bench vet ./...
+go -C bench test -count=1 ./...
+
 # Decision-record gate: iotsidd's -audit export is the framework's decision
 # ring as JSON lines with each explanation rendered from the tree leaf the
 # decision recorded. A seeded 24 h run is deterministic: 45 decisions, 34

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -368,5 +369,60 @@ func TestLoginLockout(t *testing.T) {
 		if err := c.Login("ghost", "x"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
 			t.Fatalf("ghost login %d: %v", i, err)
 		}
+	}
+}
+
+// TestSessionsBoundedPerAccount: an account keeps at most maxSessions live
+// sessions; the next login ends the oldest and leaves the rest working.
+func TestSessionsBoundedPerAccount(t *testing.T) {
+	srv, _ := startCloud(t, nil)
+	clients := make([]*Client, maxSessions+1)
+	for i := range clients {
+		clients[i] = login(t, srv, "alice", "s3cret")
+	}
+	var apiErr *APIError
+	if _, err := clients[0].Devices(); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("oldest session after %d logins: %v, want 401", len(clients), err)
+	}
+	for i, c := range clients[1:] {
+		if _, err := c.Devices(); err != nil {
+			t.Fatalf("session %d of %d: %v", i+2, len(clients), err)
+		}
+	}
+}
+
+// TestSmallBodiesBounded: /v1/login and /v1/command read at most
+// maxFleetItemBytes of body. A well-formed request padded past it gets 413
+// and reaches neither the session table nor the forwarder.
+func TestSmallBodiesBounded(t *testing.T) {
+	srv, fwd := startCloud(t, nil)
+	c := login(t, srv, "alice", "s3cret")
+	pad := strings.Repeat("x", 2*maxFleetItemBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/login", `{"user":"alice","secret":"s3cret","pad":"` + pad + `"}`},
+		{"/v1/command", `{"op":"light.on","device_id":"light-1","args":{"pad":"` + pad + `"}}`},
+	} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL()+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Session "+c.session)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", tc.path, len(tc.body), resp.StatusCode)
+		}
+	}
+	if n := fwd.count(); n != 0 {
+		t.Fatalf("forwarder saw %d instructions from oversized bodies", n)
+	}
+	srv.mu.Lock()
+	n := len(srv.sessions)
+	srv.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d live sessions, want only the one from the plain login", n)
 	}
 }

@@ -110,8 +110,13 @@ func decodeFleetBody(w http.ResponseWriter, r *http.Request, limit int64, unmars
 			return false
 		}
 	}
-	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", limit)})
+	writeTooLarge(w, limit)
 	return false
+}
+
+// writeTooLarge answers 413 for a body over limit bytes.
+func writeTooLarge(w http.ResponseWriter, limit int64) {
+	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", limit)})
 }
 
 func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
@@ -160,7 +165,7 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 		items = append(items, fleet.BatchItem{Home: it.Home, In: in, Context: it.Context})
 		idxs = append(idxs, i)
 	}
-	out, err := s.cfg.Fleet.AuthorizeBatch(r.Context(), items, s.cfg.FleetWorkers)
+	out, err := s.cfg.Fleet.AuthorizeBatch(r.Context(), items, 0)
 	if err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return

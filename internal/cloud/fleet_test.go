@@ -199,9 +199,9 @@ func TestFleetContextAndStatsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FleetStats: %v", err)
 	}
-	if stats.Homes != fl.HomeCount() || stats.Shards != fl.ShardCount() || len(stats.Models) != fl.Registry().Len() {
+	if stats.Homes != fl.HomeCount() || stats.Shards != fl.ShardCount() || len(stats.Models) != len(fl.Registry().Models()) {
 		t.Fatalf("stats = %d homes / %d shards / %d models, want %d/%d/%d",
-			stats.Homes, stats.Shards, len(stats.Models), fl.HomeCount(), fl.ShardCount(), fl.Registry().Len())
+			stats.Homes, stats.Shards, len(stats.Models), fl.HomeCount(), fl.ShardCount(), len(fl.Registry().Models()))
 	}
 	if stats.LowTrustHomes != 0 {
 		t.Fatalf("stats.LowTrustHomes = %d, want 0 on a trust-less fleet", stats.LowTrustHomes)

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,9 +75,6 @@ type Config struct {
 	// bound to the session's account via BindHome — the tenant analogue
 	// of the device-ownership check in /v1/command.
 	Fleet *fleet.Fleet
-	// FleetWorkers bounds the per-request shard fan-out of
-	// /v1/fleet/authorize; 0 means GOMAXPROCS.
-	FleetWorkers int
 	// ContextTimeout bounds each command's authorization, context
 	// collection included (default 10s) — a hung gateway turns into a
 	// 503, not a wedged handler.
@@ -96,10 +92,6 @@ type Config struct {
 	// Metrics, when non-nil, is served as Prometheus text at GET /metrics
 	// (unauthenticated, like /healthz).
 	Metrics *obs.Registry
-	// Pprof mounts net/http/pprof's profiling handlers under /debug/pprof/.
-	// The endpoints expose stack traces and heap contents — enable only on
-	// operator-facing listeners.
-	Pprof bool
 	// Now stamps history entries; defaults to time.Now.
 	Now func() time.Time
 }
@@ -111,6 +103,11 @@ const (
 	lockoutWindow    = 5 * time.Minute
 )
 
+// maxSessions bounds the live sessions per account: a login past it ends
+// the account's oldest session, so no account can grow server memory one
+// login at a time.
+const maxSessions = 16
+
 // Server is a running cloud instance.
 type Server struct {
 	cfg  Config
@@ -119,9 +116,10 @@ type Server struct {
 	wg   sync.WaitGroup
 
 	mu       sync.Mutex
-	sessions map[string]string // session token → user
-	devices  map[string]string // device ID → owning user
-	homes    map[string]string // fleet home ID → owning account
+	sessions map[string]string   // session token → user
+	logins   map[string][]string // user → live session tokens, oldest first
+	devices  map[string]string   // device ID → owning user
+	homes    map[string]string   // fleet home ID → owning account
 	history  []HistoryEntry
 	failures map[string]int       // user → consecutive failed logins
 	lockedAt map[string]time.Time // user → lockout start
@@ -155,6 +153,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		ln:       ln,
 		sessions: make(map[string]string),
+		logins:   make(map[string][]string),
 		devices:  make(map[string]string),
 		homes:    make(map[string]string),
 		failures: make(map[string]int),
@@ -173,13 +172,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Metrics != nil {
 		mux.Handle("/metrics", cfg.Metrics.Handler())
-	}
-	if cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	s.wg.Add(1)
@@ -261,6 +253,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// decodeJSONBody decodes the first JSON value of a login or command body
+// into v. The body is bounded like one fleet item: reading past
+// maxFleetItemBytes answers 413, any other decode failure 400. It reports
+// whether the body was decoded.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFleetItemBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeTooLarge(w, maxFleetItemBytes)
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	}
+	return false
+}
+
 type loginRequest struct {
 	User   string `json:"user"`
 	Secret string `json:"secret"`
@@ -276,8 +286,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loginRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	if !decodeJSONBody(w, r, &req) {
 		return
 	}
 	// Brute-force lockout: too many consecutive failures freeze the
@@ -316,6 +325,12 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	tokens := s.logins[req.User]
+	if len(tokens) == maxSessions {
+		delete(s.sessions, tokens[0])
+		tokens = tokens[:copy(tokens, tokens[1:])]
+	}
+	s.logins[req.User] = append(tokens, token)
 	s.sessions[token] = req.User
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, loginResponse{Session: token})
@@ -389,8 +404,7 @@ func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req commandRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON body"})
+	if !decodeJSONBody(w, r, &req) {
 		return
 	}
 	// Verification step 1: the opcode must exist.

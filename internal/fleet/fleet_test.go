@@ -380,11 +380,8 @@ func TestFleetSharedModelRegistry(t *testing.T) {
 	}
 	// The registry holds exactly one compiled tree per device model no
 	// matter how many homes share it.
-	if got, want := f.Registry().Len(), len(fm.Models()); got != want {
+	if got, want := len(f.Registry().Models()), len(fm.Models()); got != want {
 		t.Fatalf("registry holds %d models for 500 homes, want %d", got, want)
-	}
-	if got := len(f.Registry().Models()); got != f.Registry().Len() {
-		t.Fatalf("Models() lists %d, Len() says %d", got, f.Registry().Len())
 	}
 	for _, m := range fm.Models() {
 		memEntry, ok := fm.Entry(m)

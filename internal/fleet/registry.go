@@ -70,12 +70,6 @@ func (r *ModelRegistry) Entry(m dataset.Model) (*core.Entry, bool) {
 	return e, ok
 }
 
-// Len reports how many device models the registry holds — by construction
-// independent of how many homes share it.
-func (r *ModelRegistry) Len() int {
-	return len(*r.entries.Load())
-}
-
 // Models lists the held device models in Table VI order.
 func (r *ModelRegistry) Models() []dataset.Model {
 	cur := *r.entries.Load()

@@ -101,25 +101,48 @@ go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeResponse$' -fuzztime 10s ./
 # Fleet gate: the multi-tenant layer is sharded concurrent state shared by
 # every tenant — run its whole suite (concurrent push/authorize hammer,
 # shard-rebalance and worker-count determinism, COW registry swaps) and the
-# cloud fleet endpoints focused under the race detector, then smoke the
-# closed-loop load generator end to end: two seeded runs (500 homes × 2
-# steps, and the default 10k homes × 5 steps) must reproduce their pinned
-# decision-stream digests. The framework-vs-fleet differential (one seeded
-# stream through both front ends of the shared decision stage, decision for
-# decision) lives in internal/core and runs here too.
+# cloud fleet endpoints focused under the race detector. The
+# framework-vs-fleet differential (one seeded stream through both front
+# ends of the shared decision stage, decision for decision) lives in
+# internal/core and runs here too. Then drive the real server end to end
+# over HTTP with the benchmark's two pinned shapes (bench/, seed 1, about
+# 600k decisions each). A run exits non-zero when any of its correctness
+# checks fails; its last line must also read "correct":true and its digest
+# must match by value. under_attack is the end-to-end trust and sequence
+# check as well: all 1021 spoofed homes must land low-trust with zero
+# unsafe allows, and the sequence judge must block all 912 chained homes
+# with zero unsafe chain allows and zero false blocks. The generator's
+# closed-loop digests (284abdb8010ee900, d9b585056f18c11b) are pinned by
+# the bench suite's TestGoldenDigests in the bench-module gate below.
 go test -race -count=1 ./internal/fleet/
 go test -race -count=1 -run 'Differential' ./internal/core/
 go test -race -count=1 -run 'Fleet' ./internal/cloud/
-fleet_digest="$(go run ./cmd/fleetload -homes 500 -steps 2 -seed 1 | awk '$1 == "digest" { print $2 }')"
-[ "$fleet_digest" = d9b585056f18c11b ] || { echo "fleetload smoke: 500x2 digest '$fleet_digest', want d9b585056f18c11b" >&2; exit 1; }
-fleet_digest="$(go run ./cmd/fleetload -seed 1 | awk '$1 == "digest" { print $2 }')"
-[ "$fleet_digest" = 284abdb8010ee900 ] || { echo "fleetload smoke: 10k x 5 digest '$fleet_digest', want 284abdb8010ee900" >&2; exit 1; }
+bench_out="$(mktemp)"
+for shape in bulk_mixed:bdf5ab08a3dcad28 under_attack:9c9f8d454fb61683; do
+    workload="${shape%%:*}" digest="${shape#*:}"
+    go -C bench run . -workload "$workload" -seed 1 >"$bench_out" ||
+        { cat "$bench_out"; echo "bench $workload: a correctness check failed" >&2; exit 1; }
+    tail -n 1 "$bench_out" | grep -q '^{"correct":true,' ||
+        { echo "bench $workload: last line does not read \"correct\":true" >&2; exit 1; }
+    grep -q "^workload $workload .* digest $digest\$" "$bench_out" ||
+        { echo "bench $workload: digest is not $digest" >&2; exit 1; }
+done
+# bench_out now holds the under_attack run.
+for want in '1021 low-trust of 1021 spoofed' '0 sensitive allows for spoofed homes' \
+    '912 blocked, 0 allowed, 912 chained homes' '0 benign chained events rejected'; do
+    grep -q "check ok .* $want\$" "$bench_out" ||
+        { echo "bench under_attack: no passing check '$want'" >&2; exit 1; }
+done
+rm -f "$bench_out"
 
 # Bench-module gate: bench/ is its own module, so the root vet and test
 # runs never enter it. Build and test it here so a fleet or cloud API
 # change that breaks the benchmark fails now, not at benchmark time. Its
-# suite pins the workload digests (TestGoldenDigests) and the HTTP-vs-
-# replay agreement (TestHTTPMatchesTracedReplay).
+# suite pins the closed-loop generator digests, among them
+# 284abdb8010ee900 (10k homes × 5 steps) and d9b585056f18c11b (500 × 2),
+# in TestGoldenDigests, and the HTTP-vs-replay agreement in
+# TestHTTPMatchesTracedReplay. The workload digests are checked by the
+# pinned runs in the fleet gate above.
 go -C bench vet ./...
 go -C bench test -count=1 ./...
 
@@ -150,16 +173,14 @@ rm -f "$audit"
 # race detector, then the trust wiring in core, fleet and cloud, then the
 # spoofing campaign (replay / slow-drift / stuck-at / spike must all land
 # zero unsafe allows). The fuzz smokes guard the invariant evaluator and
-# the Observe scoring path against hostile snapshots; the fleetload spoof
-# smoke proves the fail-closed contract end to end over HTTP (the command
-# itself errors on any unsafe allow).
+# the Observe scoring path against hostile snapshots. The fail-closed
+# contract end to end over HTTP is the fleet gate's under_attack bench run
+# (1021 spoofed homes, all low-trust, zero unsafe allows).
 go test -race -count=1 ./internal/trust/
 go test -race -count=1 -run 'Trust' ./internal/core/ ./internal/fleet/ ./internal/cloud/
 go test -count=1 -run 'Spoof' ./internal/eval/
 go test -count=1 -run '^$' -fuzz '^FuzzInvariants$' -fuzztime 10s ./internal/trust/
 go test -count=1 -run '^$' -fuzz '^FuzzObserve$' -fuzztime 10s ./internal/trust/
-spoof_smoke="$(go run ./cmd/fleetload -homes 200 -steps 2 -workers 2 -batch 64 -seed 1 -spoof 0.2)"
-echo "$spoof_smoke" | grep -q 'unsafe allows *0' || { echo 'fleetload spoof smoke: unsafe allows not zero' >&2; exit 1; }
 
 # Sequence gate: the temporal axis judges instruction/state history through
 # a per-home tracker mutated on every decision — run its package and the
@@ -167,15 +188,13 @@ echo "$spoof_smoke" | grep -q 'unsafe allows *0' || { echo 'fleetload spoof smok
 # then the sequence campaign (tree-only must allow the temporal attacks,
 # tree+sequence must block them all at 100% clean availability). The fuzz
 # smoke hardens ObserveJudge against hostile scenes (NaN hours, zero and
-# backwards timestamps, unknown models); the fleetload chain smoke proves
-# the same-tick chain fails closed end to end over HTTP (the command itself
-# errors on any unsafe chain allow).
+# backwards timestamps, unknown models). The same-tick chain failing closed
+# end to end over HTTP is the fleet gate's under_attack bench run (912
+# chained homes, all blocked, zero unsafe chain allows, zero false blocks).
 go test -race -count=1 ./internal/seq/
 go test -race -count=1 -run 'Seq' ./internal/core/ ./internal/fleet/ ./internal/cloud/
 go test -count=1 -run 'SeqCampaign' ./internal/eval/
 go test -count=1 -run '^$' -fuzz '^FuzzSequenceObserve$' -fuzztime 10s ./internal/seq/
-chain_smoke="$(go run ./cmd/fleetload -homes 200 -steps 3 -workers 2 -batch 64 -seed 1 -chain 0.2)"
-echo "$chain_smoke" | grep -q 'unsafe chain allows *0' || { echo 'fleetload chain smoke: unsafe chain allows not zero' >&2; exit 1; }
 
 # Coverage gate: no package may fall below its recorded floor
 # (coverage_floors.txt; internal/obs carries a hard 90% minimum). The race

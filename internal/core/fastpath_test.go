@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -188,10 +189,32 @@ func TestJudgeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRingSlotSize pins a decision-ring slot at 96 B: a fleet keeps one
+// TestRingSlotSize pins a decision-ring slot at 24 B: a fleet keeps one
 // ring per home, so every byte here is multiplied by homes × capacity.
 func TestRingSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(logSlot{}); got > 96 {
-		t.Errorf("ring slot is %d B, want at most 96", got)
+	if got := unsafe.Sizeof(logSlot{}); got > 24 {
+		t.Errorf("ring slot is %d B, want at most 24", got)
 	}
+}
+
+// TestRingSlotHasNoPointers walks the slot type: a pointer-free slot lets
+// the runtime allocate each ring noscan and lets the strings a request
+// decoded die with the request.
+func TestRingSlotHasNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s: a ring slot must hold no pointers", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("logSlot", reflect.TypeOf(logSlot{}))
 }

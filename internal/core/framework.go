@@ -40,7 +40,8 @@ type Config struct {
 	Collector Collector
 	Memory    *FeatureMemory
 	// LogCapacity bounds the decision log's ring buffer; 0 means the
-	// default (4096 entries). The log retains the newest entries.
+	// default (4096 entries), and above MaxLogCapacity is an error. The
+	// log retains the newest entries.
 	LogCapacity int
 	// Metrics, when non-nil, instruments the framework: decision counts by
 	// outcome and sensitivity, Authorize latency, and decision-log
@@ -78,6 +79,9 @@ func New(cfg Config) (*Framework, error) {
 	if cfg.LogCapacity <= 0 {
 		cfg.LogCapacity = defaultLogCapacity
 	}
+	if cfg.LogCapacity > MaxLogCapacity {
+		return nil, fmt.Errorf("core: log capacity %d above %d", cfg.LogCapacity, MaxLogCapacity)
+	}
 	f := &Framework{
 		detector:  cfg.Detector,
 		collector: cfg.Collector,
@@ -87,10 +91,12 @@ func New(cfg Config) (*Framework, error) {
 		now:       cfg.Now,
 	}
 	if cfg.Metrics != nil {
-		f.stage.log.appends = cfg.Metrics.NewCounter(metricLogAppends,
-			"Entries appended to the authorization decision log.")
-		f.stage.log.evictions = cfg.Metrics.NewCounter(metricLogEvictions,
-			"Oldest entries overwritten (dropped) by the decision log's bounded ring.")
+		f.stage.log.metrics = &logMetrics{
+			appends: cfg.Metrics.NewCounter(metricLogAppends,
+				"Entries appended to the authorization decision log."),
+			evictions: cfg.Metrics.NewCounter(metricLogEvictions,
+				"Oldest entries overwritten (dropped) by the decision log's bounded ring."),
+		}
 	}
 	return f, nil
 }
@@ -224,10 +230,6 @@ func (f *Framework) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
 // log is a bounded ring: once more decisions have been made than the
 // configured capacity, only the newest survive.
 func (f *Framework) Log() []LogEntry { return f.stage.Log() }
-
-// LogRecent returns the newest n retained entries, oldest first — the
-// cheap way to peek at recent traffic without copying the whole ring.
-func (f *Framework) LogRecent(n int) []LogEntry { return f.stage.LogRecent(n) }
 
 // Gate adapts the framework to the vendor bridges' gate signature: a
 // non-nil error blocks execution.

@@ -130,10 +130,7 @@ func TestFrameworkLogBoundedAndRecent(t *testing.T) {
 	if log[len(log)-1].Seq != 1000 {
 		t.Errorf("newest seq = %d, want 1000", log[len(log)-1].Seq)
 	}
-	recent := f.LogRecent(3)
-	if len(recent) != 3 {
-		t.Fatalf("LogRecent(3) = %d", len(recent))
-	}
+	recent := log[len(log)-3:]
 	if recent[2].Seq != 1000 || recent[0].Seq != 998 {
 		t.Errorf("recent window = [%d..%d]", recent[0].Seq, recent[2].Seq)
 	}
@@ -145,6 +142,9 @@ func TestFrameworkValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Collector: staticCollector{}}); err == nil {
 		t.Error("want judger construction error")
+	}
+	if _, err := New(Config{Detector: detectorForTest(t), Collector: staticCollector{}, Memory: memoryForTest(t), LogCapacity: MaxLogCapacity + 1}); err == nil {
+		t.Error("want log capacity error")
 	}
 }
 

@@ -2,11 +2,17 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"iotsid/internal/dataset"
+	"iotsid/internal/instr"
 	"iotsid/internal/obs"
+	"iotsid/internal/sensor"
 )
 
 // TestFleetAuthorizeSteadyStateAllocs is the fleet's perf contract: once a
@@ -85,6 +91,88 @@ func TestHomeSize(t *testing.T) {
 	if got := unsafe.Sizeof(Home{}); got > 240 {
 		t.Fatalf("Home is %d B, want <= 240", got)
 	}
+}
+
+// TestFleetSteadyStateHeapPerHome bounds what a home costs once its ring
+// has wrapped: the home, its pipeline, its last pushed view and a full
+// ring of decisions over the load generator's op/device mix, each op and
+// device string allocated per request as the wire decoder allocates it.
+func TestFleetSteadyStateHeapPerHome(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const homes = 2000
+	mix := []struct {
+		op, device string
+		model      dataset.Model
+	}{
+		{"window.open", "win-1", dataset.ModelWindow},
+		{"aircon.on", "ac-1", dataset.ModelAircon},
+		{"light.on", "lamp-1", dataset.ModelLight},
+		{"curtain.open", "cur-1", dataset.ModelCurtain},
+		{"tv.on", "tv-1", dataset.ModelTV},
+		{"cooker.start", "rc-1", dataset.ModelKitchen},
+		{"light.get_state", "lamp-1", ""},
+	}
+	scenes := make(map[dataset.Model]sensor.Snapshot)
+	for _, m := range dataset.Models() {
+		scenes[m] = legalCtx(t, m)
+	}
+	reg := instr.BuiltinRegistry()
+	ids := make([]string, homes)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("home-%06d", i)
+	}
+	f := fleetForTest(t, Config{})
+	rng := rand.New(rand.NewSource(1))
+	items := make([]BatchItem, 0, 256)
+	flush := func() {
+		if _, err := f.AuthorizeBatch(context.Background(), items, 1); err != nil {
+			t.Fatal(err)
+		}
+		clear(items)
+		items = items[:0]
+	}
+
+	runtime.GC()
+	before := heapAlloc()
+	for _, id := range ids {
+		mustAddHome(t, f, HomeConfig{ID: id})
+	}
+	for step := 0; step < homeLogCapacity+8; step++ {
+		for _, id := range ids {
+			s := mix[len(mix)-1] // 30 % status reads, 70 % sensitive
+			if rng.Float64() < 0.7 {
+				s = mix[rng.Intn(len(mix)-1)]
+			}
+			in, err := reg.Build(strings.Clone(s.op), strings.Clone(s.device), instr.OriginUser, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := BatchItem{Home: id, In: in}
+			if s.model != "" {
+				snap := scenes[s.model].Clone()
+				it.Context = &snap
+			}
+			if items = append(items, it); len(items) == cap(items) {
+				flush()
+			}
+		}
+	}
+	flush()
+	runtime.GC()
+	perHome := (heapAlloc() - before) / homes
+	runtime.KeepAlive(f)
+	t.Logf("%.0f B live heap per home", perHome)
+	if perHome > 3500 {
+		t.Fatalf("a home with a full ring holds %.0f B of live heap, want <= 3500", perHome)
+	}
+}
+
+func heapAlloc() float64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
 }
 
 // BenchmarkFleetAuthorize measures the steady-state per-home hot path.

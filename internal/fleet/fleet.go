@@ -163,10 +163,20 @@ type homeView struct {
 	at   time.Time
 }
 
+// eventAt is the view's event time: the snapshot's own time, or the
+// receive stamp for an unstamped push.
+func (v *homeView) eventAt() time.Time {
+	if v.snap.At.IsZero() {
+		return v.at
+	}
+	return v.snap.At
+}
+
 // ID returns the home's tenant key.
 func (h *Home) ID() string { return h.id }
 
-// Pushes reports how many context pushes the home has accepted.
+// Pushes reports how many context pushes the home has accepted; a dropped
+// out-of-order push is not counted.
 func (h *Home) Pushes() uint64 { return h.pushes.Load() }
 
 // Decisions reports how many instructions the home has had judged.
@@ -319,7 +329,9 @@ func jumpHash(key uint64, buckets int) uint32 {
 // PushContext publishes a home's latest sensor context. This is the
 // event-driven write path: one immutable view behind an atomic pointer,
 // stamped with the fleet clock so freshness budgets difference receive
-// times, not device times.
+// times, not device times. A push whose event time is behind the current
+// view's is dropped and counted, not stored; like epoch.Store.Push, that
+// is not an error.
 func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 	h, ok := f.Home(id)
 	if !ok {
@@ -329,23 +341,39 @@ func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 	return nil
 }
 
-// push stores the view on a known home handle.
+// push stores the view on a known home handle. A push's event time is its
+// snapshot's time, or its receive time when the snapshot carries none; a
+// push strictly behind the current view's event time is dropped and
+// counted, as epoch.Store drops an out-of-order delta, before its view is
+// allocated. The trust engine still sees a dropped push, so a replay
+// keeps costing its source trust.
 //
 //iot:hotpath
 func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 	now := f.now()
+	at := snap.At
+	if at.IsZero() {
+		at = now
+	}
 	if h.trust != nil {
 		// Score on the device's event time when it carries one (the
-		// behavioral fingerprint cares about the sensor's own timeline);
-		// fall back to receive time for unstamped pushes.
-		at := snap.At
-		if at.IsZero() {
-			at = now
-		}
+		// behavioral fingerprint cares about the sensor's own timeline).
 		h.trust.Observe(h.trustSource, snap, at) //iot:allow hotcall per-push trust scoring holds a lock by design; the authorize fast path never calls it
 	}
-	v := &homeView{snap: snap, at: now}
-	h.view.Store(v)
+	var v *homeView
+	for {
+		cur := h.view.Load()
+		if cur != nil && at.Before(cur.eventAt()) {
+			f.metrics.observeDrop()
+			return
+		}
+		if v == nil {
+			v = &homeView{snap: snap, at: now}
+		}
+		if h.view.CompareAndSwap(cur, v) {
+			break
+		}
+	}
 	h.pushes.Add(1)
 	f.metrics.observePush()
 }
@@ -475,7 +503,7 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 				continue
 			}
 			if it.Context != nil {
-				f.push(h, *it.Context)
+				f.push(h, *it.Context) // a dropped push leaves the newer view to judge on
 			}
 			dec, err := f.authorizeHome(h, it.In)
 			if err != nil {
@@ -494,6 +522,3 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 
 // Log returns a copy of the home's retained decisions, oldest first.
 func (h *Home) Log() []core.LogEntry { return h.stage.Log() }
-
-// LogRecent returns the newest n retained decisions, oldest first.
-func (h *Home) LogRecent(n int) []core.LogEntry { return h.stage.LogRecent(n) }

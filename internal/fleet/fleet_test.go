@@ -14,6 +14,7 @@ import (
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
+	"iotsid/internal/trust"
 )
 
 // trainedMemory caches one trained memory across the test binary.
@@ -326,12 +327,8 @@ func TestFleetHomeLogRing(t *testing.T) {
 	if got, want := log[len(log)-1].DeviceID, fmt.Sprintf("w-%d", n-1); got != want {
 		t.Fatalf("newest entry device = %q, want %s", got, want)
 	}
-	recent := h.LogRecent(2)
-	if len(recent) != 2 || recent[1].Seq != n {
-		t.Fatalf("LogRecent(2) = %+v, want newest two", recent)
-	}
-	if got := h.LogRecent(-1); len(got) != 0 {
-		t.Fatalf("LogRecent(-1) = %+v, want empty", got)
+	if tail := log[len(log)-2:]; tail[0].Seq != n-1 || tail[1].Seq != n {
+		t.Fatalf("log tail = %+v, want the newest two", tail)
 	}
 }
 
@@ -496,5 +493,79 @@ func TestJumpHashProperties(t *testing.T) {
 	}
 	if moved > 16000/17*3 {
 		t.Fatalf("%d of 16000 keys moved when shards grew 16→17, want ~%d", moved, 16000/17)
+	}
+}
+
+// TestFleetDropsOutOfOrderPush: a push whose event time is behind the
+// home's view — reordered by two gateway connections, or replayed — is
+// dropped and counted, and a sensitive instruction is judged on the newer
+// view, whether the old push came alone or inline with a batch item.
+func TestFleetDropsOutOfOrderPush(t *testing.T) {
+	mreg := obs.NewRegistry()
+	f := fleetForTest(t, Config{Metrics: mreg})
+	h := mustAddHome(t, f, HomeConfig{ID: "h"})
+	newer, older := legalCtx(t, dataset.ModelWindow), attackCtx(t, dataset.ModelWindow)
+	t1 := time.Date(2021, 4, 1, 12, 0, 0, 0, time.UTC)
+	older.At, newer.At = t1, t1.Add(time.Minute)
+	for _, snap := range []sensor.Snapshot{newer, older} {
+		if err := f.PushContext("h", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := buildInstr(t, "window.open", "w")
+	dec, err := f.Authorize(context.Background(), "h", open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Allowed {
+		t.Fatalf("judged on the older push: %+v", dec)
+	}
+	res, err := f.AuthorizeBatch(context.Background(), []BatchItem{{Home: "h", In: open, Context: &older}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res[0].Decision.Allowed {
+		t.Fatalf("batch item judged on its dropped inline push: %+v", res[0])
+	}
+	// A push at the view's own event time is not behind it.
+	if err := f.PushContext("h", newer); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Pushes(); got != 2 {
+		t.Fatalf("home accepted %d pushes, want 2", got)
+	}
+	var buf strings.Builder
+	if err := mreg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := metricPushDrops + " 2"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics exposition missing %q:\n%s", want, buf.String())
+	}
+}
+
+// TestFleetDroppedPushStillScoresTrust: a replayed push is dropped from the
+// view but still reaches the trust engine, so replaying context keeps
+// costing the source trust.
+func TestFleetDroppedPushStillScoresTrust(t *testing.T) {
+	f := fleetForTest(t, Config{})
+	eng, err := trust.NewEngine(trust.Config{}, trust.SourceConfig{Name: "push", Required: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mustAddHome(t, f, HomeConfig{ID: "h", Trust: eng})
+	snap := legalCtx(t, dataset.ModelWindow)
+	t0 := snap.At
+	for k := 0; k < 3; k++ {
+		snap.At = t0.Add(-time.Duration(k) * 5 * time.Second)
+		if err := f.PushContext("h", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.Pushes() != 1 {
+		t.Fatalf("home accepted %d pushes, want 1", h.Pushes())
+	}
+	if !h.LowTrust() {
+		score, _ := h.TrustScore()
+		t.Fatalf("replayed pushes left trust at %.2f, want below threshold", score)
 	}
 }

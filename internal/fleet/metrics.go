@@ -14,6 +14,7 @@ import (
 const (
 	metricHomes        = "iotsid_fleet_homes"
 	metricPushes       = "iotsid_fleet_context_pushes_total"
+	metricPushDrops    = "iotsid_fleet_context_pushes_dropped_total"
 	metricDecisions    = "iotsid_fleet_decisions_total"
 	metricBatches      = "iotsid_fleet_batches_total"
 	metricBatchItems   = "iotsid_fleet_batch_items_total"
@@ -27,6 +28,7 @@ const (
 type fleetMetrics struct {
 	homes        *obs.Gauge
 	pushes       *obs.Counter
+	pushDrops    *obs.Counter
 	decisions    [][core.OutcomeCount]*obs.Counter // [shard][outcome]
 	batches      *obs.Counter
 	batchItems   *obs.Counter
@@ -43,6 +45,8 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 			"Homes currently registered with the fleet."),
 		pushes: reg.NewCounter(metricPushes,
 			"Per-home sensor context pushes accepted by the fleet."),
+		pushDrops: reg.NewCounter(metricPushDrops,
+			"Per-home sensor context pushes dropped because their event time was behind the home's current context."),
 		batches: reg.NewCounter(metricBatches,
 			"Fleet AuthorizeBatch invocations."),
 		batchItems: reg.NewCounter(metricBatchItems,
@@ -84,6 +88,16 @@ func (m *fleetMetrics) observePush() {
 		return
 	}
 	m.pushes.Inc()
+}
+
+// observeDrop counts one out-of-order push dropped.
+//
+//iot:hotpath
+func (m *fleetMetrics) observeDrop() {
+	if m == nil {
+		return
+	}
+	m.pushDrops.Inc()
 }
 
 // observeBatch counts one batch and its item load.

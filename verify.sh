@@ -126,6 +126,13 @@ for shape in bulk_mixed:bdf5ab08a3dcad28 under_attack:9c9f8d454fb61683; do
         { echo "bench $workload: last line does not read \"correct\":true" >&2; exit 1; }
     grep -q "^workload $workload .* digest $digest\$" "$bench_out" ||
         { echo "bench $workload: digest is not $digest" >&2; exit 1; }
+    if [ "$workload" = bulk_mixed ]; then
+        # The compact decision ring: 10k homes set up in at most 30 MB of
+        # live heap (65.7 MB with the 96 B slots it replaced).
+        heap_mb="$(tail -n 1 "$bench_out" | sed -n 's/.*"setup_heap_mb":{"value":\([0-9.e+-]*\).*/\1/p')"
+        awk -v mb="$heap_mb" 'BEGIN { exit !(mb != "" && mb + 0 <= 30) }' ||
+            { echo "bench bulk_mixed: setup_heap_mb is '$heap_mb', want at most 30" >&2; exit 1; }
+    fi
 done
 # bench_out now holds the under_attack run.
 for want in '1021 low-trust of 1021 spoofed' '0 sensitive allows for spoofed homes' \
@@ -149,8 +156,8 @@ go -C bench test -count=1 ./...
 # Decision-record gate: iotsidd's -audit export is the framework's decision
 # ring as JSON lines with each explanation rendered from the tree leaf the
 # decision recorded. A seeded 24 h run is deterministic: 45 decisions, 34
-# allowed and 11 rejected, and a tree rejection's explanation ends in the
-# illegal class.
+# allowed and 11 rejected, a tree rejection's explanation ends in the
+# illegal class, and the export is pinned byte for byte by its sha256.
 audit="$(mktemp)"
 go run ./cmd/iotsidd -hours 24 -attack-every 2h -audit "$audit" >/dev/null
 audit_total="$(wc -l <"$audit")"
@@ -163,6 +170,12 @@ if [ "$audit_total" -ne 45 ] || [ "$audit_allowed" -ne 34 ] || [ "$audit_rejecte
 fi
 if ! grep '"allowed":false' "$audit" | grep -q 'class 0"}}$'; then
     echo 'iotsidd audit smoke: no rejected decision explains itself with the illegal class' >&2
+    rm -f "$audit"
+    exit 1
+fi
+audit_sha="$(sha256sum "$audit" | cut -d' ' -f1)"
+if [ "$audit_sha" != 4afc95d0921b4c3422cf45c1a5a4eedcb4e9ae2dc274d9999de605891db9f26f ]; then
+    echo "iotsidd audit smoke: export sha256 is $audit_sha, want 4afc95d0921b4c3422cf45c1a5a4eedcb4e9ae2dc274d9999de605891db9f26f" >&2
     rm -f "$audit"
     exit 1
 fi

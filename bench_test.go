@@ -429,39 +429,6 @@ func BenchmarkEpochCollectDetailed(b *testing.B) {
 	}
 }
 
-// BenchmarkAuthorizeBatch measures the collect-once batch path against the
-// same instruction mix.
-func BenchmarkAuthorizeBatch(b *testing.B) {
-	s := sharedSuite(b)
-	h, err := home.NewStandard(home.EnvConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	det, err := core.DefaultDetector()
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := core.New(core.Config{Detector: det, Collector: &core.SimCollector{Env: h.Env()}, Memory: s.Memory})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ins := make([]instr.Instruction, 16)
-	for i := range ins {
-		in, err := instr.BuiltinRegistry().Build("window.open", fmt.Sprintf("window-%d", i+1), instr.OriginUser, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ins[i] = in
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.AuthorizeBatch(context.Background(), ins); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- §VI system-overhead experiment ---
 
 // BenchmarkOverheadJudge measures the bare determiner: featurize + tree

@@ -4,13 +4,3 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{CowPub, CtxRule, ErrCheck, FailClosed, HotAlloc, HotCall, MetricReg, NoDeterm, SleepBan}
 }
-
-// ByName resolves one analyzer, or nil when unknown.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

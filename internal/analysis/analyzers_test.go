@@ -65,15 +65,9 @@ func TestAllStableOrder(t *testing.T) {
 		}
 	}
 	for _, a := range all {
-		if ByName(a.Name) != a {
-			t.Fatalf("ByName(%q) did not resolve", a.Name)
-		}
 		if a.Doc == "" {
 			t.Fatalf("analyzer %s has no doc", a.Name)
 		}
-	}
-	if ByName("nope") != nil {
-		t.Fatal("ByName(nope) should be nil")
 	}
 }
 

@@ -44,7 +44,6 @@ type Engine struct {
 	firedHold map[string]bool
 	exec      Executor
 	intercept Interceptor
-	events    []Event
 }
 
 // NewEngine builds an engine dispatching through exec. The interceptor is
@@ -100,15 +99,6 @@ func (e *Engine) AddRuleText(name, src string) error {
 	return e.AddRule(r)
 }
 
-// Rules returns a copy of the registered rules.
-func (e *Engine) Rules() []Rule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Rule, len(e.rules))
-	copy(out, e.rules)
-	return out
-}
-
 // Evaluate runs every rule against the snapshot and dispatches triggers:
 // plain rules fire on the rising edge of their condition; FOR rules fire
 // once their condition has held continuously for the dwell, once per
@@ -125,7 +115,6 @@ func (e *Engine) Evaluate(snap sensor.Snapshot) []Event {
 			ev := Event{Rule: r.Name, Op: r.Action.Op, DeviceID: r.Action.DeviceID,
 				Err: err.Error(), At: snap.At}
 			fired = append(fired, ev)
-			e.events = append(e.events, ev)
 			continue
 		}
 		was := e.lastState[r.Name]
@@ -141,7 +130,6 @@ func (e *Engine) Evaluate(snap sensor.Snapshot) []Event {
 			}
 			ev := e.dispatchLocked(r, snap)
 			fired = append(fired, ev)
-			e.events = append(e.events, ev)
 			continue
 		}
 		// Dwell rule: start (or continue) the hold timer.
@@ -159,7 +147,6 @@ func (e *Engine) Evaluate(snap sensor.Snapshot) []Event {
 		e.firedHold[r.Name] = true
 		ev := e.dispatchLocked(r, snap)
 		fired = append(fired, ev)
-		e.events = append(e.events, ev)
 	}
 	return fired
 }
@@ -193,15 +180,6 @@ func (e *Engine) dispatchLocked(r Rule, snap sensor.Snapshot) Event {
 		}
 	}
 	return ev
-}
-
-// Events returns a copy of the full event log.
-func (e *Engine) Events() []Event {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Event, len(e.events))
-	copy(out, e.events)
-	return out
 }
 
 // ResetEdges clears the edge-detection and dwell state so every currently-

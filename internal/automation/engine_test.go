@@ -48,9 +48,6 @@ func TestEngineRisingEdgeSemantics(t *testing.T) {
 	if len(executed) != 2 {
 		t.Errorf("executed %v, want 2 dispatches", executed)
 	}
-	if got := len(e.Events()); got != 2 {
-		t.Errorf("event log len = %d", got)
-	}
 }
 
 func TestEngineInterceptorBlocks(t *testing.T) {
@@ -149,7 +146,7 @@ func TestAddRuleValidation(t *testing.T) {
 	if err := e.AddRule(good); err == nil {
 		t.Error("want error for duplicate name")
 	}
-	if got := len(e.Rules()); got != 1 {
+	if got := len(e.rules); got != 1 {
 		t.Errorf("rules = %d", got)
 	}
 }
@@ -173,11 +170,11 @@ slow vent: WHEN smoke == TRUE FOR 2m THEN window.open @ window-1
 	if err != nil {
 		t.Fatalf("LoadRules: %v", err)
 	}
-	if n != 2 || len(e.Rules()) != 2 {
-		t.Fatalf("added = %d, rules = %d", n, len(e.Rules()))
+	if n != 2 || len(e.rules) != 2 {
+		t.Fatalf("added = %d, rules = %d", n, len(e.rules))
 	}
-	if e.Rules()[1].Dwell != 2*time.Minute {
-		t.Errorf("dwell = %v", e.Rules()[1].Dwell)
+	if e.rules[1].Dwell != 2*time.Minute {
+		t.Errorf("dwell = %v", e.rules[1].Dwell)
 	}
 }
 

@@ -109,8 +109,8 @@ func (st *parseState) parseDuration() (time.Duration, error) {
 	return d, nil
 }
 
-// ParseExpr parses a bare condition expression (used by tests and by the
-// camera-warning linkage configuration).
+// ParseExpr parses a bare condition expression, the entry point of the
+// parser's expression tests and fuzz target.
 func (p *Parser) ParseExpr(src string) (Expr, error) {
 	toks, err := lex(src)
 	if err != nil {

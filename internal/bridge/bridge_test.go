@@ -200,7 +200,7 @@ func TestSTStatesRoundTrip(t *testing.T) {
 		t.Fatalf("States: %v", err)
 	}
 	// All sensor entities plus the 10 device entities.
-	if len(entities) < len(STEntityIDs())+10 {
+	if len(entities) < len(stEntities)+10 {
 		t.Fatalf("entities = %d", len(entities))
 	}
 	snap, err := STDecodeStates(entities)
@@ -240,12 +240,6 @@ func TestSTSingleStateAndFeatureLookup(t *testing.T) {
 	}
 	if e.State != "off" {
 		t.Errorf("smoke = %q", e.State)
-	}
-	if f, ok := STFeatureFor("binary_sensor.smoke"); !ok || f != sensor.FeatSmoke {
-		t.Errorf("STFeatureFor = %v, %v", f, ok)
-	}
-	if _, ok := STFeatureFor("sensor.nope"); ok {
-		t.Error("unexpected feature hit")
 	}
 }
 

@@ -2,7 +2,6 @@ package bridge
 
 import (
 	"fmt"
-	"time"
 
 	"iotsid/internal/home"
 	"iotsid/internal/miio"
@@ -60,75 +59,4 @@ func (p *EventPump) Tick() (int, error) {
 	}
 	p.prev.At = snap.At
 	return pushed, nil
-}
-
-// Heartbeat pushes the environment's full property state as one multi-
-// property report on the heartbeat command — the gateway's periodic
-// keep-alive that lets a freshly subscribed listener (or an epoch store
-// recovering from drops) resynchronise without waiting for every sensor to
-// change. On success the diff baseline is re-established at the reported
-// state.
-func (p *EventPump) Heartbeat() (int, error) {
-	snap := p.env.Snapshot()
-	data := make(map[string]any, len(xiaomiProps))
-	count := 0
-	for _, prop := range xiaomiProps {
-		cur, ok := snap.Get(prop.feature)
-		if !ok {
-			continue
-		}
-		data[prop.name] = prop.encode(cur)
-		count++
-	}
-	if count == 0 {
-		return 0, nil
-	}
-	if err := p.dev.Heartbeat("lumi.gateway.v3", "gateway", data); err != nil {
-		return 0, fmt.Errorf("bridge: heartbeat: %w", err)
-	}
-	p.prev = snap
-	p.primed = true
-	return count, nil
-}
-
-// DecodeReport converts one developer-mode report back into a canonical
-// (feature, value) pair — the listener-side half of the codec. Reports for
-// unknown properties return ok=false.
-func DecodeReport(r miio.Report, raw map[string]any) (sensor.Feature, sensor.Value, bool, error) {
-	for _, prop := range xiaomiProps {
-		v, present := raw[prop.name]
-		if !present {
-			continue
-		}
-		val, err := prop.decode(v)
-		if err != nil {
-			return "", sensor.Value{}, false, fmt.Errorf("bridge: report %s: %w", prop.name, err)
-		}
-		return prop.feature, val, true, nil
-	}
-	return "", sensor.Value{}, false, nil
-}
-
-// DecodeReportAll decodes every known property in a (possibly multi-
-// property, e.g. heartbeat) report payload into a snapshot stamped at.
-// Unknown fields are skipped, n counts the decoded properties, and the
-// first known property with a broken value aborts the whole decode — a
-// partially applied report would leave the context internally
-// inconsistent.
-func DecodeReportAll(raw map[string]any, at time.Time) (sensor.Snapshot, int, error) {
-	snap := sensor.NewSnapshot(at)
-	n := 0
-	for _, prop := range xiaomiProps {
-		v, present := raw[prop.name]
-		if !present {
-			continue
-		}
-		val, err := prop.decode(v)
-		if err != nil {
-			return sensor.Snapshot{}, 0, fmt.Errorf("bridge: report %s: %w", prop.name, err)
-		}
-		snap.Set(prop.feature, val)
-		n++
-	}
-	return snap, n, nil
 }

@@ -55,14 +55,11 @@ func TestEventPumpPushesChanges(t *testing.T) {
 			if err := json.Unmarshal(r.Data, &raw); err != nil {
 				t.Fatalf("report data: %v", err)
 			}
-			feat, val, known, err := DecodeReport(r, raw)
+			snap, err := XiaomiNormalizer().Normalize(raw, time.Time{})
 			if err != nil {
-				t.Fatalf("DecodeReport: %v", err)
+				t.Fatalf("Normalize: %v", err)
 			}
-			if !known {
-				continue
-			}
-			if feat == sensor.FeatSmoke {
+			if val, ok := snap.Get(sensor.FeatSmoke); ok {
 				if b, _ := val.Bool(); !b {
 					t.Fatalf("smoke report decoded to %v", val)
 				}
@@ -101,18 +98,6 @@ func TestEventPumpQuiescentNoReports(t *testing.T) {
 func TestEventPumpValidation(t *testing.T) {
 	if _, err := NewEventPump(nil, nil); err == nil {
 		t.Error("want validation error")
-	}
-}
-
-func TestDecodeReportUnknownProp(t *testing.T) {
-	_, _, known, err := DecodeReport(miio.Report{}, map[string]any{"mystery": 1})
-	if err != nil || known {
-		t.Errorf("unknown prop: known=%v err=%v", known, err)
-	}
-	// Known prop with a broken value errors.
-	_, _, _, err = DecodeReport(miio.Report{}, map[string]any{"alarm": "maybe"})
-	if err == nil {
-		t.Error("want decode error")
 	}
 }
 

@@ -77,25 +77,6 @@ var stEntities = []stEntity{
 	{id: "sensor.power_draw", feature: sensor.FeatPowerDraw, encode: stNumber, decode: stDecodeNumber},
 }
 
-// STEntityIDs lists every sensor entity the bridge serves.
-func STEntityIDs() []string {
-	out := make([]string, len(stEntities))
-	for i, e := range stEntities {
-		out[i] = e.id
-	}
-	return out
-}
-
-// STFeatureFor resolves the canonical feature of an entity ID.
-func STFeatureFor(entityID string) (sensor.Feature, bool) {
-	for _, e := range stEntities {
-		if e.id == entityID {
-			return e.feature, true
-		}
-	}
-	return "", false
-}
-
 // STDecodeStates folds a set of bridge entities into a canonical snapshot —
 // the collector-side half of the codec.
 func STDecodeStates(entities []smartthings.Entity) (sensor.Snapshot, error) {

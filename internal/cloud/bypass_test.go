@@ -99,7 +99,7 @@ func TestCommandTrustBypass(t *testing.T) {
 	if fwd.count() != 0 {
 		t.Fatal("window.open forwarded on a collapsed trust engine")
 	}
-	hist := srv.History()
+	hist := serverHistory(srv)
 	if len(hist) != 1 || hist[0].Detail != "ids: "+core.ReasonLowTrust {
 		t.Fatalf("history = %+v, want one low-trust rejection", hist)
 	}

@@ -57,7 +57,15 @@ func startCloud(t *testing.T, authorize func(context.Context, instr.Instruction)
 	return srv, fwd
 }
 
-func login(t *testing.T, srv *Server, user, secret string) *Client {
+// serverHistory copies the server's retained command log, every account's
+// submissions, oldest first.
+func serverHistory(s *Server) []HistoryEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]HistoryEntry(nil), s.retained()...)
+}
+
+func login(t testing.TB, srv *Server, user, secret string) *Client {
 	t.Helper()
 	c, err := NewClient(srv.URL())
 	if err != nil {
@@ -276,8 +284,8 @@ func TestHistoryIsolatedPerUser(t *testing.T) {
 		t.Errorf("bob sees alice's history: %+v", bobHist)
 	}
 	// Server-side full history has it.
-	if len(srv.History()) != 1 {
-		t.Errorf("server history = %+v", srv.History())
+	if len(serverHistory(srv)) != 1 {
+		t.Errorf("server history = %+v", serverHistory(srv))
 	}
 }
 
@@ -298,7 +306,7 @@ func TestHistoryBounded(t *testing.T) {
 		}
 		_ = c.Command(op, dev, nil)
 	}
-	hist := srv.History()
+	hist := serverHistory(srv)
 	if len(hist) != historyCap {
 		t.Fatalf("history holds %d entries after %d commands, want %d", len(hist), n, historyCap)
 	}

@@ -20,7 +20,7 @@ import (
 // fleetTrainedMemory caches one trained memory for the fleet tests.
 var fleetTrainedMemory *core.FeatureMemory
 
-func fleetMemory(t *testing.T) *core.FeatureMemory {
+func fleetMemory(t testing.TB) *core.FeatureMemory {
 	t.Helper()
 	if fleetTrainedMemory != nil {
 		return fleetTrainedMemory
@@ -37,7 +37,7 @@ func fleetMemory(t *testing.T) *core.FeatureMemory {
 	return fm
 }
 
-func fleetForCloudTest(t *testing.T, homes int) *fleet.Fleet {
+func fleetForCloudTest(t testing.TB, homes int) *fleet.Fleet {
 	t.Helper()
 	reg, err := fleet.NewModelRegistry(fleetMemory(t))
 	if err != nil {
@@ -59,7 +59,7 @@ func fleetForCloudTest(t *testing.T, homes int) *fleet.Fleet {
 	return f
 }
 
-func startFleetCloud(t *testing.T, homes int) (*Server, *fleet.Fleet) {
+func startFleetCloud(t testing.TB, homes int) (*Server, *fleet.Fleet) {
 	t.Helper()
 	fl := fleetForCloudTest(t, homes)
 	fwd := &captureForwarder{}
@@ -73,7 +73,8 @@ func startFleetCloud(t *testing.T, homes int) (*Server, *fleet.Fleet) {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	for _, id := range fl.HomeIDs() {
+	for i := 0; i < homes; i++ {
+		id := fmt.Sprintf("home-%02d", i)
 		if err := srv.BindHome(id, "gateway"); err != nil {
 			t.Fatalf("BindHome(%q): %v", id, err)
 		}

@@ -230,13 +230,6 @@ func (s *Server) BindHome(homeID, user string) error {
 // at a time.
 const historyCap = 4096
 
-// History returns a copy of the retained command log, oldest first.
-func (s *Server) History() []HistoryEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]HistoryEntry(nil), s.retained()...)
-}
-
 // retained is the newest historyCap entries, oldest first. The caller
 // holds s.mu.
 func (s *Server) retained() []HistoryEntry {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -210,7 +211,7 @@ func (resp *fleetAuthorizeResponse) unmarshal(data []byte) error {
 		if jsonwire.Field(name, authorizeResponseFields) < 0 {
 			return d.Skip()
 		}
-		return decodeArray(&d, &resp.Results, func(_ int, r *FleetResult) error {
+		return decodeArray(&d, &resp.Results, math.MaxInt, func(_ int, r *FleetResult) error {
 			return decodeObject(&d, func(name []byte) error {
 				switch jsonwire.Field(name, resultFields) {
 				case 0:
@@ -243,12 +244,14 @@ func decodeObject(d *jsonwire.Decoder, member func(name []byte) error) error {
 }
 
 // decodeArray decodes the array or null at the cursor into *s the way
-// encoding/json decodes a slice. Null sets *s to nil. An array decodes its
-// i-th element with elem into (*s)[i]: over the element an earlier array
-// left there while i is within the slice's length or capacity, over a
-// zero element beyond it. The slice ends as long as the array, and an
-// empty array leaves a new non-nil empty slice.
-func decodeArray[T any](d *jsonwire.Decoder, s *[]T, elem func(i int, e *T) error) error {
+// encoding/json decodes a slice, keeping at most max elements. Null sets
+// *s to nil. An array decodes its i-th element with elem into (*s)[i]:
+// over the element an earlier array left there while i is within the
+// slice's length or capacity, over a zero element beyond it. Elements
+// past the first max are validated and skipped, not decoded. The slice
+// ends as long as the array or max, whichever is shorter, and an empty
+// array leaves a new non-nil empty slice.
+func decodeArray[T any](d *jsonwire.Decoder, s *[]T, max int, elem func(i int, e *T) error) error {
 	switch d.Next() {
 	case 'n':
 		*s = nil
@@ -260,6 +263,8 @@ func decodeArray[T any](d *jsonwire.Decoder, s *[]T, elem func(i int, e *T) erro
 	xs, i := *s, 0
 	err := d.Array(func() error {
 		switch {
+		case i == max:
+			return d.Skip()
 		case i == cap(xs):
 			var zero T
 			xs = append(xs, zero)
@@ -280,13 +285,16 @@ func decodeArray[T any](d *jsonwire.Decoder, s *[]T, elem func(i int, e *T) erro
 	return nil
 }
 
-// decodeBatch is decodeArray for a request's items or pushes: it marks in
-// big each element whose JSON spans more than maxFleetItemBytes. A mark
-// stays with its index as the element does, so an oversized element an
-// earlier array left behind stays marked, and goes when the slice is
-// replaced by null or an empty array.
+// decodeBatch is decodeArray for a request's items or pushes. It decodes
+// at most maxFleetBatch+1 elements: one past the cap is enough for the
+// handler to reject the batch, and the rest are only validated, so an
+// over-count body costs no more than a full one. It marks in big each
+// element whose JSON spans more than maxFleetItemBytes. A mark stays with
+// its index as the element does, so an oversized element an earlier array
+// left behind stays marked, and goes when the slice is replaced by null or
+// an empty array.
 func decodeBatch[T any](d *jsonwire.Decoder, s *[]T, big *oversized, elem func(e *T) error) error {
-	err := decodeArray(d, s, func(i int, e *T) error {
+	err := decodeArray(d, s, maxFleetBatch+1, func(i int, e *T) error {
 		start := d.Offset()
 		if err := elem(e); err != nil {
 			return err

@@ -259,15 +259,35 @@ func requireSameEncoding(t *testing.T, what string, want, got []byte, wantErr, g
 	}
 }
 
+// requireOverCountPrefix checks a batch the codec cut at the cap: it keeps
+// maxFleetBatch+1 elements, enough for the handler to reject the body, and
+// only validates the rest. So the reference may reject a type error past
+// the cap that the codec never decodes; otherwise the codec's elements
+// must equal the reference's first ones.
+func requireOverCountPrefix[T any](t *testing.T, data []byte, want, got []T, wantErr error) bool {
+	t.Helper()
+	if len(got) != maxFleetBatch+1 {
+		t.Fatalf("decode: codec kept %d elements, want the cap plus one, %d", len(got), maxFleetBatch+1)
+	}
+	if wantErr == nil && (len(want) < len(got) || !reflect.DeepEqual(want[:len(got)], got)) {
+		t.Fatalf("decode of a %d B over-count body: codec elements differ from the reference's first %d", len(data), len(got))
+	}
+	return true
+}
+
 // checkAuthorizeRequest decodes data with the codec and the reference,
 // requires the same verdict and deeply equal items, and requires the
-// re-encoding to match json.Marshal byte for byte. It reports whether
-// the body was accepted.
+// re-encoding to match json.Marshal byte for byte; a batch over the cap is
+// held to requireOverCountPrefix instead. It reports whether the body was
+// accepted.
 func checkAuthorizeRequest(t *testing.T, data []byte) bool {
 	t.Helper()
 	var want, got fleetAuthorizeRequest
 	wantErr := refDecode(data, &want)
 	gotErr := got.unmarshal(data)
+	if gotErr == nil && len(got.Items) > maxFleetBatch {
+		return requireOverCountPrefix(t, data, want.Items, got.Items, wantErr)
+	}
 	requireSameVerdict(t, "decode", data, wantErr, gotErr)
 	if wantErr != nil {
 		return false
@@ -287,6 +307,9 @@ func checkContextRequest(t *testing.T, data []byte) bool {
 	var want, got fleetContextRequest
 	wantErr := refDecode(data, &want)
 	gotErr := got.unmarshal(data)
+	if gotErr == nil && len(got.Pushes) > maxFleetBatch {
+		return requireOverCountPrefix(t, data, want.Pushes, got.Pushes, wantErr)
+	}
 	requireSameVerdict(t, "decode", data, wantErr, gotErr)
 	if wantErr != nil {
 		return false
@@ -440,5 +463,43 @@ func TestFleetWireAppends(t *testing.T) {
 	results := []FleetResult{{Allowed: true}}
 	if got := appendAuthorizeResponse(append([]byte(nil), prefix...), results); !bytes.Equal(got, append(append([]byte(nil), prefix...), refEncodeResponse(results)...)) {
 		t.Fatalf("appendAuthorizeResponse = %q", got)
+	}
+}
+
+// TestFleetWireOverCount holds the codec's cut at maxFleetBatch+1 elements
+// to the reference on both request envelopes: the kept elements equal the
+// reference's first ones, a type error past the cap is not decoded, and a
+// syntax error past the cap still rejects the body.
+func TestFleetWireOverCount(t *testing.T) {
+	for _, tc := range []struct {
+		field, elem string
+		check       func(*testing.T, []byte) bool
+	}{
+		{"items", `{"home":"h%d","op":"window.open"}`, checkAuthorizeRequest},
+		{"pushes", `{"home":"h%d","context":{"values":{"motion":true}}}`, checkContextRequest},
+	} {
+		var b strings.Builder
+		b.WriteString(`{"` + tc.field + `":[`)
+		for i := 0; i < maxFleetBatch+3; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, tc.elem, i)
+		}
+		body := b.String()
+		for _, c := range []struct {
+			name, tail string
+			ok         bool
+		}{
+			{"well formed", `]}`, true},
+			{"type error past the cap", `,{"home":5}]}`, true},
+			{"syntax error past the cap", `,{"home":}]}`, false},
+		} {
+			t.Run(tc.field+"/"+c.name, func(t *testing.T) {
+				if got := tc.check(t, []byte(body+c.tail)); got != c.ok {
+					t.Fatalf("accepted = %v, want %v", got, c.ok)
+				}
+			})
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -566,5 +567,45 @@ func BenchmarkFleetWireResponseEncodeReference(b *testing.B) {
 		if err := json.NewEncoder(&buf).Encode(fleetAuthorizeResponse{Results: results}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFleetOverCountBodyBounded: a body with far more items or pushes than
+// maxFleetBatch is rejected with 400, and decoding stops one element past
+// the cap, so the request allocates the body buffer and the cap's worth of
+// decoded elements (about 34 MB here), not one decoded element per array
+// entry (over 100 times the body's size for this 3 MiB body).
+func TestFleetOverCountBodyBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	srv, _ := startFleetCloud(t, 1)
+	c := login(t, srv, "gateway", "s3cret")
+	const entries = 1 << 20
+	for _, tc := range []struct {
+		name, path, field, want string
+		handler                 http.HandlerFunc
+	}{
+		{"authorize", "/v1/fleet/authorize", "items", fmt.Sprintf("batch exceeds %d items", maxFleetBatch), srv.handleFleetAuthorize},
+		{"context", "/v1/fleet/context", "pushes", fmt.Sprintf("batch exceeds %d pushes", maxFleetBatch), srv.handleFleetContext},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := `{"` + tc.field + `":[` + strings.Repeat(`{},`, entries-1) + `{}]}`
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rec := postDeclaringLength(c, tc.handler, tc.path, body, int64(len(body)))
+			runtime.ReadMemStats(&after)
+			var eb errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusBadRequest || eb.Error != tc.want {
+				t.Fatalf("over-count body = HTTP %d %q, want 400 %q", rec.Code, rec.Body.String(), tc.want)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d B body allocated %d B", len(body), alloc)
+			const limit = 48 << 20
+			if alloc > limit {
+				t.Fatalf("%d B over-count body allocated %d B, want at most %d", len(body), alloc, limit)
+			}
+		})
 	}
 }

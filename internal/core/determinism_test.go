@@ -82,14 +82,11 @@ func (c *fakeCollector) Collect(ctx context.Context) (sensor.Snapshot, error) {
 func TestMultiCollectorDeterminism(t *testing.T) {
 	var calls atomic.Int32
 	at := time.Date(2021, 6, 1, 10, 0, 0, 0, time.UTC)
-	srcs, err := AllRequired(
+	srcs := required(
 		&fakeCollector{feat: sensor.FeatSmoke, value: sensor.Bool(true), at: at, calls: &calls},
 		&fakeCollector{feat: sensor.FeatMotion, value: sensor.Bool(true), at: at, calls: &calls},
 		&fakeCollector{feat: sensor.FeatSmoke, value: sensor.Bool(false), at: at, calls: &calls},
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := NewMultiCollector(MultiConfig{}, srcs...)
 	if err != nil {
 		t.Fatal(err)
@@ -117,14 +114,11 @@ func TestMultiCollectorLowestIndexError(t *testing.T) {
 	at := time.Now()
 	errA := errors.New("vendor A down")
 	errB := errors.New("vendor B down")
-	srcs, err := AllRequired(
+	srcs := required(
 		&fakeCollector{feat: sensor.FeatSmoke, value: sensor.Bool(true), at: at},
 		&fakeCollector{err: errA},
 		&fakeCollector{err: errB},
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := NewMultiCollector(MultiConfig{}, srcs...)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package core_test
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,7 +39,8 @@ type diffOp struct {
 
 // TestFrameworkFleetDifferential drives one seeded 1,000-instruction
 // stream through a single-home core.Framework and a one-home fleet.Fleet
-// and requires the same decision — verdict, sensitivity, model and
+// (one-item AuthorizeBatch calls, the path /v1/fleet/authorize runs) and
+// requires the same decision — verdict, sensitivity, model and
 // interned reason — for every item. Both sides see the same
 // snapshots (the framework through a scripted collector, the fleet
 // through pushes), the same clock, their own trust engine fed the same
@@ -99,8 +102,10 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 	fwTrust := newEngine()
 
 	reg := instr.BuiltinRegistry()
+	specs := instr.BuiltinSpecs()
+	slices.SortFunc(specs, func(a, b instr.Spec) int { return strings.Compare(a.Op, b.Op) })
 	var ops []diffOp
-	for _, spec := range reg.Specs() {
+	for _, spec := range specs {
 		in, err := reg.Build(spec.Op, "dev-1", instr.OriginUser, nil)
 		if err != nil {
 			continue // ops that need arguments
@@ -151,10 +156,14 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 		status.LowTrust = !fwTrust.Trusted("push")
 		script.snap, script.prov = lastSnap, core.Provenance{status}
 
-		want, err := fl.Authorize(context.Background(), "h", in)
+		res, err := fl.AuthorizeBatch(context.Background(), []fleet.BatchItem{{Home: "h", In: in}}, 1)
 		if err != nil {
 			t.Fatalf("item %d: fleet: %v", items, err)
 		}
+		if res[0].Err != "" {
+			t.Fatalf("item %d: fleet: %s", items, res[0].Err)
+		}
+		want := res[0].Decision
 		got, err := fw.Authorize(context.Background(), in)
 		if err != nil {
 			t.Fatalf("item %d: framework: %v", items, err)

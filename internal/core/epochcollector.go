@@ -110,9 +110,6 @@ func NewEpochCollector(cfg EpochCollectorConfig, store *epoch.Store) (*EpochColl
 	return c, nil
 }
 
-// Epoch returns the epoch of the view a read would serve right now.
-func (c *EpochCollector) Epoch() uint64 { return c.store.Epoch() }
-
 // CollectDetailed implements DetailedCollector. The steady-state path is
 // one atomic view load plus a per-source age check against precomputed
 // budgets — no allocation, no lock, no I/O.

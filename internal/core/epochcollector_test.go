@@ -86,8 +86,8 @@ func TestEpochCollectorSteadyState(t *testing.T) {
 	if _, err := c.Collect(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if c.Epoch() != 1 {
-		t.Fatalf("collector epoch = %d, want 1", c.Epoch())
+	if got := c.store.View().Epoch; got != 1 {
+		t.Fatalf("collector epoch = %d, want 1", got)
 	}
 }
 
@@ -263,7 +263,7 @@ func TestAuthorizeEpochFailsClosed(t *testing.T) {
 	}
 	// Non-sensitive instructions still judge against the partial context.
 	tvOn := buildInstr(t, "tv.on", "tv-1")
-	if f.Detector().IsSensitive(tvOn) {
+	if f.detector.IsSensitive(tvOn) {
 		t.Fatal("fixture assumption broken: tv.on should be non-sensitive")
 	}
 	dec, err = f.Authorize(ctx, tvOn)

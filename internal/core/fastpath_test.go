@@ -51,8 +51,8 @@ func TestCompiledAgreesWithTreeOnAllModels(t *testing.T) {
 		if c == nil {
 			t.Fatalf("%s: entry has no compiled tree", m)
 		}
-		if c.Width() != m.FeatureWidth() {
-			t.Fatalf("%s: compiled width %d, model width %d", m, c.Width(), m.FeatureWidth())
+		if c.Width() != len(m.Features()) {
+			t.Fatalf("%s: compiled width %d, model width %d", m, c.Width(), len(m.Features()))
 		}
 		for i := 0; i < perModel; i++ {
 			var snap sensor.Snapshot
@@ -73,7 +73,7 @@ func TestCompiledAgreesWithTreeOnAllModels(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := e.Tree.Predict(x)
-			if got := c.Predict(x); got != want {
+			if got := c.Label(c.Leaf(x)); got != want {
 				t.Fatalf("%s probe %d: compiled = %d, tree = %d (x = %v)", m, i, got, want, x)
 			}
 			leaf := c.Leaf(x)
@@ -118,7 +118,7 @@ func TestCompileSaveLoadCompileRoundTrip(t *testing.T) {
 		if lc == nil {
 			t.Fatalf("%s: loaded entry not compiled", m)
 		}
-		if lc.NodeCount() != orig.Compiled().NodeCount() {
+		if loaded.Tree.NodeCount() != orig.Tree.NodeCount() {
 			t.Fatalf("%s: node count diverged after round trip", m)
 		}
 		for i := 0; i < 500; i++ {
@@ -127,7 +127,7 @@ func TestCompileSaveLoadCompileRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := lc.Predict(x), orig.Compiled().Predict(x); got != want {
+			if got, want := lc.Label(lc.Leaf(x)), orig.Compiled().Label(orig.Compiled().Leaf(x)); got != want {
 				t.Fatalf("%s probe %d: reloaded = %d, original = %d", m, i, got, want)
 			}
 		}

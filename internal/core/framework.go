@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"iotsid/internal/instr"
@@ -22,12 +21,10 @@ import (
 type Framework struct {
 	detector  *Detector
 	collector Collector
-	memory    *FeatureMemory
 	stage     Pipeline
 
-	metrics  *frameworkMetrics
-	now      func() time.Time
-	seqAnoms atomic.Uint64
+	metrics *frameworkMetrics
+	now     func() time.Time
 }
 
 // defaultLogCapacity bounds the framework log when the caller does not
@@ -85,7 +82,6 @@ func New(cfg Config) (*Framework, error) {
 	f := &Framework{
 		detector:  cfg.Detector,
 		collector: cfg.Collector,
-		memory:    cfg.Memory,
 		stage:     NewPipeline(PipelineConfig{Judger: j, Sequence: cfg.Sequence, LogCapacity: cfg.LogCapacity, Now: cfg.Now}),
 		metrics:   newFrameworkMetrics(cfg.Metrics),
 		now:       cfg.Now,
@@ -100,12 +96,6 @@ func New(cfg Config) (*Framework, error) {
 	}
 	return f, nil
 }
-
-// Memory exposes the trained feature memory.
-func (f *Framework) Memory() *FeatureMemory { return f.memory }
-
-// Detector exposes the sensitive command detector.
-func (f *Framework) Detector() *Detector { return f.detector }
 
 // Authorize collects the live sensor context and judges the instruction —
 // the full runtime path of Fig 3. The context bounds the collection round
@@ -134,35 +124,6 @@ func (f *Framework) Authorize(ctx context.Context, in instr.Instruction) (Decisi
 		f.metrics.observeLatency(f.now().Sub(start))
 	}
 	return dec, err
-}
-
-// AuthorizeBatch collects the sensor context once and judges every
-// instruction against that single snapshot — the amortised form of
-// Authorize for callers draining a command queue. Decisions are returned in
-// input order; the first judgment error aborts the batch.
-//
-//iot:failclosed
-func (f *Framework) AuthorizeBatch(ctx context.Context, ins []instr.Instruction) ([]Decision, error) {
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	start := f.now()
-	snap, prov, err := f.collect(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("core: collect context: %w", err)
-	}
-	f.metrics.observeBatch()
-	defer func() { f.metrics.observeLatency(f.now().Sub(start)) }()
-	out := make([]Decision, len(ins))
-	for i, in := range ins {
-		state, why := contextState(in, prov)
-		dec, err := f.decide(in, snap, state, why)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch instruction %d (%s): %w", i, in.Op, err)
-		}
-		out[i] = dec
-	}
-	return out, nil
 }
 
 // collect prefers the provenance-reporting path when the collector offers
@@ -215,16 +176,9 @@ func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, state Con
 	if err != nil {
 		return Decision{}, err
 	}
-	if dec.Outcome == OutcomeSeqAnomaly {
-		f.seqAnoms.Add(1)
-	}
 	f.metrics.observeDecision(dec.Outcome, dec.Sensitive)
 	return dec, nil
 }
-
-// SeqAnomalies reports how many sensitive instructions the sequence judge
-// rejected after the static tree allowed them.
-func (f *Framework) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
 
 // Log returns a copy of the retained authorisation log, oldest first. The
 // log is a bounded ring: once more decisions have been made than the

@@ -71,41 +71,6 @@ func (c *countingStatic) Collect(context.Context) (sensor.Snapshot, error) {
 	return c.snap, nil
 }
 
-func TestFrameworkAuthorizeBatch(t *testing.T) {
-	col := &countingStatic{snap: legalCtx(t, dataset.ModelWindow)}
-	f := frameworkForTest(t, col)
-	ins := []instr.Instruction{
-		buildInstr(t, "window.open", "window-1"),
-		buildInstr(t, "window.get_state", "window-1"),
-		buildInstr(t, "window.open", "window-2"),
-	}
-	decs, err := f.AuthorizeBatch(context.Background(), ins)
-	if err != nil {
-		t.Fatalf("AuthorizeBatch: %v", err)
-	}
-	if len(decs) != 3 {
-		t.Fatalf("decisions = %d", len(decs))
-	}
-	for i, dec := range decs {
-		if !dec.Allowed {
-			t.Errorf("decision %d rejected: %+v", i, dec)
-		}
-	}
-	if col.calls != 1 {
-		t.Errorf("batch collected %d times, want 1", col.calls)
-	}
-	if got := f.Log(); len(got) != 3 {
-		t.Errorf("log = %d entries", len(got))
-	}
-	// Empty batch is a no-op that does not collect.
-	if decs, err := f.AuthorizeBatch(context.Background(), nil); err != nil || decs != nil {
-		t.Errorf("empty batch = %v, %v", decs, err)
-	}
-	if col.calls != 1 {
-		t.Errorf("empty batch collected")
-	}
-}
-
 func TestFrameworkLogBoundedAndRecent(t *testing.T) {
 	f, err := New(Config{
 		Detector:    detectorForTest(t),
@@ -354,10 +319,7 @@ func TestMultiCollectorMergesVendors(t *testing.T) {
 	b.Set(sensor.FeatSmoke, sensor.Bool(true)) // later source wins
 	b.Set(sensor.FeatMotion, sensor.Bool(true))
 
-	srcs, err := AllRequired(staticCollector{snap: a}, staticCollector{snap: b})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srcs := required(staticCollector{snap: a}, staticCollector{snap: b})
 	mc, err := NewMultiCollector(MultiConfig{}, srcs...)
 	if err != nil {
 		t.Fatal(err)
@@ -375,10 +337,7 @@ func TestMultiCollectorMergesVendors(t *testing.T) {
 	if _, err := NewMultiCollector(MultiConfig{}); err == nil {
 		t.Error("want empty collector error")
 	}
-	failingSrcs, err := AllRequired(&SimCollector{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	failingSrcs := required(&SimCollector{})
 	failing, err := NewMultiCollector(MultiConfig{}, failingSrcs...)
 	if err != nil {
 		t.Fatal(err)

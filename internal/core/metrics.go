@@ -15,7 +15,6 @@ const (
 	metricDecisions    = "iotsid_authz_decisions_total"
 	metricSeqAnomalies = "iotsid_authz_seq_anomalies_total"
 	metricAuthzLatency = "iotsid_authz_latency_seconds"
-	metricBatches      = "iotsid_authz_batches_total"
 	metricLogAppends   = "iotsid_decision_log_appends_total"
 	metricLogEvictions = "iotsid_decision_log_evictions_total"
 	metricSourceState  = "iotsid_collector_source_collects_total"
@@ -31,7 +30,6 @@ const (
 type frameworkMetrics struct {
 	decisions    [OutcomeCount][2]*obs.Counter // [outcome][sensitive]
 	latency      *obs.Histogram
-	batches      *obs.Counter
 	seqAnomalies *obs.Counter
 }
 
@@ -47,8 +45,6 @@ func newFrameworkMetrics(reg *obs.Registry) *frameworkMetrics {
 		latency: reg.NewHistogram(metricAuthzLatency,
 			"End-to-end Framework.Authorize latency (collect + judge + log), seconds.",
 			obs.LatencyBuckets),
-		batches: reg.NewCounter(metricBatches,
-			"AuthorizeBatch invocations (each also counts one latency observation)."),
 		seqAnomalies: reg.NewCounter(metricSeqAnomalies,
 			"Sensitive instructions rejected by the sequence judge after the static tree allowed them."),
 	}
@@ -85,14 +81,6 @@ func (m *frameworkMetrics) observeLatency(d time.Duration) {
 		return
 	}
 	m.latency.Observe(d.Seconds())
-}
-
-// observeBatch counts one AuthorizeBatch call.
-func (m *frameworkMetrics) observeBatch() {
-	if m == nil {
-		return
-	}
-	m.batches.Inc()
 }
 
 // BreakerTransitionHook returns a resilience.BreakerConfig.OnStateChange

@@ -270,30 +270,6 @@ func NewMultiCollector(cfg MultiConfig, sources ...Source) (*MultiCollector, err
 	return m, nil
 }
 
-// AllRequired wraps plain collectors as required sources named src0..srcN —
-// the old all-or-nothing MultiCollector semantics.
-func AllRequired(collectors ...Collector) ([]Source, error) {
-	if len(collectors) == 0 {
-		return nil, fmt.Errorf("core: empty multi collector")
-	}
-	out := make([]Source, len(collectors))
-	for i, c := range collectors {
-		out[i] = Source{Name: fmt.Sprintf("src%d", i), Collector: c, Required: true}
-	}
-	return out, nil
-}
-
-// SourceHistory returns the retained last-good history of one source, for
-// windowed queries over a flaky feed; ok is false for unknown names.
-func (m *MultiCollector) SourceHistory(name string) (*sensor.History, bool) {
-	for i, s := range m.sources {
-		if s.Name == name {
-			return m.history[i], true
-		}
-	}
-	return nil, false
-}
-
 // Collect implements Collector: the strict entry point. Degraded-but-
 // serviceable contexts (every required source fresh or within budget) are
 // returned; a missing required source is an error, wrapping the source's

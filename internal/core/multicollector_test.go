@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"iotsid/internal/dataset"
-	"iotsid/internal/instr"
 	"iotsid/internal/resilience"
 	"iotsid/internal/sensor"
 )
@@ -51,6 +50,16 @@ func snapAt(sec int64, feat sensor.Feature, v sensor.Value) sensor.Snapshot {
 	return s
 }
 
+// required names each collector a required source, src0..srcN: the
+// all-or-nothing MultiCollector shape.
+func required(collectors ...Collector) []Source {
+	out := make([]Source, len(collectors))
+	for i, c := range collectors {
+		out[i] = Source{Name: fmt.Sprintf("src%d", i), Collector: c, Required: true}
+	}
+	return out
+}
+
 // TestMultiCollectorMergedTimestampMaxOfSources is the regression for the
 // old MultiCollector stamping the merged snapshot with time.Time{}: the
 // merged timestamp must be the max of the source timestamps, wherever the
@@ -58,13 +67,10 @@ func snapAt(sec int64, feat sensor.Feature, v sensor.Value) sensor.Snapshot {
 func TestMultiCollectorMergedTimestampMaxOfSources(t *testing.T) {
 	cases := [][2]int64{{1, 2}, {5, 2}}
 	for _, c := range cases {
-		srcs, err := AllRequired(
+		srcs := required(
 			staticCollector{snap: snapAt(c[0], sensor.FeatSmoke, sensor.Bool(false))},
 			staticCollector{snap: snapAt(c[1], sensor.FeatMotion, sensor.Bool(true))},
 		)
-		if err != nil {
-			t.Fatal(err)
-		}
 		m, err := NewMultiCollector(MultiConfig{}, srcs...)
 		if err != nil {
 			t.Fatal(err)
@@ -334,9 +340,6 @@ func TestMultiCollectorValidation(t *testing.T) {
 			t.Errorf("case %d: want validation error", i)
 		}
 	}
-	if _, err := AllRequired(); err == nil {
-		t.Error("want empty AllRequired error")
-	}
 }
 
 // TestFrameworkFailsClosedOnMissingRequiredSource: with the required vendor
@@ -397,33 +400,5 @@ func TestFrameworkFailsClosedOnMissingRequiredSource(t *testing.T) {
 	alive.set(sensor.Snapshot{}, errors.New("down"))
 	if _, err := f.Authorize(context.Background(), buildInstr(t, "window.open", "window-1")); err == nil {
 		t.Fatal("want collect error with no context at all")
-	}
-}
-
-// TestFrameworkBatchFailsClosedSelectively: one collect, mixed batch — the
-// sensitive instructions are rejected, the rest judged.
-func TestFrameworkBatchFailsClosedSelectively(t *testing.T) {
-	dead := &flakyCollector{err: errors.New("udp timeout")}
-	alive := &flakyCollector{snap: legalCtx(t, dataset.ModelWindow)}
-	m, err := NewMultiCollector(MultiConfig{},
-		Source{Name: "miio", Required: true, Collector: dead},
-		Source{Name: "st", Collector: alive},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := frameworkForTest(t, m)
-	decs, err := f.AuthorizeBatch(context.Background(), []instr.Instruction{
-		buildInstr(t, "window.open", "window-1"),
-		buildInstr(t, "window.get_state", "window-1"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decs[0].Allowed || !decs[0].Sensitive {
-		t.Errorf("sensitive batch entry = %+v", decs[0])
-	}
-	if !decs[1].Allowed {
-		t.Errorf("non-sensitive batch entry = %+v", decs[1])
 	}
 }

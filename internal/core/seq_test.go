@@ -66,6 +66,17 @@ func warmBenign(t *testing.T, f *Framework, seed int64, n int) seq.TraceEvent {
 	return last
 }
 
+// seqAnomalies counts the framework's logged sequence rejections.
+func seqAnomalies(f *Framework) int {
+	n := 0
+	for _, e := range f.Log() {
+		if e.Decision.Outcome == OutcomeSeqAnomaly {
+			n++
+		}
+	}
+	return n
+}
+
 // TestFrameworkSequenceCombinedVerdict exercises the fail-closed
 // combination on the single-home framework: benign in-profile traffic
 // flows, a same-tick automation-chain burst is rejected by the sequence
@@ -75,8 +86,8 @@ func warmBenign(t *testing.T, f *Framework, seed int64, n int) seq.TraceEvent {
 func TestFrameworkSequenceCombinedVerdict(t *testing.T) {
 	f := seqFrameworkForTest(t, staticCollector{})
 	last := warmBenign(t, f, 1101, 12)
-	if f.SeqAnomalies() != 0 {
-		t.Fatalf("benign stream tripped %d sequence anomalies", f.SeqAnomalies())
+	if got := seqAnomalies(f); got != 0 {
+		t.Fatalf("benign stream tripped %d sequence anomalies", got)
 	}
 
 	// Automation chain: three benign status reads and a sensitive action,
@@ -107,8 +118,8 @@ func TestFrameworkSequenceCombinedVerdict(t *testing.T) {
 	if !dec.Sensitive {
 		t.Fatal("sequence rejection must be marked sensitive")
 	}
-	if got := f.SeqAnomalies(); got != 1 {
-		t.Fatalf("SeqAnomalies = %d, want 1", got)
+	if got := seqAnomalies(f); got != 1 {
+		t.Fatalf("sequence anomalies = %d, want 1", got)
 	}
 
 	// The static tree's rejections stand on their own: an attack scene is
@@ -155,8 +166,8 @@ func TestFrameworkSequenceReplayRejected(t *testing.T) {
 		}
 		replay.At = replay.At.Add(90 * time.Second)
 	}
-	if got := f.SeqAnomalies(); got != 3 {
-		t.Fatalf("SeqAnomalies = %d, want 3 (replay must stay anomalous)", got)
+	if got := seqAnomalies(f); got != 3 {
+		t.Fatalf("sequence anomalies = %d, want 3 (replay must stay anomalous)", got)
 	}
 
 	// The stream recovers: the next in-profile event is allowed.

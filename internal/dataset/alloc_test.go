@@ -15,7 +15,7 @@ func TestFeaturizeIntoZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]float64, m.FeatureWidth())
+		buf := make([]float64, len(modelSpecs[m]))
 		allocs := testing.AllocsPerRun(500, func() {
 			if err := m.FeaturizeInto(snap, buf); err != nil {
 				t.Fatal(err)

@@ -77,9 +77,6 @@ var noiseProfiles = map[Model]NoiseProfile{
 	ModelKitchen: {LegalFromAttack: 0.042, AttackFromLegal: 0},
 }
 
-// Noise returns the model's calibrated noise profile.
-func (m Model) Noise() NoiseProfile { return noiseProfiles[m] }
-
 // Build constructs the labelled dataset for one device model: positives
 // expanded from the corpus strategies of the model's category, negatives
 // injected attacks, with the model's calibrated context noise applied.

@@ -150,7 +150,7 @@ func TestTableVIShape(t *testing.T) {
 
 func TestNoiseProfilesCalibrated(t *testing.T) {
 	for _, m := range Models() {
-		n := m.Noise()
+		n := noiseProfiles[m]
 		if n.LegalFromAttack <= 0 || n.LegalFromAttack > 0.2 {
 			t.Errorf("%s LegalFromAttack = %v out of calibrated range", m, n.LegalFromAttack)
 		}
@@ -161,8 +161,8 @@ func TestNoiseProfilesCalibrated(t *testing.T) {
 	// The light concept is the paper's fuzziest — its noise must be the
 	// highest so its accuracy lands lowest (Table VI).
 	for _, m := range Models() {
-		if m != ModelLight && m.Noise().LegalFromAttack >= ModelLight.Noise().LegalFromAttack {
-			t.Errorf("%s noise %v not below light's %v", m, m.Noise().LegalFromAttack, ModelLight.Noise().LegalFromAttack)
+		if m != ModelLight && noiseProfiles[m].LegalFromAttack >= noiseProfiles[ModelLight].LegalFromAttack {
+			t.Errorf("%s noise %v not below light's %v", m, noiseProfiles[m].LegalFromAttack, noiseProfiles[ModelLight].LegalFromAttack)
 		}
 	}
 }

@@ -184,10 +184,6 @@ var modelSpecs = func() map[Model][]featSpec {
 	return out
 }()
 
-// FeatureWidth returns the model's feature-vector length, or 0 for an
-// unknown model.
-func (m Model) FeatureWidth() int { return len(modelSpecs[m]) }
-
 // Featurize encodes a sensor snapshot into the model's example vector. This
 // exact encoding is used both when building training data and when the
 // command determiner judges a live snapshot, so train and inference cannot
@@ -206,7 +202,7 @@ func (m Model) Featurize(snap sensor.Snapshot) ([]float64, error) {
 
 // FeaturizeInto encodes a snapshot into a caller-provided buffer — the
 // allocation-free form of Featurize for the inference fast path. buf must
-// have exactly the model's FeatureWidth.
+// have exactly one slot per feature of the model.
 //
 //iot:hotpath
 func (m Model) FeaturizeInto(snap sensor.Snapshot, buf []float64) error {

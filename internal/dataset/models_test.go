@@ -163,7 +163,7 @@ func TestSceneGeneratorsUnknownModel(t *testing.T) {
 func TestFeaturizeIntoMatchesFeaturize(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, m := range Models() {
-		buf := make([]float64, m.FeatureWidth())
+		buf := make([]float64, len(modelSpecs[m]))
 		for i := 0; i < 50; i++ {
 			gen := LegalScene
 			if i%2 == 1 {
@@ -203,11 +203,5 @@ func TestFeaturizeIntoErrors(t *testing.T) {
 	}
 	if err := Model("fishtank").FeaturizeInto(snap, nil); err == nil {
 		t.Error("want unknown-model error")
-	}
-	if ModelWindow.FeatureWidth() != len(ModelWindow.Features()) {
-		t.Error("FeatureWidth disagrees with Features")
-	}
-	if Model("fishtank").FeatureWidth() != 0 {
-		t.Error("unknown model width should be 0")
 	}
 }

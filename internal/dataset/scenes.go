@@ -31,10 +31,6 @@ func (s sampler) f(lo, hi float64) float64    { return lo + s.r.Float64()*(hi-lo
 func (s sampler) pick(xs ...string) string    { return xs[s.r.Intn(len(xs))] }
 func (s sampler) hour(lo, hi float64) float64 { return s.f(lo, hi) }
 
-func (s sampler) set(snap sensor.Snapshot, f sensor.Feature, v sensor.Value) {
-	snap.Set(f, v)
-}
-
 // LegalScene draws a positive-context snapshot for the model.
 func LegalScene(m Model, rng *rand.Rand) (sensor.Snapshot, error) {
 	s := sampler{r: rng}

@@ -196,13 +196,6 @@ func (s *Store) View() *View {
 	return s.cur.Load()
 }
 
-// Epoch returns the current epoch number.
-//
-//iot:hotpath
-func (s *Store) Epoch() uint64 {
-	return s.cur.Load().Epoch
-}
-
 // Push merges a delta from the named source into a new view and publishes
 // it. Delta semantics: the delta's values overwrite the published ones,
 // untouched features persist, and the view timestamp is the max of the

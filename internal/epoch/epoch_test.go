@@ -180,7 +180,7 @@ func TestPushOutOfOrderDropped(t *testing.T) {
 	if err := st.Push("miio", delta(t2, sensor.FeatMotion, sensor.Bool(false))); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Epoch(); got != 2 {
+	if got := st.View().Epoch; got != 2 {
 		t.Fatalf("equal-time delta dropped: epoch %d", got)
 	}
 }
@@ -354,7 +354,7 @@ func TestPushConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			e := st.Epoch()
+			e := st.View().Epoch
 			if e < last {
 				t.Error("epoch went backwards")
 				return
@@ -380,7 +380,7 @@ func TestPushConcurrent(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if got := st.Epoch(); got != 3*perSource {
+	if got := st.View().Epoch; got != 3*perSource {
 		t.Fatalf("epoch = %d, want %d", got, 3*perSource)
 	}
 }

@@ -9,17 +9,32 @@ import (
 	"testing"
 	"unsafe"
 
+	"iotsid/internal/core"
 	"iotsid/internal/dataset"
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
 )
 
+// authorizeItem runs what AuthorizeBatch runs for one item without inline
+// context: the shard-map lookup, then authorizeHome.
+func authorizeItem(t testing.TB, f *Fleet, id string, in instr.Instruction) core.Decision {
+	h, ok := f.Home(id)
+	if !ok {
+		t.Fatalf("unknown home %q", id)
+	}
+	dec, err := f.authorizeHome(h, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
 // TestFleetAuthorizeSteadyStateAllocs is the fleet's perf contract: once a
-// home has pushed fresh context, a per-home Authorize is a shard-map
-// lookup, an atomic view load, the shared registry's pooled judge, a ring
-// append, and counter increments — zero heap allocations, with metrics
-// enabled.
+// home has pushed fresh context, each batch item is a shard-map lookup and
+// authorizeHome — an atomic view load, the shared registry's pooled judge,
+// a ring append, and counter increments — zero heap allocations, with
+// metrics enabled.
 func TestFleetAuthorizeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -33,25 +48,19 @@ func TestFleetAuthorizeSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := buildInstr(t, "window.open", "win-1")
-	ctx := context.Background()
 
 	// Warm: intern reasons, fill the feature-buffer pool.
 	for i := 0; i < 3; i++ {
-		if _, err := f.Authorize(ctx, "home-1", in); err != nil {
-			t.Fatal(err)
-		}
+		authorizeItem(t, f, "home-1", in)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		dec, err := f.Authorize(ctx, "home-1", in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := authorizeItem(t, f, "home-1", in)
 		if !dec.Allowed {
 			t.Fatalf("steady-state authorize rejected: %+v", dec)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state fleet Authorize allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state fleet authorizeHome allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -65,31 +74,25 @@ func TestFleetFailClosedSteadyStateAllocs(t *testing.T) {
 	f := fleetForTest(t, Config{Metrics: obs.NewRegistry()})
 	mustAddHome(t, f, HomeConfig{ID: "cold"})
 	in := buildInstr(t, "window.open", "win-1")
-	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := f.Authorize(ctx, "cold", in); err != nil {
-			t.Fatal(err)
-		}
+		authorizeItem(t, f, "cold", in)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		dec, err := f.Authorize(ctx, "cold", in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := authorizeItem(t, f, "cold", in)
 		if dec.Allowed {
 			t.Fatalf("cold home allowed a sensitive op: %+v", dec)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("fail-closed fleet Authorize allocates %.1f/op, want 0", allocs)
+		t.Fatalf("fail-closed fleet authorizeHome allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestHomeSize pins a home's fixed state at 240 B: a fleet keeps one per
+// TestHomeSize pins a home's fixed state at 208 B: a fleet keeps one per
 // tenant, so per-home bytes are what move its setup heap.
 func TestHomeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Home{}); got > 240 {
-		t.Fatalf("Home is %d B, want <= 240", got)
+	if got := unsafe.Sizeof(Home{}); got > 208 {
+		t.Fatalf("Home is %d B, want <= 208", got)
 	}
 }
 
@@ -175,7 +178,8 @@ func heapAlloc() float64 {
 	return float64(ms.HeapAlloc)
 }
 
-// BenchmarkFleetAuthorize measures the steady-state per-home hot path.
+// BenchmarkFleetAuthorize measures the steady-state per-item hot path,
+// authorizeHome.
 func BenchmarkFleetAuthorize(b *testing.B) {
 	f := fleetForTest(b, Config{Shards: 16, Metrics: obs.NewRegistry()})
 	mustAddHome(b, f, HomeConfig{ID: "home-1"})
@@ -183,13 +187,10 @@ func BenchmarkFleetAuthorize(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := buildInstr(b, "window.open", "win-1")
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Authorize(ctx, "home-1", in); err != nil {
-			b.Fatal(err)
-		}
+		authorizeItem(b, f, "home-1", in)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestFleetConcurrentPushAuthorize(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < 100; r++ {
 				id := ids[(g*31+r)%homes]
-				if _, err := f.Authorize(context.Background(), id, status); err != nil {
+				if _, err := authorizeOne(context.Background(), f, id, status); err != nil {
 					t.Errorf("Authorize(%s): %v", id, err)
 					return
 				}

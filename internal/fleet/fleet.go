@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,7 +141,6 @@ type HomeConfig struct {
 // bounded decision ring). The home is the fleet's context front end; the
 // stage does the judging.
 type Home struct {
-	id       string
 	shardIdx uint32
 	view     atomic.Pointer[homeView]
 	stage    core.Pipeline
@@ -151,9 +149,6 @@ type Home struct {
 	// trustSource, the engine's one source (index 0).
 	trust       *trust.Engine
 	trustSource string
-
-	pushes    atomic.Uint64
-	decisions atomic.Uint64
 }
 
 // homeView is one immutable published context: the snapshot plus the
@@ -172,25 +167,6 @@ func (v *homeView) eventAt() time.Time {
 	return v.snap.At
 }
 
-// ID returns the home's tenant key.
-func (h *Home) ID() string { return h.id }
-
-// Pushes reports how many context pushes the home has accepted; a dropped
-// out-of-order push is not counted.
-func (h *Home) Pushes() uint64 { return h.pushes.Load() }
-
-// Decisions reports how many instructions the home has had judged.
-func (h *Home) Decisions() uint64 { return h.decisions.Load() }
-
-// TrustScore reports the home's context-source trust score; ok is false
-// when the home has no trust engine wired.
-func (h *Home) TrustScore() (float64, bool) {
-	if h.trust == nil {
-		return 0, false
-	}
-	return h.trust.ScoreIdx(0), true
-}
-
 // LowTrust reports whether the home's context source sits below its trust
 // threshold (always false without an engine).
 func (h *Home) LowTrust() bool {
@@ -204,7 +180,6 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 	}
 	si := f.shardIndex(cfg.ID)
 	h := &Home{
-		id:       cfg.ID,
 		shardIdx: si,
 		stage:    core.NewPipeline(core.PipelineConfig{Judger: f.judger, Sequence: cfg.Sequence, LogCapacity: homeLogCapacity, Now: f.now}),
 	}
@@ -227,22 +202,6 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 	return h, nil
 }
 
-// RemoveHome deregisters a tenant; its in-flight authorizations complete
-// against the handle they already hold.
-func (f *Fleet) RemoveHome(id string) bool {
-	s := &f.shards[f.shardIndex(id)]
-	s.mu.Lock()
-	_, ok := s.homes[id]
-	if ok {
-		delete(s.homes, id)
-	}
-	s.mu.Unlock()
-	if ok {
-		f.metrics.observeHomes(f.homeCount.Add(-1))
-	}
-	return ok
-}
-
 // Home looks a tenant up.
 func (f *Fleet) Home(id string) (*Home, bool) {
 	s := &f.shards[f.shardIndex(id)]
@@ -250,22 +209,6 @@ func (f *Fleet) Home(id string) (*Home, bool) {
 	h, ok := s.homes[id]
 	s.mu.RUnlock()
 	return h, ok
-}
-
-// HomeIDs lists the registered tenants, sorted (a full-fleet walk — for
-// reports and tests, not the hot path).
-func (f *Fleet) HomeIDs() []string {
-	out := make([]string, 0, f.homeCount.Load())
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.RLock()
-		for id := range s.homes {
-			out = append(out, id)
-		}
-		s.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // LowTrustHomes counts registered homes whose context source currently
@@ -374,31 +317,14 @@ func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 			break
 		}
 	}
-	h.pushes.Add(1)
 	f.metrics.observePush()
 }
 
-// Authorize judges one instruction for one home — the fleet's per-home hot
-// path. Steady state (home known, context pushed within budget) is: shard
-// read-lock map lookup, one atomic view load, the shared judger's
-// zero-allocation judge, a ring-log append and two counter increments.
-//
-//iot:hotpath
-//iot:failclosed
-func (f *Fleet) Authorize(ctx context.Context, homeID string, in instr.Instruction) (core.Decision, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Decision{}, err
-	}
-	h, ok := f.Home(homeID)
-	if !ok {
-		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
-		return core.Decision{}, fmt.Errorf("fleet: unknown home %q", homeID)
-	}
-	return f.authorizeHome(h, in)
-}
-
 // authorizeHome judges one instruction on the home's stage and counts the
-// outcome into the shard and anomaly families.
+// outcome into the shard and anomaly families — the per-item hot path of
+// AuthorizeBatch. Steady state (context pushed within budget) is one
+// atomic view load, the shared judger's zero-allocation judge, a ring-log
+// append and counter increments.
 //
 //iot:hotpath
 //iot:failclosed
@@ -408,7 +334,6 @@ func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) (core.Decision, err
 	if err != nil {
 		return core.Decision{}, err
 	}
-	h.decisions.Add(1)
 	f.metrics.observeDecision(h.shardIdx, dec.Outcome)
 	if dec.Outcome == core.OutcomeSeqAnomaly {
 		f.seqAnoms.Add(1)
@@ -519,6 +444,3 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 	}
 	return out, nil
 }
-
-// Log returns a copy of the home's retained decisions, oldest first.
-func (h *Home) Log() []core.LogEntry { return h.stage.Log() }

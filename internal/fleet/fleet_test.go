@@ -97,6 +97,20 @@ func attackCtx(t testing.TB, m dataset.Model) sensor.Snapshot {
 	return snap
 }
 
+// authorizeOne judges one instruction through AuthorizeBatch, the fleet's
+// one entry point, as a one-item batch; a per-item error comes back as an
+// error.
+func authorizeOne(ctx context.Context, f *Fleet, home string, in instr.Instruction) (core.Decision, error) {
+	res, err := f.AuthorizeBatch(ctx, []BatchItem{{Home: home, In: in}}, 1)
+	if err != nil {
+		return core.Decision{}, err
+	}
+	if res[0].Err != "" {
+		return core.Decision{}, errors.New(res[0].Err)
+	}
+	return res[0].Decision, nil
+}
+
 func mustAddHome(t testing.TB, f *Fleet, cfg HomeConfig) *Home {
 	t.Helper()
 	h, err := f.AddHome(cfg)
@@ -141,14 +155,14 @@ func TestNewModelRegistryValidation(t *testing.T) {
 }
 
 func TestFleetPushAuthorize(t *testing.T) {
-	f := fleetForTest(t, Config{Shards: 4})
+	f := fleetForTest(t, Config{Shards: 4, Metrics: obs.NewRegistry()})
 	mustAddHome(t, f, HomeConfig{ID: "home-1"})
 	open := buildInstr(t, "window.open", "win-1")
 
 	if err := f.PushContext("home-1", legalCtx(t, dataset.ModelWindow)); err != nil {
 		t.Fatalf("PushContext: %v", err)
 	}
-	dec, err := f.Authorize(context.Background(), "home-1", open)
+	dec, err := authorizeOne(context.Background(), f, "home-1", open)
 	if err != nil {
 		t.Fatalf("Authorize: %v", err)
 	}
@@ -159,7 +173,7 @@ func TestFleetPushAuthorize(t *testing.T) {
 	if err := f.PushContext("home-1", attackCtx(t, dataset.ModelWindow)); err != nil {
 		t.Fatalf("PushContext: %v", err)
 	}
-	dec, err = f.Authorize(context.Background(), "home-1", open)
+	dec, err = authorizeOne(context.Background(), f, "home-1", open)
 	if err != nil {
 		t.Fatalf("Authorize: %v", err)
 	}
@@ -171,15 +185,15 @@ func TestFleetPushAuthorize(t *testing.T) {
 	}
 
 	h, _ := f.Home("home-1")
-	if h.Pushes() != 2 || h.Decisions() != 2 {
-		t.Fatalf("home counters = %d pushes / %d decisions, want 2/2", h.Pushes(), h.Decisions())
+	if pushes, got := f.metrics.pushes.Value(), len(h.stage.Log()); pushes != 2 || got != 2 {
+		t.Fatalf("home counters = %d pushes / %d decisions, want 2/2", pushes, got)
 	}
 }
 
 func TestFleetNonSensitiveWithoutContext(t *testing.T) {
 	f := fleetForTest(t, Config{})
 	mustAddHome(t, f, HomeConfig{ID: "h"})
-	dec, err := f.Authorize(context.Background(), "h", buildInstr(t, "light.get_state", "lamp-1"))
+	dec, err := authorizeOne(context.Background(), f, "h", buildInstr(t, "light.get_state", "lamp-1"))
 	if err != nil {
 		t.Fatalf("Authorize: %v", err)
 	}
@@ -191,7 +205,7 @@ func TestFleetNonSensitiveWithoutContext(t *testing.T) {
 func TestFleetFailClosedNoContext(t *testing.T) {
 	f := fleetForTest(t, Config{})
 	mustAddHome(t, f, HomeConfig{ID: "h"})
-	dec, err := f.Authorize(context.Background(), "h", buildInstr(t, "window.open", "win-1"))
+	dec, err := authorizeOne(context.Background(), f, "h", buildInstr(t, "window.open", "win-1"))
 	if err != nil {
 		t.Fatalf("Authorize: %v", err)
 	}
@@ -213,7 +227,7 @@ func TestFleetFailClosedStaleContext(t *testing.T) {
 	open := buildInstr(t, "window.open", "win-1")
 
 	now = now.Add(59 * time.Second)
-	dec, err := f.Authorize(context.Background(), "h", open)
+	dec, err := authorizeOne(context.Background(), f, "h", open)
 	if err != nil {
 		t.Fatalf("Authorize (fresh): %v", err)
 	}
@@ -222,7 +236,7 @@ func TestFleetFailClosedStaleContext(t *testing.T) {
 	}
 
 	now = now.Add(2 * time.Minute)
-	dec, err = f.Authorize(context.Background(), "h", open)
+	dec, err = authorizeOne(context.Background(), f, "h", open)
 	if err != nil {
 		t.Fatalf("Authorize (stale): %v", err)
 	}
@@ -231,7 +245,7 @@ func TestFleetFailClosedStaleContext(t *testing.T) {
 	}
 
 	// Non-sensitive instructions still judge on the stale view.
-	dec, err = f.Authorize(context.Background(), "h", buildInstr(t, "light.get_state", "lamp-1"))
+	dec, err = authorizeOne(context.Background(), f, "h", buildInstr(t, "light.get_state", "lamp-1"))
 	if err != nil {
 		t.Fatalf("Authorize (non-sensitive, stale): %v", err)
 	}
@@ -242,7 +256,7 @@ func TestFleetFailClosedStaleContext(t *testing.T) {
 
 func TestFleetUnknownHome(t *testing.T) {
 	f := fleetForTest(t, Config{})
-	if _, err := f.Authorize(context.Background(), "ghost", buildInstr(t, "window.open", "w")); err == nil {
+	if _, err := authorizeOne(context.Background(), f, "ghost", buildInstr(t, "window.open", "w")); err == nil {
 		t.Fatal("Authorize on unknown home succeeded")
 	}
 	if err := f.PushContext("ghost", sensor.Snapshot{}); err == nil {
@@ -255,9 +269,6 @@ func TestFleetAuthorizeCancelledContext(t *testing.T) {
 	mustAddHome(t, f, HomeConfig{ID: "h"})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.Authorize(ctx, "h", buildInstr(t, "light.get_state", "l")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Authorize with cancelled ctx = %v, want context.Canceled", err)
-	}
 	if _, err := f.AuthorizeBatch(ctx, []BatchItem{{Home: "h", In: buildInstr(t, "light.get_state", "l")}}, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AuthorizeBatch with cancelled ctx = %v, want context.Canceled", err)
 	}
@@ -275,34 +286,6 @@ func TestFleetHomeLifecycle(t *testing.T) {
 	if f.HomeCount() != 1 {
 		t.Fatalf("HomeCount = %d, want 1", f.HomeCount())
 	}
-	if !f.RemoveHome("h") {
-		t.Fatal("RemoveHome returned false for registered home")
-	}
-	if f.RemoveHome("h") {
-		t.Fatal("RemoveHome returned true for deregistered home")
-	}
-	if f.HomeCount() != 0 {
-		t.Fatalf("HomeCount after removal = %d, want 0", f.HomeCount())
-	}
-}
-
-func TestFleetHomeIDsSortedAcrossShards(t *testing.T) {
-	f := fleetForTest(t, Config{Shards: 8})
-	want := make([]string, 0, 40)
-	for i := 0; i < 40; i++ {
-		id := fmt.Sprintf("home-%03d", i)
-		mustAddHome(t, f, HomeConfig{ID: id})
-		want = append(want, id)
-	}
-	got := f.HomeIDs()
-	if len(got) != len(want) {
-		t.Fatalf("HomeIDs len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("HomeIDs[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
 }
 
 func TestFleetHomeLogRing(t *testing.T) {
@@ -313,11 +296,11 @@ func TestFleetHomeLogRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := f.Authorize(context.Background(), "h", buildInstr(t, "window.open", fmt.Sprintf("w-%d", i))); err != nil {
+		if _, err := authorizeOne(context.Background(), f, "h", buildInstr(t, "window.open", fmt.Sprintf("w-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	log := h.Log()
+	log := h.stage.Log()
 	if len(log) != homeLogCapacity {
 		t.Fatalf("ring log retained %d entries, want %d", len(log), homeLogCapacity)
 	}
@@ -427,10 +410,10 @@ func TestFleetMetrics(t *testing.T) {
 	if err := f.PushContext("first", legalCtx(t, dataset.ModelWindow)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Authorize(context.Background(), "first", buildInstr(t, "window.open", "w")); err != nil {
+	if _, err := authorizeOne(context.Background(), f, "first", buildInstr(t, "window.open", "w")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Authorize(context.Background(), "second", buildInstr(t, "window.open", "w")); err != nil {
+	if _, err := authorizeOne(context.Background(), f, "second", buildInstr(t, "window.open", "w")); err != nil {
 		t.Fatal(err)
 	}
 	legal := legalCtx(t, dataset.ModelWindow)
@@ -447,9 +430,9 @@ func TestFleetMetrics(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		metricHomes + " 2",
-		metricPushes + " 2", // one explicit push + one batch-carried push
-		metricBatches + " 1",
-		metricBatchItems + " 1",
+		metricPushes + " 2",  // one explicit push + one batch-carried push
+		metricBatches + " 3", // two one-item batches + one batch
+		metricBatchItems + " 3",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q:\n%s", want, text)
@@ -466,7 +449,7 @@ func TestFleetWithoutMetricsIsNilSafe(t *testing.T) {
 	if err := f.PushContext("h", legalCtx(t, dataset.ModelWindow)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Authorize(context.Background(), "h", buildInstr(t, "window.open", "w")); err != nil {
+	if _, err := authorizeOne(context.Background(), f, "h", buildInstr(t, "window.open", "w")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -503,7 +486,7 @@ func TestJumpHashProperties(t *testing.T) {
 func TestFleetDropsOutOfOrderPush(t *testing.T) {
 	mreg := obs.NewRegistry()
 	f := fleetForTest(t, Config{Metrics: mreg})
-	h := mustAddHome(t, f, HomeConfig{ID: "h"})
+	mustAddHome(t, f, HomeConfig{ID: "h"})
 	newer, older := legalCtx(t, dataset.ModelWindow), attackCtx(t, dataset.ModelWindow)
 	t1 := time.Date(2021, 4, 1, 12, 0, 0, 0, time.UTC)
 	older.At, newer.At = t1, t1.Add(time.Minute)
@@ -513,7 +496,7 @@ func TestFleetDropsOutOfOrderPush(t *testing.T) {
 		}
 	}
 	open := buildInstr(t, "window.open", "w")
-	dec, err := f.Authorize(context.Background(), "h", open)
+	dec, err := authorizeOne(context.Background(), f, "h", open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +514,7 @@ func TestFleetDropsOutOfOrderPush(t *testing.T) {
 	if err := f.PushContext("h", newer); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Pushes(); got != 2 {
+	if got := f.metrics.pushes.Value(); got != 2 {
 		t.Fatalf("home accepted %d pushes, want 2", got)
 	}
 	var buf strings.Builder
@@ -547,7 +530,7 @@ func TestFleetDropsOutOfOrderPush(t *testing.T) {
 // view but still reaches the trust engine, so replaying context keeps
 // costing the source trust.
 func TestFleetDroppedPushStillScoresTrust(t *testing.T) {
-	f := fleetForTest(t, Config{})
+	f := fleetForTest(t, Config{Metrics: obs.NewRegistry()})
 	eng, err := trust.NewEngine(trust.Config{}, trust.SourceConfig{Name: "push", Required: true})
 	if err != nil {
 		t.Fatal(err)
@@ -561,11 +544,10 @@ func TestFleetDroppedPushStillScoresTrust(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.Pushes() != 1 {
-		t.Fatalf("home accepted %d pushes, want 1", h.Pushes())
+	if got := f.metrics.pushes.Value(); got != 1 {
+		t.Fatalf("home accepted %d pushes, want 1", got)
 	}
 	if !h.LowTrust() {
-		score, _ := h.TrustScore()
-		t.Fatalf("replayed pushes left trust at %.2f, want below threshold", score)
+		t.Fatalf("replayed pushes left trust at %.2f, want below threshold", h.trust.ScoreIdx(0))
 	}
 }

@@ -39,7 +39,7 @@ func pushAndAuthorize(t testing.TB, f *Fleet, home string, e seq.TraceEvent) cor
 	if e.Sensitive {
 		op = "window.open"
 	}
-	dec, err := f.Authorize(context.Background(), home, buildInstr(t, op, "window-1"))
+	dec, err := authorizeOne(context.Background(), f, home, buildInstr(t, op, "window-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFleetAuthorizeSequenceSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 400; i++ {
-		dec, err := f.Authorize(ctx, "allow", in)
+		dec, err := authorizeOne(ctx, f, "allow", in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,8 +141,8 @@ func TestFleetAuthorizeSequenceSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if dec, err := f.Authorize(ctx, "allow", in); err != nil || !dec.Allowed {
-			t.Fatalf("allow path broke: %+v, %v", dec, err)
+		if dec := authorizeItem(t, f, "allow", in); !dec.Allowed {
+			t.Fatalf("allow path broke: %+v", dec)
 		}
 	})
 	if allocs != 0 {
@@ -155,11 +155,11 @@ func TestFleetAuthorizeSequenceSteadyStateAllocs(t *testing.T) {
 	if err := f.PushContext("closed", frozen.WindowScene()); err != nil {
 		t.Fatal(err)
 	}
-	if dec, err := f.Authorize(ctx, "closed", in); err != nil || !dec.Allowed {
+	if dec, err := authorizeOne(ctx, f, "closed", in); err != nil || !dec.Allowed {
 		t.Fatalf("cold-start authorize: %+v, %v", dec, err)
 	}
 	for i := 0; i < 50; i++ {
-		dec, err := f.Authorize(ctx, "closed", in)
+		dec, err := authorizeOne(ctx, f, "closed", in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +168,8 @@ func TestFleetAuthorizeSequenceSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	allocs = testing.AllocsPerRun(200, func() {
-		if dec, err := f.Authorize(ctx, "closed", in); err != nil || dec.Allowed {
-			t.Fatalf("fail-closed path broke: %+v, %v", dec, err)
+		if dec := authorizeItem(t, f, "closed", in); dec.Allowed {
+			t.Fatalf("fail-closed path broke: %+v", dec)
 		}
 	})
 	if allocs != 0 {
@@ -209,7 +209,7 @@ func TestFleetSeqPushAuthorizeRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, err := f.Authorize(ctx, "h", open); err != nil {
+			if _, err := authorizeOne(ctx, f, "h", open); err != nil {
 				t.Error(err)
 				return
 			}
@@ -218,7 +218,7 @@ func TestFleetSeqPushAuthorizeRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, err := f.Authorize(ctx, "h", get); err != nil {
+			if _, err := authorizeOne(ctx, f, "h", get); err != nil {
 				t.Error(err)
 				return
 			}
@@ -226,7 +226,8 @@ func TestFleetSeqPushAuthorizeRace(t *testing.T) {
 	}()
 	wg.Wait()
 	h, _ := f.Home("h")
-	if h.Decisions() != 2*iters {
-		t.Fatalf("decisions = %d, want %d", h.Decisions(), 2*iters)
+	log := h.stage.Log()
+	if got := log[len(log)-1].Seq; got != 2*iters {
+		t.Fatalf("decisions = %d, want %d", got, 2*iters)
 	}
 }

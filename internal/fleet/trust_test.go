@@ -53,12 +53,12 @@ func TestFleetTrustFailClosed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dec, err := f.Authorize(ctx, "spoofed", open)
+	dec, err := authorizeOne(ctx, f, "spoofed", open)
 	if err != nil || !dec.Allowed {
 		t.Fatalf("clean push on trust-armed home: dec=%+v err=%v", dec, err)
 	}
-	if score, ok := spoofed.TrustScore(); !ok || score != 1 {
-		t.Fatalf("TrustScore after clean push = %v, %v", score, ok)
+	if score := spoofed.trust.ScoreIdx(0); score != 1 {
+		t.Fatalf("trust score after clean push = %v, want 1", score)
 	}
 	if got := f.LowTrustHomes(); got != 0 {
 		t.Fatalf("LowTrustHomes after clean pushes = %d, want 0", got)
@@ -73,11 +73,10 @@ func TestFleetTrustFailClosed(t *testing.T) {
 		}
 	}
 	if !spoofed.LowTrust() {
-		score, _ := spoofed.TrustScore()
-		t.Fatalf("spoofed home still trusted at score %v", score)
+		t.Fatalf("spoofed home still trusted at score %v", spoofed.trust.ScoreIdx(0))
 	}
 
-	dec, err = f.Authorize(ctx, "spoofed", open)
+	dec, err = authorizeOne(ctx, f, "spoofed", open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,20 +88,17 @@ func TestFleetTrustFailClosed(t *testing.T) {
 	}
 
 	// Non-sensitive traffic on the spoofed home still judges...
-	dec, err = f.Authorize(ctx, "spoofed", buildInstr(t, "light.get_state", "lamp-1"))
+	dec, err = authorizeOne(ctx, f, "spoofed", buildInstr(t, "light.get_state", "lamp-1"))
 	if err != nil || !dec.Allowed {
 		t.Fatalf("non-sensitive on low-trust home: dec=%+v err=%v", dec, err)
 	}
 	// ...and the honest neighbour is untouched by its tenant's collapse.
-	dec, err = f.Authorize(ctx, "honest", open)
+	dec, err = authorizeOne(ctx, f, "honest", open)
 	if err != nil || !dec.Allowed {
 		t.Fatalf("honest home after neighbour collapse: dec=%+v err=%v", dec, err)
 	}
 	if got := f.LowTrustHomes(); got != 1 {
 		t.Fatalf("LowTrustHomes = %d, want 1", got)
-	}
-	if _, ok := (&Home{}).TrustScore(); ok {
-		t.Fatal("TrustScore on an engine-less home reported ok")
 	}
 }
 
@@ -122,7 +118,7 @@ func TestFleetTrustValidation(t *testing.T) {
 }
 
 // TestFleetTrustSteadyStateAllocs extends the fleet alloc gate with the
-// per-home trust check armed: still zero allocations per Authorize.
+// per-home trust check armed: still zero allocations per batch item (authorizeHome).
 func TestFleetTrustSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -136,23 +132,17 @@ func TestFleetTrustSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := buildInstr(t, "window.open", "win-1")
-	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := f.Authorize(ctx, "home-1", in); err != nil {
-			t.Fatal(err)
-		}
+		authorizeItem(t, f, "home-1", in)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		dec, err := f.Authorize(ctx, "home-1", in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := authorizeItem(t, f, "home-1", in)
 		if !dec.Allowed {
 			t.Fatalf("steady-state authorize rejected: %+v", dec)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("trust-armed fleet Authorize allocates %.1f/op, want 0", allocs)
+		t.Fatalf("trust-armed fleet authorizeHome allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -177,22 +167,16 @@ func TestFleetTrustFailClosedAllocs(t *testing.T) {
 		}
 	}
 	in := buildInstr(t, "window.open", "win-1")
-	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := f.Authorize(ctx, "spoofed", in); err != nil {
-			t.Fatal(err)
-		}
+		authorizeItem(t, f, "spoofed", in)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		dec, err := f.Authorize(ctx, "spoofed", in)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := authorizeItem(t, f, "spoofed", in)
 		if dec.Allowed || dec.Reason != core.ReasonLowTrust {
 			t.Fatalf("low-trust home decision: %+v", dec)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("low-trust fail-closed Authorize allocates %.1f/op, want 0", allocs)
+		t.Fatalf("low-trust fail-closed authorizeHome allocates %.1f/op, want 0", allocs)
 	}
 }

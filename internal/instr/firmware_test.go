@@ -36,8 +36,8 @@ func TestFirmwareRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RegistryFromFirmware: %v", err)
 	}
-	if reg.Len() != BuiltinRegistry().Len() {
-		t.Errorf("registry len %d, want %d", reg.Len(), BuiltinRegistry().Len())
+	if len(reg.specs) != len(BuiltinRegistry().specs) {
+		t.Errorf("registry len %d, want %d", len(reg.specs), len(BuiltinRegistry().specs))
 	}
 	if _, ok := reg.Lookup("window.open"); !ok {
 		t.Error("window.open missing from extracted registry")

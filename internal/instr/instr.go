@@ -7,7 +7,6 @@ package instr
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Category is one of the nine smart-home device categories of Table I.
@@ -213,31 +212,6 @@ func NewRegistry(specs []Spec) (*Registry, error) {
 func (r *Registry) Lookup(op string) (Spec, bool) {
 	s, ok := r.specs[op]
 	return s, ok
-}
-
-// Len returns the number of registered instructions.
-func (r *Registry) Len() int { return len(r.specs) }
-
-// Specs returns all specs sorted by opcode.
-func (r *Registry) Specs() []Spec {
-	out := make([]Spec, 0, len(r.specs))
-	for _, s := range r.specs {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Op < out[j].Op })
-	return out
-}
-
-// ByCategory returns the specs of one category sorted by opcode.
-func (r *Registry) ByCategory(c Category) []Spec {
-	var out []Spec
-	for _, s := range r.specs {
-		if s.Category == c {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Op < out[j].Op })
-	return out
 }
 
 // Build constructs a concrete instruction for a device after validating the

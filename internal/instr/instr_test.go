@@ -104,14 +104,16 @@ func TestNewRegistryValidation(t *testing.T) {
 
 func TestBuiltinRegistry(t *testing.T) {
 	r := BuiltinRegistry()
-	if r.Len() < 60 {
-		t.Fatalf("builtin set too small: %d", r.Len())
+	if len(r.specs) < 60 {
+		t.Fatalf("builtin set too small: %d", len(r.specs))
 	}
 	// Every category has at least one control and one status instruction.
 	for _, c := range Categories() {
-		specs := r.ByCategory(c)
 		var control, status bool
-		for _, s := range specs {
+		for _, s := range r.specs {
+			if s.Category != c {
+				continue
+			}
 			switch s.Kind {
 			case KindControl:
 				control = true
@@ -124,16 +126,6 @@ func TestBuiltinRegistry(t *testing.T) {
 		}
 		if !control || !status {
 			t.Errorf("category %v missing control(%v)/status(%v) instructions", c, control, status)
-		}
-	}
-	// Specs are sorted and unique.
-	specs := r.Specs()
-	if len(specs) != r.Len() {
-		t.Fatalf("Specs len %d != registry len %d", len(specs), r.Len())
-	}
-	for i := 1; i < len(specs); i++ {
-		if specs[i-1].Op >= specs[i].Op {
-			t.Fatalf("specs not strictly sorted at %d: %q >= %q", i, specs[i-1].Op, specs[i].Op)
 		}
 	}
 }

@@ -9,6 +9,10 @@ import (
 	"time"
 )
 
+// retries is how many times a call or the handshake is retried after a
+// timeout: UDP datagrams are fair game for loss.
+const retries = 2
+
 // ClientOption customises a client.
 type ClientOption func(*Client)
 
@@ -17,29 +21,13 @@ func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithRetries sets how many times a call is retried after a timeout
-// (default 2 — UDP datagrams are fair game for loss).
-func WithRetries(n int) ClientOption {
-	return func(c *Client) { c.retries = n }
-}
-
-// WithCallBudget caps one whole Call — every retry included — at d. Without
-// it a call with r retries can take (r+1)× the per-attempt timeout, which
-// is the unbounded tail the collection deadline work exists to remove.
-// Zero means no overall budget beyond the per-attempt deadlines.
-func WithCallBudget(d time.Duration) ClientOption {
-	return func(c *Client) { c.callBudget = d }
-}
-
 // Client speaks the encrypted protocol to one gateway. It performs the
 // hello handshake on dial (learning the gateway's device ID and stamp, as
 // the vendor app does) and then issues encrypted method calls. Safe for
 // concurrent use; calls are serialised on the socket.
 type Client struct {
-	token      Token
-	timeout    time.Duration
-	retries    int
-	callBudget time.Duration
+	token   Token
+	timeout time.Duration
 
 	mu       sync.Mutex
 	conn     *net.UDPConn
@@ -60,7 +48,7 @@ func Dial(addr string, token Token, opts ...ClientOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("miio: dial: %w", err)
 	}
-	c := &Client{token: token, timeout: 2 * time.Second, retries: 2, conn: conn}
+	c := &Client{token: token, timeout: 2 * time.Second, conn: conn}
 	for _, o := range opts {
 		o(c)
 	}
@@ -69,13 +57,6 @@ func Dial(addr string, token Token, opts ...ClientOption) (*Client, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// DeviceID returns the gateway's device ID learned during the handshake.
-func (c *Client) DeviceID() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.deviceID
 }
 
 // Close releases the socket.
@@ -95,7 +76,7 @@ func (c *Client) handshake() error {
 	hello := EncodeHello()
 	buf := make([]byte, MaxPacketSize)
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if _, err := c.conn.Write(hello); err != nil {
 			return fmt.Errorf("miio: hello write: %w", err)
 		}
@@ -123,22 +104,21 @@ func (c *Client) handshake() error {
 // Call issues one encrypted method call and decodes the result into a raw
 // JSON message. RPC-level errors surface as *RPCError.
 func (c *Client) Call(method string, params any) (json.RawMessage, error) {
-	//iot:allow ctxrule Call is the context-free compat API; the client's own call budget still bounds it
+	//iot:allow ctxrule Call is the context-free compat API; the per-attempt timeout and the fixed retry count still bound it
 	return c.CallContext(context.Background(), method, params)
 }
 
 // CallContext is Call with cancellation and an overall deadline: the call
-// ends at the earliest of the context's deadline and the client's call
-// budget, no matter how many retries remain. Cancellation is checked
-// between attempts, and every socket read deadline is capped so a blocking
-// read can never outlive the overall deadline.
+// ends at the context's deadline, no matter how many retries remain.
+// Cancellation is checked between attempts, and every socket read deadline
+// is capped so a blocking read can never outlive the context's deadline.
 func (c *Client) CallContext(ctx context.Context, method string, params any) (json.RawMessage, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, fmt.Errorf("miio: client closed")
 	}
-	overall, hasOverall, ctxBound := overallDeadline(ctx, c.callBudget)
+	overall, hasOverall := ctx.Deadline()
 	c.nextID++
 	id := c.nextID
 	var rawParams json.RawMessage
@@ -162,21 +142,16 @@ func (c *Client) CallContext(ctx context.Context, method string, params any) (js
 
 	buf := make([]byte, MaxPacketSize)
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, budgetErr(method, err, lastErr)
+			return nil, deadlineErr(method, err, lastErr)
 		}
 		readDeadline := time.Now().Add(c.timeout)
 		if hasOverall {
 			if !overall.After(time.Now()) {
-				// Attribute the expiry to whichever bound was binding: the
-				// caller's context deadline (even if its timer has not fired
-				// yet) or the client's own call budget.
-				cause := error(context.DeadlineExceeded)
-				if !ctxBound {
-					cause = fmt.Errorf("call budget exhausted")
-				}
-				return nil, budgetErr(method, cause, lastErr)
+				// The deadline has passed even if the context's timer has
+				// not fired yet.
+				return nil, deadlineErr(method, context.DeadlineExceeded, lastErr)
 			}
 			if readDeadline.After(overall) {
 				readDeadline = overall
@@ -216,25 +191,9 @@ func (c *Client) CallContext(ctx context.Context, method string, params any) (js
 	return nil, fmt.Errorf("miio: call %s: %w", method, lastErr)
 }
 
-// overallDeadline resolves the earliest of the context deadline and the
-// client's call budget (measured from now); fromCtx reports whether the
-// context deadline is the binding one.
-func overallDeadline(ctx context.Context, budget time.Duration) (deadline time.Time, has, fromCtx bool) {
-	if d, ok := ctx.Deadline(); ok {
-		deadline, has, fromCtx = d, true, true
-	}
-	if budget > 0 {
-		b := time.Now().Add(budget)
-		if !has || b.Before(deadline) {
-			deadline, has, fromCtx = b, true, false
-		}
-	}
-	return deadline, has, fromCtx
-}
-
-// budgetErr reports a call abandoned by its overall deadline, keeping the
+// deadlineErr reports a call abandoned by its context, keeping the
 // last transport error for the post-mortem.
-func budgetErr(method string, cause, lastErr error) error {
+func deadlineErr(method string, cause, lastErr error) error {
 	if lastErr != nil && lastErr != cause {
 		return fmt.Errorf("miio: call %s: %w (last attempt: %v)", method, cause, lastErr)
 	}

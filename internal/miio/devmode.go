@@ -149,22 +149,11 @@ func (d *DevMode) serve() {
 // Push sends a change report to every live subscriber and reaps expired
 // ones.
 func (d *DevMode) Push(model, sid string, data any) error {
-	return d.push("report", model, sid, data)
-}
-
-// Heartbeat sends the gateway's periodic full-state keep-alive — same
-// delivery as Push, tagged "heartbeat" so listeners can tell a
-// resynchronisation frame from an incremental change.
-func (d *DevMode) Heartbeat(model, sid string, data any) error {
-	return d.push("heartbeat", model, sid, data)
-}
-
-func (d *DevMode) push(cmd, model, sid string, data any) error {
 	raw, err := json.Marshal(data)
 	if err != nil {
 		return fmt.Errorf("miio: devmode marshal data: %w", err)
 	}
-	payload, err := json.Marshal(Report{Cmd: cmd, Model: model, SID: sid, Data: raw})
+	payload, err := json.Marshal(Report{Cmd: "report", Model: model, SID: sid, Data: raw})
 	if err != nil {
 		return fmt.Errorf("miio: devmode marshal report: %w", err)
 	}

@@ -204,8 +204,8 @@ func TestGatewayClientEndToEnd(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	if c.DeviceID() != 0x1234 {
-		t.Errorf("DeviceID = %#x", c.DeviceID())
+	if c.deviceID != 0x1234 {
+		t.Errorf("handshake device ID = %#x", c.deviceID)
 	}
 	res, err := c.Call("get_prop", []string{"smoke", "temperature"})
 	if err != nil {
@@ -252,7 +252,7 @@ func TestDialWrongTokenFails(t *testing.T) {
 	other := mustToken("ffeeddccbbaa99887766554433221100")
 	// The hello reply decodes (it carries no encrypted payload), but the
 	// first call must die: the gateway drops undecryptable datagrams.
-	c, err := Dial(g.Addr().String(), other, WithTimeout(200*time.Millisecond), WithRetries(0))
+	c, err := Dial(g.Addr().String(), other, WithTimeout(200*time.Millisecond))
 	if err != nil {
 		return // also acceptable: handshake failed outright
 	}
@@ -263,7 +263,7 @@ func TestDialWrongTokenFails(t *testing.T) {
 }
 
 func TestDialNoGateway(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1", testToken, WithTimeout(100*time.Millisecond), WithRetries(0)); err == nil {
+	if _, err := Dial("127.0.0.1:1", testToken, WithTimeout(100*time.Millisecond)); err == nil {
 		t.Error("want handshake timeout")
 	}
 }

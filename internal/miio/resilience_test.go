@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +13,7 @@ import (
 
 // flakyGateway is a raw UDP server speaking the encrypted protocol that
 // deliberately drops the first `drops` method-call datagrams — the lossy
-// vendor device the retry and budget machinery exists for. Hellos are
+// vendor device the retry and deadline machinery exists for. Hellos are
 // always answered so Dial succeeds.
 type flakyGateway struct {
 	conn  *net.UDPConn
@@ -93,7 +92,7 @@ func (g *flakyGateway) serve() {
 // the retry loop and the call still succeeds.
 func TestCallContextRetriesThroughDrops(t *testing.T) {
 	g := startFlakyGateway(t, 1)
-	c, err := Dial(g.addr(), testToken, WithTimeout(100*time.Millisecond), WithRetries(3))
+	c, err := Dial(g.addr(), testToken, WithTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -111,39 +110,11 @@ func TestCallContextRetriesThroughDrops(t *testing.T) {
 	}
 }
 
-// TestCallBudgetCapsRetries: with every datagram dropped, the overall call
-// budget ends the call long before the per-attempt retries would — the
-// unbounded (retries+1)×timeout tail is gone.
-func TestCallBudgetCapsRetries(t *testing.T) {
-	g := startFlakyGateway(t, 1_000_000)
-	c, err := Dial(g.addr(), testToken,
-		WithTimeout(100*time.Millisecond),
-		WithRetries(20), // 2.1s of attempts without a budget
-		WithCallBudget(150*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	start := time.Now()
-	_, err = c.CallContext(context.Background(), "ping", nil)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("want budget failure")
-	}
-	if !strings.Contains(err.Error(), "call budget exhausted") {
-		t.Errorf("err = %v, want the budget named", err)
-	}
-	if elapsed > time.Second {
-		t.Errorf("call ran %v despite a 150ms budget", elapsed)
-	}
-}
-
 // TestCallContextHonoursDeadline: a context deadline bounds the whole call
 // the same way, and surfaces as context.DeadlineExceeded.
 func TestCallContextHonoursDeadline(t *testing.T) {
 	g := startFlakyGateway(t, 1_000_000)
-	c, err := Dial(g.addr(), testToken, WithTimeout(time.Second), WithRetries(20))
+	c, err := Dial(g.addr(), testToken, WithTimeout(time.Second))
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -180,7 +151,7 @@ func TestCallContextCancelled(t *testing.T) {
 }
 
 // TestCallDelegatesToContext: the legacy Call keeps working against the
-// same machinery (background context, no budget).
+// same machinery (background context).
 func TestCallDelegatesToContext(t *testing.T) {
 	g := startFlakyGateway(t, 0)
 	c, err := Dial(g.addr(), testToken, WithTimeout(200*time.Millisecond))

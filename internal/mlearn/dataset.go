@@ -75,16 +75,6 @@ func NewSchema(attrs []Attribute) (Schema, error) {
 	return Schema{Attrs: out}, nil
 }
 
-// Index returns the position of an attribute by name, or -1.
-func (s Schema) Index(name string) int {
-	for i, a := range s.Attrs {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Len returns the number of attributes.
 func (s Schema) Len() int { return len(s.Attrs) }
 

@@ -57,9 +57,6 @@ func TestNewSchemaValidation(t *testing.T) {
 		})
 	}
 	s := testSchema(t)
-	if s.Index("weather") != 1 || s.Index("nope") != -1 {
-		t.Error("Index wrong")
-	}
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
 	}

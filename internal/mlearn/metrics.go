@@ -90,15 +90,6 @@ func (m Confusion) FNR() float64 {
 	return float64(m.FN) / float64(d)
 }
 
-// F1 is the harmonic mean of precision and recall.
-func (m Confusion) F1() float64 {
-	p, r := m.Precision(), m.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // String renders the matrix for logs.
 func (m Confusion) String() string {
 	return fmt.Sprintf("TP=%d TN=%d FP=%d FN=%d acc=%.4f", m.TP, m.TN, m.FP, m.FN, m.Accuracy())

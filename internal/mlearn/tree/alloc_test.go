@@ -26,39 +26,12 @@ func TestCompiledPredictZeroAllocs(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(500, func() {
-		if got := c.Predict(probes[i%len(probes)]); got < 0 {
+		if got := c.Label(c.Leaf(probes[i%len(probes)])); got < 0 {
 			t.Fatal("negative class")
 		}
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Compiled.Predict allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestCompiledPredictIntoZeroAllocs: the batch form with caller-provided
-// output must be allocation-free as well.
-func TestCompiledPredictIntoZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	tr, _ := fittedTree(t, 400, 5)
-	c, err := tr.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(12))
-	xs := make([][]float64, 32)
-	for i := range xs {
-		xs[i] = randomProbe(rng)
-	}
-	out := make([]int, len(xs))
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := c.PredictInto(xs, out); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Compiled.PredictInto allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("Compiled.Leaf and Label allocate %.1f objects/op, want 0", allocs)
 	}
 }

@@ -90,7 +90,7 @@ func BenchmarkPredictCompiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Predict(probe)
+		_ = c.Label(c.Leaf(probe))
 	}
 }
 
@@ -124,25 +124,5 @@ func BenchmarkPredictSweepCompiled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchPredictSweep(b, c.Predict, d.X)
-}
-
-func BenchmarkPredictAllCompiled(b *testing.B) {
-	d := benchDataset(b, 5000, 1)
-	tr := New(Config{MinSamplesLeaf: 2})
-	if err := tr.Fit(d); err != nil {
-		b.Fatal(err)
-	}
-	c, err := tr.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]int, len(d.X))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.PredictInto(d.X, out); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPredictSweep(b, func(x []float64) int { return c.Label(c.Leaf(x)) }, d.X)
 }

@@ -65,11 +65,8 @@ func (c *Compiled) flatten(n *node) int32 {
 }
 
 // Width returns the attribute count of the schema the tree was trained on —
-// the length Predict expects of its feature vector.
+// the length Leaf expects of its feature vector.
 func (c *Compiled) Width() int { return c.width }
-
-// NodeCount returns the number of flattened nodes.
-func (c *Compiled) NodeCount() int { return len(c.nodes) }
 
 // Leaf walks one example to its leaf and returns the leaf's node index.
 // Nodes are laid out in preorder, so the index is also the leaf's preorder
@@ -104,34 +101,3 @@ func (c *Compiled) Leaf(x []float64) int32 {
 
 // Label returns the class of the node at index i (a Leaf result).
 func (c *Compiled) Label(i int32) int { return int(c.nodes[i].label) }
-
-// Predict labels one example: the class of its leaf. It allocates nothing
-// and matches Tree.Predict exactly.
-//
-//iot:hotpath
-func (c *Compiled) Predict(x []float64) int { return c.Label(c.Leaf(x)) }
-
-// PredictInto labels a batch into a caller-provided buffer (the
-// allocation-free batch form). out must be at least as long as xs; the
-// filled prefix is returned.
-//
-//iot:hotpath
-func (c *Compiled) PredictInto(xs [][]float64, out []int) ([]int, error) {
-	if len(out) < len(xs) {
-		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
-		return nil, fmt.Errorf("tree: predict buffer %d short of batch %d", len(out), len(xs))
-	}
-	for i, x := range xs {
-		out[i] = c.Predict(x)
-	}
-	return out[:len(xs)], nil
-}
-
-// PredictAll labels a batch, allocating the result slice.
-func (c *Compiled) PredictAll(xs [][]float64) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = c.Predict(x)
-	}
-	return out
-}

@@ -58,19 +58,19 @@ func TestCompiledMatchesTreeOnRandomProbes(t *testing.T) {
 	if c.Width() != 3 {
 		t.Fatalf("Width = %d", c.Width())
 	}
-	if c.NodeCount() != tr.NodeCount() {
-		t.Fatalf("NodeCount = %d, tree has %d", c.NodeCount(), tr.NodeCount())
+	if len(c.nodes) != tr.NodeCount() {
+		t.Fatalf("compiled nodes = %d, tree has %d", len(c.nodes), tr.NodeCount())
 	}
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 20000; i++ {
 		x := randomProbe(rng)
-		if got, want := c.Predict(x), tr.Predict(x); got != want {
+		if got, want := c.Label(c.Leaf(x)), tr.Predict(x); got != want {
 			t.Fatalf("probe %d: compiled = %d, tree = %d (x = %v)", i, got, want, x)
 		}
 	}
 	// Training rows too.
 	for i, x := range d.X {
-		if got, want := c.Predict(x), tr.Predict(x); got != want {
+		if got, want := c.Label(c.Leaf(x)), tr.Predict(x); got != want {
 			t.Fatalf("train row %d: compiled = %d, tree = %d", i, got, want)
 		}
 	}
@@ -94,44 +94,15 @@ func TestCompiledSurvivesSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.NodeCount() != after.NodeCount() {
-		t.Fatalf("node count diverged: %d vs %d", before.NodeCount(), after.NodeCount())
+	if len(before.nodes) != len(after.nodes) {
+		t.Fatalf("node count diverged: %d vs %d", len(before.nodes), len(after.nodes))
 	}
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 10000; i++ {
 		x := randomProbe(rng)
-		if got, want := after.Predict(x), before.Predict(x); got != want {
+		if got, want := after.Label(after.Leaf(x)), before.Label(before.Leaf(x)); got != want {
 			t.Fatalf("probe %d: reloaded compiled = %d, original = %d", i, got, want)
 		}
-	}
-}
-
-func TestCompiledBatchForms(t *testing.T) {
-	tr, d := fittedTree(t, 500, 31)
-	c, err := tr.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]int, len(d.X))
-	for i, x := range d.X {
-		want[i] = tr.Predict(x)
-	}
-	all := c.PredictAll(d.X)
-	if len(all) != len(want) {
-		t.Fatalf("PredictAll length = %d", len(all))
-	}
-	buf := make([]int, len(d.X))
-	into, err := c.PredictInto(d.X, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if all[i] != want[i] || into[i] != want[i] {
-			t.Fatalf("row %d: all = %d, into = %d, want %d", i, all[i], into[i], want[i])
-		}
-	}
-	if _, err := c.PredictInto(d.X, make([]int, 3)); err == nil {
-		t.Error("want short-buffer error")
 	}
 }
 

@@ -98,9 +98,6 @@ func New(cfg Config) *Tree {
 	return &Tree{cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (t *Tree) Config() Config { return t.cfg }
-
 // Fit grows the tree on the dataset.
 func (t *Tree) Fit(d *mlearn.Dataset) error {
 	if d.Len() == 0 {

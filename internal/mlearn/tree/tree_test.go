@@ -236,7 +236,7 @@ func TestJSONRoundTrip(t *testing.T) {
 			t.Errorf("weights diverge: %v vs %v", w1[i], w2[i])
 		}
 	}
-	if back.Config().Criterion != Entropy {
+	if back.cfg.Criterion != Entropy {
 		t.Error("config lost")
 	}
 }
@@ -451,7 +451,7 @@ func TestExplainLeafMatchesWalk(t *testing.T) {
 			t.Fatalf("example %d: ExplainLeaf(%d) = %q, %v; want %q", i, leaf, got, err, want)
 		}
 	}
-	for _, bad := range []int{-1, 0, c.NodeCount()} {
+	for _, bad := range []int{-1, 0, len(c.nodes)} {
 		if _, err := tr.ExplainLeaf(bad); err == nil {
 			t.Errorf("ExplainLeaf(%d) succeeded on a non-leaf index", bad)
 		}

@@ -214,7 +214,7 @@ func writeHistogram(w *bufio.Writer, name string, s *series) {
 	cum += inf
 	writeSample(w, name, "_bucket", s.labels, `le="+Inf"`, strconv.FormatUint(cum, 10))
 	writeSample(w, name, "_sum", s.labels, "", formatFloat(s.h.Sum()))
-	// _count mirrors the +Inf bucket (not the count atomic) so a scrape
-	// racing concurrent observes still renders a self-consistent histogram.
+	// _count mirrors the +Inf bucket so a scrape racing concurrent
+	// observes still renders a self-consistent histogram.
 	writeSample(w, name, "_count", s.labels, "", strconv.FormatUint(cum, 10))
 }

@@ -99,12 +99,11 @@ func (g *Gauge) Value() int64 {
 // Histogram is a fixed-bucket distribution. Buckets are cumulative upper
 // bounds in ascending order (Prometheus "le" semantics); an implicit +Inf
 // bucket catches the tail. Observe is lock-free: one atomic add for the
-// bucket, one for the count, and a CAS loop folding the observation into
-// the float sum. Nil receivers are no-ops.
+// bucket and a CAS loop folding the observation into the float sum. Nil
+// receivers are no-ops.
 type Histogram struct {
 	bounds  []float64
-	buckets []atomic.Uint64 // one per bound; +Inf tracked by count-sum of bounds
-	count   atomic.Uint64
+	buckets []atomic.Uint64 // one per bound; +Inf tracked by inf
 	inf     atomic.Uint64
 	sumBits atomic.Uint64
 }
@@ -143,7 +142,6 @@ func (h *Histogram) Observe(v float64) {
 	if !placed {
 		h.inf.Add(1)
 	}
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -151,14 +149,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns how many samples were observed.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of all observations.

@@ -141,6 +141,3 @@ func (v *Verifier) Verify(snap sensor.Snapshot) (score float64, genuine bool, er
 	score = float64(consistent) / float64(checked)
 	return score, score >= v.Threshold, nil
 }
-
-// Event returns the verified event feature.
-func (v *Verifier) Event() sensor.Feature { return v.event }

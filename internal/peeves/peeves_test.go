@@ -127,8 +127,8 @@ func TestVerifyValidation(t *testing.T) {
 	if _, _, err := v.Verify(s); err == nil {
 		t.Error("want no-correlates error")
 	}
-	if v.Event() != sensor.FeatSmoke {
-		t.Error("Event() wrong")
+	if v.event != sensor.FeatSmoke {
+		t.Error("verified event wrong")
 	}
 }
 

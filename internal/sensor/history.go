@@ -1,15 +1,9 @@
 package sensor
 
-import (
-	"fmt"
-	"math"
-	"time"
-)
+import "fmt"
 
-// History is a bounded time-series of snapshots with windowed aggregate
-// queries — the collector-side buffer a deployment keeps so the framework
-// (and the camera warner) can reason about recent sensor behaviour, not
-// just the instantaneous context.
+// History is a bounded time-series of snapshots — the collector-side
+// last-good buffer a MultiCollector keeps per source.
 type History struct {
 	snaps []Snapshot
 	head  int
@@ -46,9 +40,6 @@ func (h *History) Push(s Snapshot) error {
 	return nil
 }
 
-// Len returns the number of retained snapshots.
-func (h *History) Len() int { return h.size }
-
 // at returns the i-th oldest retained snapshot.
 func (h *History) at(i int) Snapshot {
 	return h.snaps[(h.head+i)%h.cap]
@@ -60,99 +51,4 @@ func (h *History) Latest() (Snapshot, bool) {
 		return Snapshot{}, false
 	}
 	return h.at(h.size - 1), true
-}
-
-// Window returns the retained snapshots within d of the newest one, oldest
-// first.
-func (h *History) Window(d time.Duration) []Snapshot {
-	if h.size == 0 {
-		return nil
-	}
-	cutoff := h.at(h.size - 1).At.Add(-d)
-	var out []Snapshot
-	for i := 0; i < h.size; i++ {
-		s := h.at(i)
-		if !s.At.Before(cutoff) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Aggregate summarises one numeric feature over a window.
-type Aggregate struct {
-	Count int
-	Mean  float64
-	Min   float64
-	Max   float64
-	// Delta is newest minus oldest — the trend over the window.
-	Delta float64
-}
-
-// AggregateNumeric summarises a numeric feature over the last d. Snapshots
-// missing the feature are skipped; zero observations yields ok=false.
-func (h *History) AggregateNumeric(f Feature, d time.Duration) (Aggregate, bool) {
-	var agg Aggregate
-	agg.Min = math.Inf(1)
-	agg.Max = math.Inf(-1)
-	var sum, first, last float64
-	for _, s := range h.Window(d) {
-		x, ok := s.Number(f)
-		if !ok {
-			continue
-		}
-		if agg.Count == 0 {
-			first = x
-		}
-		last = x
-		agg.Count++
-		sum += x
-		agg.Min = math.Min(agg.Min, x)
-		agg.Max = math.Max(agg.Max, x)
-	}
-	if agg.Count == 0 {
-		return Aggregate{}, false
-	}
-	agg.Mean = sum / float64(agg.Count)
-	agg.Delta = last - first
-	return agg, true
-}
-
-// TrueFraction returns the fraction of window snapshots in which a boolean
-// feature was true; ok=false when the feature never appeared.
-func (h *History) TrueFraction(f Feature, d time.Duration) (float64, bool) {
-	var seen, trues int
-	for _, s := range h.Window(d) {
-		v, ok := s.Get(f)
-		if !ok {
-			continue
-		}
-		b, isBool := v.Bool()
-		if !isBool {
-			continue
-		}
-		seen++
-		if b {
-			trues++
-		}
-	}
-	if seen == 0 {
-		return 0, false
-	}
-	return float64(trues) / float64(seen), true
-}
-
-// ChangedAt returns the timestamps (oldest first) at which a feature's
-// value differed from the previous retained snapshot's.
-func (h *History) ChangedAt(f Feature, d time.Duration) []time.Time {
-	window := h.Window(d)
-	var out []time.Time
-	for i := 1; i < len(window); i++ {
-		prev, okPrev := window[i-1].Get(f)
-		cur, okCur := window[i].Get(f)
-		if okPrev && okCur && !cur.Equal(prev) {
-			out = append(out, window[i].At)
-		}
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package sensor
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -23,8 +22,8 @@ func TestHistoryPushAndLatest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.Len() != 5 {
-		t.Fatalf("len = %d", h.Len())
+	if h.size != 5 {
+		t.Fatalf("len = %d", h.size)
 	}
 	latest, ok := h.Latest()
 	if !ok || !latest.At.Equal(testTime.Add(4*time.Minute)) {
@@ -47,85 +46,11 @@ func TestHistoryRingEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.Len() != 4 {
-		t.Fatalf("len = %d", h.Len())
+	if h.size != 4 {
+		t.Fatalf("len = %d", h.size)
 	}
-	window := h.Window(time.Hour)
-	if len(window) != 4 {
-		t.Fatalf("window = %d", len(window))
-	}
-	if n, _ := window[0].Number(FeatTempIndoor); n != 6 {
+	if n, _ := h.at(0).Number(FeatTempIndoor); n != 6 {
 		t.Errorf("oldest retained = %v, want 6", n)
-	}
-}
-
-func TestHistoryWindowCutoff(t *testing.T) {
-	h := NewHistory(16)
-	for i := 0; i < 10; i++ {
-		if err := h.Push(histSnap(testTime.Add(time.Duration(i)*time.Minute), float64(i), false)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Newest is at +9m; a 3m window covers +6..+9.
-	window := h.Window(3 * time.Minute)
-	if len(window) != 4 {
-		t.Fatalf("window = %d", len(window))
-	}
-	for i := 1; i < len(window); i++ {
-		if window[i].At.Before(window[i-1].At) {
-			t.Error("window not oldest-first")
-		}
-	}
-	if h2 := NewHistory(4); h2.Window(time.Minute) != nil {
-		t.Error("empty window should be nil")
-	}
-}
-
-func TestAggregateNumeric(t *testing.T) {
-	h := NewHistory(16)
-	temps := []float64{20, 22, 21, 25}
-	for i, x := range temps {
-		if err := h.Push(histSnap(testTime.Add(time.Duration(i)*time.Minute), x, false)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	agg, ok := h.AggregateNumeric(FeatTempIndoor, time.Hour)
-	if !ok {
-		t.Fatal("no aggregate")
-	}
-	if agg.Count != 4 || agg.Min != 20 || agg.Max != 25 || agg.Delta != 5 {
-		t.Errorf("agg = %+v", agg)
-	}
-	if math.Abs(agg.Mean-22) > 1e-12 {
-		t.Errorf("mean = %v", agg.Mean)
-	}
-	// Feature absent from every snapshot.
-	if _, ok := h.AggregateNumeric(FeatHumidity, time.Hour); ok {
-		t.Error("aggregate over absent feature should fail")
-	}
-}
-
-func TestTrueFractionAndChangedAt(t *testing.T) {
-	h := NewHistory(16)
-	pattern := []bool{false, false, true, true, false}
-	for i, b := range pattern {
-		if err := h.Push(histSnap(testTime.Add(time.Duration(i)*time.Minute), 20, b)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	frac, ok := h.TrueFraction(FeatSmoke, time.Hour)
-	if !ok || math.Abs(frac-0.4) > 1e-12 {
-		t.Errorf("frac = %v, %v", frac, ok)
-	}
-	if _, ok := h.TrueFraction(FeatMotion, time.Hour); ok {
-		t.Error("fraction over absent feature should fail")
-	}
-	changes := h.ChangedAt(FeatSmoke, time.Hour)
-	if len(changes) != 2 {
-		t.Fatalf("changes = %v", changes)
-	}
-	if !changes[0].Equal(testTime.Add(2*time.Minute)) || !changes[1].Equal(testTime.Add(4*time.Minute)) {
-		t.Errorf("change times = %v", changes)
 	}
 }
 
@@ -137,7 +62,7 @@ func TestHistoryCapacityClamp(t *testing.T) {
 	if err := h.Push(histSnap(testTime.Add(time.Minute), 21, false)); err != nil {
 		t.Fatal(err)
 	}
-	if h.Len() != 2 {
-		t.Errorf("len = %d, want clamped capacity 2", h.Len())
+	if h.size != 2 {
+		t.Errorf("len = %d, want clamped capacity 2", h.size)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // features.
 func randomSnapshot(rng *rand.Rand) Snapshot {
 	s := NewSnapshot(time.Unix(rng.Int63n(1<<30), 0))
-	for _, d := range Vocabulary() {
+	for _, d := range vocabulary {
 		if rng.Intn(2) == 0 {
 			continue
 		}

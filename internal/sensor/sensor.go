@@ -60,12 +60,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Valid reports whether k is a known sensor kind.
-func (k Kind) Valid() bool {
-	_, ok := kindNames[k]
-	return ok
-}
-
 // Feature names one dimension of the sensor context. Features are the
 // columns of the machine-learning problem and the keys of a Snapshot.
 type Feature string
@@ -233,14 +227,6 @@ func buildVocabularyIndex() map[Feature]Descriptor {
 		m[d.Feature] = d
 	}
 	return m
-}
-
-// Vocabulary returns a copy of the full feature vocabulary in canonical
-// order.
-func Vocabulary() []Descriptor {
-	out := make([]Descriptor, len(vocabulary))
-	copy(out, vocabulary)
-	return out
 }
 
 // Describe looks up the descriptor of a feature.

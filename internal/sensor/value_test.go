@@ -132,19 +132,13 @@ func TestKindString(t *testing.T) {
 	if KindSmoke.String() != "smoke" {
 		t.Errorf("KindSmoke = %q", KindSmoke.String())
 	}
-	if !KindSmoke.Valid() {
-		t.Error("KindSmoke should be valid")
-	}
-	if Kind(999).Valid() {
-		t.Error("Kind(999) should be invalid")
-	}
 	if Kind(999).String() != "kind(999)" {
 		t.Errorf("Kind(999) = %q", Kind(999).String())
 	}
 }
 
 func TestVocabularyCompleteAndConsistent(t *testing.T) {
-	vocab := Vocabulary()
+	vocab := vocabulary
 	if len(vocab) < 18 {
 		t.Fatalf("vocabulary too small: %d", len(vocab))
 	}
@@ -154,7 +148,7 @@ func TestVocabularyCompleteAndConsistent(t *testing.T) {
 			t.Errorf("duplicate feature %q", d.Feature)
 		}
 		seen[d.Feature] = true
-		if !d.Source.Valid() {
+		if _, ok := kindNames[d.Source]; !ok {
 			t.Errorf("feature %q has invalid source kind", d.Feature)
 		}
 		if d.Type == TypeLabel && len(d.Labels) == 0 {

@@ -68,7 +68,7 @@ func FuzzSequenceObserve(f *testing.F) {
 			for i := 0; i < 3; i++ {
 				out[i] = set.ObserveJudge(&tr, m, sensitive != (i == 1), allowed != (i == 2), mk(i), times[i])
 			}
-			return out, tr.Len()
+			return out, tr.n
 		}
 		a, alen := run()
 		b, blen := run()

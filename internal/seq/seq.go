@@ -310,12 +310,6 @@ type Set struct {
 	margin float64
 }
 
-// Model returns one device model's table.
-func (s *Set) Model(m dataset.Model) (*Model, bool) {
-	mod, ok := s.models[m]
-	return mod, ok
-}
-
 // Models lists the trained device models in dataset order.
 func (s *Set) Models() []dataset.Model {
 	out := make([]dataset.Model, 0, len(s.models))
@@ -350,13 +344,6 @@ type Tracker struct {
 	lastAt time.Time
 	occ    bool
 	occAt  time.Time
-}
-
-// Len reports how many events the tracker has admitted.
-func (t *Tracker) Len() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
 }
 
 // Verdict is the sequence judge's output for one observation.

@@ -58,13 +58,13 @@ func TestSetModels(t *testing.T) {
 	if got, want := len(set.Models()), len(dataset.Models()); got != want {
 		t.Fatalf("Models() = %d models, want %d", got, want)
 	}
-	if _, ok := set.Model(dataset.ModelWindow); !ok {
+	if _, ok := set.models[dataset.ModelWindow]; !ok {
 		t.Fatalf("window model missing from trained set")
 	}
-	if _, ok := set.Model(dataset.Model("nonsense")); ok {
+	if _, ok := set.models[dataset.Model("nonsense")]; ok {
 		t.Fatalf("unknown model unexpectedly present")
 	}
-	win, _ := set.Model(dataset.ModelWindow)
+	win := set.models[dataset.ModelWindow]
 	if win.Transitions() == 0 {
 		t.Fatalf("window table has no transitions")
 	}
@@ -191,8 +191,8 @@ func TestAdmitMatchesObserveJudge(t *testing.T) {
 			t.Fatalf("benign event %d flagged anomalous (min LL %v)", i, v.MinLL)
 		}
 	}
-	if run.Len() != train.Len() {
-		t.Fatalf("runtime tracker admitted %d events, training fold %d", run.Len(), train.Len())
+	if run.n != train.n {
+		t.Fatalf("runtime tracker admitted %d events, training fold %d", run.n, train.n)
 	}
 	for i := 0; i < histCap && i < len(trainSyms); i++ {
 		if run.hist[i] != train.hist[i] {
@@ -252,7 +252,7 @@ func TestChainAttackFlagged(t *testing.T) {
 			t.Fatalf("non-sensitive filler %d must be observed, not judged", i)
 		}
 	}
-	before := tr.Len()
+	before := tr.n
 	v := set.ObserveJudge(&tr, dataset.ModelWindow, true, true, burst.Snapshot(), burstAt)
 	if !v.Judged || !v.Anomalous {
 		t.Fatalf("chain-final sensitive action not flagged: %+v", v)
@@ -260,7 +260,7 @@ func TestChainAttackFlagged(t *testing.T) {
 	if v.BadTransitions == 0 || v.MinLL >= 0 {
 		t.Fatalf("verdict carries no evidence: %+v", v)
 	}
-	if tr.Len() != before {
+	if tr.n != before {
 		t.Fatalf("rejected event was appended to history")
 	}
 }
@@ -313,7 +313,7 @@ func TestColdStartAllows(t *testing.T) {
 	if v.Judged || v.Anomalous {
 		t.Fatalf("cold-start sensitive event must not be judged: %+v", v)
 	}
-	if tr.Len() != 1 {
+	if tr.n != 1 {
 		t.Fatalf("cold-start event not admitted")
 	}
 }
@@ -326,7 +326,7 @@ func TestDisallowedAndUnknownModelPaths(t *testing.T) {
 	if v := set.ObserveJudge(&tr, dataset.ModelWindow, true, false, e.Snapshot(), e.At); v.Judged || v.Anomalous {
 		t.Fatalf("disallowed event judged: %+v", v)
 	}
-	if tr.Len() != 0 {
+	if tr.n != 0 {
 		t.Fatalf("disallowed event admitted")
 	}
 	// Sensitive but no trained table for the model: admitted, not judged.
@@ -334,8 +334,8 @@ func TestDisallowedAndUnknownModelPaths(t *testing.T) {
 	if v := set.ObserveJudge(&tr, dataset.Model("mystery"), true, true, e.Snapshot(), e.At.Add(time.Minute)); v.Judged {
 		t.Fatalf("unknown model judged: %+v", v)
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("unknown-model events not admitted, len=%d", tr.Len())
+	if tr.n != 2 {
+		t.Fatalf("unknown-model events not admitted, len=%d", tr.n)
 	}
 }
 
@@ -351,7 +351,7 @@ func TestSerializeStable(t *testing.T) {
 
 func TestLogLikelihoodOrdering(t *testing.T) {
 	set := smallTrain(t, 0)
-	win, _ := set.Model(dataset.ModelWindow)
+	win, _ := set.models[dataset.ModelWindow]
 	// Find a seen transition and verify it clears its row gate while an
 	// unseen one in the same row falls below it.
 	for r := 0; r < SymbolSpace; r++ {

@@ -32,20 +32,12 @@ func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.http.Timeout = d }
 }
 
-// WithRetry retries idempotent GETs under the shared resilience policy when
-// they fail with a transient network error or a 5xx. Non-GET requests and
-// 4xx responses are never retried.
-func WithRetry(p resilience.Policy) ClientOption {
-	return func(c *Client) { c.retry = &p }
-}
-
 // Client talks to the bridge with a long-lived access token, exactly as the
 // paper's collector queries its Home Assistant deployment.
 type Client struct {
 	baseURL string
 	token   string
 	http    *http.Client
-	retry   *resilience.Policy
 }
 
 // NewClient builds a client for the bridge at baseURL.
@@ -103,6 +95,9 @@ func (c *Client) CallService(ctx context.Context, domain, service string, data m
 	return out, nil
 }
 
+// do performs one HTTP round trip. Failures that retrying cannot fix (4xx)
+// are marked Permanent, so a caller's retry policy stops on them;
+// transport errors and 5xx stay transient.
 func (c *Client) do(ctx context.Context, method, path string, body any, out any) error {
 	var payload []byte
 	if body != nil {
@@ -112,19 +107,6 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 		}
 		payload = data
 	}
-	// Only idempotent GETs retry; a replayed POST could actuate a device
-	// twice.
-	if c.retry != nil && method == http.MethodGet {
-		return c.retry.Do(ctx, func(ctx context.Context) error {
-			return c.doOnce(ctx, method, path, payload, out)
-		})
-	}
-	return c.doOnce(ctx, method, path, payload, out)
-}
-
-// doOnce performs one HTTP round trip. Failures that retrying cannot fix
-// (4xx) are marked Permanent; transport errors and 5xx stay transient.
-func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte, out any) error {
 	var reader io.Reader
 	if payload != nil {
 		reader = bytes.NewReader(payload)

@@ -49,29 +49,11 @@ func startFlakyBridge(t *testing.T, failures int64) *flakyBridge {
 	return b
 }
 
-func noSleep(ctx context.Context, d time.Duration) error { return nil }
-
-// TestRetryRecoversTransient5xx: two 500s then success — the GET retry
-// policy absorbs the outage inside one Ping call.
-func TestRetryRecoversTransient5xx(t *testing.T) {
-	b := startFlakyBridge(t, 2)
-	c, err := NewClient(b.srv.URL, "tok", WithRetry(resilience.Policy{MaxAttempts: 3, Seed: 3, Sleep: noSleep}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatalf("Ping through transient 5xx: %v", err)
-	}
-	if got := b.gets.Load(); got != 3 {
-		t.Errorf("GET attempts = %d, want 3", got)
-	}
-}
-
-// TestRetryExhaustionSurfacesAPIError: a persistent 5xx surfaces as the
-// *APIError after the attempts run out.
-func TestRetryExhaustionSurfacesAPIError(t *testing.T) {
+// Test5xxIsTransient: a 5xx surfaces as the *APIError after one attempt
+// and stays transient, so a caller's retry policy may try again.
+func Test5xxIsTransient(t *testing.T) {
 	b := startFlakyBridge(t, 1_000)
-	c, err := NewClient(b.srv.URL, "tok", WithRetry(resilience.Policy{MaxAttempts: 3, Seed: 3, Sleep: noSleep}))
+	c, err := NewClient(b.srv.URL, "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,29 +62,16 @@ func TestRetryExhaustionSurfacesAPIError(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("err = %v, want wrapped 500 APIError", err)
 	}
-	if got := b.gets.Load(); got != 3 {
-		t.Errorf("GET attempts = %d, want 3", got)
+	if resilience.IsPermanent(err) {
+		t.Error("5xx must stay transient")
 	}
-}
-
-// TestPostNeverRetried: a replayed POST could actuate a device twice, so
-// CallService gets exactly one attempt even under a retry policy.
-func TestPostNeverRetried(t *testing.T) {
-	b := startFlakyBridge(t, 1_000)
-	c, err := NewClient(b.srv.URL, "tok", WithRetry(resilience.Policy{MaxAttempts: 5, Seed: 3, Sleep: noSleep}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.CallService(context.Background(), "window", "open", nil); err == nil {
-		t.Fatal("want 5xx failure")
-	}
-	if got := b.posts.Load(); got != 1 {
-		t.Errorf("POST attempts = %d, want exactly 1", got)
+	if got := b.gets.Load(); got != 1 {
+		t.Errorf("GET attempts = %d, want 1", got)
 	}
 }
 
 // Test4xxIsPermanent: a 4xx is the caller's fault — retrying cannot fix it,
-// so one attempt suffices even on a GET.
+// so it is marked permanent for a caller's retry policy.
 func Test4xxIsPermanent(t *testing.T) {
 	var gets atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -111,7 +80,7 @@ func Test4xxIsPermanent(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(map[string]string{"message": "bad token"})
 	}))
 	defer srv.Close()
-	c, err := NewClient(srv.URL, "tok", WithRetry(resilience.Policy{MaxAttempts: 5, Seed: 3, Sleep: noSleep}))
+	c, err := NewClient(srv.URL, "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +93,7 @@ func Test4xxIsPermanent(t *testing.T) {
 		t.Error("4xx must be marked permanent")
 	}
 	if got := gets.Load(); got != 1 {
-		t.Errorf("GET attempts = %d, want 1 (no retry on 4xx)", got)
+		t.Errorf("GET attempts = %d, want 1", got)
 	}
 }
 
@@ -150,28 +119,5 @@ func TestWithTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("call ran %v despite a 50ms timeout", elapsed)
-	}
-}
-
-// TestContextCancelsRetryLoop: cancelling the caller's context stops the
-// retry loop rather than burning the remaining attempts.
-func TestContextCancelsRetryLoop(t *testing.T) {
-	b := startFlakyBridge(t, 1_000)
-	c, err := NewClient(b.srv.URL, "tok",
-		WithRetry(resilience.Policy{MaxAttempts: 100, BaseDelay: 10 * time.Millisecond, Seed: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if err := c.Ping(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("retry loop ran %v past the 60ms deadline", elapsed)
-	}
-	if got := b.gets.Load(); got >= 100 {
-		t.Errorf("retry loop burned every attempt (%d) despite cancellation", got)
 	}
 }

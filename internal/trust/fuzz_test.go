@@ -83,8 +83,8 @@ func FuzzObserve(f *testing.F) {
 				t.Fatalf("score degenerated to %v", sc)
 			}
 			idx, _ := e.Index("sim")
-			if e.TrustedIdx(idx) != (sc >= e.Threshold()) {
-				t.Fatalf("trusted flag disagrees with score %v (threshold %v)", sc, e.Threshold())
+			if e.TrustedIdx(idx) != (sc >= e.cfg.Threshold) {
+				t.Fatalf("trusted flag disagrees with score %v (threshold %v)", sc, e.cfg.Threshold)
 			}
 			return sc
 		}

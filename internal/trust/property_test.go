@@ -89,8 +89,8 @@ func TestScoreRecoversUnderCleanStream(t *testing.T) {
 			prev = cur
 		}
 		final, _ := e.Score("sim")
-		if final <= low || final < e.Threshold() {
-			t.Fatalf("seed %d: clean stream recovered %v -> %v (threshold %v)", seed, low, final, e.Threshold())
+		if final <= low || final < e.cfg.Threshold {
+			t.Fatalf("seed %d: clean stream recovered %v -> %v (threshold %v)", seed, low, final, e.cfg.Threshold)
 		}
 	}
 }

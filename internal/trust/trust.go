@@ -309,9 +309,6 @@ func (e *Engine) Sources() []string {
 	return out
 }
 
-// Threshold returns the configured low-trust threshold.
-func (e *Engine) Threshold() float64 { return e.cfg.Threshold }
-
 // TrustedIdx reports whether source i's score is at or above the
 // threshold. The hot read: one atomic load, no locks, no allocation.
 //

@@ -65,7 +65,7 @@ go test -race -count=1 -run 'Healthz|RetryAfter|ContextTimeout' ./internal/cloud
 # gate below, serial and pinned to one P.
 go test -race -count=1 ./internal/epoch/
 go test -race -count=1 -run 'Epoch' ./internal/core/ ./internal/cloud/
-go test -race -count=1 -run 'EventPump|DevModeFeed|STPoller' ./internal/bridge/
+go test -race -count=1 -run 'EventPump|STPoller' ./internal/bridge/
 go test -count=1 -run 'EpochCampaign' ./internal/eval/
 
 # Observability gate: the metrics registry is lock-free hot-path code wired
@@ -97,6 +97,11 @@ go test -race -count=1 ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeRequest$' -fuzztime 10s ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetContextRequest$' -fuzztime 10s ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeResponse$' -fuzztime 10s ./internal/cloud/
+# The handler's build step and Registry.Build under hostile args: deep
+# nesting, huge and duplicate keys, non-object values. Build must not
+# panic or share the caller's map, and the handler must answer every item.
+go test -count=1 -run '^$' -fuzz '^FuzzRegistryBuild$' -fuzztime 10s ./internal/instr/
+go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeArgs$' -fuzztime 10s ./internal/cloud/
 
 # Fleet gate: the multi-tenant layer is sharded concurrent state shared by
 # every tenant — run its whole suite (concurrent push/authorize hammer,

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
+	"unsafe"
 
 	"iotsid/internal/fleet"
 	"iotsid/internal/instr"
@@ -27,18 +29,6 @@ import (
 // session's account (mirrors handleCommand's device-ownership error).
 const errHomeNotBound = "home not bound to this account"
 
-// ownedHomes resolves, per input, whether the session's account owns the
-// named home — one lock acquisition for the whole batch.
-func (s *Server) ownedHomes(user string, homes func(i int) string, n int) []bool {
-	owned := make([]bool, n)
-	s.mu.Lock()
-	for i := 0; i < n; i++ {
-		owned[i] = s.homes[homes(i)] == user
-	}
-	s.mu.Unlock()
-	return owned
-}
-
 // FleetBatchItem is one instruction in a fleet batch. Context, when
 // present, is pushed as the home's newest sensor snapshot before judging
 // ("push before judge" — the gateway ships state and commands together).
@@ -54,6 +44,10 @@ type fleetAuthorizeRequest struct {
 	Items []FleetBatchItem `json:"items"`
 	// oversized marks the items over maxFleetItemBytes.
 	oversized oversized
+	// used is one past the highest index any items array in the body
+	// decoded into: the prefix of Items' backing array the decode wrote,
+	// which a later, shorter array leaves beyond the slice's length.
+	used int
 }
 
 // FleetResult mirrors one item: either a decision or a per-item
@@ -119,6 +113,52 @@ func writeTooLarge(w http.ResponseWriter, limit int64) {
 	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", limit)})
 }
 
+// authorizeArena is the scratch of one /v1/fleet/authorize request, pooled
+// across requests: the decoded items, the per-item results, the
+// instructions handed to the fleet with their item indices, and the
+// fleet's results. Every element within each slice's capacity is zero
+// while the arena is pooled, because the decoder decodes item i over
+// whatever is left at index i: an arena put back uncleared would hand one
+// tenant's context and args to the next request's items.
+type authorizeArena struct {
+	req     fleetAuthorizeRequest
+	results []FleetResult
+	batch   []fleet.BatchItem
+	idxs    []int
+	out     []fleet.BatchResult
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(authorizeArena) }}
+
+// arenaItemBytes is one item's share of an arena: an element of each of
+// its slices.
+const arenaItemBytes = unsafe.Sizeof(FleetBatchItem{}) + unsafe.Sizeof(FleetResult{}) +
+	unsafe.Sizeof(fleet.BatchItem{}) + unsafe.Sizeof(0) + unsafe.Sizeof(fleet.BatchResult{})
+
+func (a *authorizeArena) put() {
+	if a.reset() {
+		arenaPool.Put(a)
+	}
+}
+
+// reset clears the prefix of each slice the request used and empties
+// them, so the arena can serve another request. It reports false, and
+// clears nothing, for an arena sized past maxPooledBuf by an unusually
+// large batch: that one is left to the garbage collector.
+func (a *authorizeArena) reset() bool {
+	n := max(cap(a.req.Items), cap(a.results), cap(a.batch), cap(a.idxs), cap(a.out))
+	if uintptr(n)*arenaItemBytes > maxPooledBuf {
+		return false
+	}
+	clear(a.req.Items[:min(a.req.used, cap(a.req.Items))])
+	clear(a.results)
+	clear(a.batch)
+	clear(a.out)
+	a.req = fleetAuthorizeRequest{Items: a.req.Items[:0], oversized: a.req.oversized[:0]}
+	a.results, a.batch, a.idxs, a.out = a.results[:0], a.batch[:0], a.idxs[:0], a.out[:0]
+	return true
+}
+
 func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 	user := s.sessionUser(r)
 	if user == "" {
@@ -129,51 +169,58 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	var req fleetAuthorizeRequest
-	if !decodeFleetBody(w, r, maxFleetBodyBytes, req.unmarshal) {
+	a := arenaPool.Get().(*authorizeArena)
+	defer a.put()
+	if !decodeFleetBody(w, r, maxFleetBodyBytes, a.req.unmarshal) {
 		return
 	}
-	if len(req.Items) == 0 {
+	items := a.req.Items
+	if len(items) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty batch"})
 		return
 	}
-	if len(req.Items) > maxFleetBatch {
+	if len(items) > maxFleetBatch {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("batch exceeds %d items", maxFleetBatch)})
 		return
 	}
-	results := make([]FleetResult, len(req.Items))
-	owned := s.ownedHomes(user, func(i int) string { return req.Items[i].Home }, len(req.Items))
-	// Gate ownership and build the instructions first; items that fail
-	// get their error recorded in place and the survivors keep their
-	// positions via the index map.
-	items := make([]fleet.BatchItem, 0, len(req.Items))
-	idxs := make([]int, 0, len(req.Items))
-	for i, it := range req.Items {
-		if !owned[i] {
-			results[i] = FleetResult{Error: errHomeNotBound}
+	results := slices.Grow(a.results, len(items))[:len(items)]
+	a.results = results
+	s.mu.Lock()
+	for i := range items {
+		if s.homes[items[i].Home] != user {
+			results[i].Error = errHomeNotBound
+		}
+	}
+	s.mu.Unlock()
+	// Build the instructions of the owned items; items that fail get their
+	// error recorded in place and the survivors keep their positions via
+	// the index map.
+	for i := range items {
+		it := &items[i]
+		if results[i].Error != "" {
 			continue
 		}
-		if req.oversized.has(i) {
-			results[i] = FleetResult{Error: errItemTooLarge}
+		if a.req.oversized.has(i) {
+			results[i].Error = errItemTooLarge
 			continue
 		}
 		in, err := s.cfg.Registry.Build(it.Op, it.DeviceID, instr.OriginUser, it.Args)
 		if err != nil {
-			results[i] = FleetResult{Error: err.Error()}
+			results[i].Error = err.Error()
 			continue
 		}
-		items = append(items, fleet.BatchItem{Home: it.Home, In: in, Context: it.Context})
-		idxs = append(idxs, i)
+		a.batch = append(a.batch, fleet.BatchItem{Home: it.Home, In: in, Context: it.Context})
+		a.idxs = append(a.idxs, i)
 	}
-	out, err := s.cfg.Fleet.AuthorizeBatch(r.Context(), items, 0)
-	if err != nil {
+	a.out = slices.Grow(a.out, len(a.batch))[:len(a.batch)]
+	if err := s.cfg.Fleet.AuthorizeBatchInto(r.Context(), a.batch, a.out, 0); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	}
-	for k, res := range out {
-		i := idxs[k]
+	for k, res := range a.out {
+		i := a.idxs[k]
 		if res.Err != "" {
-			results[i] = FleetResult{Error: res.Err}
+			results[i].Error = res.Err
 			continue
 		}
 		results[i] = FleetResult{
@@ -244,7 +291,12 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := fleetContextResponse{}
-	owned := s.ownedHomes(user, func(i int) string { return req.Pushes[i].Home }, len(req.Pushes))
+	owned := make([]bool, len(req.Pushes))
+	s.mu.Lock()
+	for i := range req.Pushes {
+		owned[i] = s.homes[req.Pushes[i].Home] == user
+	}
+	s.mu.Unlock()
 	for i, p := range req.Pushes {
 		if !owned[i] {
 			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: errHomeNotBound})

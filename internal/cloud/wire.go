@@ -152,7 +152,8 @@ func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 		if jsonwire.Field(name, authorizeRequestFields) < 0 {
 			return d.Skip()
 		}
-		return decodeBatch(&d, &req.Items, &req.oversized, func(it *FleetBatchItem) error {
+		return decodeBatch(&d, &req.Items, &req.oversized, func(i int, it *FleetBatchItem) error {
+			req.used = max(req.used, i+1)
 			return decodeObject(&d, func(name []byte) error {
 				switch jsonwire.Field(name, batchItemFields) {
 				case 0:
@@ -190,7 +191,7 @@ func (req *fleetContextRequest) unmarshal(data []byte) error {
 		if jsonwire.Field(name, contextRequestFields) < 0 {
 			return d.Skip()
 		}
-		return decodeBatch(&d, &req.Pushes, &req.oversized, func(p *fleetContextPush) error {
+		return decodeBatch(&d, &req.Pushes, &req.oversized, func(_ int, p *fleetContextPush) error {
 			return decodeObject(&d, func(name []byte) error {
 				switch jsonwire.Field(name, contextPushFields) {
 				case 0:
@@ -288,15 +289,15 @@ func decodeArray[T any](d *jsonwire.Decoder, s *[]T, max int, elem func(i int, e
 // decodeBatch is decodeArray for a request's items or pushes. It decodes
 // at most maxFleetBatch+1 elements: one past the cap is enough for the
 // handler to reject the batch, and the rest are only validated, so an
-// over-count body costs no more than a full one. It marks in big each
-// element whose JSON spans more than maxFleetItemBytes. A mark stays with
-// its index as the element does, so an oversized element an earlier array
-// left behind stays marked, and goes when the slice is replaced by null or
-// an empty array.
-func decodeBatch[T any](d *jsonwire.Decoder, s *[]T, big *oversized, elem func(e *T) error) error {
+// over-count body costs no more than a full one; elem gets each element's
+// index. It marks in big each element whose JSON spans more than
+// maxFleetItemBytes. A mark stays with its index as the element does, so
+// an oversized element an earlier array left behind stays marked, and
+// goes when the slice is replaced by null or an empty array.
+func decodeBatch[T any](d *jsonwire.Decoder, s *[]T, big *oversized, elem func(i int, e *T) error) error {
 	err := decodeArray(d, s, maxFleetBatch+1, func(i int, e *T) error {
 		start := d.Offset()
-		if err := elem(e); err != nil {
+		if err := elem(i, e); err != nil {
 			return err
 		}
 		if d.Offset()-start > maxFleetItemBytes {

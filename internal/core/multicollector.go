@@ -121,8 +121,6 @@ type MultiConfig struct {
 	// Health, when non-nil, receives per-source state after every collect —
 	// the registry the cloud's /healthz reports.
 	Health *resilience.Registry
-	// HistoryLen bounds the per-source last-good history (default 8).
-	HistoryLen int
 	// Metrics, when non-nil, counts per-source provenance outcomes
 	// (fresh/stale/missing) and retry attempts. Series are pre-registered
 	// per declared source, so the collect path never does a label lookup.
@@ -166,8 +164,8 @@ type MultiCollector struct {
 	stateCounters [][3]*obs.Counter
 
 	mu      sync.Mutex
-	history []*sensor.History // per-source last-good snapshots
-	lastAt  []time.Time       // collection clock stamp of the newest history entry
+	last    []sensor.Snapshot // per-source last-good snapshot
+	lastAt  []time.Time       // collection clock stamp of the newest fresh collect
 	hasLast []bool
 }
 
@@ -207,15 +205,12 @@ func NewMultiCollector(cfg MultiConfig, sources ...Source) (*MultiCollector, err
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.HistoryLen <= 0 {
-		cfg.HistoryLen = 8
-	}
 	m := &MultiCollector{
 		sources: sources,
 		now:     cfg.Now,
 		health:  cfg.Health,
 		trust:   cfg.Trust,
-		history: make([]*sensor.History, len(sources)),
+		last:    make([]sensor.Snapshot, len(sources)),
 		lastAt:  make([]time.Time, len(sources)),
 		hasLast: make([]bool, len(sources)),
 	}
@@ -229,9 +224,8 @@ func NewMultiCollector(cfg MultiConfig, sources ...Source) (*MultiCollector, err
 			m.trustIdx[i] = idx
 		}
 	}
-	for i, s := range sources {
-		m.history[i] = sensor.NewHistory(cfg.HistoryLen)
-		if m.health != nil {
+	if m.health != nil {
+		for _, s := range sources {
 			m.health.Register(s.Name, s.Required)
 		}
 	}
@@ -315,7 +309,7 @@ func (m *MultiCollector) CollectDetailed(ctx context.Context) (sensor.Snapshot, 
 		snap sensor.Snapshot
 		err  error
 	}
-	// The fan-out runs without m.mu; only the history/fallback bookkeeping
+	// The fan-out runs without m.mu; only the last-good/fallback bookkeeping
 	// below is serialised.
 	results, _ := par.Map(n, n, func(i int) (result, error) {
 		src := m.sources[i]
@@ -372,20 +366,22 @@ func (m *MultiCollector) CollectDetailed(ctx context.Context) (sensor.Snapshot, 
 				}
 				m.trust.Observe(src.Name, res.snap, at)
 			}
-			// Out-of-order pushes (a byzantine source replaying old
-			// timestamps) are ignored; the fallback keeps the newer one.
-			_ = m.history[i].Push(res.snap)
+			// An out-of-order snapshot (a byzantine source replaying old
+			// timestamps) does not replace the last good one; the
+			// fallback keeps the newer one.
+			if !m.hasLast[i] || !res.snap.At.Before(m.last[i].At) {
+				m.last[i] = res.snap
+			}
 			m.lastAt[i] = now
 			m.hasLast[i] = true
 		default:
 			status.Err = res.err.Error()
 			status.cause = res.err
-			last, ok := m.history[i].Latest()
 			age := now.Sub(m.lastAt[i])
-			if ok && m.hasLast[i] && src.Staleness > 0 && age <= src.Staleness {
+			if m.hasLast[i] && src.Staleness > 0 && age <= src.Staleness {
 				status.State = SourceStale
 				status.Age = age
-				res.snap = last
+				res.snap = m.last[i]
 				res.err = nil
 			} else {
 				status.State = SourceMissing

@@ -194,6 +194,41 @@ func TestMultiCollectorOptionalStaleFallback(t *testing.T) {
 // TestMultiCollectorRequiredMissing: a dead required source fails the
 // strict Collect with the source named, while CollectDetailed still serves
 // the partial context plus the provenance the framework needs to fail
+// TestMultiCollectorStaleFallbackKeepsNewest: a fresh collect older than
+// the source's last good snapshot (a replayed timestamp) does not replace
+// it, so the stale fallback serves the newer snapshot.
+func TestMultiCollectorStaleFallbackKeepsNewest(t *testing.T) {
+	now := time.Unix(10_000, 0)
+	src := &flakyCollector{snap: snapAt(20, sensor.FeatSmoke, sensor.Bool(true))}
+	m, err := NewMultiCollector(MultiConfig{Now: func() time.Time { return now }},
+		Source{Name: "src", Required: true, Staleness: time.Minute, Collector: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func() (sensor.Snapshot, Provenance) {
+		t.Helper()
+		snap, prov, err := m.CollectDetailed(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, prov
+	}
+	collect()
+	src.set(snapAt(10, sensor.FeatSmoke, sensor.Bool(false)), nil)
+	if snap, _ := collect(); !snap.At.Equal(time.Unix(10, 0)) {
+		t.Fatalf("fresh collect served At %v, want the source's own 10 s", snap.At)
+	}
+	src.set(sensor.Snapshot{}, errors.New("gateway down"))
+	now = now.Add(time.Second)
+	snap, prov := collect()
+	if prov[0].State != SourceStale || !snap.At.Equal(time.Unix(20, 0)) {
+		t.Fatalf("fallback = %s at %v, want stale at 20 s (the newest good snapshot)", prov[0].State, snap.At)
+	}
+	if v, ok := snap.Get(sensor.FeatSmoke); !ok || v != sensor.Bool(true) {
+		t.Fatalf("fallback smoke = %v, %v; want the newest snapshot's true", v, ok)
+	}
+}
+
 // closed selectively.
 func TestMultiCollectorRequiredMissing(t *testing.T) {
 	health := resilience.NewRegistry()

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -204,7 +205,12 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 
 // Home looks a tenant up.
 func (f *Fleet) Home(id string) (*Home, bool) {
-	s := &f.shards[f.shardIndex(id)]
+	return f.homeIn(f.shardIndex(id), id)
+}
+
+// homeIn looks a tenant up in shard si, the shard its ID hashes to.
+func (f *Fleet) homeIn(si uint32, id string) (*Home, bool) {
+	s := &f.shards[si]
 	s.mu.RLock()
 	h, ok := s.homes[id]
 	s.mu.RUnlock()
@@ -393,36 +399,39 @@ type BatchResult struct {
 // judgments serialise exactly as submitted; results land at their input
 // index. Decisions depend only on item content and order, never on the
 // shard/worker schedule, so seeded batch streams are bit-identical at any
-// shard or worker count.
-//
-//iot:failclosed
+// shard or worker count. It is AuthorizeBatchInto with a new result slice.
 func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers int) ([]BatchResult, error) {
-	if len(items) == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
+	out := make([]BatchResult, len(items))
+	if err := f.AuthorizeBatchInto(ctx, items, out, workers); err != nil || len(items) == 0 {
 		return nil, err
 	}
+	return out, nil
+}
+
+// AuthorizeBatchInto is AuthorizeBatch writing item i's result into
+// out[i]; out must be at least as long as items. On an error (the context
+// ended) out holds the results of the items judged before it.
+//
+//iot:failclosed
+func (f *Fleet) AuthorizeBatchInto(ctx context.Context, items []BatchItem, out []BatchResult, workers int) error {
+	if len(items) == 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	f.metrics.observeBatch(len(items))
-	out := make([]BatchResult, len(items))
-	buckets := make([][]int, len(f.shards))
-	for i := range items {
-		si := f.shardIndex(items[i].Home)
-		buckets[si] = append(buckets[si], i)
-	}
-	active := make([]int, 0, len(buckets))
-	for si := range buckets {
-		if len(buckets[si]) > 0 {
-			active = append(active, si)
-		}
-	}
-	err := par.Do(len(active), workers, func(k int) error {
-		for _, idx := range buckets[active[k]] {
+	out = out[:len(items)]
+	o := orderPool.Get().(*batchOrder)
+	defer o.put()
+	o.sort(f, items)
+	return par.Do(len(o.runs)-1, workers, func(k int) error {
+		for _, idx := range o.idx[o.runs[k]:o.runs[k+1]] {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			it := &items[idx]
-			h, ok := f.Home(it.Home)
+			h, ok := f.homeIn(o.shard[idx], it.Home)
 			if !ok {
 				out[idx] = BatchResult{Err: "unknown home " + it.Home}
 				continue
@@ -439,8 +448,55 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// batchOrder is a batch's items ordered by shard, pooled across batches:
+// one stable counting sort of the item indices, so each shard's items
+// keep their input order and a worker walks one shard's run.
+type batchOrder struct {
+	shard []uint32 // shard[i] is item i's shard
+	start []int    // per shard, where its run starts in idx (+1 slot while counting)
+	idx   []int    // item indices grouped by shard, input order within each
+	runs  []int    // where each non-empty shard's run starts in idx, then len(idx)
+}
+
+var orderPool = sync.Pool{New: func() any { return new(batchOrder) }}
+
+// maxPooledOrder bounds the items and shards a pooled batchOrder is sized
+// for; one grown beyond it by an unusually large batch or fleet is left to
+// the garbage collector.
+const maxPooledOrder = 1 << 16
+
+// sort orders items by shard.
+func (o *batchOrder) sort(f *Fleet, items []BatchItem) {
+	n := len(items)
+	o.shard = slices.Grow(o.shard[:0], n)[:n]
+	o.idx = slices.Grow(o.idx[:0], n)[:n]
+	o.start = slices.Grow(o.start[:0], len(f.shards)+1)[:len(f.shards)+1]
+	clear(o.start)
+	for i := range items {
+		si := f.shardIndex(items[i].Home)
+		o.shard[i] = si
+		o.start[si+1]++
 	}
-	return out, nil
+	o.runs = o.runs[:0]
+	for si := range f.shards {
+		if o.start[si+1] > 0 {
+			o.runs = append(o.runs, o.start[si])
+		}
+		o.start[si+1] += o.start[si]
+	}
+	o.runs = append(o.runs, n)
+	for i, si := range o.shard {
+		o.idx[o.start[si]] = i
+		o.start[si]++
+	}
+}
+
+// put returns o to the pool. It holds only indices, so nothing of one
+// batch's tenants outlives it.
+func (o *batchOrder) put() {
+	if cap(o.idx) <= maxPooledOrder && cap(o.start) <= maxPooledOrder+1 {
+		orderPool.Put(o)
+	}
 }

@@ -79,16 +79,6 @@ func (c Category) Valid() bool {
 	return ok
 }
 
-// ParseCategory resolves a canonical category name.
-func ParseCategory(s string) (Category, error) {
-	for c, name := range categoryNames {
-		if name == s {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("instr: unknown category %q", s)
-}
-
 // Kind splits the instruction set the way the paper's questionnaire does:
 // control instructions mutate device state, status instructions only read it.
 type Kind int
@@ -215,7 +205,9 @@ func (r *Registry) Lookup(op string) (Spec, bool) {
 }
 
 // Build constructs a concrete instruction for a device after validating the
-// opcode against the registry.
+// opcode against the registry. The instruction gets its own copy of args,
+// nested maps and slices included, so the caller may reuse or change its
+// map afterwards.
 func (r *Registry) Build(op, deviceID string, origin Origin, args map[string]any) (Instruction, error) {
 	spec, ok := r.specs[op]
 	if !ok {
@@ -223,10 +215,7 @@ func (r *Registry) Build(op, deviceID string, origin Origin, args map[string]any
 	}
 	var copied map[string]any
 	if len(args) > 0 {
-		copied = make(map[string]any, len(args))
-		for k, v := range args {
-			copied[k] = v
-		}
+		copied = cloneArgs(args)
 	}
 	return Instruction{
 		Op:       op,
@@ -236,4 +225,33 @@ func (r *Registry) Build(op, deviceID string, origin Origin, args map[string]any
 		Args:     copied,
 		Origin:   origin,
 	}, nil
+}
+
+// cloneArgs deep-copies an args map: the map[string]any and []any values
+// JSON decodes into are copied at every depth; any other value is copied
+// as it is.
+func cloneArgs(m map[string]any) map[string]any {
+	c := make(map[string]any, len(m))
+	for k, v := range m {
+		c[k] = cloneArg(v)
+	}
+	return c
+}
+
+func cloneArg(v any) any {
+	switch v := v.(type) {
+	case map[string]any:
+		if v != nil {
+			return cloneArgs(v)
+		}
+	case []any:
+		if v != nil {
+			c := make([]any, len(v))
+			for i, x := range v {
+				c[i] = cloneArg(x)
+			}
+			return c
+		}
+	}
+	return v
 }

@@ -35,22 +35,6 @@ func TestCategoriesCompleteOrdered(t *testing.T) {
 	}
 }
 
-func TestParseCategory(t *testing.T) {
-	for _, c := range Categories() {
-		got, err := ParseCategory(c.String())
-		if err != nil {
-			t.Errorf("ParseCategory(%q): %v", c.String(), err)
-			continue
-		}
-		if got != c {
-			t.Errorf("ParseCategory(%q) = %v, want %v", c.String(), got, c)
-		}
-	}
-	if _, err := ParseCategory("toaster"); err == nil {
-		t.Error("want error for unknown category")
-	}
-}
-
 func TestKindAndThreatStrings(t *testing.T) {
 	if KindControl.String() != "control" || KindStatus.String() != "status" {
 		t.Error("kind names wrong")

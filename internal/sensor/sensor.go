@@ -156,9 +156,6 @@ const (
 	BucketEvening   = "evening"
 )
 
-// timeBucketLabels is indexed by TimeBucketIndex.
-var timeBucketLabels = [4]string{BucketNight, BucketMorning, BucketAfternoon, BucketEvening}
-
 // TimeBucketCount is the number of time-of-day buckets.
 const TimeBucketCount = 4
 
@@ -188,11 +185,6 @@ func TimeBucketIndex(hour float64) int {
 	default:
 		return 0
 	}
-}
-
-// TimeBucketLabel is the label form of TimeBucketIndex.
-func TimeBucketLabel(hour float64) string {
-	return timeBucketLabels[TimeBucketIndex(hour)]
 }
 
 var vocabulary = []Descriptor{

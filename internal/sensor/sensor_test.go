@@ -32,29 +32,6 @@ func TestTimeBucketIndex(t *testing.T) {
 	}
 }
 
-// TestTimeBucketLabel: the label form agrees with the index form over a
-// full day and only ever emits the four bucket labels.
-func TestTimeBucketLabel(t *testing.T) {
-	want := map[float64]string{
-		2:  BucketNight,
-		8:  BucketMorning,
-		14: BucketAfternoon,
-		19: BucketEvening,
-		23: BucketNight,
-	}
-	for hour, label := range want {
-		if got := TimeBucketLabel(hour); got != label {
-			t.Errorf("TimeBucketLabel(%v) = %q, want %q", hour, got, label)
-		}
-	}
-	for hour := 0.0; hour < 24; hour += 0.25 {
-		got := TimeBucketLabel(hour)
-		if got != timeBucketLabels[TimeBucketIndex(hour)] {
-			t.Errorf("label/index disagree at hour %v", hour)
-		}
-	}
-}
-
 // TestFeatureTypeString covers every named type and the out-of-range
 // fallback.
 func TestFeatureTypeString(t *testing.T) {

@@ -92,8 +92,11 @@ go test -count=1 -run '^$' -fuzz '^FuzzValueJSON$' -fuzztime 10s ./internal/sens
 # package focused under the race detector (the pooled client-buffer hammer
 # included), then smoke the differential fuzz targets that hold the codec
 # to encoding/json (same verdict, equal values, byte-identical
-# re-encoding).
+# re-encoding). The authorize handler's pooled request arena is run ten
+# times over under the race detector: one tenant's request must never see
+# another's items, serially or concurrently.
 go test -race -count=1 ./internal/cloud/
+go test -race -count=10 -run '^TestFleetArena' ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeRequest$' -fuzztime 10s ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetContextRequest$' -fuzztime 10s ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeResponse$' -fuzztime 10s ./internal/cloud/

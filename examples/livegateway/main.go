@@ -112,7 +112,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("collected %d features over the two vendor paths\n", len(snap.Values))
+	fmt.Printf("collected %d features over the two vendor paths\n", snap.Len())
 	for _, src := range prov {
 		fmt.Printf("  source %-12s %s\n", src.Name, src.State)
 	}

@@ -81,7 +81,7 @@ func TestXiaomiGetPropRoundTrip(t *testing.T) {
 	// The normalized snapshot must agree with the home's ground truth.
 	truth := h.Env().Snapshot()
 	for _, f := range truth.Features() {
-		want := truth.Values[f]
+		want, _ := truth.Get(f)
 		got, ok := snap.Get(f)
 		if !ok {
 			t.Errorf("feature %q lost on the wire", f)
@@ -217,7 +217,7 @@ func TestSTStatesRoundTrip(t *testing.T) {
 			t.Errorf("feature %q lost", f)
 			continue
 		}
-		want := truth.Values[f]
+		want, _ := truth.Get(f)
 		if wn, isNum := want.Number(); isNum {
 			gn, _ := got.Number()
 			if math.Abs(wn-gn) > 0.01 {
@@ -284,8 +284,8 @@ func TestSTDecodeSkipsForeignEntities(t *testing.T) {
 	if !snap.Bool(sensor.FeatSmoke) {
 		t.Error("smoke lost")
 	}
-	if len(snap.Values) != 1 {
-		t.Errorf("values = %v", snap.Values)
+	if snap.Len() != 1 {
+		t.Errorf("values = %v", snap.Features())
 	}
 }
 

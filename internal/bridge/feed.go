@@ -41,5 +41,5 @@ func (p *STPoller) Poll(ctx context.Context) (int, error) {
 	if err := p.store.Push(p.source, snap); err != nil {
 		return 0, err
 	}
-	return len(snap.Values), nil
+	return snap.Len(), nil
 }

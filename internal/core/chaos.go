@@ -105,11 +105,12 @@ func (c *ChaosCollector) Collect(ctx context.Context) (sensor.Snapshot, error) {
 // inverted, yielding a type-valid but physically inconsistent context.
 func flipBools(s sensor.Snapshot) sensor.Snapshot {
 	out := s.Clone()
-	for f, v := range out.Values {
+	s.Range(func(f sensor.Feature, v sensor.Value) bool {
 		if b, ok := v.Bool(); ok {
-			out.Values[f] = sensor.Bool(!b)
+			out.Set(f, sensor.Bool(!b))
 		}
-	}
+		return true
+	})
 	return out
 }
 

@@ -53,7 +53,7 @@ func TestChaosCollectorFaults(t *testing.T) {
 	// Call 0: pass-through.
 	snap, err := cc.Collect(context.Background())
 	if err != nil || snap.Bool(sensor.FeatSmoke) {
-		t.Fatalf("pass-through = %v, %v", snap.Values, err)
+		t.Fatalf("pass-through = %v, %v", snap.Features(), err)
 	}
 
 	// Call 1: injected error.
@@ -146,8 +146,8 @@ func TestNumericCorruptionModes(t *testing.T) {
 	// Snapshots without the target feature pass through untouched.
 	empty := sensor.NewSnapshot(time.Unix(5, 0))
 	empty.Set(sensor.FeatMotion, sensor.Bool(false))
-	if out := spike(0, empty); len(out.Values) != 1 {
-		t.Fatalf("missing-feature snapshot altered: %v", out.Values)
+	if out := spike(0, empty); out.Len() != 1 {
+		t.Fatalf("missing-feature snapshot altered: %v", out.Features())
 	}
 }
 

@@ -79,8 +79,8 @@ func TestEpochCollectorSteadyState(t *testing.T) {
 	if prov.Degraded() {
 		t.Fatalf("fresh push reported degraded: %+v", prov)
 	}
-	if len(snap.Values) != len(legal.Values) {
-		t.Fatalf("snapshot values = %d, want %d", len(snap.Values), len(legal.Values))
+	if snap.Len() != legal.Len() {
+		t.Fatalf("snapshot values = %d, want %d", snap.Len(), legal.Len())
 	}
 	// Strict Collect also serves.
 	if _, err := c.Collect(context.Background()); err != nil {
@@ -208,7 +208,7 @@ func TestEpochCollectorMixedSources(t *testing.T) {
 	if len(prov.MissingRequired()) != 0 {
 		t.Fatalf("optional source counted as required: %v", prov.MissingRequired())
 	}
-	if len(snap.Values) == 0 {
+	if snap.Len() == 0 {
 		t.Fatal("degraded view lost its values")
 	}
 	if _, err := c.Collect(context.Background()); err != nil {

@@ -329,7 +329,7 @@ func TestMultiCollectorMergesVendors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !snap.Bool(sensor.FeatSmoke) || !snap.Bool(sensor.FeatMotion) {
-		t.Errorf("merge lost values: %v", snap.Values)
+		t.Errorf("merge lost values: %v", snap.Features())
 	}
 	if n, _ := snap.Number(sensor.FeatTempIndoor); n != 20 {
 		t.Error("merge lost first-source value")

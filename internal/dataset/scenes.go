@@ -31,10 +31,18 @@ func (s sampler) f(lo, hi float64) float64    { return lo + s.r.Float64()*(hi-lo
 func (s sampler) pick(xs ...string) string    { return xs[s.r.Intn(len(xs))] }
 func (s sampler) hour(lo, hi float64) float64 { return s.f(lo, hi) }
 
+// newScene makes an empty scene for the model, sized to the model's
+// feature width: every scene of a model sets exactly its model's features,
+// so the builders below fill the values without growing them. The
+// builders take the snapshot by value and share its values.
+func newScene(m Model) sensor.Snapshot {
+	return sensor.NewSnapshotCap(sceneTime, len(modelSpecs[m]))
+}
+
 // LegalScene draws a positive-context snapshot for the model.
 func LegalScene(m Model, rng *rand.Rand) (sensor.Snapshot, error) {
 	s := sampler{r: rng}
-	snap := sensor.NewSnapshot(sceneTime)
+	snap := newScene(m)
 	switch m {
 	case ModelWindow:
 		legalWindow(s, snap)
@@ -69,7 +77,7 @@ func AttackSceneSeeded(m Model, seed int64) (sensor.Snapshot, error) {
 // AttackScene draws a negative-context snapshot for the model.
 func AttackScene(m Model, rng *rand.Rand) (sensor.Snapshot, error) {
 	s := sampler{r: rng}
-	snap := sensor.NewSnapshot(sceneTime)
+	snap := newScene(m)
 	switch m {
 	case ModelWindow:
 		attackWindow(s, snap)

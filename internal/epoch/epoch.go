@@ -230,13 +230,16 @@ func (s *Store) Push(source string, delta sensor.Snapshot) error {
 		}
 		return nil
 	}
-	for _, v := range delta.Values {
-		if v.IsZero() {
-			if s.metrics != nil {
-				s.metrics.drops[i][dropIdxZeroValue].Inc()
-			}
-			return nil
+	zero := false
+	delta.Range(func(_ sensor.Feature, v sensor.Value) bool {
+		zero = v.IsZero()
+		return !zero
+	})
+	if zero {
+		if s.metrics != nil {
+			s.metrics.drops[i][dropIdxZeroValue].Inc()
 		}
+		return nil
 	}
 	s.lastEventAt[i] = at
 	cur := s.cur.Load()

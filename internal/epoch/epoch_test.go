@@ -67,7 +67,7 @@ func TestNewStoreDefaults(t *testing.T) {
 		t.Fatalf("zero FreshFor not defaulted: got %v", srcs[0].FreshFor)
 	}
 	v := st.View()
-	if v.Epoch != 0 || len(v.Snap.Values) != 0 || len(v.PushedAt) != 1 || !v.PushedAt[0].IsZero() {
+	if v.Epoch != 0 || v.Snap.Len() != 0 || len(v.PushedAt) != 1 || !v.PushedAt[0].IsZero() {
 		t.Fatalf("initial view not the empty epoch-0 view: %+v", v)
 	}
 }
@@ -225,7 +225,7 @@ func TestPushObserveHook(t *testing.T) {
 	}
 	var calls []seen
 	cfg := Config{Now: clk.Now, Observe: func(source string, d sensor.Snapshot, at time.Time) {
-		calls = append(calls, seen{source: source, n: len(d.Values), at: at})
+		calls = append(calls, seen{source: source, n: d.Len(), at: at})
 	}}
 	st, err := NewStore(cfg, SourceConfig{Name: "miio"})
 	if err != nil {

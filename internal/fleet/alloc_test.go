@@ -167,8 +167,8 @@ func TestFleetSteadyStateHeapPerHome(t *testing.T) {
 	perHome := (heapAlloc() - before) / homes
 	runtime.KeepAlive(f)
 	t.Logf("%.0f B live heap per home", perHome)
-	if perHome > 3500 {
-		t.Fatalf("a home with a full ring holds %.0f B of live heap, want <= 3500", perHome)
+	if perHome > 3100 {
+		t.Fatalf("a home with a full ring holds %.0f B of live heap, want <= 3100", perHome)
 	}
 }
 

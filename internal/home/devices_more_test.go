@@ -159,7 +159,9 @@ func TestWeatherEvolvesAndHazardsOccur(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		env.Step(5 * time.Minute)
 		s := env.Snapshot()
-		seenWeather[s.LabelOr(sensor.FeatWeather, "")] = true
+		w, _ := s.Get(sensor.FeatWeather)
+		l, _ := w.Label()
+		seenWeather[l] = true
 		if s.Bool(sensor.FeatSmoke) {
 			sawSmoke = true
 		}
@@ -188,7 +190,7 @@ func TestSeasonalColdAllowsSnow(t *testing.T) {
 	sawSnow := false
 	for i := 0; i < 20000 && !sawSnow; i++ {
 		env.Step(5 * time.Minute)
-		if env.Snapshot().LabelOr(sensor.FeatWeather, "") == sensor.WeatherSnow {
+		if w, _ := env.Snapshot().Get(sensor.FeatWeather); w == sensor.Label(sensor.WeatherSnow) {
 			sawSnow = true
 		}
 	}

@@ -306,7 +306,7 @@ func (e *Environment) Snapshot() sensor.Snapshot {
 }
 
 func (e *Environment) snapshotLocked() sensor.Snapshot {
-	s := sensor.NewSnapshot(e.now)
+	s := sensor.NewSnapshotCap(e.now, 18) // the 18 features set below
 	s.Set(sensor.FeatSmoke, sensor.Bool(e.smoke))
 	s.Set(sensor.FeatGas, sensor.Bool(e.gas))
 	s.Set(sensor.FeatVoiceCmd, sensor.Bool(e.voiceCmd))

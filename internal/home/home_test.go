@@ -97,13 +97,13 @@ func TestWindowAffectsSnapshotAndPhysics(t *testing.T) {
 func TestLockAndDoor(t *testing.T) {
 	h := newTestHome(t)
 	snap := h.Env().Snapshot()
-	if snap.LabelOr(sensor.FeatDoorLock, "") != sensor.LockLocked {
+	if v, _ := snap.Get(sensor.FeatDoorLock); v != sensor.Label(sensor.LockLocked) {
 		t.Fatal("door should start locked")
 	}
 	exec(t, h, "lock.unlock", "lock-1", nil)
 	exec(t, h, "door.open", "lock-1", nil)
 	snap = h.Env().Snapshot()
-	if snap.LabelOr(sensor.FeatDoorLock, "") != sensor.LockUnlocked {
+	if v, _ := snap.Get(sensor.FeatDoorLock); v != sensor.Label(sensor.LockUnlocked) {
 		t.Error("unlock not reflected")
 	}
 	if !snap.Bool(sensor.FeatDoorOpen) {
@@ -113,7 +113,7 @@ func TestLockAndDoor(t *testing.T) {
 	exec(t, h, "door.close", "lock-1", nil)
 	exec(t, h, "lock.lock", "lock-1", nil)
 	exec(t, h, "door.open", "lock-1", nil)
-	if h.Env().Snapshot().LabelOr(sensor.FeatDoorLock, "") != sensor.LockUnlocked {
+	if v, _ := h.Env().Snapshot().Get(sensor.FeatDoorLock); v != sensor.Label(sensor.LockUnlocked) {
 		t.Error("opening the door must release the lock")
 	}
 }
@@ -254,10 +254,10 @@ func TestEnvironmentApplyOverrides(t *testing.T) {
 	if n, _ := snap.Number(sensor.FeatTempIndoor); n != 30 {
 		t.Errorf("temp = %v", n)
 	}
-	if snap.LabelOr(sensor.FeatWeather, "") != sensor.WeatherRain {
+	if v, _ := snap.Get(sensor.FeatWeather); v != sensor.Label(sensor.WeatherRain) {
 		t.Error("weather override lost")
 	}
-	if snap.LabelOr(sensor.FeatDoorLock, "") != sensor.LockUnlocked {
+	if v, _ := snap.Get(sensor.FeatDoorLock); v != sensor.Label(sensor.LockUnlocked) {
 		t.Error("lock override lost")
 	}
 }
@@ -298,9 +298,10 @@ func TestStatusInstructionsAreNoOps(t *testing.T) {
 		exec(t, h, pair[0], pair[1], nil)
 	}
 	after := h.Env().Snapshot()
-	for f, v := range before.Values {
-		if !after.Values[f].Equal(v) {
-			t.Errorf("status op mutated %q: %v -> %v", f, v, after.Values[f])
+	before.Range(func(f sensor.Feature, v sensor.Value) bool {
+		if got, _ := after.Get(f); !got.Equal(v) {
+			t.Errorf("status op mutated %q: %v -> %v", f, v, got)
 		}
-	}
+		return true
+	})
 }

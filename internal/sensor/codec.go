@@ -15,9 +15,10 @@ import (
 //	{"at": <RFC 3339 time>, "values": {<feature>: <bool | number | label | null>}}
 //
 // is built on the jsonwire scanner and appenders: decoding walks the
-// bytes once and writes into the final value map, encoding appends into
-// one buffer. It reproduces encoding/json's treatment of these two types
-// exactly, so that switching from the nested encoding/json round trips it
+// bytes once, buffering the entries it reads, then sorts them into the
+// snapshot's exactly sized value set; encoding walks the already sorted
+// entries and appends into one buffer. It reproduces encoding/json's
+// treatment of these two types exactly, so that switching from the nested encoding/json round trips it
 // replaced changed neither what is accepted nor a single encoded byte:
 //
 //   - a document is an object or null; field names match as encoding/json
@@ -28,15 +29,16 @@ import (
 //     the raw bytes encoding/json would pass it;
 //   - a value is a boolean, a number that parses as a float64, a string
 //     or null (an absent Value); an object or array is an error;
-//   - encoding sorts the features, formats numbers as encoding/json does
-//     and fails on NaN, ±Inf and times that are not valid RFC 3339.
+//   - encoding writes the features in sorted order, formats numbers as
+//     encoding/json does and fails on NaN, ±Inf and times that are not valid RFC 3339.
 //
 // Snapshot.DecodeJSON and Snapshot.AppendJSON are the entry points for a
 // codec that carries scenes inside a larger document: they decode at the
 // caller's cursor and append to the caller's buffer. Feature names and
 // labels from the vocabulary are interned, so decoding a vocabulary scene
-// allocates only its value map. The encoding/json codec survives in the
-// package tests as the differential reference.
+// allocates only its value set: the set and its entries. The
+// encoding/json codec survives in the package tests as the differential
+// reference.
 
 // snapshotFields are the snapshot's two field names, "at" and "values".
 var snapshotFields = []string{"at", "values"}
@@ -56,13 +58,6 @@ func internTables() (map[string]Feature, map[string]string) {
 		}
 	}
 	return feats, labels
-}
-
-// entry is one feature value, buffered while a values object is read
-// and while an encoding sorts its features.
-type entry struct {
-	f Feature
-	v Value
 }
 
 // intern returns the canonical copy of b from m, or a new string when b
@@ -103,11 +98,15 @@ func decodeValue(d *jsonwire.Decoder) (Value, error) {
 
 // DecodeJSON decodes the snapshot document at d's cursor and consumes
 // it, as UnmarshalJSON decodes a whole document: on success it replaces
-// s (null gives the zero time and an empty value map), on error it
-// leaves s unchanged. Nothing it stores aliases the document.
+// s (null gives the zero time and no values), on error it leaves s
+// unchanged. The decoded values are s's own: nothing it stores aliases
+// the document or the snapshot s held before.
 func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 	var at time.Time
-	var vals map[Feature]Value
+	// Every "values" entry of the document, in document order; a
+	// vocabulary scene fits the stack buffer.
+	var buf [32]entry
+	es := buf[:0]
 	var err error
 	switch d.Next() {
 	case 'n':
@@ -122,7 +121,9 @@ func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 				}
 				return at.UnmarshalJSON(raw)
 			case 1:
-				return decodeValues(d, &vals)
+				more, err := decodeValues(d, es)
+				es = more
+				return err
 			default:
 				return d.Skip()
 			}
@@ -133,73 +134,63 @@ func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 	if err != nil {
 		return err
 	}
-	if vals == nil {
-		vals = make(map[Feature]Value)
-	}
-	s.At, s.Values = at, vals
+	s.At, s.vals = at, newValueSet(es)
 	return nil
 }
 
-// decodeValues consumes a "values" field: null empties the map, an
-// object merges its features into it.
-func decodeValues(d *jsonwire.Decoder, vals *map[Feature]Value) error {
+// decodeValues consumes a "values" field and returns es with its
+// entries: null drops the entries read so far, an object appends its
+// entries to them.
+func decodeValues(d *jsonwire.Decoder, es []entry) ([]entry, error) {
 	switch d.Next() {
 	case 'n':
-		*vals = nil
-		return d.Literal("null")
+		return es[:0], d.Literal("null")
 	case '{':
 	default:
-		return d.Errorf("values: want an object or null")
+		return es, d.Errorf("values: want an object or null")
 	}
-	// Buffer the features so the map is made once at its final size.
-	var buf [32]entry
-	n := 0
 	err := d.Object(func(name []byte) error {
 		v, err := decodeValue(d)
 		if err != nil {
 			return err
 		}
-		if n == len(buf) {
-			insert(vals, buf[:n])
-			n = 0
-		}
-		buf[n] = entry{intern(internedFeatures, name), v}
-		n++
+		es = append(es, entry{intern(internedFeatures, name), v})
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	insert(vals, buf[:n])
-	return nil
+	return es, err
 }
 
-// insert stores es into *vals in order, making the map on first use.
-func insert(vals *map[Feature]Value, es []entry) {
-	if *vals == nil {
-		*vals = make(map[Feature]Value, len(es))
-	}
+// newValueSet makes the value set of a document's entries: it sorts them
+// stably by feature, so that of a repeated feature the last one read
+// wins, and copies the survivors into an exactly sized set. Sorting once
+// keeps a hostile document of N distinct features at O(N log N); an
+// insertion per entry would be quadratic.
+func newValueSet(es []entry) *valueSet {
+	slices.SortStableFunc(es, func(x, y entry) int { return strings.Compare(string(x.f), string(y.f)) })
+	n := 0
 	for _, e := range es {
-		(*vals)[e.f] = e.v
+		if n > 0 && es[n-1].f == e.f {
+			es[n-1] = e
+			continue
+		}
+		es[n] = e
+		n++
 	}
+	out := make([]entry, n)
+	copy(out, es)
+	return &valueSet{es: out}
 }
 
 // AppendJSON appends the snapshot's wire form, the document MarshalJSON
 // returns, to b.
 func (s Snapshot) AppendJSON(b []byte) ([]byte, error) {
-	var buf [32]entry
-	es := buf[:0]
-	for f, v := range s.Values {
-		es = append(es, entry{f, v})
-	}
-	slices.SortFunc(es, func(x, y entry) int { return strings.Compare(string(x.f), string(y.f)) })
 	b = append(b, `{"at":`...)
 	b, err := jsonwire.AppendTime(b, s.At)
 	if err != nil {
 		return nil, err
 	}
 	b = append(b, `,"values":{`...)
-	for i, e := range es {
+	for i, e := range s.entries() {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -215,8 +206,8 @@ func (s Snapshot) AppendJSON(b []byte) ([]byte, error) {
 // sizeHint bounds the snapshot's encoded length, escapes aside.
 func (s Snapshot) sizeHint() int {
 	size := len(`{"at":"","values":{}}`) + len(time.RFC3339Nano)
-	for f, v := range s.Values {
-		size += len(f) + len(`"":,`) + valueSizeHint(v)
+	for _, e := range s.entries() {
+		size += len(e.f) + len(`"":,`) + valueSizeHint(e.v)
 	}
 	return size
 }

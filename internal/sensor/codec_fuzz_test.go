@@ -137,7 +137,8 @@ func sameValue(a, b Value) bool {
 }
 
 // requireSameSnapshot fails unless got equals want: the same instant in
-// the same zone, a non-nil value map, and the same values bit for bit.
+// the same zone, a well-formed value set of its own, and the same values
+// bit for bit.
 func requireSameSnapshot(t *testing.T, want, got Snapshot) {
 	t.Helper()
 	wantZone, wantOff := want.At.Zone()
@@ -145,14 +146,16 @@ func requireSameSnapshot(t *testing.T, want, got Snapshot) {
 	if !want.At.Equal(got.At) || wantZone != gotZone || wantOff != gotOff {
 		t.Fatalf("At = %v, want %v", got.At, want.At)
 	}
-	if got.Values == nil {
-		t.Fatal("decoded snapshot has a nil value map")
+	if got.vals == nil {
+		t.Fatal("decoded snapshot has no value set")
 	}
-	if len(got.Values) != len(want.Values) {
-		t.Fatalf("values = %v, want %v", got.Values, want.Values)
+	requireSorted(t, got)
+	gotVals, wantVals := valuesOf(got), valuesOf(want)
+	if len(gotVals) != len(wantVals) {
+		t.Fatalf("values = %v, want %v", gotVals, wantVals)
 	}
-	for f, w := range want.Values {
-		if g, ok := got.Values[f]; !ok || !sameValue(g, w) {
+	for f, w := range wantVals {
+		if g, ok := gotVals[f]; !ok || !sameValue(g, w) {
 			t.Fatalf("feature %q = %#v (present %v), want %#v", f, g, ok, w)
 		}
 	}
@@ -273,13 +276,13 @@ func TestSnapshotWireEncodeCases(t *testing.T) {
 		{At: time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)},
 		{At: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
 		{At: time.Date(2021, 1, 1, 0, 0, 0, 0, time.FixedZone("far", 24*3600))},
-		{At: at, Values: map[Feature]Value{"nan": Number(math.NaN())}},
-		{At: at, Values: map[Feature]Value{"inf": Number(math.Inf(-1)), "a": Bool(true)}},
-		{At: testTime, Values: map[Feature]Value{
+		snapshotOf(at, map[Feature]Value{"nan": Number(math.NaN())}),
+		snapshotOf(at, map[Feature]Value{"inf": Number(math.Inf(-1)), "a": Bool(true)}),
+		snapshotOf(testTime, map[Feature]Value{
 			"b": Number(1e-7), "a": Number(1e21), "c": Number(-0.000001), "d": Number(math.Copysign(0, -1)),
 			"<key>": Label("a&b"), "k\xff": Label("\u2028"), "ctl\x01": Label("\"\\\n"), "é": Label("ü"),
 			"absent": {}, "t": Bool(true), "f": Bool(false),
-		}},
+		}),
 	}
 	for i, s := range cases {
 		wantOut, wantErr := refMarshalSnapshot(s)

@@ -51,10 +51,11 @@ type refSnapshotJSON struct {
 
 // refMarshalSnapshot encodes s as {"at": ..., "values": {feature: value}}.
 func refMarshalSnapshot(s Snapshot) ([]byte, error) {
-	vals := make(map[string]refValue, len(s.Values))
-	for k, v := range s.Values {
-		vals[string(k)] = refValue(v)
-	}
+	vals := make(map[string]refValue, s.Len())
+	s.Range(func(f Feature, v Value) bool {
+		vals[string(f)] = refValue(v)
+		return true
+	})
 	return json.Marshal(refSnapshotJSON{At: s.At, Values: vals})
 }
 
@@ -64,10 +65,9 @@ func refUnmarshalSnapshot(s *Snapshot, data []byte) error {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
-	s.At = raw.At
-	s.Values = make(map[Feature]Value, len(raw.Values))
+	*s = NewSnapshot(raw.At)
 	for k, v := range raw.Values {
-		s.Values[Feature(k)] = Value(v)
+		s.Set(Feature(k), Value(v))
 	}
 	return nil
 }

@@ -27,8 +27,8 @@ func TestNormalizerXiaomiStyle(t *testing.T) {
 	if temp, _ := snap.Number(FeatTempIndoor); temp != 22.5 {
 		t.Errorf("temp = %v, want 22.5", temp)
 	}
-	if got := snap.LabelOr(FeatDoorLock, ""); got != LockLocked {
-		t.Errorf("lock = %q", got)
+	if got, _ := snap.Get(FeatDoorLock); got != Label(LockLocked) {
+		t.Errorf("lock = %v", got)
 	}
 	if err := snap.Validate(); err != nil {
 		t.Errorf("normalized snapshot invalid: %v", err)

@@ -38,33 +38,26 @@ func TestMergePropertiesQuick(t *testing.T) {
 
 		// Identity.
 		empty := NewSnapshot(time.Time{})
-		id := a.Merge(empty)
-		if len(id.Values) != len(a.Values) {
+		if !sameValues(a.Merge(empty), a) {
 			return false
 		}
-		for k, v := range a.Values {
-			if !id.Values[k].Equal(v) {
-				return false
-			}
-		}
 		// Idempotence.
-		self := a.Merge(a)
-		if len(self.Values) != len(a.Values) {
+		if !sameValues(a.Merge(a), a) {
 			return false
 		}
 		// Overlay wins; union of keys.
-		m := a.Merge(b)
-		for k, v := range b.Values {
-			if !m.Values[k].Equal(v) {
+		m, av, bv := valuesOf(a.Merge(b)), valuesOf(a), valuesOf(b)
+		for k, v := range bv {
+			if !m[k].Equal(v) {
 				return false
 			}
 		}
-		for k, v := range a.Values {
-			if _, inB := b.Values[k]; !inB && !m.Values[k].Equal(v) {
+		for k, v := range av {
+			if _, inB := bv[k]; !inB && !m[k].Equal(v) {
 				return false
 			}
 		}
-		return len(m.Values) <= len(a.Values)+len(b.Values)
+		return len(m) <= len(av)+len(bv)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -85,15 +78,7 @@ func TestSnapshotJSONQuick(t *testing.T) {
 		if err := back.UnmarshalJSON(data); err != nil {
 			return false
 		}
-		if len(back.Values) != len(s.Values) {
-			return false
-		}
-		for k, v := range s.Values {
-			if !back.Values[k].Equal(v) {
-				return false
-			}
-		}
-		return back.Validate() == nil
+		return sameValues(back, s) && back.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -98,7 +98,7 @@ const (
 // FeatureType describes how a feature's values behave, mirroring the paper's
 // split between "logic-oriented discrete values and data-oriented continuous
 // values".
-type FeatureType int
+type FeatureType uint8
 
 // Feature types.
 const (

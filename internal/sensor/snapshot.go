@@ -2,111 +2,192 @@ package sensor
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"iotsid/internal/jsonwire"
 )
 
-// Reading is a single timestamped measurement from one physical sensor.
-type Reading struct {
-	SensorID string    `json:"sensor_id"`
-	Kind     Kind      `json:"kind"`
-	Feature  Feature   `json:"feature"`
-	Value    Value     `json:"value"`
-	At       time.Time `json:"at"`
-}
-
 // Snapshot is the joint state of every sensor participating in a scene at
 // one instant — the paper's "sensor context". Keys are features from the
 // shared vocabulary.
+//
+// The values sit behind one pointer, so copies of a snapshot share its
+// values: a Set or Delete through one copy is seen through every other.
+// Clone and Merge return snapshots with values of their own. The zero
+// Snapshot has no values yet; its first Set allocates them, so copies
+// taken before that do not see it.
 type Snapshot struct {
-	At     time.Time
-	Values map[Feature]Value
+	At   time.Time
+	vals *valueSet
+}
+
+// valueSet is a snapshot's values: entries sorted by feature, no feature
+// twice. Sorted entries make lookups a binary search and let the codec
+// and Features walk them in wire order without sorting.
+type valueSet struct{ es []entry }
+
+// entry is one feature value.
+type entry struct {
+	f Feature
+	v Value
 }
 
 // NewSnapshot creates an empty snapshot stamped at t.
-func NewSnapshot(t time.Time) Snapshot {
-	return Snapshot{At: t, Values: make(map[Feature]Value)}
+func NewSnapshot(t time.Time) Snapshot { return NewSnapshotCap(t, 0) }
+
+// NewSnapshotCap creates an empty snapshot stamped at t with room for n
+// values, so a builder that knows its width sizes the values once.
+func NewSnapshotCap(t time.Time, n int) Snapshot {
+	return Snapshot{At: t, vals: &valueSet{es: make([]entry, 0, n)}}
 }
 
-// Set stores a feature value, replacing any previous one. The value map is
-// allocated lazily, so Set is safe on a zero-value Snapshot.
-func (s *Snapshot) Set(f Feature, v Value) {
-	if s.Values == nil {
-		s.Values = make(map[Feature]Value)
+// entries returns the sorted entries; nil for the zero Snapshot.
+func (s Snapshot) entries() []entry {
+	if s.vals == nil {
+		return nil
 	}
-	s.Values[f] = v
+	return s.vals.es
+}
+
+// find returns the index of f in the sorted es, or the index it would be
+// inserted at, and whether f is there.
+func find(es []entry, f Feature) (int, bool) {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].f < f {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(es) && es[lo].f == f
+}
+
+// Set stores a feature value, replacing any previous one. Set is safe on a
+// zero-value Snapshot: it allocates the values on first use.
+func (s *Snapshot) Set(f Feature, v Value) {
+	if s.vals == nil {
+		s.vals = new(valueSet)
+	}
+	i, ok := find(s.vals.es, f)
+	if ok {
+		s.vals.es[i].v = v
+		return
+	}
+	s.vals.es = slices.Insert(s.vals.es, i, entry{f, v})
+}
+
+// Delete removes a feature; deleting an absent feature does nothing.
+func (s *Snapshot) Delete(f Feature) {
+	if i, ok := find(s.entries(), f); ok {
+		s.vals.es = slices.Delete(s.vals.es, i, i+1)
+	}
 }
 
 // Get returns the value of a feature and whether it is present.
 func (s Snapshot) Get(f Feature) (Value, bool) {
-	v, ok := s.Values[f]
-	return v, ok
+	es := s.entries()
+	i, ok := find(es, f)
+	if !ok {
+		return Value{}, false
+	}
+	return es[i].v, true
+}
+
+// Len returns the number of features the snapshot carries.
+func (s Snapshot) Len() int { return len(s.entries()) }
+
+// Range calls fn for each feature and value in sorted feature order until
+// fn returns false. fn must not Set or Delete on s or a copy of it.
+func (s Snapshot) Range(fn func(Feature, Value) bool) {
+	for _, e := range s.entries() {
+		if !fn(e.f, e.v) {
+			return
+		}
+	}
 }
 
 // Bool returns a boolean feature, defaulting to false when absent or not a
 // boolean.
 func (s Snapshot) Bool(f Feature) bool {
-	v, ok := s.Values[f]
-	if !ok {
-		return false
-	}
+	v, _ := s.Get(f)
 	b, _ := v.Bool()
 	return b
 }
 
 // Number returns a numeric feature and whether it was present and numeric.
 func (s Snapshot) Number(f Feature) (float64, bool) {
-	v, ok := s.Values[f]
+	v, ok := s.Get(f)
 	if !ok {
 		return 0, false
 	}
 	return v.Number()
 }
 
-// LabelOr returns a label feature, or def when absent or not a label.
-func (s Snapshot) LabelOr(f Feature, def string) string {
-	v, ok := s.Values[f]
-	if !ok {
-		return def
-	}
-	l, ok := v.Label()
-	if !ok {
-		return def
-	}
-	return l
+// Clone copies the snapshot with values of its own.
+func (s Snapshot) Clone() Snapshot {
+	return Snapshot{At: s.At, vals: &valueSet{es: slices.Clone(s.entries())}}
 }
 
-// Clone deep-copies the snapshot.
-func (s Snapshot) Clone() Snapshot {
-	out := Snapshot{At: s.At, Values: make(map[Feature]Value, len(s.Values))}
-	for k, v := range s.Values {
-		out.Values[k] = v
+// SetValues replaces s's values with a copy of o's, overwriting s's own
+// entries in place when they have room, and keeps s.At. Copies of s see
+// the new values.
+func (s *Snapshot) SetValues(o Snapshot) {
+	if s.vals == nil {
+		s.vals = new(valueSet)
 	}
-	return out
+	s.vals.es = append(s.vals.es[:0], o.entries()...)
 }
 
 // Merge overlays o onto a copy of s; o's values win on conflict, and the
-// later timestamp is kept.
+// later timestamp is kept. The result has values of its own, sized
+// exactly.
 func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := s.Clone()
-	for k, v := range o.Values {
-		out.Values[k] = v
+	a, b := s.entries(), o.entries()
+	n := len(a) + len(b)
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].f < b[j].f:
+			i++
+		case a[i].f > b[j].f:
+			j++
+		default:
+			n--
+			i, j = i+1, j+1
+		}
 	}
+	es := make([]entry, 0, n)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].f < b[j].f:
+			es = append(es, a[i])
+			i++
+		case a[i].f > b[j].f:
+			es = append(es, b[j])
+			j++
+		default:
+			es = append(es, b[j])
+			i, j = i+1, j+1
+		}
+	}
+	es = append(append(es, a[i:]...), b[j:]...)
+	out := Snapshot{At: s.At, vals: &valueSet{es: es}}
 	if o.At.After(out.At) {
 		out.At = o.At
 	}
 	return out
 }
 
-// Features lists the snapshot's features in deterministic (sorted) order.
+// Features lists the snapshot's features in sorted order.
 func (s Snapshot) Features() []Feature {
-	out := make([]Feature, 0, len(s.Values))
-	for f := range s.Values {
-		out = append(out, f)
+	es := s.entries()
+	out := make([]Feature, len(es))
+	for i, e := range es {
+		out[i] = e.f
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -132,29 +213,12 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// FromReadings folds a set of readings into a snapshot, keeping the newest
-// reading per feature. The snapshot is stamped with the newest timestamp.
-func FromReadings(readings []Reading) Snapshot {
-	snap := NewSnapshot(time.Time{})
-	newest := make(map[Feature]time.Time, len(readings))
-	for _, r := range readings {
-		if prev, ok := newest[r.Feature]; ok && !r.At.After(prev) {
-			continue
-		}
-		newest[r.Feature] = r.At
-		snap.Values[r.Feature] = r.Value
-		if r.At.After(snap.At) {
-			snap.At = r.At
-		}
-	}
-	return snap
-}
-
 // Validate checks every value against the vocabulary: the feature must be
 // known, the value type must match the descriptor, and labels must come from
 // the descriptor's domain.
 func (s Snapshot) Validate() error {
-	for f, v := range s.Values {
+	for _, e := range s.entries() {
+		f, v := e.f, e.v
 		d, ok := Describe(f)
 		if !ok {
 			return fmt.Errorf("sensor: unknown feature %q in snapshot", f)

@@ -31,14 +31,15 @@ func TestSnapshotAccessors(t *testing.T) {
 	if _, ok := s.Number(FeatHumidity); ok {
 		t.Error("absent number should not be ok")
 	}
-	if got := s.LabelOr(FeatWeather, "sunny"); got != WeatherRain {
-		t.Errorf("weather = %q", got)
+	if v, _ := s.Get(FeatWeather); v != Label(WeatherRain) {
+		t.Errorf("weather = %v", v)
 	}
-	if got := s.LabelOr(FeatHour, "def"); got != "def" {
-		t.Errorf("LabelOr on number = %q", got)
+	temp, _ := s.Get(FeatTempIndoor)
+	if l, ok := temp.Label(); ok {
+		t.Errorf("Label on a number = %q", l)
 	}
-	if got := s.LabelOr(Feature("nope"), "def"); got != "def" {
-		t.Errorf("LabelOr on absent = %q", got)
+	if v, ok := s.Get(Feature("nope")); ok || !v.IsZero() {
+		t.Errorf("Get on absent = %v, %v", v, ok)
 	}
 }
 
@@ -101,32 +102,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if !back.At.Equal(s.At) {
 		t.Errorf("At = %v, want %v", back.At, s.At)
 	}
-	if len(back.Values) != len(s.Values) {
-		t.Fatalf("values len = %d, want %d", len(back.Values), len(s.Values))
-	}
-	for f, v := range s.Values {
-		if got := back.Values[f]; !got.Equal(v) {
-			t.Errorf("feature %q = %v, want %v", f, got, v)
-		}
-	}
-}
-
-func TestFromReadingsKeepsNewest(t *testing.T) {
-	readings := []Reading{
-		{SensorID: "a", Kind: KindTemperature, Feature: FeatTempIndoor, Value: Number(20), At: testTime},
-		{SensorID: "a", Kind: KindTemperature, Feature: FeatTempIndoor, Value: Number(25), At: testTime.Add(time.Minute)},
-		{SensorID: "a", Kind: KindTemperature, Feature: FeatTempIndoor, Value: Number(19), At: testTime.Add(-time.Minute)},
-		{SensorID: "b", Kind: KindSmoke, Feature: FeatSmoke, Value: Bool(true), At: testTime},
-	}
-	s := FromReadings(readings)
-	if n, _ := s.Number(FeatTempIndoor); n != 25 {
-		t.Errorf("temp = %v, want newest 25", n)
-	}
-	if !s.Bool(FeatSmoke) {
-		t.Error("smoke reading lost")
-	}
-	if !s.At.Equal(testTime.Add(time.Minute)) {
-		t.Errorf("At = %v", s.At)
+	if !sameValues(back, s) {
+		t.Errorf("values = %v, want %v", valuesOf(back), valuesOf(s))
 	}
 }
 
@@ -167,16 +144,16 @@ func TestSnapshotValidate(t *testing.T) {
 }
 
 // TestSetOnZeroValueSnapshot is the regression test for the nil-map panic:
-// Set on a zero-value Snapshot must lazily allocate the value map instead
-// of panicking.
+// Set on a zero-value Snapshot must lazily allocate the values instead of
+// panicking.
 func TestSetOnZeroValueSnapshot(t *testing.T) {
 	var s Snapshot
 	s.Set(FeatSmoke, Bool(true))
 	if !s.Bool(FeatSmoke) {
 		t.Error("value lost after lazy allocation")
 	}
-	if len(s.Values) != 1 {
-		t.Errorf("values = %v", s.Values)
+	if s.Len() != 1 {
+		t.Errorf("values = %v", valuesOf(s))
 	}
 	// A pointer to a zero-value snapshot works the same way.
 	p := &Snapshot{}

@@ -39,7 +39,7 @@ type TraceEvent struct {
 // Snapshot renders the event's minimal sensor context, stamped with its
 // event time.
 func (e TraceEvent) Snapshot() sensor.Snapshot {
-	snap := sensor.NewSnapshot(e.At)
+	snap := sensor.NewSnapshotCap(e.At, 4)
 	snap.Set(sensor.FeatHour, sensor.Number(e.Hour))
 	snap.Set(sensor.FeatVoiceCmd, sensor.Bool(e.Voice))
 	snap.Set(sensor.FeatOccupancy, sensor.Bool(e.Occupied))
@@ -127,7 +127,7 @@ func (t *Tracker) Admit(sensitive bool, snap sensor.Snapshot, at time.Time) Symb
 // integration tests and the eval campaigns use it to drive the compiled
 // tree and the sequence judge with one coherent stream.
 func (e TraceEvent) WindowScene() sensor.Snapshot {
-	snap := sensor.NewSnapshot(e.At)
+	snap := sensor.NewSnapshotCap(e.At, 10)
 	snap.Set(sensor.FeatSmoke, sensor.Bool(false))
 	snap.Set(sensor.FeatGas, sensor.Bool(false))
 	snap.Set(sensor.FeatVoiceCmd, sensor.Bool(e.Voice))

@@ -100,7 +100,7 @@ func (iv Invariant) Eval(prev, cur sensor.Snapshot) (bool, string) {
 			return true, fmt.Sprintf("%s: %s stepped %.4g, limit %.4g", iv.Name, iv.Feature, step, iv.Limit)
 		}
 	case Range:
-		v, ok := cur.Values[iv.Feature]
+		v, ok := cur.Get(iv.Feature)
 		if !ok {
 			return false, ""
 		}
@@ -126,7 +126,7 @@ func (iv Invariant) Eval(prev, cur sensor.Snapshot) (bool, string) {
 
 // numericFeature extracts a finite numeric (or boolean-coerced) value.
 func numericFeature(s sensor.Snapshot, f sensor.Feature) (float64, bool) {
-	v, ok := s.Values[f]
+	v, ok := s.Get(f)
 	if !ok {
 		return 0, false
 	}
@@ -140,7 +140,7 @@ func numericFeature(s sensor.Snapshot, f sensor.Feature) (float64, bool) {
 // boolFeature extracts a present boolean value (no default-on-absent:
 // an absent occupancy report must not read as "nobody home").
 func boolFeature(s sensor.Snapshot, f sensor.Feature) (bool, bool) {
-	v, ok := s.Values[f]
+	v, ok := s.Get(f)
 	if !ok {
 		return false, false
 	}

@@ -154,9 +154,11 @@ type sourceState struct {
 
 	obs        uint64
 	violations uint64
-	lastAt     time.Time
-	lastVals   map[sensor.Feature]sensor.Value
-	stuckRun   int
+	// last holds the newest event time seen (At) and the values of the
+	// latest observation that carried any; Observe overwrites its
+	// entries in place.
+	last     sensor.Snapshot
+	stuckRun int
 	// interval baseline: sum/count of deltas between timestamped
 	// observations, frozen into meanInterval at baseline completion.
 	intervalSum   float64
@@ -402,10 +404,10 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	// Timing fingerprint: replay first (active from the second
 	// observation), then cadence once the baseline interval is learned.
 	timed := !at.IsZero()
-	if timed && !s.lastAt.IsZero() {
-		if at.Before(s.lastAt) {
-			report(RuleReplay, fmt.Sprintf("event time %s behind newest %s", at.Format(time.RFC3339Nano), s.lastAt.Format(time.RFC3339Nano)))
-		} else if dt := at.Sub(s.lastAt).Seconds(); dt > 0 {
+	if timed && !s.last.At.IsZero() {
+		if at.Before(s.last.At) {
+			report(RuleReplay, fmt.Sprintf("event time %s behind newest %s", at.Format(time.RFC3339Nano), s.last.At.Format(time.RFC3339Nano)))
+		} else if dt := at.Sub(s.last.At).Seconds(); dt > 0 {
 			if s.baselineReady && s.meanInterval > 0 {
 				ratio := dt / s.meanInterval
 				if ratio > e.cfg.CadenceTolerance || ratio < 1/e.cfg.CadenceTolerance {
@@ -421,20 +423,18 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 
 	// Per-feature value fingerprint, in sorted feature order so the
 	// violation list and the score trajectory are scheduling-independent.
-	feats := snap.Features()
-	for _, f := range feats {
-		v := snap.Values[f]
+	snap.Range(func(f sensor.Feature, v sensor.Value) bool {
 		if v.IsZero() {
 			report(RuleMalformed, fmt.Sprintf("feature %s absent (null) value", f))
-			continue
+			return true
 		}
 		num, isNum := v.Numeric()
 		if !isNum {
-			continue
+			return true
 		}
 		if math.IsNaN(num) || math.IsInf(num, 0) {
 			report(RuleMalformed, fmt.Sprintf("feature %s non-finite value %v", f, num))
-			continue
+			return true
 		}
 		fs := s.feats[f]
 		if fs == nil {
@@ -471,13 +471,14 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 		}
 		fs.last = num
 		fs.has = true
-	}
+		return true
+	})
 
 	// Dwell fingerprint: a feed frozen bit-identical for too long is a
 	// stuck-at spoof (or a dead cache — either way, not live physics).
 	// Armed from the first observation: a source stuck from birth is
 	// exactly as suspect as one that froze later.
-	if len(snap.Values) > 0 && identicalValues(snap.Values, s.lastVals) {
+	if snap.Len() > 0 && identicalValues(snap, s.last) {
 		s.stuckRun++
 		if s.stuckRun >= e.cfg.StuckAfter {
 			report(RuleStuck, fmt.Sprintf("values bit-identical for %d consecutive reports", s.stuckRun+1))
@@ -487,9 +488,8 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	}
 
 	// Cross-sensor invariant table, in declaration order.
-	prev := sensor.Snapshot{Values: s.lastVals}
 	for _, iv := range e.invariants {
-		if violated, detail := iv.Eval(prev, snap); violated {
+		if violated, detail := iv.Eval(s.last, snap); violated {
 			report(iv.Name, detail)
 		}
 	}
@@ -524,15 +524,11 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	}
 
 	// Advance the observation state.
-	if timed && at.After(s.lastAt) {
-		s.lastAt = at
+	if timed && at.After(s.last.At) {
+		s.last.At = at
 	}
-	if len(snap.Values) > 0 {
-		vals := make(map[sensor.Feature]sensor.Value, len(snap.Values))
-		for f, v := range snap.Values {
-			vals[f] = v
-		}
-		s.lastVals = vals
+	if snap.Len() > 0 {
+		s.last.SetValues(snap)
 	}
 	s.obs++
 	if !s.baselineReady && s.obs >= uint64(e.cfg.BaselineObs) {
@@ -566,16 +562,17 @@ func (s *sourceState) freezeBaseline(stepTol float64) {
 	s.baselineReady = true
 }
 
-// identicalValues reports whether two value maps carry exactly the same
+// identicalValues reports whether two snapshots carry exactly the same
 // features with exactly equal values.
-func identicalValues(a, b map[sensor.Feature]sensor.Value) bool {
-	if len(a) != len(b) || b == nil {
+func identicalValues(a, b sensor.Snapshot) bool {
+	if a.Len() != b.Len() {
 		return false
 	}
-	for f, v := range a {
-		if ov, ok := b[f]; !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
+	same := true
+	a.Range(func(f sensor.Feature, v sensor.Value) bool {
+		ov, ok := b.Get(f)
+		same = ok && v.Equal(ov)
+		return same
+	})
+	return same
 }

@@ -140,6 +140,13 @@ for shape in bulk_mixed:bdf5ab08a3dcad28 under_attack:9c9f8d454fb61683; do
         heap_mb="$(tail -n 1 "$bench_out" | sed -n 's/.*"setup_heap_mb":{"value":\([0-9.e+-]*\).*/\1/p')"
         awk -v mb="$heap_mb" 'BEGIN { exit !(mb != "" && mb + 0 <= 30) }' ||
             { echo "bench bulk_mixed: setup_heap_mb is '$heap_mb', want at most 30" >&2; exit 1; }
+        # Snapshot values as one exactly sized, feature-sorted entry slice:
+        # about 975 B allocated per decision, server and generator together
+        # (about 1440 B with the hash map it replaced). The count repeats
+        # within 0.2 % from run to run.
+        alloc_b="$(tail -n 1 "$bench_out" | sed -n 's/.*"alloc_bytes_per_decision":{"value":\([0-9.e+-]*\).*/\1/p')"
+        awk -v b="$alloc_b" 'BEGIN { exit !(b != "" && b + 0 <= 1150) }' ||
+            { echo "bench bulk_mixed: alloc_bytes_per_decision is '$alloc_b', want at most 1150" >&2; exit 1; }
     fi
 done
 # bench_out now holds the under_attack run.

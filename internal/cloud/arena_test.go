@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
@@ -188,6 +191,126 @@ func TestFleetArenaNoLeak(t *testing.T) {
 	})
 }
 
+// contextBodies encodes tenant A's push batch, 256 legal window scenes on
+// its homes, and tenant B's, 100 pushes that name B's homes and carry no
+// context. A's scenes are stamped in 2100, so one that leaked into a B
+// push would never be dropped as behind B's own pushes, which the fleet
+// stamps on receipt.
+func contextBodies(t testing.TB, homes int) (a, b []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(24))
+	pushes := make([]fleetContextPush, 256)
+	for i := range pushes {
+		scene, err := dataset.LegalScene(dataset.ModelWindow, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scene.At = time.Date(2100, 1, 1, 0, 0, i, 0, time.UTC)
+		pushes[i] = fleetContextPush{Home: fmt.Sprintf("a-%02d", i%homes), Context: scene}
+	}
+	a, err := appendContextRequest(nil, pushes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = []byte(`{"pushes":[`)
+	for i := 0; i < 100; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, `{"home":"b-%02d"}`, i%homes)
+	}
+	return a, append(b, "]}"...)
+}
+
+// pushContext runs the context handler on body in the calling goroutine
+// and reports an error unless all want pushes were accepted.
+func pushContext(srv *Server, c *Client, body []byte, want int) error {
+	rec := postDeclaringLength(c, srv.handleFleetContext, "/v1/fleet/context", string(body), int64(len(body)))
+	var resp fleetContextResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		return fmt.Errorf("context push = HTTP %d %q", rec.Code, rec.Body.String())
+	}
+	if resp.Accepted != want || len(resp.Errors) != 0 {
+		return fmt.Errorf("context push accepted %d of %d, errors %+v", resp.Accepted, want, resp.Errors)
+	}
+	return nil
+}
+
+// requireNoneAllowed fails if any of tenant B's window.open items was
+// allowed: on the empty context B pushed, each fails to featurize.
+func requireNoneAllowed(t testing.TB, results []FleetResult) {
+	t.Helper()
+	for i, r := range results {
+		if r.Allowed {
+			t.Fatalf("tenant B item %d = %+v, allowed on context B never pushed", i, r)
+		}
+	}
+}
+
+// TestFleetContextNoLeak: a pooled context-push request carries nothing
+// of one request into the next. Tenant A pushes legal scenes to its
+// homes; tenant B's pushes name B's homes and omit their context, so B's
+// homes hold empty context and B's sensitive instructions on them must
+// not be allowed. Were the request pooled uncleared, B's pushes would
+// decode over A's and push A's scenes into B's homes.
+func TestFleetContextNoLeak(t *testing.T) {
+	const homes = 16
+	pushA, pushB := contextBodies(t, homes)
+	_, authB := tenantBodies(t, homes)
+
+	t.Run("serial", func(t *testing.T) {
+		srv := tenantCloud(t, homes)
+		ca := login(t, srv, "tenant-a", "a-secret")
+		cb := login(t, srv, "tenant-b", "b-secret")
+		for round := 0; round < 20; round++ {
+			for _, err := range []error{pushContext(srv, ca, pushA, 256), pushContext(srv, cb, pushB, 100)} {
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+			requireNoneAllowed(t, authorizeDirect(t, srv, cb, authB))
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		srv := tenantCloud(t, homes)
+		ca := login(t, srv, "tenant-a", "a-secret")
+		cb := login(t, srv, "tenant-b", "b-secret")
+		const rounds = 40
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for w := 0; w < 2; w++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < rounds; round++ {
+					if err := pushContext(srv, ca, pushA, 256); err != nil {
+						errs <- fmt.Errorf("tenant A: %v", err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for round := 0; round < rounds; round++ {
+					if err := pushContext(srv, cb, pushB, 100); err != nil {
+						errs <- fmt.Errorf("tenant B: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		// B's homes hold only B's empty context: none of A's scenes
+		// reached them.
+		requireNoneAllowed(t, authorizeDirect(t, srv, cb, authB))
+	})
+}
+
 // TestFleetArenaResetClears: reset leaves every element within each of the
 // arena's slices' capacity zero, including the items an earlier, longer
 // items array in the same body wrote beyond the final slice's length.
@@ -241,6 +364,38 @@ func TestFleetArenaResetClears(t *testing.T) {
 	}
 }
 
+// TestFleetContextResetClears: reset leaves every push within the pooled
+// request's capacity zero, including those an earlier, longer pushes
+// array in the same body wrote beyond the final slice's length.
+func TestFleetContextResetClears(t *testing.T) {
+	pushA, _ := contextBodies(t, 16)
+	body := append(bytes.TrimSuffix(pushA, []byte("}")), `,"pushes":[{"home":"b-00"}]}`...)
+	req := new(fleetContextRequest)
+	if err := req.unmarshal(body); err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Pushes) != 1 || req.used != 256 || req.Pushes[:2][1].Context.Len() == 0 {
+		t.Fatalf("decoded %d pushes (used %d); want the second array's 1 over the first's 256", len(req.Pushes), req.used)
+	}
+	if !req.reset() {
+		t.Fatal("a 256-push request was not kept for pooling")
+	}
+	all := req.Pushes[:cap(req.Pushes)]
+	for i := range all {
+		if all[i].Home != "" || all[i].Context.Len() != 0 || !all[i].Context.At.IsZero() {
+			t.Fatalf("push %d = %+v after reset, want zero", i, all[i])
+		}
+	}
+	if len(all) == 0 || len(req.Pushes)+len(req.oversized) != 0 || req.used != 0 {
+		t.Fatal("reset lost the capacity or left a non-empty slice or a high-water mark")
+	}
+
+	big := &fleetContextRequest{Pushes: make([]fleetContextPush, maxPooledBuf/unsafe.Sizeof(fleetContextPush{})+1)}
+	if big.reset() {
+		t.Fatalf("a request of %d pushes (over %d B) was kept for pooling", cap(big.Pushes), maxPooledBuf)
+	}
+}
+
 // discardWriter is a reusable ResponseWriter that keeps only the status,
 // so a handler's own allocations can be measured.
 type discardWriter struct {
@@ -264,7 +419,7 @@ type handlerRig struct {
 func newHandlerRig(t testing.TB, srv *Server, c *Client, body []byte) *handlerRig {
 	r := &handlerRig{srv: srv, body: bytes.NewReader(body), w: &discardWriter{h: make(http.Header)}}
 	r.req = httptest.NewRequest(http.MethodPost, "/v1/fleet/authorize", r.body)
-	r.req.Header.Set("Authorization", "Session "+c.session)
+	r.req.Header["Authorization"] = c.auth
 	r.serve(t)
 	return r
 }

@@ -2,11 +2,14 @@ package cloud
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
 )
 
@@ -24,8 +27,56 @@ func (e *APIError) Error() string {
 // Client is the mobile-app side of the cloud control path.
 type Client struct {
 	baseURL string
-	session string
-	http    *http.Client
+	// auth is the Authorization header value Login set, shared read-only
+	// by every request; nil before Login.
+	auth []string
+	http *http.Client
+	// strs interns the model, reason and error strings of fleet
+	// authorize responses.
+	strs internTable
+}
+
+// jsonContentType is the Content-Type header value of every request,
+// shared read-only.
+var jsonContentType = []string{"application/json"}
+
+// transport is the one HTTP transport every Client shares, so clients
+// pool connections together as they did on http.DefaultTransport, whose
+// settings it keeps. Its connections copy a request body through a
+// pooled buffer (copyConn).
+var transport = newTransport()
+
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return copyConn{conn}, nil
+	}
+	return t
+}
+
+// copyConn is a client connection whose ReadFrom copies through a pooled
+// buffer. The transport writes a request body by handing the connection
+// an io.LimitedReader over it, which a bare TCP connection copies through
+// a new buffer of up to 32 KiB on every request.
+type copyConn struct{ net.Conn }
+
+// copyBuf is the size of buffer io.Copy allocates.
+type copyBuf [32 << 10]byte
+
+var copyBufPool = sync.Pool{New: func() any { return new(copyBuf) }}
+
+// ReadFrom implements io.ReaderFrom.
+func (c copyConn) ReadFrom(r io.Reader) (int64, error) {
+	buf := copyBufPool.Get().(*copyBuf)
+	defer copyBufPool.Put(buf)
+	// The anonymous struct hides c.Conn's own ReadFrom, so the copy
+	// goes through buf.
+	return io.CopyBuffer(struct{ io.Writer }{c.Conn}, r, buf[:])
 }
 
 // NewClient builds an unauthenticated client.
@@ -36,7 +87,7 @@ func NewClient(baseURL string) (*Client, error) {
 	}
 	return &Client{
 		baseURL: u.Scheme + "://" + u.Host,
-		http:    &http.Client{Timeout: 5 * time.Second},
+		http:    &http.Client{Timeout: 5 * time.Second, Transport: transport},
 	}, nil
 }
 
@@ -49,7 +100,7 @@ func (c *Client) Login(user, secret string) error {
 	if resp.Session == "" {
 		return fmt.Errorf("cloud: empty session token")
 	}
-	c.session = resp.Session
+	c.auth = []string{"Session " + resp.Session}
 	return nil
 }
 
@@ -143,10 +194,10 @@ func (c *Client) postFleet(path string, encode func([]byte) ([]byte, error), dec
 // status but 200 into an *APIError. On success the caller closes the
 // response body.
 func (c *Client) send(req *http.Request) (*http.Response, error) {
-	if c.session != "" {
-		req.Header.Set("Authorization", "Session "+c.session)
+	if c.auth != nil {
+		req.Header["Authorization"] = c.auth
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header["Content-Type"] = jsonContentType
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: %s %s: %w", req.Method, req.URL.Path, err)

@@ -414,7 +414,7 @@ func TestSmallBodiesBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set("Authorization", "Session "+c.session)
+		req.Header["Authorization"] = c.auth
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)

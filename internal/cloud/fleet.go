@@ -62,6 +62,9 @@ type FleetResult struct {
 
 type fleetAuthorizeResponse struct {
 	Results []FleetResult `json:"results"`
+	// strs, when non-nil, interns the decoded model, reason and error
+	// strings.
+	strs *internTable
 }
 
 // maxFleetBatch bounds one request's item count — a fleet batch is a
@@ -250,6 +253,34 @@ type fleetContextRequest struct {
 	Pushes []fleetContextPush `json:"pushes"`
 	// oversized marks the pushes over maxFleetItemBytes.
 	oversized oversized
+	// used is one past the highest index any pushes array in the body
+	// decoded into, as fleetAuthorizeRequest.used.
+	used int
+}
+
+// contextPool holds /v1/fleet/context's decoded requests across requests.
+// Every push within a pooled request's capacity is zero, because the
+// decoder decodes push i over whatever is left at index i: a home or a
+// scene left behind would go into the next request's pushes that omit
+// theirs.
+var contextPool = sync.Pool{New: func() any { return new(fleetContextRequest) }}
+
+func (req *fleetContextRequest) put() {
+	if req.reset() {
+		contextPool.Put(req)
+	}
+}
+
+// reset clears the prefix of the pushes the decode wrote and empties req,
+// as authorizeArena.reset does; it reports false, and clears nothing, for
+// a request grown past maxPooledBuf.
+func (req *fleetContextRequest) reset() bool {
+	if uintptr(cap(req.Pushes))*unsafe.Sizeof(fleetContextPush{}) > maxPooledBuf {
+		return false
+	}
+	clear(req.Pushes[:min(req.used, cap(req.Pushes))])
+	*req = fleetContextRequest{Pushes: req.Pushes[:0], oversized: req.oversized[:0]}
+	return true
 }
 
 // FleetPushError locates one rejected push: the index into the request's
@@ -278,28 +309,35 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	var req fleetContextRequest
+	req := contextPool.Get().(*fleetContextRequest)
+	defer req.put()
 	if !decodeFleetBody(w, r, maxFleetBodyBytes, req.unmarshal) {
 		return
 	}
-	if len(req.Pushes) == 0 {
+	pushes := req.Pushes
+	if len(pushes) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty push batch"})
 		return
 	}
-	if len(req.Pushes) > maxFleetBatch {
+	if len(pushes) > maxFleetBatch {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("batch exceeds %d pushes", maxFleetBatch)})
 		return
 	}
 	resp := fleetContextResponse{}
-	owned := make([]bool, len(req.Pushes))
 	s.mu.Lock()
-	for i := range req.Pushes {
-		owned[i] = s.homes[req.Pushes[i].Home] == user
+	for i := range pushes {
+		if s.homes[pushes[i].Home] != user {
+			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: pushes[i].Home, Error: errHomeNotBound})
+		}
 	}
 	s.mu.Unlock()
-	for i, p := range req.Pushes {
-		if !owned[i] {
-			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: errHomeNotBound})
+	// Push the owned pushes; unowned walks the ownership errors, which
+	// are in index order, alongside.
+	unowned := resp.Errors
+	for i := range pushes {
+		p := &pushes[i]
+		if len(unowned) > 0 && unowned[0].Index == i {
+			unowned = unowned[1:]
 			continue
 		}
 		if req.oversized.has(i) {
@@ -312,13 +350,15 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Accepted++
 	}
+	slices.SortFunc(resp.Errors, func(a, b FleetPushError) int { return a.Index - b.Index })
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // FleetAuthorize submits a mixed-home batch and returns the per-item
-// results (client side of POST /v1/fleet/authorize).
+// results (client side of POST /v1/fleet/authorize). The results are the
+// caller's; their strings are interned per Client.
 func (c *Client) FleetAuthorize(items []FleetBatchItem) ([]FleetResult, error) {
-	var resp fleetAuthorizeResponse
+	resp := fleetAuthorizeResponse{Results: make([]FleetResult, 0, len(items)), strs: &c.strs}
 	err := c.postFleet("/v1/fleet/authorize",
 		func(b []byte) ([]byte, error) { return appendAuthorizeRequest(b, items) },
 		resp.unmarshal)

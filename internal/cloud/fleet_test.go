@@ -311,7 +311,7 @@ func TestFleetEndpointsAbsentWithoutFleet(t *testing.T) {
 // POST whose declared Content-Length is declared.
 func postDeclaringLength(c *Client, h http.HandlerFunc, path, body string, declared int64) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-	req.Header.Set("Authorization", "Session "+c.session)
+	req.Header["Authorization"] = c.auth
 	req.ContentLength = declared
 	rec := httptest.NewRecorder()
 	h(rec, req)

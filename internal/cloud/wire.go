@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -191,7 +192,8 @@ func (req *fleetContextRequest) unmarshal(data []byte) error {
 		if jsonwire.Field(name, contextRequestFields) < 0 {
 			return d.Skip()
 		}
-		return decodeBatch(&d, &req.Pushes, &req.oversized, func(_ int, p *fleetContextPush) error {
+		return decodeBatch(&d, &req.Pushes, &req.oversized, func(i int, p *fleetContextPush) error {
+			req.used = max(req.used, i+1)
 			return decodeObject(&d, func(name []byte) error {
 				switch jsonwire.Field(name, contextPushFields) {
 				case 0:
@@ -220,11 +222,11 @@ func (resp *fleetAuthorizeResponse) unmarshal(data []byte) error {
 				case 1:
 					return decodeBool(&d, &r.Sensitive)
 				case 2:
-					return decodeString(&d, &r.Model)
+					return decodeInterned(&d, &r.Model, resp.strs)
 				case 3:
-					return decodeString(&d, &r.Reason)
+					return decodeInterned(&d, &r.Reason, resp.strs)
 				case 4:
-					return decodeString(&d, &r.Error)
+					return decodeInterned(&d, &r.Error, resp.strs)
 				}
 				return d.Skip()
 			})
@@ -323,6 +325,67 @@ func decodeString(d *jsonwire.Decoder, s *string) error {
 		return d.Literal("null")
 	}
 	return d.Errorf("want a string or null")
+}
+
+// decodeInterned is decodeString for a string the server draws from a
+// small closed set: it is read through t.
+func decodeInterned(d *jsonwire.Decoder, s *string, t *internTable) error {
+	if d.Next() != '"' {
+		return decodeString(d, s)
+	}
+	v, err := d.Unquoted()
+	if err == nil {
+		*s = t.intern(v)
+	}
+	return err
+}
+
+// internCap bounds an internTable. The server's model, reason and error
+// strings number in the tens; the cap only stops a hostile server from
+// growing the table without end.
+const internCap = 4096
+
+// internTable interns decoded strings: a copy-on-write map read with one
+// atomic load and filled under mu, as core.Judger interns its reasons.
+// The zero table is empty; a nil table interns nothing.
+type internTable struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[string]string]
+}
+
+// intern returns the table's copy of b, storing a new copy on first
+// sight while the table holds fewer than internCap strings and returning
+// an unstored copy once it is full. The result never aliases b.
+func (t *internTable) intern(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	if m := t.m.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := t.m.Load()
+	var n int
+	if cur != nil {
+		if s, ok := (*cur)[string(b)]; ok {
+			return s
+		}
+		n = len(*cur)
+	}
+	s := string(b)
+	if n >= internCap {
+		return s // table full: serve without storing
+	}
+	next := make(map[string]string, n+1)
+	if cur != nil {
+		maps.Copy(next, *cur)
+	}
+	next[s] = s
+	t.m.Store(&next)
+	return s
 }
 
 // decodeBool decodes a boolean or null at the cursor into *b; null leaves

@@ -338,6 +338,15 @@ func checkAuthorizeResponse(t *testing.T, data []byte) bool {
 	if !reflect.DeepEqual(want.Results, got.Results) {
 		t.Fatalf("decode %q:\n codec     %#v\n reference %#v", data, got.Results, want.Results)
 	}
+	// The client decodes through an intern table: twice over one table,
+	// so the second decode reads the strings the first stored.
+	strs := new(internTable)
+	for range 2 {
+		interned := fleetAuthorizeResponse{strs: strs}
+		if err := interned.unmarshal(data); err != nil || !reflect.DeepEqual(want.Results, interned.Results) {
+			t.Fatalf("interned decode %q: %v\n codec     %#v\n reference %#v", data, err, interned.Results, want.Results)
+		}
+	}
 	wantOut := refEncodeResponse(want.Results)
 	gotOut := appendAuthorizeResponse(nil, got.Results)
 	requireSameEncoding(t, fmt.Sprintf("encode %q", data), wantOut, gotOut, nil, nil)

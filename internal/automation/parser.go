@@ -187,8 +187,7 @@ func (st *parseState) parseCompare() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	feat := sensor.Feature(identTok.text)
-	desc, known := sensor.Describe(feat)
+	feat, known := sensor.ParseFeature(identTok.text)
 	if !known {
 		return nil, fmt.Errorf("automation: unknown feature %q at %d", identTok.text, identTok.pos)
 	}
@@ -214,7 +213,7 @@ func (st *parseState) parseCompare() (Expr, error) {
 		return nil, fmt.Errorf("automation: bad comparison operator %q at %d", opTok.text, opTok.pos)
 	}
 	st.advance()
-	val, err := st.parseLiteral(desc)
+	val, err := st.parseLiteral(sensor.MustDescribe(feat))
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,7 @@ func (p *EventPump) Tick() (int, error) {
 			continue
 		}
 		data := map[string]any{prop.name: prop.encode(cur)}
-		if err := p.dev.Push("lumi.sensor_"+prop.name, string(prop.feature), data); err != nil {
+		if err := p.dev.Push("lumi.sensor_"+prop.name, prop.feature.String(), data); err != nil {
 			return pushed, fmt.Errorf("bridge: push %s: %w", prop.name, err)
 		}
 		p.prev.Set(prop.feature, cur)

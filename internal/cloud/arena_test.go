@@ -354,7 +354,7 @@ func TestFleetArenaResetClears(t *testing.T) {
 	requireZero("results", a.results)
 	requireZero("batch", a.batch)
 	requireZero("out", a.out)
-	if len(a.req.Items)+len(a.results)+len(a.batch)+len(a.idxs)+len(a.out)+len(a.req.oversized) != 0 || a.req.used != 0 {
+	if len(a.req.Items)+len(a.results)+len(a.batch)+len(a.idxs)+len(a.out)+len(a.req.marks.rs) != 0 || a.req.used != 0 {
 		t.Fatal("reset left a non-empty slice or a high-water mark")
 	}
 
@@ -386,7 +386,7 @@ func TestFleetContextResetClears(t *testing.T) {
 			t.Fatalf("push %d = %+v after reset, want zero", i, all[i])
 		}
 	}
-	if len(all) == 0 || len(req.Pushes)+len(req.oversized) != 0 || req.used != 0 {
+	if len(all) == 0 || len(req.Pushes)+len(req.marks.rs) != 0 || req.used != 0 {
 		t.Fatal("reset lost the capacity or left a non-empty slice or a high-water mark")
 	}
 

@@ -127,6 +127,40 @@ func TestClientInternBounded(t *testing.T) {
 	}
 }
 
+// TestInternTableFillIsLinear: filling the intern table to its cap, each
+// string looked up twice, publishes a new copy of the map only as often
+// as the strings waiting for one, plus the lookups they served, pass the
+// published map's size. So the bytes the fill allocates grow linearly in
+// the cap; a table that copied its map for every new string allocated
+// about 4096²/2 entries' worth, some hundreds of MB.
+func TestInternTableFillIsLinear(t *testing.T) {
+	keys := make([][]byte, internCap)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("reason %06d", i))
+	}
+	var tab internTable
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, k := range keys {
+		tab.intern(k)
+		tab.intern(k)
+	}
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 4<<20 {
+		t.Fatalf("filling the table to %d strings allocated %d B, want at most 4 MiB", internCap, b)
+	}
+	if n := len(*tab.m.Load()); n != internCap {
+		t.Fatalf("published table holds %d strings, want %d", n, internCap)
+	}
+	for _, k := range keys {
+		s := tab.intern(k)
+		if again := tab.intern(k); s != string(k) || unsafe.StringData(again) != unsafe.StringData(s) {
+			t.Fatalf("intern(%q) = %q, then a different copy", k, s)
+		}
+	}
+}
+
 // TestClientBodyRoundTrip: a request body arrives byte for byte at sizes
 // around the transport's 4 KiB write buffer and the 32 KiB copy buffer,
 // sent once and sent again through GetBody when a 307 redirect makes the

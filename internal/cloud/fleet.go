@@ -42,8 +42,8 @@ type FleetBatchItem struct {
 
 type fleetAuthorizeRequest struct {
 	Items []FleetBatchItem `json:"items"`
-	// oversized marks the items over maxFleetItemBytes.
-	oversized oversized
+	// marks holds the rejected items.
+	marks batchMarks
 	// used is one past the highest index any items array in the body
 	// decoded into: the prefix of Items' backing array the decode wrote,
 	// which a later, shorter array leaves beyond the slice's length.
@@ -80,6 +80,29 @@ const maxFleetItemBytes = 4 << 10
 
 // errItemTooLarge rejects an item or push over maxFleetItemBytes.
 var errItemTooLarge = fmt.Sprintf("item exceeds %d bytes", maxFleetItemBytes)
+
+// errUnknownFeature rejects an item or push whose scene names a feature
+// outside the sensor vocabulary. The scene is not stored, pushed, judged
+// or shown to the home's trust engine: the vocabulary is closed, as the
+// paper's collector keeps only the features it maps, so no tenant can
+// grow a home's state one new name at a time.
+const errUnknownFeature = "context names a feature outside the sensor vocabulary"
+
+// rejectErr returns the error that answers element i of a batch decoded
+// with marks, or "" when it is not rejected, and counts an unknown-feature
+// rejection against endpoint ep.
+func (s *Server) rejectErr(marks *batchMarks, i int, ep fleetEndpoint) string {
+	switch {
+	case marks.has(i, rejectOversized):
+		return errItemTooLarge
+	case marks.has(i, rejectUnknownFeature):
+		if c := s.unknownFeatures[ep]; c != nil {
+			c.Inc()
+		}
+		return errUnknownFeature
+	}
+	return ""
+}
 
 // maxFleetBodyBytes bounds a fleet request body (256 MiB), so the item
 // cap above cannot be reached only after an unbounded body was read.
@@ -157,7 +180,7 @@ func (a *authorizeArena) reset() bool {
 	clear(a.results)
 	clear(a.batch)
 	clear(a.out)
-	a.req = fleetAuthorizeRequest{Items: a.req.Items[:0], oversized: a.req.oversized[:0]}
+	a.req = fleetAuthorizeRequest{Items: a.req.Items[:0], marks: a.req.marks.cleared()}
 	a.results, a.batch, a.idxs, a.out = a.results[:0], a.batch[:0], a.idxs[:0], a.out[:0]
 	return true
 }
@@ -203,8 +226,8 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 		if results[i].Error != "" {
 			continue
 		}
-		if a.req.oversized.has(i) {
-			results[i].Error = errItemTooLarge
+		if err := s.rejectErr(&a.req.marks, i, epAuthorize); err != "" {
+			results[i].Error = err
 			continue
 		}
 		in, err := s.cfg.Registry.Build(it.Op, it.DeviceID, instr.OriginUser, it.Args)
@@ -251,8 +274,8 @@ type fleetContextPush struct {
 
 type fleetContextRequest struct {
 	Pushes []fleetContextPush `json:"pushes"`
-	// oversized marks the pushes over maxFleetItemBytes.
-	oversized oversized
+	// marks holds the rejected pushes.
+	marks batchMarks
 	// used is one past the highest index any pushes array in the body
 	// decoded into, as fleetAuthorizeRequest.used.
 	used int
@@ -279,7 +302,7 @@ func (req *fleetContextRequest) reset() bool {
 		return false
 	}
 	clear(req.Pushes[:min(req.used, cap(req.Pushes))])
-	*req = fleetContextRequest{Pushes: req.Pushes[:0], oversized: req.oversized[:0]}
+	*req = fleetContextRequest{Pushes: req.Pushes[:0], marks: req.marks.cleared()}
 	return true
 }
 
@@ -340,8 +363,8 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 			unowned = unowned[1:]
 			continue
 		}
-		if req.oversized.has(i) {
-			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: errItemTooLarge})
+		if err := s.rejectErr(&req.marks, i, epContext); err != "" {
+			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: err})
 			continue
 		}
 		if err := s.cfg.Fleet.PushContext(p.Home, p.Context); err != nil {

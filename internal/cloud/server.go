@@ -123,7 +123,24 @@ type Server struct {
 	history  []HistoryEntry
 	failures map[string]int       // user → consecutive failed logins
 	lockedAt map[string]time.Time // user → lockout start
+
+	// unknownFeatures counts, per fleet endpoint, the items and pushes
+	// rejected for naming a feature outside the vocabulary; nil cells
+	// without Config.Metrics.
+	unknownFeatures [fleetEndpoints]*obs.Counter
 }
+
+// fleetEndpoint indexes the fleet endpoints that take scenes.
+type fleetEndpoint int
+
+const (
+	epAuthorize fleetEndpoint = iota
+	epContext
+	fleetEndpoints
+)
+
+// metricUnknownFeatures is the unknown-feature rejection counter family.
+const metricUnknownFeatures = "iotsid_cloud_fleet_unknown_feature_rejects_total"
 
 // NewServer validates the configuration, binds, and serves.
 func NewServer(cfg Config) (*Server, error) {
@@ -172,6 +189,13 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Metrics != nil {
 		mux.Handle("/metrics", cfg.Metrics.Handler())
+		if cfg.Fleet != nil {
+			vec := cfg.Metrics.NewCounterVec(metricUnknownFeatures,
+				"Fleet items and pushes rejected because their scene names a feature outside the sensor vocabulary, by endpoint.",
+				"endpoint")
+			s.unknownFeatures[epAuthorize] = vec.With("authorize")
+			s.unknownFeatures[epContext] = vec.With("context")
+		}
 	}
 	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	s.wg.Add(1)

@@ -34,6 +34,12 @@ import (
 //   - args are validated in the pass and then decoded, merging into
 //     earlier args, by encoding/json; encoding marshals them with it too.
 //
+// Two kinds of element are marked and answered with a per-item error
+// instead of failing the body (see batchMarks): one whose JSON passes
+// maxFleetItemBytes, whose remaining members are then validated but not
+// decoded, and one whose scene names a feature outside the sensor
+// vocabulary, which encoding/json's decode of the scene would refuse.
+//
 // Decoded strings are copies, never views of the body, so the body may
 // live in a pooled buffer.
 
@@ -133,18 +139,67 @@ var (
 	resultFields            = []string{"allowed", "sensitive", "model", "reason", "error"}
 )
 
-// oversized marks, by index, the elements of a decoded batch whose JSON
-// spanned more than maxFleetItemBytes.
-type oversized []bool
+// A reject is why a decoded batch element is answered with an error
+// instead of being built, pushed or judged: bits of the reasons below.
+type reject uint8
 
-func (o *oversized) mark(i int) {
-	for len(*o) <= i {
-		*o = append(*o, false)
-	}
-	(*o)[i] = true
+const (
+	// rejectOversized: the element's JSON spans more than
+	// maxFleetItemBytes. The mark stays with the index, as the element
+	// does across repeated arrays, since whatever the element holds may
+	// be a remnant of the members decoded before it passed the bound.
+	rejectOversized reject = 1 << iota
+	// rejectUnknownFeature: the element's scene, as last decoded, names a
+	// feature outside the sensor vocabulary. A later scene or null
+	// decoded into the element replaces it and clears the mark.
+	rejectUnknownFeature
+)
+
+// batchMarks marks, by index, the rejected elements of a decoded batch,
+// and tracks where the element being decoded starts.
+type batchMarks struct {
+	rs    []reject
+	start int // offset of the element being decoded
 }
 
-func (o oversized) has(i int) bool { return i < len(o) && o[i] }
+func (m *batchMarks) set(i int, why reject, on bool) {
+	if !on && i >= len(m.rs) {
+		return
+	}
+	for len(m.rs) <= i {
+		m.rs = append(m.rs, 0)
+	}
+	if on {
+		m.rs[i] |= why
+	} else {
+		m.rs[i] &^= why
+	}
+}
+
+func (m *batchMarks) has(i int, why reject) bool { return i < len(m.rs) && m.rs[i]&why != 0 }
+
+// over reports whether the element being decoded has passed
+// maxFleetItemBytes at the cursor: its remaining members are then only
+// validated.
+func (m *batchMarks) over(d *jsonwire.Decoder) bool {
+	return d.Offset()-m.start > maxFleetItemBytes
+}
+
+// cleared returns m with every mark dropped, keeping its slice for reuse.
+func (m *batchMarks) cleared() batchMarks { return batchMarks{rs: m.rs[:0]} }
+
+// decodeScene decodes the scene at the cursor into s and marks element i
+// by whether it names a feature outside the vocabulary; any other error
+// fails the body.
+func decodeScene(d *jsonwire.Decoder, s *sensor.Snapshot, marks *batchMarks, i int) error {
+	err := s.DecodeJSON(d)
+	_, isUnknown := err.(*sensor.UnknownFeatureError) // DecodeJSON does not wrap it
+	marks.set(i, rejectUnknownFeature, isUnknown)
+	if isUnknown {
+		return nil
+	}
+	return err
+}
 
 // unmarshal decodes an authorize request body into req.
 func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
@@ -153,9 +208,12 @@ func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 		if jsonwire.Field(name, authorizeRequestFields) < 0 {
 			return d.Skip()
 		}
-		return decodeBatch(&d, &req.Items, &req.oversized, func(i int, it *FleetBatchItem) error {
+		return decodeBatch(&d, &req.Items, &req.marks, func(i int, it *FleetBatchItem) error {
 			req.used = max(req.used, i+1)
 			return decodeObject(&d, func(name []byte) error {
+				if req.marks.over(&d) {
+					return d.Skip()
+				}
 				switch jsonwire.Field(name, batchItemFields) {
 				case 0:
 					return decodeString(&d, &it.Home)
@@ -165,19 +223,20 @@ func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 					return decodeString(&d, &it.DeviceID)
 				case 3:
 					raw, err := d.Raw()
-					if err != nil {
+					if err != nil || req.marks.over(&d) {
 						return err
 					}
 					return json.Unmarshal(raw, &it.Args)
 				case 4:
 					if d.Next() == 'n' {
 						it.Context = nil
+						req.marks.set(i, rejectUnknownFeature, false)
 						return d.Literal("null")
 					}
 					if it.Context == nil {
 						it.Context = new(sensor.Snapshot)
 					}
-					return it.Context.DecodeJSON(&d)
+					return decodeScene(&d, it.Context, &req.marks, i)
 				}
 				return d.Skip()
 			})
@@ -192,14 +251,17 @@ func (req *fleetContextRequest) unmarshal(data []byte) error {
 		if jsonwire.Field(name, contextRequestFields) < 0 {
 			return d.Skip()
 		}
-		return decodeBatch(&d, &req.Pushes, &req.oversized, func(i int, p *fleetContextPush) error {
+		return decodeBatch(&d, &req.Pushes, &req.marks, func(i int, p *fleetContextPush) error {
 			req.used = max(req.used, i+1)
 			return decodeObject(&d, func(name []byte) error {
+				if req.marks.over(&d) {
+					return d.Skip()
+				}
 				switch jsonwire.Field(name, contextPushFields) {
 				case 0:
 					return decodeString(&d, &p.Home)
 				case 1:
-					return p.Context.DecodeJSON(&d)
+					return decodeScene(&d, &p.Context, &req.marks, i)
 				}
 				return d.Skip()
 			})
@@ -292,23 +354,24 @@ func decodeArray[T any](d *jsonwire.Decoder, s *[]T, max int, elem func(i int, e
 // at most maxFleetBatch+1 elements: one past the cap is enough for the
 // handler to reject the batch, and the rest are only validated, so an
 // over-count body costs no more than a full one; elem gets each element's
-// index. It marks in big each element whose JSON spans more than
-// maxFleetItemBytes. A mark stays with its index as the element does, so
-// an oversized element an earlier array left behind stays marked, and
-// goes when the slice is replaced by null or an empty array.
-func decodeBatch[T any](d *jsonwire.Decoder, s *[]T, big *oversized, elem func(i int, e *T) error) error {
+// index. It marks each element whose JSON spans more than
+// maxFleetItemBytes oversized; elem skips an element's members once
+// marks.over reports it past the bound. Marks stay with their index as
+// the element does across repeated arrays, and go when the slice is
+// replaced by null or an empty array.
+func decodeBatch[T any](d *jsonwire.Decoder, s *[]T, marks *batchMarks, elem func(i int, e *T) error) error {
 	err := decodeArray(d, s, maxFleetBatch+1, func(i int, e *T) error {
-		start := d.Offset()
+		marks.start = d.Offset()
 		if err := elem(i, e); err != nil {
 			return err
 		}
-		if d.Offset()-start > maxFleetItemBytes {
-			big.mark(i)
+		if marks.over(d) {
+			marks.set(i, rejectOversized, true)
 		}
 		return nil
 	})
 	if len(*s) == 0 {
-		*big = (*big)[:0]
+		*marks = marks.cleared()
 	}
 	return err
 }
@@ -347,10 +410,18 @@ const internCap = 4096
 
 // internTable interns decoded strings: a copy-on-write map read with one
 // atomic load and filled under mu, as core.Judger interns its reasons.
-// The zero table is empty; a nil table interns nothing.
+// Strings newer than the published map wait in newer, under mu, until the
+// lookups they served and their count together pass the published map's
+// size, or until the table is full; then both are published in one copy.
+// So filling the table to internCap copies O(internCap) entries in all,
+// not one map per string, and a string in steady use is read lock-free
+// after a bounded number of locked lookups. The zero table is empty; a
+// nil table interns nothing.
 type internTable struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[string]string]
+	mu    sync.Mutex
+	m     atomic.Pointer[map[string]string]
+	newer map[string]string
+	hits  int // lookups newer served since m was published
 }
 
 // intern returns the table's copy of b, storing a new copy on first
@@ -375,16 +446,28 @@ func (t *internTable) intern(b []byte) string {
 		}
 		n = len(*cur)
 	}
-	s := string(b)
-	if n >= internCap {
-		return s // table full: serve without storing
+	s, ok := t.newer[string(b)]
+	switch {
+	case ok:
+		t.hits++
+	case n+len(t.newer) >= internCap:
+		return string(b) // table full: serve without storing
+	default:
+		s = string(b)
+		if t.newer == nil {
+			t.newer = make(map[string]string)
+		}
+		t.newer[s] = s
 	}
-	next := make(map[string]string, n+1)
-	if cur != nil {
-		maps.Copy(next, *cur)
+	if len(t.newer)+t.hits > n || n+len(t.newer) == internCap {
+		next := make(map[string]string, n+len(t.newer))
+		if cur != nil {
+			maps.Copy(next, *cur)
+		}
+		maps.Copy(next, t.newer)
+		t.m.Store(&next)
+		t.newer, t.hits = nil, 0
 	}
-	next[s] = s
-	t.m.Store(&next)
 	return s
 }
 

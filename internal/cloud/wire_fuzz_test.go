@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -22,6 +23,75 @@ import (
 // value read from a stream, anything after it ignored.
 func refDecode(data []byte, v any) error {
 	return json.NewDecoder(bytes.NewReader(data)).Decode(v)
+}
+
+// refScene reads a scene with sensor.Snapshot's own decoder. Since the
+// sensor vocabulary is closed, that decoder refuses a scene naming an
+// unknown feature, which would fail a whole body under encoding/json;
+// the fleet codec instead rejects just the element. So the reference
+// records such a scene in unknown, leaving the snapshot as it was, as the
+// codec marks the element.
+type refScene struct {
+	sensor.Snapshot
+	unknown bool
+}
+
+func (r *refScene) UnmarshalJSON(data []byte) error {
+	err := r.Snapshot.UnmarshalJSON(data)
+	var uf *sensor.UnknownFeatureError
+	r.unknown = errors.As(err, &uf)
+	if r.unknown {
+		return nil
+	}
+	return err
+}
+
+// refAuthorizeRequest and refContextRequest are the request envelopes as
+// the reference decodes them: the same fields, with scenes read through
+// refScene.
+type refAuthorizeRequest struct {
+	Items []struct {
+		Home     string         `json:"home"`
+		Op       string         `json:"op"`
+		DeviceID string         `json:"device_id"`
+		Args     map[string]any `json:"args"`
+		Context  *refScene      `json:"context"`
+	} `json:"items"`
+}
+
+type refContextRequest struct {
+	Pushes []struct {
+		Home    string   `json:"home"`
+		Context refScene `json:"context"`
+	} `json:"pushes"`
+}
+
+// items returns the reference's items and which of them hold a scene
+// naming an unknown feature.
+func (r *refAuthorizeRequest) items() ([]FleetBatchItem, []bool) {
+	if r.Items == nil {
+		return nil, nil
+	}
+	out, unknown := make([]FleetBatchItem, len(r.Items)), make([]bool, len(r.Items))
+	for i, it := range r.Items {
+		out[i] = FleetBatchItem{Home: it.Home, Op: it.Op, DeviceID: it.DeviceID, Args: it.Args}
+		if it.Context != nil {
+			out[i].Context, unknown[i] = &it.Context.Snapshot, it.Context.unknown
+		}
+	}
+	return out, unknown
+}
+
+// pushes is items for a context push.
+func (r *refContextRequest) pushes() ([]fleetContextPush, []bool) {
+	if r.Pushes == nil {
+		return nil, nil
+	}
+	out, unknown := make([]fleetContextPush, len(r.Pushes)), make([]bool, len(r.Pushes))
+	for i, p := range r.Pushes {
+		out[i], unknown[i] = fleetContextPush{Home: p.Home, Context: p.Context.Snapshot}, p.Context.unknown
+	}
+	return out, unknown
 }
 
 // refEncodeResponse encodes results the way the server used to.
@@ -146,10 +216,17 @@ func envelopeCases(arr, str, ctx string) []wireCase {
 			{"scene NaN", `{"ARR":[{"CTX":{"values":{"smoke":NaN}}}]}`, false},
 			{"scene Infinity", `{"ARR":[{"CTX":{"values":{"x":Infinity}}}]}`, false},
 			{"scene minus Inf", `{"ARR":[{"CTX":{"values":{"x":-Inf}}}]}`, false},
-			{"scene NaN label", `{"ARR":[{"CTX":{"values":{"x":"NaN","y":"-Infinity"}}}]}`, true},
-			{"scene huge number", `{"ARR":[{"CTX":{"values":{"x":1e400}}}]}`, false},
-			{"scene huge integer", `{"ARR":[{"CTX":{"values":{"x":123456789012345678901234567890,"y":1e308}}}]}`, true},
-			{"scene tiny number", `{"ARR":[{"CTX":{"values":{"x":1e-400}}}]}`, true},
+			{"scene NaN label", `{"ARR":[{"CTX":{"values":{"door_lock":"NaN","outdoor_weather":"-Infinity"}}}]}`, true},
+			{"scene huge number", `{"ARR":[{"CTX":{"values":{"humidity":1e400}}}]}`, false},
+			{"scene huge integer", `{"ARR":[{"CTX":{"values":{"humidity":123456789012345678901234567890,"illuminance":1e308}}}]}`, true},
+			{"scene tiny number", `{"ARR":[{"CTX":{"values":{"humidity":1e-400}}}]}`, true},
+			{"scene unknown feature", `{"ARR":[{"STR":"a","CTX":{"values":{"smoke":true,"ghost":1}}},{"STR":"b","CTX":SCENE}]}`, true},
+			{"scene unknown feature replaced", `{"ARR":[{"CTX":{"values":{"ghost":1}},"CTX":SCENE},{"CTX":SCENE,"CTX":{"values":{"ghost":1}}}]}`, true},
+			{"scene unknown feature then null", `{"ARR":[{"CTX":{"values":{"ghost":1}},"CTX":null}]}`, true},
+			{"scene unknown feature kept", `{"ARR":[{"CTX":{"values":{"ghost":1}}}],"ARR":[{"STR":"h"}]}`, true},
+			{"scene unknown feature then bad value", `{"ARR":[{"CTX":{"values":{"ghost":1,"smoke":{}}}}]}`, false},
+			{"scene unknown feature then bad time", `{"ARR":[{"CTX":{"values":{"ghost":1},"at":"yesterday"}}]}`, false},
+			{"scene unknown feature then bad element", `{"ARR":[{"CTX":{"values":{"ghost":1}}},5]}`, false},
 			{"scene folded fields", `{"ARR":[{"CTX":{"AT":"2021-03-14T15:09:26Z","valueſ":{"smoke":true}}}]}`, true},
 			{"repeated scenes", `{"ARR":[{"CTX":SCENE},{"STR":"b","CTX":{"values":{"motion":true}}}],"ARR":[{"STR":"c"}],"ARR":[{},{"STR":"d"}]}`, true},
 			{"max nesting scene", `{"ARR":[{"CTX":{"x":` + nested(9996, "") + `}}]}`, true},
@@ -259,43 +336,72 @@ func requireSameEncoding(t *testing.T, what string, want, got []byte, wantErr, g
 	}
 }
 
-// requireOverCountPrefix checks a batch the codec cut at the cap: it keeps
-// maxFleetBatch+1 elements, enough for the handler to reject the body, and
-// only validates the rest. So the reference may reject a type error past
-// the cap that the codec never decodes; otherwise the codec's elements
-// must equal the reference's first ones.
-func requireOverCountPrefix[T any](t *testing.T, data []byte, want, got []T, wantErr error) bool {
+// checkBatch holds a request's decoded elements got, with the codec's
+// marks, to the reference's elements want and its unknown-feature flags.
+// Two kinds of element are only validated by the codec, not decoded:
+// those past the cap of maxFleetBatch+1, enough for the handler to reject
+// the body, and the members of an element once it passes
+// maxFleetItemBytes, which marks it oversized. The reference decodes
+// both, so it may reject a type error in them the codec never decoded,
+// and an oversized element's contents are not compared. Otherwise the
+// verdicts must agree, the elements must be equal, and the codec must
+// mark an element as holding an unknown feature exactly when the
+// reference flags it. It reports whether the codec accepted the body and
+// whether the elements were compared, and leaves the oversized elements
+// of want and got zero.
+func checkBatch[T any](t *testing.T, data []byte, want []T, unknown []bool, wantErr error, got []T, marks *batchMarks, gotErr error) (accepted, compared bool) {
 	t.Helper()
-	if len(got) != maxFleetBatch+1 {
+	overCount := gotErr == nil && len(got) > maxFleetBatch
+	if overCount && len(got) != maxFleetBatch+1 {
 		t.Fatalf("decode: codec kept %d elements, want the cap plus one, %d", len(got), maxFleetBatch+1)
 	}
-	if wantErr == nil && (len(want) < len(got) || !reflect.DeepEqual(want[:len(got)], got)) {
-		t.Fatalf("decode of a %d B over-count body: codec elements differ from the reference's first %d", len(data), len(got))
+	oversized := false
+	for i := range got {
+		oversized = oversized || marks.has(i, rejectOversized)
 	}
-	return true
-}
-
-// checkAuthorizeRequest decodes data with the codec and the reference,
-// requires the same verdict and deeply equal items, and requires the
-// re-encoding to match json.Marshal byte for byte; a batch over the cap is
-// held to requireOverCountPrefix instead. It reports whether the body was
-// accepted.
-func checkAuthorizeRequest(t *testing.T, data []byte) bool {
-	t.Helper()
-	var want, got fleetAuthorizeRequest
-	wantErr := refDecode(data, &want)
-	gotErr := got.unmarshal(data)
-	if gotErr == nil && len(got.Items) > maxFleetBatch {
-		return requireOverCountPrefix(t, data, want.Items, got.Items, wantErr)
+	if gotErr == nil && wantErr != nil && (overCount || oversized) {
+		return true, false
 	}
 	requireSameVerdict(t, "decode", data, wantErr, gotErr)
 	if wantErr != nil {
-		return false
+		return false, false
 	}
-	if !reflect.DeepEqual(want.Items, got.Items) {
-		t.Fatalf("decode %q:\n codec     %#v\n reference %#v", data, got.Items, want.Items)
+	if overCount && len(want) >= len(got) {
+		want, unknown = want[:len(got)], unknown[:len(got)]
 	}
-	wantOut, wantErr := json.Marshal(fleetAuthorizeRequest{Items: want.Items})
+	if len(want) != len(got) {
+		t.Fatalf("decode of a %d B body: codec kept %d elements, reference %d", len(data), len(got), len(want))
+	}
+	for i := range got {
+		if marks.has(i, rejectOversized) {
+			var zero T
+			want[i], got[i] = zero, zero
+			continue
+		}
+		if marks.has(i, rejectUnknownFeature) != unknown[i] {
+			t.Fatalf("decode %q: element %d unknown-feature mark %v, reference %v", data, i, !unknown[i], unknown[i])
+		}
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("decode %q:\n codec     %#v\n reference %#v", data, got, want)
+	}
+	return true, !overCount
+}
+
+// checkAuthorizeRequest decodes data with the codec and the reference,
+// holds the two to checkBatch, and requires the re-encoding to match
+// json.Marshal byte for byte. It reports whether the body was accepted.
+func checkAuthorizeRequest(t *testing.T, data []byte) bool {
+	t.Helper()
+	var ref refAuthorizeRequest
+	var got fleetAuthorizeRequest
+	wantErr := refDecode(data, &ref)
+	gotErr := got.unmarshal(data)
+	want, unknown := ref.items()
+	if accepted, compared := checkBatch(t, data, want, unknown, wantErr, got.Items, &got.marks, gotErr); !compared {
+		return accepted
+	}
+	wantOut, wantErr := json.Marshal(fleetAuthorizeRequest{Items: want})
 	gotOut, gotErr := appendAuthorizeRequest(nil, got.Items)
 	requireSameEncoding(t, fmt.Sprintf("encode %q", data), wantOut, gotOut, wantErr, gotErr)
 	return true
@@ -304,20 +410,15 @@ func checkAuthorizeRequest(t *testing.T, data []byte) bool {
 // checkContextRequest is checkAuthorizeRequest for a context push.
 func checkContextRequest(t *testing.T, data []byte) bool {
 	t.Helper()
-	var want, got fleetContextRequest
-	wantErr := refDecode(data, &want)
+	var ref refContextRequest
+	var got fleetContextRequest
+	wantErr := refDecode(data, &ref)
 	gotErr := got.unmarshal(data)
-	if gotErr == nil && len(got.Pushes) > maxFleetBatch {
-		return requireOverCountPrefix(t, data, want.Pushes, got.Pushes, wantErr)
+	want, unknown := ref.pushes()
+	if accepted, compared := checkBatch(t, data, want, unknown, wantErr, got.Pushes, &got.marks, gotErr); !compared {
+		return accepted
 	}
-	requireSameVerdict(t, "decode", data, wantErr, gotErr)
-	if wantErr != nil {
-		return false
-	}
-	if !reflect.DeepEqual(want.Pushes, got.Pushes) {
-		t.Fatalf("decode %q:\n codec     %#v\n reference %#v", data, got.Pushes, want.Pushes)
-	}
-	wantOut, wantErr := json.Marshal(fleetContextRequest{Pushes: want.Pushes})
+	wantOut, wantErr := json.Marshal(fleetContextRequest{Pushes: want})
 	gotOut, gotErr := appendContextRequest(nil, got.Pushes)
 	requireSameEncoding(t, fmt.Sprintf("encode %q", data), wantOut, gotOut, wantErr, gotErr)
 	return true
@@ -407,7 +508,7 @@ func TestFleetWireEncodeCases(t *testing.T) {
 	at := time.Date(2021, 3, 14, 15, 9, 26, 500, time.FixedZone("", -(7*3600+30*60)))
 	scene := sensor.NewSnapshot(at)
 	scene.Set(sensor.FeatSmoke, sensor.Bool(true))
-	scene.Set("<odd>\xff", sensor.Label("a&b\u2028"))
+	scene.Set(sensor.FeatWeather, sensor.Label("<odd>\xff a&b\u2028"))
 	nan := sensor.NewSnapshot(at)
 	nan.Set(sensor.FeatHour, sensor.Number(math.NaN()))
 	badYear := sensor.NewSnapshot(time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC))

@@ -20,14 +20,12 @@ import (
 	"iotsid/internal/sensor"
 )
 
-// paddedScene returns scene with enough extra features that its encoding
-// exceeds maxFleetItemBytes.
+// paddedScene returns scene with a label long enough that its encoding
+// exceeds maxFleetItemBytes, on a feature the window model does not read.
 func paddedScene(t *testing.T, scene sensor.Snapshot) sensor.Snapshot {
 	t.Helper()
 	big := scene.Clone()
-	for i := 0; i < 300; i++ {
-		big.Set(sensor.Feature(fmt.Sprintf("padding-%03d", i)), sensor.Number(float64(i)))
-	}
+	big.Set(sensor.FeatTimeBucket, sensor.Label(strings.Repeat("padding ", maxFleetItemBytes/8)))
 	if data, err := big.MarshalJSON(); err != nil || len(data) <= maxFleetItemBytes {
 		t.Fatalf("padded scene encodes to %d bytes (%v), want over %d", len(data), err, maxFleetItemBytes)
 	}
@@ -143,12 +141,104 @@ func TestFleetOversizedMarksFollowElements(t *testing.T) {
 			}
 			got := make([]bool, len(req.Items))
 			for i := range got {
-				got[i] = req.oversized.has(i)
+				got[i] = req.marks.has(i, rejectOversized)
 			}
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("oversized = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// oversizedArgsBody is a one-item authorize body of about 4.3 MB whose
+// args object holds 100,000 small members.
+func oversizedArgsBody() []byte {
+	var b bytes.Buffer
+	b.WriteString(`{"items":[{"home":"home-00","op":"window.open","device_id":"win-1","args":{`)
+	for i := 0; i < 100_000; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `"arg-%06d":[%d,"v<%d>",{"n":null}]`, i, i, i)
+	}
+	b.WriteString(`},"context":{"values":{"smoke":false}}}]}`)
+	return b.Bytes()
+}
+
+// TestFleetOversizedItemDecodeBytes bounds what decoding an oversized item
+// allocates: once the item passes maxFleetItemBytes its remaining members,
+// and an args object whose raw bytes pass the bound, are validated, not
+// decoded, so a 4.3 MB one-item body costs a small fraction of its size,
+// not the dozens of MB that decoding the args into maps and slices did.
+func TestFleetOversizedItemDecodeBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	body := oversizedArgsBody()
+	var before, after runtime.MemStats
+	var req fleetAuthorizeRequest
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err := req.unmarshal(body)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := after.TotalAlloc - before.TotalAlloc
+	t.Logf("decoding a %d B one-item body allocated %d B", len(body), b)
+	if limit := 2 * uint64(len(body)); b > limit {
+		t.Fatalf("decoding a %d B one-item body allocated %d B, want at most %d", len(body), b, limit)
+	}
+	if len(req.Items) != 1 || !req.marks.has(0, rejectOversized) || req.Items[0].Args != nil {
+		t.Fatalf("decoded %d items, oversized %v, args %d; want the one item marked with no args", len(req.Items), req.marks.has(0, rejectOversized), len(req.Items[0].Args))
+	}
+}
+
+// TestFleetUnknownFeatureMarks pins how an unknown-feature mark tracks an
+// element's scene: the scene decoded last decides, null clears the mark,
+// a repeated array that leaves the element's scene alone keeps it, and an
+// empty or null array drops it with the elements.
+func TestFleetUnknownFeatureMarks(t *testing.T) {
+	const bad, good = `{"values":{"smoke":true,"ghost":1}}`, `{"values":{"smoke":true}}`
+	for _, tc := range []struct {
+		name string
+		body string
+		want []bool
+	}{
+		{"single", `{"ARR":[{"home":"a","context":` + good + `},{"home":"b","context":` + bad + `}]}`, []bool{false, true}},
+		{"later scene wins", `{"ARR":[{"context":` + bad + `,"context":` + good + `},{"context":` + good + `,"context":` + bad + `}]}`, []bool{false, true}},
+		{"stale", `{"ARR":[{"context":` + bad + `}],"ARR":[{"home":"a"}]}`, []bool{true}},
+		{"replaced", `{"ARR":[{"context":` + bad + `}],"ARR":[{"context":` + good + `}]}`, []bool{false}},
+		{"null scene", `{"ARR":[{"context":` + bad + `,"context":null}]}`, []bool{false}},
+		{"after empty", `{"ARR":[{"context":` + bad + `}],"ARR":[],"ARR":[{}]}`, []bool{false}},
+		{"after null", `{"ARR":[{"context":` + bad + `}],"ARR":null,"ARR":[{}]}`, []bool{false}},
+		{"dropped by null values", `{"ARR":[{"context":{"values":{"ghost":1},"values":null}}]}`, []bool{false}},
+	} {
+		for _, arr := range []string{"items", "pushes"} {
+			t.Run(tc.name+"/"+arr, func(t *testing.T) {
+				body := []byte(strings.ReplaceAll(tc.body, "ARR", arr))
+				var marks *batchMarks
+				var n int
+				var err error
+				if arr == "items" {
+					var req fleetAuthorizeRequest
+					err, marks, n = req.unmarshal(body), &req.marks, len(req.Items)
+				} else {
+					var req fleetContextRequest
+					err, marks, n = req.unmarshal(body), &req.marks, len(req.Pushes)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]bool, n)
+				for i := range got {
+					got[i] = marks.has(i, rejectUnknownFeature)
+				}
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("unknown-feature marks = %v, want %v", got, tc.want)
+				}
+			})
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -217,4 +219,41 @@ func TestRingSlotHasNoPointers(t *testing.T) {
 		}
 	}
 	walk("logSlot", reflect.TypeOf(logSlot{}))
+}
+
+// TestJudgerReasonsFillIsLinear: interning reasons for reasonCap distinct
+// opcodes, each looked up twice, publishes a new copy of the reason map
+// only as often as the opcodes waiting for one, plus the lookups they
+// served, pass the published map's size. So the bytes the fill allocates
+// grow linearly in the cap; a map copied for every new opcode allocated
+// about 4096²/2 entries' worth, some hundreds of MB.
+func TestJudgerReasonsFillIsLinear(t *testing.T) {
+	ops := make([]string, reasonCap)
+	for i := range ops {
+		ops[i] = fmt.Sprintf("op.%06d", i)
+	}
+	var j Judger
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, op := range ops {
+		j.reasonsFor(op)
+		j.reasonsFor(op)
+	}
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 8<<20 {
+		t.Fatalf("interning %d opcodes allocated %d B, want at most 8 MiB", reasonCap, b)
+	}
+	if n := len(*j.reasons.Load()); n != reasonCap {
+		t.Fatalf("published reasons cover %d opcodes, want %d", n, reasonCap)
+	}
+	for _, op := range ops {
+		r := j.reasonsFor(op)
+		if r != j.reasonsFor(op) || r.allowed != op+" allowed: sensor context matches a legal activity scene" {
+			t.Fatalf("reasonsFor(%q) = %+v, not one interned copy", op, r)
+		}
+	}
+	if r := j.reasonsFor("op.full"); r.notSensitive != "op.full is not a sensitive instruction" || len(*j.reasons.Load()) != reasonCap {
+		t.Fatalf("a full table served %+v and grew to %d", r, len(*j.reasons.Load()))
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -88,9 +89,13 @@ type Judger struct {
 
 	// Reason interning: copy-on-write maps read via one atomic load on the
 	// hot path; the mutex only serialises writers on first sight of an op
-	// or category.
+	// or category. Reasons for ops newer than the published map wait in
+	// newReasons, under mu, until they are published with it in one copy
+	// (see reasonsFor).
 	mu         sync.Mutex
 	reasons    atomic.Pointer[map[string]*opReasons]
+	newReasons map[string]*opReasons
+	newHits    int // lookups newReasons served since reasons was published
 	outOfScope atomic.Pointer[map[instr.Category]string]
 }
 
@@ -107,7 +112,12 @@ func NewJudger(d *Detector, store ModelStore) (*Judger, error) {
 }
 
 // reasonsFor interns the per-op reason strings on first sight and serves
-// them allocation-free afterwards.
+// them allocation-free afterwards. A new op's reasons wait in newReasons
+// until the lookups they served and their count together pass the
+// published map's size, or until the table is full; then both are
+// published in one copy. So filling the table to reasonCap copies
+// O(reasonCap) entries in all, not one map per op, and an op in steady
+// use is read lock-free after a bounded number of locked lookups.
 func (j *Judger) reasonsFor(op string) *opReasons {
 	if m := j.reasons.Load(); m != nil {
 		if r, ok := (*m)[op]; ok {
@@ -117,31 +127,40 @@ func (j *Judger) reasonsFor(op string) *opReasons {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	cur := j.reasons.Load()
+	var n int
 	if cur != nil {
 		if r, ok := (*cur)[op]; ok {
 			return r
 		}
-	}
-	r := &opReasons{
-		notSensitive: fmt.Sprintf("%s is not a sensitive instruction", op),
-		allowed:      fmt.Sprintf("%s allowed: sensor context matches a legal activity scene", op),
-		rejected:     fmt.Sprintf("%s rejected: sensor context does not match a legal activity scene", op),
-	}
-	var n int
-	if cur != nil {
 		n = len(*cur)
 	}
-	if n >= reasonCap {
-		return r // table full: serve without storing
-	}
-	next := make(map[string]*opReasons, n+1)
-	if cur != nil {
-		for k, v := range *cur {
-			next[k] = v
+	r, ok := j.newReasons[op]
+	switch {
+	case ok:
+		j.newHits++
+	default:
+		r = &opReasons{
+			notSensitive: fmt.Sprintf("%s is not a sensitive instruction", op),
+			allowed:      fmt.Sprintf("%s allowed: sensor context matches a legal activity scene", op),
+			rejected:     fmt.Sprintf("%s rejected: sensor context does not match a legal activity scene", op),
 		}
+		if n+len(j.newReasons) >= reasonCap {
+			return r // table full: serve without storing
+		}
+		if j.newReasons == nil {
+			j.newReasons = make(map[string]*opReasons)
+		}
+		j.newReasons[op] = r
 	}
-	next[op] = r
-	j.reasons.Store(&next)
+	if len(j.newReasons)+j.newHits > n || n+len(j.newReasons) == reasonCap {
+		next := make(map[string]*opReasons, n+len(j.newReasons))
+		if cur != nil {
+			maps.Copy(next, *cur)
+		}
+		maps.Copy(next, j.newReasons)
+		j.reasons.Store(&next)
+		j.newReasons, j.newHits = nil, 0
+	}
 	return r
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 
 	"iotsid/internal/instr"
 	"iotsid/internal/mlearn"
@@ -150,26 +151,31 @@ func (m Model) Schema() (mlearn.Schema, error) {
 		}
 		switch d.Type {
 		case sensor.TypeBool:
-			attrs = append(attrs, mlearn.Attribute{Name: string(f), Kind: mlearn.Categorical, Categories: boolCats})
+			attrs = append(attrs, mlearn.Attribute{Name: f.String(), Kind: mlearn.Categorical, Categories: boolCats})
 		case sensor.TypeLabel:
-			attrs = append(attrs, mlearn.Attribute{Name: string(f), Kind: mlearn.Categorical, Categories: d.Labels})
+			attrs = append(attrs, mlearn.Attribute{Name: f.String(), Kind: mlearn.Categorical, Categories: d.Labels})
 		default:
-			attrs = append(attrs, mlearn.Attribute{Name: string(f), Kind: mlearn.Numeric})
+			attrs = append(attrs, mlearn.Attribute{Name: f.String(), Kind: mlearn.Numeric})
 		}
 	}
 	return mlearn.NewSchema(attrs)
 }
 
-// featSpec is one precomputed featurisation step: the feature plus the
-// descriptor fields the encoder needs, resolved once at package init so the
-// hot path never rebuilds the feature list or re-queries the vocabulary.
+// featSpec is one precomputed featurisation step: the feature, its slot in
+// the model's example vector, and the descriptor fields the encoder needs,
+// resolved once at package init so the hot path never rebuilds the feature
+// list or re-queries the vocabulary.
 type featSpec struct {
 	feat   sensor.Feature
+	slot   int
 	typ    sensor.FeatureType
 	labels []string
 }
 
-// modelSpecs caches the featurisation plan per model.
+// modelSpecs caches the featurisation plan per model, in ascending feature
+// ordinal order: featurising is then one merge walk over a snapshot's
+// sorted entries, which measured as fast as indexing a dense per-feature
+// array (EXPERIMENTS.md, "A closed feature vocabulary").
 var modelSpecs = func() map[Model][]featSpec {
 	out := make(map[Model][]featSpec, len(Models()))
 	for _, m := range Models() {
@@ -177,8 +183,9 @@ var modelSpecs = func() map[Model][]featSpec {
 		specs := make([]featSpec, len(feats))
 		for i, f := range feats {
 			d := sensor.MustDescribe(f)
-			specs[i] = featSpec{feat: f, typ: d.Type, labels: d.Labels}
+			specs[i] = featSpec{feat: f, slot: i, typ: d.Type, labels: d.Labels}
 		}
+		slices.SortFunc(specs, func(a, b featSpec) int { return int(a.feat) - int(b.feat) })
 		out[m] = specs
 	}
 	return out
@@ -215,9 +222,10 @@ func (m Model) FeaturizeInto(snap sensor.Snapshot, buf []float64) error {
 		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 		return fmt.Errorf("dataset: feature buffer %d, model %s needs %d", len(buf), m, len(specs))
 	}
+	cur := snap.Cursor()
 	for i := range specs {
 		s := &specs[i]
-		v, ok := snap.Get(s.feat)
+		v, ok := cur.Seek(s.feat)
 		if !ok {
 			//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 			return fmt.Errorf("dataset: snapshot missing feature %q for model %s", s.feat, m)
@@ -230,9 +238,9 @@ func (m Model) FeaturizeInto(snap sensor.Snapshot, buf []float64) error {
 				return fmt.Errorf("dataset: feature %q not boolean", s.feat)
 			}
 			if b {
-				buf[i] = 1
+				buf[s.slot] = 1
 			} else {
-				buf[i] = 0
+				buf[s.slot] = 0
 			}
 		case sensor.TypeLabel:
 			l, isLabel := v.Label()
@@ -251,14 +259,14 @@ func (m Model) FeaturizeInto(snap sensor.Snapshot, buf []float64) error {
 				//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 				return fmt.Errorf("dataset: feature %q label %q outside domain", s.feat, l)
 			}
-			buf[i] = float64(idx)
+			buf[s.slot] = float64(idx)
 		default:
 			n, isNum := v.Number()
 			if !isNum {
 				//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 				return fmt.Errorf("dataset: feature %q not numeric", s.feat)
 			}
-			buf[i] = n
+			buf[s.slot] = n
 		}
 	}
 	return nil

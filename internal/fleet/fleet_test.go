@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -549,5 +550,52 @@ func TestFleetDroppedPushStillScoresTrust(t *testing.T) {
 	}
 	if !h.LowTrust() {
 		t.Fatalf("replayed pushes left trust at %.2f, want below threshold", h.trust.ScoreIdx(0))
+	}
+}
+
+// TestFleetTrustedHomeStateBoundedByVocabulary: a trusted home's state
+// stops growing once it has seen the vocabulary. Scenes carrying every
+// feature, pushed 2,000 times with fresh values, leave the live heap
+// where the first 100 left it: the trust engine keeps one slot per
+// vocabulary ordinal and the view replaces the scene it held.
+func TestFleetTrustedHomeStateBoundedByVocabulary(t *testing.T) {
+	f := fleetForTest(t, Config{})
+	eng, err := trust.NewEngine(trust.Config{}, trust.SourceConfig{Name: "push", Required: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAddHome(t, f, HomeConfig{ID: "h", Trust: eng})
+	rng := rand.New(rand.NewSource(5))
+	t0 := time.Date(2021, 4, 1, 12, 0, 0, 0, time.UTC)
+	push := func(k int) {
+		snap := sensor.NewSnapshotCap(t0.Add(time.Duration(k)*time.Second), sensor.NumFeatures)
+		for g := sensor.Feature(1); g < sensor.FeatureLimit; g++ {
+			d := sensor.MustDescribe(g)
+			switch d.Type {
+			case sensor.TypeBool:
+				snap.Set(g, sensor.Bool(rng.Intn(2) == 0))
+			case sensor.TypeNumber:
+				snap.Set(g, sensor.Number(rng.Float64()))
+			default:
+				snap.Set(g, sensor.Label(d.Labels[rng.Intn(len(d.Labels))]))
+			}
+		}
+		if err := f.PushContext("h", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 100; k++ {
+		push(k)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for k := 100; k < 2000; k++ {
+		push(k)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 64<<10 {
+		t.Fatalf("1,900 more full-vocabulary pushes grew the live heap by %d B, want at most 64 KiB", grown)
 	}
 }

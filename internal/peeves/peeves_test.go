@@ -104,7 +104,7 @@ func TestTrainValidation(t *testing.T) {
 		t.Error("want event-absent error")
 	}
 	// Unknown correlate.
-	if _, err := Train(sensor.FeatSmoke, []sensor.Feature{"bogus"}, genuineSmokeScenes(t, 5, 5)); err == nil {
+	if _, err := Train(sensor.FeatSmoke, []sensor.Feature{sensor.FeatureLimit}, genuineSmokeScenes(t, 5, 5)); err == nil {
 		t.Error("want unknown-correlate error")
 	}
 	// Correlate missing from all scenes.

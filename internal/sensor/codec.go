@@ -2,9 +2,8 @@ package sensor
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"strconv"
-	"strings"
 	"time"
 
 	"iotsid/internal/jsonwire"
@@ -15,16 +14,18 @@ import (
 //	{"at": <RFC 3339 time>, "values": {<feature>: <bool | number | label | null>}}
 //
 // is built on the jsonwire scanner and appenders: decoding walks the
-// bytes once, buffering the entries it reads, then sorts them into the
-// snapshot's exactly sized value set; encoding walks the already sorted
-// entries and appends into one buffer. It reproduces encoding/json's
-// treatment of these two types exactly, so that switching from the nested encoding/json round trips it
-// replaced changed neither what is accepted nor a single encoded byte:
+// bytes once, reading each feature name through the vocabulary into a
+// stack array indexed by ordinal, then copies the present features, in
+// ordinal order, into the snapshot's exactly sized value set; encoding
+// walks the already sorted entries and appends into one buffer. It
+// reproduces encoding/json's treatment of these two types exactly, so
+// that switching from the nested encoding/json round trips it replaced
+// changed neither what is accepted nor a single encoded byte:
 //
 //   - a document is an object or null; field names match as encoding/json
 //     matches them, unknown fields are validated and skipped, a repeated
-//     "values" object merges into the earlier one and "values":null
-//     resets it;
+//     "values" object merges into the earlier one, a repeated feature's
+//     last value wins and "values":null resets them;
 //   - "at" goes through time.Time's own UnmarshalJSON, so it receives
 //     the raw bytes encoding/json would pass it;
 //   - a value is a boolean, a number that parses as a float64, a string
@@ -32,41 +33,49 @@ import (
 //   - encoding writes the features in sorted order, formats numbers as
 //     encoding/json does and fails on NaN, ±Inf and times that are not valid RFC 3339.
 //
+// The vocabulary is closed: a document whose values name a feature
+// outside it decodes to an *UnknownFeatureError, returned only once the
+// whole document is consumed and found well formed, so a caller decoding
+// a larger document can reject the one scene and go on.
+//
 // Snapshot.DecodeJSON and Snapshot.AppendJSON are the entry points for a
 // codec that carries scenes inside a larger document: they decode at the
-// caller's cursor and append to the caller's buffer. Feature names and
-// labels from the vocabulary are interned, so decoding a vocabulary scene
-// allocates only its value set: the set and its entries. The
-// encoding/json codec survives in the package tests as the differential
-// reference.
+// caller's cursor and append to the caller's buffer. Labels from the
+// vocabulary are interned, so decoding a vocabulary scene allocates only
+// its value set: the set and its entries. The encoding/json codec
+// survives in the package tests as the differential reference.
 
 // snapshotFields are the snapshot's two field names, "at" and "values".
 var snapshotFields = []string{"at", "values"}
 
-// internedFeatures and internedLabels map the vocabulary's feature names
-// and label domains to their canonical strings, so a decoded vocabulary
-// key or label shares the constant instead of allocating a copy.
-var internedFeatures, internedLabels = internTables()
-
-func internTables() (map[string]Feature, map[string]string) {
-	feats := make(map[string]Feature, len(vocabulary))
+// internedLabels maps the vocabulary's label domains to their canonical
+// strings, so a decoded vocabulary label shares the constant instead of
+// allocating a copy.
+var internedLabels = func() map[string]string {
 	labels := make(map[string]string)
 	for _, d := range vocabulary {
-		feats[string(d.Feature)] = d.Feature
 		for _, l := range d.Labels {
 			labels[l] = l
 		}
 	}
-	return feats, labels
-}
+	return labels
+}()
+
+// quotedNames holds each feature's name as an encoded JSON object key.
+var quotedNames = func() (q [FeatureLimit]string) {
+	for _, d := range vocabulary {
+		q[d.Feature] = string(jsonwire.AppendString(nil, d.Name)) + ":"
+	}
+	return q
+}()
 
 // intern returns the canonical copy of b from m, or a new string when b
 // is not in the vocabulary.
-func intern[S ~string](m map[string]S, b []byte) S {
+func intern(m map[string]string, b []byte) string {
 	if s, ok := m[string(b)]; ok {
 		return s
 	}
-	return S(b)
+	return string(b)
 }
 
 // decodeValue consumes one feature value at the cursor.
@@ -100,13 +109,12 @@ func decodeValue(d *jsonwire.Decoder) (Value, error) {
 // it, as UnmarshalJSON decodes a whole document: on success it replaces
 // s (null gives the zero time and no values), on error it leaves s
 // unchanged. The decoded values are s's own: nothing it stores aliases
-// the document or the snapshot s held before.
+// the document or the snapshot s held before. A well-formed document
+// whose values name a feature outside the vocabulary is consumed and
+// reported as an *UnknownFeatureError.
 func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 	var at time.Time
-	// Every "values" entry of the document, in document order; a
-	// vocabulary scene fits the stack buffer.
-	var buf [32]entry
-	es := buf[:0]
+	var sc scene
 	var err error
 	switch d.Next() {
 	case 'n':
@@ -121,9 +129,7 @@ func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 				}
 				return at.UnmarshalJSON(raw)
 			case 1:
-				more, err := decodeValues(d, es)
-				es = more
-				return err
+				return sc.decodeValues(d)
 			default:
 				return d.Skip()
 			}
@@ -134,51 +140,64 @@ func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 	if err != nil {
 		return err
 	}
-	s.At, s.vals = at, newValueSet(es)
+	if sc.unknown != nil {
+		return sc.unknown
+	}
+	s.At, s.vals = at, sc.valueSet()
 	return nil
 }
 
-// decodeValues consumes a "values" field and returns es with its
-// entries: null drops the entries read so far, an object appends its
-// entries to them.
-func decodeValues(d *jsonwire.Decoder, es []entry) ([]entry, error) {
+// A scene's presence mask has a bit per ordinal.
+var _ [32 - FeatureLimit]struct{}
+
+// scene collects a document's values by ordinal: a repeated feature
+// overwrites the earlier value, so a document of any length holds at most
+// NumFeatures values and needs no sorting.
+type scene struct {
+	vals    [FeatureLimit]Value
+	present uint32 // bit f set when vals[f] holds a value
+	// unknown names the first feature outside the vocabulary among the
+	// values read since the last reset; nil when there is none.
+	unknown *UnknownFeatureError
+}
+
+// decodeValues consumes a "values" field: null drops the values read so
+// far, an object adds its values to them.
+func (sc *scene) decodeValues(d *jsonwire.Decoder) error {
 	switch d.Next() {
 	case 'n':
-		return es[:0], d.Literal("null")
+		sc.present, sc.unknown = 0, nil
+		return d.Literal("null")
 	case '{':
 	default:
-		return es, d.Errorf("values: want an object or null")
+		return d.Errorf("values: want an object or null")
 	}
-	err := d.Object(func(name []byte) error {
+	return d.Object(func(name []byte) error {
 		v, err := decodeValue(d)
 		if err != nil {
 			return err
 		}
-		es = append(es, entry{intern(internedFeatures, name), v})
+		f, ok := parseFeature(name)
+		switch {
+		case ok:
+			sc.vals[f] = v
+			sc.present |= 1 << f
+		case sc.unknown == nil:
+			sc.unknown = &UnknownFeatureError{Name: string(name)}
+		}
 		return nil
 	})
-	return es, err
 }
 
-// newValueSet makes the value set of a document's entries: it sorts them
-// stably by feature, so that of a repeated feature the last one read
-// wins, and copies the survivors into an exactly sized set. Sorting once
-// keeps a hostile document of N distinct features at O(N log N); an
-// insertion per entry would be quadratic.
-func newValueSet(es []entry) *valueSet {
-	slices.SortStableFunc(es, func(x, y entry) int { return strings.Compare(string(x.f), string(y.f)) })
-	n := 0
-	for _, e := range es {
-		if n > 0 && es[n-1].f == e.f {
-			es[n-1] = e
-			continue
-		}
-		es[n] = e
-		n++
+// valueSet copies the present values, in ordinal order, into an exactly
+// sized value set.
+func (sc *scene) valueSet() *valueSet {
+	es := make([]entry, 0, bits.OnesCount32(sc.present))
+	for m := sc.present; m != 0; m &= m - 1 {
+		f := Feature(bits.TrailingZeros32(m))
+		es = append(es, newEntry(f, sc.vals[f]))
 	}
-	out := make([]entry, n)
-	copy(out, es)
-	return &valueSet{es: out}
+	return &valueSet{es: es}
 }
 
 // AppendJSON appends the snapshot's wire form, the document MarshalJSON
@@ -190,13 +209,13 @@ func (s Snapshot) AppendJSON(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	b = append(b, `,"values":{`...)
-	for i, e := range s.entries() {
+	for i := range s.entries() {
+		e := &s.vals.es[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = jsonwire.AppendString(b, string(e.f))
-		b = append(b, ':')
-		if b, err = appendValue(b, e.v); err != nil {
+		b = append(b, quotedNames[e.f]...)
+		if b, err = appendValue(b, e.value()); err != nil {
 			return nil, err
 		}
 	}
@@ -206,8 +225,9 @@ func (s Snapshot) AppendJSON(b []byte) ([]byte, error) {
 // sizeHint bounds the snapshot's encoded length, escapes aside.
 func (s Snapshot) sizeHint() int {
 	size := len(`{"at":"","values":{}}`) + len(time.RFC3339Nano)
-	for _, e := range s.entries() {
-		size += len(e.f) + len(`"":,`) + valueSizeHint(e.v)
+	for i := range s.entries() {
+		e := &s.vals.es[i]
+		size += len(quotedNames[e.f]) + len(`,`) + valueSizeHint(e.value())
 	}
 	return size
 }

@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ var snapshotWireCases = []struct {
 	{"bad field escape", `{"\q":1}`, false},
 	{"at bad literal", `{"at":tru}`, false},
 	{"bad feature escape", `{"values":{"\q":1}}`, false},
-	{"feature missing colon", `{"values":{"a" 1}}`, false},
+	{"feature missing colon", `{"values":{"motion" 1}}`, false},
 	{"backslash at end", `{"x":"\`, false},
 	{"duplicate values merge", `{"values":{"smoke":true},"values":{"motion":false}}`, true},
 	{"values null resets", `{"values":{"smoke":true},"values":null}`, true},
@@ -48,28 +49,40 @@ var snapshotWireCases = []struct {
 	{"duplicate key", `{"values":{"smoke":true,"smoke":false}}`, true},
 	{"at null keeps earlier", `{"at":"2021-03-14T15:09:26Z","at":null}`, true},
 	{"at offset", `{"at":"2021-03-14T15:09:26.123456789-07:30"}`, true},
-	{"escaped strings", `{"values":{"door_lock":"lo\u0063ked","x\n\/":"\ud83d\ude00<>&\u2028\"\\\b\f\r\t"}}`, true},
-	{"non-ascii strings", `{"values":{"température":"pluie é"}}`, true},
-	{"invalid utf-8", "{\"values\":{\"k\xff\":\"v\xfe\",\"\xed\xa0\x80\":\"s\"}}", true},
-	{"lone surrogate", `{"values":{"k":"\ud800x","j":"\udc00","h":"\ud800\u0041"}}`, true},
-	{"many features", `{"values":{"a":1,"b":2,"c":3,"d":4,"e":5,"f":6,"g":7,"h":8,"i":9,"j":10,"k":11,"l":12,"m":13,"n":14,"o":15,"p":16,"q":17,"r":18,"s":19,"t":20,"u":21,"v":22,"w":23,"x":24,"y":25,"z":26,"aa":27,"ab":28,"ac":29,"ad":30,"ae":31,"af":32,"ag":33,"ah":34,"a":35}}`, true},
+	{"escaped strings", `{"values":{"door_lock":"lo\u0063ked","outdoor_weather":"\ud83d\ude00<>&\u2028\"\\\b\f\r\t"}}`, true},
+	{"escaped feature", `{"values":{"sm\u006fke":true,"hour_\u006ff_day":1}}`, true},
+	{"non-ascii strings", `{"values":{"outdoor_weather":"pluie é"}}`, true},
+	{"invalid utf-8", "{\"values\":{\"door_lock\":\"v\xfe\",\"outdoor_weather\":\"\xed\xa0\x80s\"}}", true},
+	{"lone surrogate", `{"values":{"door_lock":"\ud800x","outdoor_weather":"\udc00","time_bucket":"\ud800\u0041"}}`, true},
+	{"many features", `{"values":{"air_quality":1,"combustible_gas":true,"door_lock":"locked","door_open":false,"hour_of_day":5,"humidity":6,"illuminance":7,"instruction_gap":8,"motion":true,"noise_level":10,"occupancy":false,"occupancy_dwell":12,"outdoor_weather":"rain","power_draw":14,"smoke":false,"temperature_in":16,"temperature_out":17,"time_bucket":"night","voice_command":true,"water_leak":false,"window_open":true,"air_quality":22}}`, true},
+	{"unknown feature", `{"values":{"smoke":true,"x":1}}`, false},
+	{"unknown non-ascii feature", `{"values":{"température":"pluie é"}}`, false},
+	{"unknown invalid utf-8 feature", "{\"values\":{\"k\xff\":\"v\xfe\"}}", false},
+	{"unknown empty feature", `{"values":{"":true}}`, false},
+	{"unknown upper-case feature", `{"values":{"SMOKE":true}}`, false},
+	{"unknown feature dropped by null", `{"values":{"x":1,"smoke":true},"values":null,"values":{"motion":true}}`, true},
+	{"unknown feature after null", `{"values":null,"values":{"x":1}}`, false},
+	{"unknown feature repeated", `{"values":{"x":1},"values":{"x":2,"smoke":true}}`, false},
+	{"unknown feature then bad value", `{"values":{"x":1,"smoke":{}}}`, false},
+	{"unknown feature then bad time", `{"values":{"x":1},"at":"yesterday"}`, false},
+	{"unknown feature then trailing bytes", `{"values":{"x":1}} 0`, false},
 	{"escaped at", `{"at":"2021-03-14T15:09:26\u005a"}`, false},
 	{"at number", `{"at":1}`, false},
 	{"at object", `{"at":{}}`, false},
 	{"at bad time", `{"at":"yesterday"}`, false},
-	{"number out of range", `{"values":{"x":1e400}}`, false},
-	{"negative out of range", `{"values":{"x":-1e400}}`, false},
-	{"tiny number", `{"values":{"x":1e-400}}`, true},
-	{"exponent forms", `{"values":{"a":1E5,"b":2e-3,"c":-0.0e+0,"d":123456789012345678901234567890}}`, true},
-	{"leading zero", `{"values":{"x":01}}`, false},
-	{"bare minus", `{"values":{"x":-}}`, false},
-	{"minus letter", `{"values":{"x":-a}}`, false},
-	{"dangling dot", `{"values":{"x":1.}}`, false},
-	{"dangling exponent", `{"values":{"x":1e+}}`, false},
-	{"leading dot", `{"values":{"x":.5}}`, false},
-	{"leading plus", `{"values":{"x":+1}}`, false},
-	{"object value", `{"values":{"x":{}}}`, false},
-	{"array value", `{"values":{"x":[1]}}`, false},
+	{"number out of range", `{"values":{"humidity":1e400}}`, false},
+	{"negative out of range", `{"values":{"humidity":-1e400}}`, false},
+	{"tiny number", `{"values":{"humidity":1e-400}}`, true},
+	{"exponent forms", `{"values":{"air_quality":1E5,"humidity":2e-3,"illuminance":-0.0e+0,"power_draw":123456789012345678901234567890}}`, true},
+	{"leading zero", `{"values":{"humidity":01}}`, false},
+	{"bare minus", `{"values":{"humidity":-}}`, false},
+	{"minus letter", `{"values":{"humidity":-a}}`, false},
+	{"dangling dot", `{"values":{"humidity":1.}}`, false},
+	{"dangling exponent", `{"values":{"humidity":1e+}}`, false},
+	{"leading dot", `{"values":{"humidity":.5}}`, false},
+	{"leading plus", `{"values":{"humidity":+1}}`, false},
+	{"object value", `{"values":{"humidity":{}}}`, false},
+	{"array value", `{"values":{"humidity":[1]}}`, false},
 	{"values array", `{"values":[]}`, false},
 	{"values string", `{"values":"x"}`, false},
 	{"values number", `{"values":1}`, false},
@@ -82,19 +95,19 @@ var snapshotWireCases = []struct {
 	{"only space", `  `, false},
 	{"trailing bytes", `{} {}`, false},
 	{"trailing null bytes", `null x`, false},
-	{"trailing comma", `{"values":{"x":1,}}`, false},
+	{"trailing comma", `{"values":{"humidity":1,}}`, false},
 	{"trailing field comma", `{"values":{},}`, false},
 	{"missing colon", `{"values" {}}`, false},
-	{"missing comma", `{"values":{"x":1 "y":2}}`, false},
+	{"missing comma", `{"values":{"humidity":1 "motion":2}}`, false},
 	{"non-string key", `{1:2}`, false},
 	{"non-string value key", `{"values":{1:2}}`, false},
-	{"control char", "{\"values\":{\"x\":\"a\x01\"}}", false},
-	{"bad escape", `{"values":{"x":"\q"}}`, false},
-	{"short unicode escape", `{"values":{"x":"\u12"}}`, false},
-	{"bad unicode escape", `{"values":{"x":"\u12g4"}}`, false},
-	{"unterminated string", `{"values":{"x":"a`, false},
-	{"unterminated object", `{"values":{"x":1}`, false},
-	{"bad literal", `{"values":{"x":nul}}`, false},
+	{"control char", "{\"values\":{\"door_lock\":\"a\x01\"}}", false},
+	{"bad escape", `{"values":{"door_lock":"\q"}}`, false},
+	{"short unicode escape", `{"values":{"door_lock":"\u12"}}`, false},
+	{"bad unicode escape", `{"values":{"door_lock":"\u12g4"}}`, false},
+	{"unterminated string", `{"values":{"door_lock":"a`, false},
+	{"unterminated object", `{"values":{"humidity":1}`, false},
+	{"bad literal", `{"values":{"motion":nul}}`, false},
 	{"bad null", `nulL`, false},
 	{"max nesting", `{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`, true},
 	{"over nesting", `{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, false},
@@ -169,7 +182,7 @@ func checkSnapshotAgainstReference(t *testing.T, data []byte) bool {
 	var want, got Snapshot
 	wantErr := refUnmarshalSnapshot(&want, data)
 	gotErr := got.UnmarshalJSON(data)
-	if (wantErr == nil) != (gotErr == nil) {
+	if (wantErr == nil) != (gotErr == nil) || isUnknownFeature(wantErr) != isUnknownFeature(gotErr) {
 		t.Fatalf("decode %q: reference err %v, codec err %v", data, wantErr, gotErr)
 	}
 	if wantErr != nil {
@@ -185,6 +198,12 @@ func checkSnapshotAgainstReference(t *testing.T, data []byte) bool {
 		t.Fatalf("encode %q:\n codec     %s\n reference %s", data, gotOut, wantOut)
 	}
 	return true
+}
+
+// isUnknownFeature reports whether err is an *UnknownFeatureError.
+func isUnknownFeature(err error) bool {
+	var uf *UnknownFeatureError
+	return errors.As(err, &uf)
 }
 
 // checkValueAgainstReference encodes v with both codecs and requires the
@@ -276,12 +295,12 @@ func TestSnapshotWireEncodeCases(t *testing.T) {
 		{At: time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)},
 		{At: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
 		{At: time.Date(2021, 1, 1, 0, 0, 0, 0, time.FixedZone("far", 24*3600))},
-		snapshotOf(at, map[Feature]Value{"nan": Number(math.NaN())}),
-		snapshotOf(at, map[Feature]Value{"inf": Number(math.Inf(-1)), "a": Bool(true)}),
+		snapshotOf(at, map[Feature]Value{FeatHour: Number(math.NaN())}),
+		snapshotOf(at, map[Feature]Value{FeatNoise: Number(math.Inf(-1)), FeatAirQuality: Bool(true)}),
 		snapshotOf(testTime, map[Feature]Value{
-			"b": Number(1e-7), "a": Number(1e21), "c": Number(-0.000001), "d": Number(math.Copysign(0, -1)),
-			"<key>": Label("a&b"), "k\xff": Label("\u2028"), "ctl\x01": Label("\"\\\n"), "é": Label("ü"),
-			"absent": {}, "t": Bool(true), "f": Bool(false),
+			FeatHumidity: Number(1e-7), FeatAirQuality: Number(1e21), FeatIlluminance: Number(-0.000001), FeatPowerDraw: Number(math.Copysign(0, -1)),
+			FeatDoorLock: Label("a&b"), FeatWeather: Label("\u2028"), FeatTimeBucket: Label("\"\\\n"), FeatNoise: Label("ü"),
+			FeatInstrGap: Label("k\xff<tag>"), FeatMotion: {}, FeatSmoke: Bool(true), FeatGas: Bool(false),
 		}),
 	}
 	for i, s := range cases {

@@ -53,21 +53,28 @@ type refSnapshotJSON struct {
 func refMarshalSnapshot(s Snapshot) ([]byte, error) {
 	vals := make(map[string]refValue, s.Len())
 	s.Range(func(f Feature, v Value) bool {
-		vals[string(f)] = refValue(v)
+		vals[f.String()] = refValue(v)
 		return true
 	})
 	return json.Marshal(refSnapshotJSON{At: s.At, Values: vals})
 }
 
 // refUnmarshalSnapshot decodes the wire form produced by refMarshalSnapshot.
+// The vocabulary is closed: where the verbatim codec stored any name, a
+// name outside the vocabulary is an *UnknownFeatureError.
 func refUnmarshalSnapshot(s *Snapshot, data []byte) error {
 	var raw refSnapshotJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
-	*s = NewSnapshot(raw.At)
+	decoded := NewSnapshot(raw.At)
 	for k, v := range raw.Values {
-		s.Set(Feature(k), Value(v))
+		f, ok := ParseFeature(k)
+		if !ok {
+			return &UnknownFeatureError{Name: k}
+		}
+		decoded.Set(f, Value(v))
 	}
+	*s = decoded
 	return nil
 }

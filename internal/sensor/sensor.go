@@ -8,7 +8,10 @@
 // the "sensor context" of the paper a single coherent object.
 package sensor
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind identifies a physical sensor type deployed in the smart home.
 type Kind int
@@ -62,38 +65,103 @@ func (k Kind) String() string {
 
 // Feature names one dimension of the sensor context. Features are the
 // columns of the machine-learning problem and the keys of a Snapshot.
-type Feature string
+//
+// The vocabulary is closed: a Feature is a one-byte ordinal into it, and
+// the ordinals run in the order of the features' names, so ordinal order
+// is sorted-name order and a sorted snapshot encodes its features sorted
+// by name. Names exist only at the edges: String, MarshalText and
+// UnmarshalText, and ParseFeature for parsers and the wire. The zero
+// Feature names no feature.
+type Feature uint8
 
-// The feature vocabulary. The window model of Fig 6 uses the first nine;
-// the remaining features appear in the context of other device models.
+// The feature vocabulary, in name order. The window model of Fig 6 uses
+// nine of them: smoke, combustible_gas, voice_command, door_lock,
+// temperature_in, air_quality, outdoor_weather, motion and hour_of_day;
+// the rest appear in the context of other device models. time_bucket,
+// occupancy_dwell and instruction_gap are the temporal features: derived
+// dimensions the sequence judge discretizes. Gateways that track their
+// own timelines may push them explicitly; otherwise the per-home tracker
+// derives them from event times and the occupancy stream.
 const (
-	FeatSmoke       Feature = "smoke"           // bool: smoke alarm tripped
-	FeatGas         Feature = "combustible_gas" // bool: gas detector tripped
-	FeatVoiceCmd    Feature = "voice_command"   // bool: user voice command present
-	FeatDoorLock    Feature = "door_lock"       // label: locked | unlocked
-	FeatTempIndoor  Feature = "temperature_in"  // °C, continuous
-	FeatAirQuality  Feature = "air_quality"     // AQI, continuous
-	FeatWeather     Feature = "outdoor_weather" // label: sunny | cloudy | rain | snow
-	FeatMotion      Feature = "motion"          // bool: motion detected
-	FeatHour        Feature = "hour_of_day"     // [0,24) fractional hour
-	FeatTempOutdoor Feature = "temperature_out" // °C, continuous
-	FeatHumidity    Feature = "humidity"        // %RH, continuous
-	FeatIlluminance Feature = "illuminance"     // lux, continuous
-	FeatWaterLeak   Feature = "water_leak"      // bool: flood sensor tripped
-	FeatOccupancy   Feature = "occupancy"       // bool: somebody home
-	FeatWindowOpen  Feature = "window_open"     // bool: window contact open
-	FeatDoorOpen    Feature = "door_open"       // bool: door contact open
-	FeatNoise       Feature = "noise_level"     // dB, continuous
-	FeatPowerDraw   Feature = "power_draw"      // W, continuous
+	FeatAirQuality     Feature = iota + 1 // "air_quality": AQI, continuous
+	FeatGas                               // "combustible_gas": bool, gas detector tripped
+	FeatDoorLock                          // "door_lock": label, locked | unlocked
+	FeatDoorOpen                          // "door_open": bool, door contact open
+	FeatHour                              // "hour_of_day": [0,24) fractional hour
+	FeatHumidity                          // "humidity": %RH, continuous
+	FeatIlluminance                       // "illuminance": lux, continuous
+	FeatInstrGap                          // "instruction_gap": s since the previous instruction
+	FeatMotion                            // "motion": bool, motion detected
+	FeatNoise                             // "noise_level": dB, continuous
+	FeatOccupancy                         // "occupancy": bool, somebody home
+	FeatOccupancyDwell                    // "occupancy_dwell": s since the occupancy state last changed
+	FeatWeather                           // "outdoor_weather": label, sunny | cloudy | rain | snow
+	FeatPowerDraw                         // "power_draw": W, continuous
+	FeatSmoke                             // "smoke": bool, smoke alarm tripped
+	FeatTempIndoor                        // "temperature_in": °C, continuous
+	FeatTempOutdoor                       // "temperature_out": °C, continuous
+	FeatTimeBucket                        // "time_bucket": label, night | morning | afternoon | evening
+	FeatVoiceCmd                          // "voice_command": bool, user voice command present
+	FeatWaterLeak                         // "water_leak": bool, flood sensor tripped
+	FeatWindowOpen                        // "window_open": bool, window contact open
 
-	// Temporal features (ROADMAP item 1): derived dimensions the sequence
-	// judge discretizes. Gateways that track their own timelines may push
-	// them explicitly; otherwise the per-home tracker derives them from
-	// event times and the occupancy stream.
-	FeatTimeBucket     Feature = "time_bucket"     // label: night | morning | afternoon | evening
-	FeatOccupancyDwell Feature = "occupancy_dwell" // s since the occupancy state last changed
-	FeatInstrGap       Feature = "instruction_gap" // s since the previous instruction
+	// FeatureLimit is one past the largest ordinal: an array indexed by
+	// Feature has FeatureLimit elements.
+	FeatureLimit
 )
+
+// NumFeatures is the size of the vocabulary.
+const NumFeatures = int(FeatureLimit) - 1
+
+// Valid reports whether f names a feature of the vocabulary.
+func (f Feature) Valid() bool { return f > 0 && f < FeatureLimit }
+
+// String returns the feature's wire name.
+func (f Feature) String() string {
+	if f.Valid() {
+		return vocabulary[f-1].Name
+	}
+	return "feature(" + strconv.Itoa(int(f)) + ")"
+}
+
+// MarshalText encodes the feature as its wire name; a Feature outside
+// the vocabulary has none and fails.
+func (f Feature) MarshalText() ([]byte, error) {
+	if !f.Valid() {
+		return nil, fmt.Errorf("sensor: %v is outside the vocabulary", f)
+	}
+	return []byte(vocabulary[f-1].Name), nil
+}
+
+// UnmarshalText decodes a wire name; a name outside the vocabulary is an
+// *UnknownFeatureError.
+func (f *Feature) UnmarshalText(text []byte) error {
+	g, ok := parseFeature(text)
+	if !ok {
+		return &UnknownFeatureError{Name: string(text)}
+	}
+	*f = g
+	return nil
+}
+
+// ParseFeature looks up a feature by its wire name.
+func ParseFeature(name string) (Feature, bool) {
+	f, ok := featureByName[name]
+	return f, ok
+}
+
+// parseFeature looks up a feature by its wire name without copying it.
+func parseFeature(name []byte) (Feature, bool) {
+	f, ok := featureByName[string(name)]
+	return f, ok
+}
+
+// UnknownFeatureError reports a feature name outside the vocabulary.
+type UnknownFeatureError struct{ Name string }
+
+func (e *UnknownFeatureError) Error() string {
+	return fmt.Sprintf("sensor: unknown feature %q", e.Name)
+}
 
 // FeatureType describes how a feature's values behave, mirroring the paper's
 // split between "logic-oriented discrete values and data-oriented continuous
@@ -125,6 +193,7 @@ func (t FeatureType) String() string {
 // produces it, its unit, and — for label features — the closed label domain.
 type Descriptor struct {
 	Feature Feature
+	Name    string // the wire name
 	Type    FeatureType
 	Source  Kind
 	Unit    string
@@ -187,52 +256,54 @@ func TimeBucketIndex(hour float64) int {
 	}
 }
 
+// vocabulary describes every feature, in ordinal order.
 var vocabulary = []Descriptor{
-	{Feature: FeatSmoke, Type: TypeBool, Source: KindSmoke},
-	{Feature: FeatGas, Type: TypeBool, Source: KindCombustibleGas},
-	{Feature: FeatVoiceCmd, Type: TypeBool, Source: KindVoiceAssistant},
-	{Feature: FeatDoorLock, Type: TypeLabel, Source: KindSmartLock, Labels: []string{LockLocked, LockUnlocked}},
-	{Feature: FeatTempIndoor, Type: TypeNumber, Source: KindTemperature, Unit: "°C"},
-	{Feature: FeatAirQuality, Type: TypeNumber, Source: KindAirQuality, Unit: "AQI"},
-	{Feature: FeatWeather, Type: TypeLabel, Source: KindWeatherStation, Labels: []string{WeatherSunny, WeatherCloudy, WeatherRain, WeatherSnow}},
-	{Feature: FeatMotion, Type: TypeBool, Source: KindMotion},
-	{Feature: FeatHour, Type: TypeNumber, Source: KindClock, Unit: "h"},
-	{Feature: FeatTempOutdoor, Type: TypeNumber, Source: KindWeatherStation, Unit: "°C"},
-	{Feature: FeatHumidity, Type: TypeNumber, Source: KindHumidity, Unit: "%RH"},
-	{Feature: FeatIlluminance, Type: TypeNumber, Source: KindIlluminance, Unit: "lux"},
-	{Feature: FeatWaterLeak, Type: TypeBool, Source: KindWaterLeak},
-	{Feature: FeatOccupancy, Type: TypeBool, Source: KindOccupancy},
-	{Feature: FeatWindowOpen, Type: TypeBool, Source: KindDoorWindowContact},
-	{Feature: FeatDoorOpen, Type: TypeBool, Source: KindDoorWindowContact},
-	{Feature: FeatNoise, Type: TypeNumber, Source: KindNoise, Unit: "dB"},
-	{Feature: FeatPowerDraw, Type: TypeNumber, Source: KindPowerMeter, Unit: "W"},
-	{Feature: FeatTimeBucket, Type: TypeLabel, Source: KindClock, Labels: []string{BucketNight, BucketMorning, BucketAfternoon, BucketEvening}},
-	{Feature: FeatOccupancyDwell, Type: TypeNumber, Source: KindOccupancy, Unit: "s"},
-	{Feature: FeatInstrGap, Type: TypeNumber, Source: KindClock, Unit: "s"},
+	{Feature: FeatAirQuality, Name: "air_quality", Type: TypeNumber, Source: KindAirQuality, Unit: "AQI"},
+	{Feature: FeatGas, Name: "combustible_gas", Type: TypeBool, Source: KindCombustibleGas},
+	{Feature: FeatDoorLock, Name: "door_lock", Type: TypeLabel, Source: KindSmartLock, Labels: []string{LockLocked, LockUnlocked}},
+	{Feature: FeatDoorOpen, Name: "door_open", Type: TypeBool, Source: KindDoorWindowContact},
+	{Feature: FeatHour, Name: "hour_of_day", Type: TypeNumber, Source: KindClock, Unit: "h"},
+	{Feature: FeatHumidity, Name: "humidity", Type: TypeNumber, Source: KindHumidity, Unit: "%RH"},
+	{Feature: FeatIlluminance, Name: "illuminance", Type: TypeNumber, Source: KindIlluminance, Unit: "lux"},
+	{Feature: FeatInstrGap, Name: "instruction_gap", Type: TypeNumber, Source: KindClock, Unit: "s"},
+	{Feature: FeatMotion, Name: "motion", Type: TypeBool, Source: KindMotion},
+	{Feature: FeatNoise, Name: "noise_level", Type: TypeNumber, Source: KindNoise, Unit: "dB"},
+	{Feature: FeatOccupancy, Name: "occupancy", Type: TypeBool, Source: KindOccupancy},
+	{Feature: FeatOccupancyDwell, Name: "occupancy_dwell", Type: TypeNumber, Source: KindOccupancy, Unit: "s"},
+	{Feature: FeatWeather, Name: "outdoor_weather", Type: TypeLabel, Source: KindWeatherStation, Labels: []string{WeatherSunny, WeatherCloudy, WeatherRain, WeatherSnow}},
+	{Feature: FeatPowerDraw, Name: "power_draw", Type: TypeNumber, Source: KindPowerMeter, Unit: "W"},
+	{Feature: FeatSmoke, Name: "smoke", Type: TypeBool, Source: KindSmoke},
+	{Feature: FeatTempIndoor, Name: "temperature_in", Type: TypeNumber, Source: KindTemperature, Unit: "°C"},
+	{Feature: FeatTempOutdoor, Name: "temperature_out", Type: TypeNumber, Source: KindWeatherStation, Unit: "°C"},
+	{Feature: FeatTimeBucket, Name: "time_bucket", Type: TypeLabel, Source: KindClock, Labels: []string{BucketNight, BucketMorning, BucketAfternoon, BucketEvening}},
+	{Feature: FeatVoiceCmd, Name: "voice_command", Type: TypeBool, Source: KindVoiceAssistant},
+	{Feature: FeatWaterLeak, Name: "water_leak", Type: TypeBool, Source: KindWaterLeak},
+	{Feature: FeatWindowOpen, Name: "window_open", Type: TypeBool, Source: KindDoorWindowContact},
 }
 
-var vocabularyIndex = buildVocabularyIndex()
-
-func buildVocabularyIndex() map[Feature]Descriptor {
-	m := make(map[Feature]Descriptor, len(vocabulary))
+// featureByName maps each wire name to its feature.
+var featureByName = func() map[string]Feature {
+	m := make(map[string]Feature, len(vocabulary))
 	for _, d := range vocabulary {
-		m[d.Feature] = d
+		m[d.Name] = d.Feature
 	}
 	return m
-}
+}()
 
 // Describe looks up the descriptor of a feature.
 func Describe(f Feature) (Descriptor, bool) {
-	d, ok := vocabularyIndex[f]
-	return d, ok
+	if !f.Valid() {
+		return Descriptor{}, false
+	}
+	return vocabulary[f-1], true
 }
 
 // MustDescribe looks up a feature descriptor that is known to exist. It is a
 // programming error to pass an unknown feature.
 func MustDescribe(f Feature) Descriptor {
-	d, ok := vocabularyIndex[f]
+	d, ok := Describe(f)
 	if !ok {
-		panic(fmt.Sprintf("sensor: unknown feature %q", f))
+		panic(fmt.Sprintf("sensor: unknown feature %v", f))
 	}
 	return d
 }

@@ -57,5 +57,5 @@ func TestMustDescribeUnknownPanics(t *testing.T) {
 			t.Error("MustDescribe on an unknown feature did not panic")
 		}
 	}()
-	MustDescribe(Feature("no_such_feature"))
+	MustDescribe(FeatureLimit)
 }

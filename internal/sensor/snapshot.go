@@ -10,7 +10,7 @@ import (
 
 // Snapshot is the joint state of every sensor participating in a scene at
 // one instant — the paper's "sensor context". Keys are features from the
-// shared vocabulary.
+// closed vocabulary, so a snapshot holds at most NumFeatures values.
 //
 // The values sit behind one pointer, so copies of a snapshot share its
 // values: a Set or Delete through one copy is seen through every other.
@@ -23,15 +23,26 @@ type Snapshot struct {
 }
 
 // valueSet is a snapshot's values: entries sorted by feature, no feature
-// twice. Sorted entries make lookups a binary search and let the codec
-// and Features walk them in wire order without sorting.
+// twice. Sorted entries make lookups a binary search over one-byte keys
+// and let the codec and Features walk them in wire order without sorting.
 type valueSet struct{ es []entry }
 
-// entry is one feature value.
+// entry is one feature value: the feature's ordinal beside the value's
+// fields, flattened so that the ordinal shares the type tag's word and an
+// entry is 32 B, the size of a Value.
 type entry struct {
-	f Feature
-	v Value
+	f   Feature
+	typ FeatureType
+	b   bool
+	n   float64
+	s   string
 }
+
+func newEntry(f Feature, v Value) entry {
+	return entry{f: f, typ: v.typ, b: v.b, n: v.n, s: v.s}
+}
+
+func (e *entry) value() Value { return Value{typ: e.typ, b: e.b, n: e.n, s: e.s} }
 
 // NewSnapshot creates an empty snapshot stamped at t.
 func NewSnapshot(t time.Time) Snapshot { return NewSnapshotCap(t, 0) }
@@ -66,17 +77,22 @@ func find(es []entry, f Feature) (int, bool) {
 }
 
 // Set stores a feature value, replacing any previous one. Set is safe on a
-// zero-value Snapshot: it allocates the values on first use.
+// zero-value Snapshot: it allocates the values on first use. It panics on
+// a feature outside the vocabulary, a programming error: decoders reject
+// unknown names before they become features.
 func (s *Snapshot) Set(f Feature, v Value) {
+	if !f.Valid() {
+		panic(fmt.Sprintf("sensor: Set of %v, outside the vocabulary", f))
+	}
 	if s.vals == nil {
 		s.vals = new(valueSet)
 	}
 	i, ok := find(s.vals.es, f)
 	if ok {
-		s.vals.es[i].v = v
+		s.vals.es[i] = newEntry(f, v)
 		return
 	}
-	s.vals.es = slices.Insert(s.vals.es, i, entry{f, v})
+	s.vals.es = slices.Insert(s.vals.es, i, newEntry(f, v))
 }
 
 // Delete removes a feature; deleting an absent feature does nothing.
@@ -93,7 +109,7 @@ func (s Snapshot) Get(f Feature) (Value, bool) {
 	if !ok {
 		return Value{}, false
 	}
-	return es[i].v, true
+	return es[i].value(), true
 }
 
 // Len returns the number of features the snapshot carries.
@@ -102,11 +118,36 @@ func (s Snapshot) Len() int { return len(s.entries()) }
 // Range calls fn for each feature and value in sorted feature order until
 // fn returns false. fn must not Set or Delete on s or a copy of it.
 func (s Snapshot) Range(fn func(Feature, Value) bool) {
-	for _, e := range s.entries() {
-		if !fn(e.f, e.v) {
+	for i := range s.entries() {
+		e := &s.vals.es[i]
+		if !fn(e.f, e.value()) {
 			return
 		}
 	}
+}
+
+// Cursor reads a snapshot's values in ascending feature order: one merge
+// walk over the sorted entries, for a reader that wants several features
+// and can ask for them in ordinal order.
+type Cursor struct {
+	es []entry
+	i  int
+}
+
+// Cursor returns a cursor at the snapshot's first feature. The snapshot
+// must not be Set or Deleted on while the cursor is in use.
+func (s Snapshot) Cursor() Cursor { return Cursor{es: s.entries()} }
+
+// Seek advances the cursor to f and returns its value and whether it is
+// present. f must not be below any feature sought before.
+func (c *Cursor) Seek(f Feature) (Value, bool) {
+	for c.i < len(c.es) && c.es[c.i].f < f {
+		c.i++
+	}
+	if c.i < len(c.es) && c.es[c.i].f == f {
+		return c.es[c.i].value(), true
+	}
+	return Value{}, false
 }
 
 // Bool returns a boolean feature, defaulting to false when absent or not a
@@ -199,30 +240,33 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the wire form produced by MarshalJSON. On error
-// the snapshot is left unchanged.
+// the snapshot is left unchanged; a well-formed document naming a
+// feature outside the vocabulary is an *UnknownFeatureError.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	d := jsonwire.NewDecoder(data)
 	var decoded Snapshot
-	if err := decoded.DecodeJSON(&d); err != nil {
-		return err
+	err := decoded.DecodeJSON(&d)
+	if _, unknown := err.(*UnknownFeatureError); err == nil || unknown {
+		// The document was consumed: bytes after it are a syntax error,
+		// which outranks an unknown feature.
+		if endErr := d.End(); endErr != nil {
+			return endErr
+		}
 	}
-	if err := d.End(); err != nil {
+	if err != nil {
 		return err
 	}
 	*s = decoded
 	return nil
 }
 
-// Validate checks every value against the vocabulary: the feature must be
-// known, the value type must match the descriptor, and labels must come from
-// the descriptor's domain.
+// Validate checks every value against its feature's descriptor: the value
+// must be present, its type must match, and labels must come from the
+// descriptor's domain.
 func (s Snapshot) Validate() error {
-	for _, e := range s.entries() {
-		f, v := e.f, e.v
-		d, ok := Describe(f)
-		if !ok {
-			return fmt.Errorf("sensor: unknown feature %q in snapshot", f)
-		}
+	for i := range s.entries() {
+		e := &s.vals.es[i]
+		f, v, d := e.f, e.value(), vocabulary[e.f-1]
 		if v.IsZero() {
 			return fmt.Errorf("sensor: absent value for feature %q", f)
 		}

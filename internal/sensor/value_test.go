@@ -2,7 +2,9 @@ package sensor
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -162,8 +164,61 @@ func TestVocabularyCompleteAndConsistent(t *testing.T) {
 			t.Errorf("Describe(%q) mismatch", d.Feature)
 		}
 	}
-	if _, ok := Describe(Feature("nope")); ok {
-		t.Error("Describe should fail for unknown feature")
+	for _, f := range []Feature{0, FeatureLimit, 255} {
+		if _, ok := Describe(f); ok {
+			t.Errorf("Describe(%d) should fail: outside the vocabulary", f)
+		}
+	}
+}
+
+// TestVocabularyOrdinals pins the closed vocabulary's encoding: ordinals
+// 1..NumFeatures in strictly ascending name order, so that ordinal order
+// is the sorted-name order every encoded scene and digest was built on,
+// and names that parse back to their features through every edge.
+func TestVocabularyOrdinals(t *testing.T) {
+	if len(vocabulary) != NumFeatures || NumFeatures != 21 {
+		t.Fatalf("vocabulary has %d features, NumFeatures %d, want 21", len(vocabulary), NumFeatures)
+	}
+	for i, d := range vocabulary {
+		f := Feature(i + 1)
+		if d.Feature != f || !f.Valid() {
+			t.Fatalf("vocabulary[%d] is %d, want ordinal %d", i, d.Feature, f)
+		}
+		if i > 0 && vocabulary[i-1].Name >= d.Name {
+			t.Errorf("%q sorts before %q but has the larger ordinal", d.Name, vocabulary[i-1].Name)
+		}
+		if f.String() != d.Name {
+			t.Errorf("Feature(%d).String() = %q, want %q", f, f.String(), d.Name)
+		}
+		if g, ok := ParseFeature(d.Name); !ok || g != f {
+			t.Errorf("ParseFeature(%q) = %d, %v", d.Name, g, ok)
+		}
+		text, err := f.MarshalText()
+		var back Feature
+		if err != nil || back.UnmarshalText(text) != nil || back != f {
+			t.Errorf("text round trip of %q: %q, %v, back %d", d.Name, text, err, back)
+		}
+	}
+	for _, name := range []string{"", "nope", "Smoke", "smoke ", "air_qualit"} {
+		if f, ok := ParseFeature(name); ok {
+			t.Errorf("ParseFeature(%q) = %d, want no feature", name, f)
+		}
+		var f Feature
+		var uf *UnknownFeatureError
+		if err := f.UnmarshalText([]byte(name)); !errors.As(err, &uf) || uf.Name != name {
+			t.Errorf("UnmarshalText(%q) = %v, want an unknown-feature error naming it", name, err)
+		}
+	}
+	for _, f := range []Feature{0, FeatureLimit, 255} {
+		if f.Valid() {
+			t.Errorf("Feature(%d) is valid", f)
+		}
+		if _, err := f.MarshalText(); err == nil {
+			t.Errorf("Feature(%d).MarshalText succeeded", f)
+		}
+		if want := "feature(" + strconv.Itoa(int(f)) + ")"; f.String() != want {
+			t.Errorf("Feature(%d).String() = %q, want %q", f, f.String(), want)
+		}
 	}
 }
 
@@ -173,5 +228,5 @@ func TestMustDescribePanicsOnUnknown(t *testing.T) {
 			t.Error("MustDescribe should panic for unknown feature")
 		}
 	}()
-	MustDescribe(Feature("nope"))
+	MustDescribe(0)
 }

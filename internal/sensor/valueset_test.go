@@ -1,6 +1,7 @@
 package sensor
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -60,15 +61,16 @@ func requireSorted(t *testing.T, s Snapshot) {
 }
 
 // TestValueAndSnapshotSizes pins the layout the value set is built on: a
-// Value packs its type tag and boolean into one word, an entry is a
-// feature and a value, and a snapshot is its time and one pointer.
+// Value packs its type tag and boolean into one word, an entry packs the
+// feature's ordinal into that word too, so it is no larger than a Value,
+// and a snapshot is its time and one pointer.
 func TestValueAndSnapshotSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"Value", unsafe.Sizeof(Value{}), 32},
-		{"entry", unsafe.Sizeof(entry{}), 48},
+		{"entry", unsafe.Sizeof(entry{}), 32},
 		{"Snapshot", unsafe.Sizeof(Snapshot{}), 32},
 	} {
 		if c.got != c.want {
@@ -128,13 +130,17 @@ func TestSnapshotSetValuesInPlace(t *testing.T) {
 	}
 }
 
-// diffFeatures is the differential test's key space: vocabulary features,
-// one-letter keys that sort around them, and keys the codec must escape.
-// All are valid UTF-8, so the JSON round trip keeps them as they are.
+// diffFeatures is the differential test's key space: the first and last
+// ordinals and features of every type between them.
 var diffFeatures = []Feature{
-	FeatSmoke, FeatGas, FeatMotion, FeatHour, FeatWeather, FeatDoorLock,
-	"", "a", "z", "é", "k\n", "<k>",
+	FeatAirQuality, FeatSmoke, FeatGas, FeatMotion, FeatHour, FeatWeather,
+	FeatDoorLock, FeatTimeBucket, FeatWindowOpen,
 }
+
+// diffUnknown are names outside the vocabulary that the documents decoded
+// by the differential test mix in: names that sort around and between
+// vocabulary names, and names the codec must unescape.
+var diffUnknown = []string{"", "a", "z", "smoke_", "Smoke", "é", "k\n", "<k>"}
 
 // diffValue draws a finite value, an absent one now and then.
 func diffValue(rng *rand.Rand) Value {
@@ -196,6 +202,16 @@ func (m modelSnapshot) check(t *testing.T, step int) {
 	if i != len(keys) {
 		t.Fatalf("step %d: Range visited %d of %d", step, i, len(keys))
 	}
+	sought := slices.Clone(diffFeatures)
+	slices.Sort(sought)
+	cur := m.s.Cursor()
+	for _, f := range sought {
+		got, ok := cur.Seek(f)
+		w, wok := want[f]
+		if ok != wok || !sameValue(got, w) {
+			t.Fatalf("step %d: Cursor.Seek(%q) = %v, %v; want %v, %v", step, f, got, ok, w, wok)
+		}
+	}
 	if len(keys) > 1 {
 		n := 0
 		m.s.Range(func(Feature, Value) bool { n++; return false })
@@ -208,22 +224,31 @@ func (m modelSnapshot) check(t *testing.T, step int) {
 // decodeModel draws a document of up to three "values" fields and
 // decodes it with the codec, next to a model built with the wire
 // format's semantics: repeated "values" objects merge, "values":null
-// drops what came before, a repeated key's last value wins.
-func decodeModel(t *testing.T, rng *rand.Rand, step int) modelSnapshot {
+// drops what came before, a repeated key's last value wins, and a name
+// outside the vocabulary among the values that survive rejects the
+// document. It reports false for a rejected document.
+func decodeModel(t *testing.T, rng *rand.Rand, step int) (modelSnapshot, bool) {
 	t.Helper()
 	want := map[Feature]Value{}
+	unknown := map[string]bool{}
 	var b strings.Builder
 	b.WriteString(`{"at":"2021-03-14T15:09:26Z"`)
 	for k := rng.Intn(4); k > 0; k-- {
 		if rng.Intn(5) == 0 {
 			b.WriteString(`,"values":null`)
 			clear(want)
+			clear(unknown)
 			continue
 		}
 		b.WriteString(`,"values":{`)
 		for n := rng.Intn(8); n > 0; n-- {
 			f, v := diffFeatures[rng.Intn(len(diffFeatures))], diffValue(rng)
-			b.Write(jsonwire.AppendString(nil, string(f)))
+			name := f.String()
+			if rng.Intn(16) == 0 {
+				name = diffUnknown[rng.Intn(len(diffUnknown))]
+				unknown[name] = true
+			}
+			b.Write(jsonwire.AppendString(nil, name))
 			b.WriteByte(':')
 			out, err := appendValue(nil, v)
 			if err != nil {
@@ -233,16 +258,26 @@ func decodeModel(t *testing.T, rng *rand.Rand, step int) modelSnapshot {
 			if n > 1 {
 				b.WriteByte(',')
 			}
-			want[f] = v
+			if !unknown[name] {
+				want[f] = v
+			}
 		}
 		b.WriteByte('}')
 	}
 	b.WriteByte('}')
 	var s Snapshot
-	if err := s.UnmarshalJSON([]byte(b.String())); err != nil {
+	err := s.UnmarshalJSON([]byte(b.String()))
+	var uf *UnknownFeatureError
+	switch {
+	case len(unknown) > 0:
+		if !errors.As(err, &uf) || !unknown[uf.Name] || s.vals != nil {
+			t.Fatalf("step %d: decode %s = %v, %v; want an unknown-feature error and no values", step, b.String(), valuesOf(s), err)
+		}
+		return modelSnapshot{}, false
+	case err != nil:
 		t.Fatalf("step %d: decode %s: %v", step, b.String(), err)
 	}
-	return modelSnapshot{s: s, ref: &want}
+	return modelSnapshot{s: s, ref: &want}, true
 }
 
 // TestSnapshotDifferential runs seeded random sequences of every Snapshot
@@ -250,7 +285,7 @@ func decodeModel(t *testing.T, rng *rand.Rand, step int) modelSnapshot {
 // values), Clone, Merge, SetValues, the JSON round trip and decodes of
 // documents with repeated keys and repeated "values" objects. After every
 // step each live snapshot must agree with its model through Get, Len,
-// Range and Features, and keep its entries sorted.
+// Range, Features and a Cursor, and keep its entries sorted.
 func TestSnapshotDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -318,7 +353,9 @@ func TestSnapshotDifferential(t *testing.T) {
 					}
 					pool = append(pool, modelSnapshot{s: back, ref: &ref})
 				case 9:
-					pool = append(pool, decodeModel(t, rng, step))
+					if m, ok := decodeModel(t, rng, step); ok {
+						pool = append(pool, m)
+					}
 				}
 				if len(pool) > 12 {
 					pool = slices.Delete(pool, 0, 1)
@@ -341,40 +378,56 @@ func copyMap(m map[Feature]Value) map[Feature]Value {
 }
 
 // TestDecodeManyDistinctFeaturesIsNotQuadratic guards the decoder
-// against hostile documents: 2^17 distinct features, sent in descending
-// order so that inserting each into a sorted slice would shift every
-// entry already there, must decode in well under a second. The items of
-// an authorize request are scene-decoded before the per-item size check,
-// so a quadratic decode would be a denial-of-service lever.
+// against hostile documents of 2^17 members: distinct names outside the
+// vocabulary, sent in descending order, must be rejected, and the
+// vocabulary repeated over and over must decode to its 21 features, each
+// in well under a second. The decoder keeps one slot per ordinal and
+// never sorts or inserts, so the cost is linear in the document; a
+// quadratic decode would be a denial-of-service lever on every
+// scene-carrying fleet item.
 func TestDecodeManyDistinctFeaturesIsNotQuadratic(t *testing.T) {
 	const n = 1 << 17
-	var b strings.Builder
-	b.WriteString(`{"values":{`)
-	for i := n - 1; i >= 0; i-- {
-		b.WriteString(`"f`)
-		b.WriteString(strconv.Itoa(1_000_000 + i))
-		b.WriteString(`":1`)
-		if i > 0 {
-			b.WriteByte(',')
-		}
-	}
-	b.WriteString(`}}`)
-	data := []byte(b.String())
-	start := time.Now()
-	var s Snapshot
-	if err := s.UnmarshalJSON(data); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if s.Len() != n {
-		t.Fatalf("decoded %d features, want %d", s.Len(), n)
-	}
-	requireSorted(t, s)
-	limit := time.Second
-	if raceEnabled {
-		limit = 10 * time.Second // the race detector slows every memory access
-	}
-	if elapsed > limit {
-		t.Fatalf("decoding %d distinct features took %v, want under %v", n, elapsed, limit)
+	for _, c := range []struct {
+		name string
+		key  func(i int) string
+		want int // decoded features; -1 for an unknown-feature error
+	}{
+		{"unknown names", func(i int) string { return "f" + strconv.Itoa(1_000_000+i) }, -1},
+		{"vocabulary repeated", func(i int) string { return Feature(1 + i%NumFeatures).String() }, NumFeatures},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var b strings.Builder
+			b.WriteString(`{"values":{`)
+			for i := n - 1; i >= 0; i-- {
+				b.Write(jsonwire.AppendString(nil, c.key(i)))
+				b.WriteString(`:1`)
+				if i > 0 {
+					b.WriteByte(',')
+				}
+			}
+			b.WriteString(`}}`)
+			data := []byte(b.String())
+			start := time.Now()
+			var s Snapshot
+			err := s.UnmarshalJSON(data)
+			elapsed := time.Since(start)
+			var uf *UnknownFeatureError
+			switch {
+			case c.want < 0 && !errors.As(err, &uf):
+				t.Fatalf("decode = %v, want an unknown-feature error", err)
+			case c.want >= 0 && err != nil:
+				t.Fatal(err)
+			case c.want >= 0 && s.Len() != c.want:
+				t.Fatalf("decoded %d features, want %d", s.Len(), c.want)
+			}
+			requireSorted(t, s)
+			limit := time.Second
+			if raceEnabled {
+				limit = 10 * time.Second // the race detector slows every memory access
+			}
+			if elapsed > limit {
+				t.Fatalf("decoding %d members took %v, want under %v", n, elapsed, limit)
+			}
+		})
 	}
 }

@@ -8,10 +8,32 @@ import (
 	"iotsid/internal/sensor"
 )
 
+// fuzzFeature maps a fuzzed name to a feature: its vocabulary feature,
+// or for any other name an ordinal drawn from its bytes, which may fall
+// outside the vocabulary.
+func fuzzFeature(name string) sensor.Feature {
+	if f, ok := sensor.ParseFeature(name); ok {
+		return f
+	}
+	var h uint8
+	for i := 0; i < len(name); i++ {
+		h = h*31 + name[i]
+	}
+	return sensor.Feature(h)
+}
+
+// setValid sets f on s when f is in the vocabulary: a snapshot holds no
+// other feature, since the wire decoders reject unknown names.
+func setValid(s *sensor.Snapshot, f sensor.Feature, v sensor.Value) {
+	if f.Valid() {
+		s.Set(f, v)
+	}
+}
+
 // fuzzSnapshots decodes the shared fuzz argument tuple into an
 // adversarial (previous, current) snapshot pair: two feature names the
-// fuzzer may mutate into unknown or garbage strings, two numeric values
-// it may drive to NaN/Inf, a boolean pair, and raw nanosecond
+// fuzzer may mutate into other features or garbage strings, two numeric
+// values it may drive to NaN/Inf, a boolean pair, and raw nanosecond
 // timestamps (zero stays the zero time).
 func fuzzSnapshots(fa, fb string, va, vb float64, ba, bb bool, atPrev, atCur int64) (sensor.Snapshot, sensor.Snapshot) {
 	ts := func(n int64) time.Time {
@@ -21,12 +43,12 @@ func fuzzSnapshots(fa, fb string, va, vb float64, ba, bb bool, atPrev, atCur int
 		return time.Unix(0, n)
 	}
 	prev := sensor.Snapshot{At: ts(atPrev)}
-	prev.Set(sensor.Feature(fa), sensor.Number(va))
-	prev.Set(sensor.Feature(fb), sensor.Bool(ba))
+	setValid(&prev, fuzzFeature(fa), sensor.Number(va))
+	setValid(&prev, fuzzFeature(fb), sensor.Bool(ba))
 	prev.Set(sensor.FeatOccupancy, sensor.Bool(bb))
 	cur := sensor.Snapshot{At: ts(atCur)}
-	cur.Set(sensor.Feature(fa), sensor.Number(vb))
-	cur.Set(sensor.Feature(fb), sensor.Bool(bb))
+	setValid(&cur, fuzzFeature(fa), sensor.Number(vb))
+	setValid(&cur, fuzzFeature(fb), sensor.Bool(bb))
 	cur.Set(sensor.FeatMotion, sensor.Bool(ba))
 	cur.Set(sensor.FeatAirQuality, sensor.Value{}) // absent (null) value
 	return prev, cur
@@ -45,9 +67,9 @@ func FuzzInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fa, fb string, va, vb float64, ba, bb bool, atPrev, atCur int64) {
 		prev, cur := fuzzSnapshots(fa, fb, va, vb, ba, bb, atPrev, atCur)
 		table := append(DefaultInvariants(),
-			Invariant{Name: "fuzz_step", Kind: MaxStep, Feature: sensor.Feature(fa), Limit: 1},
-			Invariant{Name: "fuzz_range", Kind: Range, Feature: sensor.Feature(fa), Min: -1, Max: 1},
-			Invariant{Name: "fuzz_contra", Kind: Contradiction, A: sensor.Feature(fb), B: sensor.FeatMotion},
+			Invariant{Name: "fuzz_step", Kind: MaxStep, Feature: fuzzFeature(fa), Limit: 1},
+			Invariant{Name: "fuzz_range", Kind: Range, Feature: fuzzFeature(fa), Min: -1, Max: 1},
+			Invariant{Name: "fuzz_contra", Kind: Contradiction, A: fuzzFeature(fb), B: sensor.FeatMotion},
 		)
 		for _, iv := range table {
 			violated, detail := iv.Eval(prev, cur)

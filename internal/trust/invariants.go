@@ -61,22 +61,22 @@ func (iv Invariant) validate() error {
 	}
 	switch iv.Kind {
 	case MaxStep:
-		if iv.Feature == "" {
-			return fmt.Errorf("%s: max_step rule needs a feature", iv.Name)
+		if !iv.Feature.Valid() {
+			return fmt.Errorf("%s: max_step rule needs a vocabulary feature", iv.Name)
 		}
 		if !(iv.Limit > 0) || math.IsInf(iv.Limit, 0) {
 			return fmt.Errorf("%s: max_step limit %v must be a positive finite number", iv.Name, iv.Limit)
 		}
 	case Range:
-		if iv.Feature == "" {
-			return fmt.Errorf("%s: range rule needs a feature", iv.Name)
+		if !iv.Feature.Valid() {
+			return fmt.Errorf("%s: range rule needs a vocabulary feature", iv.Name)
 		}
 		if math.IsNaN(iv.Min) || math.IsNaN(iv.Max) || iv.Min > iv.Max {
 			return fmt.Errorf("%s: range [%v, %v] is empty or NaN", iv.Name, iv.Min, iv.Max)
 		}
 	case Contradiction:
-		if iv.A == "" || iv.B == "" {
-			return fmt.Errorf("%s: contradiction rule needs both features", iv.Name)
+		if !iv.A.Valid() || !iv.B.Valid() {
+			return fmt.Errorf("%s: contradiction rule needs two vocabulary features", iv.Name)
 		}
 	default:
 		return fmt.Errorf("%s: unknown kind %d", iv.Name, int(iv.Kind))
@@ -87,7 +87,7 @@ func (iv Invariant) validate() error {
 // Eval checks the rule over one (previous, current) observation pair and
 // reports whether it fired, with a human-readable detail. It is total
 // over adversarial inputs: either snapshot may be the zero value, carry
-// unknown features, absent values or non-finite numbers.
+// absent values, values of the wrong type or non-finite numbers.
 func (iv Invariant) Eval(prev, cur sensor.Snapshot) (bool, string) {
 	switch iv.Kind {
 	case MaxStep:

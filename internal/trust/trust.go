@@ -161,10 +161,13 @@ type sourceState struct {
 	stuckRun int
 	// interval baseline: sum/count of deltas between timestamped
 	// observations, frozen into meanInterval at baseline completion.
-	intervalSum   float64
-	intervalN     int
-	meanInterval  float64
-	feats         map[sensor.Feature]*featState
+	intervalSum  float64
+	intervalN    int
+	meanInterval float64
+	// feats holds the per-feature fingerprint state by ordinal, so it is
+	// bounded by the vocabulary; nil until the first numeric value, so a
+	// source never observed costs no array.
+	feats         *[sensor.FeatureLimit]*featState
 	baselineReady bool
 
 	scoreGauge *obs.Gauge
@@ -176,7 +179,7 @@ type sourceState struct {
 type Engine struct {
 	cfg        Config
 	invariants []Invariant
-	exempt     map[sensor.Feature]bool
+	exempt     [sensor.FeatureLimit]bool
 	byName     map[string]int
 	sources    []*sourceState
 
@@ -246,11 +249,13 @@ func NewEngine(cfg Config, sources ...SourceConfig) (*Engine, error) {
 	e := &Engine{
 		cfg:        cfg,
 		invariants: invariants,
-		exempt:     make(map[sensor.Feature]bool, len(cfg.DriftExempt)),
 		byName:     make(map[string]int, len(sources)),
 		sources:    make([]*sourceState, 0, len(sources)),
 	}
 	for _, f := range cfg.DriftExempt {
+		if !f.Valid() {
+			return nil, fmt.Errorf("trust: drift-exempt %v is not a vocabulary feature", f)
+		}
 		e.exempt[f] = true
 	}
 	var scoreVec *obs.GaugeVec
@@ -273,7 +278,6 @@ func NewEngine(cfg Config, sources ...SourceConfig) (*Engine, error) {
 		st := &sourceState{
 			name:     sc.Name,
 			required: sc.Required,
-			feats:    make(map[sensor.Feature]*featState),
 		}
 		st.score.Store(math.Float64bits(1))
 		if cfg.Metrics != nil {
@@ -436,6 +440,9 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 			report(RuleMalformed, fmt.Sprintf("feature %s non-finite value %v", f, num))
 			return true
 		}
+		if s.feats == nil {
+			s.feats = new([sensor.FeatureLimit]*featState)
+		}
 		fs := s.feats[f]
 		if fs == nil {
 			fs = &featState{min: num, max: num}
@@ -543,8 +550,12 @@ func (s *sourceState) freezeBaseline(stepTol float64) {
 	if s.intervalN > 0 {
 		s.meanInterval = s.intervalSum / float64(s.intervalN)
 	}
-	for _, fs := range s.feats {
-		if fs.n == 0 {
+	var feats [sensor.FeatureLimit]*featState
+	if s.feats != nil {
+		feats = *s.feats
+	}
+	for _, fs := range feats {
+		if fs == nil || fs.n == 0 {
 			continue
 		}
 		fs.mean = fs.sum / float64(fs.n)

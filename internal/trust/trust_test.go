@@ -62,7 +62,7 @@ func TestNewEngineValidation(t *testing.T) {
 		{"bad step tol", Config{StepTolerance: 0.5}, []SourceConfig{{Name: "a"}}},
 		{"bad drift tol", Config{DriftTolerance: 0.5}, []SourceConfig{{Name: "a"}}},
 		{"bad invariant", Config{Invariants: []Invariant{{Name: "x", Kind: MaxStep}}}, []SourceConfig{{Name: "a"}}},
-		{"nameless invariant", Config{Invariants: []Invariant{{Kind: Range, Feature: "f"}}}, []SourceConfig{{Name: "a"}}},
+		{"nameless invariant", Config{Invariants: []Invariant{{Kind: Range, Feature: sensor.FeatHumidity}}}, []SourceConfig{{Name: "a"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -365,5 +365,50 @@ func expositionContains(t *testing.T, reg *obs.Registry, line string) {
 	}
 	if !strings.Contains(buf.String(), line) {
 		t.Fatalf("exposition missing %q:\n%s", line, buf.String())
+	}
+}
+
+// TestEngineStateBoundedByVocabulary: a source's per-feature state is one
+// slot per vocabulary ordinal, made on the first numeric observation, so
+// no stream of scenes can grow it past the vocabulary. Labels have no
+// numeric fingerprint and take no state.
+func TestEngineStateBoundedByVocabulary(t *testing.T) {
+	e, err := NewEngine(Config{}, SourceConfig{Name: "push", Required: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.sources[0]
+	if s.feats != nil {
+		t.Fatal("an engine that observed nothing holds per-feature state")
+	}
+	for k := 0; k < 64; k++ {
+		snap := sensor.NewSnapshotCap(t0.Add(time.Duration(k)*time.Second), sensor.NumFeatures)
+		for f := sensor.Feature(1); f < sensor.FeatureLimit; f++ {
+			switch sensor.MustDescribe(f).Type {
+			case sensor.TypeBool:
+				snap.Set(f, sensor.Bool(k%2 == 0))
+			case sensor.TypeNumber:
+				snap.Set(f, sensor.Number(float64(k%5)))
+			default:
+				snap.Set(f, sensor.Label(sensor.MustDescribe(f).Labels[0]))
+			}
+		}
+		e.Observe("push", snap, snap.At)
+	}
+	tracked := 0
+	for f, fs := range s.feats {
+		if fs == nil {
+			continue
+		}
+		tracked++
+		if d := sensor.MustDescribe(sensor.Feature(f)); d.Type == sensor.TypeLabel {
+			t.Errorf("label feature %v holds numeric state", d.Feature)
+		}
+	}
+	if want := sensor.NumFeatures - 3; tracked != want {
+		t.Fatalf("engine tracks %d features, want the %d numeric and boolean ones", tracked, want)
+	}
+	if _, err := NewEngine(Config{DriftExempt: []sensor.Feature{sensor.FeatureLimit}}, SourceConfig{Name: "push"}); err == nil {
+		t.Fatal("NewEngine accepted a drift exemption outside the vocabulary")
 	}
 }

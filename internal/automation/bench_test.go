@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iotsid/internal/instr"
+	"iotsid/internal/sensor"
 )
 
 func BenchmarkParseRule(b *testing.B) {
@@ -26,11 +27,14 @@ func BenchmarkEvaluateHundredRules(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	snap := eveningSnap()
+	// Each op is every rule's rising edge and the falling edge after it,
+	// so every rule fires once per op.
+	evening, empty := eveningSnap(), eveningSnap().Clone()
+	empty.Set(sensor.FeatOccupancy, sensor.Bool(false))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Evaluate(snap)
-		e.ResetEdges()
+		e.Evaluate(evening)
+		e.Evaluate(empty)
 	}
 }

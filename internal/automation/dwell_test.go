@@ -118,22 +118,3 @@ func TestDwellResetOnConditionDrop(t *testing.T) {
 		t.Fatalf("second episode did not fire: %v", ev)
 	}
 }
-
-func TestDwellResetEdges(t *testing.T) {
-	e := NewEngine(instr.BuiltinRegistry(), nil)
-	if err := e.AddRuleText("slow vent", `WHEN smoke == TRUE FOR 5m THEN window.open @ window-1`); err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2021, 4, 1, 12, 0, 0, 0, time.UTC)
-	e.Evaluate(dwellSnap(true, t0))
-	e.Evaluate(dwellSnap(true, t0.Add(5*time.Minute))) // fires
-	e.ResetEdges()
-	// After a reset the dwell clock restarts from the next true reading.
-	if ev := e.Evaluate(dwellSnap(true, t0.Add(6*time.Minute))); len(ev) != 0 {
-		t.Fatalf("fired straight after reset: %v", ev)
-	}
-	ev := e.Evaluate(dwellSnap(true, t0.Add(11*time.Minute)))
-	if len(ev) != 1 {
-		t.Fatalf("post-reset dwell did not fire: %v", ev)
-	}
-}

@@ -181,13 +181,3 @@ func (e *Engine) dispatchLocked(r Rule, snap sensor.Snapshot) Event {
 	}
 	return ev
 }
-
-// ResetEdges clears the edge-detection and dwell state so every currently-
-// true rule can fire again on the next evaluation.
-func (e *Engine) ResetEdges() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.lastState = make(map[string]bool)
-	e.condSince = make(map[string]time.Time)
-	e.firedHold = make(map[string]bool)
-}

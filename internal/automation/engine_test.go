@@ -77,7 +77,7 @@ func TestEngineInterceptorBlocks(t *testing.T) {
 		t.Error("blocked instruction must not execute")
 	}
 
-	e.ResetEdges()
+	e.Evaluate(boolSnap(false, true)) // falling edge: the rule can fire again
 	ev = e.Evaluate(boolSnap(true, true))
 	if len(ev) != 1 || !ev[0].Allowed {
 		t.Fatalf("interceptor should allow: %+v", ev)

@@ -18,7 +18,6 @@ import (
 	"iotsid/internal/dataset"
 	"iotsid/internal/fleet"
 	"iotsid/internal/instr"
-	"iotsid/internal/sensor"
 )
 
 // tenantCloud starts a fleet cloud with two accounts, each owning its own
@@ -311,9 +310,23 @@ func TestFleetContextNoLeak(t *testing.T) {
 	})
 }
 
-// TestFleetArenaResetClears: reset leaves every element within each of the
-// arena's slices' capacity zero, including the items an earlier, longer
-// items array in the same body wrote beyond the final slice's length.
+// requireTailZero fails unless every element of the slice s in
+// [len, cap) is zero.
+func requireTailZero(t *testing.T, name string, s any) {
+	t.Helper()
+	v := reflect.ValueOf(s)
+	all := v.Slice(0, v.Cap())
+	for i := v.Len(); i < v.Cap(); i++ {
+		if !all.Index(i).IsZero() {
+			t.Fatalf("%s[%d] = %+v beyond the length %d, want zero", name, i, all.Index(i), v.Len())
+		}
+	}
+}
+
+// TestFleetArenaResetClears: every element of an arena's slices in
+// [len, cap) is zero, after a body whose second, shorter items array
+// replaced a longer first one as well as after reset, which empties the
+// arena and keeps its capacity.
 func TestFleetArenaResetClears(t *testing.T) {
 	bodyA, _ := tenantBodies(t, 16)
 	body := append(bytes.TrimSuffix(bodyA, []byte("}")), `,"items":[{"home":"b-00","op":"window.open"}]}`...)
@@ -321,41 +334,26 @@ func TestFleetArenaResetClears(t *testing.T) {
 	if err := a.req.unmarshal(body); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.req.Items) != 1 || a.req.used != 256 || a.req.Items[:2][1].Context == nil {
-		t.Fatalf("decoded %d items (used %d); want the second array's 1 over the first's 256", len(a.req.Items), a.req.used)
+	want := fleet.BatchItem{Home: "b-00", In: instr.Instruction{Op: "window.open"}}
+	if len(a.req.Items) != 1 || cap(a.req.Items) < 256 || !reflect.DeepEqual(a.req.Items[0], want) {
+		t.Fatalf("decoded %d items of capacity %d, first %+v; want the second array's 1 over the first's 256", len(a.req.Items), cap(a.req.Items), a.req.Items[0])
 	}
-	n := a.req.used
-	a.results = make([]FleetResult, n)
-	a.batch = make([]fleet.BatchItem, n)
-	a.idxs = make([]int, n)
-	a.out = make([]fleet.BatchResult, n)
-	for i := range n {
-		a.results[i] = FleetResult{Allowed: true, Reason: "allowed"}
-		a.batch[i] = fleet.BatchItem{Home: "a-00", In: instr.Instruction{Op: "window.open", Args: map[string]any{"level": 1.0}}, Context: &sensor.Snapshot{}}
-		a.idxs[i] = i
+	requireTailZero(t, "items after a repeated array", a.req.Items)
+	a.out = make([]fleet.BatchResult, 256)
+	for i := range a.out {
 		a.out[i] = fleet.BatchResult{Err: "unknown home a-00"}
 	}
+	a.req.marks.set(0, rejectOversized, true)
 	if !a.reset() {
 		t.Fatal("a 256-item arena was not kept for pooling")
 	}
-	requireZero := func(name string, s any) {
-		v := reflect.ValueOf(s)
-		v = v.Slice(0, v.Cap())
-		for i := 0; i < v.Len(); i++ {
-			if !v.Index(i).IsZero() {
-				t.Fatalf("%s[%d] = %+v after reset, want zero", name, i, v.Index(i))
-			}
-		}
-		if v.Cap() == 0 {
-			t.Fatalf("%s lost its capacity", name)
-		}
+	requireTailZero(t, "items", a.req.Items)
+	requireTailZero(t, "out", a.out)
+	if cap(a.req.Items) == 0 || cap(a.out) == 0 {
+		t.Fatal("reset lost the arena's capacity")
 	}
-	requireZero("items", a.req.Items)
-	requireZero("results", a.results)
-	requireZero("batch", a.batch)
-	requireZero("out", a.out)
-	if len(a.req.Items)+len(a.results)+len(a.batch)+len(a.idxs)+len(a.out)+len(a.req.marks.rs) != 0 || a.req.used != 0 {
-		t.Fatal("reset left a non-empty slice or a high-water mark")
+	if len(a.req.Items)+len(a.out)+len(a.req.marks.rs) != 0 {
+		t.Fatal("reset left a non-empty slice")
 	}
 
 	big := &authorizeArena{out: make([]fleet.BatchResult, maxPooledBuf/arenaItemBytes+1)}
@@ -364,9 +362,9 @@ func TestFleetArenaResetClears(t *testing.T) {
 	}
 }
 
-// TestFleetContextResetClears: reset leaves every push within the pooled
-// request's capacity zero, including those an earlier, longer pushes
-// array in the same body wrote beyond the final slice's length.
+// TestFleetContextResetClears: every push of a pooled request in
+// [len, cap) is zero, after a body whose second, shorter pushes array
+// replaced a longer first one as well as after reset.
 func TestFleetContextResetClears(t *testing.T) {
 	pushA, _ := contextBodies(t, 16)
 	body := append(bytes.TrimSuffix(pushA, []byte("}")), `,"pushes":[{"home":"b-00"}]}`...)
@@ -374,26 +372,115 @@ func TestFleetContextResetClears(t *testing.T) {
 	if err := req.unmarshal(body); err != nil {
 		t.Fatal(err)
 	}
-	if len(req.Pushes) != 1 || req.used != 256 || req.Pushes[:2][1].Context.Len() == 0 {
-		t.Fatalf("decoded %d pushes (used %d); want the second array's 1 over the first's 256", len(req.Pushes), req.used)
+	if len(req.Pushes) != 1 || cap(req.Pushes) < 256 || req.Pushes[0].Home != "b-00" || req.Pushes[0].Context.Len() != 0 {
+		t.Fatalf("decoded %d pushes of capacity %d, first %+v; want the second array's 1 over the first's 256", len(req.Pushes), cap(req.Pushes), req.Pushes[0])
 	}
+	requireTailZero(t, "pushes after a repeated array", req.Pushes)
 	if !req.reset() {
 		t.Fatal("a 256-push request was not kept for pooling")
 	}
-	all := req.Pushes[:cap(req.Pushes)]
-	for i := range all {
-		if all[i].Home != "" || all[i].Context.Len() != 0 || !all[i].Context.At.IsZero() {
-			t.Fatalf("push %d = %+v after reset, want zero", i, all[i])
-		}
-	}
-	if len(all) == 0 || len(req.Pushes)+len(req.marks.rs) != 0 || req.used != 0 {
-		t.Fatal("reset lost the capacity or left a non-empty slice or a high-water mark")
+	requireTailZero(t, "pushes", req.Pushes)
+	if cap(req.Pushes) == 0 || len(req.Pushes)+len(req.marks.rs) != 0 {
+		t.Fatal("reset lost the capacity or left a non-empty slice")
 	}
 
 	big := &fleetContextRequest{Pushes: make([]fleetContextPush, maxPooledBuf/unsafe.Sizeof(fleetContextPush{})+1)}
 	if big.reset() {
 		t.Fatalf("a request of %d pushes (over %d B) was kept for pooling", cap(big.Pushes), maxPooledBuf)
 	}
+}
+
+// dirtyArena returns an arena as tenant A's request leaves it, never
+// reset: A's 256 decoded items with their scenes, marks on some of them,
+// and a result on every item.
+func dirtyArena(t *testing.T, bodyA []byte) *authorizeArena {
+	t.Helper()
+	a := new(authorizeArena)
+	if err := a.req.unmarshal(bodyA); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(a.req.Items); i += 7 {
+		a.req.marks.set(i, rejectOversized, true)
+		a.req.marks.set(i+3, rejectUnknownFeature, true)
+	}
+	a.out = make([]fleet.BatchResult, len(a.req.Items))
+	for i := range a.out {
+		a.out[i] = fleet.BatchResult{Err: errHomeNotBound}
+	}
+	return a
+}
+
+// dirtyContextRequest is dirtyArena for a context push.
+func dirtyContextRequest(t *testing.T, pushA []byte) *fleetContextRequest {
+	t.Helper()
+	req := new(fleetContextRequest)
+	if err := req.unmarshal(pushA); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(req.Pushes); i += 7 {
+		req.marks.set(i, rejectOversized, true)
+	}
+	return req
+}
+
+// TestFleetArenaDirtyNoLeak: tenant isolation rests on decoding, not on
+// reset. An arena and a context-push request left dirty by tenant A, its
+// homes, scenes, marks and results within their capacity, decode tenant
+// B's shorter, context-free bodies into items and pushes that carry
+// nothing of A's. Put back into their pools dirty, they serve B's
+// requests through the handlers just as clean ones do: every B item fails
+// closed as missing context, and no A scene reaches a B home.
+func TestFleetArenaDirtyNoLeak(t *testing.T) {
+	const homes = 16
+	bodyA, bodyB := tenantBodies(t, homes)
+	pushA, pushB := contextBodies(t, homes)
+
+	a := dirtyArena(t, bodyA)
+	if err := a.req.unmarshal(bodyB); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.req.Items) != 100 {
+		t.Fatalf("decoded %d items over tenant A's, want tenant B's 100", len(a.req.Items))
+	}
+	for i, it := range a.req.Items {
+		want := fleet.BatchItem{Home: fmt.Sprintf("b-%02d", i%homes), In: instr.Instruction{Op: "window.open", DeviceID: "win-1"}}
+		if !reflect.DeepEqual(it, want) || a.req.marks.has(i, rejectOversized|rejectUnknownFeature) {
+			t.Fatalf("tenant B item %d = %+v, marked %v; want %+v, unmarked", i, it, a.req.marks.has(i, rejectOversized|rejectUnknownFeature), want)
+		}
+	}
+	req := dirtyContextRequest(t, pushA)
+	if err := req.unmarshal(pushB); err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Pushes) != 100 {
+		t.Fatalf("decoded %d pushes over tenant A's, want tenant B's 100", len(req.Pushes))
+	}
+	for i, p := range req.Pushes {
+		if p.Home != fmt.Sprintf("b-%02d", i%homes) || !reflect.ValueOf(p.Context).IsZero() || req.marks.has(i, rejectOversized) {
+			t.Fatalf("tenant B push %d = %+v, marked %v; want its home and no context, unmarked", i, p, req.marks.has(i, rejectOversized))
+		}
+	}
+
+	srv := tenantCloud(t, homes)
+	ca := login(t, srv, "tenant-a", "a-secret")
+	cb := login(t, srv, "tenant-b", "b-secret")
+	if err := pushContext(srv, ca, pushA, 256); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 8
+	for range rounds {
+		arenaPool.Put(dirtyArena(t, bodyA))
+		contextPool.Put(dirtyContextRequest(t, pushA))
+	}
+	for range rounds {
+		requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, bodyB), 100)
+	}
+	for round := range rounds {
+		if err := pushContext(srv, cb, pushB, 100); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	requireNoneAllowed(t, authorizeDirect(t, srv, cb, bodyB))
 }
 
 // discardWriter is a reusable ResponseWriter that keeps only the status,

@@ -40,7 +40,7 @@ func TestClientFleetAuthorizeBytes(t *testing.T) {
 	for i := range results {
 		results[i] = FleetResult{Allowed: true, Reason: "light.get_state is not a sensitive instruction"}
 	}
-	canned := appendAuthorizeResponse(nil, results)
+	canned := appendAuthorizeResponse(nil, batchResults(results))
 	drain := make([]byte, 64<<10)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		for {
@@ -94,7 +94,7 @@ func TestClientInternBounded(t *testing.T) {
 		for i := range results {
 			results[i].Reason = reason(n%10*internCap + i)
 		}
-		_, _ = w.Write(appendAuthorizeResponse(nil, results)) // a failed write fails the client's call
+		_, _ = w.Write(appendAuthorizeResponse(nil, batchResults(results))) // a failed write fails the client's call
 	}))
 	t.Cleanup(srv.Close)
 	c, err := NewClient(srv.URL)

@@ -29,9 +29,11 @@ import (
 // session's account (mirrors handleCommand's device-ownership error).
 const errHomeNotBound = "home not bound to this account"
 
-// FleetBatchItem is one instruction in a fleet batch. Context, when
-// present, is pushed as the home's newest sensor snapshot before judging
-// ("push before judge" — the gateway ships state and commands together).
+// FleetBatchItem is one instruction in a fleet batch, as a gateway sends
+// it. Context, when present, is pushed as the home's newest sensor
+// snapshot before judging ("push before judge" — the gateway ships state
+// and commands together). The server validates Args and drops them: no
+// judge reads them.
 type FleetBatchItem struct {
 	Home     string           `json:"home"`
 	Op       string           `json:"op"`
@@ -40,14 +42,12 @@ type FleetBatchItem struct {
 	Context  *sensor.Snapshot `json:"context,omitempty"`
 }
 
+// fleetAuthorizeRequest is an authorize body as the server decodes it:
+// straight into the items it hands the fleet.
 type fleetAuthorizeRequest struct {
-	Items []FleetBatchItem `json:"items"`
+	Items []fleet.BatchItem `json:"items"`
 	// marks holds the rejected items.
 	marks batchMarks
-	// used is one past the highest index any items array in the body
-	// decoded into: the prefix of Items' backing array the decode wrote,
-	// which a later, shorter array leaves beyond the slice's length.
-	used int
 }
 
 // FleetResult mirrors one item: either a decision or a per-item
@@ -140,26 +140,21 @@ func writeTooLarge(w http.ResponseWriter, limit int64) {
 }
 
 // authorizeArena is the scratch of one /v1/fleet/authorize request, pooled
-// across requests: the decoded items, the per-item results, the
-// instructions handed to the fleet with their item indices, and the
-// fleet's results. Every element within each slice's capacity is zero
-// while the arena is pooled, because the decoder decodes item i over
-// whatever is left at index i: an arena put back uncleared would hand one
-// tenant's context and args to the next request's items.
+// across requests: the decoded items, which are built in place and handed
+// to the fleet, and the results the fleet writes and the response is
+// encoded from. Decoding starts every item from zero, so what one request
+// leaves in the arena never reaches the next one's items; reset clears
+// the used elements anyway, so a pooled arena holds nothing of a tenant.
 type authorizeArena struct {
-	req     fleetAuthorizeRequest
-	results []FleetResult
-	batch   []fleet.BatchItem
-	idxs    []int
-	out     []fleet.BatchResult
+	req fleetAuthorizeRequest
+	out []fleet.BatchResult
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(authorizeArena) }}
 
 // arenaItemBytes is one item's share of an arena: an element of each of
 // its slices.
-const arenaItemBytes = unsafe.Sizeof(FleetBatchItem{}) + unsafe.Sizeof(FleetResult{}) +
-	unsafe.Sizeof(fleet.BatchItem{}) + unsafe.Sizeof(0) + unsafe.Sizeof(fleet.BatchResult{})
+const arenaItemBytes = unsafe.Sizeof(fleet.BatchItem{}) + unsafe.Sizeof(fleet.BatchResult{})
 
 func (a *authorizeArena) put() {
 	if a.reset() {
@@ -167,21 +162,18 @@ func (a *authorizeArena) put() {
 	}
 }
 
-// reset clears the prefix of each slice the request used and empties
-// them, so the arena can serve another request. It reports false, and
-// clears nothing, for an arena sized past maxPooledBuf by an unusually
-// large batch: that one is left to the garbage collector.
+// reset clears the elements the request used and empties the arena, so
+// it can serve another request. It reports false, and clears nothing, for
+// an arena sized past maxPooledBuf by an unusually large batch: that one
+// is left to the garbage collector.
 func (a *authorizeArena) reset() bool {
-	n := max(cap(a.req.Items), cap(a.results), cap(a.batch), cap(a.idxs), cap(a.out))
-	if uintptr(n)*arenaItemBytes > maxPooledBuf {
+	if uintptr(max(cap(a.req.Items), cap(a.out)))*arenaItemBytes > maxPooledBuf {
 		return false
 	}
-	clear(a.req.Items[:min(a.req.used, cap(a.req.Items))])
-	clear(a.results)
-	clear(a.batch)
+	clear(a.req.Items)
 	clear(a.out)
 	a.req = fleetAuthorizeRequest{Items: a.req.Items[:0], marks: a.req.marks.cleared()}
-	a.results, a.batch, a.idxs, a.out = a.results[:0], a.batch[:0], a.idxs[:0], a.out[:0]
+	a.out = a.out[:0]
 	return true
 }
 
@@ -209,55 +201,34 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("batch exceeds %d items", maxFleetBatch)})
 		return
 	}
-	results := slices.Grow(a.results, len(items))[:len(items)]
-	a.results = results
+	out := slices.Grow(a.out[:0], len(items))[:len(items)]
+	clear(out) // the fleet passes over an item whose result is already set
+	a.out = out
 	s.mu.Lock()
 	for i := range items {
 		if s.homes[items[i].Home] != user {
-			results[i].Error = errHomeNotBound
+			out[i].Err = errHomeNotBound
+		} else {
+			out[i].Err = s.rejectErr(&a.req.marks, i, epAuthorize)
 		}
 	}
 	s.mu.Unlock()
-	// Build the instructions of the owned items; items that fail get their
-	// error recorded in place and the survivors keep their positions via
-	// the index map.
+	// Build the other items' instructions in place; an item that fails
+	// gets its error in its result, which keeps the fleet off it.
 	for i := range items {
-		it := &items[i]
-		if results[i].Error != "" {
-			continue
+		if it := &items[i]; out[i].Err == "" {
+			var err error
+			if it.In, err = s.cfg.Registry.Build(it.In.Op, it.In.DeviceID, instr.OriginUser, nil); err != nil {
+				out[i].Err = err.Error()
+			}
 		}
-		if err := s.rejectErr(&a.req.marks, i, epAuthorize); err != "" {
-			results[i].Error = err
-			continue
-		}
-		in, err := s.cfg.Registry.Build(it.Op, it.DeviceID, instr.OriginUser, it.Args)
-		if err != nil {
-			results[i].Error = err.Error()
-			continue
-		}
-		a.batch = append(a.batch, fleet.BatchItem{Home: it.Home, In: in, Context: it.Context})
-		a.idxs = append(a.idxs, i)
 	}
-	a.out = slices.Grow(a.out, len(a.batch))[:len(a.batch)]
-	if err := s.cfg.Fleet.AuthorizeBatchInto(r.Context(), a.batch, a.out, 0); err != nil {
+	if err := s.cfg.Fleet.AuthorizeBatchInto(r.Context(), items, out, 0); err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	}
-	for k, res := range a.out {
-		i := a.idxs[k]
-		if res.Err != "" {
-			results[i].Error = res.Err
-			continue
-		}
-		results[i] = FleetResult{
-			Allowed:   res.Decision.Allowed,
-			Sensitive: res.Decision.Sensitive,
-			Model:     string(res.Decision.Model),
-			Reason:    res.Decision.Reason,
-		}
-	}
 	buf := getBuf()
-	*buf = appendAuthorizeResponse(*buf, results)
+	*buf = appendAuthorizeResponse(*buf, out)
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(*buf)))
@@ -276,16 +247,11 @@ type fleetContextRequest struct {
 	Pushes []fleetContextPush `json:"pushes"`
 	// marks holds the rejected pushes.
 	marks batchMarks
-	// used is one past the highest index any pushes array in the body
-	// decoded into, as fleetAuthorizeRequest.used.
-	used int
 }
 
 // contextPool holds /v1/fleet/context's decoded requests across requests.
-// Every push within a pooled request's capacity is zero, because the
-// decoder decodes push i over whatever is left at index i: a home or a
-// scene left behind would go into the next request's pushes that omit
-// theirs.
+// As with authorizeArena, decoding starts every push from zero, and reset
+// clears the pushes a request used before it is pooled.
 var contextPool = sync.Pool{New: func() any { return new(fleetContextRequest) }}
 
 func (req *fleetContextRequest) put() {
@@ -294,14 +260,14 @@ func (req *fleetContextRequest) put() {
 	}
 }
 
-// reset clears the prefix of the pushes the decode wrote and empties req,
-// as authorizeArena.reset does; it reports false, and clears nothing, for
-// a request grown past maxPooledBuf.
+// reset clears the pushes and empties req, as authorizeArena.reset does;
+// it reports false, and clears nothing, for a request grown past
+// maxPooledBuf.
 func (req *fleetContextRequest) reset() bool {
 	if uintptr(cap(req.Pushes))*unsafe.Sizeof(fleetContextPush{}) > maxPooledBuf {
 		return false
 	}
-	clear(req.Pushes[:min(req.used, cap(req.Pushes))])
+	clear(req.Pushes)
 	*req = fleetContextRequest{Pushes: req.Pushes[:0], marks: req.marks.cleared()}
 	return true
 }

@@ -6,11 +6,11 @@ import (
 	"io"
 	"maps"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"iotsid/internal/fleet"
 	"iotsid/internal/jsonwire"
 	"iotsid/internal/sensor"
 )
@@ -20,19 +20,22 @@ import (
 // built on the jsonwire scanner and the sensor package's scene entry
 // points, so a request is decoded, inline scenes included, in one pass
 // over its bytes and encoded by appending into one buffer. It reproduces
-// encoding/json's treatment of these types exactly (the package's fuzz
-// targets hold it to encoding/json):
+// encoding/json's treatment of these types (the package's fuzz targets
+// hold it to encoding/json), with one deliberate difference:
 //
 //   - a body is one JSON value, an object or null, and whatever follows
 //     it is ignored, as json.Decoder.Decode ignores it;
-//   - a null leaves a string, a bool or a whole element as it was, and
-//     sets an array, args or an item's context to nil;
-//   - a repeated array field decodes element i over what the earlier
-//     array left at index i, as encoding/json reuses a slice's capacity
-//     without clearing it, and an empty array leaves a non-nil empty
-//     slice;
-//   - args are validated in the pass and then decoded, merging into
-//     earlier args, by encoding/json; encoding marshals them with it too.
+//   - a null leaves a string or a bool as it was, an element zero, and
+//     an array or an item's context nil;
+//   - an array replaces the slice: every element decodes from a zero
+//     element, so a repeated array field keeps nothing of the earlier one
+//     (encoding/json decodes element i over whatever the earlier array
+//     left there; no client sends a repeated array), and an empty array
+//     leaves a non-nil empty slice;
+//   - an authorize item's args are validated as decoding them into a
+//     map[string]any would validate them, an object or null whose numbers
+//     fit a float64, and then dropped: no judge reads them. The client
+//     encodes args with encoding/json.
 //
 // Two kinds of element are marked and answered with a per-item error
 // instead of failing the body (see batchMarks): one whose JSON passes
@@ -63,14 +66,18 @@ func putBuf(b *[]byte) {
 
 // readBody appends r's content to buf. A declared length sizes buf up
 // front, but only up to maxPooledBuf: the peer states it, so beyond that
-// the buffer grows with the bytes that actually arrive.
+// the buffer doubles with the bytes that actually arrive, never past the
+// declared length. So a body costs under three times its size in
+// buffers, and one that stops short of its declared length at most about
+// four times what arrived.
 func readBody(buf []byte, r io.Reader, declared int64) ([]byte, error) {
-	if declared > 0 {
-		buf = slices.Grow(buf, int(min(declared, maxPooledBuf-1))+1) // +1 reads EOF without growing
-	}
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			n := max(2*len(buf), int(min(declared, maxPooledBuf-1))+1, 512)
+			if declared >= int64(len(buf)) {
+				n = int(min(int64(n), declared+1)) // +1 reads EOF without growing
+			}
+			buf = append(make([]byte, 0, n), buf...) // exactly n: append's own growth overshoots
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -145,9 +152,7 @@ type reject uint8
 
 const (
 	// rejectOversized: the element's JSON spans more than
-	// maxFleetItemBytes. The mark stays with the index, as the element
-	// does across repeated arrays, since whatever the element holds may
-	// be a remnant of the members decoded before it passed the bound.
+	// maxFleetItemBytes.
 	rejectOversized reject = 1 << iota
 	// rejectUnknownFeature: the element's scene, as last decoded, names a
 	// feature outside the sensor vocabulary. A later scene or null
@@ -201,15 +206,16 @@ func decodeScene(d *jsonwire.Decoder, s *sensor.Snapshot, marks *batchMarks, i i
 	return err
 }
 
-// unmarshal decodes an authorize request body into req.
+// unmarshal decodes an authorize request body into req: each item's home,
+// op and device ID into Home, In.Op and In.DeviceID, and its scene into
+// Context.
 func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 	d := jsonwire.NewDecoder(data)
 	return decodeObject(&d, func(name []byte) error {
 		if jsonwire.Field(name, authorizeRequestFields) < 0 {
 			return d.Skip()
 		}
-		return decodeBatch(&d, &req.Items, &req.marks, func(i int, it *FleetBatchItem) error {
-			req.used = max(req.used, i+1)
+		return decodeBatch(&d, &req.Items, &req.marks, func(i int, it *fleet.BatchItem) error {
 			return decodeObject(&d, func(name []byte) error {
 				if req.marks.over(&d) {
 					return d.Skip()
@@ -218,15 +224,15 @@ func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 				case 0:
 					return decodeString(&d, &it.Home)
 				case 1:
-					return decodeString(&d, &it.Op)
+					return decodeString(&d, &it.In.Op)
 				case 2:
-					return decodeString(&d, &it.DeviceID)
+					return decodeString(&d, &it.In.DeviceID)
 				case 3:
 					raw, err := d.Raw()
 					if err != nil || req.marks.over(&d) {
 						return err
 					}
-					return json.Unmarshal(raw, &it.Args)
+					return checkArgs(jsonwire.NewDecoder(raw))
 				case 4:
 					if d.Next() == 'n' {
 						it.Context = nil
@@ -244,6 +250,34 @@ func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 	})
 }
 
+// checkArgs accepts an item's args, read by d, exactly when decoding them
+// into a map[string]any would: an object or null whose numbers all fit a
+// float64.
+func checkArgs(d jsonwire.Decoder) error {
+	if c := d.Next(); c != '{' && c != 'n' {
+		return d.Errorf("want args as an object or null")
+	}
+	return checkArg(&d)
+}
+
+// checkArg validates the args value at the cursor, parsing each number as
+// encoding/json parses one it decodes into an any.
+func checkArg(d *jsonwire.Decoder) error {
+	switch c := d.Next(); {
+	case c == '{':
+		return d.Object(func([]byte) error { return checkArg(d) })
+	case c == '[':
+		return d.Array(func() error { return checkArg(d) })
+	case c == '-' || '0' <= c && c <= '9':
+		num, err := d.Number()
+		if err == nil {
+			_, err = strconv.ParseFloat(string(num), 64)
+		}
+		return err
+	}
+	return d.Skip()
+}
+
 // unmarshal decodes a context-push request body into req.
 func (req *fleetContextRequest) unmarshal(data []byte) error {
 	d := jsonwire.NewDecoder(data)
@@ -252,7 +286,6 @@ func (req *fleetContextRequest) unmarshal(data []byte) error {
 			return d.Skip()
 		}
 		return decodeBatch(&d, &req.Pushes, &req.marks, func(i int, p *fleetContextPush) error {
-			req.used = max(req.used, i+1)
 			return decodeObject(&d, func(name []byte) error {
 				if req.marks.over(&d) {
 					return d.Skip()
@@ -308,14 +341,14 @@ func decodeObject(d *jsonwire.Decoder, member func(name []byte) error) error {
 	return d.Errorf("want an object or null")
 }
 
-// decodeArray decodes the array or null at the cursor into *s the way
-// encoding/json decodes a slice, keeping at most max elements. Null sets
-// *s to nil. An array decodes its i-th element with elem into (*s)[i]:
-// over the element an earlier array left there while i is within the
-// slice's length or capacity, over a zero element beyond it. Elements
-// past the first max are validated and skipped, not decoded. The slice
-// ends as long as the array or max, whichever is shorter, and an empty
-// array leaves a new non-nil empty slice.
+// decodeArray decodes the array or null at the cursor into *s, keeping at
+// most max elements. Null sets *s to nil. An array replaces what *s held:
+// its elements are cleared, and elem decodes the i-th element into a zero
+// (*s)[i], so no element holds anything of an earlier array and the
+// elements in [len, cap) stay zero. Elements past the first max are
+// validated and skipped, not decoded. The slice ends as long as the array
+// or max, whichever is shorter, and covers every element elem was given
+// when elem fails; an empty array leaves a non-nil empty slice.
 func decodeArray[T any](d *jsonwire.Decoder, s *[]T, max int, elem func(i int, e *T) error) error {
 	switch d.Next() {
 	case 'n':
@@ -325,29 +358,21 @@ func decodeArray[T any](d *jsonwire.Decoder, s *[]T, max int, elem func(i int, e
 	default:
 		return d.Errorf("want an array or null")
 	}
-	xs, i := *s, 0
-	err := d.Array(func() error {
-		switch {
-		case i == max:
-			return d.Skip()
-		case i == cap(xs):
-			var zero T
-			xs = append(xs, zero)
-		case i == len(xs):
-			xs = xs[:i+1]
-		}
-		err := elem(i, &xs[i])
-		i++
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if i == 0 {
+	clear(*s)
+	xs := (*s)[:0]
+	if xs == nil {
 		xs = []T{}
 	}
-	*s = xs[:i]
-	return nil
+	err := d.Array(func() error {
+		if len(xs) == max {
+			return d.Skip()
+		}
+		var zero T
+		xs = append(xs, zero)
+		return elem(len(xs)-1, &xs[len(xs)-1])
+	})
+	*s = xs
+	return err
 }
 
 // decodeBatch is decodeArray for a request's items or pushes. It decodes
@@ -356,11 +381,11 @@ func decodeArray[T any](d *jsonwire.Decoder, s *[]T, max int, elem func(i int, e
 // over-count body costs no more than a full one; elem gets each element's
 // index. It marks each element whose JSON spans more than
 // maxFleetItemBytes oversized; elem skips an element's members once
-// marks.over reports it past the bound. Marks stay with their index as
-// the element does across repeated arrays, and go when the slice is
-// replaced by null or an empty array.
+// marks.over reports it past the bound. An array or null drops every
+// earlier mark with the elements it replaces.
 func decodeBatch[T any](d *jsonwire.Decoder, s *[]T, marks *batchMarks, elem func(i int, e *T) error) error {
-	err := decodeArray(d, s, maxFleetBatch+1, func(i int, e *T) error {
+	*marks = marks.cleared()
+	return decodeArray(d, s, maxFleetBatch+1, func(i int, e *T) error {
 		marks.start = d.Offset()
 		if err := elem(i, e); err != nil {
 			return err
@@ -370,10 +395,6 @@ func decodeBatch[T any](d *jsonwire.Decoder, s *[]T, marks *batchMarks, elem fun
 		}
 		return nil
 	})
-	if len(*s) == 0 {
-		*marks = marks.cleared()
-	}
-	return err
 }
 
 // decodeString decodes a string or null at the cursor into *s; null
@@ -547,8 +568,9 @@ func appendContextRequest(b []byte, pushes []fleetContextPush) ([]byte, error) {
 }
 
 // appendAuthorizeResponse appends the authorize response body for results
-// to b, as json.Encoder encodes it: newline-terminated.
-func appendAuthorizeResponse(b []byte, results []FleetResult) []byte {
+// to b, as json.Encoder encodes the FleetResults they carry:
+// newline-terminated.
+func appendAuthorizeResponse(b []byte, results []fleet.BatchResult) []byte {
 	b = append(b, `{"results":`...)
 	if results == nil {
 		return append(b, "null}\n"...)
@@ -559,16 +581,16 @@ func appendAuthorizeResponse(b []byte, results []FleetResult) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendBool(append(b, `{"allowed":`...), r.Allowed)
-		b = strconv.AppendBool(append(b, `,"sensitive":`...), r.Sensitive)
-		if r.Model != "" {
-			b = jsonwire.AppendString(append(b, `,"model":`...), r.Model)
+		b = strconv.AppendBool(append(b, `{"allowed":`...), r.Decision.Allowed)
+		b = strconv.AppendBool(append(b, `,"sensitive":`...), r.Decision.Sensitive)
+		if r.Decision.Model != "" {
+			b = jsonwire.AppendString(append(b, `,"model":`...), string(r.Decision.Model))
 		}
-		if r.Reason != "" {
-			b = jsonwire.AppendString(append(b, `,"reason":`...), r.Reason)
+		if r.Decision.Reason != "" {
+			b = jsonwire.AppendString(append(b, `,"reason":`...), r.Decision.Reason)
 		}
-		if r.Error != "" {
-			b = jsonwire.AppendString(append(b, `,"error":`...), r.Error)
+		if r.Err != "" {
+			b = jsonwire.AppendString(append(b, `,"error":`...), r.Err)
 		}
 		b = append(b, '}')
 	}

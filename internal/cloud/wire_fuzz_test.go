@@ -11,18 +11,35 @@ import (
 	"testing"
 	"time"
 
+	"iotsid/internal/core"
+	"iotsid/internal/dataset"
+	"iotsid/internal/fleet"
 	"iotsid/internal/sensor"
 )
 
 // The fleet envelope codec is held to encoding/json, which it replaced:
 // refDecode is how the handlers and the client decoded these bodies
 // before, json.Marshal how the client encoded a request and
-// json.Encoder.Encode how the server encoded a response.
+// json.Encoder.Encode how the server encoded a response. The one rule the
+// codec changes, that an array decodes into fresh elements, the
+// references follow through freshArray.
 
 // refDecode decodes data into v the way the fleet endpoints used to: one
 // value read from a stream, anything after it ignored.
 func refDecode(data []byte, v any) error {
 	return json.NewDecoder(bytes.NewReader(data)).Decode(v)
+}
+
+// freshArray is a slice encoding/json decodes into a new slice, so a
+// repeated array field keeps nothing of the earlier one: the last array
+// wins, its elements decoded from zero, as the codec decodes them.
+type freshArray[T any] []T
+
+func (a *freshArray[T]) UnmarshalJSON(data []byte) error {
+	var xs []T
+	err := json.Unmarshal(data, &xs)
+	*a = xs
+	return err
 }
 
 // refScene reads a scene with sensor.Snapshot's own decoder. Since the
@@ -46,40 +63,69 @@ func (r *refScene) UnmarshalJSON(data []byte) error {
 	return err
 }
 
-// refAuthorizeRequest and refContextRequest are the request envelopes as
-// the reference decodes them: the same fields, with scenes read through
-// refScene.
+// refItem is an authorize item as the reference decodes it, args
+// included: the codec only validates them, and must accept exactly the
+// args the reference decodes.
+type refItem struct {
+	Home     string         `json:"home"`
+	Op       string         `json:"op"`
+	DeviceID string         `json:"device_id"`
+	Args     map[string]any `json:"args"`
+	Context  *refScene      `json:"context"`
+}
+
+type refPush struct {
+	Home    string   `json:"home"`
+	Context refScene `json:"context"`
+}
+
+// refAuthorizeRequest, refContextRequest and refAuthorizeResponse are the
+// envelopes as the reference decodes them: the same fields, with scenes
+// read through refScene and arrays through freshArray.
 type refAuthorizeRequest struct {
-	Items []struct {
-		Home     string         `json:"home"`
-		Op       string         `json:"op"`
-		DeviceID string         `json:"device_id"`
-		Args     map[string]any `json:"args"`
-		Context  *refScene      `json:"context"`
-	} `json:"items"`
+	Items freshArray[refItem] `json:"items"`
 }
 
 type refContextRequest struct {
-	Pushes []struct {
-		Home    string   `json:"home"`
-		Context refScene `json:"context"`
-	} `json:"pushes"`
+	Pushes freshArray[refPush] `json:"pushes"`
 }
 
-// items returns the reference's items and which of them hold a scene
-// naming an unknown feature.
+type refAuthorizeResponse struct {
+	Results freshArray[FleetResult] `json:"results"`
+}
+
+// wireRequest is the authorize request as the client encodes it.
+type wireRequest struct {
+	Items []FleetBatchItem `json:"items"`
+}
+
+// items returns the reference's items without their args, and which of
+// them hold a scene naming an unknown feature.
 func (r *refAuthorizeRequest) items() ([]FleetBatchItem, []bool) {
 	if r.Items == nil {
 		return nil, nil
 	}
 	out, unknown := make([]FleetBatchItem, len(r.Items)), make([]bool, len(r.Items))
 	for i, it := range r.Items {
-		out[i] = FleetBatchItem{Home: it.Home, Op: it.Op, DeviceID: it.DeviceID, Args: it.Args}
+		out[i] = FleetBatchItem{Home: it.Home, Op: it.Op, DeviceID: it.DeviceID}
 		if it.Context != nil {
 			out[i].Context, unknown[i] = &it.Context.Snapshot, it.Context.unknown
 		}
 	}
 	return out, unknown
+}
+
+// wireItems returns the decoded items as the client's items: the fields
+// the server decodes.
+func wireItems(items []fleet.BatchItem) []FleetBatchItem {
+	if items == nil {
+		return nil
+	}
+	out := make([]FleetBatchItem, len(items))
+	for i, it := range items {
+		out[i] = FleetBatchItem{Home: it.Home, Op: it.In.Op, DeviceID: it.In.DeviceID, Context: it.Context}
+	}
+	return out
 }
 
 // pushes is items for a context push.
@@ -92,6 +138,22 @@ func (r *refContextRequest) pushes() ([]fleetContextPush, []bool) {
 		out[i], unknown[i] = fleetContextPush{Home: p.Home, Context: p.Context.Snapshot}, p.Context.unknown
 	}
 	return out, unknown
+}
+
+// batchResults returns results as the fleet's results, which the server
+// encodes a response from.
+func batchResults(results []FleetResult) []fleet.BatchResult {
+	if results == nil {
+		return nil
+	}
+	out := make([]fleet.BatchResult, len(results))
+	for i, r := range results {
+		out[i] = fleet.BatchResult{
+			Decision: core.Decision{Allowed: r.Allowed, Sensitive: r.Sensitive, Model: dataset.Model(r.Model), Reason: r.Reason},
+			Err:      r.Error,
+		}
+	}
+	return out
 }
 
 // refEncodeResponse encodes results the way the server used to.
@@ -390,7 +452,10 @@ func checkBatch[T any](t *testing.T, data []byte, want []T, unknown []bool, want
 
 // checkAuthorizeRequest decodes data with the codec and the reference,
 // holds the two to checkBatch, and requires the re-encoding to match
-// json.Marshal byte for byte. It reports whether the body was accepted.
+// json.Marshal byte for byte. The items compared are what the codec
+// decodes, home, op, device ID and scene; the reference also decodes
+// args, so the verdicts agree only if the codec accepts exactly the args
+// encoding/json decodes. It reports whether the body was accepted.
 func checkAuthorizeRequest(t *testing.T, data []byte) bool {
 	t.Helper()
 	var ref refAuthorizeRequest
@@ -398,11 +463,12 @@ func checkAuthorizeRequest(t *testing.T, data []byte) bool {
 	wantErr := refDecode(data, &ref)
 	gotErr := got.unmarshal(data)
 	want, unknown := ref.items()
-	if accepted, compared := checkBatch(t, data, want, unknown, wantErr, got.Items, &got.marks, gotErr); !compared {
+	gotItems := wireItems(got.Items)
+	if accepted, compared := checkBatch(t, data, want, unknown, wantErr, gotItems, &got.marks, gotErr); !compared {
 		return accepted
 	}
-	wantOut, wantErr := json.Marshal(fleetAuthorizeRequest{Items: want})
-	gotOut, gotErr := appendAuthorizeRequest(nil, got.Items)
+	wantOut, wantErr := json.Marshal(wireRequest{Items: want})
+	gotOut, gotErr := appendAuthorizeRequest(nil, gotItems)
 	requireSameEncoding(t, fmt.Sprintf("encode %q", data), wantOut, gotOut, wantErr, gotErr)
 	return true
 }
@@ -429,13 +495,15 @@ func checkContextRequest(t *testing.T, data []byte) bool {
 // re-encoding to match json.Encoder's, trailing newline included.
 func checkAuthorizeResponse(t *testing.T, data []byte) bool {
 	t.Helper()
-	var want, got fleetAuthorizeResponse
-	wantErr := refDecode(data, &want)
+	var ref refAuthorizeResponse
+	var got fleetAuthorizeResponse
+	wantErr := refDecode(data, &ref)
 	gotErr := got.unmarshal(data)
 	requireSameVerdict(t, "decode", data, wantErr, gotErr)
 	if wantErr != nil {
 		return false
 	}
+	want := fleetAuthorizeResponse{Results: ref.Results}
 	if !reflect.DeepEqual(want.Results, got.Results) {
 		t.Fatalf("decode %q:\n codec     %#v\n reference %#v", data, got.Results, want.Results)
 	}
@@ -449,14 +517,14 @@ func checkAuthorizeResponse(t *testing.T, data []byte) bool {
 		}
 	}
 	wantOut := refEncodeResponse(want.Results)
-	gotOut := appendAuthorizeResponse(nil, got.Results)
+	gotOut := appendAuthorizeResponse(nil, batchResults(got.Results))
 	requireSameEncoding(t, fmt.Sprintf("encode %q", data), wantOut, gotOut, nil, nil)
 	return true
 }
 
 // FuzzFleetAuthorizeRequest holds the authorize request codec to
-// encoding/json: the same verdict on arbitrary bytes, equal items, and a
-// byte-identical re-encoding.
+// encoding/json, with arrays decoded into fresh elements: the same verdict
+// on arbitrary bytes, equal items, and a byte-identical re-encoding.
 func FuzzFleetAuthorizeRequest(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -528,7 +596,7 @@ func TestFleetWireEncodeCases(t *testing.T) {
 		{{Home: "h", Args: map[string]any{"c": make(chan int)}}},
 	}
 	for i, items := range requests {
-		wantOut, wantErr := json.Marshal(fleetAuthorizeRequest{Items: items})
+		wantOut, wantErr := json.Marshal(wireRequest{Items: items})
 		gotOut, gotErr := appendAuthorizeRequest(nil, items)
 		requireSameEncoding(t, fmt.Sprintf("authorize request %d", i), wantOut, gotOut, wantErr, gotErr)
 	}
@@ -555,7 +623,7 @@ func TestFleetWireEncodeCases(t *testing.T) {
 	}
 	for i, results := range responses {
 		want := refEncodeResponse(results)
-		got := appendAuthorizeResponse(nil, results)
+		got := appendAuthorizeResponse(nil, batchResults(results))
 		requireSameEncoding(t, fmt.Sprintf("authorize response %d", i), want, got, nil, nil)
 	}
 }
@@ -566,12 +634,12 @@ func TestFleetWireAppends(t *testing.T) {
 	prefix := []byte("prefix:")
 	items := []FleetBatchItem{{Home: "h", Op: "o"}}
 	got, err := appendAuthorizeRequest(append([]byte(nil), prefix...), items)
-	want, _ := json.Marshal(fleetAuthorizeRequest{Items: items})
+	want, _ := json.Marshal(wireRequest{Items: items})
 	if err != nil || !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
 		t.Fatalf("appendAuthorizeRequest = %q, %v", got, err)
 	}
 	results := []FleetResult{{Allowed: true}}
-	if got := appendAuthorizeResponse(append([]byte(nil), prefix...), results); !bytes.Equal(got, append(append([]byte(nil), prefix...), refEncodeResponse(results)...)) {
+	if got := appendAuthorizeResponse(append([]byte(nil), prefix...), batchResults(results)); !bytes.Equal(got, append(append([]byte(nil), prefix...), refEncodeResponse(results)...)) {
 		t.Fatalf("appendAuthorizeResponse = %q", got)
 	}
 }

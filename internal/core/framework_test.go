@@ -202,7 +202,6 @@ func TestFrameworkBlocksSpoofedSmokeAutomation(t *testing.T) {
 	real.Set(sensor.FeatOccupancy, sensor.Bool(true))
 	real.Set(sensor.FeatDoorLock, sensor.Label(sensor.LockLocked))
 	h.Env().Apply(real)
-	engine.ResetEdges()
 	// Force a fresh rising edge: clear then set.
 	clear := sensor.NewSnapshot(h.Env().Now())
 	clear.Set(sensor.FeatSmoke, sensor.Bool(false))

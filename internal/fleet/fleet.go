@@ -409,22 +409,24 @@ func (f *Fleet) AuthorizeBatch(ctx context.Context, items []BatchItem, workers i
 }
 
 // AuthorizeBatchInto is AuthorizeBatch writing item i's result into
-// out[i]; out must be at least as long as items. On an error (the context
-// ended) out holds the results of the items judged before it.
+// out[i]; out must be at least as long as items. An item whose out[i].Err
+// is already set, such as one the caller rejected, is not there: its
+// context is not pushed, and it is not judged, logged or counted. On an
+// error (the context ended) out holds the results of the items judged
+// before it.
 //
 //iot:failclosed
 func (f *Fleet) AuthorizeBatchInto(ctx context.Context, items []BatchItem, out []BatchResult, workers int) error {
-	if len(items) == 0 {
+	out = out[:len(items)]
+	o := orderPool.Get().(*batchOrder)
+	defer o.put()
+	if o.sort(f, items, out) == 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	f.metrics.observeBatch(len(items))
-	out = out[:len(items)]
-	o := orderPool.Get().(*batchOrder)
-	defer o.put()
-	o.sort(f, items)
+	f.metrics.observeBatch(len(o.idx))
 	return par.Do(len(o.runs)-1, workers, func(k int) error {
 		for _, idx := range o.idx[o.runs[k]:o.runs[k+1]] {
 			if err := ctx.Err(); err != nil {
@@ -451,12 +453,13 @@ func (f *Fleet) AuthorizeBatchInto(ctx context.Context, items []BatchItem, out [
 }
 
 // batchOrder is a batch's items ordered by shard, pooled across batches:
-// one stable counting sort of the item indices, so each shard's items
-// keep their input order and a worker walks one shard's run.
+// one stable counting sort of the indices of the items to judge, so each
+// shard's items keep their input order and a worker walks one shard's
+// run.
 type batchOrder struct {
 	shard []uint32 // shard[i] is item i's shard
 	start []int    // per shard, where its run starts in idx (+1 slot while counting)
-	idx   []int    // item indices grouped by shard, input order within each
+	idx   []int    // indices of the items to judge grouped by shard, input order within each
 	runs  []int    // where each non-empty shard's run starts in idx, then len(idx)
 }
 
@@ -467,17 +470,20 @@ var orderPool = sync.Pool{New: func() any { return new(batchOrder) }}
 // the garbage collector.
 const maxPooledOrder = 1 << 16
 
-// sort orders items by shard.
-func (o *batchOrder) sort(f *Fleet, items []BatchItem) {
-	n := len(items)
-	o.shard = slices.Grow(o.shard[:0], n)[:n]
-	o.idx = slices.Grow(o.idx[:0], n)[:n]
+// sort orders by shard the items whose result out does not already set,
+// and returns their count.
+func (o *batchOrder) sort(f *Fleet, items []BatchItem, out []BatchResult) int {
+	o.shard = slices.Grow(o.shard[:0], len(items))[:len(items)]
 	o.start = slices.Grow(o.start[:0], len(f.shards)+1)[:len(f.shards)+1]
 	clear(o.start)
+	n := 0
 	for i := range items {
-		si := f.shardIndex(items[i].Home)
-		o.shard[i] = si
-		o.start[si+1]++
+		if out[i].Err == "" {
+			si := f.shardIndex(items[i].Home)
+			o.shard[i] = si
+			o.start[si+1]++
+			n++
+		}
 	}
 	o.runs = o.runs[:0]
 	for si := range f.shards {
@@ -487,10 +493,14 @@ func (o *batchOrder) sort(f *Fleet, items []BatchItem) {
 		o.start[si+1] += o.start[si]
 	}
 	o.runs = append(o.runs, n)
+	o.idx = slices.Grow(o.idx[:0], n)[:n]
 	for i, si := range o.shard {
-		o.idx[o.start[si]] = i
-		o.start[si]++
+		if out[i].Err == "" {
+			o.idx[o.start[si]] = i
+			o.start[si]++
+		}
 	}
+	return n
 }
 
 // put returns o to the pool. It holds only indices, so nothing of one

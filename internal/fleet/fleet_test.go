@@ -599,3 +599,74 @@ func TestFleetTrustedHomeStateBoundedByVocabulary(t *testing.T) {
 		t.Fatalf("1,900 more full-vocabulary pushes grew the live heap by %d B, want at most 64 KiB", grown)
 	}
 }
+
+// TestAuthorizeBatchIntoSkipsPresetResults: an item whose result the
+// caller already set is not there. Its scene is not pushed and it is not
+// judged, logged or counted, its result is left as it was, and a batch of
+// only such items is not counted as a batch, even once its context has
+// ended.
+func TestAuthorizeBatchIntoSkipsPresetResults(t *testing.T) {
+	f := fleetForTest(t, Config{Metrics: obs.NewRegistry()})
+	skipped := mustAddHome(t, f, HomeConfig{ID: "skipped"})
+	judged := mustAddHome(t, f, HomeConfig{ID: "judged"})
+	rng := rand.New(rand.NewSource(5))
+	legal, err := dataset.LegalScene(dataset.ModelWindow, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PushContext("skipped", legal); err != nil {
+		t.Fatal(err)
+	}
+	view, pushes := skipped.view.Load(), f.metrics.pushes.Value()
+	attack, err := dataset.AttackScene(dataset.ModelWindow, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := buildInstr(t, "window.open", "win-1")
+	items := []BatchItem{
+		{Home: "skipped", In: open, Context: &attack},
+		{Home: "judged", In: open, Context: &legal},
+		{Home: "skipped", In: open},
+	}
+	preset := BatchResult{Err: "rejected by the caller"}
+	out := []BatchResult{preset, {}, preset}
+	if err := f.AuthorizeBatchInto(context.Background(), items, out, 1); err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != preset || out[2] != preset {
+		t.Fatalf("preset results = %+v, %+v; want them left as %+v", out[0], out[2], preset)
+	}
+	if out[1].Err != "" || !out[1].Decision.Allowed {
+		t.Fatalf("the item beside them = %+v, want judged and allowed", out[1])
+	}
+	if skipped.view.Load() != view || len(skipped.stage.Log()) != 0 || len(judged.stage.Log()) != 1 {
+		t.Fatalf("skipped home's view replaced %v, %d logged; judged home %d logged; want the view kept, 0 and 1",
+			skipped.view.Load() != view, len(skipped.stage.Log()), len(judged.stage.Log()))
+	}
+	m := f.metrics
+	if got := m.pushes.Value() - pushes; got != 1 {
+		t.Fatalf("batch counted %d pushes, want 1", got)
+	}
+	if m.batches.Value() != 1 || m.batchItems.Value() != 1 {
+		t.Fatalf("counted %d batches of %d items, want 1 of 1", m.batches.Value(), m.batchItems.Value())
+	}
+	var decided uint64
+	for _, shard := range m.decisions {
+		for _, c := range shard {
+			decided += c.Value()
+		}
+	}
+	if decided != 1 {
+		t.Fatalf("counted %d decisions, want 1", decided)
+	}
+
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	out = []BatchResult{preset, preset, preset}
+	if err := f.AuthorizeBatchInto(ended, items, out, 1); err != nil {
+		t.Fatalf("a batch of preset results = %v, want nil", err)
+	}
+	if m.batches.Value() != 1 || len(skipped.stage.Log())+len(judged.stage.Log()) != 1 {
+		t.Fatal("a batch of preset results was counted or judged")
+	}
+}

@@ -198,10 +198,3 @@ func TestSeasonalColdAllowsSnow(t *testing.T) {
 		t.Error("cold climate never snowed")
 	}
 }
-
-func TestDeviceByCategoryMiss(t *testing.T) {
-	h := New(NewEnvironment(EnvConfig{}))
-	if _, ok := h.DeviceByCategory(instr.CatCamera); ok {
-		t.Error("empty home claims a camera")
-	}
-}

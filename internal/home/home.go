@@ -58,17 +58,6 @@ func (h *Home) Devices() []Device {
 	return out
 }
 
-// DeviceByCategory returns the first device of a category (sorted by ID),
-// or false if the home has none.
-func (h *Home) DeviceByCategory(c instr.Category) (Device, bool) {
-	for _, d := range h.Devices() {
-		if d.Category() == c {
-			return d, true
-		}
-	}
-	return nil, false
-}
-
 // Execute routes an instruction to its device.
 func (h *Home) Execute(in instr.Instruction) error {
 	h.mu.RLock()

@@ -110,59 +110,3 @@ func TestProbaScorer(t *testing.T) {
 		t.Errorf("score = %v", got)
 	}
 }
-
-func TestPRPerfectSeparation(t *testing.T) {
-	d := rocDataset(t, []struct {
-		s float64
-		y int
-	}{
-		{10, 1}, {9, 1}, {8, 1}, {3, 0}, {2, 0}, {1, 0},
-	})
-	points, ap, err := PR(scoreFirst, d)
-	if err != nil {
-		t.Fatalf("PR: %v", err)
-	}
-	if math.Abs(ap-1) > 1e-12 {
-		t.Errorf("AP = %v, want 1", ap)
-	}
-	last := points[len(points)-1]
-	if last.Recall != 1 {
-		t.Errorf("final recall = %v", last.Recall)
-	}
-	// Recall is non-decreasing over the sweep.
-	for i := 1; i < len(points); i++ {
-		if points[i].Recall < points[i-1].Recall {
-			t.Error("recall not monotone")
-		}
-	}
-}
-
-func TestPRInvertedScores(t *testing.T) {
-	d := rocDataset(t, []struct {
-		s float64
-		y int
-	}{
-		{1, 1}, {2, 1}, {9, 0}, {10, 0},
-	})
-	_, ap, err := PR(scoreFirst, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Anti-correlated scores: precision only reaches 0.5 at full recall.
-	if ap > 0.51 {
-		t.Errorf("AP = %v, want ≤0.5 for inverted scores", ap)
-	}
-}
-
-func TestPRErrors(t *testing.T) {
-	if _, _, err := PR(scoreFirst, NewDataset(testSchema(t))); err == nil {
-		t.Error("want empty error")
-	}
-	onlyPos := rocDataset(t, []struct {
-		s float64
-		y int
-	}{{1, 1}, {2, 1}})
-	if _, _, err := PR(scoreFirst, onlyPos); err == nil {
-		t.Error("want single-class error")
-	}
-}

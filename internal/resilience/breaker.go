@@ -176,14 +176,3 @@ func (b *Breaker) Record(err error) {
 		// clock, not by late results.
 	}
 }
-
-// Do is the composed call path: Allow, run op, Record. The *OpenError from
-// a rejected call is returned unwrapped so callers can surface RetryAfter.
-func (b *Breaker) Do(op func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := op()
-	b.Record(err)
-	return err
-}

@@ -89,29 +89,6 @@ func TestBreakerHalfOpenProbeClosesOrReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerDo(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Minute, 1)
-	boom := errors.New("boom")
-	if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Do = %v, want %v", err, boom)
-	}
-	calls := 0
-	var openErr *OpenError
-	if err := b.Do(func() error { calls++; return nil }); !errors.As(err, &openErr) {
-		t.Fatalf("Do while open = %v, want *OpenError", err)
-	}
-	if calls != 0 {
-		t.Fatal("open breaker must not invoke op")
-	}
-	clk.advance(time.Minute)
-	if err := b.Do(func() error { calls++; return nil }); err != nil {
-		t.Fatalf("half-open Do: %v", err)
-	}
-	if calls != 1 || b.State() != StateClosed {
-		t.Fatalf("calls = %d, state = %v; want 1, closed", calls, b.State())
-	}
-}
-
 func TestStateString(t *testing.T) {
 	for s, want := range map[State]string{StateClosed: "closed", StateOpen: "open", StateHalfOpen: "half-open"} {
 		if s.String() != want {

@@ -24,14 +24,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("smartthings: HTTP %d: %s", e.StatusCode, e.Message)
 }
 
-// ClientOption customises a client.
-type ClientOption func(*Client)
-
-// WithTimeout sets the per-request HTTP timeout (default 5s).
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.http.Timeout = d }
-}
-
 // Client talks to the bridge with a long-lived access token, exactly as the
 // paper's collector queries its Home Assistant deployment.
 type Client struct {
@@ -41,7 +33,7 @@ type Client struct {
 }
 
 // NewClient builds a client for the bridge at baseURL.
-func NewClient(baseURL, token string, opts ...ClientOption) (*Client, error) {
+func NewClient(baseURL, token string) (*Client, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("smartthings: invalid base URL %q", baseURL)
@@ -49,15 +41,11 @@ func NewClient(baseURL, token string, opts ...ClientOption) (*Client, error) {
 	if token == "" {
 		return nil, fmt.Errorf("smartthings: empty access token")
 	}
-	c := &Client{
+	return &Client{
 		baseURL: u.Scheme + "://" + u.Host,
 		token:   token,
 		http:    &http.Client{Timeout: 5 * time.Second},
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c, nil
+	}, nil
 }
 
 // Ping checks the API is up and the token valid.

@@ -92,26 +92,33 @@ go test -count=1 -run '^$' -fuzz '^FuzzValueJSON$' -fuzztime 10s ./internal/sens
 # package focused under the race detector (the pooled client-buffer hammer
 # included), then smoke the differential fuzz targets that hold the codec
 # to encoding/json (same verdict, equal values, byte-identical
-# re-encoding). The authorize handler's pooled request arena is run ten
-# times over under the race detector: one tenant's request must never see
-# another's items, serially or concurrently. The gateway client's half
-# (shared transport with pooled copy buffers, the bounded intern table,
-# body round trips through GetBody, concurrent calls on one Client) runs
-# five times over under the race detector.
+# re-encoding; arrays decode into fresh elements). The authorize handler's
+# pooled request arena is run ten times over under the race detector: one
+# tenant's request must never see another's items, serially,
+# concurrently, or from an arena put back uncleared. So is the handler
+# against the gateway-side replay (Registry.Build plus
+# Fleet.AuthorizeBatch over the items the server does not reject) on one
+# seeded mixed stream: identical response bytes and decision rings. The
+# gateway client's half (shared transport with pooled copy buffers, the
+# bounded intern table, body round trips through GetBody, concurrent calls
+# on one Client) runs five times over under the race detector.
 go test -race -count=1 ./internal/cloud/
 # The closed feature vocabulary: a scene naming a feature outside it is
 # rejected per item and per push and counted, a trusted home's state stays
-# bounded by the vocabulary however many names a tenant sends, and the
-# decode marks follow their elements across repeated arrays.
+# bounded by the vocabulary however many names a tenant sends, and a
+# decode mark goes with its element, so a repeated array drops it.
 go test -race -count=1 -run 'Vocabulary|UnknownFeature' ./internal/cloud/ ./internal/fleet/ ./internal/trust/
 go test -race -count=10 -run '^TestFleetArena' ./internal/cloud/
+go test -race -count=10 -run '^TestFleetAuthorizeHandlerDifferential$' ./internal/fleet/
 go test -race -count=5 -run '^TestClient' ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeRequest$' -fuzztime 10s ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetContextRequest$' -fuzztime 10s ./internal/cloud/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeResponse$' -fuzztime 10s ./internal/cloud/
-# The handler's build step and Registry.Build under hostile args: deep
-# nesting, huge and duplicate keys, non-object values. Build must not
-# panic or share the caller's map, and the handler must answer every item.
+# Registry.Build and the authorize handler under hostile args: deep
+# nesting, huge and duplicate keys, out-of-range numbers, non-object
+# values. Build must not panic or share the caller's map; the handler
+# validates args without decoding them, must reject exactly the bodies
+# encoding/json rejects, and must answer every item.
 go test -count=1 -run '^$' -fuzz '^FuzzRegistryBuild$' -fuzztime 10s ./internal/instr/
 go test -count=1 -run '^$' -fuzz '^FuzzFleetAuthorizeArgs$' -fuzztime 10s ./internal/cloud/
 

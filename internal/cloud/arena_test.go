@@ -235,22 +235,12 @@ func pushContext(srv *Server, c *Client, body []byte, want int) error {
 	return nil
 }
 
-// requireNoneAllowed fails if any of tenant B's window.open items was
-// allowed: on the empty context B pushed, each fails to featurize.
-func requireNoneAllowed(t testing.TB, results []FleetResult) {
-	t.Helper()
-	for i, r := range results {
-		if r.Allowed {
-			t.Fatalf("tenant B item %d = %+v, allowed on context B never pushed", i, r)
-		}
-	}
-}
-
 // TestFleetContextNoLeak: a pooled context-push request carries nothing
 // of one request into the next. Tenant A pushes legal scenes to its
 // homes; tenant B's pushes name B's homes and omit their context, so B's
-// homes hold empty context and B's sensitive instructions on them must
-// not be allowed. Were the request pooled uncleared, B's pushes would
+// homes hold empty context (a heartbeat keeps a home's values, and B's
+// homes have none) and B's sensitive instructions on them fail closed as
+// missing context. Were the request pooled uncleared, B's pushes would
 // decode over A's and push A's scenes into B's homes.
 func TestFleetContextNoLeak(t *testing.T) {
 	const homes = 16
@@ -267,7 +257,7 @@ func TestFleetContextNoLeak(t *testing.T) {
 					t.Fatalf("round %d: %v", round, err)
 				}
 			}
-			requireNoneAllowed(t, authorizeDirect(t, srv, cb, authB))
+			requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, authB), 100)
 		}
 	})
 
@@ -305,8 +295,8 @@ func TestFleetContextNoLeak(t *testing.T) {
 			t.Error(err)
 		}
 		// B's homes hold only B's empty context: none of A's scenes
-		// reached them.
-		requireNoneAllowed(t, authorizeDirect(t, srv, cb, authB))
+		// reached them, so every B item fails closed.
+		requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, authB), 100)
 	})
 }
 
@@ -480,7 +470,7 @@ func TestFleetArenaDirtyNoLeak(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	requireNoneAllowed(t, authorizeDirect(t, srv, cb, bodyB))
+	requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, bodyB), 100)
 }
 
 // discardWriter is a reusable ResponseWriter that keeps only the status,

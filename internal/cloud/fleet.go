@@ -178,13 +178,8 @@ func (a *authorizeArena) reset() bool {
 }
 
 func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
-	user := s.sessionUser(r)
+	user := s.sessionFor(w, r, http.MethodPost)
 	if user == "" {
-		writeJSON(w, http.StatusUnauthorized, errorBody{Error: "login required"})
-		return
-	}
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
 	a := arenaPool.Get().(*authorizeArena)
@@ -289,13 +284,8 @@ type fleetContextResponse struct {
 }
 
 func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
-	user := s.sessionUser(r)
+	user := s.sessionFor(w, r, http.MethodPost)
 	if user == "" {
-		writeJSON(w, http.StatusUnauthorized, errorBody{Error: "login required"})
-		return
-	}
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
 	req := contextPool.Get().(*fleetContextRequest)
@@ -411,12 +401,7 @@ func (c *Client) FleetStats() (FleetStats, error) {
 }
 
 func (s *Server) handleFleetStats(w http.ResponseWriter, r *http.Request) {
-	if s.sessionUser(r) == "" {
-		writeJSON(w, http.StatusUnauthorized, errorBody{Error: "login required"})
-		return
-	}
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
+	if s.sessionFor(w, r, http.MethodGet) == "" {
 		return
 	}
 	f := s.cfg.Fleet

@@ -209,25 +209,53 @@ func TestFleetContextAndStatsEndpoints(t *testing.T) {
 	}
 }
 
+// TestFleetEndpointMethodsAndBodies: every logged-in endpoint checks the
+// session before the method, so a caller without a session gets 401 on
+// any method and a logged-in caller 405 on the wrong one; an empty fleet
+// batch is 400.
 func TestFleetEndpointMethodsAndBodies(t *testing.T) {
 	srv, _ := startFleetCloud(t, 1)
 	c := login(t, srv, "gateway", "s3cret")
-
-	for _, tc := range []struct {
-		method, path string
-		body         any
-		wantStatus   int
-	}{
-		{http.MethodGet, "/v1/fleet/authorize", nil, http.StatusMethodNotAllowed},
-		{http.MethodGet, "/v1/fleet/context", nil, http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/fleet/stats", nil, http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/fleet/authorize", fleetAuthorizeRequest{}, http.StatusBadRequest},
-		{http.MethodPost, "/v1/fleet/context", fleetContextRequest{}, http.StatusBadRequest},
+	anon, err := NewClient(srv.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := map[string]string{http.MethodGet: http.MethodPost, http.MethodPost: http.MethodGet}
+	for _, ep := range []struct{ path, method string }{
+		{"/v1/devices", http.MethodGet},
+		{"/v1/command", http.MethodPost},
+		{"/v1/history", http.MethodGet},
+		{"/v1/fleet/authorize", http.MethodPost},
+		{"/v1/fleet/context", http.MethodPost},
+		{"/v1/fleet/stats", http.MethodGet},
 	} {
-		err := c.do(tc.method, tc.path, tc.body, nil)
+		for _, tc := range []struct {
+			client     *Client
+			method     string
+			wantStatus int
+		}{
+			{anon, ep.method, http.StatusUnauthorized},
+			{anon, other[ep.method], http.StatusUnauthorized},
+			{c, other[ep.method], http.StatusMethodNotAllowed},
+		} {
+			err := tc.client.do(tc.method, ep.path, nil, nil)
+			apiErr, ok := err.(*APIError)
+			if !ok || apiErr.StatusCode != tc.wantStatus {
+				t.Errorf("%s %s (logged in %v) = %v, want HTTP %d", tc.method, ep.path, tc.client == c, err, tc.wantStatus)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/fleet/authorize", fleetAuthorizeRequest{}},
+		{"/v1/fleet/context", fleetContextRequest{}},
+	} {
+		err := c.do(http.MethodPost, tc.path, tc.body, nil)
 		apiErr, ok := err.(*APIError)
-		if !ok || apiErr.StatusCode != tc.wantStatus {
-			t.Errorf("%s %s = %v, want HTTP %d", tc.method, tc.path, err, tc.wantStatus)
+		if !ok || apiErr.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with no items = %v, want HTTP 400", tc.path, err)
 		}
 	}
 }

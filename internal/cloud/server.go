@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -361,26 +362,31 @@ func newToken() (string, error) {
 	return hex.EncodeToString(buf[:]), nil
 }
 
-// sessionUser authenticates a request, returning the user or "".
-func (s *Server) sessionUser(r *http.Request) string {
-	auth := r.Header.Get("Authorization")
-	const prefix = "Session "
-	if !strings.HasPrefix(auth, prefix) {
+// sessionFor is every logged-in endpoint's gate: it authenticates the
+// request by its "Session <token>" header and then checks its method, so
+// an unauthenticated caller gets 401 before any 405 and learns nothing
+// about the endpoint. It returns the session's user, or "" once it has
+// written the error.
+func (s *Server) sessionFor(w http.ResponseWriter, r *http.Request, method string) string {
+	var user string
+	if token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Session "); ok {
+		s.mu.Lock()
+		user = s.sessions[token]
+		s.mu.Unlock()
+	}
+	switch {
+	case user == "":
+		writeJSON(w, http.StatusUnauthorized, errorBody{Error: "login required"})
+	case r.Method != method:
+		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: method + " only"})
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sessions[strings.TrimPrefix(auth, prefix)]
+	return user
 }
 
 func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
-	user := s.sessionUser(r)
+	user := s.sessionFor(w, r, http.MethodGet)
 	if user == "" {
-		writeJSON(w, http.StatusUnauthorized, errorBody{Error: "login required"})
-		return
-	}
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
 		return
 	}
 	s.mu.Lock()
@@ -391,11 +397,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
+	slices.Sort(ids)
 	writeJSON(w, http.StatusOK, ids)
 }
 
@@ -411,13 +413,8 @@ type commandResponse struct {
 }
 
 func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
-	user := s.sessionUser(r)
+	user := s.sessionFor(w, r, http.MethodPost)
 	if user == "" {
-		writeJSON(w, http.StatusUnauthorized, errorBody{Error: "login required"})
-		return
-	}
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
 	var req commandRequest
@@ -528,13 +525,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	user := s.sessionUser(r)
+	user := s.sessionFor(w, r, http.MethodGet)
 	if user == "" {
-		writeJSON(w, http.StatusUnauthorized, errorBody{Error: "login required"})
-		return
-	}
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
 		return
 	}
 	s.mu.Lock()

@@ -10,6 +10,7 @@ import (
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
+	"iotsid/internal/epoch"
 	"iotsid/internal/fleet"
 	"iotsid/internal/instr"
 	"iotsid/internal/sensor"
@@ -44,9 +45,12 @@ type diffOp struct {
 // interned reason — for every item. Both sides see the same
 // snapshots (the framework through a scripted collector, the fleet
 // through pushes), the same clock, their own trust engine fed the same
-// observations, and the same trained sequence tables. The stream opens
-// with a no-context window and covers mixed legal/attack traffic, a stale
-// window, a collapsed-trust window and same-tick sequence chains.
+// observations, and the same trained sequence tables. The framework side
+// applies the push-ingest rule (epoch.Ingest) to its scripted snapshot as
+// the fleet does to its view. The stream opens with a no-context window
+// and a context-free push, and covers mixed legal/attack traffic, a stale
+// window, a collapsed-trust window, same-tick sequence chains, and
+// windows of out-of-order, null-valued and empty pushes.
 func TestFrameworkFleetDifferential(t *testing.T) {
 	det, err := core.DefaultDetector()
 	if err != nil {
@@ -123,24 +127,32 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 	}
 
 	var (
-		lastPush  time.Time // fleet receive stamp of the newest push
+		lastPush  time.Time // fleet receive stamp of the newest accepted push
+		newest    time.Time // event time of the newest accepted push
 		lastSnap  sensor.Snapshot
 		pushed    bool
 		items     int
 		reasons   = map[string]int{}
 		mismatchN int
 	)
-	// push publishes a snapshot to both sides.
+	// push publishes a snapshot to both sides: the fleet applies the
+	// ingest rule itself, the framework side applies it here, keeping the
+	// current values on a heartbeat.
 	push := func(snap sensor.Snapshot) {
 		if err := fl.PushContext("h", snap); err != nil {
 			t.Fatal(err)
 		}
-		at := snap.At
-		if at.IsZero() {
-			at = now
-		}
+		at := epoch.EventTime(snap, now)
 		fwTrust.Observe("push", snap, at)
-		lastPush, lastSnap, pushed = now, snap, true
+		if epoch.Ingest(snap, at, newest) != epoch.Accepted {
+			return
+		}
+		if snap.Len() == 0 {
+			kept := lastSnap
+			kept.At = snap.At
+			snap = kept
+		}
+		lastPush, newest, lastSnap, pushed = now, at, snap, true
 	}
 	// decide judges one instruction on both sides and compares.
 	decide := func(in instr.Instruction) {
@@ -245,9 +257,24 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 		decide(windowOpen)
 	}
 
+	// scene draws a legal or attack window scene stamped at.
+	scene := func(at time.Time) sensor.Snapshot {
+		snap, err := dataset.LegalSceneSeeded(dataset.ModelWindow, rng.Int63())
+		if rng.Intn(2) == 0 {
+			snap, err = dataset.AttackSceneSeeded(dataset.ModelWindow, rng.Int63())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.At = at
+		return snap
+	}
+	windows := map[string]int{}
 	unpushed(40) // no context yet
+	push(sensor.Snapshot{})
+	unpushed(10) // an empty scene: sensitive instructions fail closed
 	for items < 1000 {
-		switch rng.Intn(4) {
+		switch rng.Intn(7) {
 		case 0:
 			mixed(60)
 		case 1:
@@ -267,6 +294,36 @@ func TestFrameworkFleetDifferential(t *testing.T) {
 			unpushed(15)
 		case 3:
 			chain()
+		case 4: // reordered and replayed pushes behind the view
+			windows["out of order"]++
+			push(scene(now))
+			for i := 0; i < 5; i++ {
+				push(scene(newest.Add(-time.Duration(1+rng.Intn(30)) * time.Second)))
+				decide(windowOpen)
+			}
+		case 5: // pushes carrying an absent value
+			windows["null"]++
+			for i := 0; i < 5; i++ {
+				snap := scene(now)
+				snap.Set(snap.Features()[rng.Intn(snap.Len())], sensor.Value{})
+				push(snap)
+				decide(windowOpen)
+			}
+		case 6: // heartbeats, stamped and not
+			windows["empty"]++
+			for i := 0; i < 5; i++ {
+				empty := sensor.NewSnapshot(now)
+				if rng.Intn(2) == 0 {
+					empty = sensor.Snapshot{}
+				}
+				push(empty)
+				decide(ops[rng.Intn(len(ops))].in)
+			}
+		}
+	}
+	for _, w := range []string{"out of order", "null", "empty"} {
+		if windows[w] == 0 {
+			t.Errorf("no %s window in %d items", w, items)
 		}
 	}
 	if mismatchN > 0 {

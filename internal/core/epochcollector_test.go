@@ -263,7 +263,7 @@ func TestAuthorizeEpochFailsClosed(t *testing.T) {
 	}
 	// Non-sensitive instructions still judge against the partial context.
 	tvOn := buildInstr(t, "tv.on", "tv-1")
-	if f.detector.IsSensitive(tvOn) {
+	if f.stage.judger.detector.IsSensitive(tvOn) {
 		t.Fatal("fixture assumption broken: tv.on should be non-sensitive")
 	}
 	dec, err = f.Authorize(ctx, tvOn)

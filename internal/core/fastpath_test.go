@@ -153,6 +153,8 @@ func TestJudgeSteadyStateAllocs(t *testing.T) {
 	p := NewPipeline(PipelineConfig{Judger: j, LogCapacity: 64})
 	open := buildInstr(t, "window.open", "window-1")
 	legal, attack := legalCtx(t, dataset.ModelWindow), attackCtx(t, dataset.ModelWindow)
+	incomplete := legal.Clone()
+	incomplete.Delete(sensor.FeatAirQuality)
 	cases := []struct {
 		name    string
 		allowed bool
@@ -164,7 +166,8 @@ func TestJudgeSteadyStateAllocs(t *testing.T) {
 		}},
 		{"allow", true, func() (Decision, error) { return j.Judge(open, legal) }},
 		{"tree deny", false, func() (Decision, error) { return j.Judge(open, attack) }},
-		{"pipeline tree deny", false, func() (Decision, error) { return p.Decide(open, attack, ContextOK, nil) }},
+		{"pipeline tree deny", false, func() (Decision, error) { return p.Decide(open, attack, ContextOK, nil), nil }},
+		{"pipeline incomplete scene", false, func() (Decision, error) { return p.Decide(open, incomplete, ContextOK, nil), nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

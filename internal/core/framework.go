@@ -19,7 +19,6 @@ import (
 // the system uses: Authorize (collect live context, then judge) and Gate /
 // Interceptor adapters for the vendor bridges and the automation engine.
 type Framework struct {
-	detector  *Detector
 	collector Collector
 	stage     Pipeline
 
@@ -80,7 +79,6 @@ func New(cfg Config) (*Framework, error) {
 		return nil, fmt.Errorf("core: log capacity %d above %d", cfg.LogCapacity, MaxLogCapacity)
 	}
 	f := &Framework{
-		detector:  cfg.Detector,
 		collector: cfg.Collector,
 		stage:     NewPipeline(PipelineConfig{Judger: j, Sequence: cfg.Sequence, LogCapacity: cfg.LogCapacity, Now: cfg.Now}),
 		metrics:   newFrameworkMetrics(cfg.Metrics),
@@ -119,11 +117,9 @@ func (f *Framework) Authorize(ctx context.Context, in instr.Instruction) (Decisi
 		return Decision{}, fmt.Errorf("core: collect context: %w", err)
 	}
 	state, why := contextState(in, prov) //iot:allow hotcall fail-closed path is cold; the steady state returns before the missing-source scan allocates
-	dec, err := f.decide(in, snap, state, why)
-	if err == nil {
-		f.metrics.observeLatency(f.now().Sub(start))
-	}
-	return dec, err
+	dec := f.decide(in, snap, state, why)
+	f.metrics.observeLatency(f.now().Sub(start))
+	return dec, nil
 }
 
 // collect prefers the provenance-reporting path when the collector offers
@@ -163,7 +159,7 @@ func contextState(in instr.Instruction, prov Provenance) (ContextState, *string)
 // Judge decides against a caller-supplied context (used when the caller
 // already holds the snapshot, e.g. the automation engine's evaluation
 // context).
-func (f *Framework) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, error) {
+func (f *Framework) Judge(in instr.Instruction, ctx sensor.Snapshot) Decision {
 	return f.decide(in, ctx, ContextOK, nil)
 }
 
@@ -171,13 +167,10 @@ func (f *Framework) Judge(in instr.Instruction, ctx sensor.Snapshot) (Decision, 
 // framework's metric families.
 //
 //iot:failclosed
-func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why *string) (Decision, error) {
-	dec, err := f.stage.Decide(in, snap, state, why)
-	if err != nil {
-		return Decision{}, err
-	}
+func (f *Framework) decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why *string) Decision {
+	dec := f.stage.Decide(in, snap, state, why)
 	f.metrics.observeDecision(dec.Outcome, dec.Sensitive)
-	return dec, nil
+	return dec
 }
 
 // Log returns a copy of the retained authorisation log, oldest first. The
@@ -188,28 +181,18 @@ func (f *Framework) Log() []LogEntry { return f.stage.Log() }
 // Gate adapts the framework to the vendor bridges' gate signature: a
 // non-nil error blocks execution.
 func (f *Framework) Gate(in instr.Instruction, ctx sensor.Snapshot) error {
-	dec, err := f.Judge(in, ctx)
-	if err != nil {
-		return err
-	}
-	if !dec.Allowed {
+	if dec := f.Judge(in, ctx); !dec.Allowed {
 		return fmt.Errorf("ids: %s", dec.Reason)
 	}
 	return nil
 }
 
-// Interceptor adapts the framework to the automation engine. Judgment
-// errors fail closed for sensitive instructions: an unjudgeable sensitive
-// command must not run.
+// Interceptor adapts the framework to the automation engine: an
+// unjudgeable sensitive command fails closed in Judge like any other
+// rejection.
 func (f *Framework) Interceptor() func(in instr.Instruction, ctx sensor.Snapshot) (bool, string) {
 	return func(in instr.Instruction, ctx sensor.Snapshot) (bool, string) {
-		dec, err := f.Judge(in, ctx)
-		if err != nil {
-			if f.detector.IsSensitive(in) {
-				return false, fmt.Sprintf("ids: cannot judge sensitive instruction: %v", err)
-			}
-			return true, fmt.Sprintf("ids: judgment unavailable (%v); non-sensitive instruction allowed", err)
-		}
+		dec := f.Judge(in, ctx)
 		return dec.Allowed, dec.Reason
 	}
 }

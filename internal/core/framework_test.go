@@ -121,9 +121,9 @@ func TestFrameworkGate(t *testing.T) {
 	if err := f.Gate(buildInstr(t, "window.open", "window-1"), legalCtx(t, dataset.ModelWindow)); err != nil {
 		t.Errorf("gate blocked legal context: %v", err)
 	}
-	// Unjudgeable sensitive instruction errors.
-	if err := f.Gate(buildInstr(t, "window.open", "window-1"), sensor.NewSnapshot(sensorTime())); err == nil {
-		t.Error("gate must propagate judgment errors")
+	// An unjudgeable sensitive instruction fails closed as missing context.
+	if err := f.Gate(buildInstr(t, "window.open", "window-1"), sensor.NewSnapshot(sensorTime())); err == nil || !strings.Contains(err.Error(), ReasonMissing) {
+		t.Errorf("gate on an empty scene = %v, want the %q rejection", err, ReasonMissing)
 	}
 }
 
@@ -136,10 +136,10 @@ func TestFrameworkInterceptorFailsClosed(t *testing.T) {
 	if allow {
 		t.Error("unjudgeable sensitive instruction must fail closed")
 	}
-	if !strings.Contains(reason, "cannot judge") {
-		t.Errorf("reason = %q", reason)
+	if reason != ReasonMissing {
+		t.Errorf("reason = %q, want %q", reason, ReasonMissing)
 	}
-	// Empty context, non-sensitive instruction -> allowed (fails open).
+	// Empty context, non-sensitive instruction -> allowed (not judged).
 	allow, _ = intercept(buildInstr(t, "vacuum.start", "vacuum-1"), sensor.NewSnapshot(sensorTime()))
 	if !allow {
 		t.Error("non-sensitive instruction must not be blocked by judgment errors")

@@ -122,7 +122,9 @@ func (e *Entry) Compiled() *tree.Compiled { return e.compiled }
 // live snapshot — the one zero-allocation judge every model store and the
 // Judger share: the feature vector comes from the entry's buffer pool,
 // FeaturizeInto fills it in place, and the flattened tree is walked without
-// pointer chasing.
+// pointer chasing. A scene lacking a feature the model reads is reported
+// as FeaturizeInto's *dataset.MissingFeatureError, which allocates nothing
+// either.
 //
 //iot:hotpath
 func judgeLeaf(store ModelStore, m dataset.Model, ctx sensor.Snapshot) (*Entry, int32, error) {
@@ -135,8 +137,7 @@ func judgeLeaf(store ModelStore, m dataset.Model, ctx sensor.Snapshot) (*Entry, 
 	err := m.FeaturizeInto(ctx, *bufp)
 	if err != nil {
 		e.bufs.Put(bufp)
-		//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
-		return nil, 0, fmt.Errorf("core: featurize context for %s: %w", m, err)
+		return nil, 0, err
 	}
 	leaf := e.compiled.Leaf(*bufp)
 	e.bufs.Put(bufp)

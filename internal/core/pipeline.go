@@ -37,6 +37,7 @@ const (
 	ReasonStale      = "sensitive instruction rejected (fail closed): sensor context is beyond its freshness budget"
 	ReasonLowTrust   = "sensitive instruction rejected (fail closed): required sensor source(s) below trust threshold"
 	ReasonSeqAnomaly = "sensitive instruction rejected (fail closed): instruction sequence outside trained temporal profile"
+	ReasonUnjudged   = "sensitive instruction rejected (fail closed): no trained context model can judge it"
 )
 
 // Outcome is how the decision stage decided: the counter row a front end
@@ -142,16 +143,17 @@ func NewPipeline(cfg PipelineConfig) Pipeline {
 	}
 }
 
-// Decide judges one instruction against the front end's context. A
+// Decide answers one instruction against the front end's context. A
 // degraded context fails a sensitive instruction closed with the state's
-// interned reason (why, when non-nil, is what Explain returns); everything
-// else is judged by the tree, and the sequence judge may then revoke an
-// allow — never grant one. Every decision lands in the ring; only judged
-// decisions extend the sequence history.
+// interned reason (why, when non-nil, is what Explain returns), as does a
+// tree that cannot judge it (unjudged); otherwise the tree judges, and the
+// sequence judge may then revoke an allow — never grant one. Every
+// decision lands in the ring; only judged decisions extend the sequence
+// history.
 //
 //iot:hotpath
 //iot:failclosed
-func (p *Pipeline) Decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why *string) (Decision, error) {
+func (p *Pipeline) Decide(in instr.Instruction, snap sensor.Snapshot, state ContextState, why *string) Decision {
 	if state.Degraded() && p.judger.detector.IsSensitive(in) {
 		reason := ReasonMissing
 		switch state {
@@ -162,14 +164,14 @@ func (p *Pipeline) Decide(in instr.Instruction, snap sensor.Snapshot, state Cont
 		}
 		dec := Decision{Sensitive: true, Outcome: OutcomeFailClosed, State: state, Reason: reason, missing: why}
 		p.log.append(in, snap, dec)
-		return dec, nil
+		return dec
 	}
 	dec, err := p.judger.Judge(in, snap)
-	if err != nil {
-		return Decision{}, err
-	}
 	dec.State = state
-	if p.seq != nil {
+	switch {
+	case err != nil:
+		dec = unjudged(err, state)
+	case p.seq != nil:
 		at := snap.At
 		if at.IsZero() {
 			at = p.now()
@@ -179,7 +181,24 @@ func (p *Pipeline) Decide(in instr.Instruction, snap sensor.Snapshot, state Cont
 		}
 	}
 	p.log.append(in, snap, dec)
-	return dec, nil
+	return dec
+}
+
+// unjudged fails closed a sensitive instruction (Judge errs on no other)
+// that the tree could not judge. A scene lacking a feature the model reads
+// is missing context, explained without allocating by the error's static
+// text; any other fault (no trained model, a value of the wrong type) is
+// ReasonUnjudged, explained by the error. judgeLeaf returns the error
+// bare, and errors.As would move its target to the heap.
+//
+//iot:failclosed
+func unjudged(err error, state ContextState) Decision {
+	if mf, ok := err.(*dataset.MissingFeatureError); ok {
+		return Decision{Sensitive: true, Outcome: OutcomeFailClosed, State: ContextMissing, Model: mf.Model,
+			Reason: ReasonMissing, missing: &mf.Text}
+	}
+	why := err.Error()
+	return Decision{Sensitive: true, Outcome: OutcomeFailClosed, State: state, Reason: ReasonUnjudged, missing: &why}
 }
 
 // Log returns a copy of the retained decisions, oldest first.

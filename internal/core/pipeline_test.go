@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -231,9 +232,7 @@ func TestPipelineHostileDeviceStream(t *testing.T) {
 		if i%3 == 0 {
 			snap = attack
 		}
-		if _, err := p.Decide(buildInstr(t, "window.open", fmt.Sprintf("intruder-%d", i)), snap, ContextOK, nil); err != nil {
-			t.Fatal(err)
-		}
+		p.Decide(buildInstr(t, "window.open", fmt.Sprintf("intruder-%d", i)), snap, ContextOK, nil)
 		checkTableBounds(t, &p.log)
 	}
 	log := p.Log()
@@ -259,4 +258,47 @@ func TestNewPipelineRejectsOversizedRing(t *testing.T) {
 		}
 	}()
 	NewPipeline(PipelineConfig{LogCapacity: MaxLogCapacity + 1})
+}
+
+// TestDecideAnswersUnjudgeable: Decide answers a sensitive instruction the
+// tree cannot judge with a logged fail-closed decision. A scene lacking a
+// feature the model reads is missing context, explained by the feature; a
+// model with no trained tree fails closed as ReasonUnjudged, explained by
+// the error. A non-sensitive instruction is still allowed.
+func TestDecideAnswersUnjudgeable(t *testing.T) {
+	open := buildInstr(t, "window.open", "window-1")
+	incomplete := legalCtx(t, dataset.ModelWindow)
+	incomplete.Delete(sensor.FeatAirQuality)
+	trained, err := NewJudger(detectorForTest(t), memoryForTest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	untrained, err := NewJudger(detectorForTest(t), NewFeatureMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		judger  *Judger
+		snap    sensor.Snapshot
+		state   ContextState
+		reason  string
+		explain string
+	}{
+		{"incomplete scene", trained, incomplete, ContextMissing, ReasonMissing, `missing feature "air_quality" for model window`},
+		{"no trained model", untrained, legalCtx(t, dataset.ModelWindow), ContextOK, ReasonUnjudged, "no trained model for window"},
+	} {
+		p := NewPipeline(PipelineConfig{Judger: tc.judger, LogCapacity: 4})
+		dec := p.Decide(open, tc.snap, ContextOK, nil)
+		if dec.Allowed || !dec.Sensitive || dec.Outcome != OutcomeFailClosed || dec.State != tc.state ||
+			dec.Reason != tc.reason || !strings.Contains(dec.Explain(), tc.explain) {
+			t.Errorf("%s: decided %+v explained %q, want a fail-closed %q naming %q", tc.name, dec, dec.Explain(), tc.reason, tc.explain)
+		}
+		if log := p.Log(); len(log) != 1 || log[0].Decision.Reason != tc.reason || log[0].Decision.Explain() != dec.Explain() {
+			t.Errorf("%s: ring holds %+v, want the one decision", tc.name, log)
+		}
+		if dec := p.Decide(buildInstr(t, "vacuum.start", "vacuum-1"), tc.snap, ContextOK, nil); !dec.Allowed {
+			t.Errorf("%s: non-sensitive instruction decided %+v, want allowed", tc.name, dec)
+		}
+	}
 }

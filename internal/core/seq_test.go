@@ -54,10 +54,7 @@ func warmBenign(t *testing.T, f *Framework, seed int64, n int) seq.TraceEvent {
 		if e.Sensitive {
 			op = "window.open"
 		}
-		dec, err := f.Judge(buildInstr(t, op, dev), e.WindowScene())
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := f.Judge(buildInstr(t, op, dev), e.WindowScene())
 		if !dec.Allowed {
 			t.Fatalf("benign event %d (%s, hour %.2f) rejected: %s", i, op, e.Hour, dec.Reason)
 		}
@@ -96,19 +93,13 @@ func TestFrameworkSequenceCombinedVerdict(t *testing.T) {
 	burstAt := last.At.Add(45 * time.Second)
 	burst := seq.TraceEvent{At: burstAt, Hour: last.Hour, Voice: true, Occupied: last.Occupied}
 	for i := 0; i < 3; i++ {
-		dec, err := f.Judge(buildInstr(t, "window.get_state", "window-1"), burst.WindowScene())
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := f.Judge(buildInstr(t, "window.get_state", "window-1"), burst.WindowScene())
 		if !dec.Allowed {
 			t.Fatalf("non-sensitive chain filler %d rejected: %s", i, dec.Reason)
 		}
 	}
 	final := seq.TraceEvent{At: burstAt, Hour: last.Hour, Voice: true, Occupied: last.Occupied, Sensitive: true}
-	dec, err := f.Judge(buildInstr(t, "window.open", "window-1"), final.WindowScene())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := f.Judge(buildInstr(t, "window.open", "window-1"), final.WindowScene())
 	if dec.Allowed {
 		t.Fatal("same-tick chain's sensitive action must be sequence-rejected")
 	}
@@ -125,10 +116,7 @@ func TestFrameworkSequenceCombinedVerdict(t *testing.T) {
 	// The static tree's rejections stand on their own: an attack scene is
 	// refused with the tree's reason, not the sequence judge's, and a
 	// rejected event never extends the history.
-	dec, err = f.Judge(buildInstr(t, "window.open", "window-1"), attackCtx(t, dataset.ModelWindow))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec = f.Judge(buildInstr(t, "window.open", "window-1"), attackCtx(t, dataset.ModelWindow))
 	if dec.Allowed {
 		t.Fatal("tree must reject the attack scene")
 	}
@@ -154,10 +142,7 @@ func TestFrameworkSequenceReplayRejected(t *testing.T) {
 		Sensitive: true,
 	}
 	for attempt := 0; attempt < 3; attempt++ {
-		dec, err := f.Judge(buildInstr(t, "window.open", "window-1"), replay.WindowScene())
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := f.Judge(buildInstr(t, "window.open", "window-1"), replay.WindowScene())
 		if dec.Allowed {
 			t.Fatalf("replay attempt %d allowed (hour %.1f after %.2f)", attempt, replay.Hour, last.Hour)
 		}
@@ -172,10 +157,7 @@ func TestFrameworkSequenceReplayRejected(t *testing.T) {
 
 	// The stream recovers: the next in-profile event is allowed.
 	next := seq.TraceEvent{At: replay.At, Hour: last.Hour + 0.1, Voice: true, Occupied: last.Occupied, Sensitive: true}
-	dec, err := f.Judge(buildInstr(t, "window.open", "window-1"), next.WindowScene())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := f.Judge(buildInstr(t, "window.open", "window-1"), next.WindowScene())
 	if !dec.Allowed {
 		t.Fatalf("in-profile event after rejected replays must be allowed, got %s", dec.Reason)
 	}

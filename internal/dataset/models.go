@@ -166,11 +166,22 @@ func (m Model) Schema() (mlearn.Schema, error) {
 // resolved once at package init so the hot path never rebuilds the feature
 // list or re-queries the vocabulary.
 type featSpec struct {
-	feat   sensor.Feature
-	slot   int
-	typ    sensor.FeatureType
-	labels []string
+	feat    sensor.Feature
+	slot    int
+	typ     sensor.FeatureType
+	labels  []string
+	missing *MissingFeatureError // what FeaturizeInto returns when feat is absent
 }
+
+// MissingFeatureError is FeaturizeInto's error for a snapshot that lacks a
+// feature the model reads. One per model feature is built at package
+// init, so an incomplete scene costs no allocation; treat it as read-only.
+type MissingFeatureError struct {
+	Model Model
+	Text  string // the error text, naming the feature
+}
+
+func (e *MissingFeatureError) Error() string { return e.Text }
 
 // modelSpecs caches the featurisation plan per model, in ascending feature
 // ordinal order: featurising is then one merge walk over a snapshot's
@@ -183,7 +194,8 @@ var modelSpecs = func() map[Model][]featSpec {
 		specs := make([]featSpec, len(feats))
 		for i, f := range feats {
 			d := sensor.MustDescribe(f)
-			specs[i] = featSpec{feat: f, slot: i, typ: d.Type, labels: d.Labels}
+			specs[i] = featSpec{feat: f, slot: i, typ: d.Type, labels: d.Labels,
+				missing: &MissingFeatureError{Model: m, Text: fmt.Sprintf("dataset: snapshot missing feature %q for model %s", f, m)}}
 		}
 		slices.SortFunc(specs, func(a, b featSpec) int { return int(a.feat) - int(b.feat) })
 		out[m] = specs
@@ -227,8 +239,7 @@ func (m Model) FeaturizeInto(snap sensor.Snapshot, buf []float64) error {
 		s := &specs[i]
 		v, ok := cur.Seek(s.feat)
 		if !ok {
-			//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
-			return fmt.Errorf("dataset: snapshot missing feature %q for model %s", s.feat, m)
+			return s.missing
 		}
 		switch s.typ {
 		case sensor.TypeBool:

@@ -85,22 +85,57 @@ const (
 	metricLag       = "iotsid_epoch_publish_lag_seconds"
 )
 
-// Drop reasons: the delta's event time ran backwards (a replay), or the
-// delta carried an absent (JSON null) value for some feature.
-const (
-	dropOutOfOrder = "out_of_order"
-	dropZeroValue  = "zero_value"
-)
+// Verdict is the push-ingest rule's answer to one push. The epoch store
+// and the fleet both apply the rule (EventTime, then Ingest), then publish
+// an accepted push their own way: the store merges, the fleet replaces.
+type Verdict uint8
 
 const (
-	dropIdxOutOfOrder = iota
-	dropIdxZeroValue
+	Accepted   Verdict = iota // published; with no values, a liveness heartbeat that keeps the values
+	OutOfOrder                // strictly behind the newest accepted event time: a replay must not roll the context back
+	NullValue                 // holds an absent (JSON null) value, which must not shadow a real reading
+	numVerdicts
 )
+
+// DropReasons labels each drop verdict in the drop counters of the store
+// and the fleet; Accepted has none.
+var DropReasons = [numVerdicts]string{OutOfOrder: "out_of_order", NullValue: "zero_value"}
+
+// EventTime resolves a push's event time: its own time, or the receive
+// time now when it carries none.
+//
+//iot:hotpath
+func EventTime(push sensor.Snapshot, now time.Time) time.Time {
+	if push.At.IsZero() {
+		return now
+	}
+	return push.At
+}
+
+// Ingest judges a push with event time at against newest, the event time
+// of the newest accepted push (zero for none), in one pass and no allocation.
+//
+//iot:hotpath
+func Ingest(push sensor.Snapshot, at, newest time.Time) Verdict {
+	if at.Before(newest) {
+		return OutOfOrder
+	}
+	null := false
+	//iot:allow hotalloc the closure does not escape Range, so it stays on the stack; TestFleetPushAllocs counts 0 allocs for a dropped push
+	push.Range(func(_ sensor.Feature, v sensor.Value) bool {
+		null = v.IsZero()
+		return !null
+	})
+	if null {
+		return NullValue
+	}
+	return Accepted
+}
 
 // storeMetrics holds the pre-registered write-side series.
 type storeMetrics struct {
-	publishes []*obs.Counter    // per source, declaration order
-	drops     [][2]*obs.Counter // per source × drop reason
+	publishes []*obs.Counter              // per source, declaration order
+	drops     [][numVerdicts]*obs.Counter // per source × drop verdict
 	epoch     *obs.Gauge
 	lag       *obs.Histogram
 }
@@ -168,9 +203,9 @@ func NewStore(cfg Config, sources ...SourceConfig) (*Store, error) {
 		}
 		for _, s := range sources {
 			m.publishes = append(m.publishes, pubs.With(s.Name))
-			m.drops = append(m.drops, [2]*obs.Counter{
-				drops.With(s.Name, dropOutOfOrder),
-				drops.With(s.Name, dropZeroValue),
+			m.drops = append(m.drops, [numVerdicts]*obs.Counter{
+				OutOfOrder: drops.With(s.Name, DropReasons[OutOfOrder]),
+				NullValue:  drops.With(s.Name, DropReasons[NullValue]),
 			})
 		}
 		st.metrics = m
@@ -200,44 +235,27 @@ func (s *Store) View() *View {
 // it. Delta semantics: the delta's values overwrite the published ones,
 // untouched features persist, and the view timestamp is the max of the
 // contributed event times. A delta stamped with a zero time is stamped
-// with the store clock. Two delta classes are dropped (reported via the
-// reason-labeled drop counter, not an error): an event time older than
-// the source's newest accepted event (a byzantine source replaying
-// history must not roll the context back), and a delta carrying an
-// absent (JSON null) value for any feature (a null must not shadow a
-// real reading in the merged view). An empty delta is a liveness
-// heartbeat: it refreshes the source's push time without touching any
-// value. Every attempt — accepted or dropped — reaches the Observe
-// hook, so a trust engine sees exactly what the source tried to say.
+// with the store clock. The push-ingest rule (Ingest) decides what is
+// kept: a dropped delta is counted by its verdict, not returned as an
+// error, and an empty delta is a liveness heartbeat that refreshes the
+// source's push time without touching any value. Every attempt —
+// accepted or dropped — reaches the Observe hook, so a trust engine sees
+// exactly what the source tried to say.
 func (s *Store) Push(source string, delta sensor.Snapshot) error {
 	i, ok := s.byName[source]
 	if !ok {
 		return fmt.Errorf("epoch: unknown source %q", source)
 	}
 	now := s.now()
-	at := delta.At
-	if at.IsZero() {
-		at = now
-	}
+	at := EventTime(delta, now)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.observe != nil {
 		s.observe(source, delta, at)
 	}
-	if at.Before(s.lastEventAt[i]) {
+	if v := Ingest(delta, at, s.lastEventAt[i]); v != Accepted {
 		if s.metrics != nil {
-			s.metrics.drops[i][dropIdxOutOfOrder].Inc()
-		}
-		return nil
-	}
-	zero := false
-	delta.Range(func(_ sensor.Feature, v sensor.Value) bool {
-		zero = v.IsZero()
-		return !zero
-	})
-	if zero {
-		if s.metrics != nil {
-			s.metrics.drops[i][dropIdxZeroValue].Inc()
+			s.metrics.drops[i][v].Inc()
 		}
 		return nil
 	}

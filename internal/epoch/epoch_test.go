@@ -395,3 +395,52 @@ func expositionContains(t *testing.T, reg *obs.Registry, line string) {
 		t.Fatalf("exposition missing %q:\n%s", line, buf.String())
 	}
 }
+
+// TestIngestVerdicts: the push-ingest rule resolves an unstamped push to
+// its receive time, drops a push strictly behind the newest accepted event
+// time as out of order (ahead of any null check), drops a push holding an
+// absent value wherever it sits among its entries, and accepts the rest,
+// an empty heartbeat included.
+func TestIngestVerdicts(t *testing.T) {
+	t0 := time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC)
+	if got := EventTime(sensor.NewSnapshot(time.Time{}), t0); !got.Equal(t0) {
+		t.Fatalf("unstamped push resolves to %v, want the receive time %v", got, t0)
+	}
+	if got := EventTime(sensor.NewSnapshot(t0), t0.Add(time.Hour)); !got.Equal(t0) {
+		t.Fatalf("stamped push resolves to %v, want its own time %v", got, t0)
+	}
+	full := func(null sensor.Feature) sensor.Snapshot {
+		s := sensor.NewSnapshot(t0)
+		for _, f := range []sensor.Feature{sensor.FeatAirQuality, sensor.FeatMotion, sensor.FeatVoiceCmd} {
+			v := sensor.Number(1)
+			if f == null {
+				v = sensor.Value{}
+			}
+			s.Set(f, v)
+		}
+		return s
+	}
+	cases := []struct {
+		name       string
+		push       sensor.Snapshot
+		at, newest time.Time
+		want       Verdict
+	}{
+		{"first push", full(0), t0, time.Time{}, Accepted},
+		{"same event time", full(0), t0, t0, Accepted},
+		{"ahead", full(0), t0.Add(time.Second), t0, Accepted},
+		{"empty heartbeat", sensor.Snapshot{}, t0, t0, Accepted},
+		{"behind", full(0), t0, t0.Add(time.Nanosecond), OutOfOrder},
+		{"behind and null", full(sensor.FeatMotion), t0, t0.Add(time.Second), OutOfOrder},
+		{"null first", full(sensor.FeatAirQuality), t0, t0, NullValue},
+		{"null last", full(sensor.FeatVoiceCmd), t0, t0, NullValue},
+	}
+	for _, tc := range cases {
+		if got := Ingest(tc.push, tc.at, tc.newest); got != tc.want {
+			t.Errorf("%s: verdict %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	if DropReasons[Accepted] != "" || DropReasons[OutOfOrder] != "out_of_order" || DropReasons[NullValue] != "zero_value" {
+		t.Fatalf("drop reasons %q", DropReasons)
+	}
+}

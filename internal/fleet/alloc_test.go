@@ -7,10 +7,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
+	"iotsid/internal/epoch"
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
@@ -23,11 +25,7 @@ func authorizeItem(t testing.TB, f *Fleet, id string, in instr.Instruction) core
 	if !ok {
 		t.Fatalf("unknown home %q", id)
 	}
-	dec, err := f.authorizeHome(h, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dec
+	return f.authorizeHome(h, in)
 }
 
 // TestFleetAuthorizeSteadyStateAllocs is the fleet's perf contract: once a
@@ -85,6 +83,79 @@ func TestFleetFailClosedSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fail-closed fleet authorizeHome allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestFleetIncompleteSceneFailClosedAllocs: a sensitive instruction on a
+// scene that lacks a feature its model reads fails closed as missing
+// context, is logged and counted, and allocates nothing — a tenant can
+// repeat it at will.
+func TestFleetIncompleteSceneFailClosedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f := fleetForTest(t, Config{Metrics: obs.NewRegistry()})
+	mustAddHome(t, f, HomeConfig{ID: "h"})
+	scene := legalCtx(t, dataset.ModelWindow)
+	scene.Delete(sensor.FeatAirQuality)
+	if err := f.PushContext("h", scene); err != nil {
+		t.Fatal(err)
+	}
+	in := buildInstr(t, "window.open", "win-1")
+	for i := 0; i < 3; i++ {
+		authorizeItem(t, f, "h", in)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		dec := authorizeItem(t, f, "h", in)
+		if dec.Allowed || !dec.Sensitive || dec.Reason != core.ReasonMissing {
+			t.Fatalf("incomplete scene decided %+v, want a fail-closed missing-context rejection", dec)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("incomplete-scene fail-closed authorizeHome allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestFleetPushAllocs: a push the ingest rule drops, out of order or null
+// valued, allocates nothing, and an accepted push or a heartbeat allocates
+// exactly its one view.
+func TestFleetPushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	now := time.Date(2021, 4, 1, 12, 0, 0, 0, time.UTC)
+	f := fleetForTest(t, Config{Metrics: obs.NewRegistry(), Now: func() time.Time { return now }})
+	h := mustAddHome(t, f, HomeConfig{ID: "h"})
+	scene := legalCtx(t, dataset.ModelWindow)
+	scene.At = time.Time{} // stamped on receipt, so each push is the newest
+	old := scene
+	old.At = now.Add(-time.Hour)
+	null := scene.Clone()
+	null.Set(sensor.FeatAirQuality, sensor.Value{})
+	for _, tc := range []struct {
+		name string
+		push sensor.Snapshot
+		want float64
+	}{
+		{"accepted", scene, 1},
+		{"heartbeat", sensor.Snapshot{}, 1},
+		{"out of order", old, 0},
+		{"null value", null, 0},
+	} {
+		f.push(h, scene)
+		allocs := testing.AllocsPerRun(200, func() {
+			now = now.Add(time.Second)
+			f.push(h, tc.push)
+		})
+		if allocs != tc.want {
+			t.Errorf("%s push allocates %.1f/op, want %.0f", tc.name, allocs, tc.want)
+		}
+	}
+	if got := f.metrics.pushDrops[epoch.OutOfOrder].Value(); got < 200 {
+		t.Errorf("%d out-of-order drops counted, want at least 200", got)
+	}
+	if got := f.metrics.pushDrops[epoch.NullValue].Value(); got < 200 {
+		t.Errorf("%d null-value drops counted, want at least 200", got)
 	}
 }
 

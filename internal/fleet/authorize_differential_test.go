@@ -18,6 +18,7 @@ import (
 	"iotsid/internal/dataset"
 	"iotsid/internal/fleet"
 	"iotsid/internal/instr"
+	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
 )
 
@@ -299,7 +300,7 @@ func TestFleetAuthorizeHandlerDifferential(t *testing.T) {
 			t.Fatalf("batch %d: response differs from the replay's\n server %s\n replay %s", b, got, want)
 		}
 	}
-	logged := 0
+	logged, incomplete := 0, 0
 	for i := 0; i < homes; i++ {
 		id := fmt.Sprintf("home-%02d", i)
 		hs, _ := served.Home(id)
@@ -309,8 +310,101 @@ func TestFleetAuthorizeHandlerDifferential(t *testing.T) {
 			t.Fatalf("home %s: decision ring differs from the replay's:\n server %+v\n replay %+v", id, got, want)
 		}
 		logged += len(got)
+		for _, e := range got {
+			if e.Decision.Reason == core.ReasonMissing && strings.Contains(e.Decision.Explain(), "missing feature") {
+				incomplete++
+			}
+		}
 	}
 	if logged == 0 {
 		t.Fatal("no home logged a decision")
+	}
+	// A sensitive item judged on another model's scene lacks a feature its
+	// model reads: it is answered, failed closed, not an item error.
+	if incomplete == 0 {
+		t.Fatal("no home logged a sensitive instruction failed closed on an incomplete scene")
+	}
+}
+
+// TestFleetContextFreePushFailsClosed: a push with no context is a
+// heartbeat, and window.open judged on the empty scene it leaves is
+// answered over /v1/fleet/authorize as a sensitive instruction failed
+// closed for missing context, not an item error. The decision is in the
+// home's ring, explained by the feature the scene lacks, and counted as
+// fail_closed.
+func TestFleetContextFreePushFailsClosed(t *testing.T) {
+	corpus, err := dataset.Corpus(dataset.CorpusConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := core.Train(corpus, dataset.BuildConfig{Seed: 42}, core.TrainConfig{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := fleet.NewModelRegistry(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := core.DefaultDetector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mreg := obs.NewRegistry()
+	fl, err := fleet.New(fleet.Config{Detector: det, Models: models, Shards: 1, Metrics: mreg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := fl.AddHome(fleet.HomeConfig{ID: "h"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := cloud.NewServer(cloud.Config{
+		Users:    map[string]string{"gateway": "s3cret"},
+		Registry: instr.BuiltinRegistry(),
+		Forward:  func(instr.Instruction) error { return nil },
+		Fleet:    fl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	if err := srv.BindHome("h", "gateway"); err != nil {
+		t.Fatal(err)
+	}
+	var login struct {
+		Session string `json:"session"`
+	}
+	if err := json.Unmarshal(post(t, srv.URL(), "/v1/login", "", []byte(`{"user":"gateway","secret":"s3cret"}`)), &login); err != nil {
+		t.Fatal(err)
+	}
+	post(t, srv.URL(), "/v1/fleet/context", login.Session, []byte(`{"pushes":[{"home":"h"}]}`))
+	body := post(t, srv.URL(), "/v1/fleet/authorize", login.Session,
+		[]byte(`{"items":[{"home":"h","op":"window.open","device_id":"win-1"}]}`))
+	var resp struct {
+		Results []cloud.FleetResult `json:"results"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 {
+		t.Fatalf("response %s, want one result", body)
+	}
+	if r := resp.Results[0]; r.Allowed || !r.Sensitive || r.Error != "" || r.Reason != core.ReasonMissing {
+		t.Fatalf("result %+v, want a sensitive instruction failed closed as %q", r, core.ReasonMissing)
+	}
+	log := fleet.HomeLog(h)
+	if len(log) != 1 {
+		t.Fatalf("home ring holds %d decisions, want 1", len(log))
+	}
+	if d := log[0].Decision; d.Outcome != core.OutcomeFailClosed || d.Reason != core.ReasonMissing ||
+		!strings.Contains(d.Explain(), `missing feature "`) {
+		t.Fatalf("logged decision %+v explained %q, want a fail-closed decision naming the missing feature", d, d.Explain())
+	}
+	var text strings.Builder
+	if err := mreg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := `iotsid_fleet_decisions_total{shard="0",outcome="fail_closed"} 1`; !strings.Contains(text.String(), want) {
+		t.Fatalf("metrics exposition lacks %q:\n%s", want, text.String())
 	}
 }

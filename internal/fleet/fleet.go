@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"iotsid/internal/core"
+	"iotsid/internal/epoch"
 	"iotsid/internal/instr"
 	"iotsid/internal/obs"
 	"iotsid/internal/par"
@@ -159,15 +160,6 @@ type homeView struct {
 	at   time.Time
 }
 
-// eventAt is the view's event time: the snapshot's own time, or the
-// receive stamp for an unstamped push.
-func (v *homeView) eventAt() time.Time {
-	if v.snap.At.IsZero() {
-		return v.at
-	}
-	return v.snap.At
-}
-
 // LowTrust reports whether the home's context source sits below its trust
 // threshold (always false without an engine).
 func (h *Home) LowTrust() bool {
@@ -278,9 +270,8 @@ func jumpHash(key uint64, buckets int) uint32 {
 // PushContext publishes a home's latest sensor context. This is the
 // event-driven write path: one immutable view behind an atomic pointer,
 // stamped with the fleet clock so freshness budgets difference receive
-// times, not device times. A push whose event time is behind the current
-// view's is dropped and counted, not stored; like epoch.Store.Push, that
-// is not an error.
+// times, not device times. A push the ingest rule drops is counted, not
+// stored; like epoch.Store.Push, that is not an error.
 func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 	h, ok := f.Home(id)
 	if !ok {
@@ -290,36 +281,37 @@ func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 	return nil
 }
 
-// push stores the view on a known home handle. A push's event time is its
-// snapshot's time, or its receive time when the snapshot carries none; a
-// push strictly behind the current view's event time is dropped and
-// counted, as epoch.Store drops an out-of-order delta, before its view is
-// allocated. The trust engine still sees a dropped push, so a replay
-// keeps costing its source trust.
+// push applies the push-ingest rule (epoch.Ingest) against the home's
+// current view and replaces the view with an accepted push; a heartbeat (no
+// values) keeps the current values. A drop is counted before any view is
+// allocated. The trust engine sees every push, so a replay keeps costing
+// its source trust.
 //
 //iot:hotpath
 func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 	now := f.now()
-	at := snap.At
-	if at.IsZero() {
-		at = now
-	}
+	at := epoch.EventTime(snap, now)
 	if h.trust != nil {
 		// Score on the device's event time when it carries one (the
 		// behavioral fingerprint cares about the sensor's own timeline).
 		h.trust.Observe(h.trustSource, snap, at) //iot:allow hotcall per-push trust scoring holds a lock by design; the authorize fast path never calls it
 	}
-	var v *homeView
 	for {
 		cur := h.view.Load()
-		if cur != nil && at.Before(cur.eventAt()) {
-			f.metrics.observeDrop()
+		kept := snap
+		var newest time.Time
+		if cur != nil {
+			newest = epoch.EventTime(cur.snap, cur.at)
+			if snap.Len() == 0 {
+				kept = cur.snap
+				kept.At = snap.At
+			}
+		}
+		if verdict := epoch.Ingest(snap, at, newest); verdict != epoch.Accepted {
+			f.metrics.observeDrop(verdict)
 			return
 		}
-		if v == nil {
-			v = &homeView{snap: snap, at: now}
-		}
-		if h.view.CompareAndSwap(cur, v) {
+		if h.view.CompareAndSwap(cur, &homeView{snap: kept, at: now}) {
 			break
 		}
 	}
@@ -334,17 +326,14 @@ func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 //
 //iot:hotpath
 //iot:failclosed
-func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) (core.Decision, error) {
+func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) core.Decision {
 	snap, state := f.homeContext(h)
-	dec, err := h.stage.Decide(in, snap, state, nil)
-	if err != nil {
-		return core.Decision{}, err
-	}
+	dec := h.stage.Decide(in, snap, state, nil)
 	f.metrics.observeDecision(h.shardIdx, dec.Outcome)
 	if dec.Outcome == core.OutcomeSeqAnomaly {
 		f.seqAnoms.Add(1)
 	}
-	return dec, nil
+	return dec
 }
 
 // SeqAnomalies reports how many sensitive instructions the sequence judge
@@ -385,9 +374,9 @@ type BatchItem struct {
 	Context *sensor.Snapshot
 }
 
-// BatchResult is one item's outcome. Err is per-item so one tenant's bad
-// request (unknown home, unjudgeable instruction) cannot abort another
-// tenant's traffic — batch-level errors are reserved for cancellation.
+// BatchResult is one item's outcome: a Decision, or an Err for an unknown
+// home, so one tenant's bad request cannot abort another tenant's traffic
+// — batch-level errors are reserved for cancellation.
 type BatchResult struct {
 	Decision core.Decision
 	Err      string
@@ -441,12 +430,7 @@ func (f *Fleet) AuthorizeBatchInto(ctx context.Context, items []BatchItem, out [
 			if it.Context != nil {
 				f.push(h, *it.Context) // a dropped push leaves the newer view to judge on
 			}
-			dec, err := f.authorizeHome(h, it.In)
-			if err != nil {
-				out[idx] = BatchResult{Err: err.Error()}
-				continue
-			}
-			out[idx] = BatchResult{Decision: dec}
+			out[idx] = BatchResult{Decision: f.authorizeHome(h, it.In)}
 		}
 		return nil
 	})

@@ -522,7 +522,7 @@ func TestFleetDropsOutOfOrderPush(t *testing.T) {
 	if err := mreg.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if want := metricPushDrops + " 2"; !strings.Contains(buf.String(), want) {
+	if want := metricPushDrops + `{reason="out_of_order"} 2`; !strings.Contains(buf.String(), want) {
 		t.Fatalf("metrics exposition missing %q:\n%s", want, buf.String())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"iotsid/internal/core"
+	"iotsid/internal/epoch"
 	"iotsid/internal/obs"
 )
 
@@ -28,8 +29,8 @@ const (
 type fleetMetrics struct {
 	homes        *obs.Gauge
 	pushes       *obs.Counter
-	pushDrops    *obs.Counter
-	decisions    [][core.OutcomeCount]*obs.Counter // [shard][outcome]
+	pushDrops    [len(epoch.DropReasons)]*obs.Counter // by epoch.Verdict
+	decisions    [][core.OutcomeCount]*obs.Counter    // [shard][outcome]
 	batches      *obs.Counter
 	batchItems   *obs.Counter
 	seqAnomalies *obs.Counter
@@ -45,14 +46,18 @@ func newFleetMetrics(reg *obs.Registry, shards int) *fleetMetrics {
 			"Homes currently registered with the fleet."),
 		pushes: reg.NewCounter(metricPushes,
 			"Per-home sensor context pushes accepted by the fleet."),
-		pushDrops: reg.NewCounter(metricPushDrops,
-			"Per-home sensor context pushes dropped because their event time was behind the home's current context."),
 		batches: reg.NewCounter(metricBatches,
 			"Fleet AuthorizeBatch invocations."),
 		batchItems: reg.NewCounter(metricBatchItems,
 			"Instructions carried by fleet AuthorizeBatch invocations."),
 		seqAnomalies: reg.NewCounter(metricSeqAnomalies,
 			"Sensitive instructions rejected fleet-wide by the sequence judge after the static tree allowed them."),
+	}
+	drops := reg.NewCounterVec(metricPushDrops,
+		"Per-home sensor context pushes dropped by reason (out_of_order: event time behind the home's current context; zero_value: absent/null feature value).",
+		"reason")
+	for v := epoch.OutOfOrder; int(v) < len(epoch.DropReasons); v++ {
+		m.pushDrops[v] = drops.With(epoch.DropReasons[v])
 	}
 	vec := reg.NewCounterVec(metricDecisions,
 		"Authorization decisions by fleet shard and outcome (allow, reject, fail_closed).",
@@ -90,14 +95,14 @@ func (m *fleetMetrics) observePush() {
 	m.pushes.Inc()
 }
 
-// observeDrop counts one out-of-order push dropped.
+// observeDrop counts one push the ingest rule dropped, by its verdict.
 //
 //iot:hotpath
-func (m *fleetMetrics) observeDrop() {
+func (m *fleetMetrics) observeDrop(v epoch.Verdict) {
 	if m == nil {
 		return
 	}
-	m.pushDrops.Inc()
+	m.pushDrops[v].Inc()
 }
 
 // observeBatch counts one batch and its item load.

@@ -65,6 +65,12 @@ go test -race -count=1 -run 'Healthz|RetryAfter|ContextTimeout' ./internal/cloud
 # gate below, serial and pinned to one P.
 go test -race -count=1 ./internal/epoch/
 go test -race -count=1 -run 'Epoch' ./internal/core/ ./internal/cloud/
+# The push-ingest rule (epoch.EventTime and epoch.Ingest) is the one rule
+# both the epoch store and the fleet apply to a pushed context: the
+# store-vs-fleet ingest differential, the rule's verdict table and the
+# framework-vs-fleet decision differential run three times over under the
+# race detector.
+go test -race -count=3 -run 'Ingest|Differential' ./internal/epoch/ ./internal/fleet/ ./internal/core/
 go test -race -count=1 -run 'EventPump|STPoller' ./internal/bridge/
 go test -count=1 -run 'EpochCampaign' ./internal/eval/
 

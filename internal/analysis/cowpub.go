@@ -7,8 +7,10 @@ import (
 
 // CowPub enforces the copy-on-write publication discipline every lock-free
 // read path in this tree depends on (epoch views, the fleet model
-// registry, per-home context views, trust cells): a value shared through
-// a sync/atomic.Pointer is immutable once published. Two rules:
+// registry, trust cells): a value shared through a sync/atomic.Pointer is
+// immutable once published. A value that owns a mutex and is rewritten
+// only by its own methods under it, as a fleet home's view is, is not
+// written through the loaded pointer and so is not flagged. Two rules:
 //
 //  1. a value obtained from Pointer.Load() or Pointer.Swap() is someone
 //     else's published copy — writing through it (field, index, or

@@ -12,12 +12,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
 	"iotsid/internal/fleet"
 	"iotsid/internal/instr"
+	"iotsid/internal/sensor"
 )
 
 // tenantCloud starts a fleet cloud with two accounts, each owning its own
@@ -88,6 +88,67 @@ func tenantBodies(t testing.TB, homes int) (a, b []byte) {
 		t.Fatal(err)
 	}
 	return a, b
+}
+
+// narrowScene is tenant B's scene: two of the features a legal window
+// scene carries, so decoded into a slot that held one of tenant A's
+// scenes it rewrites a wider scene's entries, and too few for the window
+// model, so window.open judged on it fails closed as missing context.
+func narrowScene() sensor.Snapshot {
+	s := sensor.NewSnapshot(time.Date(2100, 6, 1, 0, 0, 0, 0, time.UTC))
+	s.Set(sensor.FeatMotion, sensor.Bool(false))
+	s.Set(sensor.FeatSmoke, sensor.Bool(true))
+	return s
+}
+
+// narrowBodies encodes tenant B's authorize batch, 100 window.open items
+// on its homes, and its push batch, 100 pushes to its homes, each carrying
+// narrowScene.
+func narrowBodies(t testing.TB, homes int) (authorize, push []byte) {
+	t.Helper()
+	scene := narrowScene()
+	items := make([]FleetBatchItem, 100)
+	pushes := make([]fleetContextPush, len(items))
+	for i := range items {
+		home := fmt.Sprintf("b-%02d", i%homes)
+		items[i] = FleetItem(home, "window.open", "win-1", &scene)
+		pushes[i] = fleetContextPush{Home: home, Context: scene}
+	}
+	authorize, err := appendAuthorizeRequest(nil, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if push, err = appendContextRequest(nil, pushes); err != nil {
+		t.Fatal(err)
+	}
+	return authorize, push
+}
+
+// requireNarrowScene fails unless s holds exactly narrowScene's values,
+// with nothing in the entries past them: no value of a wider scene the
+// slot held before is readable, through the snapshot or its storage.
+func requireNarrowScene(t *testing.T, name string, s sensor.Snapshot) {
+	t.Helper()
+	want := narrowScene()
+	if !s.At.Equal(want.At) || s.Len() != want.Len() {
+		t.Fatalf("%s = %v with %d values, want tenant B's %d at %v", name, s.At, s.Len(), want.Len(), want.At)
+	}
+	want.Range(func(f sensor.Feature, v sensor.Value) bool {
+		if got, ok := s.Get(f); !ok || !got.Equal(v) {
+			t.Fatalf("%s[%s] = %v, want tenant B's %v", name, f, got, v)
+		}
+		return true
+	})
+	requireSceneTailZero(t, name, s)
+}
+
+// requireSceneTailZero fails unless the value entries of s in [len, cap)
+// are zero, the contract of every slice a pooled request reuses.
+func requireSceneTailZero(t *testing.T, name string, s sensor.Snapshot) {
+	t.Helper()
+	if vals := reflect.ValueOf(s).FieldByName("vals"); !vals.IsNil() {
+		requireTailZeroValue(t, name+" entries", vals.Elem().FieldByName("es"))
+	}
 }
 
 // authorizeDirect runs the authorize handler on body in the calling
@@ -237,22 +298,29 @@ func pushContext(srv *Server, c *Client, body []byte, want int) error {
 
 // TestFleetContextNoLeak: a pooled context-push request carries nothing
 // of one request into the next. Tenant A pushes legal scenes to its
-// homes; tenant B's pushes name B's homes and omit their context, so B's
-// homes hold empty context (a heartbeat keeps a home's values, and B's
-// homes have none) and B's sensitive instructions on them fail closed as
-// missing context. Were the request pooled uncleared, B's pushes would
-// decode over A's and push A's scenes into B's homes.
+// homes; tenant B's pushes name B's homes and either omit their context,
+// so B's homes hold empty context (a heartbeat keeps a home's values, and
+// B's homes have none), or carry a scene narrower than A's, decoded into
+// the scene storage A's scenes left. Either way B's sensitive
+// instructions on them fail closed as missing context. Were the request
+// pooled uncleared, or a narrower scene decoded over a wider one kept the
+// wider one's entries, B's pushes would push A's values into B's homes.
 func TestFleetContextNoLeak(t *testing.T) {
 	const homes = 16
 	pushA, pushB := contextBodies(t, homes)
 	_, authB := tenantBodies(t, homes)
+	_, pushNarrow := narrowBodies(t, homes)
 
 	t.Run("serial", func(t *testing.T) {
 		srv := tenantCloud(t, homes)
 		ca := login(t, srv, "tenant-a", "a-secret")
 		cb := login(t, srv, "tenant-b", "b-secret")
 		for round := 0; round < 20; round++ {
-			for _, err := range []error{pushContext(srv, ca, pushA, 256), pushContext(srv, cb, pushB, 100)} {
+			b := pushB
+			if round%2 == 1 {
+				b = pushNarrow
+			}
+			for _, err := range []error{pushContext(srv, ca, pushA, 256), pushContext(srv, cb, b, 100)} {
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
@@ -282,7 +350,11 @@ func TestFleetContextNoLeak(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for round := 0; round < rounds; round++ {
-					if err := pushContext(srv, cb, pushB, 100); err != nil {
+					b := pushB
+					if round%2 == 1 {
+						b = pushNarrow
+					}
+					if err := pushContext(srv, cb, b, 100); err != nil {
 						errs <- fmt.Errorf("tenant B: %v", err)
 						return
 					}
@@ -294,8 +366,8 @@ func TestFleetContextNoLeak(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
-		// B's homes hold only B's empty context: none of A's scenes
-		// reached them, so every B item fails closed.
+		// B's homes hold only B's empty or narrow context: none of A's
+		// values reached them, so every B item fails closed.
 		requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, authB), 100)
 	})
 }
@@ -304,7 +376,13 @@ func TestFleetContextNoLeak(t *testing.T) {
 // [len, cap) is zero.
 func requireTailZero(t *testing.T, name string, s any) {
 	t.Helper()
-	v := reflect.ValueOf(s)
+	requireTailZeroValue(t, name, reflect.ValueOf(s))
+}
+
+// requireTailZeroValue is requireTailZero for a slice read by reflection,
+// which may be an unexported field.
+func requireTailZeroValue(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
 	all := v.Slice(0, v.Cap())
 	for i := v.Len(); i < v.Cap(); i++ {
 		if !all.Index(i).IsZero() {
@@ -329,6 +407,9 @@ func TestFleetArenaResetClears(t *testing.T) {
 		t.Fatalf("decoded %d items of capacity %d, first %+v; want the second array's 1 over the first's 256", len(a.req.Items), cap(a.req.Items), a.req.Items[0])
 	}
 	requireTailZero(t, "items after a repeated array", a.req.Items)
+	if len(a.req.scenes) < 256 || a.req.scenes[0].Len() == 0 {
+		t.Fatalf("decoded into %d scene slots, the first with %d values; want the first array's 256 scenes", len(a.req.scenes), a.req.scenes[0].Len())
+	}
 	a.out = make([]fleet.BatchResult, 256)
 	for i := range a.out {
 		a.out[i] = fleet.BatchResult{Err: "unknown home a-00"}
@@ -339,7 +420,8 @@ func TestFleetArenaResetClears(t *testing.T) {
 	}
 	requireTailZero(t, "items", a.req.Items)
 	requireTailZero(t, "out", a.out)
-	if cap(a.req.Items) == 0 || cap(a.out) == 0 {
+	requireEmptySlots(t, a.req.scenes)
+	if cap(a.req.Items) == 0 || cap(a.out) == 0 || len(a.req.scenes) < 256 {
 		t.Fatal("reset lost the arena's capacity")
 	}
 	if len(a.req.Items)+len(a.out)+len(a.req.marks.rs) != 0 {
@@ -349,6 +431,22 @@ func TestFleetArenaResetClears(t *testing.T) {
 	big := &authorizeArena{out: make([]fleet.BatchResult, maxPooledBuf/arenaItemBytes+1)}
 	if big.reset() {
 		t.Fatalf("an arena of %d items (over %d B) was kept for pooling", cap(big.out), maxPooledBuf)
+	}
+	big = &authorizeArena{req: fleetAuthorizeRequest{scenes: make(sceneSlots, maxPooledBuf/arenaItemBytes+1)}}
+	if big.reset() {
+		t.Fatalf("an arena of %d scene slots (over %d B) was kept for pooling", cap(big.req.scenes), maxPooledBuf)
+	}
+}
+
+// requireEmptySlots fails unless every scene slot holds no values and the
+// zero time, as reset leaves them, keeping their value storage.
+func requireEmptySlots(t *testing.T, slots sceneSlots) {
+	t.Helper()
+	for i, s := range slots {
+		if s.Len() != 0 || !s.At.IsZero() {
+			t.Fatalf("scene slot %d holds %d values at %v after reset, want none", i, s.Len(), s.At)
+		}
+		requireSceneTailZero(t, fmt.Sprintf("scene slot %d", i), s)
 	}
 }
 
@@ -370,13 +468,18 @@ func TestFleetContextResetClears(t *testing.T) {
 		t.Fatal("a 256-push request was not kept for pooling")
 	}
 	requireTailZero(t, "pushes", req.Pushes)
-	if cap(req.Pushes) == 0 || len(req.Pushes)+len(req.marks.rs) != 0 {
+	requireEmptySlots(t, req.scenes)
+	if cap(req.Pushes) == 0 || len(req.scenes) < 256 || len(req.Pushes)+len(req.marks.rs) != 0 {
 		t.Fatal("reset lost the capacity or left a non-empty slice")
 	}
 
-	big := &fleetContextRequest{Pushes: make([]fleetContextPush, maxPooledBuf/unsafe.Sizeof(fleetContextPush{})+1)}
+	big := &fleetContextRequest{Pushes: make([]fleetContextPush, maxPooledBuf/contextPushBytes+1)}
 	if big.reset() {
 		t.Fatalf("a request of %d pushes (over %d B) was kept for pooling", cap(big.Pushes), maxPooledBuf)
+	}
+	big = &fleetContextRequest{scenes: make(sceneSlots, maxPooledBuf/contextPushBytes+1)}
+	if big.reset() {
+		t.Fatalf("a request of %d scene slots (over %d B) was kept for pooling", cap(big.scenes), maxPooledBuf)
 	}
 }
 
@@ -416,14 +519,18 @@ func dirtyContextRequest(t *testing.T, pushA []byte) *fleetContextRequest {
 // TestFleetArenaDirtyNoLeak: tenant isolation rests on decoding, not on
 // reset. An arena and a context-push request left dirty by tenant A, its
 // homes, scenes, marks and results within their capacity, decode tenant
-// B's shorter, context-free bodies into items and pushes that carry
-// nothing of A's. Put back into their pools dirty, they serve B's
-// requests through the handlers just as clean ones do: every B item fails
-// closed as missing context, and no A scene reaches a B home.
+// B's shorter bodies into items and pushes that carry nothing of A's:
+// context-free bodies, and bodies whose scenes are narrower than A's and
+// decode into the scene storage A's scenes left, where no value of A's
+// stays readable, not even past the scene's end. Put back into their
+// pools dirty, they serve B's requests through the handlers just as clean
+// ones do: every B item fails closed as missing context, and no A scene
+// reaches a B home.
 func TestFleetArenaDirtyNoLeak(t *testing.T) {
 	const homes = 16
 	bodyA, bodyB := tenantBodies(t, homes)
 	pushA, pushB := contextBodies(t, homes)
+	bodyNarrow, pushNarrow := narrowBodies(t, homes)
 
 	a := dirtyArena(t, bodyA)
 	if err := a.req.unmarshal(bodyB); err != nil {
@@ -438,7 +545,27 @@ func TestFleetArenaDirtyNoLeak(t *testing.T) {
 			t.Fatalf("tenant B item %d = %+v, marked %v; want %+v, unmarked", i, it, a.req.marks.has(i, rejectOversized|rejectUnknownFeature), want)
 		}
 	}
+	a = dirtyArena(t, bodyA)
+	if err := a.req.unmarshal(bodyNarrow); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.req.Items) != 100 {
+		t.Fatalf("decoded %d items over tenant A's, want tenant B's 100", len(a.req.Items))
+	}
+	for i, it := range a.req.Items {
+		if it.Home != fmt.Sprintf("b-%02d", i%homes) || it.Context == nil || a.req.marks.has(i, rejectOversized|rejectUnknownFeature) {
+			t.Fatalf("tenant B item %d = %+v; want its home and its scene, unmarked", i, it)
+		}
+		requireNarrowScene(t, fmt.Sprintf("tenant B item %d's scene", i), *it.Context)
+	}
 	req := dirtyContextRequest(t, pushA)
+	if err := req.unmarshal(pushNarrow); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range req.Pushes {
+		requireNarrowScene(t, fmt.Sprintf("tenant B push %d's scene", i), p.Context)
+	}
+	req = dirtyContextRequest(t, pushA)
 	if err := req.unmarshal(pushB); err != nil {
 		t.Fatal(err)
 	}
@@ -467,6 +594,17 @@ func TestFleetArenaDirtyNoLeak(t *testing.T) {
 	}
 	for round := range rounds {
 		if err := pushContext(srv, cb, pushB, 100); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, bodyB), 100)
+	for range rounds {
+		arenaPool.Put(dirtyArena(t, bodyA))
+		contextPool.Put(dirtyContextRequest(t, pushA))
+	}
+	for round := range rounds {
+		requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, bodyNarrow), 100)
+		if err := pushContext(srv, cb, pushNarrow, 100); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -557,6 +695,51 @@ func TestFleetAuthorizeScaffoldingBytes(t *testing.T) {
 	const limit = 96
 	if perItem > limit {
 		t.Fatalf("a status item allocates %.0f B in the handler, want at most %d", perItem, limit)
+	}
+}
+
+// TestFleetAuthorizeSceneDecodeAllocs: decoding a 256-item, scene-bearing
+// authorize body into a warmed pooled arena allocates nothing per scene,
+// since each scene is written into the entries its slot kept from the
+// request before. The same body without its scenes is the baseline: its
+// strings.
+func TestFleetAuthorizeSceneDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	items, _ := wireFixture(t)
+	withScenes, err := appendAuthorizeRequest(nil, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenes := 0
+	for i := range items {
+		if items[i].Context != nil {
+			items[i].Context = nil
+			scenes++
+		}
+	}
+	without, err := appendAuthorizeRequest(nil, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(body []byte) float64 {
+		a := new(authorizeArena)
+		run := func() {
+			if err := a.req.unmarshal(body); err != nil {
+				t.Fatal(err)
+			}
+			if !a.reset() {
+				t.Fatal("a 256-item arena was not kept for pooling")
+			}
+		}
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	got, base := decode(withScenes), decode(without)
+	t.Logf("%d items, %d with scenes: %.0f allocs per body, %.0f without the scenes", len(items), scenes, got, base)
+	if perScene := (got - base) / float64(scenes); perScene > 0 {
+		t.Fatalf("a scene decoded into a warmed arena allocates %.2f/op, want 0", perScene)
 	}
 }
 

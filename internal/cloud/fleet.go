@@ -48,6 +48,9 @@ type fleetAuthorizeRequest struct {
 	Items []fleet.BatchItem `json:"items"`
 	// marks holds the rejected items.
 	marks batchMarks
+	// scenes holds the items' scenes: a decoded item's Context points at
+	// its slot.
+	scenes sceneSlots
 }
 
 // FleetResult mirrors one item: either a decision or a per-item
@@ -141,10 +144,14 @@ func writeTooLarge(w http.ResponseWriter, limit int64) {
 
 // authorizeArena is the scratch of one /v1/fleet/authorize request, pooled
 // across requests: the decoded items, which are built in place and handed
-// to the fleet, and the results the fleet writes and the response is
-// encoded from. Decoding starts every item from zero, so what one request
-// leaves in the arena never reaches the next one's items; reset clears
-// the used elements anyway, so a pooled arena holds nothing of a tenant.
+// to the fleet, the scene storage their scenes decode into, and the
+// results the fleet writes and the response is encoded from. Decoding
+// starts every item from zero and rewrites a scene slot's values whole,
+// so what one request leaves in the arena never reaches the next one's
+// items; reset clears the used elements and empties the scene slots
+// anyway, so a pooled arena holds nothing of a tenant. The fleet copies a
+// pushed scene into the home's own view, so no slot outlives its request
+// in the fleet.
 type authorizeArena struct {
 	req fleetAuthorizeRequest
 	out []fleet.BatchResult
@@ -152,9 +159,13 @@ type authorizeArena struct {
 
 var arenaPool = sync.Pool{New: func() any { return new(authorizeArena) }}
 
+// sceneSlotBytes bounds one scene slot: its snapshot and the value
+// storage the widest scene leaves it.
+const sceneSlotBytes = unsafe.Sizeof(sensor.Snapshot{}) + sensor.MaxValueBytes
+
 // arenaItemBytes is one item's share of an arena: an element of each of
-// its slices.
-const arenaItemBytes = unsafe.Sizeof(fleet.BatchItem{}) + unsafe.Sizeof(fleet.BatchResult{})
+// its slices, its scene slot's storage included.
+const arenaItemBytes = unsafe.Sizeof(fleet.BatchItem{}) + unsafe.Sizeof(fleet.BatchResult{}) + sceneSlotBytes
 
 func (a *authorizeArena) put() {
 	if a.reset() {
@@ -167,12 +178,13 @@ func (a *authorizeArena) put() {
 // an arena sized past maxPooledBuf by an unusually large batch: that one
 // is left to the garbage collector.
 func (a *authorizeArena) reset() bool {
-	if uintptr(max(cap(a.req.Items), cap(a.out)))*arenaItemBytes > maxPooledBuf {
+	if uintptr(max(cap(a.req.Items), cap(a.out), cap(a.req.scenes)))*arenaItemBytes > maxPooledBuf {
 		return false
 	}
 	clear(a.req.Items)
 	clear(a.out)
-	a.req = fleetAuthorizeRequest{Items: a.req.Items[:0], marks: a.req.marks.cleared()}
+	a.req.scenes.clear()
+	a.req = fleetAuthorizeRequest{Items: a.req.Items[:0], marks: a.req.marks.cleared(), scenes: a.req.scenes}
 	a.out = a.out[:0]
 	return true
 }
@@ -242,11 +254,15 @@ type fleetContextRequest struct {
 	Pushes []fleetContextPush `json:"pushes"`
 	// marks holds the rejected pushes.
 	marks batchMarks
+	// scenes holds the pushes' scenes: a decoded push's Context shares its
+	// slot's values.
+	scenes sceneSlots
 }
 
 // contextPool holds /v1/fleet/context's decoded requests across requests.
-// As with authorizeArena, decoding starts every push from zero, and reset
-// clears the pushes a request used before it is pooled.
+// As with authorizeArena, decoding starts every push from zero and
+// rewrites a scene slot's values whole, and reset clears the pushes and
+// empties the scene slots a request used before it is pooled.
 var contextPool = sync.Pool{New: func() any { return new(fleetContextRequest) }}
 
 func (req *fleetContextRequest) put() {
@@ -259,13 +275,18 @@ func (req *fleetContextRequest) put() {
 // it reports false, and clears nothing, for a request grown past
 // maxPooledBuf.
 func (req *fleetContextRequest) reset() bool {
-	if uintptr(cap(req.Pushes))*unsafe.Sizeof(fleetContextPush{}) > maxPooledBuf {
+	if uintptr(max(cap(req.Pushes), cap(req.scenes)))*contextPushBytes > maxPooledBuf {
 		return false
 	}
 	clear(req.Pushes)
-	*req = fleetContextRequest{Pushes: req.Pushes[:0], marks: req.marks.cleared()}
+	req.scenes.clear()
+	*req = fleetContextRequest{Pushes: req.Pushes[:0], marks: req.marks.cleared(), scenes: req.scenes}
 	return true
 }
+
+// contextPushBytes is one push's share of a pooled context request: its
+// element and its scene slot's storage.
+const contextPushBytes = unsafe.Sizeof(fleetContextPush{}) + sceneSlotBytes
 
 // FleetPushError locates one rejected push: the index into the request's
 // push array plus the home it named, so a gateway batching thousands of

@@ -6,9 +6,11 @@ import (
 	"io"
 	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"iotsid/internal/fleet"
 	"iotsid/internal/jsonwire"
@@ -193,17 +195,44 @@ func (m *batchMarks) over(d *jsonwire.Decoder) bool {
 // cleared returns m with every mark dropped, keeping its slice for reuse.
 func (m *batchMarks) cleared() batchMarks { return batchMarks{rs: m.rs[:0]} }
 
-// decodeScene decodes the scene at the cursor into s and marks element i
-// by whether it names a feature outside the vocabulary; any other error
-// fails the body.
-func decodeScene(d *jsonwire.Decoder, s *sensor.Snapshot, marks *batchMarks, i int) error {
-	err := s.DecodeJSON(d)
+// sceneSlots is a pooled request's scene storage: element i's scene
+// decodes into slot i, whose value storage the slot keeps from request to
+// request, so a warmed request decodes its scenes without allocating.
+type sceneSlots []sensor.Snapshot
+
+// decode decodes the scene at the cursor into slot i, growing the storage
+// as append grows a slice when i is past its end, and marks element i by
+// whether the scene names a feature outside the vocabulary; any other
+// error fails the body. It returns the slot when the scene was decoded
+// and nil when it was not, which leaves the slot as it was. A slot that
+// a later growth moves keeps sharing its values with the copy left
+// behind, so a pointer to the slot taken now still reads the scene.
+func (s *sceneSlots) decode(d *jsonwire.Decoder, marks *batchMarks, i int) (*sensor.Snapshot, error) {
+	if i >= len(*s) {
+		*s = slices.Grow(*s, i+1-len(*s))
+		*s = (*s)[:cap(*s)]
+	}
+	slot := &(*s)[i]
+	err := slot.DecodeJSON(d)
 	_, isUnknown := err.(*sensor.UnknownFeatureError) // DecodeJSON does not wrap it
 	marks.set(i, rejectUnknownFeature, isUnknown)
-	if isUnknown {
-		return nil
+	if err != nil {
+		if isUnknown {
+			err = nil
+		}
+		return nil, err
 	}
-	return err
+	return slot, nil
+}
+
+// clear empties every slot's values and time, keeping its value storage.
+func (s sceneSlots) clear() {
+	for i := range s {
+		if s[i].Len() > 0 {
+			s[i].SetValues(sensor.Snapshot{})
+		}
+		s[i].At = time.Time{}
+	}
 }
 
 // unmarshal decodes an authorize request body into req: each item's home,
@@ -239,10 +268,16 @@ func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 						req.marks.set(i, rejectUnknownFeature, false)
 						return d.Literal("null")
 					}
-					if it.Context == nil {
+					scene, err := req.scenes.decode(&d, &req.marks, i)
+					switch {
+					case scene != nil:
+						it.Context = scene
+					case err == nil && it.Context == nil:
+						// A scene naming an unknown feature decodes to
+						// nothing: the zero scene encoding/json leaves.
 						it.Context = new(sensor.Snapshot)
 					}
-					return decodeScene(&d, it.Context, &req.marks, i)
+					return err
 				}
 				return d.Skip()
 			})
@@ -294,7 +329,11 @@ func (req *fleetContextRequest) unmarshal(data []byte) error {
 				case 0:
 					return decodeString(&d, &p.Home)
 				case 1:
-					return decodeScene(&d, &p.Context, &req.marks, i)
+					scene, err := req.scenes.decode(&d, &req.marks, i)
+					if scene != nil {
+						p.Context = *scene // shares the slot's values
+					}
+					return err
 				}
 				return d.Skip()
 			})

@@ -116,9 +116,10 @@ func TestFleetIncompleteSceneFailClosedAllocs(t *testing.T) {
 	}
 }
 
-// TestFleetPushAllocs: a push the ingest rule drops, out of order or null
-// valued, allocates nothing, and an accepted push or a heartbeat allocates
-// exactly its one view.
+// TestFleetPushAllocs: once a home has its view, no push allocates. A push
+// the ingest rule drops, out of order or null valued, is only counted; an
+// accepted push is copied into the view's own entries and a heartbeat
+// restamps the view, also when scenes of different widths alternate.
 func TestFleetPushAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -132,24 +133,36 @@ func TestFleetPushAllocs(t *testing.T) {
 	old.At = now.Add(-time.Hour)
 	null := scene.Clone()
 	null.Set(sensor.FeatAirQuality, sensor.Value{})
+	kitchen := legalCtx(t, dataset.ModelKitchen)
+	kitchen.At = time.Time{}
+	if kitchen.Len() == scene.Len() {
+		t.Fatalf("the kitchen and window scenes both carry %d features, want two widths", scene.Len())
+	}
+	f.push(h, kitchen)
+	pushes := f.metrics.pushes.Value()
 	for _, tc := range []struct {
 		name string
-		push sensor.Snapshot
-		want float64
+		push []sensor.Snapshot
 	}{
-		{"accepted", scene, 1},
-		{"heartbeat", sensor.Snapshot{}, 1},
-		{"out of order", old, 0},
-		{"null value", null, 0},
+		{"accepted", []sensor.Snapshot{scene}},
+		{"heartbeat", []sensor.Snapshot{{}}},
+		{"alternating widths", []sensor.Snapshot{scene, kitchen}},
+		{"out of order", []sensor.Snapshot{old}},
+		{"null value", []sensor.Snapshot{null}},
 	} {
 		f.push(h, scene)
+		n := 0
 		allocs := testing.AllocsPerRun(200, func() {
 			now = now.Add(time.Second)
-			f.push(h, tc.push)
+			f.push(h, tc.push[n%len(tc.push)])
+			n++
 		})
-		if allocs != tc.want {
-			t.Errorf("%s push allocates %.1f/op, want %.0f", tc.name, allocs, tc.want)
+		if allocs != 0 {
+			t.Errorf("%s push allocates %.1f/op, want 0", tc.name, allocs)
 		}
+	}
+	if got := f.metrics.pushes.Value() - pushes; got < 3*201+5 {
+		t.Errorf("%d pushes accepted, want at least %d", got, 3*201+5)
 	}
 	if got := f.metrics.pushDrops[epoch.OutOfOrder].Value(); got < 200 {
 		t.Errorf("%d out-of-order drops counted, want at least 200", got)
@@ -168,9 +181,12 @@ func TestHomeSize(t *testing.T) {
 }
 
 // TestFleetSteadyStateHeapPerHome bounds what a home costs once its ring
-// has wrapped: the home, its pipeline, its last pushed view and a full
-// ring of decisions over the load generator's op/device mix, each op and
-// device string allocated per request as the wire decoder allocates it.
+// has wrapped: the home, its pipeline, its view with the entries of the
+// widest scene it was pushed, and a full ring of decisions over the load
+// generator's op/device mix, each op and device string allocated per
+// request as the wire decoder allocates it. About 2,930 B per home: a view
+// keeps its widest scene's entries, where a view that shared the last
+// pushed snapshot's own held about 2,840 B.
 func TestFleetSteadyStateHeapPerHome(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")

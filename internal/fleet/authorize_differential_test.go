@@ -235,22 +235,7 @@ func post(t *testing.T, url, path, session string, body []byte) []byte {
 // ring.
 func TestFleetAuthorizeHandlerDifferential(t *testing.T) {
 	const homes, batches = 48, 6
-	corpus, err := dataset.Corpus(dataset.CorpusConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := core.Train(corpus, dataset.BuildConfig{Seed: 42}, core.TrainConfig{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := fleet.NewModelRegistry(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := core.DefaultDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	models, det := trainedModels(t)
 	served, twin := diffFleet(t, det, models, homes), diffFleet(t, det, models, homes)
 	reg := instr.BuiltinRegistry()
 	srv, err := cloud.NewServer(cloud.Config{
@@ -333,22 +318,7 @@ func TestFleetAuthorizeHandlerDifferential(t *testing.T) {
 // home's ring, explained by the feature the scene lacks, and counted as
 // fail_closed.
 func TestFleetContextFreePushFailsClosed(t *testing.T) {
-	corpus, err := dataset.Corpus(dataset.CorpusConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := core.Train(corpus, dataset.BuildConfig{Seed: 42}, core.TrainConfig{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := fleet.NewModelRegistry(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := core.DefaultDetector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	models, det := trainedModels(t)
 	mreg := obs.NewRegistry()
 	fl, err := fleet.New(fleet.Config{Detector: det, Models: models, Shards: 1, Metrics: mreg})
 	if err != nil {

@@ -138,10 +138,11 @@ type HomeConfig struct {
 	Sequence *seq.Set
 }
 
-// Home is one tenant's state: the latest pushed sensor context behind an
-// atomic pointer and the home's decision stage (sequence history and
-// bounded decision ring). The home is the fleet's context front end; the
-// stage does the judging.
+// Home is one tenant's state: its context view, a cell behind an atomic
+// pointer that the home's first accepted push allocates and every later
+// push rewrites in place, and the home's decision stage (sequence history
+// and bounded decision ring). The home is the fleet's context front end;
+// the stage does the judging.
 type Home struct {
 	shardIdx uint32
 	view     atomic.Pointer[homeView]
@@ -153,11 +154,51 @@ type Home struct {
 	trustSource string
 }
 
-// homeView is one immutable published context: the snapshot plus the
-// receive stamp the freshness budget is differenced against.
+// homeView is a home's context view: the newest accepted push's values,
+// copied into entries the view owns, with that push's own time, and the
+// receive stamp the freshness budget is differenced against. The fleet
+// keeps none of a pusher's values, so a snapshot changed after its push
+// changes no view. A view is allocated once, on the home's first accepted
+// push, filled before it is published, and never replaced; mu orders
+// every later rewrite and read. Lock order: a view, then its home's
+// sequence tracker, then its decision log.
 type homeView struct {
+	mu   sync.Mutex
 	snap sensor.Snapshot
 	at   time.Time
+}
+
+// ingest applies the push-ingest rule against the view and, for an
+// accepted push, copies its values into the view's own entries (a
+// heartbeat keeps the values) and restamps the view.
+//
+//iot:hotpath
+func (v *homeView) ingest(snap sensor.Snapshot, at, now time.Time) epoch.Verdict {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	verdict := epoch.Ingest(snap, at, epoch.EventTime(v.snap, v.at))
+	if verdict == epoch.Accepted {
+		if snap.Len() > 0 {
+			v.snap.SetValues(snap) //iot:allow hotcall allocates only for a scene wider than any the home pushed before, so at most the vocabulary's width
+		}
+		v.snap.At, v.at = snap.At, now
+	}
+	return verdict
+}
+
+// firstPush applies the push-ingest rule to a home that has no view yet
+// and publishes an accepted push as the home's view. A push that loses
+// the race to publish ingests against the winner's view instead.
+func (h *Home) firstPush(snap sensor.Snapshot, at, now time.Time) epoch.Verdict {
+	if verdict := epoch.Ingest(snap, at, time.Time{}); verdict != epoch.Accepted {
+		return verdict
+	}
+	v := &homeView{snap: sensor.NewSnapshotCap(snap.At, snap.Len()), at: now}
+	v.snap.SetValues(snap)
+	if h.view.CompareAndSwap(nil, v) {
+		return epoch.Accepted
+	}
+	return h.view.Load().ingest(snap, at, now)
 }
 
 // LowTrust reports whether the home's context source sits below its trust
@@ -268,10 +309,12 @@ func jumpHash(key uint64, buckets int) uint32 {
 }
 
 // PushContext publishes a home's latest sensor context. This is the
-// event-driven write path: one immutable view behind an atomic pointer,
-// stamped with the fleet clock so freshness budgets difference receive
-// times, not device times. A push the ingest rule drops is counted, not
-// stored; like epoch.Store.Push, that is not an error.
+// event-driven write path: the push's values are copied into the home's
+// view, stamped with the fleet clock so freshness budgets difference
+// receive times, not device times. The fleet keeps nothing of snap: a
+// later Set on it, or on a copy of it, changes no home. A push the ingest
+// rule drops is counted, not stored; like epoch.Store.Push, that is not
+// an error.
 func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 	h, ok := f.Home(id)
 	if !ok {
@@ -282,10 +325,11 @@ func (f *Fleet) PushContext(id string, snap sensor.Snapshot) error {
 }
 
 // push applies the push-ingest rule (epoch.Ingest) against the home's
-// current view and replaces the view with an accepted push; a heartbeat (no
-// values) keeps the current values. A drop is counted before any view is
-// allocated. The trust engine sees every push, so a replay keeps costing
-// its source trust.
+// view and copies an accepted push into it; a heartbeat (no values) keeps
+// the view's values. Only the home's first accepted push allocates, its
+// view; every later push, accepted or dropped, allocates nothing. The
+// trust engine sees every push, so a replay keeps costing its source
+// trust.
 //
 //iot:hotpath
 func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
@@ -296,39 +340,39 @@ func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 		// behavioral fingerprint cares about the sensor's own timeline).
 		h.trust.Observe(h.trustSource, snap, at) //iot:allow hotcall per-push trust scoring holds a lock by design; the authorize fast path never calls it
 	}
-	for {
-		cur := h.view.Load()
-		kept := snap
-		var newest time.Time
-		if cur != nil {
-			newest = epoch.EventTime(cur.snap, cur.at)
-			if snap.Len() == 0 {
-				kept = cur.snap
-				kept.At = snap.At
-			}
-		}
-		if verdict := epoch.Ingest(snap, at, newest); verdict != epoch.Accepted {
-			f.metrics.observeDrop(verdict)
-			return
-		}
-		if h.view.CompareAndSwap(cur, &homeView{snap: kept, at: now}) {
-			break
-		}
+	var verdict epoch.Verdict
+	if v := h.view.Load(); v != nil {
+		verdict = v.ingest(snap, at, now)
+	} else {
+		verdict = h.firstPush(snap, at, now) //iot:allow hotcall once per home, on its first accepted push
+	}
+	if verdict != epoch.Accepted {
+		f.metrics.observeDrop(verdict)
+		return
 	}
 	f.metrics.observePush()
 }
 
 // authorizeHome judges one instruction on the home's stage and counts the
 // outcome into the shard and anomaly families — the per-item hot path of
-// AuthorizeBatch. Steady state (context pushed within budget) is one
-// atomic view load, the shared judger's zero-allocation judge, a ring-log
+// AuthorizeBatch. It holds the home's view from reading it until the
+// stage has decided, so no push rewrites the scene under the judge.
+// Steady state (context pushed within budget) is one atomic view load,
+// the view's lock, the shared judger's zero-allocation judge, a ring-log
 // append and counter increments.
 //
 //iot:hotpath
 //iot:failclosed
 func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) core.Decision {
-	snap, state := f.homeContext(h)
+	v := h.view.Load()
+	if v != nil {
+		v.mu.Lock()
+	}
+	snap, state := f.homeContext(h, v)
 	dec := h.stage.Decide(in, snap, state, nil)
+	if v != nil {
+		v.mu.Unlock()
+	}
 	f.metrics.observeDecision(h.shardIdx, dec.Outcome)
 	if dec.Outcome == core.OutcomeSeqAnomaly {
 		f.seqAnoms.Add(1)
@@ -341,19 +385,18 @@ func (f *Fleet) authorizeHome(h *Home, in instr.Instruction) core.Decision {
 func (f *Fleet) SeqAnomalies() uint64 { return f.seqAnoms.Load() }
 
 // homeContext is the fleet's context front end: it picks the snapshot the
-// home's stage judges and says how far to believe it. Steady state is the
-// pushed view within the fleet's freshness budget. With no view, or a
-// stale one, the last view (if any) is handed over marked missing or
-// stale, so sensitive instructions fail closed and non-sensitive ones are
-// still judged on whatever the home last pushed — the same
-// bounded-staleness / fail-closed trade the single-home framework makes.
-// A fresh push from a source below its trust threshold is low trust: a
-// spoofed feed that keeps talking is the one degraded shape freshness
-// budgets cannot see.
+// home's stage judges from the home's view v, whose lock the caller
+// holds, and says how far to believe it. Steady state is the pushed view
+// within the fleet's freshness budget. With no view, or a stale one, the
+// last view (if any) is handed over marked missing or stale, so sensitive
+// instructions fail closed and non-sensitive ones are still judged on
+// whatever the home last pushed — the same bounded-staleness /
+// fail-closed trade the single-home framework makes. A fresh push from a
+// source below its trust threshold is low trust: a spoofed feed that
+// keeps talking is the one degraded shape freshness budgets cannot see.
 //
 //iot:hotpath
-func (f *Fleet) homeContext(h *Home) (sensor.Snapshot, core.ContextState) {
-	v := h.view.Load()
+func (f *Fleet) homeContext(h *Home, v *homeView) (sensor.Snapshot, core.ContextState) {
 	switch {
 	case v == nil:
 		return sensor.Snapshot{}, core.ContextMissing

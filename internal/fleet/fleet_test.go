@@ -480,6 +480,58 @@ func TestJumpHashProperties(t *testing.T) {
 	}
 }
 
+// TestFleetKeepsNoneOfTheCallersSnapshot: a push is copied into the
+// home's view, so a Set on the pushed snapshot afterwards, whether it came
+// through PushContext or inline with a batch item, changes neither the
+// view nor a decision. Such a change would skip the ingest rule and the
+// trust engine both.
+func TestFleetKeepsNoneOfTheCallersSnapshot(t *testing.T) {
+	f := fleetForTest(t, Config{})
+	h := mustAddHome(t, f, HomeConfig{ID: "h"})
+	open := buildInstr(t, "window.open", "win-1")
+	judge := func() string {
+		t.Helper()
+		dec, err := authorizeOne(context.Background(), f, "h", open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v %s", dec, dec.Explain())
+	}
+	pushed := legalCtx(t, dataset.ModelWindow)
+	inline := attackCtx(t, dataset.ModelWindow)
+	for _, push := range []func(*sensor.Snapshot){
+		func(s *sensor.Snapshot) {
+			if err := f.PushContext("h", *s); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(s *sensor.Snapshot) {
+			if _, err := f.AuthorizeBatch(context.Background(), []BatchItem{{Home: "h", In: open, Context: s}}, 1); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		for _, snap := range []sensor.Snapshot{pushed, inline} {
+			snap = snap.Clone()
+			aq, ok := snap.Number(sensor.FeatAirQuality)
+			if !ok {
+				t.Fatal("the window scene carries no air quality")
+			}
+			push(&snap)
+			values, decision := sceneValues(t, h.view.Load().snap), judge()
+			alias := snap // a copy shares the caller's values
+			alias.Set(sensor.FeatAirQuality, sensor.Number(aq+123))
+			snap.Delete(sensor.FeatTempIndoor)
+			if got := sceneValues(t, h.view.Load().snap); got != values {
+				t.Fatalf("the caller's Set and Delete after the push rewrote the home's view:\n got  %s\n want %s", got, values)
+			}
+			if got := judge(); got != decision {
+				t.Fatalf("the caller's Set and Delete after the push changed the decision:\n got  %s\n want %s", got, decision)
+			}
+		}
+	}
+}
+
 // TestFleetDropsOutOfOrderPush: a push whose event time is behind the
 // home's view — reordered by two gateway connections, or replayed — is
 // dropped and counted, and a sensitive instruction is judged on the newer
@@ -617,7 +669,7 @@ func TestAuthorizeBatchIntoSkipsPresetResults(t *testing.T) {
 	if err := f.PushContext("skipped", legal); err != nil {
 		t.Fatal(err)
 	}
-	view, pushes := skipped.view.Load(), f.metrics.pushes.Value()
+	view, pushes := sceneValues(t, skipped.view.Load().snap), f.metrics.pushes.Value()
 	attack, err := dataset.AttackScene(dataset.ModelWindow, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -639,9 +691,9 @@ func TestAuthorizeBatchIntoSkipsPresetResults(t *testing.T) {
 	if out[1].Err != "" || !out[1].Decision.Allowed {
 		t.Fatalf("the item beside them = %+v, want judged and allowed", out[1])
 	}
-	if skipped.view.Load() != view || len(skipped.stage.Log()) != 0 || len(judged.stage.Log()) != 1 {
-		t.Fatalf("skipped home's view replaced %v, %d logged; judged home %d logged; want the view kept, 0 and 1",
-			skipped.view.Load() != view, len(skipped.stage.Log()), len(judged.stage.Log()))
+	if kept := sceneValues(t, skipped.view.Load().snap); kept != view || len(skipped.stage.Log()) != 0 || len(judged.stage.Log()) != 1 {
+		t.Fatalf("skipped home's view rewritten %v, %d logged; judged home %d logged; want the view kept, 0 and 1",
+			kept != view, len(skipped.stage.Log()), len(judged.stage.Log()))
 	}
 	m := f.metrics
 	if got := m.pushes.Value() - pushes; got != 1 {

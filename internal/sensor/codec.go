@@ -40,10 +40,13 @@ import (
 //
 // Snapshot.DecodeJSON and Snapshot.AppendJSON are the entry points for a
 // codec that carries scenes inside a larger document: they decode at the
-// caller's cursor and append to the caller's buffer. Labels from the
-// vocabulary are interned, so decoding a vocabulary scene allocates only
-// its value set: the set and its entries. The encoding/json codec
-// survives in the package tests as the differential reference.
+// caller's cursor and append to the caller's buffer. DecodeJSON writes
+// into the snapshot's own value storage, so a caller that decodes scene
+// after scene into one snapshot reuses its entries. Labels from the
+// vocabulary are interned, so decoding a vocabulary scene allocates
+// nothing once the snapshot's entries have room for it, and only a value
+// set and its entries the first time. The encoding/json codec survives in
+// the package tests as the differential reference.
 
 // snapshotFields are the snapshot's two field names, "at" and "values".
 var snapshotFields = []string{"at", "values"}
@@ -107,11 +110,14 @@ func decodeValue(d *jsonwire.Decoder) (Value, error) {
 
 // DecodeJSON decodes the snapshot document at d's cursor and consumes
 // it, as UnmarshalJSON decodes a whole document: on success it replaces
-// s (null gives the zero time and no values), on error it leaves s
-// unchanged. The decoded values are s's own: nothing it stores aliases
-// the document or the snapshot s held before. A well-formed document
-// whose values name a feature outside the vocabulary is consumed and
-// reported as an *UnknownFeatureError.
+// s's time and values (null gives the zero time and no values), on error
+// it leaves s unchanged. It writes the values into s's own value storage,
+// as SetValues does: in place when s's entries have room, so copies of s
+// see the new values, and into exactly sized new entries otherwise. The
+// entries past the new values are zeroed, so nothing of the values s held
+// before stays behind them, and nothing stored aliases the document. A
+// well-formed document whose values name a feature outside the vocabulary
+// is consumed and reported as an *UnknownFeatureError.
 func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 	var at time.Time
 	var sc scene
@@ -143,7 +149,8 @@ func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 	if sc.unknown != nil {
 		return sc.unknown
 	}
-	s.At, s.vals = at, sc.valueSet()
+	s.At = at
+	sc.store(s)
 	return nil
 }
 
@@ -189,15 +196,15 @@ func (sc *scene) decodeValues(d *jsonwire.Decoder) error {
 	})
 }
 
-// valueSet copies the present values, in ordinal order, into an exactly
-// sized value set.
-func (sc *scene) valueSet() *valueSet {
-	es := make([]entry, 0, bits.OnesCount32(sc.present))
+// store writes the present values, in ordinal order, into s's own value
+// storage.
+func (sc *scene) store(s *Snapshot) {
+	es := s.own().rewrite(bits.OnesCount32(sc.present))
 	for m := sc.present; m != 0; m &= m - 1 {
 		f := Feature(bits.TrailingZeros32(m))
 		es = append(es, newEntry(f, sc.vals[f]))
 	}
-	return &valueSet{es: es}
+	s.vals.es = es
 }
 
 // AppendJSON appends the snapshot's wire form, the document MarshalJSON

@@ -1,6 +1,10 @@
 package sensor
 
-import "testing"
+import (
+	"testing"
+
+	"iotsid/internal/jsonwire"
+)
 
 // windowScene is a window-model scene: the nine vocabulary features of
 // Fig 6, as the fleet's gateways push them.
@@ -137,5 +141,77 @@ func TestUnmarshalReplacesOnlyOnSuccess(t *testing.T) {
 	}
 	if err := v.UnmarshalJSON([]byte(`null`)); err != nil || !v.IsZero() {
 		t.Fatalf("null = %v, %v; want an absent value", v, err)
+	}
+}
+
+// requireTailZero fails unless the entries of s past its values are zero.
+func requireTailZero(t *testing.T, s Snapshot) {
+	t.Helper()
+	es := s.entries()
+	for i, e := range es[len(es):cap(es)] {
+		if e != (entry{}) {
+			t.Fatalf("entry %d past the %d values = %+v, want zero", len(es)+i, len(es), e)
+		}
+	}
+}
+
+// TestDecodeJSONWritesOwnStorage pins DecodeJSON's contract: it rewrites
+// the snapshot's own value storage in place when the entries have room,
+// so copies see the new values and a decode that has room allocates
+// nothing, zeroes the entries past a narrower scene's values, and on
+// error leaves the snapshot and its storage as they were.
+func TestDecodeJSONWritesOwnStorage(t *testing.T) {
+	wide, err := windowScene().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := []byte(`{"at":"2021-03-14T15:09:26Z","values":{"motion":false}}`)
+	decode := func(s *Snapshot, data []byte) error {
+		d := jsonwire.NewDecoder(data)
+		return s.DecodeJSON(&d)
+	}
+	var s Snapshot
+	if err := decode(&s, wide); err != nil || !sameValues(s, windowScene()) {
+		t.Fatalf("decode = %v, %v", valuesOf(s), err)
+	}
+	storage, alias := &s.entries()[:1][0], s
+	if err := decode(&s, narrow); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 1 || s.Bool(FeatMotion) || &s.entries()[:1][0] != storage {
+		t.Fatalf("narrow decode = %v in new storage %v; want motion=false in the entries the wide scene left", valuesOf(s), &s.entries()[:1][0] != storage)
+	}
+	if alias.Len() != 1 {
+		t.Fatalf("a copy taken before the decode reads %d values, want the new 1", alias.Len())
+	}
+	requireTailZero(t, s)
+	for _, bad := range []string{`{"values":{"smoke":1e400}}`, `{"values":{"ghost":true}}`, `{"values":`} {
+		if err := decode(&s, []byte(bad)); err == nil {
+			t.Fatalf("%s accepted", bad)
+		}
+		if s.Len() != 1 || s.Bool(FeatMotion) || !s.At.Equal(alias.At) || &s.entries()[:1][0] != storage {
+			t.Fatalf("failed decode of %s changed the snapshot: %v", bad, valuesOf(s))
+		}
+		requireTailZero(t, s)
+	}
+	if err := decode(&s, []byte(`null`)); err != nil || s.Len() != 0 || !s.At.IsZero() {
+		t.Fatalf("null = %v at %v, %v; want no values at the zero time", valuesOf(s), s.At, err)
+	}
+	requireTailZero(t, s)
+	if raceEnabled {
+		return
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		data := wide
+		if n++; n%2 == 0 {
+			data = narrow
+		}
+		if err := decode(&s, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding into entries with room allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"time"
+	"unsafe"
 
 	"iotsid/internal/jsonwire"
 )
@@ -13,10 +14,10 @@ import (
 // closed vocabulary, so a snapshot holds at most NumFeatures values.
 //
 // The values sit behind one pointer, so copies of a snapshot share its
-// values: a Set or Delete through one copy is seen through every other.
-// Clone and Merge return snapshots with values of their own. The zero
-// Snapshot has no values yet; its first Set allocates them, so copies
-// taken before that do not see it.
+// values: a Set, Delete, SetValues or DecodeJSON through one copy is seen
+// through every other. Clone and Merge return snapshots with values of
+// their own. The zero Snapshot has no values yet; its first Set allocates
+// them, so copies taken before that do not see it.
 type Snapshot struct {
 	At   time.Time
 	vals *valueSet
@@ -25,7 +26,23 @@ type Snapshot struct {
 // valueSet is a snapshot's values: entries sorted by feature, no feature
 // twice. Sorted entries make lookups a binary search over one-byte keys
 // and let the codec and Features walk them in wire order without sorting.
+// The entries in [len, cap) are zero.
 type valueSet struct{ es []entry }
+
+// MaxValueBytes bounds the value storage a snapshot owns, strings aside:
+// a value set holding every feature of the vocabulary.
+const MaxValueBytes = unsafe.Sizeof(valueSet{}) + uintptr(NumFeatures)*unsafe.Sizeof(entry{})
+
+// rewrite returns the set's entries emptied for n new ones: its own,
+// zeroed, when they have room, and exactly n new ones otherwise. The
+// result is never nil, so an empty set reads the same, fresh or reused.
+func (vs *valueSet) rewrite(n int) []entry {
+	if vs.es == nil || cap(vs.es) < n {
+		return make([]entry, 0, n)
+	}
+	clear(vs.es)
+	return vs.es[:0]
+}
 
 // entry is one feature value: the feature's ordinal beside the value's
 // fields, flattened so that the ordinal shares the type tag's word and an
@@ -84,10 +101,7 @@ func (s *Snapshot) Set(f Feature, v Value) {
 	if !f.Valid() {
 		panic(fmt.Sprintf("sensor: Set of %v, outside the vocabulary", f))
 	}
-	if s.vals == nil {
-		s.vals = new(valueSet)
-	}
-	i, ok := find(s.vals.es, f)
+	i, ok := find(s.own().es, f)
 	if ok {
 		s.vals.es[i] = newEntry(f, v)
 		return
@@ -172,14 +186,25 @@ func (s Snapshot) Clone() Snapshot {
 	return Snapshot{At: s.At, vals: &valueSet{es: slices.Clone(s.entries())}}
 }
 
-// SetValues replaces s's values with a copy of o's, overwriting s's own
-// entries in place when they have room, and keeps s.At. Copies of s see
-// the new values.
+// SetValues replaces s's values with a copy of o's and keeps s.At. It
+// overwrites s's own entries in place when they have room, so copies of s
+// see the new values, and copies into exactly sized new entries
+// otherwise. The entries past the new values are zeroed, so nothing of
+// the values s held before stays behind them.
 func (s *Snapshot) SetValues(o Snapshot) {
+	if s.vals != nil && s.vals == o.vals {
+		return
+	}
+	src, vs := o.entries(), s.own()
+	vs.es = append(vs.rewrite(len(src)), src...)
+}
+
+// own returns s's value set, making an empty one for the zero Snapshot.
+func (s *Snapshot) own() *valueSet {
 	if s.vals == nil {
 		s.vals = new(valueSet)
 	}
-	s.vals.es = append(s.vals.es[:0], o.entries()...)
+	return s.vals
 }
 
 // Merge overlays o onto a copy of s; o's values win on conflict, and the

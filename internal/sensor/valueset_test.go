@@ -100,10 +100,11 @@ func TestSnapshotCopiesShareValues(t *testing.T) {
 	}
 }
 
-// TestSnapshotSetValuesInPlace pins what the trust engine relies on:
-// SetValues copies another snapshot's values into the receiver's own
-// entries, without allocating when they have room and without sharing
-// them with the source.
+// TestSnapshotSetValuesInPlace pins what the trust engine and the fleet's
+// home views rely on: SetValues copies another snapshot's values into the
+// receiver's own entries, without allocating when they have room, without
+// sharing them with the source and with the entries past fewer values
+// zeroed.
 func TestSnapshotSetValuesInPlace(t *testing.T) {
 	var last Snapshot
 	last.At = testTime
@@ -121,6 +122,12 @@ func TestSnapshotSetValuesInPlace(t *testing.T) {
 	last.SetValues(small)
 	if !sameValues(last, small) {
 		t.Fatalf("SetValues to fewer features = %v", valuesOf(last))
+	}
+	requireTailZero(t, last)
+	alias := last
+	last.SetValues(alias)
+	if !sameValues(last, small) {
+		t.Fatalf("SetValues from a copy sharing its values = %v", valuesOf(last))
 	}
 	if raceEnabled {
 		return

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"iotsid/internal/epoch"
 	"iotsid/internal/obs"
 	"iotsid/internal/par"
 	"iotsid/internal/resilience"
@@ -360,11 +361,7 @@ func (m *MultiCollector) CollectDetailed(ctx context.Context) (sensor.Snapshot, 
 				// time is the snapshot's own stamp (a spoofer replaying
 				// history is caught); an unstamped snapshot falls back to
 				// the collect clock.
-				at := res.snap.At
-				if at.IsZero() {
-					at = now
-				}
-				m.trust.Observe(src.Name, res.snap, at)
+				m.trust.Observe(src.Name, res.snap, epoch.EventTime(res.snap, now))
 			}
 			// An out-of-order snapshot (a byzantine source replaying old
 			// timestamps) does not replace the last good one; the

@@ -63,8 +63,8 @@ type Config struct {
 }
 
 // View is one published immutable snapshot generation. Readers share it:
-// the snapshot's value map and the PushedAt slice are frozen at publish
-// time and must be treated as read-only.
+// the snapshot's values and the PushedAt slice are frozen at publish time
+// and must be treated as read-only.
 type View struct {
 	// Epoch increases by one per publish; 0 is the empty pre-push view.
 	Epoch uint64

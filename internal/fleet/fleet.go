@@ -338,7 +338,7 @@ func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 	if h.trust != nil {
 		// Score on the device's event time when it carries one (the
 		// behavioral fingerprint cares about the sensor's own timeline).
-		h.trust.Observe(h.trustSource, snap, at) //iot:allow hotcall per-push trust scoring holds a lock by design; the authorize fast path never calls it
+		h.trust.Observe(h.trustSource, snap, at)
 	}
 	var verdict epoch.Verdict
 	if v := h.view.Load(); v != nil {

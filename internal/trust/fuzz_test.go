@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"iotsid/internal/obs"
 	"iotsid/internal/sensor"
 )
 
@@ -56,9 +57,8 @@ func fuzzSnapshots(fa, fb string, va, vb float64, ba, bb bool, atPrev, atCur int
 
 // FuzzInvariants drives the invariant-table evaluator over adversarial
 // snapshot pairs. The evaluator must be total (no panics on NaN/Inf,
-// unknown features, absent values, zero timestamps), must pair every
-// firing with a non-empty detail, and must be a pure function of its
-// inputs.
+// unknown features, absent values, zero timestamps) and must be a pure
+// function of its inputs.
 func FuzzInvariants(f *testing.F) {
 	f.Add("temperature_in", "motion", 22.5, -300.0, true, false, int64(0), int64(0))
 	f.Add("air_quality", "occupancy", math.NaN(), math.Inf(1), false, true, int64(1_600_000_000), int64(1))
@@ -72,12 +72,8 @@ func FuzzInvariants(f *testing.F) {
 			Invariant{Name: "fuzz_contra", Kind: Contradiction, A: fuzzFeature(fb), B: sensor.FeatMotion},
 		)
 		for _, iv := range table {
-			violated, detail := iv.Eval(prev, cur)
-			if violated && detail == "" {
-				t.Fatalf("invariant %s fired without detail", iv.Name)
-			}
-			if v2, d2 := iv.Eval(prev, cur); v2 != violated || d2 != detail {
-				t.Fatalf("invariant %s not deterministic: (%v,%q) vs (%v,%q)", iv.Name, violated, detail, v2, d2)
+			if a, b := iv.Eval(prev, cur), iv.Eval(prev, cur); a != b {
+				t.Fatalf("invariant %s not deterministic: %v then %v", iv.Name, a, b)
 			}
 		}
 	})
@@ -85,8 +81,9 @@ func FuzzInvariants(f *testing.F) {
 
 // FuzzObserve drives a whole engine over an adversarial two-observation
 // stream: the score must stay a finite number in [0,1], the atomics must
-// agree with the threshold, and two engines fed the same stream must
-// land on bit-identical scores.
+// agree with the threshold, each invariant's counter must move on the
+// second observation exactly when the invariant fires over the pair, and
+// two engines fed the same stream must land on bit-identical scores.
 func FuzzObserve(f *testing.F) {
 	f.Add("temperature_in", "motion", 22.5, math.NaN(), true, false, int64(0), int64(0))
 	f.Add("air_quality", "ghost_feature", math.Inf(-1), -40.0, false, true, int64(2), int64(1))
@@ -94,12 +91,20 @@ func FuzzObserve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, fa, fb string, va, vb float64, ba, bb bool, atPrev, atCur int64) {
 		prev, cur := fuzzSnapshots(fa, fb, va, vb, ba, bb, atPrev, atCur)
 		run := func() float64 {
-			e, err := NewEngine(Config{BaselineObs: 1}, SourceConfig{Name: "sim", Required: true})
+			e, err := NewEngine(Config{BaselineObs: 1, Metrics: obs.NewRegistry()}, SourceConfig{Name: "sim", Required: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			e.Observe("sim", prev, prev.At)
+			before := ruleCounts(e)
 			e.Observe("sim", cur, cur.At)
+			after := ruleCounts(e)
+			for k, iv := range e.invariants {
+				r := numFingerprintRules + k
+				if moved, fired := after[r] != before[r], iv.Eval(prev, cur); moved != fired || after[r]-before[r] > 1 {
+					t.Fatalf("invariant %s counted %d, Eval says %v", iv.Name, after[r]-before[r], fired)
+				}
+			}
 			sc, _ := e.Score("sim")
 			if math.IsNaN(sc) || sc < 0 || sc > 1 {
 				t.Fatalf("score degenerated to %v", sc)

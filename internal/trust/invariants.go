@@ -40,7 +40,7 @@ func (k InvariantKind) String() string {
 // fire, except that a Range rule treats a non-finite numeric value as
 // out of range (no physical quantity is NaN).
 type Invariant struct {
-	// Name labels the rule in violations and metrics.
+	// Name labels the rule's violation counter.
 	Name string
 	// Kind selects the check.
 	Kind InvariantKind
@@ -84,44 +84,33 @@ func (iv Invariant) validate() error {
 	return nil
 }
 
-// Eval checks the rule over one (previous, current) observation pair and
-// reports whether it fired, with a human-readable detail. It is total
-// over adversarial inputs: either snapshot may be the zero value, carry
-// absent values, values of the wrong type or non-finite numbers.
-func (iv Invariant) Eval(prev, cur sensor.Snapshot) (bool, string) {
+// Eval reports whether the rule fires over one (previous, current)
+// observation pair. It is total over adversarial inputs: either snapshot
+// may be the zero value, carry absent values, values of the wrong type or
+// non-finite numbers.
+func (iv Invariant) Eval(prev, cur sensor.Snapshot) bool {
 	switch iv.Kind {
 	case MaxStep:
 		pv, pok := numericFeature(prev, iv.Feature)
 		cv, cok := numericFeature(cur, iv.Feature)
-		if !pok || !cok {
-			return false, ""
-		}
-		if step := math.Abs(cv - pv); step > iv.Limit {
-			return true, fmt.Sprintf("%s: %s stepped %.4g, limit %.4g", iv.Name, iv.Feature, step, iv.Limit)
-		}
+		return pok && cok && math.Abs(cv-pv) > iv.Limit
 	case Range:
 		v, ok := cur.Get(iv.Feature)
 		if !ok {
-			return false, ""
+			return false
 		}
 		num, isNum := v.Numeric()
 		if !isNum {
-			return false, ""
+			return false
 		}
-		if math.IsNaN(num) || math.IsInf(num, 0) {
-			return true, fmt.Sprintf("%s: %s non-finite value %v", iv.Name, iv.Feature, num)
-		}
-		if num < iv.Min || num > iv.Max {
-			return true, fmt.Sprintf("%s: %s at %.4g outside [%.4g, %.4g]", iv.Name, iv.Feature, num, iv.Min, iv.Max)
-		}
+		// No physical quantity is non-finite.
+		return math.IsNaN(num) || math.IsInf(num, 0) || num < iv.Min || num > iv.Max
 	case Contradiction:
 		av, aok := boolFeature(cur, iv.A)
 		bv, bok := boolFeature(cur, iv.B)
-		if aok && bok && !av && bv {
-			return true, fmt.Sprintf("%s: %s=false contradicts %s=true", iv.Name, iv.A, iv.B)
-		}
+		return aok && bok && !av && bv
 	}
-	return false, ""
+	return false
 }
 
 // numericFeature extracts a finite numeric (or boolean-coerced) value.

@@ -38,8 +38,7 @@ func TestScoreMonotoneUnderViolations(t *testing.T) {
 		prev := 1.0
 		for i := 0; i < 64; i++ {
 			s, at := violating(rng, i)
-			v := e.Observe("sim", s, at)
-			if len(v) == 0 {
+			if v := observe(t, e, s, at); len(v) == 0 {
 				t.Fatalf("seed %d step %d: intended violation not detected", seed, i)
 			}
 			cur, _ := e.Score("sim")
@@ -67,17 +66,16 @@ func TestScoreRecoversUnderCleanStream(t *testing.T) {
 		nBad := 6 + rng.Intn(6)
 		for i := 4; i < nBad; i++ {
 			s, _ := steady(i)
-			v := e.Observe("sim", s, t0.Add(-time.Duration(i+1)*5*time.Second))
-			if !hasRule(v, RuleReplay) {
-				t.Fatalf("seed %d: replay step %d not flagged: %+v", seed, i, v)
+			if v := observe(t, e, s, t0.Add(-time.Duration(i+1)*5*time.Second)); v[RuleReplay] == 0 {
+				t.Fatalf("seed %d: replay step %d not flagged: %v", seed, i, v)
 			}
 		}
 		low, _ := e.Score("sim")
 		prev := low
 		for i := nBad; i < nBad+200; i++ {
 			s, at := steady(i)
-			if v := e.Observe("sim", s, at); len(v) != 0 {
-				t.Fatalf("seed %d: clean step %d violated: %+v", seed, i, v)
+			if v := observe(t, e, s, at); len(v) != 0 {
+				t.Fatalf("seed %d: clean step %d violated: %v", seed, i, v)
 			}
 			cur, _ := e.Score("sim")
 			if cur < prev {

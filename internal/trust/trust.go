@@ -40,9 +40,8 @@ import (
 	"iotsid/internal/sensor"
 )
 
-// Fingerprint rule names — the label vocabulary of the violation counter
-// and the Rule field of reported violations. Invariant-table violations
-// carry the invariant's own name instead.
+// Fingerprint rule names — the rule labels of the violation counter.
+// Invariant-table violations are counted under the invariant's own name.
 const (
 	RuleReplay    = "replay"    // event time ran backwards
 	RuleCadence   = "cadence"   // report interval far off the learned cadence
@@ -52,9 +51,24 @@ const (
 	RuleMalformed = "malformed" // NaN/Inf numeric or absent (null) value
 )
 
-// fingerprintRules lists every built-in rule, in evaluation order, for
-// metric pre-registration.
-var fingerprintRules = []string{RuleReplay, RuleCadence, RuleStep, RuleStuck, RuleDrift, RuleMalformed}
+// Rule positions: a rule's index in fingerprintRules and in a source's
+// per-rule counters, where the invariant table follows the fingerprint
+// rules in declaration order.
+const (
+	posReplay = iota
+	posCadence
+	posStep
+	posStuck
+	posDrift
+	posMalformed
+	numFingerprintRules
+)
+
+// fingerprintRules names every built-in rule by position.
+var fingerprintRules = [numFingerprintRules]string{
+	posReplay: RuleReplay, posCadence: RuleCadence, posStep: RuleStep,
+	posStuck: RuleStuck, posDrift: RuleDrift, posMalformed: RuleMalformed,
+}
 
 // Metric names the engine owns.
 const (
@@ -112,13 +126,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// Violation reports one failed check of one observation.
-type Violation struct {
-	Source string `json:"source"`
-	Rule   string `json:"rule"`
-	Detail string `json:"detail"`
-}
-
 // SourceTrust is one source's row in a trust report.
 type SourceTrust struct {
 	Name         string  `json:"name"`
@@ -171,7 +178,7 @@ type sourceState struct {
 	baselineReady bool
 
 	scoreGauge *obs.Gauge
-	violCount  map[string]*obs.Counter // per rule, pre-registered
+	violCount  []*obs.Counter // per rule position, pre-registered
 }
 
 // Engine scores a fixed set of sources. Construct with NewEngine; the
@@ -283,12 +290,12 @@ func NewEngine(cfg Config, sources ...SourceConfig) (*Engine, error) {
 		if cfg.Metrics != nil {
 			st.scoreGauge = scoreVec.With(sc.Name)
 			st.scoreGauge.Set(1000)
-			st.violCount = make(map[string]*obs.Counter, len(fingerprintRules)+len(invariants))
+			st.violCount = make([]*obs.Counter, 0, numFingerprintRules+len(invariants))
 			for _, r := range fingerprintRules {
-				st.violCount[r] = violVec.With(sc.Name, r)
+				st.violCount = append(st.violCount, violVec.With(sc.Name, r))
 			}
 			for _, iv := range invariants {
-				st.violCount[iv.Name] = violVec.With(sc.Name, iv.Name)
+				st.violCount = append(st.violCount, violVec.With(sc.Name, iv.Name))
 			}
 		}
 		e.byName[sc.Name] = i
@@ -382,40 +389,37 @@ func (e *Engine) Report() []SourceTrust {
 
 // Observe scores one observation from the named source: a poll result or
 // a pushed delta, stamped with its event time (zero disables the timing
-// checks for this observation). It returns the violations found, in a
-// deterministic order; unknown sources are ignored and return nil.
+// checks for this observation). Each violation decays the score once and
+// counts under its rule; the observation records counts, not text, so a
+// violating push allocates no more than a clean one. Unknown sources are
+// ignored.
 //
 // Observe serialises on the engine mutex; callers on decision paths
 // should observe from their write side (collect bookkeeping, store
 // publish) and keep reads on the atomic accessors.
-func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Violation {
+//
+//iot:hotpath
+func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) {
 	i, ok := e.byName[source]
 	if !ok {
-		return nil
+		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.sources[i]
-
-	var found []Violation
-	report := func(rule, detail string) {
-		found = append(found, Violation{Source: s.name, Rule: rule, Detail: detail})
-		if c, ok := s.violCount[rule]; ok {
-			c.Inc()
-		}
-	}
+	before := s.violations
 
 	// Timing fingerprint: replay first (active from the second
 	// observation), then cadence once the baseline interval is learned.
 	timed := !at.IsZero()
 	if timed && !s.last.At.IsZero() {
 		if at.Before(s.last.At) {
-			report(RuleReplay, fmt.Sprintf("event time %s behind newest %s", at.Format(time.RFC3339Nano), s.last.At.Format(time.RFC3339Nano)))
+			s.violate(posReplay)
 		} else if dt := at.Sub(s.last.At).Seconds(); dt > 0 {
 			if s.baselineReady && s.meanInterval > 0 {
 				ratio := dt / s.meanInterval
 				if ratio > e.cfg.CadenceTolerance || ratio < 1/e.cfg.CadenceTolerance {
-					report(RuleCadence, fmt.Sprintf("interval %.3gs off learned cadence %.3gs", dt, s.meanInterval))
+					s.violate(posCadence)
 				}
 			}
 			if !s.baselineReady {
@@ -426,10 +430,11 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	}
 
 	// Per-feature value fingerprint, in sorted feature order so the
-	// violation list and the score trajectory are scheduling-independent.
+	// violation counts and the score trajectory are scheduling-independent.
+	//iot:allow hotalloc the closure does not escape Range, so it stays on the stack; TestObserveViolatingPushAllocs counts 0 allocs
 	snap.Range(func(f sensor.Feature, v sensor.Value) bool {
 		if v.IsZero() {
-			report(RuleMalformed, fmt.Sprintf("feature %s absent (null) value", f))
+			s.violate(posMalformed)
 			return true
 		}
 		num, isNum := v.Numeric()
@@ -437,7 +442,7 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 			return true
 		}
 		if math.IsNaN(num) || math.IsInf(num, 0) {
-			report(RuleMalformed, fmt.Sprintf("feature %s non-finite value %v", f, num))
+			s.violate(posMalformed)
 			return true
 		}
 		if s.feats == nil {
@@ -451,16 +456,11 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 		if s.baselineReady && fs.n > 0 {
 			// A feature must have contributed to the baseline to be
 			// judged against it; late-appearing features only learn.
-			if fs.has {
-				if step := math.Abs(num - fs.last); step > fs.stepLimit {
-					report(RuleStep, fmt.Sprintf("feature %s stepped %.4g, envelope %.4g", f, step, fs.stepLimit))
-				}
+			if fs.has && math.Abs(num-fs.last) > fs.stepLimit {
+				s.violate(posStep)
 			}
-			if !e.exempt[f] {
-				band := e.cfg.DriftTolerance * fs.spread
-				if dev := math.Abs(num - fs.mean); dev > band {
-					report(RuleDrift, fmt.Sprintf("feature %s at %.4g drifted %.4g from learned mean %.4g (band %.4g)", f, num, dev, fs.mean, band))
-				}
+			if !e.exempt[f] && math.Abs(num-fs.mean) > e.cfg.DriftTolerance*fs.spread {
+				s.violate(posDrift)
 			}
 		}
 		if !s.baselineReady {
@@ -488,16 +488,16 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	if snap.Len() > 0 && identicalValues(snap, s.last) {
 		s.stuckRun++
 		if s.stuckRun >= e.cfg.StuckAfter {
-			report(RuleStuck, fmt.Sprintf("values bit-identical for %d consecutive reports", s.stuckRun+1))
+			s.violate(posStuck)
 		}
 	} else {
 		s.stuckRun = 0
 	}
 
 	// Cross-sensor invariant table, in declaration order.
-	for _, iv := range e.invariants {
-		if violated, detail := iv.Eval(s.last, snap); violated {
-			report(iv.Name, detail)
+	for k, iv := range e.invariants {
+		if iv.Eval(s.last, snap) {
+			s.violate(numFingerprintRules + k)
 		}
 	}
 
@@ -506,11 +506,10 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 	// Violations never increase the score, so a violating stream's
 	// trajectory is monotone non-increasing.
 	score := math.Float64frombits(s.score.Load())
-	if len(found) > 0 {
-		for range found {
+	if s.violations > before {
+		for n := before; n < s.violations; n++ {
 			score *= e.cfg.Decay
 		}
-		s.violations += uint64(len(found))
 	} else if s.baselineReady {
 		score += e.cfg.Recovery * (1 - score)
 	}
@@ -535,13 +534,20 @@ func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) []Vi
 		s.last.At = at
 	}
 	if snap.Len() > 0 {
-		s.last.SetValues(snap)
+		s.last.SetValues(snap) //iot:allow hotcall allocates only for a scene wider than any the source pushed before, so at most the vocabulary's width
 	}
 	s.obs++
 	if !s.baselineReady && s.obs >= uint64(e.cfg.BaselineObs) {
 		s.freezeBaseline(e.cfg.StepTolerance)
 	}
-	return found
+}
+
+// violate counts one violation of the rule at position r.
+func (s *sourceState) violate(r int) {
+	s.violations++
+	if s.violCount != nil {
+		s.violCount[r].Inc()
+	}
 }
 
 // freezeBaseline derives the fingerprint envelopes from the accumulated
@@ -574,16 +580,19 @@ func (s *sourceState) freezeBaseline(stepTol float64) {
 }
 
 // identicalValues reports whether two snapshots carry exactly the same
-// features with exactly equal values.
+// features with exactly equal values. It walks both in feature order with
+// cursors, so it needs no closure.
 func identicalValues(a, b sensor.Snapshot) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	same := true
-	a.Range(func(f sensor.Feature, v sensor.Value) bool {
-		ov, ok := b.Get(f)
-		same = ok && v.Equal(ov)
-		return same
-	})
-	return same
+	ca, cb := a.Cursor(), b.Cursor()
+	for f := sensor.Feature(1); f < sensor.FeatureLimit; f++ {
+		av, aok := ca.Seek(f)
+		bv, bok := cb.Seek(f)
+		if aok != bok || !av.Equal(bv) {
+			return false
+		}
+	}
+	return true
 }

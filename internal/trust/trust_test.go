@@ -3,6 +3,7 @@ package trust
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,8 +30,13 @@ func steady(i int) (sensor.Snapshot, time.Time) {
 	return s, at
 }
 
+// newTestEngine builds a one-source engine ("sim") backed by its own
+// metrics registry, so observe can read what each observation counted.
 func newTestEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
+	}
 	e, err := NewEngine(cfg, SourceConfig{Name: "sim", Required: true})
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +83,8 @@ func TestCleanStreamStaysTrusted(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	for i := 0; i < 64; i++ {
 		s, at := steady(i)
-		if v := e.Observe("sim", s, at); len(v) != 0 {
-			t.Fatalf("clean observation %d violated: %+v", i, v)
+		if v := observe(t, e, s, at); len(v) != 0 {
+			t.Fatalf("clean observation %d violated: %v", i, v)
 		}
 	}
 	if sc, _ := e.Score("sim"); sc != 1 {
@@ -92,8 +98,10 @@ func TestCleanStreamStaysTrusted(t *testing.T) {
 func TestUnknownSourceIgnored(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	s, at := steady(0)
-	if v := e.Observe("ghost", s, at); v != nil {
-		t.Fatalf("unknown source produced violations: %+v", v)
+	before := ruleCounts(e)
+	e.Observe("ghost", s, at)
+	if rep := e.Report(); rep[0].Observations != 0 || !reflect.DeepEqual(ruleCounts(e), before) {
+		t.Fatalf("unknown source was observed: %+v, counts %v", rep, ruleCounts(e))
 	}
 	if _, ok := e.Score("ghost"); ok {
 		t.Fatal("Score resolved an unknown source")
@@ -107,9 +115,8 @@ func TestReplayViolation(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	warm(e, 4)
 	s, _ := steady(4)
-	v := e.Observe("sim", s, t0.Add(-time.Minute))
-	if !hasRule(v, RuleReplay) {
-		t.Fatalf("replayed timestamp not flagged: %+v", v)
+	if v := observe(t, e, s, t0.Add(-time.Minute)); v[RuleReplay] == 0 {
+		t.Fatalf("replayed timestamp not flagged: %v", v)
 	}
 	if sc, _ := e.Score("sim"); sc >= 1 {
 		t.Fatalf("replay did not decay score: %v", sc)
@@ -121,9 +128,8 @@ func TestCadenceViolation(t *testing.T) {
 	warm(e, 8)
 	// 5s learned cadence; a 10-minute gap is a 120x ratio.
 	s, _ := steady(8)
-	v := e.Observe("sim", s, t0.Add(8*5*time.Second+10*time.Minute))
-	if !hasRule(v, RuleCadence) {
-		t.Fatalf("off-cadence report not flagged: %+v", v)
+	if v := observe(t, e, s, t0.Add(8*5*time.Second+10*time.Minute)); v[RuleCadence] == 0 {
+		t.Fatalf("off-cadence report not flagged: %v", v)
 	}
 }
 
@@ -132,9 +138,8 @@ func TestStepViolation(t *testing.T) {
 	warm(e, 8)
 	s, at := steady(8)
 	s.Set(sensor.FeatAirQuality, sensor.Number(400)) // baseline jitters around 60±2
-	v := e.Observe("sim", s, at)
-	if !hasRule(v, RuleStep) {
-		t.Fatalf("spike not flagged as step violation: %+v", v)
+	if v := observe(t, e, s, at); v[RuleStep] == 0 {
+		t.Fatalf("spike not flagged as step violation: %v", v)
 	}
 }
 
@@ -144,28 +149,27 @@ func TestDriftViolation(t *testing.T) {
 	// Creep far out of the learned envelope in steps small enough to pass
 	// the (deliberately loosened) step check: only drift can catch this.
 	cur := 60.0
-	var last []Violation
+	var last map[string]uint64
 	for i := 8; i < 40; i++ {
 		cur += 1.5
 		s, at := steady(i)
 		s.Set(sensor.FeatAirQuality, sensor.Number(cur))
-		last = e.Observe("sim", s, at)
-		if hasRule(last, RuleDrift) {
+		if last = observe(t, e, s, at); last[RuleDrift] != 0 {
 			return
 		}
 	}
-	t.Fatalf("slow drift to %v never flagged; last violations %+v", cur, last)
+	t.Fatalf("slow drift to %v never flagged; last violations %v", cur, last)
 }
 
 func TestStuckViolation(t *testing.T) {
 	e := newTestEngine(t, Config{StuckAfter: 4})
 	s, _ := steady(0)
-	var v []Violation
+	var v map[string]uint64
 	for i := 0; i < 8; i++ {
-		v = e.Observe("sim", s, t0.Add(time.Duration(i)*5*time.Second))
+		v = observe(t, e, s, t0.Add(time.Duration(i)*5*time.Second))
 	}
-	if !hasRule(v, RuleStuck) {
-		t.Fatalf("frozen feed not flagged: %+v", v)
+	if v[RuleStuck] == 0 {
+		t.Fatalf("frozen feed not flagged: %v", v)
 	}
 }
 
@@ -174,15 +178,8 @@ func TestMalformedValues(t *testing.T) {
 	s, at := steady(0)
 	s.Set(sensor.FeatTempIndoor, sensor.Number(math.NaN()))
 	s.Set(sensor.FeatHumidity, sensor.Value{})
-	v := e.Observe("sim", s, at)
-	n := 0
-	for _, viol := range v {
-		if viol.Rule == RuleMalformed {
-			n++
-		}
-	}
-	if n != 2 {
-		t.Fatalf("NaN + null produced %d malformed violations, want 2: %+v", n, v)
+	if v := observe(t, e, s, at); v[RuleMalformed] != 2 {
+		t.Fatalf("NaN + null produced %d malformed violations, want 2: %v", v[RuleMalformed], v)
 	}
 }
 
@@ -192,9 +189,8 @@ func TestInvariantViolationsDecayScore(t *testing.T) {
 	s.Set(sensor.FeatAirQuality, sensor.Number(-5)) // aqi_range
 	s.Set(sensor.FeatOccupancy, sensor.Bool(false))
 	s.Set(sensor.FeatMotion, sensor.Bool(true)) // occupancy_motion
-	v := e.Observe("sim", s, at)
-	if !hasRule(v, "aqi_range") || !hasRule(v, "occupancy_motion") {
-		t.Fatalf("invariant table missed violations: %+v", v)
+	if v := observe(t, e, s, at); v["aqi_range"] == 0 || v["occupancy_motion"] == 0 {
+		t.Fatalf("invariant table missed violations: %v", v)
 	}
 	want := 0.7 * 0.7
 	if sc, _ := e.Score("sim"); math.Abs(sc-want) > 1e-12 {
@@ -252,13 +248,13 @@ func TestLateFeatureOnlyLearns(t *testing.T) {
 	// must not fire step/drift on arrival or on its next wild move.
 	s, at := steady(6)
 	s.Set(sensor.FeatIlluminance, sensor.Number(500))
-	if v := e.Observe("sim", s, at); len(v) != 0 {
-		t.Fatalf("late feature arrival violated: %+v", v)
+	if v := observe(t, e, s, at); len(v) != 0 {
+		t.Fatalf("late feature arrival violated: %v", v)
 	}
 	s2, at2 := steady(7)
 	s2.Set(sensor.FeatIlluminance, sensor.Number(50_000))
-	if v := e.Observe("sim", s2, at2); len(v) != 0 {
-		t.Fatalf("late feature move violated: %+v", v)
+	if v := observe(t, e, s2, at2); len(v) != 0 {
+		t.Fatalf("late feature move violated: %v", v)
 	}
 }
 
@@ -266,8 +262,8 @@ func TestZeroTimestampSkipsTimingChecks(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	warm(e, 4)
 	s, _ := steady(4)
-	if v := e.Observe("sim", s, time.Time{}); hasRule(v, RuleReplay) || hasRule(v, RuleCadence) {
-		t.Fatalf("zero timestamp ran timing checks: %+v", v)
+	if v := observe(t, e, s, time.Time{}); v[RuleReplay] != 0 || v[RuleCadence] != 0 {
+		t.Fatalf("zero timestamp ran timing checks: %v", v)
 	}
 }
 
@@ -348,13 +344,38 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 	readers.Wait()
 }
 
-func hasRule(v []Violation, rule string) bool {
-	for _, viol := range v {
-		if viol.Rule == rule {
-			return true
+// ruleCounts reads source 0's per-rule violation counters in rule
+// position order: the fingerprint rules, then the invariant table.
+func ruleCounts(e *Engine) []uint64 {
+	counters := e.sources[0].violCount
+	out := make([]uint64, len(counters))
+	for r, c := range counters {
+		out[r] = c.Value()
+	}
+	return out
+}
+
+// observe feeds one observation to source "sim" of a registry-backed
+// engine and returns how often each rule fired, by rule name; rules that
+// did not fire are absent.
+func observe(t *testing.T, e *Engine, s sensor.Snapshot, at time.Time) map[string]uint64 {
+	t.Helper()
+	if e.cfg.Metrics == nil {
+		t.Fatal("observe reads the violation counters of a registry-backed engine")
+	}
+	names := append([]string(nil), fingerprintRules[:]...)
+	for _, iv := range e.invariants {
+		names = append(names, iv.Name)
+	}
+	before := ruleCounts(e)
+	e.Observe("sim", s, at)
+	fired := make(map[string]uint64)
+	for r, n := range ruleCounts(e) {
+		if d := n - before[r]; d != 0 {
+			fired[names[r]] = d
 		}
 	}
-	return false
+	return fired
 }
 
 func expositionContains(t *testing.T, reg *obs.Registry, line string) {

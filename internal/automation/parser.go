@@ -213,7 +213,7 @@ func (st *parseState) parseCompare() (Expr, error) {
 		return nil, fmt.Errorf("automation: bad comparison operator %q at %d", opTok.text, opTok.pos)
 	}
 	st.advance()
-	val, err := st.parseLiteral(sensor.MustDescribe(feat))
+	val, err := st.parseLiteral(feat)
 	if err != nil {
 		return nil, err
 	}
@@ -226,34 +226,31 @@ func (st *parseState) parseCompare() (Expr, error) {
 	return cmp, nil
 }
 
-func (st *parseState) parseLiteral(desc sensor.Descriptor) (sensor.Value, error) {
+// parseLiteral parses the literal compared with feat. The literal must be
+// a value feat admits: its type, and for a label one of its domain.
+func (st *parseState) parseLiteral(feat sensor.Feature) (sensor.Value, error) {
 	t := st.cur()
+	var v sensor.Value
 	switch {
 	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
-		st.advance()
-		return sensor.Bool(t.text == "TRUE"), nil
+		v = sensor.Bool(t.text == "TRUE")
 	case t.kind == tokNumber:
-		st.advance()
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return sensor.Value{}, fmt.Errorf("automation: bad number %q at %d", t.text, t.pos)
 		}
-		return sensor.Number(f), nil
+		v = sensor.Number(f)
 	case t.kind == tokString || t.kind == tokIdent:
-		st.advance()
-		// Validate against the feature's label domain when known.
-		if desc.Type == sensor.TypeLabel {
-			for _, l := range desc.Labels {
-				if l == t.text {
-					return sensor.Label(t.text), nil
-				}
-			}
-			return sensor.Value{}, fmt.Errorf("automation: label %q outside domain of %q", t.text, desc.Feature)
-		}
-		return sensor.Label(t.text), nil
+		l, _ := sensor.ParseLabel(feat, t.text)
+		v = sensor.Label(l)
 	default:
 		return sensor.Value{}, fmt.Errorf("automation: expected literal at %d, got %q", t.pos, t.text)
 	}
+	if !sensor.Admits(feat, v) {
+		return sensor.Value{}, fmt.Errorf("automation: literal %q at %d is not a value of %q", t.text, t.pos, feat)
+	}
+	st.advance()
+	return v, nil
 }
 
 func (st *parseState) parseAction() (Action, error) {

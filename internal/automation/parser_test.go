@@ -140,6 +140,33 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseLiteralOutsideVocabulary: a literal its feature does not admit
+// is a parse error at rule load, by the vocabulary's one rule: a label
+// under a bool or number feature, a number or boolean under a label
+// feature, and a label of another feature's domain.
+func TestParseLiteralOutsideVocabulary(t *testing.T) {
+	for _, src := range []string{
+		`motion == open`,
+		`motion == "locked"`,
+		`smoke == 1`,
+		`temperature_in == TRUE`,
+		`temperature_in > warm`,
+		`door_lock == 1`,
+		`outdoor_weather != FALSE`,
+		`door_lock == sunny`,
+		`time_bucket == rain`,
+	} {
+		if e, err := testParser().ParseRule("r", `WHEN `+src+` THEN light.on @ l`); err == nil {
+			t.Errorf("ParseRule(%q) = %v, want a parse error", src, e.Condition)
+		}
+	}
+	for _, src := range []string{`motion == TRUE`, `door_lock != unlocked`, `outdoor_weather == "snow"`, `time_bucket == evening`, `humidity >= 60`} {
+		if _, err := testParser().ParseRule("r", `WHEN `+src+` THEN light.on @ l`); err != nil {
+			t.Errorf("ParseRule(%q): %v", src, err)
+		}
+	}
+}
+
 func TestEvalTypeMismatch(t *testing.T) {
 	e, err := testParser().ParseExpr(`temperature_in == 22`)
 	if err != nil {

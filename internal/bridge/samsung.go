@@ -35,7 +35,7 @@ func stNumber(v sensor.Value) string {
 
 func stLabel(v sensor.Value) string {
 	l, _ := v.Label()
-	return l
+	return l.String()
 }
 
 func stDecodeNumber(raw any) (sensor.Value, error) {
@@ -64,7 +64,7 @@ var stEntities = []stEntity{
 	{id: "sensor.temperature_outdoor", feature: sensor.FeatTempOutdoor, encode: stNumber, decode: stDecodeNumber},
 	{id: "sensor.air_quality", feature: sensor.FeatAirQuality, encode: stNumber, decode: stDecodeNumber},
 	{id: "sensor.weather", feature: sensor.FeatWeather, encode: stLabel,
-		decode: sensor.LabelIn(sensor.WeatherSunny, sensor.WeatherCloudy, sensor.WeatherRain, sensor.WeatherSnow)},
+		decode: sensor.LabelIn(sensor.FeatWeather)},
 	{id: "binary_sensor.motion", feature: sensor.FeatMotion, encode: stOnOff, decode: sensor.BoolFromOnOff},
 	{id: "sensor.hour_of_day", feature: sensor.FeatHour, encode: stNumber, decode: stDecodeNumber},
 	{id: "sensor.humidity", feature: sensor.FeatHumidity, encode: stNumber, decode: stDecodeNumber},

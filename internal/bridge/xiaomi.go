@@ -47,7 +47,7 @@ func encodeNumber(v sensor.Value) any {
 
 func encodeLabel(v sensor.Value) any {
 	l, _ := v.Label()
-	return l
+	return l.String()
 }
 
 func encodeLock(v sensor.Value) any {
@@ -70,7 +70,7 @@ var xiaomiProps = []xiaomiProp{
 	{name: "outdoor_temperature", feature: sensor.FeatTempOutdoor, encode: encodeCenti, decode: sensor.NumberScaled(0.01)},
 	{name: "aqi", feature: sensor.FeatAirQuality, encode: encodeNumber, decode: sensor.NumberIdentity},
 	{name: "weather", feature: sensor.FeatWeather, encode: encodeLabel,
-		decode: sensor.LabelIn(sensor.WeatherSunny, sensor.WeatherCloudy, sensor.WeatherRain, sensor.WeatherSnow)},
+		decode: sensor.LabelIn(sensor.FeatWeather)},
 	{name: "motion_status", feature: sensor.FeatMotion, encode: encodeBool01, decode: sensor.BoolFrom01},
 	{name: "hour", feature: sensor.FeatHour, encode: encodeNumber, decode: sensor.NumberIdentity},
 	{name: "humidity", feature: sensor.FeatHumidity, encode: encodeCenti, decode: sensor.NumberScaled(0.01)},

@@ -450,36 +450,33 @@ func requireEmptySlots(t *testing.T, slots sceneSlots) {
 	}
 }
 
-// TestFleetContextResetClears: every push of a pooled request in
-// [len, cap) is zero, after a body whose second, shorter pushes array
-// replaced a longer first one as well as after reset.
+// TestFleetContextResetClears: every item of the shared arena in
+// [len, cap) is zero after a context-push body, whose second, shorter
+// pushes array replaced a longer first one, as well as after reset, and
+// an arena grown past maxPooledBuf by a push batch is not pooled.
 func TestFleetContextResetClears(t *testing.T) {
 	pushA, _ := contextBodies(t, 16)
 	body := append(bytes.TrimSuffix(pushA, []byte("}")), `,"pushes":[{"home":"b-00"}]}`...)
-	req := new(fleetContextRequest)
-	if err := req.unmarshal(body); err != nil {
+	a := new(authorizeArena)
+	if err := a.req.unmarshalPushes(body); err != nil {
 		t.Fatal(err)
 	}
-	if len(req.Pushes) != 1 || cap(req.Pushes) < 256 || req.Pushes[0].Home != "b-00" || req.Pushes[0].Context.Len() != 0 {
-		t.Fatalf("decoded %d pushes of capacity %d, first %+v; want the second array's 1 over the first's 256", len(req.Pushes), cap(req.Pushes), req.Pushes[0])
+	if len(a.req.Items) != 1 || cap(a.req.Items) < 256 || !reflect.DeepEqual(a.req.Items[0], fleet.BatchItem{Home: "b-00"}) {
+		t.Fatalf("decoded %d pushes of capacity %d, first %+v; want the second array's 1 over the first's 256", len(a.req.Items), cap(a.req.Items), a.req.Items[0])
 	}
-	requireTailZero(t, "pushes after a repeated array", req.Pushes)
-	if !req.reset() {
-		t.Fatal("a 256-push request was not kept for pooling")
+	requireTailZero(t, "pushes after a repeated array", a.req.Items)
+	if !a.reset() {
+		t.Fatal("a 256-push arena was not kept for pooling")
 	}
-	requireTailZero(t, "pushes", req.Pushes)
-	requireEmptySlots(t, req.scenes)
-	if cap(req.Pushes) == 0 || len(req.scenes) < 256 || len(req.Pushes)+len(req.marks.rs) != 0 {
+	requireTailZero(t, "pushes", a.req.Items)
+	requireEmptySlots(t, a.req.scenes)
+	if cap(a.req.Items) == 0 || len(a.req.scenes) < 256 || len(a.req.Items)+len(a.req.marks.rs) != 0 {
 		t.Fatal("reset lost the capacity or left a non-empty slice")
 	}
 
-	big := &fleetContextRequest{Pushes: make([]fleetContextPush, maxPooledBuf/contextPushBytes+1)}
+	big := &authorizeArena{req: fleetAuthorizeRequest{Items: make([]fleet.BatchItem, maxPooledBuf/arenaItemBytes+1)}}
 	if big.reset() {
-		t.Fatalf("a request of %d pushes (over %d B) was kept for pooling", cap(big.Pushes), maxPooledBuf)
-	}
-	big = &fleetContextRequest{scenes: make(sceneSlots, maxPooledBuf/contextPushBytes+1)}
-	if big.reset() {
-		t.Fatalf("a request of %d scene slots (over %d B) was kept for pooling", cap(big.scenes), maxPooledBuf)
+		t.Fatalf("an arena of %d pushes (over %d B) was kept for pooling", cap(big.req.Items), maxPooledBuf)
 	}
 }
 
@@ -494,7 +491,7 @@ func dirtyArena(t *testing.T, bodyA []byte) *authorizeArena {
 	}
 	for i := 0; i < len(a.req.Items); i += 7 {
 		a.req.marks.set(i, rejectOversized, true)
-		a.req.marks.set(i+3, rejectUnknownFeature, true)
+		a.req.marks.set(i+3, rejectVocabulary, true)
 	}
 	a.out = make([]fleet.BatchResult, len(a.req.Items))
 	for i := range a.out {
@@ -503,17 +500,18 @@ func dirtyArena(t *testing.T, bodyA []byte) *authorizeArena {
 	return a
 }
 
-// dirtyContextRequest is dirtyArena for a context push.
-func dirtyContextRequest(t *testing.T, pushA []byte) *fleetContextRequest {
+// dirtyContextRequest is dirtyArena for a context push: the arena as
+// tenant A's push batch leaves it, never reset.
+func dirtyContextRequest(t *testing.T, pushA []byte) *authorizeArena {
 	t.Helper()
-	req := new(fleetContextRequest)
-	if err := req.unmarshal(pushA); err != nil {
+	a := new(authorizeArena)
+	if err := a.req.unmarshalPushes(pushA); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < len(req.Pushes); i += 7 {
-		req.marks.set(i, rejectOversized, true)
+	for i := 0; i < len(a.req.Items); i += 7 {
+		a.req.marks.set(i, rejectOversized, true)
 	}
-	return req
+	return a
 }
 
 // TestFleetArenaDirtyNoLeak: tenant isolation rests on decoding, not on
@@ -541,8 +539,8 @@ func TestFleetArenaDirtyNoLeak(t *testing.T) {
 	}
 	for i, it := range a.req.Items {
 		want := fleet.BatchItem{Home: fmt.Sprintf("b-%02d", i%homes), In: instr.Instruction{Op: "window.open", DeviceID: "win-1"}}
-		if !reflect.DeepEqual(it, want) || a.req.marks.has(i, rejectOversized|rejectUnknownFeature) {
-			t.Fatalf("tenant B item %d = %+v, marked %v; want %+v, unmarked", i, it, a.req.marks.has(i, rejectOversized|rejectUnknownFeature), want)
+		if !reflect.DeepEqual(it, want) || a.req.marks.has(i, rejectOversized|rejectVocabulary) {
+			t.Fatalf("tenant B item %d = %+v, marked %v; want %+v, unmarked", i, it, a.req.marks.has(i, rejectOversized|rejectVocabulary), want)
 		}
 	}
 	a = dirtyArena(t, bodyA)
@@ -553,28 +551,45 @@ func TestFleetArenaDirtyNoLeak(t *testing.T) {
 		t.Fatalf("decoded %d items over tenant A's, want tenant B's 100", len(a.req.Items))
 	}
 	for i, it := range a.req.Items {
-		if it.Home != fmt.Sprintf("b-%02d", i%homes) || it.Context == nil || a.req.marks.has(i, rejectOversized|rejectUnknownFeature) {
+		if it.Home != fmt.Sprintf("b-%02d", i%homes) || it.Context == nil || a.req.marks.has(i, rejectOversized|rejectVocabulary) {
 			t.Fatalf("tenant B item %d = %+v; want its home and its scene, unmarked", i, it)
 		}
 		requireNarrowScene(t, fmt.Sprintf("tenant B item %d's scene", i), *it.Context)
 	}
 	req := dirtyContextRequest(t, pushA)
-	if err := req.unmarshal(pushNarrow); err != nil {
+	if err := req.req.unmarshalPushes(pushNarrow); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range req.Pushes {
-		requireNarrowScene(t, fmt.Sprintf("tenant B push %d's scene", i), p.Context)
+	for i, p := range req.req.Items {
+		if p.Context == nil {
+			t.Fatalf("tenant B push %d has no scene", i)
+		}
+		requireNarrowScene(t, fmt.Sprintf("tenant B push %d's scene", i), *p.Context)
 	}
-	req = dirtyContextRequest(t, pushA)
-	if err := req.unmarshal(pushB); err != nil {
+	// Both endpoints share the arena: pushes decode over a dirty
+	// authorize arena, and items over a dirty push arena, keeping nothing
+	// of the other endpoint's elements.
+	for _, dirty := range []*authorizeArena{dirtyContextRequest(t, pushA), dirtyArena(t, bodyA)} {
+		if err := dirty.req.unmarshalPushes(pushB); err != nil {
+			t.Fatal(err)
+		}
+		if len(dirty.req.Items) != 100 {
+			t.Fatalf("decoded %d pushes over tenant A's, want tenant B's 100", len(dirty.req.Items))
+		}
+		for i, p := range dirty.req.Items {
+			if !reflect.DeepEqual(p, fleet.BatchItem{Home: fmt.Sprintf("b-%02d", i%homes)}) || dirty.req.marks.has(i, rejectOversized|rejectVocabulary) {
+				t.Fatalf("tenant B push %d = %+v, marked %v; want its home and no context, unmarked", i, p, dirty.req.marks.has(i, rejectOversized|rejectVocabulary))
+			}
+		}
+	}
+	a = dirtyContextRequest(t, pushA)
+	if err := a.req.unmarshal(bodyB); err != nil {
 		t.Fatal(err)
 	}
-	if len(req.Pushes) != 100 {
-		t.Fatalf("decoded %d pushes over tenant A's, want tenant B's 100", len(req.Pushes))
-	}
-	for i, p := range req.Pushes {
-		if p.Home != fmt.Sprintf("b-%02d", i%homes) || !reflect.ValueOf(p.Context).IsZero() || req.marks.has(i, rejectOversized) {
-			t.Fatalf("tenant B push %d = %+v, marked %v; want its home and no context, unmarked", i, p, req.marks.has(i, rejectOversized))
+	for i, it := range a.req.Items {
+		want := fleet.BatchItem{Home: fmt.Sprintf("b-%02d", i%homes), In: instr.Instruction{Op: "window.open", DeviceID: "win-1"}}
+		if !reflect.DeepEqual(it, want) || a.req.marks.has(i, rejectOversized) {
+			t.Fatalf("tenant B item %d over tenant A's pushes = %+v; want %+v, unmarked", i, it, want)
 		}
 	}
 
@@ -587,7 +602,7 @@ func TestFleetArenaDirtyNoLeak(t *testing.T) {
 	const rounds = 8
 	for range rounds {
 		arenaPool.Put(dirtyArena(t, bodyA))
-		contextPool.Put(dirtyContextRequest(t, pushA))
+		arenaPool.Put(dirtyContextRequest(t, pushA))
 	}
 	for range rounds {
 		requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, bodyB), 100)
@@ -600,7 +615,7 @@ func TestFleetArenaDirtyNoLeak(t *testing.T) {
 	requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, bodyB), 100)
 	for range rounds {
 		arenaPool.Put(dirtyArena(t, bodyA))
-		contextPool.Put(dirtyContextRequest(t, pushA))
+		arenaPool.Put(dirtyContextRequest(t, pushA))
 	}
 	for round := range rounds {
 		requireFailedClosedMissing(t, authorizeDirect(t, srv, cb, bodyNarrow), 100)

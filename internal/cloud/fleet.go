@@ -43,7 +43,8 @@ type FleetBatchItem struct {
 }
 
 // fleetAuthorizeRequest is an authorize body as the server decodes it:
-// straight into the items it hands the fleet.
+// straight into the items it hands the fleet. A context-push body decodes
+// into it too, each push an item of its home and scene.
 type fleetAuthorizeRequest struct {
 	Items []fleet.BatchItem `json:"items"`
 	// marks holds the rejected items.
@@ -84,25 +85,28 @@ const maxFleetItemBytes = 4 << 10
 // errItemTooLarge rejects an item or push over maxFleetItemBytes.
 var errItemTooLarge = fmt.Sprintf("item exceeds %d bytes", maxFleetItemBytes)
 
-// errUnknownFeature rejects an item or push whose scene names a feature
-// outside the sensor vocabulary. The scene is not stored, pushed, judged
-// or shown to the home's trust engine: the vocabulary is closed, as the
-// paper's collector keeps only the features it maps, so no tenant can
-// grow a home's state one new name at a time.
-const errUnknownFeature = "context names a feature outside the sensor vocabulary"
+// errVocabulary rejects an item or push whose scene names a feature
+// outside the sensor vocabulary, or gives a feature a value it does not
+// admit: one of another type, or a label outside the feature's domain.
+// The scene is not stored, pushed, judged or shown to the home's trust
+// engine: the vocabulary is closed, as the paper's collector keeps only
+// the features and states it maps, so no tenant can grow a home's state
+// one new name at a time or hand its judges a value no model was trained
+// on.
+const errVocabulary = "context holds a feature or value outside the sensor vocabulary"
 
 // rejectErr returns the error that answers element i of a batch decoded
-// with marks, or "" when it is not rejected, and counts an unknown-feature
-// rejection against endpoint ep.
+// with marks, or "" when it is not rejected, and counts an
+// out-of-vocabulary rejection against endpoint ep.
 func (s *Server) rejectErr(marks *batchMarks, i int, ep fleetEndpoint) string {
 	switch {
 	case marks.has(i, rejectOversized):
 		return errItemTooLarge
-	case marks.has(i, rejectUnknownFeature):
-		if c := s.unknownFeatures[ep]; c != nil {
+	case marks.has(i, rejectVocabulary):
+		if c := s.vocabularyRejects[ep]; c != nil {
 			c.Inc()
 		}
-		return errUnknownFeature
+		return errVocabulary
 	}
 	return ""
 }
@@ -142,10 +146,13 @@ func writeTooLarge(w http.ResponseWriter, limit int64) {
 	writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", limit)})
 }
 
-// authorizeArena is the scratch of one /v1/fleet/authorize request, pooled
-// across requests: the decoded items, which are built in place and handed
-// to the fleet, the scene storage their scenes decode into, and the
-// results the fleet writes and the response is encoded from. Decoding
+// authorizeArena is the scratch of one fleet request, pooled across
+// requests and shared by both fleet endpoints that take scenes: the
+// decoded items, which /v1/fleet/authorize builds in place and hands to
+// the fleet, the scene storage their scenes decode into, and the results
+// the fleet writes and the response is encoded from. A /v1/fleet/context
+// push decodes into an item's Home and Context and leaves the results
+// unused. Decoding
 // starts every item from zero and rewrites a scene slot's values whole,
 // so what one request leaves in the arena never reaches the next one's
 // items; reset clears the used elements and empties the scene slots
@@ -160,11 +167,11 @@ type authorizeArena struct {
 var arenaPool = sync.Pool{New: func() any { return new(authorizeArena) }}
 
 // sceneSlotBytes bounds one scene slot: its snapshot and the value
-// storage the widest scene leaves it.
+// storage the widest scene leaves it, 392 B.
 const sceneSlotBytes = unsafe.Sizeof(sensor.Snapshot{}) + sensor.MaxValueBytes
 
 // arenaItemBytes is one item's share of an arena: an element of each of
-// its slices, its scene slot's storage included.
+// its slices, its scene slot's storage included, 552 B.
 const arenaItemBytes = unsafe.Sizeof(fleet.BatchItem{}) + unsafe.Sizeof(fleet.BatchResult{}) + sceneSlotBytes
 
 func (a *authorizeArena) put() {
@@ -244,49 +251,12 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 	putBuf(buf)
 }
 
-// fleetContextPush is one home's snapshot in a context-push batch.
+// fleetContextPush is one home's snapshot in a context-push batch, as the
+// client encodes it.
 type fleetContextPush struct {
 	Home    string          `json:"home"`
 	Context sensor.Snapshot `json:"context"`
 }
-
-type fleetContextRequest struct {
-	Pushes []fleetContextPush `json:"pushes"`
-	// marks holds the rejected pushes.
-	marks batchMarks
-	// scenes holds the pushes' scenes: a decoded push's Context shares its
-	// slot's values.
-	scenes sceneSlots
-}
-
-// contextPool holds /v1/fleet/context's decoded requests across requests.
-// As with authorizeArena, decoding starts every push from zero and
-// rewrites a scene slot's values whole, and reset clears the pushes and
-// empties the scene slots a request used before it is pooled.
-var contextPool = sync.Pool{New: func() any { return new(fleetContextRequest) }}
-
-func (req *fleetContextRequest) put() {
-	if req.reset() {
-		contextPool.Put(req)
-	}
-}
-
-// reset clears the pushes and empties req, as authorizeArena.reset does;
-// it reports false, and clears nothing, for a request grown past
-// maxPooledBuf.
-func (req *fleetContextRequest) reset() bool {
-	if uintptr(max(cap(req.Pushes), cap(req.scenes)))*contextPushBytes > maxPooledBuf {
-		return false
-	}
-	clear(req.Pushes)
-	req.scenes.clear()
-	*req = fleetContextRequest{Pushes: req.Pushes[:0], marks: req.marks.cleared(), scenes: req.scenes}
-	return true
-}
-
-// contextPushBytes is one push's share of a pooled context request: its
-// element and its scene slot's storage.
-const contextPushBytes = unsafe.Sizeof(fleetContextPush{}) + sceneSlotBytes
 
 // FleetPushError locates one rejected push: the index into the request's
 // push array plus the home it named, so a gateway batching thousands of
@@ -309,12 +279,12 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 	if user == "" {
 		return
 	}
-	req := contextPool.Get().(*fleetContextRequest)
-	defer req.put()
-	if !decodeFleetBody(w, r, maxFleetBodyBytes, req.unmarshal) {
+	a := arenaPool.Get().(*authorizeArena)
+	defer a.put()
+	if !decodeFleetBody(w, r, maxFleetBodyBytes, a.req.unmarshalPushes) {
 		return
 	}
-	pushes := req.Pushes
+	pushes := a.req.Items
 	if len(pushes) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty push batch"})
 		return
@@ -340,11 +310,15 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 			unowned = unowned[1:]
 			continue
 		}
-		if err := s.rejectErr(&req.marks, i, epContext); err != "" {
+		if err := s.rejectErr(&a.req.marks, i, epContext); err != "" {
 			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: err})
 			continue
 		}
-		if err := s.cfg.Fleet.PushContext(p.Home, p.Context); err != nil {
+		var scene sensor.Snapshot // a push without a scene is a heartbeat
+		if p.Context != nil {
+			scene = *p.Context
+		}
+		if err := s.cfg.Fleet.PushContext(p.Home, scene); err != nil {
 			resp.Errors = append(resp.Errors, FleetPushError{Index: i, Home: p.Home, Error: err.Error()})
 			continue
 		}

@@ -250,7 +250,7 @@ func TestFleetEndpointMethodsAndBodies(t *testing.T) {
 		body any
 	}{
 		{"/v1/fleet/authorize", fleetAuthorizeRequest{}},
-		{"/v1/fleet/context", fleetContextRequest{}},
+		{"/v1/fleet/context", map[string]any{"pushes": nil}},
 	} {
 		err := c.do(http.MethodPost, tc.path, tc.body, nil)
 		apiErr, ok := err.(*APIError)

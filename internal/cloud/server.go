@@ -125,10 +125,10 @@ type Server struct {
 	failures map[string]int       // user → consecutive failed logins
 	lockedAt map[string]time.Time // user → lockout start
 
-	// unknownFeatures counts, per fleet endpoint, the items and pushes
-	// rejected for naming a feature outside the vocabulary; nil cells
-	// without Config.Metrics.
-	unknownFeatures [fleetEndpoints]*obs.Counter
+	// vocabularyRejects counts, per fleet endpoint, the items and pushes
+	// rejected for a scene holding a feature or value outside the
+	// vocabulary; nil cells without Config.Metrics.
+	vocabularyRejects [fleetEndpoints]*obs.Counter
 }
 
 // fleetEndpoint indexes the fleet endpoints that take scenes.
@@ -140,8 +140,9 @@ const (
 	fleetEndpoints
 )
 
-// metricUnknownFeatures is the unknown-feature rejection counter family.
-const metricUnknownFeatures = "iotsid_cloud_fleet_unknown_feature_rejects_total"
+// metricVocabularyRejects is the out-of-vocabulary rejection counter
+// family.
+const metricVocabularyRejects = "iotsid_cloud_fleet_vocabulary_rejects_total"
 
 // NewServer validates the configuration, binds, and serves.
 func NewServer(cfg Config) (*Server, error) {
@@ -191,11 +192,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Metrics != nil {
 		mux.Handle("/metrics", cfg.Metrics.Handler())
 		if cfg.Fleet != nil {
-			vec := cfg.Metrics.NewCounterVec(metricUnknownFeatures,
-				"Fleet items and pushes rejected because their scene names a feature outside the sensor vocabulary, by endpoint.",
+			vec := cfg.Metrics.NewCounterVec(metricVocabularyRejects,
+				"Fleet items and pushes rejected because their scene holds a feature or value outside the sensor vocabulary, by endpoint.",
 				"endpoint")
-			s.unknownFeatures[epAuthorize] = vec.With("authorize")
-			s.unknownFeatures[epContext] = vec.With("context")
+			s.vocabularyRejects[epAuthorize] = vec.With("authorize")
+			s.vocabularyRejects[epContext] = vec.With("context")
 		}
 	}
 	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}

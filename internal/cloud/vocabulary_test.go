@@ -92,7 +92,7 @@ func (v *vocabularyCloud) rejects(t *testing.T, ep string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix := metricUnknownFeatures + `{endpoint="` + ep + `"} `
+	prefix := metricVocabularyRejects + `{endpoint="` + ep + `"} `
 	for _, line := range strings.Split(string(data), "\n") {
 		if strings.HasPrefix(line, prefix) {
 			return strings.TrimPrefix(line, prefix)
@@ -139,8 +139,8 @@ func TestFleetAuthorizeUnknownFeature(t *testing.T) {
 		`{"home":"home-01","op":"window.open","device_id":"win-1","context":`+scene+`},`+
 		`{"home":"home-02","op":"light.get_state","device_id":"lamp-1"}]}`, &resp)
 	rs := resp.Results
-	if len(rs) != 3 || rs[0].Error != errUnknownFeature || rs[0].Allowed {
-		t.Fatalf("results = %+v, want item 0 rejected with %q", rs, errUnknownFeature)
+	if len(rs) != 3 || rs[0].Error != errVocabulary || rs[0].Allowed {
+		t.Fatalf("results = %+v, want item 0 rejected with %q", rs, errVocabulary)
 	}
 	if !rs[1].Allowed || rs[1].Error != "" || !rs[2].Allowed || rs[2].Error != "" {
 		t.Fatalf("items beside the rejected one = %+v, want both allowed", rs[1:])
@@ -167,7 +167,7 @@ func TestFleetContextUnknownFeature(t *testing.T) {
 		`{"home":"home-00","context":`+scene+`},`+
 		`{"home":"home-01","context":`+withUnknown(scene, "ghost_sensor", "another")+`},`+
 		`{"home":"home-02","context":`+scene+`}]}`, &resp)
-	want := []FleetPushError{{Index: 1, Home: "home-01", Error: errUnknownFeature}}
+	want := []FleetPushError{{Index: 1, Home: "home-01", Error: errVocabulary}}
 	if resp.Accepted != 2 || fmt.Sprint(resp.Errors) != fmt.Sprint(want) {
 		t.Fatalf("push response = %+v, want 2 accepted and %+v", resp, want)
 	}
@@ -228,7 +228,7 @@ func TestFleetUnknownFeatureGrowthIsBounded(t *testing.T) {
 			var resp fleetAuthorizeResponse
 			v.post(t, "/v1/fleet/authorize", body, &resp)
 			for _, res := range resp.Results {
-				if res.Error == errUnknownFeature {
+				if res.Error == errVocabulary {
 					rejected++
 				}
 			}
@@ -236,7 +236,7 @@ func TestFleetUnknownFeatureGrowthIsBounded(t *testing.T) {
 			var resp fleetContextResponse
 			v.post(t, "/v1/fleet/context", body, &resp)
 			for _, e := range resp.Errors {
-				if e.Error == errUnknownFeature {
+				if e.Error == errVocabulary {
 					rejected++
 				}
 			}

@@ -42,8 +42,8 @@ import (
 // Two kinds of element are marked and answered with a per-item error
 // instead of failing the body (see batchMarks): one whose JSON passes
 // maxFleetItemBytes, whose remaining members are then validated but not
-// decoded, and one whose scene names a feature outside the sensor
-// vocabulary, which encoding/json's decode of the scene would refuse.
+// decoded, and one whose scene holds a feature or value outside the
+// sensor vocabulary, which the scene's own decoder refuses.
 //
 // Decoded strings are copies, never views of the body, so the body may
 // live in a pooled buffer.
@@ -138,12 +138,13 @@ func (r *bodyReader) Close() error {
 	return nil
 }
 
-// Field names, in the order the decoders switch on them.
+// Field names, in the order the decoders switch on them. A push's fields
+// are the first two of an authorize item's.
 var (
 	authorizeRequestFields  = []string{"items"}
-	batchItemFields         = []string{"home", "op", "device_id", "args", "context"}
+	batchItemFields         = []string{"home", "context", "op", "device_id", "args"}
 	contextRequestFields    = []string{"pushes"}
-	contextPushFields       = []string{"home", "context"}
+	contextPushFields       = batchItemFields[:2]
 	authorizeResponseFields = []string{"results"}
 	resultFields            = []string{"allowed", "sensitive", "model", "reason", "error"}
 )
@@ -156,10 +157,10 @@ const (
 	// rejectOversized: the element's JSON spans more than
 	// maxFleetItemBytes.
 	rejectOversized reject = 1 << iota
-	// rejectUnknownFeature: the element's scene, as last decoded, names a
-	// feature outside the sensor vocabulary. A later scene or null
-	// decoded into the element replaces it and clears the mark.
-	rejectUnknownFeature
+	// rejectVocabulary: the element's scene, as last decoded, holds a
+	// feature or value outside the sensor vocabulary. A later scene or
+	// null decoded into the element replaces it and clears the mark.
+	rejectVocabulary
 )
 
 // batchMarks marks, by index, the rejected elements of a decoded batch,
@@ -202,7 +203,7 @@ type sceneSlots []sensor.Snapshot
 
 // decode decodes the scene at the cursor into slot i, growing the storage
 // as append grows a slice when i is past its end, and marks element i by
-// whether the scene names a feature outside the vocabulary; any other
+// whether the scene holds a feature or value outside the vocabulary; any other
 // error fails the body. It returns the slot when the scene was decoded
 // and nil when it was not, which leaves the slot as it was. A slot that
 // a later growth moves keeps sharing its values with the copy left
@@ -214,10 +215,10 @@ func (s *sceneSlots) decode(d *jsonwire.Decoder, marks *batchMarks, i int) (*sen
 	}
 	slot := &(*s)[i]
 	err := slot.DecodeJSON(d)
-	_, isUnknown := err.(*sensor.UnknownFeatureError) // DecodeJSON does not wrap it
-	marks.set(i, rejectUnknownFeature, isUnknown)
+	_, outside := err.(*sensor.VocabularyError) // DecodeJSON does not wrap it
+	marks.set(i, rejectVocabulary, outside)
 	if err != nil {
-		if isUnknown {
+		if outside {
 			err = nil
 		}
 		return nil, err
@@ -239,9 +240,21 @@ func (s sceneSlots) clear() {
 // op and device ID into Home, In.Op and In.DeviceID, and its scene into
 // Context.
 func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
+	return req.decode(data, authorizeRequestFields, batchItemFields)
+}
+
+// unmarshalPushes decodes a context-push body into req: each push into an
+// item, its home into Home and its scene into Context.
+func (req *fleetAuthorizeRequest) unmarshalPushes(data []byte) error {
+	return req.decode(data, contextRequestFields, contextPushFields)
+}
+
+// decode decodes a body whose batch field holds elements with the fields
+// itemFields, a prefix of batchItemFields, into req.Items.
+func (req *fleetAuthorizeRequest) decode(data []byte, batch, itemFields []string) error {
 	d := jsonwire.NewDecoder(data)
 	return decodeObject(&d, func(name []byte) error {
-		if jsonwire.Field(name, authorizeRequestFields) < 0 {
+		if jsonwire.Field(name, batch) < 0 {
 			return d.Skip()
 		}
 		return decodeBatch(&d, &req.Items, &req.marks, func(i int, it *fleet.BatchItem) error {
@@ -249,23 +262,13 @@ func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 				if req.marks.over(&d) {
 					return d.Skip()
 				}
-				switch jsonwire.Field(name, batchItemFields) {
+				switch jsonwire.Field(name, itemFields) {
 				case 0:
 					return decodeString(&d, &it.Home)
 				case 1:
-					return decodeString(&d, &it.In.Op)
-				case 2:
-					return decodeString(&d, &it.In.DeviceID)
-				case 3:
-					raw, err := d.Raw()
-					if err != nil || req.marks.over(&d) {
-						return err
-					}
-					return checkArgs(jsonwire.NewDecoder(raw))
-				case 4:
 					if d.Next() == 'n' {
 						it.Context = nil
-						req.marks.set(i, rejectUnknownFeature, false)
+						req.marks.set(i, rejectVocabulary, false)
 						return d.Literal("null")
 					}
 					scene, err := req.scenes.decode(&d, &req.marks, i)
@@ -273,11 +276,21 @@ func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 					case scene != nil:
 						it.Context = scene
 					case err == nil && it.Context == nil:
-						// A scene naming an unknown feature decodes to
+						// A scene outside the vocabulary decodes to
 						// nothing: the zero scene encoding/json leaves.
 						it.Context = new(sensor.Snapshot)
 					}
 					return err
+				case 2:
+					return decodeString(&d, &it.In.Op)
+				case 3:
+					return decodeString(&d, &it.In.DeviceID)
+				case 4:
+					raw, err := d.Raw()
+					if err != nil || req.marks.over(&d) {
+						return err
+					}
+					return checkArgs(jsonwire.NewDecoder(raw))
 				}
 				return d.Skip()
 			})
@@ -311,34 +324,6 @@ func checkArg(d *jsonwire.Decoder) error {
 		return err
 	}
 	return d.Skip()
-}
-
-// unmarshal decodes a context-push request body into req.
-func (req *fleetContextRequest) unmarshal(data []byte) error {
-	d := jsonwire.NewDecoder(data)
-	return decodeObject(&d, func(name []byte) error {
-		if jsonwire.Field(name, contextRequestFields) < 0 {
-			return d.Skip()
-		}
-		return decodeBatch(&d, &req.Pushes, &req.marks, func(i int, p *fleetContextPush) error {
-			return decodeObject(&d, func(name []byte) error {
-				if req.marks.over(&d) {
-					return d.Skip()
-				}
-				switch jsonwire.Field(name, contextPushFields) {
-				case 0:
-					return decodeString(&d, &p.Home)
-				case 1:
-					scene, err := req.scenes.decode(&d, &req.marks, i)
-					if scene != nil {
-						p.Context = *scene // shares the slot's values
-					}
-					return err
-				}
-				return d.Skip()
-			})
-		})
-	})
 }
 
 // unmarshal decodes an authorize response body into resp.

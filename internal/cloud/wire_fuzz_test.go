@@ -42,9 +42,11 @@ func (a *freshArray[T]) UnmarshalJSON(data []byte) error {
 	return err
 }
 
-// refScene reads a scene with sensor.Snapshot's own decoder. Since the
+// refScene reads a scene with sensor.Snapshot's own decoder, which the
+// sensor package holds to its own encoding/json reference. Since the
 // sensor vocabulary is closed, that decoder refuses a scene naming an
-// unknown feature, which would fail a whole body under encoding/json;
+// unknown feature, or giving a feature a value of another type or a label
+// outside its domain, which would fail a whole body under encoding/json;
 // the fleet codec instead rejects just the element. So the reference
 // records such a scene in unknown, leaving the snapshot as it was, as the
 // codec marks the element.
@@ -55,8 +57,8 @@ type refScene struct {
 
 func (r *refScene) UnmarshalJSON(data []byte) error {
 	err := r.Snapshot.UnmarshalJSON(data)
-	var uf *sensor.UnknownFeatureError
-	r.unknown = errors.As(err, &uf)
+	var ve *sensor.VocabularyError
+	r.unknown = errors.As(err, &ve)
 	if r.unknown {
 		return nil
 	}
@@ -74,9 +76,11 @@ type refItem struct {
 	Context  *refScene      `json:"context"`
 }
 
+// refPush is a push as the reference decodes it: like an authorize item,
+// its scene is nil when absent or null.
 type refPush struct {
-	Home    string   `json:"home"`
-	Context refScene `json:"context"`
+	Home    string    `json:"home"`
+	Context *refScene `json:"context"`
 }
 
 // refAuthorizeRequest, refContextRequest and refAuthorizeResponse are the
@@ -97,6 +101,12 @@ type refAuthorizeResponse struct {
 // wireRequest is the authorize request as the client encodes it.
 type wireRequest struct {
 	Items []FleetBatchItem `json:"items"`
+}
+
+// wireContextRequest is the context-push request as the client encodes
+// it.
+type wireContextRequest struct {
+	Pushes []fleetContextPush `json:"pushes"`
 }
 
 // items returns the reference's items without their args, and which of
@@ -128,16 +138,36 @@ func wireItems(items []fleet.BatchItem) []FleetBatchItem {
 	return out
 }
 
-// pushes is items for a context push.
-func (r *refContextRequest) pushes() ([]fleetContextPush, []bool) {
+// pushes is items for a context push: each push as an item of its home
+// and scene.
+func (r *refContextRequest) pushes() ([]FleetBatchItem, []bool) {
 	if r.Pushes == nil {
 		return nil, nil
 	}
-	out, unknown := make([]fleetContextPush, len(r.Pushes)), make([]bool, len(r.Pushes))
+	out, unknown := make([]FleetBatchItem, len(r.Pushes)), make([]bool, len(r.Pushes))
 	for i, p := range r.Pushes {
-		out[i], unknown[i] = fleetContextPush{Home: p.Home, Context: p.Context.Snapshot}, p.Context.unknown
+		out[i].Home = p.Home
+		if p.Context != nil {
+			out[i].Context, unknown[i] = &p.Context.Snapshot, p.Context.unknown
+		}
 	}
 	return out, unknown
+}
+
+// contextPushes returns items as the client's pushes; an item without a
+// scene pushes the zero scene, a heartbeat.
+func contextPushes(items []FleetBatchItem) []fleetContextPush {
+	if items == nil {
+		return nil
+	}
+	out := make([]fleetContextPush, len(items))
+	for i, it := range items {
+		out[i].Home = it.Home
+		if it.Context != nil {
+			out[i].Context = *it.Context
+		}
+	}
+	return out
 }
 
 // batchResults returns results as the fleet's results, which the server
@@ -289,6 +319,11 @@ func envelopeCases(arr, str, ctx string) []wireCase {
 			{"scene unknown feature then bad value", `{"ARR":[{"CTX":{"values":{"ghost":1,"smoke":{}}}}]}`, false},
 			{"scene unknown feature then bad time", `{"ARR":[{"CTX":{"values":{"ghost":1},"at":"yesterday"}}]}`, false},
 			{"scene unknown feature then bad element", `{"ARR":[{"CTX":{"values":{"ghost":1}}},5]}`, false},
+			{"scene label outside its domain", `{"ARR":[{"STR":"a","CTX":{"values":{"smoke":true,"door_lock":"ajar"}}},{"STR":"b","CTX":SCENE}]}`, true},
+			{"scene label under a bool feature", `{"ARR":[{"STR":"a","CTX":SCENE},{"STR":"b","CTX":{"values":{"motion":"locked"}}}]}`, true},
+			{"scene number under a label feature", `{"ARR":[{"CTX":{"values":{"outdoor_weather":1}}},{"CTX":{"values":{"outdoor_weather":"rain"}}}]}`, true},
+			{"scene outside value replaced", `{"ARR":[{"CTX":{"values":{"door_lock":"ajar"}},"CTX":SCENE},{"CTX":{"values":{"door_lock":"ajar","door_lock":"locked"}}}]}`, true},
+			{"scene outside value then bad time", `{"ARR":[{"CTX":{"values":{"door_lock":"ajar"},"at":"yesterday"}}]}`, false},
 			{"scene folded fields", `{"ARR":[{"CTX":{"AT":"2021-03-14T15:09:26Z","valueſ":{"smoke":true}}}]}`, true},
 			{"repeated scenes", `{"ARR":[{"CTX":SCENE},{"STR":"b","CTX":{"values":{"motion":true}}}],"ARR":[{"STR":"c"}],"ARR":[{},{"STR":"d"}]}`, true},
 			{"max nesting scene", `{"ARR":[{"CTX":{"x":` + nested(9996, "") + `}}]}`, true},
@@ -440,7 +475,7 @@ func checkBatch[T any](t *testing.T, data []byte, want []T, unknown []bool, want
 			want[i], got[i] = zero, zero
 			continue
 		}
-		if marks.has(i, rejectUnknownFeature) != unknown[i] {
+		if marks.has(i, rejectVocabulary) != unknown[i] {
 			t.Fatalf("decode %q: element %d unknown-feature mark %v, reference %v", data, i, !unknown[i], unknown[i])
 		}
 	}
@@ -473,19 +508,21 @@ func checkAuthorizeRequest(t *testing.T, data []byte) bool {
 	return true
 }
 
-// checkContextRequest is checkAuthorizeRequest for a context push.
+// checkContextRequest is checkAuthorizeRequest for a context push, which
+// the codec decodes into the same items.
 func checkContextRequest(t *testing.T, data []byte) bool {
 	t.Helper()
 	var ref refContextRequest
-	var got fleetContextRequest
+	var got fleetAuthorizeRequest
 	wantErr := refDecode(data, &ref)
-	gotErr := got.unmarshal(data)
+	gotErr := got.unmarshalPushes(data)
 	want, unknown := ref.pushes()
-	if accepted, compared := checkBatch(t, data, want, unknown, wantErr, got.Pushes, &got.marks, gotErr); !compared {
+	gotItems := wireItems(got.Items)
+	if accepted, compared := checkBatch(t, data, want, unknown, wantErr, gotItems, &got.marks, gotErr); !compared {
 		return accepted
 	}
-	wantOut, wantErr := json.Marshal(fleetContextRequest{Pushes: want})
-	gotOut, gotErr := appendContextRequest(nil, got.Pushes)
+	wantOut, wantErr := json.Marshal(wireContextRequest{Pushes: contextPushes(want)})
+	gotOut, gotErr := appendContextRequest(nil, contextPushes(gotItems))
 	requireSameEncoding(t, fmt.Sprintf("encode %q", data), wantOut, gotOut, wantErr, gotErr)
 	return true
 }
@@ -576,7 +613,7 @@ func TestFleetWireEncodeCases(t *testing.T) {
 	at := time.Date(2021, 3, 14, 15, 9, 26, 500, time.FixedZone("", -(7*3600+30*60)))
 	scene := sensor.NewSnapshot(at)
 	scene.Set(sensor.FeatSmoke, sensor.Bool(true))
-	scene.Set(sensor.FeatWeather, sensor.Label("<odd>\xff a&b\u2028"))
+	scene.Set(sensor.FeatWeather, sensor.Label(sensor.WeatherRain))
 	nan := sensor.NewSnapshot(at)
 	nan.Set(sensor.FeatHour, sensor.Number(math.NaN()))
 	badYear := sensor.NewSnapshot(time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC))
@@ -609,7 +646,7 @@ func TestFleetWireEncodeCases(t *testing.T) {
 		{{Home: "h", Context: nan}},
 	}
 	for i, ps := range pushes {
-		wantOut, wantErr := json.Marshal(fleetContextRequest{Pushes: ps})
+		wantOut, wantErr := json.Marshal(wireContextRequest{Pushes: ps})
 		gotOut, gotErr := appendContextRequest(nil, ps)
 		requireSameEncoding(t, fmt.Sprintf("context request %d", i), wantOut, gotOut, wantErr, gotErr)
 	}

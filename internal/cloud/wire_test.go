@@ -20,16 +20,29 @@ import (
 	"iotsid/internal/sensor"
 )
 
-// paddedScene returns scene with a label long enough that its encoding
-// exceeds maxFleetItemBytes, on a feature the window model does not read.
-func paddedScene(t *testing.T, scene sensor.Snapshot) sensor.Snapshot {
+// sceneJSON encodes scene.
+func sceneJSON(t *testing.T, scene sensor.Snapshot) string {
 	t.Helper()
-	big := scene.Clone()
-	big.Set(sensor.FeatTimeBucket, sensor.Label(strings.Repeat("padding ", maxFleetItemBytes/8)))
-	if data, err := big.MarshalJSON(); err != nil || len(data) <= maxFleetItemBytes {
-		t.Fatalf("padded scene encodes to %d bytes (%v), want over %d", len(data), err, maxFleetItemBytes)
+	data, err := scene.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return big
+	return string(data)
+}
+
+// paddedScene encodes scene with a member outside the snapshot's fields,
+// which the codec skips, long enough that the encoding exceeds
+// maxFleetItemBytes. A gateway's client cannot send it: no snapshot
+// encodes that long.
+func paddedScene(t *testing.T, scene sensor.Snapshot) string {
+	t.Helper()
+	return `{"pad":"` + strings.Repeat("padding ", maxFleetItemBytes/8) + `",` + sceneJSON(t, scene)[1:]
+}
+
+// postBody posts the JSON body to a fleet endpoint under c's session and
+// decodes the answer with decode.
+func postBody(c *Client, path, body string, decode func([]byte) error) error {
+	return c.postFleet(path, func(b []byte) ([]byte, error) { return append(b, body...), nil }, decode)
 }
 
 // TestFleetAuthorizeItemTooLarge pins the per-item bound on the
@@ -43,15 +56,14 @@ func TestFleetAuthorizeItemTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := paddedScene(t, legal)
-	hugeArgs := map[string]any{"padding": strings.Repeat("x", maxFleetItemBytes)}
-
-	results, err := c.FleetAuthorize([]FleetBatchItem{
-		FleetItem("home-00", "window.open", "win-1", &big),
-		FleetItem("home-01", "window.open", "win-1", &legal),
-		{Home: "home-02", Op: "no.such_op", DeviceID: "x", Args: hugeArgs},
-		FleetItem("home-02", "light.get_state", "lamp-1", nil),
-	})
+	hugeArgs := `{"padding":"` + strings.Repeat("x", maxFleetItemBytes) + `"}`
+	resp := fleetAuthorizeResponse{}
+	err = postBody(c, "/v1/fleet/authorize", `{"items":[`+
+		`{"home":"home-00","op":"window.open","device_id":"win-1","context":`+paddedScene(t, legal)+`},`+
+		`{"home":"home-01","op":"window.open","device_id":"win-1","context":`+sceneJSON(t, legal)+`},`+
+		`{"home":"home-02","op":"no.such_op","device_id":"x","args":`+hugeArgs+`},`+
+		`{"home":"home-02","op":"light.get_state","device_id":"lamp-1"}]}`, resp.unmarshal)
+	results := resp.Results
 	if err != nil || len(results) != 4 {
 		t.Fatalf("FleetAuthorize = %+v, %v", results, err)
 	}
@@ -95,13 +107,14 @@ func TestFleetContextPushTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accepted, rejected, err := c.FleetPushContext(map[string]sensor.Snapshot{
-		"home-00": paddedScene(t, legal),
-		"home-01": legal,
-	})
+	var resp fleetContextResponse
+	err = postBody(c, "/v1/fleet/context", `{"pushes":[`+
+		`{"home":"home-00","context":`+paddedScene(t, legal)+`},`+
+		`{"home":"home-01","context":`+sceneJSON(t, legal)+`}]}`,
+		func(data []byte) error { return json.Unmarshal(data, &resp) })
 	want := []FleetPushError{{Index: 0, Home: "home-00", Error: errItemTooLarge}}
-	if err != nil || accepted != 1 || !reflect.DeepEqual(rejected, want) {
-		t.Fatalf("FleetPushContext = %d, %+v, %v; want 1 accepted and %+v", accepted, rejected, err, want)
+	if err != nil || resp.Accepted != 1 || !reflect.DeepEqual(resp.Errors, want) {
+		t.Fatalf("context push = %+v, %v; want 1 accepted and %+v", resp, err, want)
 	}
 	results, err := c.FleetAuthorize([]FleetBatchItem{
 		FleetItem("home-00", "window.open", "win-1", nil),
@@ -199,10 +212,12 @@ func TestFleetOversizedItemDecodeBytes(t *testing.T) {
 	}
 }
 
-// TestFleetUnknownFeatureMarks pins how an unknown-feature mark tracks an
-// element's scene: the scene decoded last decides, null clears the mark,
-// and a repeated array, empty or null array drops it with the elements it
-// replaces.
+// TestFleetUnknownFeatureMarks pins how an out-of-vocabulary mark tracks
+// an element's scene: the scene decoded last decides, null clears the
+// mark, and a repeated array, empty or null array drops it with the
+// elements it replaces. An unknown feature marks it, and so does a value
+// its feature does not admit, unless a later value of the feature
+// replaces it.
 func TestFleetUnknownFeatureMarks(t *testing.T) {
 	const bad, good = `{"values":{"smoke":true,"ghost":1}}`, `{"values":{"smoke":true}}`
 	for _, tc := range []struct {
@@ -218,6 +233,10 @@ func TestFleetUnknownFeatureMarks(t *testing.T) {
 		{"after empty", `{"ARR":[{"context":` + bad + `}],"ARR":[],"ARR":[{}]}`, []bool{false}},
 		{"after null", `{"ARR":[{"context":` + bad + `}],"ARR":null,"ARR":[{}]}`, []bool{false}},
 		{"dropped by null values", `{"ARR":[{"context":{"values":{"ghost":1},"values":null}}]}`, []bool{false}},
+		{"label outside its domain", `{"ARR":[{"context":{"values":{"door_lock":"ajar"}}},{"context":` + good + `}]}`, []bool{true, false}},
+		{"label under a bool feature", `{"ARR":[{"context":` + good + `},{"context":{"values":{"motion":"locked"}}}]}`, []bool{false, true}},
+		{"number under a label feature", `{"ARR":[{"context":{"values":{"outdoor_weather":1}}}]}`, []bool{true}},
+		{"outside value replaced", `{"ARR":[{"context":{"values":{"outdoor_weather":1,"outdoor_weather":"rain"}}}]}`, []bool{false}},
 	} {
 		for _, arr := range []string{"items", "pushes"} {
 			t.Run(tc.name+"/"+arr, func(t *testing.T) {
@@ -229,15 +248,15 @@ func TestFleetUnknownFeatureMarks(t *testing.T) {
 					var req fleetAuthorizeRequest
 					err, marks, n = req.unmarshal(body), &req.marks, len(req.Items)
 				} else {
-					var req fleetContextRequest
-					err, marks, n = req.unmarshal(body), &req.marks, len(req.Pushes)
+					var req fleetAuthorizeRequest
+					err, marks, n = req.unmarshalPushes(body), &req.marks, len(req.Items)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := make([]bool, n)
 				for i := range got {
-					got[i] = marks.has(i, rejectUnknownFeature)
+					got[i] = marks.has(i, rejectVocabulary)
 				}
 				if !reflect.DeepEqual(got, tc.want) {
 					t.Fatalf("unknown-feature marks = %v, want %v", got, tc.want)
@@ -353,8 +372,8 @@ func TestFleetWireDecodeOwnsItsMemory(t *testing.T) {
 			return v, v.unmarshal(b)
 		}},
 		{"context request", pushBody, func(b []byte) (any, error) {
-			v := new(fleetContextRequest)
-			return v, v.unmarshal(b)
+			v := new(fleetAuthorizeRequest)
+			return v, v.unmarshalPushes(b)
 		}},
 		{"authorize response", respBody, func(b []byte) (any, error) {
 			v := new(fleetAuthorizeResponse)

@@ -153,7 +153,11 @@ func (m Model) Schema() (mlearn.Schema, error) {
 		case sensor.TypeBool:
 			attrs = append(attrs, mlearn.Attribute{Name: f.String(), Kind: mlearn.Categorical, Categories: boolCats})
 		case sensor.TypeLabel:
-			attrs = append(attrs, mlearn.Attribute{Name: f.String(), Kind: mlearn.Categorical, Categories: d.Labels})
+			cats := make([]string, len(d.Labels))
+			for i, l := range d.Labels {
+				cats[i] = l.String()
+			}
+			attrs = append(attrs, mlearn.Attribute{Name: f.String(), Kind: mlearn.Categorical, Categories: cats})
 		default:
 			attrs = append(attrs, mlearn.Attribute{Name: f.String(), Kind: mlearn.Numeric})
 		}
@@ -169,7 +173,7 @@ type featSpec struct {
 	feat    sensor.Feature
 	slot    int
 	typ     sensor.FeatureType
-	labels  []string
+	labels  []sensor.LabelID     // the label domain, consecutive ordinals
 	missing *MissingFeatureError // what FeaturizeInto returns when feat is absent
 }
 
@@ -259,16 +263,10 @@ func (m Model) FeaturizeInto(snap sensor.Snapshot, buf []float64) error {
 				//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
 				return fmt.Errorf("dataset: feature %q not a label", s.feat)
 			}
-			idx := -1
-			for j, cand := range s.labels {
-				if cand == l {
-					idx = j
-					break
-				}
-			}
-			if idx < 0 {
+			idx := int(l) - int(s.labels[0])
+			if idx < 0 || idx >= len(s.labels) {
 				//iot:allow hotalloc error path, never taken steady-state; the AllocsPerRun gate proves the allow path is 0-alloc
-				return fmt.Errorf("dataset: feature %q label %q outside domain", s.feat, l)
+				return fmt.Errorf("dataset: feature %q label %v outside domain", s.feat, l)
 			}
 			buf[s.slot] = float64(idx)
 		default:

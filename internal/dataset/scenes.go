@@ -26,10 +26,10 @@ var sceneTime = time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
 
 type sampler struct{ r *rand.Rand }
 
-func (s sampler) b(p float64) bool            { return s.r.Float64() < p }
-func (s sampler) f(lo, hi float64) float64    { return lo + s.r.Float64()*(hi-lo) }
-func (s sampler) pick(xs ...string) string    { return xs[s.r.Intn(len(xs))] }
-func (s sampler) hour(lo, hi float64) float64 { return s.f(lo, hi) }
+func (s sampler) b(p float64) bool                         { return s.r.Float64() < p }
+func (s sampler) f(lo, hi float64) float64                 { return lo + s.r.Float64()*(hi-lo) }
+func (s sampler) pick(xs ...sensor.LabelID) sensor.LabelID { return xs[s.r.Intn(len(xs))] }
+func (s sampler) hour(lo, hi float64) float64              { return s.f(lo, hi) }
 
 // newScene makes an empty scene for the model, sized to the model's
 // feature width: every scene of a model sets exactly its model's features,

@@ -184,9 +184,8 @@ func TestHomeSize(t *testing.T) {
 // has wrapped: the home, its pipeline, its view with the entries of the
 // widest scene it was pushed, and a full ring of decisions over the load
 // generator's op/device mix, each op and device string allocated per
-// request as the wire decoder allocates it. About 2,930 B per home: a view
-// keeps its widest scene's entries, where a view that shared the last
-// pushed snapshot's own held about 2,840 B.
+// request as the wire decoder allocates it. About 2,790 B per home: a view
+// keeps its widest scene's entries, 16 B each.
 func TestFleetSteadyStateHeapPerHome(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -254,8 +253,8 @@ func TestFleetSteadyStateHeapPerHome(t *testing.T) {
 	perHome := (heapAlloc() - before) / homes
 	runtime.KeepAlive(f)
 	t.Logf("%.0f B live heap per home", perHome)
-	if perHome > 3100 {
-		t.Fatalf("a home with a full ring holds %.0f B of live heap, want <= 3100", perHome)
+	if perHome > 2958 {
+		t.Fatalf("a home with a full ring holds %.0f B of live heap, want <= 2958", perHome)
 	}
 }
 

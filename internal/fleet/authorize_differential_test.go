@@ -27,7 +27,7 @@ import (
 const (
 	errHomeNotBound   = "home not bound to this account"
 	errItemTooLarge   = "item exceeds 4096 bytes"
-	errUnknownFeature = "context names a feature outside the sensor vocabulary"
+	errUnknownFeature = "context holds a feature or value outside the sensor vocabulary"
 )
 
 // diffItem is one item of the differential stream: its wire JSON and what

@@ -154,7 +154,7 @@ func TestCurtainPositionAndLight(t *testing.T) {
 
 func TestWeatherEvolvesAndHazardsOccur(t *testing.T) {
 	env := NewEnvironment(EnvConfig{Seed: 77})
-	seenWeather := map[string]bool{}
+	seenWeather := map[sensor.LabelID]bool{}
 	var sawSmoke, sawLeak bool
 	for i := 0; i < 20000; i++ {
 		env.Step(5 * time.Minute)

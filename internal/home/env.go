@@ -34,7 +34,7 @@ type Environment struct {
 	now time.Time
 
 	// Weather / outdoor.
-	weather     string
+	weather     sensor.LabelID
 	tempOut     float64
 	humidity    float64
 	illumOut    float64 // daylight lux before windows/curtains
@@ -139,29 +139,25 @@ func (e *Environment) stepWeather(dtMin float64) {
 	if e.rng.Float64() >= p {
 		return
 	}
-	order := []string{sensor.WeatherSunny, sensor.WeatherCloudy, sensor.WeatherRain, sensor.WeatherSnow}
-	idx := 0
-	for i, w := range order {
-		if w == e.weather {
-			idx = i
-		}
-	}
-	// Random walk over the severity ladder; snow only plausible when cold.
+	// Random walk over the severity ladder, the weather domain in order;
+	// snow only plausible when cold.
+	ladder := sensor.MustDescribe(sensor.FeatWeather).Labels
+	idx := int(e.weather - ladder[0])
 	if e.rng.Intn(2) == 0 && idx > 0 {
 		idx--
-	} else if idx < len(order)-1 {
+	} else if idx < len(ladder)-1 {
 		idx++
 	}
-	if order[idx] == sensor.WeatherSnow && e.seasonalMid > 8 {
+	if ladder[idx] == sensor.WeatherSnow && e.seasonalMid > 8 {
 		idx-- // too warm for snow
 	}
-	e.weather = order[idx]
+	e.weather = ladder[idx]
 }
 
 func (e *Environment) refreshOutdoor() {
 	h := hourOf(e.now)
 	diurnal := 6 * math.Sin((h-9)/24*2*math.Pi)
-	adj := map[string]float64{
+	adj := [...]float64{
 		sensor.WeatherSunny:  1.5,
 		sensor.WeatherCloudy: 0,
 		sensor.WeatherRain:   -3,
@@ -170,7 +166,7 @@ func (e *Environment) refreshOutdoor() {
 	e.tempOut = e.seasonalMid + diurnal + adj + e.rng.Float64()*0.6 - 0.3
 
 	daylight := math.Max(0, math.Sin(math.Pi*(h-6)/14))
-	factor := map[string]float64{
+	factor := [...]float64{
 		sensor.WeatherSunny:  1.0,
 		sensor.WeatherCloudy: 0.45,
 		sensor.WeatherRain:   0.25,
@@ -178,7 +174,7 @@ func (e *Environment) refreshOutdoor() {
 	}[e.weather]
 	e.illumOut = daylight * 10000 * factor
 
-	targetRH := map[string]float64{
+	targetRH := [...]float64{
 		sensor.WeatherSunny:  45,
 		sensor.WeatherCloudy: 60,
 		sensor.WeatherRain:   85,
@@ -368,10 +364,8 @@ func (e *Environment) Apply(s sensor.Snapshot) {
 	if n, ok := s.Number(sensor.FeatAirQuality); ok {
 		e.aqi = n
 	}
-	if v, ok := s.Get(sensor.FeatWeather); ok {
-		if l, isLabel := v.Label(); isLabel {
-			e.weather = l
-		}
+	if v, ok := s.Get(sensor.FeatWeather); ok && sensor.Admits(sensor.FeatWeather, v) {
+		e.weather, _ = v.Label()
 	}
 	if b, ok := s.Get(sensor.FeatMotion); ok {
 		e.motion, _ = b.Bool()

@@ -31,38 +31,31 @@ import (
 //   - a value is a boolean, a number that parses as a float64, a string
 //     or null (an absent Value); an object or array is an error;
 //   - encoding writes the features in sorted order, formats numbers as
-//     encoding/json does and fails on NaN, ±Inf and times that are not valid RFC 3339.
+//     encoding/json does, writes a label as its name and fails on NaN,
+//     ±Inf, a LabelID outside the table and times that are not valid
+//     RFC 3339.
 //
-// The vocabulary is closed: a document whose values name a feature
-// outside it decodes to an *UnknownFeatureError, returned only once the
-// whole document is consumed and found well formed, so a caller decoding
-// a larger document can reject the one scene and go on.
+// The vocabulary is closed, and one rule, Admits, decides what it holds:
+// a value must have its feature's type, and a label must come from its
+// feature's domain. It judges each feature's last value; a null passes as
+// an absent value, which the ingest rule drops a push for. A document
+// whose values name a feature outside the vocabulary, or give a feature a
+// value it does not admit, decodes to a *VocabularyError, returned only
+// once the whole document is consumed and found well formed, so a caller
+// decoding a larger document can reject the one scene and go on.
 //
 // Snapshot.DecodeJSON and Snapshot.AppendJSON are the entry points for a
 // codec that carries scenes inside a larger document: they decode at the
 // caller's cursor and append to the caller's buffer. DecodeJSON writes
 // into the snapshot's own value storage, so a caller that decodes scene
-// after scene into one snapshot reuses its entries. Labels from the
-// vocabulary are interned, so decoding a vocabulary scene allocates
-// nothing once the snapshot's entries have room for it, and only a value
-// set and its entries the first time. The encoding/json codec survives in
-// the package tests as the differential reference.
+// after scene into one snapshot reuses its entries. A label decodes to
+// its one-byte ordinal, so decoding a scene allocates nothing once the
+// snapshot's entries have room for it, and only a value set and its
+// entries the first time. The encoding/json codec survives in the package
+// tests as the differential reference.
 
 // snapshotFields are the snapshot's two field names, "at" and "values".
 var snapshotFields = []string{"at", "values"}
-
-// internedLabels maps the vocabulary's label domains to their canonical
-// strings, so a decoded vocabulary label shares the constant instead of
-// allocating a copy.
-var internedLabels = func() map[string]string {
-	labels := make(map[string]string)
-	for _, d := range vocabulary {
-		for _, l := range d.Labels {
-			labels[l] = l
-		}
-	}
-	return labels
-}()
 
 // quotedNames holds each feature's name as an encoded JSON object key.
 var quotedNames = func() (q [FeatureLimit]string) {
@@ -72,21 +65,14 @@ var quotedNames = func() (q [FeatureLimit]string) {
 	return q
 }()
 
-// intern returns the canonical copy of b from m, or a new string when b
-// is not in the vocabulary.
-func intern(m map[string]string, b []byte) string {
-	if s, ok := m[string(b)]; ok {
-		return s
-	}
-	return string(b)
-}
-
-// decodeValue consumes one feature value at the cursor.
-func decodeValue(d *jsonwire.Decoder) (Value, error) {
+// decodeValue consumes one value of feature f at the cursor. A string
+// decodes to the label of f's domain it names, or of any domain when f is
+// zero, and to Label(0), which no feature admits, when it names none.
+func decodeValue(d *jsonwire.Decoder, f Feature) (Value, error) {
 	switch d.Next() {
 	case '"':
 		b, err := d.Unquoted()
-		return Label(intern(internedLabels, b)), err
+		return Label(parseLabel(f, b)), err
 	case 't':
 		return Bool(true), d.Literal("true")
 	case 'f':
@@ -116,8 +102,8 @@ func decodeValue(d *jsonwire.Decoder) (Value, error) {
 // see the new values, and into exactly sized new entries otherwise. The
 // entries past the new values are zeroed, so nothing of the values s held
 // before stays behind them, and nothing stored aliases the document. A
-// well-formed document whose values name a feature outside the vocabulary
-// is consumed and reported as an *UnknownFeatureError.
+// well-formed document holding a feature or value outside the vocabulary
+// is consumed and reported as a *VocabularyError.
 func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 	var at time.Time
 	var sc scene
@@ -146,8 +132,8 @@ func (s *Snapshot) DecodeJSON(d *jsonwire.Decoder) error {
 	if err != nil {
 		return err
 	}
-	if sc.unknown != nil {
-		return sc.unknown
+	if e := sc.outside(); e != nil {
+		return e
 	}
 	s.At = at
 	sc.store(s)
@@ -165,7 +151,7 @@ type scene struct {
 	present uint32 // bit f set when vals[f] holds a value
 	// unknown names the first feature outside the vocabulary among the
 	// values read since the last reset; nil when there is none.
-	unknown *UnknownFeatureError
+	unknown *VocabularyError
 }
 
 // decodeValues consumes a "values" field: null drops the values read so
@@ -180,20 +166,35 @@ func (sc *scene) decodeValues(d *jsonwire.Decoder) error {
 		return d.Errorf("values: want an object or null")
 	}
 	return d.Object(func(name []byte) error {
-		v, err := decodeValue(d)
-		if err != nil {
-			return err
-		}
 		f, ok := parseFeature(name)
+		v, err := decodeValue(d, f)
 		switch {
+		case err != nil:
+			return err
 		case ok:
 			sc.vals[f] = v
 			sc.present |= 1 << f
 		case sc.unknown == nil:
-			sc.unknown = &UnknownFeatureError{Name: string(name)}
+			sc.unknown = &VocabularyError{Name: string(name)}
 		}
 		return nil
 	})
+}
+
+// outside returns the error for the first feature or value outside the
+// vocabulary among the values read: an unknown name, or a feature's last
+// value that Admits refuses. A null passes as an absent value.
+func (sc *scene) outside() *VocabularyError {
+	if sc.unknown != nil {
+		return sc.unknown
+	}
+	for m := sc.present; m != 0; m &= m - 1 {
+		f := Feature(bits.TrailingZeros32(m))
+		if v := sc.vals[f]; !v.IsZero() && !Admits(f, v) {
+			return &VocabularyError{Name: f.String(), Type: v.typ}
+		}
+	}
+	return nil
 }
 
 // store writes the present values, in ordinal order, into s's own value
@@ -229,7 +230,7 @@ func (s Snapshot) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, "}}"...), nil
 }
 
-// sizeHint bounds the snapshot's encoded length, escapes aside.
+// sizeHint bounds the snapshot's encoded length.
 func (s Snapshot) sizeHint() int {
 	size := len(`{"at":"","values":{}}`) + len(time.RFC3339Nano)
 	for i := range s.entries() {
@@ -239,10 +240,10 @@ func (s Snapshot) sizeHint() int {
 	return size
 }
 
-// valueSizeHint bounds the encoded length of v, escapes aside.
+// valueSizeHint bounds the encoded length of v.
 func valueSizeHint(v Value) int {
 	if v.typ == TypeLabel {
-		return len(v.s) + len(`""`)
+		return len(v.label.String()) + len(`""`)
 	}
 	return len("-0.0000012345678901234567") // the longest float encoding
 }
@@ -255,7 +256,10 @@ func appendValue(b []byte, v Value) ([]byte, error) {
 	case TypeNumber:
 		return jsonwire.AppendFloat(b, v.n)
 	case TypeLabel:
-		return jsonwire.AppendString(b, v.s), nil
+		if v.label == 0 || v.label >= labelLimit {
+			return nil, fmt.Errorf("sensor: %v is outside the vocabulary", v.label)
+		}
+		return jsonwire.AppendString(b, labels[v.label].name), nil
 	default:
 		return append(b, "null"...), nil
 	}

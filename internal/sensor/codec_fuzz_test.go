@@ -49,11 +49,11 @@ var snapshotWireCases = []struct {
 	{"duplicate key", `{"values":{"smoke":true,"smoke":false}}`, true},
 	{"at null keeps earlier", `{"at":"2021-03-14T15:09:26Z","at":null}`, true},
 	{"at offset", `{"at":"2021-03-14T15:09:26.123456789-07:30"}`, true},
-	{"escaped strings", `{"values":{"door_lock":"lo\u0063ked","outdoor_weather":"\ud83d\ude00<>&\u2028\"\\\b\f\r\t"}}`, true},
+	{"escaped strings", `{"values":{"door_lock":"lo\u0063ked","outdoor_weather":"\ud83d\ude00<>&\u2028\"\\\b\f\r\t"}}`, false},
 	{"escaped feature", `{"values":{"sm\u006fke":true,"hour_\u006ff_day":1}}`, true},
-	{"non-ascii strings", `{"values":{"outdoor_weather":"pluie é"}}`, true},
-	{"invalid utf-8", "{\"values\":{\"door_lock\":\"v\xfe\",\"outdoor_weather\":\"\xed\xa0\x80s\"}}", true},
-	{"lone surrogate", `{"values":{"door_lock":"\ud800x","outdoor_weather":"\udc00","time_bucket":"\ud800\u0041"}}`, true},
+	{"non-ascii strings", `{"values":{"outdoor_weather":"pluie é"}}`, false},
+	{"invalid utf-8", "{\"values\":{\"door_lock\":\"v\xfe\",\"outdoor_weather\":\"\xed\xa0\x80s\"}}", false},
+	{"lone surrogate", `{"values":{"door_lock":"\ud800x","outdoor_weather":"\udc00","time_bucket":"\ud800\u0041"}}`, false},
 	{"many features", `{"values":{"air_quality":1,"combustible_gas":true,"door_lock":"locked","door_open":false,"hour_of_day":5,"humidity":6,"illuminance":7,"instruction_gap":8,"motion":true,"noise_level":10,"occupancy":false,"occupancy_dwell":12,"outdoor_weather":"rain","power_draw":14,"smoke":false,"temperature_in":16,"temperature_out":17,"time_bucket":"night","voice_command":true,"water_leak":false,"window_open":true,"air_quality":22}}`, true},
 	{"unknown feature", `{"values":{"smoke":true,"x":1}}`, false},
 	{"unknown non-ascii feature", `{"values":{"température":"pluie é"}}`, false},
@@ -112,10 +112,24 @@ var snapshotWireCases = []struct {
 	{"max nesting", `{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`, true},
 	{"over nesting", `{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, false},
 	{"over nesting objects", `{"x":` + strings.Repeat(`{"":`, 10000) + `0` + strings.Repeat("}", 10000) + `}`, false},
+	{"label outside its domain", `{"values":{"smoke":true,"door_lock":"ajar"}}`, false},
+	{"label under a bool feature", `{"values":{"motion":"locked"}}`, false},
+	{"number under a label feature", `{"values":{"outdoor_weather":1}}`, false},
+	{"label of another domain", `{"values":{"door_lock":"sunny","time_bucket":"night"}}`, false},
+	{"bool under a number feature", `{"values":{"temperature_in":true}}`, false},
+	{"number under a bool feature", `{"values":{"smoke":1}}`, false},
+	{"escaped labels", `{"values":{"door_lock":"lo\u0063ked","outdoor_weather":"r\u0061in","time_bucket":"\u006eight"}}`, true},
+	{"outside value overwritten", `{"values":{"door_lock":"ajar","door_lock":"locked"},"values":{"motion":"x"},"values":{"motion":true}}`, true},
+	{"outside value last", `{"values":{"door_lock":"locked"},"values":{"door_lock":"ajar"}}`, false},
+	{"outside value dropped by null", `{"values":{"door_lock":"ajar"},"values":null,"values":{"smoke":true}}`, true},
+	{"outside value then bad time", `{"values":{"door_lock":"ajar"},"at":"yesterday"}`, false},
+	{"outside value then trailing bytes", `{"values":{"motion":"locked"}} 0`, false},
 }
 
-// valueWireCases seed FuzzValueJSON: a number, a string that is both a
-// label and a raw JSON document, and a boolean.
+// valueWireCases seed FuzzValueJSON: a number, a raw JSON document, which
+// is also read as a door_lock, a motion and a temperature_in value, and a
+// boolean. The last three are a label outside its domain, a label under a
+// bool feature and a number under a label feature.
 var valueWireCases = []struct {
 	n float64
 	s string
@@ -141,12 +155,15 @@ var valueWireCases = []struct {
 	{-1e-300, "\"tab\\t\"x", false},
 	{100, "", true},
 	{7, "1e-400", false},
+	{2, `"ajar"`, true},
+	{-4, `"locked"`, false},
+	{0.5, "1", true},
 }
 
 // sameValue reports whether a and b are the same value, comparing
 // numbers bit for bit so that -0 and 0 differ.
 func sameValue(a, b Value) bool {
-	return a.typ == b.typ && a.b == b.b && a.s == b.s && math.Float64bits(a.n) == math.Float64bits(b.n)
+	return a.typ == b.typ && a.b == b.b && a.label == b.label && math.Float64bits(a.n) == math.Float64bits(b.n)
 }
 
 // requireSameSnapshot fails unless got equals want: the same instant in
@@ -182,7 +199,7 @@ func checkSnapshotAgainstReference(t *testing.T, data []byte) bool {
 	var want, got Snapshot
 	wantErr := refUnmarshalSnapshot(&want, data)
 	gotErr := got.UnmarshalJSON(data)
-	if (wantErr == nil) != (gotErr == nil) || isUnknownFeature(wantErr) != isUnknownFeature(gotErr) {
+	if (wantErr == nil) != (gotErr == nil) || isOutsideVocabulary(wantErr) != isOutsideVocabulary(gotErr) {
 		t.Fatalf("decode %q: reference err %v, codec err %v", data, wantErr, gotErr)
 	}
 	if wantErr != nil {
@@ -200,10 +217,10 @@ func checkSnapshotAgainstReference(t *testing.T, data []byte) bool {
 	return true
 }
 
-// isUnknownFeature reports whether err is an *UnknownFeatureError.
-func isUnknownFeature(err error) bool {
-	var uf *UnknownFeatureError
-	return errors.As(err, &uf)
+// isOutsideVocabulary reports whether err is a *VocabularyError.
+func isOutsideVocabulary(err error) bool {
+	var ve *VocabularyError
+	return errors.As(err, &ve)
 }
 
 // checkValueAgainstReference encodes v with both codecs and requires the
@@ -224,13 +241,17 @@ func checkValueAgainstReference(t *testing.T, v Value) {
 }
 
 // checkValueDecodeAgainstReference decodes data with both codecs and
-// requires the same verdict and the same value. It reports whether the
-// input was accepted.
+// requires the same verdict and the same value; a value is not decoded
+// from a string that names no label. It reports whether the input was
+// accepted.
 func checkValueDecodeAgainstReference(t *testing.T, data []byte) bool {
 	t.Helper()
 	var want refValue
 	var got Value
 	wantErr := want.UnmarshalJSON(data)
+	if wantErr == nil && want.typ == TypeLabel && want.label == 0 {
+		wantErr = errors.New("no such label")
+	}
 	gotErr := got.UnmarshalJSON(data)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("decode %q: reference err %v, codec err %v", data, wantErr, gotErr)
@@ -261,19 +282,23 @@ func FuzzSnapshotJSON(f *testing.F) {
 	})
 }
 
-// FuzzValueJSON encodes arbitrary numbers, labels and booleans with the
-// value codec and the reference codec, requiring identical bytes (NaN and
-// the infinities must fail in both), and decodes the string argument as a
-// raw JSON document with both, requiring the same verdict and value.
+// FuzzValueJSON encodes arbitrary numbers, label ordinals (those outside
+// the table must fail in both) and booleans with the value codec and the
+// reference codec, requiring identical bytes (NaN and the infinities must
+// fail in both), and decodes the string argument as a raw JSON document
+// with both, requiring the same verdict and value. It also decodes the
+// string as the value of a label, a bool and a number feature in a
+// snapshot, holding the snapshot codec to the reference there.
 func FuzzValueJSON(f *testing.F) {
 	for _, c := range valueWireCases {
 		f.Add(c.n, c.s, c.b)
 	}
 	f.Fuzz(func(t *testing.T, n float64, s string, b bool) {
-		for _, v := range []Value{Number(n), Label(s), Bool(b), {}} {
+		for _, v := range []Value{Number(n), Label(LabelID(len(s))), Bool(b), {}} {
 			checkValueAgainstReference(t, v)
 		}
 		checkValueDecodeAgainstReference(t, []byte(s))
+		checkValueAsFeatures(t, s)
 	})
 }
 
@@ -299,9 +324,12 @@ func TestSnapshotWireEncodeCases(t *testing.T) {
 		snapshotOf(at, map[Feature]Value{FeatNoise: Number(math.Inf(-1)), FeatAirQuality: Bool(true)}),
 		snapshotOf(testTime, map[Feature]Value{
 			FeatHumidity: Number(1e-7), FeatAirQuality: Number(1e21), FeatIlluminance: Number(-0.000001), FeatPowerDraw: Number(math.Copysign(0, -1)),
-			FeatDoorLock: Label("a&b"), FeatWeather: Label("\u2028"), FeatTimeBucket: Label("\"\\\n"), FeatNoise: Label("ü"),
-			FeatInstrGap: Label("k\xff<tag>"), FeatMotion: {}, FeatSmoke: Bool(true), FeatGas: Bool(false),
+			FeatDoorLock: Label(LockUnlocked), FeatWeather: Label(WeatherSnow), FeatTimeBucket: Label(BucketEvening), FeatNoise: Label(WeatherRain),
+			FeatInstrGap: Label(BucketNight), FeatMotion: {}, FeatSmoke: Bool(true), FeatGas: Bool(false),
 		}),
+		snapshotOf(at, map[Feature]Value{FeatDoorLock: Label(0)}),
+		snapshotOf(at, map[Feature]Value{FeatWeather: Label(labelLimit)}),
+		snapshotOf(at, map[Feature]Value{FeatSmoke: Label(255)}),
 	}
 	for i, s := range cases {
 		wantOut, wantErr := refMarshalSnapshot(s)
@@ -317,9 +345,19 @@ func TestSnapshotWireEncodeCases(t *testing.T) {
 
 func TestValueWireCases(t *testing.T) {
 	for _, c := range valueWireCases {
-		for _, v := range []Value{Number(c.n), Label(c.s), Bool(c.b), {}} {
+		for _, v := range []Value{Number(c.n), Label(LabelID(len(c.s))), Bool(c.b), {}} {
 			checkValueAgainstReference(t, v)
 		}
 		checkValueDecodeAgainstReference(t, []byte(c.s))
+		checkValueAsFeatures(t, c.s)
+	}
+}
+
+// checkValueAsFeatures decodes raw as the value of a label, a bool and a
+// number feature in a snapshot with both codecs.
+func checkValueAsFeatures(t *testing.T, raw string) {
+	t.Helper()
+	for _, f := range []Feature{FeatDoorLock, FeatMotion, FeatTempIndoor} {
+		checkSnapshotAgainstReference(t, []byte(`{"values":{"`+f.String()+`":`+raw+`}}`))
 	}
 }

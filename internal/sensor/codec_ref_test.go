@@ -2,6 +2,8 @@ package sensor
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"time"
 )
 
@@ -10,7 +12,9 @@ import (
 // round trips. It is copied verbatim, rebound to wrapper types so that
 // encoding/json cannot reach the production methods through it, and
 // serves as the differential oracle of FuzzSnapshotJSON and
-// FuzzValueJSON. Nothing outside the tests calls it.
+// FuzzValueJSON. Nothing outside the tests calls it. Where the verbatim
+// codec kept any string, the reference reads a string as the label it
+// names, and holds each value to its feature's descriptor on its own.
 
 // refValue carries a Value through the reference codec.
 type refValue Value
@@ -23,17 +27,31 @@ func (v refValue) MarshalJSON() ([]byte, error) {
 	case TypeNumber:
 		return json.Marshal(v.n)
 	case TypeLabel:
-		return json.Marshal(v.s)
+		if v.label == 0 || int(v.label) >= len(labels) {
+			return nil, fmt.Errorf("label %d outside the table", v.label)
+		}
+		return json.Marshal(labels[v.label].name)
 	default:
 		return []byte("null"), nil
 	}
 }
 
 // UnmarshalJSON decodes a JSON boolean, number or string into the value.
+// A string decodes to the label of that name, of any feature's domain,
+// and to Label(0) when no label has it.
 func (v *refValue) UnmarshalJSON(data []byte) error {
 	var raw any
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
+	}
+	if s, ok := raw.(string); ok {
+		*v = refValue(Label(0))
+		for l := range labels {
+			if l > 0 && labels[l].name == s {
+				*v = refValue(Label(LabelID(l)))
+			}
+		}
+		return nil
 	}
 	parsed, err := FromAny(raw)
 	if err != nil {
@@ -60,20 +78,26 @@ func refMarshalSnapshot(s Snapshot) ([]byte, error) {
 }
 
 // refUnmarshalSnapshot decodes the wire form produced by refMarshalSnapshot.
-// The vocabulary is closed: where the verbatim codec stored any name, a
-// name outside the vocabulary is an *UnknownFeatureError.
+// The vocabulary is closed: where the verbatim codec stored any name and
+// value, a name outside the vocabulary, or a value that has not its
+// feature's type or is a label outside the feature's domain, is a
+// *VocabularyError. A null is an absent value.
 func refUnmarshalSnapshot(s *Snapshot, data []byte) error {
 	var raw refSnapshotJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
 	}
 	decoded := NewSnapshot(raw.At)
-	for k, v := range raw.Values {
+	for k, rv := range raw.Values {
 		f, ok := ParseFeature(k)
 		if !ok {
-			return &UnknownFeatureError{Name: k}
+			return &VocabularyError{Name: k}
 		}
-		decoded.Set(f, Value(v))
+		v, d := Value(rv), MustDescribe(f)
+		if !v.IsZero() && (v.typ != d.Type || v.typ == TypeLabel && !slices.Contains(d.Labels, v.label)) {
+			return &VocabularyError{Name: k, Type: v.typ}
+		}
+		decoded.Set(f, v)
 	}
 	*s = decoded
 	return nil

@@ -120,35 +120,26 @@ func NumberScaled(scale float64) Converter {
 	}
 }
 
-// LabelIn decodes a string field constrained to a closed domain.
-func LabelIn(domain ...string) Converter {
+// LabelIn decodes a string field naming a label of f's domain.
+func LabelIn(f Feature) Converter {
 	return func(raw any) (Value, error) {
 		s, ok := raw.(string)
 		if !ok {
 			return Value{}, fmt.Errorf("not a label: %T", raw)
 		}
-		s = strings.ToLower(s)
-		for _, d := range domain {
-			if s == d {
-				return Label(s), nil
-			}
+		l, ok := ParseLabel(f, strings.ToLower(s))
+		if !ok {
+			return Value{}, fmt.Errorf("label %q outside the domain of %v", s, f)
 		}
-		return Value{}, fmt.Errorf("label %q outside domain %v", s, domain)
+		return Label(l), nil
 	}
 }
 
 // LockStateFromBool decodes a locked boolean (or "locked"/"unlocked"
 // string) into the door_lock label domain.
 func LockStateFromBool(raw any) (Value, error) {
-	if s, ok := raw.(string); ok {
-		switch strings.ToLower(s) {
-		case LockLocked:
-			return Label(LockLocked), nil
-		case LockUnlocked:
-			return Label(LockUnlocked), nil
-		default:
-			return Value{}, fmt.Errorf("not a lock state: %q", s)
-		}
+	if _, ok := raw.(string); ok {
+		return LabelIn(FeatDoorLock)(raw)
 	}
 	v, err := BoolFrom01(raw)
 	if err != nil {

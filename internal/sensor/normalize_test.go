@@ -125,14 +125,16 @@ func TestNumberConverters(t *testing.T) {
 }
 
 func TestLabelIn(t *testing.T) {
-	conv := LabelIn(WeatherSunny, WeatherRain)
+	conv := LabelIn(FeatWeather)
 	if v, err := conv("RAIN"); err != nil {
 		t.Errorf("LabelIn: %v", err)
 	} else if l, _ := v.Label(); l != WeatherRain {
-		t.Errorf("label = %q", l)
+		t.Errorf("label = %v", l)
 	}
-	if _, err := conv("snow"); err == nil {
-		t.Error("want domain error")
+	for _, bad := range []string{"hail", "locked", ""} {
+		if _, err := conv(bad); err == nil {
+			t.Errorf("LabelIn(%q): want domain error", bad)
+		}
 	}
 	if _, err := conv(5); err == nil {
 		t.Error("want type error")
@@ -140,7 +142,7 @@ func TestLabelIn(t *testing.T) {
 }
 
 func TestLockStateFromBool(t *testing.T) {
-	cases := map[any]string{
+	cases := map[any]LabelID{
 		"locked":   LockLocked,
 		"UNLOCKED": LockUnlocked,
 		float64(1): LockLocked,
@@ -154,7 +156,7 @@ func TestLockStateFromBool(t *testing.T) {
 			continue
 		}
 		if l, _ := v.Label(); l != want {
-			t.Errorf("LockStateFromBool(%v) = %q, want %q", in, l, want)
+			t.Errorf("LockStateFromBool(%v) = %v, want %v", in, l, want)
 		}
 	}
 	if _, err := LockStateFromBool("ajar"); err == nil {

@@ -133,12 +133,12 @@ func (f Feature) MarshalText() ([]byte, error) {
 	return []byte(vocabulary[f-1].Name), nil
 }
 
-// UnmarshalText decodes a wire name; a name outside the vocabulary is an
-// *UnknownFeatureError.
+// UnmarshalText decodes a wire name; a name outside the vocabulary is a
+// *VocabularyError.
 func (f *Feature) UnmarshalText(text []byte) error {
 	g, ok := parseFeature(text)
 	if !ok {
-		return &UnknownFeatureError{Name: string(text)}
+		return &VocabularyError{Name: string(text)}
 	}
 	*f = g
 	return nil
@@ -156,11 +156,18 @@ func parseFeature(name []byte) (Feature, bool) {
 	return f, ok
 }
 
-// UnknownFeatureError reports a feature name outside the vocabulary.
-type UnknownFeatureError struct{ Name string }
+// VocabularyError reports a feature and value outside the vocabulary: a
+// feature name it does not hold, or a value its feature does not admit.
+type VocabularyError struct {
+	Name string      // the feature's wire name
+	Type FeatureType // the refused value's type, when Name is in the vocabulary
+}
 
-func (e *UnknownFeatureError) Error() string {
-	return fmt.Sprintf("sensor: unknown feature %q", e.Name)
+func (e *VocabularyError) Error() string {
+	if _, ok := ParseFeature(e.Name); !ok {
+		return fmt.Sprintf("sensor: unknown feature %q", e.Name)
+	}
+	return fmt.Sprintf("sensor: %s value of feature %q is outside the vocabulary", e.Type, e.Name)
 }
 
 // FeatureType describes how a feature's values behave, mirroring the paper's
@@ -197,36 +204,90 @@ type Descriptor struct {
 	Type    FeatureType
 	Source  Kind
 	Unit    string
-	Labels  []string // label domain, only for TypeLabel
+	Labels  []LabelID // label domain, only for TypeLabel
 }
 
-// Weather label domain.
-const (
-	WeatherSunny  = "sunny"
-	WeatherCloudy = "cloudy"
-	WeatherRain   = "rain"
-	WeatherSnow   = "snow"
-)
+// LabelID is a label of the vocabulary: a one-byte ordinal into one table
+// of labels, laid out feature by feature, so a label feature's domain is a
+// run of consecutive ordinals. Names exist only at the edges: String, the
+// codec, and ParseLabel for parsers and bridges. The zero LabelID names no
+// label, and no feature's domain holds it.
+type LabelID uint8
 
-// Door-lock label domain.
-const (
-	LockLocked   = "locked"
-	LockUnlocked = "unlocked"
-)
-
-// Time-of-day bucket label domain. The four buckets quantize the
+// The labels, feature by feature. The four time buckets quantize the
 // fractional hour-of-day into the coarse daily phases the sequence judge
 // keys on: night [22,6), morning [6,12), afternoon [12,18), evening
 // [18,22).
 const (
-	BucketNight     = "night"
-	BucketMorning   = "morning"
-	BucketAfternoon = "afternoon"
-	BucketEvening   = "evening"
+	LockLocked      LabelID = iota + 1 // door_lock
+	LockUnlocked                       // door_lock
+	WeatherSunny                       // outdoor_weather
+	WeatherCloudy                      // outdoor_weather
+	WeatherRain                        // outdoor_weather
+	WeatherSnow                        // outdoor_weather
+	BucketNight                        // time_bucket
+	BucketMorning                      // time_bucket
+	BucketAfternoon                    // time_bucket
+	BucketEvening                      // time_bucket
+	labelLimit
 )
 
+// labels is the one table of labels: each label's wire name and the
+// feature whose domain holds it. Every label domain is written here and
+// nowhere else.
+var labels = [labelLimit]struct {
+	feat Feature
+	name string
+}{
+	LockLocked:      {FeatDoorLock, "locked"},
+	LockUnlocked:    {FeatDoorLock, "unlocked"},
+	WeatherSunny:    {FeatWeather, "sunny"},
+	WeatherCloudy:   {FeatWeather, "cloudy"},
+	WeatherRain:     {FeatWeather, "rain"},
+	WeatherSnow:     {FeatWeather, "snow"},
+	BucketNight:     {FeatTimeBucket, "night"},
+	BucketMorning:   {FeatTimeBucket, "morning"},
+	BucketAfternoon: {FeatTimeBucket, "afternoon"},
+	BucketEvening:   {FeatTimeBucket, "evening"},
+}
+
+// String returns the label's wire name.
+func (l LabelID) String() string {
+	if l > 0 && l < labelLimit {
+		return labels[l].name
+	}
+	return "label(" + strconv.Itoa(int(l)) + ")"
+}
+
+// ParseLabel looks up a label of f's domain by its wire name.
+func ParseLabel(f Feature, name string) (LabelID, bool) {
+	l := parseLabel(f, []byte(name))
+	return l, l != 0
+}
+
+// parseLabel returns the label of f's domain named name, or of any
+// feature's domain when f is zero, and the zero LabelID when there is
+// none.
+func parseLabel(f Feature, name []byte) LabelID {
+	for l := LabelID(1); l < labelLimit; l++ {
+		if (f == 0 || labels[l].feat == f) && labels[l].name == string(name) {
+			return l
+		}
+	}
+	return 0
+}
+
+// Admits reports whether v may be f's value: f is in the vocabulary, v has
+// f's type, and a label is one of f's domain. It is the vocabulary's one
+// rule for a value: the codec refuses every value but null that it does
+// not admit, and so does the automation parser.
+func Admits(f Feature, v Value) bool {
+	return f.Valid() && v.typ == vocabulary[f-1].Type &&
+		(v.typ != TypeLabel || v.label < labelLimit && labels[v.label].feat == f)
+}
+
 // TimeBucketCount is the number of time-of-day buckets.
-const TimeBucketCount = 4
+const TimeBucketCount = int(BucketEvening-BucketNight) + 1
 
 // TimeBucketIndex quantizes a fractional hour-of-day into one of the four
 // daily phases (0 night, 1 morning, 2 afternoon, 3 evening). Hours outside
@@ -256,11 +317,12 @@ func TimeBucketIndex(hour float64) int {
 	}
 }
 
-// vocabulary describes every feature, in ordinal order.
-var vocabulary = []Descriptor{
+// vocabulary describes every feature, in ordinal order; a label feature's
+// domain is gathered from the table of labels.
+var vocabulary = withLabels([]Descriptor{
 	{Feature: FeatAirQuality, Name: "air_quality", Type: TypeNumber, Source: KindAirQuality, Unit: "AQI"},
 	{Feature: FeatGas, Name: "combustible_gas", Type: TypeBool, Source: KindCombustibleGas},
-	{Feature: FeatDoorLock, Name: "door_lock", Type: TypeLabel, Source: KindSmartLock, Labels: []string{LockLocked, LockUnlocked}},
+	{Feature: FeatDoorLock, Name: "door_lock", Type: TypeLabel, Source: KindSmartLock},
 	{Feature: FeatDoorOpen, Name: "door_open", Type: TypeBool, Source: KindDoorWindowContact},
 	{Feature: FeatHour, Name: "hour_of_day", Type: TypeNumber, Source: KindClock, Unit: "h"},
 	{Feature: FeatHumidity, Name: "humidity", Type: TypeNumber, Source: KindHumidity, Unit: "%RH"},
@@ -270,15 +332,24 @@ var vocabulary = []Descriptor{
 	{Feature: FeatNoise, Name: "noise_level", Type: TypeNumber, Source: KindNoise, Unit: "dB"},
 	{Feature: FeatOccupancy, Name: "occupancy", Type: TypeBool, Source: KindOccupancy},
 	{Feature: FeatOccupancyDwell, Name: "occupancy_dwell", Type: TypeNumber, Source: KindOccupancy, Unit: "s"},
-	{Feature: FeatWeather, Name: "outdoor_weather", Type: TypeLabel, Source: KindWeatherStation, Labels: []string{WeatherSunny, WeatherCloudy, WeatherRain, WeatherSnow}},
+	{Feature: FeatWeather, Name: "outdoor_weather", Type: TypeLabel, Source: KindWeatherStation},
 	{Feature: FeatPowerDraw, Name: "power_draw", Type: TypeNumber, Source: KindPowerMeter, Unit: "W"},
 	{Feature: FeatSmoke, Name: "smoke", Type: TypeBool, Source: KindSmoke},
 	{Feature: FeatTempIndoor, Name: "temperature_in", Type: TypeNumber, Source: KindTemperature, Unit: "°C"},
 	{Feature: FeatTempOutdoor, Name: "temperature_out", Type: TypeNumber, Source: KindWeatherStation, Unit: "°C"},
-	{Feature: FeatTimeBucket, Name: "time_bucket", Type: TypeLabel, Source: KindClock, Labels: []string{BucketNight, BucketMorning, BucketAfternoon, BucketEvening}},
+	{Feature: FeatTimeBucket, Name: "time_bucket", Type: TypeLabel, Source: KindClock},
 	{Feature: FeatVoiceCmd, Name: "voice_command", Type: TypeBool, Source: KindVoiceAssistant},
 	{Feature: FeatWaterLeak, Name: "water_leak", Type: TypeBool, Source: KindWaterLeak},
 	{Feature: FeatWindowOpen, Name: "window_open", Type: TypeBool, Source: KindDoorWindowContact},
+})
+
+// withLabels gives each label feature of vocab its domain.
+func withLabels(vocab []Descriptor) []Descriptor {
+	for l := LabelID(1); l < labelLimit; l++ {
+		d := &vocab[labels[l].feat-1]
+		d.Labels = append(d.Labels, l)
+	}
+	return vocab
 }
 
 // featureByName maps each wire name to its feature.

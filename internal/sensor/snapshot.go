@@ -29,8 +29,8 @@ type Snapshot struct {
 // The entries in [len, cap) are zero.
 type valueSet struct{ es []entry }
 
-// MaxValueBytes bounds the value storage a snapshot owns, strings aside:
-// a value set holding every feature of the vocabulary.
+// MaxValueBytes bounds the value storage a snapshot owns: a value set
+// holding every feature of the vocabulary, 360 B.
 const MaxValueBytes = unsafe.Sizeof(valueSet{}) + uintptr(NumFeatures)*unsafe.Sizeof(entry{})
 
 // rewrite returns the set's entries emptied for n new ones: its own,
@@ -46,20 +46,20 @@ func (vs *valueSet) rewrite(n int) []entry {
 
 // entry is one feature value: the feature's ordinal beside the value's
 // fields, flattened so that the ordinal shares the type tag's word and an
-// entry is 32 B, the size of a Value.
+// entry is 16 B with no pointer, the size of a Value.
 type entry struct {
-	f   Feature
-	typ FeatureType
-	b   bool
-	n   float64
-	s   string
+	f     Feature
+	typ   FeatureType
+	b     bool
+	label LabelID
+	n     float64
 }
 
 func newEntry(f Feature, v Value) entry {
-	return entry{f: f, typ: v.typ, b: v.b, n: v.n, s: v.s}
+	return entry{f: f, typ: v.typ, b: v.b, label: v.label, n: v.n}
 }
 
-func (e *entry) value() Value { return Value{typ: e.typ, b: e.b, n: e.n, s: e.s} }
+func (e *entry) value() Value { return Value{typ: e.typ, b: e.b, label: e.label, n: e.n} }
 
 // NewSnapshot creates an empty snapshot stamped at t.
 func NewSnapshot(t time.Time) Snapshot { return NewSnapshotCap(t, 0) }
@@ -265,15 +265,15 @@ func (s Snapshot) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the wire form produced by MarshalJSON. On error
-// the snapshot is left unchanged; a well-formed document naming a
-// feature outside the vocabulary is an *UnknownFeatureError.
+// the snapshot is left unchanged; a well-formed document holding a
+// feature or value outside the vocabulary is a *VocabularyError.
 func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	d := jsonwire.NewDecoder(data)
 	var decoded Snapshot
 	err := decoded.DecodeJSON(&d)
-	if _, unknown := err.(*UnknownFeatureError); err == nil || unknown {
+	if _, outside := err.(*VocabularyError); err == nil || outside {
 		// The document was consumed: bytes after it are a syntax error,
-		// which outranks an unknown feature.
+		// which outranks a value outside the vocabulary.
 		if endErr := d.End(); endErr != nil {
 			return endErr
 		}
@@ -285,34 +285,14 @@ func (s *Snapshot) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Validate checks every value against its feature's descriptor: the value
-// must be present, its type must match, and labels must come from the
-// descriptor's domain.
+// Validate checks every value against its feature's descriptor with
+// Admits, the rule the codec applies: the value must be present, its type
+// must match, and a label must come from the feature's domain.
 func (s Snapshot) Validate() error {
 	for i := range s.entries() {
-		e := &s.vals.es[i]
-		f, v, d := e.f, e.value(), vocabulary[e.f-1]
-		if v.IsZero() {
-			return fmt.Errorf("sensor: absent value for feature %q", f)
-		}
-		if v.Type() != d.Type {
-			return fmt.Errorf("sensor: feature %q has type %s, want %s", f, v.Type(), d.Type)
-		}
-		if d.Type == TypeLabel {
-			lbl, _ := v.Label()
-			if !contains(d.Labels, lbl) {
-				return fmt.Errorf("sensor: feature %q label %q outside domain %v", f, lbl, d.Labels)
-			}
+		if e := &s.vals.es[i]; !Admits(e.f, e.value()) {
+			return &VocabularyError{Name: e.f.String(), Type: e.typ}
 		}
 	}
 	return nil
-}
-
-func contains(set []string, s string) bool {
-	for _, e := range set {
-		if e == s {
-			return true
-		}
-	}
-	return false
 }

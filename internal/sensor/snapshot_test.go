@@ -137,7 +137,7 @@ func TestSnapshotValidate(t *testing.T) {
 	})
 	t.Run("label outside domain", func(t *testing.T) {
 		s := NewSnapshot(testTime)
-		s.Set(FeatWeather, Label("hail"))
+		s.Set(FeatWeather, Label(LockLocked))
 		if s.Validate() == nil {
 			t.Error("want error for out-of-domain label")
 		}

@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -10,12 +11,13 @@ import (
 
 // Value is the tagged union carried by a sensor reading: a boolean (logic-
 // oriented discrete value), a float64 (data-oriented continuous value) or a
-// label from a closed string domain. The zero Value is "absent".
+// label of the vocabulary. The zero Value is "absent". A Value is 16 B and
+// holds no pointer.
 type Value struct {
-	typ FeatureType
-	b   bool
-	n   float64
-	s   string
+	typ   FeatureType
+	b     bool
+	label LabelID
+	n     float64
 }
 
 // Bool constructs a boolean value.
@@ -25,7 +27,7 @@ func Bool(v bool) Value { return Value{typ: TypeBool, b: v} }
 func Number(v float64) Value { return Value{typ: TypeNumber, n: v} }
 
 // Label constructs a categorical value.
-func Label(v string) Value { return Value{typ: TypeLabel, s: v} }
+func Label(l LabelID) Value { return Value{typ: TypeLabel, label: l} }
 
 // Type returns the value's feature type; zero for an absent value.
 func (v Value) Type() FeatureType { return v.typ }
@@ -40,7 +42,7 @@ func (v Value) Bool() (bool, bool) { return v.b, v.typ == TypeBool }
 func (v Value) Number() (float64, bool) { return v.n, v.typ == TypeNumber }
 
 // Label returns the label payload and whether the value holds one.
-func (v Value) Label() (string, bool) { return v.s, v.typ == TypeLabel }
+func (v Value) Label() (LabelID, bool) { return v.label, v.typ == TypeLabel }
 
 // Numeric coerces the value into a float64 for machine-learning encoders:
 // booleans map to 0/1, numbers pass through. Label values do not coerce and
@@ -70,7 +72,7 @@ func (v Value) String() string {
 	case TypeNumber:
 		return strconv.FormatFloat(v.n, 'g', -1, 64)
 	case TypeLabel:
-		return v.s
+		return v.label.String()
 	default:
 		return "<absent>"
 	}
@@ -83,24 +85,29 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	return appendValue(make([]byte, 0, valueSizeHint(v)), v)
 }
 
-// UnmarshalJSON decodes a JSON boolean, number, string or null (an absent
-// value) into the value. On error the value is left unchanged.
+// UnmarshalJSON decodes a JSON boolean, number, label name or null (an
+// absent value) into the value. A string that names no label is an error.
+// On error the value is left unchanged.
 func (v *Value) UnmarshalJSON(data []byte) error {
 	d := jsonwire.NewDecoder(data)
-	parsed, err := decodeValue(&d)
-	if err != nil {
-		return err
+	parsed, err := decodeValue(&d, 0)
+	if err == nil {
+		err = d.End()
 	}
-	if err := d.End(); err != nil {
+	if err == nil && parsed == Label(0) {
+		err = errors.New("sensor: string names no label of the vocabulary")
+	}
+	if err != nil {
 		return err
 	}
 	*v = parsed
 	return nil
 }
 
-// FromAny converts a dynamically-typed JSON value (bool, float64, string,
+// FromAny converts a dynamically-typed JSON value (bool, float64,
 // json.Number, nil, or integer types produced by vendor payload decoders)
-// into a Value.
+// into a Value. A string is no value: a label needs its feature, which
+// LabelIn and the codec know.
 func FromAny(raw any) (Value, error) {
 	switch t := raw.(type) {
 	case nil:
@@ -119,8 +126,6 @@ func FromAny(raw any) (Value, error) {
 			return Value{}, fmt.Errorf("sensor: parse number %q: %w", t.String(), err)
 		}
 		return Number(f), nil
-	case string:
-		return Label(t), nil
 	default:
 		return Value{}, fmt.Errorf("sensor: unsupported raw value type %T", raw)
 	}

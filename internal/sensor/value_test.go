@@ -19,7 +19,7 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 		{name: "bool true", v: Bool(true), typ: TypeBool, str: "true"},
 		{name: "bool false", v: Bool(false), typ: TypeBool, str: "false"},
 		{name: "number", v: Number(21.5), typ: TypeNumber, str: "21.5"},
-		{name: "label", v: Label("rain"), typ: TypeLabel, str: "rain"},
+		{name: "label", v: Label(WeatherRain), typ: TypeLabel, str: "rain"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -59,13 +59,13 @@ func TestValueNumericCoercion(t *testing.T) {
 	if n, ok := Number(3.5).Numeric(); !ok || n != 3.5 {
 		t.Errorf("Number(3.5).Numeric() = %v,%v", n, ok)
 	}
-	if _, ok := Label("x").Numeric(); ok {
+	if _, ok := Label(WeatherRain).Numeric(); ok {
 		t.Error("Label must not coerce to numeric")
 	}
 }
 
 func TestValueJSONRoundTrip(t *testing.T) {
-	for _, v := range []Value{Bool(true), Bool(false), Number(-3.25), Number(0), Label("sunny")} {
+	for _, v := range []Value{Bool(true), Bool(false), Number(-3.25), Number(0), Label(WeatherSunny), Label(BucketEvening)} {
 		data, err := json.Marshal(v)
 		if err != nil {
 			t.Fatalf("marshal %v: %v", v, err)
@@ -113,7 +113,7 @@ func TestFromAny(t *testing.T) {
 		{name: "int", in: 7, want: Number(7), ok: true},
 		{name: "int64", in: int64(-2), want: Number(-2), ok: true},
 		{name: "json number", in: json.Number("10.5"), want: Number(10.5), ok: true},
-		{name: "string", in: "rain", want: Label("rain"), ok: true},
+		{name: "string", in: "rain", ok: false},
 		{name: "nil", in: nil, want: Value{}, ok: true},
 		{name: "unsupported", in: []int{1}, ok: false},
 	}
@@ -204,7 +204,7 @@ func TestVocabularyOrdinals(t *testing.T) {
 			t.Errorf("ParseFeature(%q) = %d, want no feature", name, f)
 		}
 		var f Feature
-		var uf *UnknownFeatureError
+		var uf *VocabularyError
 		if err := f.UnmarshalText([]byte(name)); !errors.As(err, &uf) || uf.Name != name {
 			t.Errorf("UnmarshalText(%q) = %v, want an unknown-feature error naming it", name, err)
 		}

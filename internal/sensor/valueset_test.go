@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -61,22 +62,47 @@ func requireSorted(t *testing.T, s Snapshot) {
 }
 
 // TestValueAndSnapshotSizes pins the layout the value set is built on: a
-// Value packs its type tag and boolean into one word, an entry packs the
-// feature's ordinal into that word too, so it is no larger than a Value,
-// and a snapshot is its time and one pointer.
+// Value packs its type tag, boolean and label ordinal into one word, an
+// entry packs the feature's ordinal into that word too, so it is no larger
+// than a Value, and a snapshot is its time and one pointer.
 func TestValueAndSnapshotSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"Value", unsafe.Sizeof(Value{}), 32},
-		{"entry", unsafe.Sizeof(entry{}), 32},
+		{"Value", unsafe.Sizeof(Value{}), 16},
+		{"entry", unsafe.Sizeof(entry{}), 16},
 		{"Snapshot", unsafe.Sizeof(Snapshot{}), 32},
+		{"MaxValueBytes", MaxValueBytes, 360},
 	} {
 		if c.got != c.want {
 			t.Errorf("unsafe.Sizeof(%s) = %d B, want %d", c.name, c.got, c.want)
 		}
 	}
+}
+
+// TestValueAndEntryHaveNoPointers walks the Value and entry types: with a
+// label a one-byte ordinal, neither holds a pointer, so value storage,
+// scene slots, fleet views and trust state are allocated noscan and the
+// garbage collector never walks them.
+func TestValueAndEntryHaveNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s: a value must hold no pointers", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("Value", reflect.TypeOf(Value{}))
+	walk("entry", reflect.TypeOf(entry{}))
 }
 
 // TestSnapshotCopiesShareValues pins the sharing rule the scene builders
@@ -149,18 +175,40 @@ var diffFeatures = []Feature{
 // vocabulary names, and names the codec must unescape.
 var diffUnknown = []string{"", "a", "z", "smoke_", "Smoke", "é", "k\n", "<k>"}
 
-// diffValue draws a finite value, an absent one now and then.
-func diffValue(rng *rand.Rand) Value {
-	switch rng.Intn(7) {
-	case 0:
+// diffValue draws a finite value of f's type, and of its domain for a
+// label, an absent one now and then.
+func diffValue(rng *rand.Rand, f Feature) Value {
+	d := MustDescribe(f)
+	switch {
+	case rng.Intn(7) == 0:
 		return Value{}
-	case 1, 2:
+	case d.Type == TypeBool:
 		return Bool(rng.Intn(2) == 0)
-	case 3, 4:
+	case d.Type == TypeNumber:
 		return Number(float64(rng.Intn(2001)-1000) / 8)
 	default:
-		return Label([]string{WeatherRain, LockLocked, "", "ü\n"}[rng.Intn(4)])
+		return Label(d.Labels[rng.Intn(len(d.Labels))])
 	}
+}
+
+// diffOutside are wire values the decoded documents give features that do
+// not admit them: the first two have no feature of the key space's label
+// features, the first and third none of its bool features, and "ajar" and
+// "locked" none of its number features.
+var diffOutside = []string{`true`, `2.5`, `"ajar"`, `"locked"`, `"snow"`}
+
+// admitsJSON reports whether f admits the wire value raw, by its
+// descriptor.
+func admitsJSON(f Feature, raw string) bool {
+	d := MustDescribe(f)
+	switch {
+	case raw == "true":
+		return d.Type == TypeBool
+	case raw[0] != '"':
+		return d.Type == TypeNumber
+	}
+	l, ok := ParseLabel(f, raw[1:len(raw)-1])
+	return ok && d.Type == TypeLabel && slices.Contains(d.Labels, l)
 }
 
 // modelSnapshot is a Snapshot next to its reference model: a plain map
@@ -232,12 +280,14 @@ func (m modelSnapshot) check(t *testing.T, step int) {
 // decodes it with the codec, next to a model built with the wire
 // format's semantics: repeated "values" objects merge, "values":null
 // drops what came before, a repeated key's last value wins, and a name
-// outside the vocabulary among the values that survive rejects the
-// document. It reports false for a rejected document.
+// outside the vocabulary among the values that survive, or a surviving
+// last value its feature does not admit, rejects the document. It reports
+// false for a rejected document.
 func decodeModel(t *testing.T, rng *rand.Rand, step int) (modelSnapshot, bool) {
 	t.Helper()
 	want := map[Feature]Value{}
 	unknown := map[string]bool{}
+	outside := map[string]bool{}
 	var b strings.Builder
 	b.WriteString(`{"at":"2021-03-14T15:09:26Z"`)
 	for k := rng.Intn(4); k > 0; k-- {
@@ -245,11 +295,13 @@ func decodeModel(t *testing.T, rng *rand.Rand, step int) (modelSnapshot, bool) {
 			b.WriteString(`,"values":null`)
 			clear(want)
 			clear(unknown)
+			clear(outside)
 			continue
 		}
 		b.WriteString(`,"values":{`)
 		for n := rng.Intn(8); n > 0; n-- {
-			f, v := diffFeatures[rng.Intn(len(diffFeatures))], diffValue(rng)
+			f := diffFeatures[rng.Intn(len(diffFeatures))]
+			v := diffValue(rng, f)
 			name := f.String()
 			if rng.Intn(16) == 0 {
 				name = diffUnknown[rng.Intn(len(diffUnknown))]
@@ -260,6 +312,11 @@ func decodeModel(t *testing.T, rng *rand.Rand, step int) (modelSnapshot, bool) {
 			out, err := appendValue(nil, v)
 			if err != nil {
 				t.Fatal(err)
+			}
+			delete(outside, name)
+			if raw := diffOutside[rng.Intn(len(diffOutside))]; rng.Intn(16) == 0 && !unknown[name] && !admitsJSON(f, raw) {
+				out = []byte(raw)
+				outside[name] = true
 			}
 			b.Write(out)
 			if n > 1 {
@@ -274,11 +331,11 @@ func decodeModel(t *testing.T, rng *rand.Rand, step int) (modelSnapshot, bool) {
 	b.WriteByte('}')
 	var s Snapshot
 	err := s.UnmarshalJSON([]byte(b.String()))
-	var uf *UnknownFeatureError
+	var ve *VocabularyError
 	switch {
-	case len(unknown) > 0:
-		if !errors.As(err, &uf) || !unknown[uf.Name] || s.vals != nil {
-			t.Fatalf("step %d: decode %s = %v, %v; want an unknown-feature error and no values", step, b.String(), valuesOf(s), err)
+	case len(unknown) > 0 || len(outside) > 0:
+		if !errors.As(err, &ve) || !unknown[ve.Name] && !outside[ve.Name] || s.vals != nil {
+			t.Fatalf("step %d: decode %s = %v, %v; want a vocabulary error and no values", step, b.String(), valuesOf(s), err)
 		}
 		return modelSnapshot{}, false
 	case err != nil:
@@ -304,7 +361,7 @@ func TestSnapshotDifferential(t *testing.T) {
 				f := diffFeatures[rng.Intn(len(diffFeatures))]
 				switch op := rng.Intn(10); op {
 				case 0, 1, 2:
-					v := diffValue(rng)
+					v := diffValue(rng, f)
 					if m.ref == nil {
 						m.ref = &map[Feature]Value{}
 					}
@@ -407,7 +464,8 @@ func TestDecodeManyDistinctFeaturesIsNotQuadratic(t *testing.T) {
 			b.WriteString(`{"values":{`)
 			for i := n - 1; i >= 0; i-- {
 				b.Write(jsonwire.AppendString(nil, c.key(i)))
-				b.WriteString(`:1`)
+				b.WriteString(`:`)
+				b.WriteString(admittedJSON(c.key(i)))
 				if i > 0 {
 					b.WriteByte(',')
 				}
@@ -418,10 +476,10 @@ func TestDecodeManyDistinctFeaturesIsNotQuadratic(t *testing.T) {
 			var s Snapshot
 			err := s.UnmarshalJSON(data)
 			elapsed := time.Since(start)
-			var uf *UnknownFeatureError
+			var ve *VocabularyError
 			switch {
-			case c.want < 0 && !errors.As(err, &uf):
-				t.Fatalf("decode = %v, want an unknown-feature error", err)
+			case c.want < 0 && !errors.As(err, &ve):
+				t.Fatalf("decode = %v, want a vocabulary error", err)
 			case c.want >= 0 && err != nil:
 				t.Fatal(err)
 			case c.want >= 0 && s.Len() != c.want:
@@ -437,4 +495,21 @@ func TestDecodeManyDistinctFeaturesIsNotQuadratic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// admittedJSON is a wire value the named feature admits: 1 for a number
+// feature and a name outside the vocabulary, true for a bool feature and
+// the first label of its domain for a label feature.
+func admittedJSON(name string) string {
+	f, ok := ParseFeature(name)
+	if !ok {
+		return "1"
+	}
+	switch d := MustDescribe(f); d.Type {
+	case TypeBool:
+		return "true"
+	case TypeLabel:
+		return strconv.Quote(d.Labels[0].String())
+	}
+	return "1"
 }

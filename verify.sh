@@ -89,7 +89,9 @@ go test -count=1 -run '^$' -fuzz '^FuzzLabelEscape$' -fuzztime 10s ./internal/ob
 # by its appender — run the package focused under the race detector, then
 # smoke the differential fuzz targets that hold both to the reference
 # encoding/json codec (same accept/reject verdict, equal snapshots,
-# byte-identical re-encoding).
+# byte-identical re-encoding). Both sides apply the descriptor rule: a
+# feature's last value must have the feature's type, and a label must
+# come from the feature's domain, or the scene is outside the vocabulary.
 go test -race -count=1 ./internal/sensor/
 go test -count=1 -run '^$' -fuzz '^FuzzSnapshotJSON$' -fuzztime 10s ./internal/sensor/
 go test -count=1 -run '^$' -fuzz '^FuzzValueJSON$' -fuzztime 10s ./internal/sensor/
@@ -111,11 +113,14 @@ go test -count=1 -run '^$' -fuzz '^FuzzValueJSON$' -fuzztime 10s ./internal/sens
 # bounded intern table, body round trips through GetBody, concurrent calls
 # on one Client) runs five times over under the race detector.
 go test -race -count=1 ./internal/cloud/
-# The closed feature vocabulary: a scene naming a feature outside it is
-# rejected per item and per push and counted, a trusted home's state stays
-# bounded by the vocabulary however many names a tenant sends, and a
-# decode mark goes with its element, so a repeated array drops it.
-go test -race -count=1 -run 'Vocabulary|UnknownFeature' ./internal/cloud/ ./internal/fleet/ ./internal/trust/
+# The closed vocabulary: a scene naming a feature outside it, or giving a
+# feature a value of another type or a label outside its domain, is
+# rejected per item and per push and counted, and reaches no view, trust
+# engine or decision; a trusted home's state stays bounded by the
+# vocabulary however many names a tenant sends; a decode mark goes with
+# its element, so a repeated array drops it; and a rule literal outside
+# the vocabulary fails at rule load.
+go test -race -count=1 -run 'Vocabulary|UnknownFeature' ./internal/cloud/ ./internal/fleet/ ./internal/trust/ ./internal/automation/
 go test -race -count=10 -run '^TestFleetArena' ./internal/cloud/
 go test -race -count=10 -run '^TestFleetAuthorizeHandlerDifferential$' ./internal/fleet/
 go test -race -count=5 -run '^TestClient' ./internal/cloud/
@@ -167,8 +172,9 @@ for shape in bulk_mixed:bdf5ab08a3dcad28 under_attack:9c9f8d454fb61683; do
         # Each home owns its context view, and a pushed scene is decoded
         # into the pooled request's scene storage and copied into that
         # view in place, so a push allocates nothing in steady state:
-        # about 355 B allocated per decision, server and generator
-        # together (about 565 B with a snapshot, a value set and a view
+        # about 280 B allocated per decision, server and generator
+        # together (about 355 B with 32 B snapshot entries that held a
+        # label string, about 565 B with a snapshot, a value set and a view
         # allocated per pushed scene, about 710 B with 48 B string-keyed
         # entries, about 975 B before the client change, about 1440 B with
         # the snapshot hash map). The count repeats within 0.2 % from run

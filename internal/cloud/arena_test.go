@@ -415,12 +415,22 @@ func TestFleetArenaResetClears(t *testing.T) {
 		a.out[i] = fleet.BatchResult{Err: "unknown home a-00"}
 	}
 	a.req.marks.set(0, rejectOversized, true)
+	named := fleetAuthorizeRequest{names: &wireNames{fleet: fleetForCloudTest(t, 0), ops: instr.BuiltinRegistry()}}
+	fresh, _ := tenantBodies(t, 16) // body's append wrote past bodyA
+	if err := named.unmarshal(fresh); err != nil || len(named.refs.buf) == 0 {
+		t.Fatalf("decoding with names kept %d device-ID bytes, %v", len(named.refs.buf), err)
+	}
+	a.req.refs = named.refs
 	if !a.reset() {
 		t.Fatal("a 256-item arena was not kept for pooling")
 	}
 	requireTailZero(t, "items", a.req.Items)
 	requireTailZero(t, "out", a.out)
 	requireEmptySlots(t, a.req.scenes)
+	if r := a.req.refs; len(r.buf)+len(r.at) != 0 || cap(r.buf) == 0 || !bytes.Equal(r.buf[:cap(r.buf)], make([]byte, cap(r.buf))) {
+		t.Fatal("reset left device-ID bytes or item references, or lost their storage")
+	}
+	requireTailZero(t, "item references", a.req.refs.at)
 	if cap(a.req.Items) == 0 || cap(a.out) == 0 || len(a.req.scenes) < 256 {
 		t.Fatal("reset lost the arena's capacity")
 	}
@@ -435,6 +445,10 @@ func TestFleetArenaResetClears(t *testing.T) {
 	big = &authorizeArena{req: fleetAuthorizeRequest{scenes: make(sceneSlots, maxPooledBuf/arenaItemBytes+1)}}
 	if big.reset() {
 		t.Fatalf("an arena of %d scene slots (over %d B) was kept for pooling", cap(big.req.scenes), maxPooledBuf)
+	}
+	big = &authorizeArena{req: fleetAuthorizeRequest{refs: itemRefs{buf: make([]byte, 0, maxPooledBuf+1)}}}
+	if big.reset() {
+		t.Fatalf("an arena of %d B of device IDs (over %d B) was kept for pooling", cap(big.req.refs.buf), maxPooledBuf)
 	}
 }
 
@@ -667,7 +681,15 @@ func (r *handlerRig) serve(t testing.TB) {
 // fleet cloud's homes, and a 256-item status-only batch.
 func fleetHandlerBodies(t testing.TB, homes int) (mixed, status []byte) {
 	t.Helper()
+	return fleetHandlerBodiesN(t, homes, 256)
+}
+
+// fleetHandlerBodiesN is fleetHandlerBodies for the fixture's first n
+// items.
+func fleetHandlerBodiesN(t testing.TB, homes, n int) (mixed, status []byte) {
+	t.Helper()
 	items, _ := wireFixture(t)
+	items = items[:n]
 	for i := range items {
 		items[i].Home = fmt.Sprintf("home-%02d", i%homes)
 	}
@@ -685,31 +707,52 @@ func fleetHandlerBodies(t testing.TB, homes int) (mixed, status []byte) {
 	return mixed, status
 }
 
-// TestFleetAuthorizeScaffoldingBytes bounds what a 256-item status batch
-// allocates per item in the handler: the decoded strings and the fleet's
-// per-request fan-out, not per-request slices. With the request's slices
-// allocated per request it was about 460 B per item; with the pooled
-// arena it is about 35.
-func TestFleetAuthorizeScaffoldingBytes(t *testing.T) {
+// TestFleetAuthorizeAllocsPerRequest bounds what the authorize handler
+// allocates per request, whatever the batch's size: the body reader, the
+// Content-Length header and little else, nothing per item. Each item's
+// home and op resolve to the server's own strings and its device ID to
+// the copy its home's decision ring holds, so 16-item and 256-item
+// batches, with and without scenes, each allocate 4 times per request.
+// The bound is checked twice: under testing.AllocsPerRun, which runs at
+// GOMAXPROCS 1 and so judges each batch on the handler's goroutine, and
+// as a mean at the process's GOMAXPROCS, where the fleet hands shard runs
+// to par's standing workers. Before either, one home outside the bodies is
+// sent more new device IDs than a shared table could hold: resolution is
+// per home, so it changes nothing for the others.
+func TestFleetAuthorizeAllocsPerRequest(t *testing.T) {
 	if raceEnabled {
-		t.Skip("allocation sizes are not meaningful under the race detector")
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const homes, requests, items = 64, 200, 256
-	srv, _ := startFleetCloud(t, homes)
-	_, status := fleetHandlerBodies(t, homes)
-	rig := newHandlerRig(t, srv, login(t, srv, "gateway", "s3cret"), status)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < requests; i++ {
-		rig.serve(t)
+	const homes, limit, requests = 64, 8, 200
+	srv, _ := startFleetCloud(t, homes+1)
+	c := login(t, srv, "gateway", "s3cret")
+	flood := make([]FleetBatchItem, 5000)
+	for i := range flood {
+		flood[i] = FleetItem(fmt.Sprintf("home-%02d", homes), "light.get_state", fmt.Sprintf("flood-%d", i), nil)
 	}
-	runtime.ReadMemStats(&after)
-	perItem := float64(after.TotalAlloc-before.TotalAlloc) / (requests * items)
-	t.Logf("%.0f B allocated per status item", perItem)
-	const limit = 96
-	if perItem > limit {
-		t.Fatalf("a status item allocates %.0f B in the handler, want at most %d", perItem, limit)
+	if _, err := c.FleetAuthorize(flood); err != nil {
+		t.Fatal(err)
+	}
+	mixed, status := fleetHandlerBodies(t, homes)
+	mixed16, status16 := fleetHandlerBodiesN(t, homes, 16)
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"status_16", status16}, {"status_256", status}, {"mixed_16", mixed16}, {"mixed_256", mixed}} {
+		rig := newHandlerRig(t, srv, c, bc.body)
+		allocs := testing.AllocsPerRun(50, func() { rig.serve(t) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range requests {
+			rig.serve(t)
+		}
+		runtime.ReadMemStats(&after)
+		mean := float64(after.Mallocs-before.Mallocs) / requests
+		t.Logf("%s: %.1f allocs per request at GOMAXPROCS 1, %.2f at %d", bc.name, allocs, mean, runtime.GOMAXPROCS(0))
+		if allocs > limit || mean > limit {
+			t.Errorf("%s: the handler allocates %.1f times per request at GOMAXPROCS 1 and %.2f at %d, want at most %d",
+				bc.name, allocs, mean, runtime.GOMAXPROCS(0), limit)
+		}
 	}
 }
 

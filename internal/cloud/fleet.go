@@ -33,7 +33,10 @@ const errHomeNotBound = "home not bound to this account"
 // it. Context, when present, is pushed as the home's newest sensor
 // snapshot before judging ("push before judge" — the gateway ships state
 // and commands together). The server validates Args and drops them: no
-// judge reads them.
+// judge reads them. It resolves Home and Op to strings of its own (see
+// wireNames), and DeviceID, once Home is known bound to the caller, to
+// the home's own copy (see itemRefs), so the strings it keeps, in a
+// home's decision ring among others, are never a tenant's bytes.
 type FleetBatchItem struct {
 	Home     string           `json:"home"`
 	Op       string           `json:"op"`
@@ -52,6 +55,10 @@ type fleetAuthorizeRequest struct {
 	// scenes holds the items' scenes: a decoded item's Context points at
 	// its slot.
 	scenes sceneSlots
+	// names, when non-nil, resolves the items' homes and ops to the
+	// server's strings, and has their homes and device IDs kept in refs.
+	names *wireNames
+	refs  itemRefs
 }
 
 // FleetResult mirrors one item: either a decision or a per-item
@@ -171,8 +178,9 @@ var arenaPool = sync.Pool{New: func() any { return new(authorizeArena) }}
 const sceneSlotBytes = unsafe.Sizeof(sensor.Snapshot{}) + sensor.MaxValueBytes
 
 // arenaItemBytes is one item's share of an arena: an element of each of
-// its slices, its scene slot's storage included, 552 B.
-const arenaItemBytes = unsafe.Sizeof(fleet.BatchItem{}) + unsafe.Sizeof(fleet.BatchResult{}) + sceneSlotBytes
+// its slices, its scene slot's storage included, 568 B. The device IDs'
+// bytes are bounded on their own.
+const arenaItemBytes = unsafe.Sizeof(fleet.BatchItem{}) + unsafe.Sizeof(fleet.BatchResult{}) + unsafe.Sizeof(itemRef{}) + sceneSlotBytes
 
 func (a *authorizeArena) put() {
 	if a.reset() {
@@ -185,13 +193,18 @@ func (a *authorizeArena) put() {
 // an arena sized past maxPooledBuf by an unusually large batch: that one
 // is left to the garbage collector.
 func (a *authorizeArena) reset() bool {
-	if uintptr(max(cap(a.req.Items), cap(a.out), cap(a.req.scenes)))*arenaItemBytes > maxPooledBuf {
+	refs := &a.req.refs
+	if uintptr(max(cap(a.req.Items), cap(a.out), cap(a.req.scenes), cap(refs.at)))*arenaItemBytes > maxPooledBuf || cap(refs.buf) > maxPooledBuf {
 		return false
 	}
 	clear(a.req.Items)
 	clear(a.out)
 	a.req.scenes.clear()
-	a.req = fleetAuthorizeRequest{Items: a.req.Items[:0], marks: a.req.marks.cleared(), scenes: a.req.scenes}
+	// An earlier array of the body may have written past either's length.
+	clear(refs.buf[:cap(refs.buf)])
+	clear(refs.at[:cap(refs.at)])
+	a.req = fleetAuthorizeRequest{Items: a.req.Items[:0], marks: a.req.marks.cleared(), scenes: a.req.scenes,
+		refs: itemRefs{buf: refs.buf[:0], at: refs.at[:0]}}
 	a.out = a.out[:0]
 	return true
 }
@@ -203,6 +216,7 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 	}
 	a := arenaPool.Get().(*authorizeArena)
 	defer a.put()
+	a.req.names = &s.names
 	if !decodeFleetBody(w, r, maxFleetBodyBytes, a.req.unmarshal) {
 		return
 	}
@@ -227,12 +241,13 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	// Build the other items' instructions in place; an item that fails
-	// gets its error in its result, which keeps the fleet off it.
+	// Build the other items' instructions in place, each device ID now
+	// resolved against its bound home; an item that fails gets its error
+	// in its result, which keeps the fleet off it.
 	for i := range items {
 		if it := &items[i]; out[i].Err == "" {
 			var err error
-			if it.In, err = s.cfg.Registry.Build(it.In.Op, it.In.DeviceID, instr.OriginUser, nil); err != nil {
+			if it.In, err = s.cfg.Registry.Build(it.In.Op, a.req.refs.device(i), instr.OriginUser, nil); err != nil {
 				out[i].Err = err.Error()
 			}
 		}
@@ -244,8 +259,8 @@ func (s *Server) handleFleetAuthorize(w http.ResponseWriter, r *http.Request) {
 	buf := getBuf()
 	*buf = appendAuthorizeResponse(*buf, out)
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(*buf)))
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(*buf))}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(*buf) // a failed write means the gateway went away
 	putBuf(buf)
@@ -281,6 +296,7 @@ func (s *Server) handleFleetContext(w http.ResponseWriter, r *http.Request) {
 	}
 	a := arenaPool.Get().(*authorizeArena)
 	defer a.put()
+	a.req.names = &s.names
 	if !decodeFleetBody(w, r, maxFleetBodyBytes, a.req.unmarshalPushes) {
 		return
 	}

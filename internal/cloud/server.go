@@ -125,6 +125,10 @@ type Server struct {
 	failures map[string]int       // user → consecutive failed logins
 	lockedAt map[string]time.Time // user → lockout start
 
+	// names resolves the names fleet requests give to the server's own
+	// strings.
+	names wireNames
+
 	// vocabularyRejects counts, per fleet endpoint, the items and pushes
 	// rejected for a scene holding a feature or value outside the
 	// vocabulary; nil cells without Config.Metrics.
@@ -177,6 +181,7 @@ func NewServer(cfg Config) (*Server, error) {
 		homes:    make(map[string]string),
 		failures: make(map[string]int),
 		lockedAt: make(map[string]time.Time),
+		names:    wireNames{fleet: cfg.Fleet, ops: cfg.Registry},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/login", s.handleLogin)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"iotsid/internal/fleet"
+	"iotsid/internal/instr"
 	"iotsid/internal/jsonwire"
 	"iotsid/internal/sensor"
 )
@@ -45,8 +46,13 @@ import (
 // decoded, and one whose scene holds a feature or value outside the
 // sensor vocabulary, which the scene's own decoder refuses.
 //
-// Decoded strings are copies, never views of the body, so the body may
-// live in a pooled buffer.
+// No decoded string is a view of the body, so the body may live in a
+// pooled buffer. An authorize item's home and op, and a push's home, are
+// resolved through the request's wireNames to strings the server already
+// owns, which decodes them without allocating; a name no table holds, and
+// every other string, is a copy of its own. With wireNames, an item's
+// device ID is kept as bytes the request owns (itemRefs) until the
+// handler resolves it against the item's home.
 
 // bufPool holds the fleet endpoints' per-request buffers: the server's
 // request and response bodies and the client's.
@@ -236,15 +242,17 @@ func (s sceneSlots) clear() {
 	}
 }
 
-// unmarshal decodes an authorize request body into req: each item's home,
-// op and device ID into Home, In.Op and In.DeviceID, and its scene into
-// Context.
+// unmarshal decodes an authorize request body into req: each item's home
+// and op into Home and In.Op, resolved through req.names, its device ID
+// into In.DeviceID, or into req.refs when req.names is set, and its scene
+// into Context.
 func (req *fleetAuthorizeRequest) unmarshal(data []byte) error {
 	return req.decode(data, authorizeRequestFields, batchItemFields)
 }
 
 // unmarshalPushes decodes a context-push body into req: each push into an
-// item, its home into Home and its scene into Context.
+// item, its home into Home, resolved through req.names, and its scene
+// into Context.
 func (req *fleetAuthorizeRequest) unmarshalPushes(data []byte) error {
 	return req.decode(data, contextRequestFields, contextPushFields)
 }
@@ -258,12 +266,18 @@ func (req *fleetAuthorizeRequest) decode(data []byte, batch, itemFields []string
 			return d.Skip()
 		}
 		return decodeBatch(&d, &req.Items, &req.marks, func(i int, it *fleet.BatchItem) error {
+			if req.names != nil {
+				req.refs.start(i)
+			}
 			return decodeObject(&d, func(name []byte) error {
 				if req.marks.over(&d) {
 					return d.Skip()
 				}
 				switch jsonwire.Field(name, itemFields) {
 				case 0:
+					if req.names != nil {
+						return req.refs.decodeHome(&d, &it.Home, i, req.names.fleet)
+					}
 					return decodeString(&d, &it.Home)
 				case 1:
 					if d.Next() == 'n' {
@@ -282,8 +296,11 @@ func (req *fleetAuthorizeRequest) decode(data []byte, batch, itemFields []string
 					}
 					return err
 				case 2:
-					return decodeString(&d, &it.In.Op)
+					return decodeName(&d, &it.In.Op, req.names.op)
 				case 3:
+					if req.names != nil {
+						return req.refs.decodeDevice(&d, i)
+					}
 					return decodeString(&d, &it.In.DeviceID)
 				case 4:
 					raw, err := d.Raw()
@@ -341,11 +358,11 @@ func (resp *fleetAuthorizeResponse) unmarshal(data []byte) error {
 				case 1:
 					return decodeBool(&d, &r.Sensitive)
 				case 2:
-					return decodeInterned(&d, &r.Model, resp.strs)
+					return decodeName(&d, &r.Model, resp.strs.lookup)
 				case 3:
-					return decodeInterned(&d, &r.Reason, resp.strs)
+					return decodeName(&d, &r.Reason, resp.strs.lookup)
 				case 4:
-					return decodeInterned(&d, &r.Error, resp.strs)
+					return decodeName(&d, &r.Error, resp.strs.lookup)
 				}
 				return d.Skip()
 			})
@@ -421,6 +438,126 @@ func decodeBatch[T any](d *jsonwire.Decoder, s *[]T, marks *batchMarks, elem fun
 	})
 }
 
+// wireNames resolves the names a fleet request gives to strings the
+// server owns: a registered home to the home's own ID (see itemRefs) and
+// an opcode to the registry's. Resolving reads a map with the decoded
+// bytes, so a name the tables hold costs no allocation. Both tables are
+// exact by construction, the fleet's homes and the registry's ops, and a
+// lookup adds nothing to either, so no request grows them. A name no table
+// holds decodes to a copy of its own, as decodeString makes, so its item
+// is answered as before: an unknown home or op gets its per-item error. A
+// nil wireNames resolves nothing.
+type wireNames struct {
+	fleet *fleet.Fleet
+	ops   *instr.Registry
+}
+
+func (n *wireNames) op(b []byte) (string, bool) {
+	if n == nil {
+		return "", false
+	}
+	spec, ok := n.ops.LookupBytes(b)
+	return spec.Op, ok
+}
+
+// itemRefs keeps, for each element of a request decoded with wireNames,
+// the registered home its home field named and its device ID's bytes, in
+// storage the request owns, until the handler knows the element's home is
+// bound to the caller. The handler then resolves the device ID against
+// that home's own decision ring (fleet.Home.DeviceID), so a device ID the
+// home was judged on before costs no allocation, and no table is shared
+// across tenants or filled before a request is authorized.
+type itemRefs struct {
+	buf []byte
+	at  []itemRef
+}
+
+// itemRef is one element's: its home, nil when the home field named no
+// registered home, and its device ID, buf[lo:hi].
+type itemRef struct {
+	home   *fleet.Home
+	lo, hi uint32
+}
+
+// start begins element i, decoded after elements 0..i-1 of the same
+// array, with neither home nor device ID; element 0 begins a new array,
+// whose elements replace the earlier one's.
+func (r *itemRefs) start(i int) {
+	if i == 0 {
+		r.buf = r.buf[:0]
+	}
+	r.at = append(r.at[:i], itemRef{})
+}
+
+// decodeHome decodes element i's home, a string or null at the cursor,
+// into *s: the home's own ID when f has it registered, a copy otherwise.
+// Null leaves both as they were, as decodeString does.
+func (r *itemRefs) decodeHome(d *jsonwire.Decoder, s *string, i int, f *fleet.Fleet) error {
+	if d.Next() != '"' {
+		return decodeString(d, s)
+	}
+	v, err := d.Unquoted()
+	if err != nil {
+		return err
+	}
+	h, ok := f.LookupHome(v)
+	if ok {
+		*s = h.ID()
+	} else {
+		*s = string(v)
+	}
+	r.at[i].home = h
+	return nil
+}
+
+// decodeDevice decodes element i's device ID, a string or null at the
+// cursor; null leaves it as it was, as decodeString does.
+func (r *itemRefs) decodeDevice(d *jsonwire.Decoder, i int) error {
+	if d.Next() != '"' {
+		var s string
+		return decodeString(d, &s)
+	}
+	v, err := d.Unquoted()
+	if err != nil {
+		return err
+	}
+	lo := len(r.buf)
+	r.buf = append(r.buf, v...)
+	r.at[i].lo, r.at[i].hi = uint32(lo), uint32(len(r.buf))
+	return nil
+}
+
+// device returns element i's device ID: its home's copy (Home.DeviceID)
+// when the element named a registered home, a copy of its own otherwise.
+func (r *itemRefs) device(i int) string {
+	if i >= len(r.at) {
+		return ""
+	}
+	e := r.at[i]
+	if e.home != nil {
+		return e.home.DeviceID(r.buf[e.lo:e.hi])
+	}
+	return string(r.buf[e.lo:e.hi])
+}
+
+// decodeName is decodeString for a string resolve may hold: one it holds
+// decodes to resolve's copy, any other to a copy of its own.
+func decodeName(d *jsonwire.Decoder, s *string, resolve func([]byte) (string, bool)) error {
+	if d.Next() != '"' {
+		return decodeString(d, s)
+	}
+	v, err := d.Unquoted()
+	if err != nil {
+		return err
+	}
+	if name, ok := resolve(v); ok {
+		*s = name
+	} else {
+		*s = string(v)
+	}
+	return nil
+}
+
 // decodeString decodes a string or null at the cursor into *s; null
 // leaves *s as it was.
 func decodeString(d *jsonwire.Decoder, s *string) error {
@@ -433,19 +570,6 @@ func decodeString(d *jsonwire.Decoder, s *string) error {
 		return d.Literal("null")
 	}
 	return d.Errorf("want a string or null")
-}
-
-// decodeInterned is decodeString for a string the server draws from a
-// small closed set: it is read through t.
-func decodeInterned(d *jsonwire.Decoder, s *string, t *internTable) error {
-	if d.Next() != '"' {
-		return decodeString(d, s)
-	}
-	v, err := d.Unquoted()
-	if err == nil {
-		*s = t.intern(v)
-	}
-	return err
 }
 
 // internCap bounds an internTable. The server's model, reason and error
@@ -515,6 +639,9 @@ func (t *internTable) intern(b []byte) string {
 	}
 	return s
 }
+
+// lookup is intern as decodeName's resolver: every string resolves.
+func (t *internTable) lookup(b []byte) (string, bool) { return t.intern(b), true }
 
 // decodeBool decodes a boolean or null at the cursor into *b; null leaves
 // *b as it was.

@@ -8,12 +8,14 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
 	"iotsid/internal/fleet"
+	"iotsid/internal/instr"
 	"iotsid/internal/sensor"
 )
 
@@ -366,6 +368,8 @@ var authorizeRequestCases = append(envelopeCases("items", "home", "context"), []
 	{"empty args", `{"items":[{"args":{}}]}`, true},
 	{"huge args", `{"items":[{"home":"h","op":"o","args":` + hugeArgs() + `}]}`, true},
 	{"repeated items", `{"items":[{"home":"a","op":"x","context":` + wireScene + `},{"home":"b","op":"y","args":{"k":1}}],"items":[{"home":"c"}],"items":[{"op":"z"},{"device_id":"d","args":{"j":2}}]}`, true},
+	{"repeated items device IDs", `{"items":[{"device_id":"d0"},{"device_id":"d1","device_id":"d1b"}],"items":[{"home":"h"},{"device_id":"e1"},{"device_id":null}]}`, true},
+	{"escaped device ID", `{"items":[{"home":"home-00","device_id":"a\u00e9\n\"b"},{"device_id":""}]}`, true},
 	{"max nesting args", `{"items":[{"args":{"x":` + nested(9996, "") + `}}]}`, true},
 	{"over nesting args", `{"items":[{"args":{"x":` + nested(9997, "") + `}}]}`, false},
 }...)
@@ -497,6 +501,7 @@ func checkAuthorizeRequest(t *testing.T, data []byte) bool {
 	var got fleetAuthorizeRequest
 	wantErr := refDecode(data, &ref)
 	gotErr := got.unmarshal(data)
+	requireNamedDecode(t, data, (*fleetAuthorizeRequest).unmarshal, &got, gotErr)
 	want, unknown := ref.items()
 	gotItems := wireItems(got.Items)
 	if accepted, compared := checkBatch(t, data, want, unknown, wantErr, gotItems, &got.marks, gotErr); !compared {
@@ -508,6 +513,30 @@ func checkAuthorizeRequest(t *testing.T, data []byte) bool {
 	return true
 }
 
+var (
+	fuzzNamesOnce sync.Once
+	fuzzNames     *wireNames
+)
+
+// requireNamedDecode decodes data with unmarshal as the server does, homes
+// and ops resolved through wireNames and device IDs kept for the handler,
+// and requires the items, marks and error the plain decode gave, once
+// each kept device ID is put in its item.
+func requireNamedDecode(t *testing.T, data []byte, unmarshal func(*fleetAuthorizeRequest, []byte) error, plain *fleetAuthorizeRequest, plainErr error) {
+	t.Helper()
+	fuzzNamesOnce.Do(func() {
+		fuzzNames = &wireNames{fleet: fleetForCloudTest(t, 4), ops: instr.BuiltinRegistry()}
+	})
+	named := fleetAuthorizeRequest{names: fuzzNames}
+	err := unmarshal(&named, data)
+	for i := range named.Items {
+		named.Items[i].In.DeviceID = named.refs.device(i)
+	}
+	if fmt.Sprint(err) != fmt.Sprint(plainErr) || !reflect.DeepEqual(wireItems(named.Items), wireItems(plain.Items)) || !reflect.DeepEqual(named.marks.rs, plain.marks.rs) {
+		t.Fatalf("decode %q with names:\n named %#v, %v\n plain %#v, %v", data, wireItems(named.Items), err, wireItems(plain.Items), plainErr)
+	}
+}
+
 // checkContextRequest is checkAuthorizeRequest for a context push, which
 // the codec decodes into the same items.
 func checkContextRequest(t *testing.T, data []byte) bool {
@@ -516,6 +545,7 @@ func checkContextRequest(t *testing.T, data []byte) bool {
 	var got fleetAuthorizeRequest
 	wantErr := refDecode(data, &ref)
 	gotErr := got.unmarshalPushes(data)
+	requireNamedDecode(t, data, (*fleetAuthorizeRequest).unmarshalPushes, &got, gotErr)
 	want, unknown := ref.pushes()
 	gotItems := wireItems(got.Items)
 	if accepted, compared := checkBatch(t, data, want, unknown, wantErr, gotItems, &got.marks, gotErr); !compared {

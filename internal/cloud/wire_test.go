@@ -14,9 +14,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"iotsid/internal/core"
 	"iotsid/internal/dataset"
+	"iotsid/internal/fleet"
+	"iotsid/internal/instr"
 	"iotsid/internal/sensor"
 )
 
@@ -343,7 +346,9 @@ func wireBodies(tb testing.TB) (items []FleetBatchItem, results []FleetResult, r
 // TestFleetWireDecodeOwnsItsMemory decodes each envelope from a buffer,
 // overwrites the buffer, and requires the decoded value to be unchanged:
 // nothing decoded aliases the body, so the body may live in a pooled
-// buffer.
+// buffer. The requests decode also with names resolved against a fleet
+// holding every other home of the fixture, so a resolved name, a name no
+// table holds and a device ID kept for the handler are each covered.
 func TestFleetWireDecodeOwnsItsMemory(t *testing.T) {
 	items, results, reqBody, respBody := wireBodies(t)
 	items[0].Args = map[string]any{"level": 3.0, "mode": "eco"}
@@ -362,6 +367,15 @@ func TestFleetWireDecodeOwnsItsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl := fleetForCloudTest(t, 0)
+	for i := 0; i < len(items); i += 2 {
+		if _, ok := fl.Home(items[i].Home); !ok {
+			if _, err := fl.AddHome(fleet.HomeConfig{ID: strings.Clone(items[i].Home)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resolved := &wireNames{fleet: fl, ops: instr.BuiltinRegistry()}
 	for _, tc := range []struct {
 		name   string
 		body   []byte
@@ -371,8 +385,16 @@ func TestFleetWireDecodeOwnsItsMemory(t *testing.T) {
 			v := new(fleetAuthorizeRequest)
 			return v, v.unmarshal(b)
 		}},
+		{"authorize request, resolved names", reqBody, func(b []byte) (any, error) {
+			v := &fleetAuthorizeRequest{names: resolved}
+			return v, v.unmarshal(b)
+		}},
 		{"context request", pushBody, func(b []byte) (any, error) {
 			v := new(fleetAuthorizeRequest)
+			return v, v.unmarshalPushes(b)
+		}},
+		{"context request, resolved names", pushBody, func(b []byte) (any, error) {
+			v := &fleetAuthorizeRequest{names: resolved}
 			return v, v.unmarshalPushes(b)
 		}},
 		{"authorize response", respBody, func(b []byte) (any, error) {
@@ -401,6 +423,34 @@ func TestFleetWireDecodeOwnsItsMemory(t *testing.T) {
 	var resp fleetAuthorizeResponse
 	if err := resp.unmarshal(respBody); err != nil || !reflect.DeepEqual(resp.Results, results) {
 		t.Fatalf("response round trip = %v, %v", resp.Results, err)
+	}
+
+	// A resolved name is the server's own string: the fleet's copy of a
+	// registered home's ID, the registry's opcode. A device ID is kept, as
+	// decoded, for the handler.
+	req := fleetAuthorizeRequest{names: resolved}
+	if err := req.unmarshal(reqBody); err != nil {
+		t.Fatal(err)
+	}
+	homes := 0
+	for i, it := range req.Items {
+		if h, ok := fl.LookupHome([]byte(it.Home)); ok {
+			homes++
+			if unsafe.StringData(it.Home) != unsafe.StringData(h.ID()) || req.refs.at[i].home != h {
+				t.Fatalf("home %q decoded to a copy, not the fleet's ID, or was not kept", it.Home)
+			}
+		} else if req.refs.at[i].home != nil {
+			t.Fatalf("home %q is not registered but was kept", it.Home)
+		}
+		if spec, _ := resolved.ops.Lookup(it.In.Op); unsafe.StringData(it.In.Op) != unsafe.StringData(spec.Op) {
+			t.Fatalf("op %q decoded to a copy, not the registry's", it.In.Op)
+		}
+		if got := req.refs.device(i); it.In.DeviceID != "" || got != items[i].DeviceID {
+			t.Fatalf("item %d: device ID decoded to %q and kept as %q, want \"\" and %q", i, it.In.DeviceID, got, items[i].DeviceID)
+		}
+	}
+	if homes == 0 {
+		t.Fatal("no decoded home is registered with the fleet")
 	}
 }
 

@@ -204,6 +204,45 @@ func unjudged(err error, state ContextState) Decision {
 // Log returns a copy of the retained decisions, oldest first.
 func (p *Pipeline) Log() []LogEntry { return p.log.snapshot() }
 
+// LoggedString returns the decision ring's copy of the string b spells,
+// when a retained decision references one (as its op, device ID, reason
+// or missing feature), and whether it does. It does not allocate, so a
+// front end can name a device the home was judged on before with the
+// ring's string instead of a copy of a request's bytes.
+//
+//iot:hotpath
+func (p *Pipeline) LoggedString(b []byte) (string, bool) {
+	l := &p.log
+	if len(b) == 0 || len(l.buf) == 0 {
+		return "", false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.tables == nil || l.next == 0 {
+		return "", false
+	}
+	t := &l.tables.strs
+	// The newest slot's device is the likeliest hit.
+	i := l.buf[(l.next-1)%uint64(len(l.buf))].device
+	switch {
+	case i != 0 && t.vals[i-1] == string(b):
+	case t.index != nil:
+		i = t.index[string(b)]
+	default:
+		i = 0
+		for j, x := range t.vals {
+			if x == string(b) {
+				i = uint16(j + 1)
+				break
+			}
+		}
+	}
+	if i == 0 {
+		return "", false
+	}
+	return t.vals[i-1], true
+}
+
 // decisionLog is a bounded ring of decisions under one mutex: a home's
 // audit tail. It never grows; once full, each append overwrites the
 // oldest entry. The intern tables the slots index into are built on the

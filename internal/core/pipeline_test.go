@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"iotsid/internal/dataset"
 	"iotsid/internal/instr"
@@ -300,5 +301,61 @@ func TestDecideAnswersUnjudgeable(t *testing.T) {
 		if dec := p.Decide(buildInstr(t, "vacuum.start", "vacuum-1"), tc.snap, ContextOK, nil); !dec.Allowed {
 			t.Errorf("%s: non-sensitive instruction decided %+v, want allowed", tc.name, dec)
 		}
+	}
+}
+
+// TestLoggedString: the ring hands back its own copy of a string a
+// retained decision references, found through the newest slot's device,
+// by a scan, or through the map a large table builds, and misses a string
+// no retained slot references, one evicted included. Neither a hit nor a
+// miss allocates.
+func TestLoggedString(t *testing.T) {
+	p := NewPipeline(PipelineConfig{LogCapacity: 32})
+	if _, ok := p.LoggedString([]byte("dev-1")); ok {
+		t.Fatal("an empty ring resolved a string")
+	}
+	dev1, dev2 := strings.Clone("dev-1"), strings.Clone("dev-2")
+	p.log.append(instr.Instruction{Op: "op", DeviceID: dev1}, sensor.Snapshot{}, Decision{Reason: "r"})
+	requireLogged := func(b string, want string) {
+		t.Helper()
+		got, ok := p.LoggedString([]byte(b))
+		if !ok || unsafe.StringData(got) != unsafe.StringData(want) {
+			t.Fatalf("LoggedString(%q) = %q, %v; want the ring's own %q", b, got, ok, want)
+		}
+	}
+	requireLogged("dev-1", dev1) // the newest slot's device
+	p.log.append(instr.Instruction{Op: "op", DeviceID: dev2}, sensor.Snapshot{}, Decision{Reason: "r"})
+	requireLogged("dev-1", dev1) // by a scan
+	requireLogged("dev-2", dev2)
+	for _, b := range []string{"dev-3", "", "dev-"} {
+		if got, ok := p.LoggedString([]byte(b)); ok {
+			t.Fatalf("LoggedString(%q) = %q, want a miss", b, got)
+		}
+	}
+	// Thirty-two distinct ops, devices and reasons pass internScanMax, so the
+	// table looks up through its map; the first two slots are evicted.
+	var devs []string
+	for i := range 32 {
+		devs = append(devs, fmt.Sprintf("d-%d", i))
+		p.log.append(instr.Instruction{Op: fmt.Sprintf("o-%d", i), DeviceID: devs[i]}, sensor.Snapshot{}, Decision{Reason: fmt.Sprintf("r-%d", i)})
+	}
+	if p.log.tables.strs.index == nil {
+		t.Fatal("the table did not build its map")
+	}
+	requireLogged("d-7", devs[7])
+	for _, b := range []string{"dev-1", "dev-2"} {
+		if got, ok := p.LoggedString([]byte(b)); ok {
+			t.Fatalf("LoggedString(%q) = %q after its slot was evicted, want a miss", b, got)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	hit, miss := []byte("d-7"), []byte("dev-1")
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.LoggedString(hit)
+		p.LoggedString(miss)
+	}); allocs != 0 {
+		t.Fatalf("LoggedString allocates %.1f times, want 0", allocs)
 	}
 }

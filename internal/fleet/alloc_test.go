@@ -183,9 +183,11 @@ func TestHomeSize(t *testing.T) {
 // TestFleetSteadyStateHeapPerHome bounds what a home costs once its ring
 // has wrapped: the home, its pipeline, its view with the entries of the
 // widest scene it was pushed, and a full ring of decisions over the load
-// generator's op/device mix, each op and device string allocated per
-// request as the wire decoder allocates it. About 2,790 B per home: a view
-// keeps its widest scene's entries, 16 B each.
+// generator's op/device mix. The op strings are shared by every home, as
+// the wire decoder resolves an op to the registry's string; each device
+// ID is copied per request, as the handler copies one its home's ring does
+// not hold yet, so a ring keeps its own copy. About 2,710 B per home: a
+// view keeps its widest scene's entries, 16 B each.
 func TestFleetSteadyStateHeapPerHome(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -234,7 +236,7 @@ func TestFleetSteadyStateHeapPerHome(t *testing.T) {
 			if rng.Float64() < 0.7 {
 				s = mix[rng.Intn(len(mix)-1)]
 			}
-			in, err := reg.Build(strings.Clone(s.op), strings.Clone(s.device), instr.OriginUser, nil)
+			in, err := reg.Build(s.op, strings.Clone(s.device), instr.OriginUser, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,8 +255,8 @@ func TestFleetSteadyStateHeapPerHome(t *testing.T) {
 	perHome := (heapAlloc() - before) / homes
 	runtime.KeepAlive(f)
 	t.Logf("%.0f B live heap per home", perHome)
-	if perHome > 2958 {
-		t.Fatalf("a home with a full ring holds %.0f B of live heap, want <= 2958", perHome)
+	if perHome > 2800 {
+		t.Fatalf("a home with a full ring holds %.0f B of live heap, want <= 2800", perHome)
 	}
 }
 
@@ -308,4 +310,45 @@ func BenchmarkFleetAuthorizeBatch(b *testing.B) {
 
 func homeID(i int) string {
 	return "home-" + string(rune('a'+i/26%26)) + string(rune('a'+i%26)) + "x"
+}
+
+// TestHomeDeviceID: a device ID a home was judged on resolves to the
+// string its ring holds, without allocating; one new to the home is a
+// copy of its own. LookupHome finds a home by its ID's bytes.
+func TestHomeDeviceID(t *testing.T) {
+	f := fleetForTest(t, Config{Metrics: obs.NewRegistry()})
+	mustAddHome(t, f, HomeConfig{ID: "h"})
+	mustAddHome(t, f, HomeConfig{ID: "other"})
+	dev := strings.Clone("win-1")
+	authorizeItem(t, f, "h", buildInstr(t, "window.open", dev))
+	h, ok := f.LookupHome([]byte("h"))
+	if !ok || h.ID() != "h" {
+		t.Fatalf("LookupHome(h) = %v, %v", h, ok)
+	}
+	if _, ok := f.LookupHome([]byte("ghost")); ok {
+		t.Fatal("LookupHome found an unregistered home")
+	}
+	other, _ := f.LookupHome([]byte("other"))
+	id := []byte("win-1")
+	if got := h.DeviceID(id); unsafe.StringData(got) != unsafe.StringData(dev) {
+		t.Fatalf("DeviceID(win-1) = %q, a copy; want the ring's own string", got)
+	}
+	copied := other.DeviceID(id)
+	if unsafe.StringData(copied) == unsafe.StringData(dev) {
+		t.Fatal("a home that never logged win-1 resolved it to another home's string")
+	}
+	id[0] = 'W'
+	if copied != "win-1" {
+		t.Fatalf("DeviceID returned a view of its argument: %q", copied)
+	}
+	if raceEnabled {
+		return
+	}
+	b := []byte("win-1")
+	if allocs := testing.AllocsPerRun(100, func() {
+		f.LookupHome([]byte("h"))
+		h.DeviceID(b)
+	}); allocs != 0 {
+		t.Fatalf("looking up a home and a logged device ID allocates %.1f times, want 0", allocs)
+	}
 }

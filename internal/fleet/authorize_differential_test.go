@@ -238,32 +238,7 @@ func TestFleetAuthorizeHandlerDifferential(t *testing.T) {
 	models, det := trainedModels(t)
 	served, twin := diffFleet(t, det, models, homes), diffFleet(t, det, models, homes)
 	reg := instr.BuiltinRegistry()
-	srv, err := cloud.NewServer(cloud.Config{
-		Users:    map[string]string{"gateway": "s3cret", "other": "other-secret"},
-		Registry: reg,
-		Forward:  func(instr.Instruction) error { return nil },
-		Fleet:    served,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	for i := 0; i < homes; i++ {
-		if err := srv.BindHome(fmt.Sprintf("home-%02d", i), "gateway"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, bind := range [][2]string{{"ghost", "gateway"}, {"stranger-0", "other"}} {
-		if err := srv.BindHome(bind[0], bind[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var login struct {
-		Session string `json:"session"`
-	}
-	if err := json.Unmarshal(post(t, srv.URL(), "/v1/login", "", []byte(`{"user":"gateway","secret":"s3cret"}`)), &login); err != nil {
-		t.Fatal(err)
-	}
+	srv, session := diffServer(t, served, reg, homes)
 
 	stream, kinds := diffStream(t, rand.New(rand.NewSource(27)), batches, homes)
 	if kinds.unowned == 0 || kinds.oversized == 0 || kinds.unknownFeature == 0 || kinds.unknownOp == 0 ||
@@ -272,15 +247,7 @@ func TestFleetAuthorizeHandlerDifferential(t *testing.T) {
 	}
 	t.Logf("stream of %d items: %+v", batches*256, kinds)
 	for b, batch := range stream {
-		body := []byte(`{"items":[`)
-		for i, it := range batch {
-			if i > 0 {
-				body = append(body, ',')
-			}
-			body = append(body, it.json...)
-		}
-		body = append(body, "]}"...)
-		got := post(t, srv.URL(), "/v1/fleet/authorize", login.Session, body)
+		got := post(t, srv.URL(), "/v1/fleet/authorize", session, batchBody(batch))
 		if want := replayBatch(t, twin, reg, batch); !bytes.Equal(got, want) {
 			t.Fatalf("batch %d: response differs from the replay's\n server %s\n replay %s", b, got, want)
 		}
@@ -309,6 +276,53 @@ func TestFleetAuthorizeHandlerDifferential(t *testing.T) {
 	if incomplete == 0 {
 		t.Fatal("no home logged a sensitive instruction failed closed on an incomplete scene")
 	}
+}
+
+// batchBody is the authorize request body of batch.
+func batchBody(batch []diffItem) []byte {
+	body := []byte(`{"items":[`)
+	for i, it := range batch {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, it.json...)
+	}
+	return append(body, "]}"...)
+}
+
+// diffServer serves the fleet served, whose homes home-00.. (homes of
+// them) and the unregistered "ghost" are bound to the account "gateway",
+// and "stranger-0" to the account "other". It returns the server and a
+// session of "gateway".
+func diffServer(t *testing.T, served *fleet.Fleet, reg *instr.Registry, homes int) (*cloud.Server, string) {
+	t.Helper()
+	srv, err := cloud.NewServer(cloud.Config{
+		Users:    map[string]string{"gateway": "s3cret", "other": "other-secret"},
+		Registry: reg,
+		Forward:  func(instr.Instruction) error { return nil },
+		Fleet:    served,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	for i := 0; i < homes; i++ {
+		if err := srv.BindHome(fmt.Sprintf("home-%02d", i), "gateway"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bind := range [][2]string{{"ghost", "gateway"}, {"stranger-0", "other"}} {
+		if err := srv.BindHome(bind[0], bind[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var login struct {
+		Session string `json:"session"`
+	}
+	if err := json.Unmarshal(post(t, srv.URL(), "/v1/login", "", []byte(`{"user":"gateway","secret":"s3cret"}`)), &login); err != nil {
+		t.Fatal(err)
+	}
+	return srv, login.Session
 }
 
 // TestFleetContextFreePushFailsClosed: a push with no context is a

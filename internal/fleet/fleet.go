@@ -148,10 +148,11 @@ type Home struct {
 	view     atomic.Pointer[homeView]
 	stage    core.Pipeline
 
-	// trust, when non-nil, scores this home's pushed context as
-	// trustSource, the engine's one source (index 0).
-	trust       *trust.Engine
-	trustSource string
+	// trust, when non-nil, scores this home's pushed context as the
+	// engine's one source, index 0.
+	trust *trust.Engine
+	// id is the home's ID, the string its shard's map is keyed by.
+	id string
 }
 
 // homeView is a home's context view: the newest accepted push's values,
@@ -215,6 +216,7 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 	si := f.shardIndex(cfg.ID)
 	h := &Home{
 		shardIdx: si,
+		id:       cfg.ID,
 		stage:    core.NewPipeline(core.PipelineConfig{Judger: f.judger, Sequence: cfg.Sequence, LogCapacity: homeLogCapacity, Now: f.now}),
 	}
 	if cfg.Trust != nil {
@@ -222,7 +224,6 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 			return nil, fmt.Errorf("fleet: home %q: trust engine declares %d sources, want 1", cfg.ID, cfg.Trust.Len())
 		}
 		h.trust = cfg.Trust
-		h.trustSource = cfg.Trust.Sources()[0]
 	}
 	s := &f.shards[si]
 	s.mu.Lock()
@@ -239,6 +240,36 @@ func (f *Fleet) AddHome(cfg HomeConfig) (*Home, error) {
 // Home looks a tenant up.
 func (f *Fleet) Home(id string) (*Home, bool) {
 	return f.homeIn(f.shardIndex(id), id)
+}
+
+// LookupHome is Home for an ID given as bytes. It does not allocate, so a
+// request decoder can name a home with the home's own ID string (ID)
+// instead of a copy of the request's bytes.
+//
+//iot:hotpath
+func (f *Fleet) LookupHome(id []byte) (*Home, bool) {
+	s := &f.shards[jumpHash(fnv64a(id), len(f.shards))]
+	s.mu.RLock()
+	h, ok := s.homes[string(id)]
+	s.mu.RUnlock()
+	return h, ok
+}
+
+// ID returns the home's ID, the string its shard's map is keyed by.
+func (h *Home) ID() string { return h.id }
+
+// DeviceID returns device ID id as a string for an instruction to h: the
+// copy h's decision ring already holds when a retained decision
+// references it, which costs no allocation, and a new copy otherwise. So
+// the strings a home keeps are its own, and a request decoder need not
+// copy a device ID the home was judged on before.
+//
+//iot:hotpath
+func (h *Home) DeviceID(id []byte) string {
+	if s, ok := h.stage.LoggedString(id); ok {
+		return s
+	}
+	return string(id)
 }
 
 // homeIn looks a tenant up in shard si, the shard its ID hashes to.
@@ -277,10 +308,10 @@ func (f *Fleet) shardIndex(id string) uint32 {
 	return jumpHash(fnv64a(id), len(f.shards))
 }
 
-// fnv64a hashes a home ID without allocating.
+// fnv64a hashes a home ID, as a string or as bytes, without allocating.
 //
 //iot:hotpath
-func fnv64a(s string) uint64 {
+func fnv64a[S string | []byte](s S) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -338,7 +369,7 @@ func (f *Fleet) push(h *Home, snap sensor.Snapshot) {
 	if h.trust != nil {
 		// Score on the device's event time when it carries one (the
 		// behavioral fingerprint cares about the sensor's own timeline).
-		h.trust.Observe(h.trustSource, snap, at)
+		h.trust.ObserveIdx(0, snap, at)
 	}
 	var verdict epoch.Verdict
 	if v := h.view.Load(); v != nil {
@@ -426,9 +457,9 @@ type BatchResult struct {
 }
 
 // AuthorizeBatch judges a mixed-home batch, fanned out across shards on at
-// most workers goroutines (Workers-resolved: 0 means GOMAXPROCS). Within a
-// shard, items run in input order, so each home's context pushes and
-// judgments serialise exactly as submitted; results land at their input
+// most workers goroutines (par.Workers-resolved: 0 means GOMAXPROCS).
+// Within a shard, items run in input order, so each home's context pushes
+// and judgments serialise exactly as submitted; results land at their input
 // index. Decisions depend only on item content and order, never on the
 // shard/worker schedule, so seeded batch streams are bit-identical at any
 // shard or worker count. It is AuthorizeBatchInto with a new result slice.
@@ -459,38 +490,59 @@ func (f *Fleet) AuthorizeBatchInto(ctx context.Context, items []BatchItem, out [
 		return err
 	}
 	f.metrics.observeBatch(len(o.idx))
-	return par.Do(len(o.runs)-1, workers, func(k int) error {
-		for _, idx := range o.idx[o.runs[k]:o.runs[k+1]] {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			it := &items[idx]
-			h, ok := f.homeIn(o.shard[idx], it.Home)
-			if !ok {
-				out[idx] = BatchResult{Err: "unknown home " + it.Home}
-				continue
-			}
-			if it.Context != nil {
-				f.push(h, *it.Context) // a dropped push leaves the newer view to judge on
-			}
-			out[idx] = BatchResult{Decision: f.authorizeHome(h, it.In)}
-		}
-		return nil
-	})
+	o.f, o.ctx, o.items, o.out = f, ctx, items, out
+	return par.Do(len(o.runs)-1, workers, o.judge)
 }
 
 // batchOrder is a batch's items ordered by shard, pooled across batches:
 // one stable counting sort of the indices of the items to judge, so each
 // shard's items keep their input order and a worker walks one shard's
-// run.
+// run. While the batch is judged it also holds the batch.
 type batchOrder struct {
 	shard []uint32 // shard[i] is item i's shard
 	start []int    // per shard, where its run starts in idx (+1 slot while counting)
 	idx   []int    // indices of the items to judge grouped by shard, input order within each
 	runs  []int    // where each non-empty shard's run starts in idx, then len(idx)
+
+	// The batch being judged, which par.Do's workers read through judge:
+	// o.judgeRun, bound once per pooled o so that a batch allocates no
+	// closure.
+	f *Fleet
+	//iot:allow ctxrule the workers judge the batch on its caller's context, which put drops when AuthorizeBatchInto returns
+	ctx   context.Context
+	items []BatchItem
+	out   []BatchResult
+	judge func(k int) error
 }
 
-var orderPool = sync.Pool{New: func() any { return new(batchOrder) }}
+// judgeRun judges run k, one shard's items in input order, and stops at
+// the first item that finds the context ended.
+//
+//iot:failclosed
+func (o *batchOrder) judgeRun(k int) error {
+	for _, idx := range o.idx[o.runs[k]:o.runs[k+1]] {
+		if err := o.ctx.Err(); err != nil {
+			return err
+		}
+		it := &o.items[idx]
+		h, ok := o.f.homeIn(o.shard[idx], it.Home)
+		if !ok {
+			o.out[idx] = BatchResult{Err: "unknown home " + it.Home}
+			continue
+		}
+		if it.Context != nil {
+			o.f.push(h, *it.Context) // a dropped push leaves the newer view to judge on
+		}
+		o.out[idx] = BatchResult{Decision: o.f.authorizeHome(h, it.In)}
+	}
+	return nil
+}
+
+var orderPool = sync.Pool{New: func() any {
+	o := new(batchOrder)
+	o.judge = o.judgeRun
+	return o
+}}
 
 // maxPooledOrder bounds the items and shards a pooled batchOrder is sized
 // for; one grown beyond it by an unusually large batch or fleet is left to
@@ -530,9 +582,10 @@ func (o *batchOrder) sort(f *Fleet, items []BatchItem, out []BatchResult) int {
 	return n
 }
 
-// put returns o to the pool. It holds only indices, so nothing of one
-// batch's tenants outlives it.
+// put returns o to the pool, dropping the batch, so that it holds only
+// indices and nothing of one batch's tenants outlives it.
 func (o *batchOrder) put() {
+	o.f, o.ctx, o.items, o.out = nil, nil, nil, nil
 	if cap(o.idx) <= maxPooledOrder && cap(o.start) <= maxPooledOrder+1 {
 		orderPool.Put(o)
 	}

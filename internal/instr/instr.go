@@ -204,6 +204,14 @@ func (r *Registry) Lookup(op string) (Spec, bool) {
 	return s, ok
 }
 
+// LookupBytes is Lookup for an opcode given as bytes; it does not
+// allocate, so a request decoder can name an op with the spec's own
+// string instead of a copy of the request's bytes.
+func (r *Registry) LookupBytes(op []byte) (Spec, bool) {
+	s, ok := r.specs[string(op)]
+	return s, ok
+}
+
 // Build constructs a concrete instruction for a device after validating the
 // opcode against the registry. The instruction gets its own copy of args,
 // nested maps and slices included, so the caller may reuse or change its

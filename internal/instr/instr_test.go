@@ -154,4 +154,10 @@ func TestRegistryLookup(t *testing.T) {
 	if _, ok := r.Lookup("none.such"); ok {
 		t.Error("unexpected lookup hit")
 	}
+	if b, ok := r.LookupBytes([]byte("window.open")); !ok || b != s {
+		t.Errorf("LookupBytes(window.open) = %+v, %v, want %+v", b, ok, s)
+	}
+	if _, ok := r.LookupBytes([]byte("none.such")); ok {
+		t.Error("unexpected LookupBytes hit")
+	}
 }

@@ -11,6 +11,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"iotsid/internal/mlearn"
@@ -110,29 +111,72 @@ func (t *Tree) Fit(d *mlearn.Dataset) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = t.grow(d, idx, 0)
+	t.root = newGrower(t, d).grow(idx, 0)
 	return nil
 }
 
-func (t *Tree) grow(d *mlearn.Dataset, idx []int, depth int) *node {
-	counts := classCounts(d, idx)
+// grower is one Fit's state. It counts classes in slices indexed by a
+// class's ordinal among the dataset's labels in ascending order, so a
+// count vector folded in index order is folded in label order, as
+// impurity requires; the split search reuses its count and ordering
+// slices from candidate to candidate.
+type grower struct {
+	t      *Tree
+	d      *mlearn.Dataset
+	labels []int // labels[k] is the label of class ordinal k, ascending
+	y      []int // y[i] is example i's class ordinal
+
+	left, right, total []int // class counts of a candidate's sides and its node
+	sorted             []int // a node's examples ordered by one numeric attribute
+}
+
+func newGrower(t *Tree, d *mlearn.Dataset) *grower {
+	g := &grower{t: t, d: d, y: make([]int, len(d.Y))}
+	g.labels = slices.Clone(d.Y)
+	slices.Sort(g.labels)
+	g.labels = slices.Compact(g.labels)
+	for i, label := range d.Y {
+		g.y[i], _ = slices.BinarySearch(g.labels, label)
+	}
+	k := len(g.labels)
+	g.left, g.right, g.total = make([]int, k), make([]int, k), make([]int, k)
+	return g
+}
+
+// count sets counts to the class counts of the examples idx.
+func (g *grower) count(counts []int, idx []int) {
+	clear(counts)
+	for _, i := range idx {
+		counts[g.y[i]]++
+	}
+}
+
+func (g *grower) grow(idx []int, depth int) *node {
+	t := g.t
+	counts := make([]int, len(g.labels))
+	g.count(counts, idx)
 	n := &node{
-		Class:    majority(counts),
+		Class:    g.majority(counts),
 		Samples:  len(idx),
 		Impurity: impurity(t.cfg.Criterion, counts, len(idx)),
-		Counts:   counts,
+		Counts:   make(map[int]int),
 		Leaf:     true,
 	}
-	if len(counts) <= 1 ||
+	for k, c := range counts {
+		if c > 0 {
+			n.Counts[g.labels[k]] = c
+		}
+	}
+	if len(n.Counts) <= 1 ||
 		len(idx) < t.cfg.MinSamplesSplit ||
 		(t.cfg.MaxDepth > 0 && depth >= t.cfg.MaxDepth) {
 		return n
 	}
-	best, ok := t.bestSplit(d, idx, n.Impurity)
+	best, ok := g.bestSplit(idx, n.Impurity)
 	if !ok || best.gain <= t.cfg.MinImpurityDecrease {
 		return n
 	}
-	left, right := partition(d, idx, best)
+	left, right := partition(g.d, idx, best)
 	if len(left) < t.cfg.MinSamplesLeaf || len(right) < t.cfg.MinSamplesLeaf {
 		return n
 	}
@@ -144,9 +188,21 @@ func (t *Tree) grow(d *mlearn.Dataset, idx []int, depth int) *node {
 	n.Numeric = best.numeric
 	n.Threshold = best.threshold
 	n.Category = best.category
-	n.Left = t.grow(d, left, depth+1)
-	n.Right = t.grow(d, right, depth+1)
+	n.Left = g.grow(left, depth+1)
+	n.Right = g.grow(right, depth+1)
 	return n
+}
+
+// majority returns the label of the most frequent class; a tie goes to
+// the smallest label.
+func (g *grower) majority(counts []int) int {
+	best, bestN := 0, 0
+	for k, c := range counts {
+		if c > bestN {
+			best, bestN = g.labels[k], c
+		}
+	}
+	return best
 }
 
 type split struct {
@@ -157,19 +213,20 @@ type split struct {
 	gain      float64
 }
 
-func (t *Tree) bestSplit(d *mlearn.Dataset, idx []int, parentImp float64) (split, bool) {
+func (g *grower) bestSplit(idx []int, parentImp float64) (split, bool) {
 	var cands []candidate
-	for attr, a := range d.Schema.Attrs {
-		if t.cfg.FeatureMask != nil && attr < len(t.cfg.FeatureMask) && !t.cfg.FeatureMask[attr] {
+	g.count(g.total, idx)
+	for attr, a := range g.d.Schema.Attrs {
+		if mask := g.t.cfg.FeatureMask; mask != nil && attr < len(mask) && !mask[attr] {
 			continue
 		}
 		if a.Kind == mlearn.Numeric {
-			cands = append(cands, t.numericCandidates(d, idx, attr, parentImp)...)
+			cands = g.numericCandidates(cands, idx, attr, parentImp)
 		} else {
-			cands = append(cands, t.categoricalCandidates(d, idx, attr, parentImp, len(a.Categories))...)
+			cands = g.categoricalCandidates(cands, idx, attr, parentImp, len(a.Categories))
 		}
 	}
-	return t.selectCandidate(cands)
+	return g.t.selectCandidate(cands)
 }
 
 // candidate is one evaluated split point with its raw impurity decrease and
@@ -181,23 +238,25 @@ type candidate struct {
 	score float64
 }
 
-func (t *Tree) numericCandidates(d *mlearn.Dataset, idx []int, attr int, parentImp float64) []candidate {
-	sorted := append([]int(nil), idx...)
-	sort.Slice(sorted, func(i, j int) bool { return d.X[sorted[i]][attr] < d.X[sorted[j]][attr] })
+// numericCandidates appends to cands the splits between consecutive
+// distinct values of numeric attribute attr.
+func (g *grower) numericCandidates(cands []candidate, idx []int, attr int, parentImp float64) []candidate {
+	x := g.d.X
+	sorted := append(g.sorted[:0], idx...)
+	g.sorted = sorted
+	sort.Slice(sorted, func(i, j int) bool { return x[sorted[i]][attr] < x[sorted[j]][attr] })
 
-	total := classCounts(d, idx)
-	leftCounts := make(map[int]int, len(total))
+	clear(g.left)
 	n := len(sorted)
-	var cands []candidate
 	for i := 0; i < n-1; i++ {
-		leftCounts[d.Y[sorted[i]]]++
-		cur, next := d.X[sorted[i]][attr], d.X[sorted[i+1]][attr]
+		g.left[g.y[sorted[i]]]++
+		cur, next := x[sorted[i]][attr], x[sorted[i+1]][attr]
 		if cur == next {
 			continue
 		}
 		nl := i + 1
 		nr := n - nl
-		raw, score := t.splitGain(parentImp, leftCounts, total, nl, nr, n)
+		raw, score := g.splitGain(parentImp, nl, nr, n)
 		if raw > 0 {
 			cands = append(cands, candidate{
 				s:   split{attr: attr, numeric: true, threshold: (cur + next) / 2},
@@ -208,23 +267,23 @@ func (t *Tree) numericCandidates(d *mlearn.Dataset, idx []int, attr int, parentI
 	return cands
 }
 
-func (t *Tree) categoricalCandidates(d *mlearn.Dataset, idx []int, attr int, parentImp float64, nCats int) []candidate {
-	total := classCounts(d, idx)
+// categoricalCandidates appends to cands the one-category-versus-rest
+// splits of categorical attribute attr.
+func (g *grower) categoricalCandidates(cands []candidate, idx []int, attr int, parentImp float64, nCats int) []candidate {
 	n := len(idx)
-	var cands []candidate
 	for cat := 0; cat < nCats; cat++ {
-		leftCounts := make(map[int]int)
+		clear(g.left)
 		nl := 0
 		for _, i := range idx {
-			if int(d.X[i][attr]) == cat {
-				leftCounts[d.Y[i]]++
+			if int(g.d.X[i][attr]) == cat {
+				g.left[g.y[i]]++
 				nl++
 			}
 		}
 		if nl == 0 || nl == n {
 			continue
 		}
-		raw, score := t.splitGain(parentImp, leftCounts, total, nl, n-nl, n)
+		raw, score := g.splitGain(parentImp, nl, n-nl, n)
 		if raw > 0 {
 			cands = append(cands, candidate{
 				s:   split{attr: attr, numeric: false, category: cat},
@@ -269,18 +328,19 @@ func (t *Tree) selectCandidate(cands []candidate) (split, bool) {
 	return best.s, true
 }
 
-// splitGain computes the raw impurity decrease of a binary split and its
+// splitGain computes the raw impurity decrease of the binary split whose
+// left side counts g.left, of the node that counts g.total, and its
 // criterion-specific score.
-func (t *Tree) splitGain(parentImp float64, leftCounts, total map[int]int, nl, nr, n int) (raw, score float64) {
-	rightCounts := make(map[int]int, len(total))
-	for c, cnt := range total {
-		rightCounts[c] = cnt - leftCounts[c]
+func (g *grower) splitGain(parentImp float64, nl, nr, n int) (raw, score float64) {
+	crit := g.t.cfg.Criterion
+	for k, c := range g.total {
+		g.right[k] = c - g.left[k]
 	}
-	li := impurity(t.cfg.Criterion, leftCounts, nl)
-	ri := impurity(t.cfg.Criterion, rightCounts, nr)
+	li := impurity(crit, g.left, nl)
+	ri := impurity(crit, g.right, nr)
 	raw = parentImp - (float64(nl)*li+float64(nr)*ri)/float64(n)
 	score = raw
-	if t.cfg.Criterion == GainRatio {
+	if crit == GainRatio {
 		si := splitInfo(nl, nr, n)
 		if si <= 0 {
 			return raw, 0
@@ -373,33 +433,32 @@ func count(n *node) int {
 }
 
 // impurity computes the node impurity for the configured criterion;
-// gain-ratio grows on entropy. Classes are folded in sorted order so the
-// floating-point sum — and therefore near-tie split selection — is
-// deterministic across runs (map iteration order is randomised).
-func impurity(c Criterion, counts map[int]int, n int) float64 {
+// gain-ratio grows on entropy. counts holds the classes in ascending label
+// order and is folded in that order, so the floating-point sum — and
+// therefore near-tie split selection — is deterministic; a class with no
+// examples adds nothing.
+func impurity(c Criterion, counts []int, n int) float64 {
 	if n == 0 {
 		return 0
 	}
-	classes := make([]int, 0, len(counts))
-	for cls := range counts {
-		classes = append(classes, cls)
-	}
-	sort.Ints(classes)
 	switch c {
 	case Gini:
 		g := 1.0
-		for _, cls := range classes {
-			p := float64(counts[cls]) / float64(n)
+		for _, cnt := range counts {
+			if cnt == 0 {
+				continue
+			}
+			p := float64(cnt) / float64(n)
 			g -= p * p
 		}
 		return g
 	default: // Entropy and GainRatio
 		var h float64
-		for _, cls := range classes {
-			if counts[cls] == 0 {
+		for _, cnt := range counts {
+			if cnt == 0 {
 				continue
 			}
-			p := float64(counts[cls]) / float64(n)
+			p := float64(cnt) / float64(n)
 			h -= p * math.Log2(p)
 		}
 		return h
@@ -416,28 +475,4 @@ func splitInfo(nl, nr, n int) float64 {
 		si -= p * math.Log2(p)
 	}
 	return si
-}
-
-func classCounts(d *mlearn.Dataset, idx []int) map[int]int {
-	out := make(map[int]int)
-	for _, i := range idx {
-		out[d.Y[i]]++
-	}
-	return out
-}
-
-func majority(counts map[int]int) int {
-	best, bestN := 0, -1
-	// Deterministic tie-break: smallest class wins.
-	classes := make([]int, 0, len(counts))
-	for c := range counts {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
-	for _, c := range classes {
-		if counts[c] > bestN {
-			best, bestN = c, counts[c]
-		}
-	}
-	return best
 }

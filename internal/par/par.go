@@ -59,6 +59,10 @@ func Workers(n int) int {
 // Do runs fn(i) for every i in [0, n) on at most workers goroutines
 // (Workers-resolved, so workers <= 0 means GOMAXPROCS) and waits for all of
 // them. Units must be independent of each other per the package contract.
+// The caller's goroutine is one of the workers; each other is a standing
+// worker parked between fan-outs, or a new goroutine when none is parked,
+// so a fan-out never waits for a worker. Do itself allocates nothing once
+// workers stand parked, which lets a request path fan out per request.
 //
 // Error propagation is deterministic: Do returns the error of the
 // lowest-failing index — exactly the error a serial loop would have
@@ -91,58 +95,102 @@ func Do(n, workers int, fn func(i int) error) error {
 		}
 		return nil
 	}
+	f := fanPool.Get().(*fanOut)
+	f.n, f.fn, f.errIdx = n, fn, n
+	f.next.Store(0)
+	f.minFailed.Store(int64(n)) // sentinel: nothing failed
+	for w := 1; w < workers; w++ {
+		f.wg.Add(1)
+		select {
+		case parked <- f:
+		default:
+			go work(f)
+		}
+	}
+	func() {
+		defer f.wg.Wait() // even when a unit panics: no worker outlives the call
+		f.run()
+	}()
+	err := f.err
+	f.fn, f.err = nil, nil
+	fanPool.Put(f)
+	return err
+}
 
-	var (
-		next      atomic.Int64
-		minFailed atomic.Int64 // lowest failing index seen so far
-		mu        sync.Mutex
-		errIdx    = n // index whose error is held in err
-		err       error
-		wg        sync.WaitGroup
-	)
-	minFailed.Store(int64(n)) // sentinel: nothing failed
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			busy.Add(1)
-			done := uint64(0)
-			defer func() {
-				tasks.Add(done)
-				busy.Add(-1)
-			}()
+// fanOut is one parallel Do call, shared by its workers. Do pools them, so
+// a fan-out allocates nothing once warm.
+type fanOut struct {
+	n         int
+	fn        func(i int) error
+	next      atomic.Int64 // the next index to claim
+	minFailed atomic.Int64 // lowest failing index seen so far
+	mu        sync.Mutex
+	errIdx    int   // index whose error is held in err
+	err       error // under mu
+	wg        sync.WaitGroup
+}
+
+var fanPool = sync.Pool{New: func() any { return new(fanOut) }}
+
+// Standing workers: a goroutine Do starts parks on parked after its first
+// fan-out while fewer than maxStanding others stand, and then serves every
+// fan-out handed to it for the life of the process; the rest exit. A send
+// on the unbuffered channel succeeds only to a parked worker.
+var (
+	parked      = make(chan *fanOut)
+	standing    atomic.Int64
+	maxStanding = int64(runtime.GOMAXPROCS(0))
+)
+
+// work is a worker Do started for f.
+func work(f *fanOut) {
+	f.run()
+	f.wg.Done()
+	if standing.Add(1) > maxStanding {
+		standing.Add(-1)
+		return
+	}
+	for f := range parked {
+		f.run()
+		f.wg.Done()
+	}
+}
+
+// run claims and runs f's units until none is left.
+func (f *fanOut) run() {
+	_, tasks, busy := poolMetrics()
+	busy.Add(1)
+	done := uint64(0)
+	defer func() {
+		tasks.Add(done)
+		busy.Add(-1)
+	}()
+	for {
+		i := f.next.Add(1) - 1
+		if i >= int64(f.n) {
+			return
+		}
+		// Skip units a serial loop would not have reached — but keep
+		// running indices below the current minimum failure so the
+		// serial-equivalent (lowest) error is always found.
+		if i > f.minFailed.Load() {
+			continue
+		}
+		done++
+		if e := f.fn(int(i)); e != nil {
+			f.mu.Lock()
+			if int(i) < f.errIdx {
+				f.errIdx, f.err = int(i), e
+			}
+			f.mu.Unlock()
 			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				// Skip units a serial loop would not have reached — but keep
-				// running indices below the current minimum failure so the
-				// serial-equivalent (lowest) error is always found.
-				if i > minFailed.Load() {
-					continue
-				}
-				done++
-				if e := fn(int(i)); e != nil {
-					mu.Lock()
-					if int(i) < errIdx {
-						errIdx, err = int(i), e
-					}
-					mu.Unlock()
-					for {
-						cur := minFailed.Load()
-						if i >= cur || minFailed.CompareAndSwap(cur, i) {
-							break
-						}
-					}
+				cur := f.minFailed.Load()
+				if i >= cur || f.minFailed.CompareAndSwap(cur, i) {
+					break
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return err
 }
 
 // Map runs fn(i) for every i in [0, n) on at most workers goroutines and

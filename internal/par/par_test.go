@@ -171,3 +171,39 @@ func TestPoolRace(t *testing.T) {
 		t.Errorf("total = %d, want %d", total.Load(), want)
 	}
 }
+
+// TestDoWarmAllocs: a parallel fan-out hands its units to standing
+// workers and allocates nothing once they stand parked. It runs at the
+// process's own GOMAXPROCS, not under testing.AllocsPerRun, which sets it
+// to 1, so the hand-off itself is measured. A worker that has not parked
+// again when the next call comes is replaced by a new goroutine, which
+// allocates, so the bound is an average.
+func TestDoWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const calls = 2000
+	var sum atomic.Int64
+	fn := func(i int) error {
+		sum.Add(int64(i))
+		return nil
+	}
+	for range 100 {
+		if err := Do(64, 2, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if err := Do(64, 2, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.Mallocs-before.Mallocs) / calls
+	t.Logf("%.3f allocations per two-worker fan-out at GOMAXPROCS %d", perCall, runtime.GOMAXPROCS(0))
+	if perCall > 0.25 {
+		t.Fatalf("a warm two-worker fan-out allocates %.3f times, want at most 0.25", perCall)
+	}
+}

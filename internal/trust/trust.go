@@ -400,10 +400,17 @@ func (e *Engine) Report() []SourceTrust {
 //
 //iot:hotpath
 func (e *Engine) Observe(source string, snap sensor.Snapshot, at time.Time) {
-	i, ok := e.byName[source]
-	if !ok {
-		return
+	if i, ok := e.byName[source]; ok {
+		e.ObserveIdx(i, snap, at)
 	}
+}
+
+// ObserveIdx is Observe for source i, the index Index resolves: the
+// front end that holds a source's index scores it without keeping or
+// looking up its name.
+//
+//iot:hotpath
+func (e *Engine) ObserveIdx(i int, snap sensor.Snapshot, at time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.sources[i]
